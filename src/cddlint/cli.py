@@ -158,11 +158,19 @@ def _discover(paths: Optional[list[str]], rules: RuleSet) -> list[tuple[Path, st
                 rel = child.relative_to(p).as_posix()
                 rec = rel if raw in (".", "./") else f"{p.as_posix().rstrip('/')}/{rel}"
                 rec = rec.removeprefix("./")
-                if rules.is_included_path(rec) and not rules.is_excluded_path(rec):
+                if _wanted(rec, rules):
                     found.setdefault(rec, child)
         else:
             raise _ExitWith(2, f"no such file or directory: {raw}")
     return [(found[rec], rec) for rec in sorted(found)]
+
+
+def _wanted(rec: str, rules: RuleSet) -> bool:
+    """Include/exclude globs see an absolute path as the same file named
+    relative to the working directory, as if its directory had been given so."""
+    if os.path.isabs(rec):
+        rec = Path(os.path.relpath(rec)).as_posix()
+    return rules.is_included_path(rec) and not rules.is_excluded_path(rec)
 
 
 # ── commands ─────────────────────────────────────────────────────────────
@@ -197,8 +205,13 @@ def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet):
             continue
         try:
             unit = parse_unit(text, rec)
+            analyses = analyze_unit(unit, rules)
         except ParseError as exc:
             issues.append(FileIssue(rec, f"parse failed: {exc}"))
+            parse_failures += 1
+            continue
+        except RecursionError:
+            issues.append(FileIssue(rec, "parse failed: nesting too deep"))
             parse_failures += 1
             continue
         try:
@@ -206,7 +219,6 @@ def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet):
         except MalformedIcp as exc:
             issues.append(FileIssue(rec, str(exc)))
             declared = None
-        analyses = analyze_unit(unit, rules)
         file_rows = []
         for analysis in analyses:
             v = verdict(analysis, rules)

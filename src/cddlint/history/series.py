@@ -1,16 +1,27 @@
 """Per-commit evolution metrics: class counts, mean LOC, mean ICP, percent of
-classes over the limit, method-length stats and budget-commit detection."""
+classes over the limit, method-length stats and budget-commit detection.
+
+A snapshot's metrics are aggregated from one `FileResult` per non-test file.
+Within one `series()` call a `FileMemo` keeps the previous snapshot's results,
+keyed by (path, sha256 of the file's bytes), so only files that are new or
+changed since that snapshot are parsed and analysed. The key covers every
+input of a result: the bytes, and the path that test globs, limit overrides
+and diagnostics depend on; the rules are fixed for the call. The memo is
+replaced by each snapshot's results, so it never holds more than one
+snapshot, and nothing outlives the call.
+"""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 from ..engine import analyze_unit, verdict
-from ..methods import MethodStats, method_stats
+from ..methods import MethodStats, method_lengths, method_stats, stats_from_lengths
 from ..rules import RuleSet
 from ..syntax import ParseError, ast, parse_unit
 from ..values import format_fixed2
@@ -92,39 +103,97 @@ def detect_cdd_commit(message: str, rules: RuleSet) -> Optional[tuple[str, str]]
     return unit or "", description or ""
 
 
-def analyze_snapshot(files: list[SnapshotFile], rules: RuleSet) -> SnapshotStats:
-    """Class metrics over non-test units; parse failures are tallied, not fatal.
+@dataclass(frozen=True)
+class FileResult:
+    """What one non-test file adds to its snapshot: per-class LOC and totals,
+    how many classes are over their limit, the counted method lengths, and
+    the excluded method count; or, when it did not parse, only `failure`."""
+
+    class_locs: tuple[int, ...] = ()
+    totals: tuple[Fraction, ...] = ()
+    over_limit: int = 0
+    method_lengths: tuple[int, ...] = ()
+    excluded_methods: int = 0
+    failure: Optional[str] = None
+
+
+def analyze_file(f: SnapshotFile, rules: RuleSet) -> FileResult:
+    """Parse and analyse one file; a parse failure, or nesting too deep for
+    the parser or the engine, becomes the file's diagnostic.
 
     LOC attribution: a file with a single top-level class contributes its
     whole-file physical line count to that class; any other class gets its own
     declaration span height.
     """
-    diagnostics: list[str] = []
-    parse_failures = 0
-    units: list[ast.SourceUnit] = []
-    for f in files:
-        if f.is_test:
-            continue
-        try:
-            units.append(parse_unit(f.text, f.path))
-        except ParseError as exc:
-            parse_failures += 1
-            diagnostics.append(f"{f.path}: parse failed: {exc}")
+    try:
+        unit = parse_unit(f.text, f.path)
+        analyses = analyze_unit(unit, rules)
+    except ParseError as exc:
+        return FileResult(failure=f"{f.path}: parse failed: {exc}")
+    except RecursionError:
+        return FileResult(failure=f"{f.path}: parse failed: nesting too deep")
+    single_top = len(unit.types) == 1
+    class_locs = []
+    # one analysis per declaration, in the same pre-order walk
+    for _, decl in ast.iter_type_decls(unit):
+        if single_top and decl is unit.types[0]:
+            class_locs.append(unit.physical_lines)
+        else:
+            class_locs.append(decl.span.line_end - decl.span.line_start + 1)
+    lengths, excluded = method_lengths(unit, rules)
+    return FileResult(
+        class_locs=tuple(class_locs),
+        totals=tuple(a.total for a in analyses),
+        over_limit=sum(verdict(a, rules).over_limit for a in analyses),
+        method_lengths=tuple(lengths),
+        excluded_methods=excluded,
+    )
+
+
+class FileMemo:
+    """The `FileResult`s of the last snapshot analysed, keyed by (path, sha256
+    of the file's bytes); one memo serves one `RuleSet`. The bytes are the
+    text encoded again, which gives back the blob a valid UTF-8 text came from."""
+
+    def __init__(self) -> None:
+        self._last: dict[tuple[str, bytes], FileResult] = {}
+
+    def analyze(self, files: list[SnapshotFile], rules: RuleSet) -> list[FileResult]:
+        current: dict[tuple[str, bytes], FileResult] = {}
+        results = []
+        for f in files:
+            key = (f.path, hashlib.sha256(f.text.encode("utf-8")).digest())
+            result = self._last.get(key) or analyze_file(f, rules)
+            current[key] = result
+            results.append(result)
+        self._last = current
+        return results
+
+
+def analyze_snapshot(
+    files: list[SnapshotFile], rules: RuleSet, memo: Optional[FileMemo] = None
+) -> SnapshotStats:
+    """Class metrics over non-test units; parse failures are tallied, not
+    fatal. With a memo, files unchanged since the memo's last snapshot reuse
+    that snapshot's results; the metrics are the same either way."""
+    if memo is None:
+        memo = FileMemo()
+    results = memo.analyze([f for f in files if not f.is_test], rules)
 
     class_locs: list[int] = []
     totals: list[Fraction] = []
-    over = 0
-    for unit in units:
-        single_top = len(unit.types) == 1
-        for analysis in analyze_unit(unit, rules):
-            decl = _find_decl(unit, analysis.type_name)
-            if single_top and decl is unit.types[0]:
-                class_locs.append(unit.physical_lines)
-            else:
-                class_locs.append(decl.span.line_end - decl.span.line_start + 1)
-            totals.append(analysis.total)
-            if verdict(analysis, rules).over_limit:
-                over += 1
+    lengths: list[int] = []
+    over = excluded = 0
+    diagnostics: list[str] = []
+    for r in results:
+        if r.failure is not None:
+            diagnostics.append(r.failure)
+            continue
+        class_locs += r.class_locs
+        totals += r.totals
+        over += r.over_limit
+        lengths += r.method_lengths
+        excluded += r.excluded_methods
 
     count = len(totals)
     return SnapshotStats(
@@ -132,17 +201,10 @@ def analyze_snapshot(files: list[SnapshotFile], rules: RuleSet) -> SnapshotStats
         mean_physical_loc=Fraction(sum(class_locs), count) if count else None,
         mean_icp=sum(totals, Fraction(0)) / count if count else None,
         percent_over_limit=Fraction(100 * over, count) if count else None,
-        methods=method_stats(units, rules),
-        parse_failures=parse_failures,
+        methods=stats_from_lengths(lengths, excluded),
+        parse_failures=len(diagnostics),
         diagnostics=tuple(diagnostics),
     )
-
-
-def _find_decl(unit: ast.SourceUnit, dotted: str) -> ast.TypeDecl:
-    for name, decl in ast.iter_type_decls(unit):
-        if name == dotted:
-            return decl
-    raise KeyError(dotted)
 
 
 def series(
@@ -152,20 +214,13 @@ def series(
     snapshots: list[SnapshotMetrics] = []
     failures: list[str] = []
     commits = list_snapshots(provider, range_spec)
+    memo = FileMemo()
     for commit in commits:
         try:
             files, diags = read_snapshot_files(provider, commit, rules)
-            stats = analyze_snapshot(files, rules)
+            stats = analyze_snapshot(files, rules, memo)
             if diags:
-                stats = SnapshotStats(
-                    class_count=stats.class_count,
-                    mean_physical_loc=stats.mean_physical_loc,
-                    mean_icp=stats.mean_icp,
-                    percent_over_limit=stats.percent_over_limit,
-                    methods=stats.methods,
-                    parse_failures=stats.parse_failures,
-                    diagnostics=tuple(diags) + stats.diagnostics,
-                )
+                stats = replace(stats, diagnostics=tuple(diags) + stats.diagnostics)
         except Exception as exc:  # per-snapshot isolation
             failures.append(f"{commit.id}: {exc}")
             stats = SnapshotStats(0, None, None, None,

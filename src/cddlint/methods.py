@@ -40,26 +40,36 @@ def is_getter_or_setter(method: ast.MethodDecl) -> bool:
     return isinstance(only, ast.ExprStmt) and isinstance(only.expr, ast.Assign)
 
 
+def method_lengths(unit: ast.SourceUnit, rules: RuleSet) -> tuple[list[int], int]:
+    """Body lengths of a unit's counted methods, and how many it excluded."""
+    counted: list[int] = []
+    excluded = 0
+    in_test_file = rules.is_test_path(unit.path)
+    for _, decl in iter_type_decls(unit):
+        for method in decl.methods:
+            if (
+                in_test_file
+                or method.body is None
+                or method.name in ("equals", "hashCode")
+                or is_getter_or_setter(method)
+            ):
+                excluded += 1
+            else:
+                counted.append(method.body_line_count)
+    return counted, excluded
+
+
 def method_stats(units: Iterable[ast.SourceUnit], rules: RuleSet) -> MethodStats:
     counted: list[int] = []
     excluded = 0
     for unit in units:
-        in_test_file = rules.is_test_path(unit.path)
-        for _, decl in iter_type_decls(unit):
-            for method in decl.methods:
-                if (
-                    in_test_file
-                    or method.body is None
-                    or method.name in ("equals", "hashCode")
-                    or is_getter_or_setter(method)
-                ):
-                    excluded += 1
-                else:
-                    counted.append(method.body_line_count)
-    return _stats_from(counted, excluded)
+        lengths, skipped = method_lengths(unit, rules)
+        counted += lengths
+        excluded += skipped
+    return stats_from_lengths(counted, excluded)
 
 
-def _stats_from(counted: list[int], excluded: int) -> MethodStats:
+def stats_from_lengths(counted: list[int], excluded: int) -> MethodStats:
     if not counted:
         return MethodStats(0, excluded, None, None, None, None, None, None)
     n = len(counted)

@@ -34,6 +34,14 @@ def oracle_manifest() -> dict:
     return json.loads((ORACLE_DIR / "manifest.json").read_text(encoding="utf-8"))
 
 
+# Nested deeper than the parser's recursion allows: each file holding it
+# must fail alone, as a parse failure.
+DEEP_SOURCE = (
+    "class Deep {\n  int f(int a) {\n    return "
+    + "(" * 120 + "a" + ")" * 120 + ";\n  }\n}\n"
+)
+
+
 # ── history fixture ──────────────────────────────────────────────────────
 #
 # Five commits with hand-computed metrics (see test_history.EXPECTED_ROWS):
@@ -116,27 +124,38 @@ def _git(repo: Path, *args: str, env: dict | None = None) -> str:
     return proc.stdout.strip()
 
 
+def commit_tree(repo: Path, changes: dict, message: str, timestamp: str) -> None:
+    """Write `changes` (path -> str or bytes, None deletes) and commit them at
+    `timestamp`; the repository is created on first use."""
+    if not repo.exists():
+        repo.mkdir()
+        _git(repo, "init", "-q")
+        _git(repo, "config", "user.name", "fixture")
+        _git(repo, "config", "user.email", "fixture@example.com")
+    for path, content in changes.items():
+        target = repo / path
+        if content is None:
+            target.unlink()
+            continue
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, bytes):
+            target.write_bytes(content)
+        else:
+            target.write_text(content, encoding="utf-8")
+    env = dict(os.environ)
+    git_date = timestamp.replace("Z", " +0000").replace("T", " ")
+    env["GIT_AUTHOR_DATE"] = git_date
+    env["GIT_COMMITTER_DATE"] = git_date
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", message, env=env)
+
+
 @pytest.fixture()
 def history_repo(tmp_path: Path) -> tuple[Path, list[str]]:
     """Build the 5-commit repo; returns (path, commit ids oldest first)."""
     repo = tmp_path / "repo"
-    repo.mkdir()
-    _git(repo, "init", "-q")
-    _git(repo, "config", "user.name", "fixture")
-    _git(repo, "config", "user.email", "fixture@example.com")
-    tree: dict[str, str] = {}
     for timestamp, message, changes in HISTORY_COMMITS:
-        for path, content in changes.items():
-            tree[path] = content
-            target = repo / path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(content, encoding="utf-8")
-        env = dict(os.environ)
-        git_date = timestamp.replace("Z", " +0000").replace("T", " ")
-        env["GIT_AUTHOR_DATE"] = git_date
-        env["GIT_COMMITTER_DATE"] = git_date
-        _git(repo, "add", "-A")
-        _git(repo, "commit", "-q", "-m", message, env=env)
+        commit_tree(repo, changes, message, timestamp)
     ids = _git(repo, "rev-list", "--first-parent", "--reverse", "HEAD").split()
     assert len(ids) == len(HISTORY_COMMITS)
     return repo, ids

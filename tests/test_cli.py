@@ -20,7 +20,7 @@ import pytest
 import cddlint
 from cddlint.cli import main
 
-from conftest import FIXTURES, LISTING_PATH, ORACLE_DIR
+from conftest import DEEP_SOURCE, FIXTURES, LISTING_PATH, ORACLE_DIR
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "cddlint" / "schemas"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -169,6 +169,40 @@ class TestCheck:
         code, out, _ = run(capsys, "check", ".")
         assert code == 0
         assert "1 parse failures" in out
+
+    def test_too_deep_nesting_is_one_parse_failure(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "Deep.java").write_text(DEEP_SOURCE)
+        (tmp_path / "Ok.java").write_text("class Ok {}")
+        code, out, _ = run(capsys, "check", ".", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc, "check_report.schema.json")
+        assert [(u["path"], u["type"]) for u in doc["units"]] == [("Ok.java", "Ok")]
+        assert doc["summary"]["parse_failures"] == 1
+        assert doc["diagnostics"] == [
+            {"path": "Deep.java", "message": "parse failed: nesting too deep"}
+        ]
+
+    def test_absolute_directory_matches_relative(self, corpus_dir, capsys):
+        config = json.loads(CORPUS_CONFIG)
+        config["exclude_globs"] = ["dto/**"]
+        (corpus_dir / "cdd.json").write_text(json.dumps(config))
+
+        def units(arg: str) -> list[tuple]:
+            code, out, _ = run(capsys, "check", arg, "--format", "json")
+            assert code == 0
+            prefix = "" if arg == "." else arg + "/"
+            rows = []
+            for u in json.loads(out)["units"]:
+                assert u["path"].startswith(prefix)  # recorded as given
+                rows.append((u["path"].removeprefix(prefix), u["type"], u["total"]))
+            return rows
+
+        relative = units(".")
+        assert relative and all(not path.startswith("dto/") for path, _, _ in relative)
+        assert units(corpus_dir.as_posix()) == relative
 
     def test_missing_path_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

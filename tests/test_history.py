@@ -3,8 +3,10 @@ hand-computed 5-commit golden CSV in both provider modes."""
 
 from __future__ import annotations
 
+import importlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +26,12 @@ from cddlint.history import (
     series,
 )
 from cddlint.history.series import SnapshotFile
-from cddlint.rules import default_rules
+from cddlint.rules import LimitOverride, default_rules
+
+from conftest import A_V1, A_V2, BIG, DEEP_SOURCE, TEST_FILE, commit_tree
+
+# `cddlint.history.series` the attribute is the series() function
+series_module = importlib.import_module("cddlint.history.series")
 
 RULES = default_rules(internal_types=("Internal*",))
 
@@ -181,6 +188,14 @@ class TestAnalyzeSnapshot:
         assert stats.parse_failures == 1
         assert stats.class_count == 1
 
+    def test_too_deep_nesting_keeps_the_other_classes(self):
+        deep = SnapshotFile("Deep.java", DEEP_SOURCE, False)
+        stats = analyze_snapshot([deep, _n_if_class("Ok", 1)], RULES)
+        assert stats.parse_failures == 1
+        assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
+        assert stats.class_count == 1
+        assert stats.mean_icp == 2
+
     def test_exclusion_correctness(self):
         files = [
             SnapshotFile("A.java", "class A {}", False),
@@ -247,3 +262,72 @@ class TestSeriesGolden:
         a = series(GitProvider(repo), None, RULES)
         assert a.rules_digest == RULES.digest()
         assert a.rules_digest != default_rules().digest()
+
+
+# Each commit maps paths to contents (None deletes). Over the five commits: A is
+# reverted A1 -> A2 -> A1; Same1 and Same2 hold identical bytes; a test file
+# changes; Broken fails to parse in every commit; Bin is never valid UTF-8;
+# Deep nests too deeply; Big arrives and its copy Same1 leaves. Big's 13.0 is
+# over the limit everywhere but at Same2.java, so the path matters.
+MEMO_RULES = default_rules(
+    internal_types=("Internal*",),
+    limit_overrides=(LimitOverride("Same2.java", Fraction(20)),),
+)
+MEMO_COMMITS = [
+    {"A.java": A_V1, "Same1.java": BIG, "Broken.java": "not java at all",
+     "src/test/TA.java": TEST_FILE, "Bin.java": b"\xff\xfe\x00junk"},
+    {"A.java": A_V2, "Same2.java": BIG, "Deep.java": DEEP_SOURCE},
+    {"A.java": A_V1, "src/test/TA.java": TEST_FILE + "// more\n"},
+    {"Big.java": BIG, "Same1.java": None, "Bin.java": b"\xfe\xff\x00junk"},
+    {"README.md": "notes\n", "Deep.java": None},
+]
+
+
+@pytest.fixture()
+def memo_repo(tmp_path) -> Path:
+    repo = tmp_path / "memo"
+    for i, changes in enumerate(MEMO_COMMITS):
+        commit_tree(repo, changes, f"commit {i}", f"2021-11-0{i + 1}T00:00:00Z")
+    return repo
+
+
+class TestSeriesMemo:
+    def test_every_snapshot_equals_a_fresh_analysis(self, memo_repo):
+        provider = GitProvider(memo_repo)
+        report = series(provider, None, MEMO_RULES)
+        for snap in report.snapshots:
+            files, diags = read_snapshot_files(provider, snap.commit, MEMO_RULES)
+            alone = analyze_snapshot(files, MEMO_RULES)
+            assert snap.stats == replace(
+                alone, diagnostics=tuple(diags) + alone.diagnostics
+            )
+        # the fixture reaches every case it is meant to
+        stats = [s.stats for s in report.snapshots]
+        assert [s.parse_failures for s in stats] == [1, 2, 2, 2, 1]
+        assert all(any("Bin.java" in d for d in s.diagnostics) for s in stats)
+        assert [s.class_count for s in stats] == [2, 3, 3, 3, 3]
+        third = Fraction(100, 3)
+        assert [s.percent_over_limit for s in stats] == [50] + [third] * 4
+
+    def test_parses_only_pairs_new_since_the_previous_snapshot(
+            self, memo_repo, monkeypatch):
+        provider = GitProvider(memo_repo)
+        expected = 0
+        previous: set = set()
+        for commit in list_snapshots(provider):
+            files, _ = read_snapshot_files(provider, commit, MEMO_RULES)
+            current = {(f.path, f.text) for f in files if not f.is_test}
+            expected += len(current - previous)
+            previous = current
+        assert expected == 8  # 3, then A2, Same2 and Deep, A1 again, Big, none
+
+        parsed = []
+        real = series_module.parse_unit
+
+        def counting(text, path):
+            parsed.append(path)
+            return real(text, path)
+
+        monkeypatch.setattr(series_module, "parse_unit", counting)
+        series(provider, None, MEMO_RULES)
+        assert len(parsed) == expected
