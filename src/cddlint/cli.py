@@ -165,11 +165,15 @@ def _discover(paths: Optional[list[str]], rules: RuleSet) -> list[tuple[Path, st
     return [(found[rec], rec) for rec in sorted(found)]
 
 
+def _rule_path(rec: str) -> str:
+    """The path that path rules (include/exclude globs, limit overrides) see:
+    an absolute path is the same file named relative to the working
+    directory, as if its directory had been given so."""
+    return Path(os.path.relpath(rec)).as_posix() if os.path.isabs(rec) else rec
+
+
 def _wanted(rec: str, rules: RuleSet) -> bool:
-    """Include/exclude globs see an absolute path as the same file named
-    relative to the working directory, as if its directory had been given so."""
-    if os.path.isabs(rec):
-        rec = Path(os.path.relpath(rec)).as_posix()
+    rec = _rule_path(rec)
     return rules.is_included_path(rec) and not rules.is_excluded_path(rec)
 
 
@@ -221,7 +225,7 @@ def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet):
             declared = None
         file_rows = []
         for analysis in analyses:
-            v = verdict(analysis, rules)
+            v = verdict(analysis, rules, _rule_path(rec))
             if declared is not None:
                 drift = reconcile(analysis, declared)
                 status, declared_total = drift.status, drift.declared_total

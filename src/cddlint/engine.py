@@ -88,8 +88,11 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     return analyses
 
 
-def verdict(analysis: UnitAnalysis, rules: RuleSet) -> Verdict:
-    limit = rules.limit_for(analysis.path, analysis.type_name)
+def verdict(
+    analysis: UnitAnalysis, rules: RuleSet, rule_path: Optional[str] = None
+) -> Verdict:
+    """Limit check; limit overrides match `rule_path`, by default the unit's path."""
+    limit = rules.limit_for(rule_path or analysis.path, analysis.type_name)
     return Verdict(
         path=analysis.path,
         type_name=analysis.type_name,

@@ -15,7 +15,6 @@ from .series import (
     SnapshotStats,
     analyze_snapshot,
     detect_cdd_commit,
-    list_snapshots,
     read_snapshot_files,
     render_csv,
     render_json_mapping,
@@ -35,7 +34,6 @@ __all__ = [
     "VcsToolError",
     "analyze_snapshot",
     "detect_cdd_commit",
-    "list_snapshots",
     "read_snapshot_files",
     "render_csv",
     "render_json_mapping",

@@ -68,10 +68,6 @@ class SeriesReport:
     parameters: dict
 
 
-def list_snapshots(provider: Provider, range_spec: RangeSpec = None) -> list[CommitMeta]:
-    return provider.list_commits(range_spec)
-
-
 def read_snapshot_files(
     provider: Provider, commit: CommitMeta, rules: RuleSet
 ) -> tuple[list[SnapshotFile], list[str]]:
@@ -213,7 +209,7 @@ def series(
 ) -> SeriesReport:
     snapshots: list[SnapshotMetrics] = []
     failures: list[str] = []
-    commits = list_snapshots(provider, range_spec)
+    commits = provider.list_commits(range_spec)
     memo = FileMemo()
     for commit in commits:
         try:

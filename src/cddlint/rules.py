@@ -165,12 +165,6 @@ class RuleSet:
             TypeMatcher(self.external_types, exclude_java_lang=True),
         )
 
-    def enabled(self, category: IcpCategory) -> bool:
-        return self.categories[category].enabled
-
-    def cost(self, category: IcpCategory) -> Fraction:
-        return self.categories[category].cost
-
     def limit_for(self, path: str, type_name: str) -> Fraction:
         for override in self.limit_overrides:  # ordered, first match wins
             if override.matches(path, type_name):
@@ -185,9 +179,6 @@ class RuleSet:
 
     def is_included_path(self, path: str) -> bool:
         return any_glob_match(self.include_globs, path)
-
-    def with_categories(self, categories: dict[IcpCategory, CategoryRule]) -> "RuleSet":
-        return replace_categories(self, categories)
 
     def to_config_mapping(self) -> dict:
         return {
@@ -216,21 +207,6 @@ class RuleSet:
 
 def _num(value: Fraction):
     return value.numerator if value.denominator == 1 else float(value)
-
-
-def replace_categories(rules: RuleSet, categories: dict[IcpCategory, CategoryRule]) -> RuleSet:
-    return RuleSet(
-        categories=categories,
-        internal_types=rules.internal_types,
-        external_types=rules.external_types,
-        default_limit=rules.default_limit,
-        limit_overrides=rules.limit_overrides,
-        exclude_globs=rules.exclude_globs,
-        test_globs=rules.test_globs,
-        include_globs=rules.include_globs,
-        count_lambdas=rules.count_lambdas,
-        commit_pattern=rules.commit_pattern,
-    )
 
 
 def default_rules(**overrides: Any) -> RuleSet:

@@ -17,7 +17,7 @@ from typing import Optional
 from . import ast
 from .ast import Span
 from .scanner import tokenize_bytes
-from .tokens import InvalidCharacter, Token, TokenKind, TriviaKind
+from .tokens import InvalidCharacter, Token, TokenKind
 
 _K = TokenKind
 
@@ -1282,9 +1282,7 @@ def _parse_decimal(text: str) -> Optional[Fraction]:
 
 def _markers_from_trivia(tok: Token) -> tuple[ast.Marker, ...]:
     markers: list[ast.Marker] = []
-    for tr in tok.trivia:
-        if tr.kind != TriviaKind.LINE_COMMENT:
-            continue
+    for tr in tok.trivia:  # line comments only
         m = MARKER_COMMENT_RE.match(tr.text)
         if m:
             span = Span(tr.byte_start, tr.byte_end, tr.line_start, tr.line_end)

@@ -1,38 +1,126 @@
-"""Tokenizer entry point: picks the compiled scanner when available.
+"""Tokenizer: one compiled bytes regex walked with ``finditer``.
 
-Set CDDLINT_PURE_SCANNER=1 to force the pure-Python backend (useful for
-debugging and for the benchmark baseline).
+Lexical contract:
+  - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
+  - ``//`` line comments are attached as trivia to the following token;
+    trailing ones, with no token after them, ride a final EOF token
+  - whitespace and ``/* */`` block comments make no object: they only move
+    the line counter
+  - an EOF token ends the list whenever anything follows the last token,
+    so tokenize("") == [] but tokenize("  ") is one EOF token
+  - ``>>`` and ``>>>`` are emitted as individual GT tokens (the parser
+    re-merges adjacent GTs into shifts); ``>>=``, ``>>>=``, ``<<`` and
+    ``<<=`` are single tokens
+  - the pattern ends in a catch-all alternative, so no byte is ever skipped:
+    an invalid byte, or an unterminated block comment, string or char
+    literal, raises InvalidCharacter
 """
 
 from __future__ import annotations
 
-import os
+import re
+from sys import intern
+from typing import NoReturn
 
-from . import _scan_py
-from .tokens import Token
+from .tokens import InvalidCharacter, Token, TokenKind, Trivia, TriviaKind
 
-if os.environ.get("CDDLINT_PURE_SCANNER"):
-    _backend = _scan_py
-else:
-    try:
-        from . import _scan_c as _backend  # type: ignore[no-redef]
-    except ImportError:
-        _backend = _scan_py
+_K = TokenKind
+
+_PUNCT = {
+    b"(": _K.LPAREN, b")": _K.RPAREN, b"{": _K.LBRACE, b"}": _K.RBRACE,
+    b"[": _K.LBRACKET, b"]": _K.RBRACKET, b";": _K.SEMI, b",": _K.COMMA,
+    b"@": _K.AT, b"?": _K.QUESTION, b"~": _K.TILDE,
+    b"...": _K.ELLIPSIS, b".": _K.DOT, b"::": _K.COLONCOLON, b":": _K.COLON,
+    b"->": _K.ARROW,
+    b"=": _K.ASSIGN, b"+=": _K.PLUS_ASSIGN, b"-=": _K.MINUS_ASSIGN,
+    b"*=": _K.STAR_ASSIGN, b"/=": _K.SLASH_ASSIGN, b"%=": _K.PERCENT_ASSIGN,
+    b"&=": _K.AMP_ASSIGN, b"|=": _K.BAR_ASSIGN, b"^=": _K.CARET_ASSIGN,
+    b"<<=": _K.SHL_ASSIGN, b">>=": _K.SHR_ASSIGN, b">>>=": _K.USHR_ASSIGN,
+    b"==": _K.EQ, b"!=": _K.NE, b"<": _K.LT, b">": _K.GT, b"<=": _K.LE,
+    b">=": _K.GE, b"&&": _K.ANDAND, b"||": _K.OROR, b"!": _K.NOT,
+    b"&": _K.AMP, b"|": _K.BAR, b"^": _K.CARET, b"+": _K.PLUS, b"-": _K.MINUS,
+    b"*": _K.STAR, b"/": _K.SLASH, b"%": _K.PERCENT, b"++": _K.PLUSPLUS,
+    b"--": _K.MINUSMINUS, b"<<": _K.SHL,
+}
+
+# Group numbers, in pattern order; m.lastindex names the alternative matched.
+_SPACE, _LINE, _BAD_BLOCK, _IDENT, _NUMBER, _STRING, _CHAR, _PUNCTUATION, \
+    _BAD_STRING, _BAD_CHAR, _BAD_BYTE = range(1, 12)
+_SIMPLE = {_NUMBER: _K.NUMBER, _STRING: _K.STRING, _CHAR: _K.CHAR}
+
+_TOKEN_RE = re.compile(
+    rb"""
+    ( (?: [ \t\r\n\f]+ | /\*.*?\*/ )+ )                # whitespace, block comments
+  | ( //[^\n]* )                                      # line comment
+  | ( /\* )                                           # unterminated comment
+  | ( [A-Za-z_$][A-Za-z0-9_$]* )                      # identifier
+  | ( 0[xX][0-9a-fA-F_]*[lLfFdD]?
+    | 0[bB][01_]*[lLfFdD]?
+    | (?: [0-9][0-9_]*(?:\.[0-9_]*)? | \.[0-9][0-9_]* )
+      (?: [eE][+-]?[0-9]+ )? [lLfFdD]? )              # number
+  | ( "(?:[^"\\\n]|\\.)*" )                           # string literal
+  | ( '(?:[^'\\\n]|\\.)*' )                           # char literal
+  | ( >>>= | >>= | <<= | \.\.\. | -- | \+\+ | && | \|\| | << | :: | ->
+    | [-=!<>+*/%&|^]= | [-(){}\[\];,@?~.:=<>!&|^+*/%] )  # punctuation
+  | ( "(?:[^"\\\n]|\\.)*\\? )                         # unterminated string
+  | ( '(?:[^'\\\n]|\\.)*\\? )                         # unterminated char
+  | ( . )                                             # any other byte
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def active_backend() -> str:
-    """Name of the scanner backend in use: 'compiled' or 'pure-python'."""
-    return "compiled" if _backend.__name__.endswith("_scan_c") else "pure-python"
+    """Name of the scanner implementation; benchmark results record it."""
+    return "pure-python"
 
 
 def tokenize(text: str) -> list[Token]:
-    """Lex source text into tokens with byte spans and attached trivia."""
-    return _backend.scan(text.encode("utf-8"))
+    """Lex source text into tokens with byte spans and attached line comments."""
+    return tokenize_bytes(text.encode("utf-8"))
 
 
 def tokenize_bytes(data: bytes) -> list[Token]:
-    """Lex already-encoded UTF-8 bytes (spans index directly into data)."""
-    return _backend.scan(data)
+    """Lex UTF-8 bytes; spans index directly into ``data``."""
+    tokens: list[Token] = []
+    append = tokens.append
+    comments: list[Trivia] = []
+    line = 1
+    for m in _TOKEN_RE.finditer(data):
+        group = m.lastindex
+        start, end = m.span()
+        if group == _SPACE:
+            line += data.count(b"\n", start, end)
+        elif group == _LINE:
+            comments.append(Trivia(TriviaKind.LINE_COMMENT, m.group().decode("utf-8"),
+                                   start, end, line, line))
+        elif _IDENT <= group <= _PUNCTUATION:
+            text = m.group()
+            if group == _IDENT:
+                kind, text = _K.IDENT, intern(text.decode("utf-8"))
+            elif group == _PUNCTUATION:
+                kind, text = _PUNCT[text], text.decode("utf-8")
+            else:
+                kind, text = _SIMPLE[group], text.decode("utf-8")
+            append(Token(kind, text, start, end, line, line, tuple(comments)))
+            if comments:
+                comments = []
+        else:
+            _raise(data, group, start, end, line)
+    n = len(data)
+    if n and (not tokens or tokens[-1].byte_end < n):
+        append(Token(_K.EOF, "", n, n, line, line, tuple(comments)))
+    return tokens
+
+
+def _raise(data: bytes, group: int, start: int, end: int, line: int) -> NoReturn:
+    if group == _BAD_BLOCK:
+        raise InvalidCharacter("unterminated block comment", start, len(data), line)
+    if group == _BAD_STRING:
+        raise InvalidCharacter("unterminated string literal", start, end, line)
+    if group == _BAD_CHAR:
+        raise InvalidCharacter("unterminated char literal", start, end, line)
+    raise InvalidCharacter(f"invalid character 0x{data[start]:02x}", start, end, line)
 
 
 def physical_loc(text: str) -> int:

@@ -1,8 +1,4 @@
-"""Token and trivia records shared by the pure-Python and compiled scanners.
-
-Token kinds are plain ints (IntEnum) so the compiled backend can emit raw C
-ints that still compare equal to the enum members used by the parser.
-"""
+"""Token and trivia records produced by the scanner."""
 
 from __future__ import annotations
 
@@ -67,9 +63,7 @@ class TokenKind(enum.IntEnum):
 
 
 class TriviaKind(enum.IntEnum):
-    WHITESPACE = 1
     LINE_COMMENT = 2
-    BLOCK_COMMENT = 3
 
 
 class Trivia(NamedTuple):

@@ -204,6 +204,18 @@ class TestCheck:
         assert relative and all(not path.startswith("dto/") for path, _, _ in relative)
         assert units(corpus_dir.as_posix()) == relative
 
+    def test_absolute_directory_keeps_limit_overrides(self, corpus_dir, capsys):
+        config = json.loads(CORPUS_CONFIG)
+        config["limit_overrides"] = [{"pattern": "dto/**", "limit": 20}]
+        (corpus_dir / "cdd.json").write_text(json.dumps(config))
+
+        def outcome(arg: str) -> tuple[int, int]:
+            code, out, _ = run(capsys, "check", arg, "--format", "json")
+            return code, json.loads(out)["summary"]["over_limit_count"]
+
+        assert outcome(".") == (0, 0)  # dto/BigDto.java: 20 ICPs, limit 20
+        assert outcome(corpus_dir.as_posix()) == outcome(".")
+
     def test_missing_path_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, "check", "nope/")

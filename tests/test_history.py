@@ -19,7 +19,6 @@ from cddlint.history import (
     SnapshotDirProvider,
     analyze_snapshot,
     detect_cdd_commit,
-    list_snapshots,
     read_snapshot_files,
     render_csv,
     render_json_mapping,
@@ -64,7 +63,7 @@ def expected_csv(ids: list[str]) -> str:
 class TestListSnapshots:
     def test_full_walk(self, history_repo):
         repo, ids = history_repo
-        commits = list_snapshots(GitProvider(repo))
+        commits = GitProvider(repo).list_commits()
         assert [c.id for c in commits] == ids
         assert [c.ordinal for c in commits] == [0, 1, 2, 3, 4]
         assert commits[0].timestamp == "2021-10-01T00:00:00Z"
@@ -72,13 +71,13 @@ class TestListSnapshots:
 
     def test_count_range(self, history_repo):
         repo, ids = history_repo
-        commits = list_snapshots(GitProvider(repo), 2)
+        commits = GitProvider(repo).list_commits(2)
         assert [c.id for c in commits] == ids[-2:]
         assert [c.ordinal for c in commits] == [3, 4]
 
     def test_id_range_excludes_start(self, history_repo):
         repo, ids = history_repo
-        commits = list_snapshots(GitProvider(repo), f"{ids[1]}..{ids[3]}")
+        commits = GitProvider(repo).list_commits(f"{ids[1]}..{ids[3]}")
         assert [c.id for c in commits] == ids[2:4]
 
     def test_missing_path_is_repo_not_found(self, tmp_path):
@@ -92,14 +91,14 @@ class TestListSnapshots:
     def test_zero_count_is_range_empty(self, history_repo):
         repo, _ = history_repo
         with pytest.raises(RangeEmpty):
-            list_snapshots(GitProvider(repo), 0)
+            GitProvider(repo).list_commits(0)
 
 
 class TestReadSnapshotFiles:
     def test_test_files_flagged_and_docs_filtered(self, history_repo):
         repo, ids = history_repo
         provider = GitProvider(repo)
-        commits = list_snapshots(provider)
+        commits = provider.list_commits()
         files, diags = read_snapshot_files(provider, commits[2], RULES)
         assert diags == []
         by_path = {f.path: f for f in files}
@@ -110,7 +109,7 @@ class TestReadSnapshotFiles:
     def test_readme_never_matches_include_globs(self, history_repo):
         repo, ids = history_repo
         provider = GitProvider(repo)
-        commits = list_snapshots(provider)
+        commits = provider.list_commits()
         files, _ = read_snapshot_files(provider, commits[4], RULES)
         assert all(f.path.endswith(".java") for f in files)
 
@@ -124,7 +123,7 @@ class TestReadSnapshotFiles:
                         "message": "x"}) + "\n"
         )
         provider = SnapshotDirProvider(root)
-        [commit] = list_snapshots(provider)
+        [commit] = provider.list_commits()
         files, diags = read_snapshot_files(provider, commit, RULES)
         assert [f.path for f in files] == ["Ok.java"]
         assert diags and "Bin.java" in diags[0]
@@ -250,7 +249,7 @@ class TestSeriesGolden:
     def test_order_independence_parallel_analysis(self, history_repo):
         repo, ids = history_repo
         provider = GitProvider(repo)
-        commits = list_snapshots(provider)
+        commits = provider.list_commits()
         snapshots = [read_snapshot_files(provider, c, RULES)[0] for c in commits]
         sequential = [analyze_snapshot(files, RULES) for files in snapshots]
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -314,7 +313,7 @@ class TestSeriesMemo:
         provider = GitProvider(memo_repo)
         expected = 0
         previous: set = set()
-        for commit in list_snapshots(provider):
+        for commit in provider.list_commits():
             files, _ = read_snapshot_files(provider, commit, MEMO_RULES)
             current = {(f.path, f.text) for f in files if not f.is_test}
             expected += len(current - previous)

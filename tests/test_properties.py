@@ -6,6 +6,7 @@ All suites run 200 examples with hypothesis derandomization (fixed seed).
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -166,7 +167,7 @@ def test_additivity(bodies):
             cat: CategoryRule(cat is not disabled and rule.enabled, rule.cost)
             for cat, rule in RULES.categories.items()
         }
-        [partial] = analyze_unit(unit, RULES.with_categories(cats))
+        [partial] = analyze_unit(unit, dataclasses.replace(RULES, categories=cats))
         assert partial.total == full.total - full.subtotals[disabled]
         kept = tuple(s for s in full.sites if s.category is not disabled)
         assert partial.sites == kept

@@ -20,7 +20,7 @@ from cddlint.rules import (
 class TestDefaults:
     def test_empty_document_gives_paper_defaults(self):
         rules = load_rules("{}")
-        costs = {cat: rules.cost(cat) for cat in IcpCategory}
+        costs = {cat: rules.categories[cat].cost for cat in IcpCategory}
         assert costs == {
             IcpCategory.BRANCH: 1,
             IcpCategory.CONDITION: 1,
@@ -28,7 +28,7 @@ class TestDefaults:
             IcpCategory.INTERNAL_COUPLING: 1,
             IcpCategory.EXTERNAL_COUPLING: Fraction(1, 2),
         }
-        assert all(rules.enabled(cat) for cat in IcpCategory)
+        assert all(rules.categories[cat].enabled for cat in IcpCategory)
         assert rules.default_limit == 10
         assert rules.count_lambdas is False
         assert rules.test_globs == ("**/src/test/**",)
@@ -54,12 +54,12 @@ class TestOverrides:
 
     def test_partial_category_override(self):
         rules = load_rules('{"categories": {"branch": {"cost": 2}}}')
-        assert rules.cost(IcpCategory.BRANCH) == 2
-        assert rules.cost(IcpCategory.EXTERNAL_COUPLING) == Fraction(1, 2)
+        assert rules.categories[IcpCategory.BRANCH].cost == 2
+        assert rules.categories[IcpCategory.EXTERNAL_COUPLING].cost == Fraction(1, 2)
 
     def test_half_point_cost_is_exact(self):
         rules = load_rules('{"categories": {"condition": {"cost": 0.5}}}')
-        assert rules.cost(IcpCategory.CONDITION) == Fraction(1, 2)
+        assert rules.categories[IcpCategory.CONDITION].cost == Fraction(1, 2)
 
 
 class TestValidation:
