@@ -195,12 +195,12 @@ def apply_fix(text: str, analysis: UnitAnalysis) -> str:
     Only the class-level annotation line changes; every other byte of the
     file is preserved. Idempotent: a second run returns identical text.
     """
-    return apply_fixes(text, [analysis])
+    return apply_fixes(text, [analysis], parse_unit(text))
 
 
-def apply_fixes(text: str, analyses: list[UnitAnalysis]) -> str:
+def apply_fixes(text: str, analyses: list[UnitAnalysis], unit: ast.SourceUnit) -> str:
+    """apply_fix for several units of one file; ``unit`` is ``text`` parsed."""
     data = text.encode("utf-8")
-    unit = parse_unit(text)
     decls = dict(iter_type_decls(unit))
     edits: list[tuple[int, int, bytes]] = []  # (start, end, replacement)
 

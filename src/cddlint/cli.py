@@ -39,12 +39,14 @@ from .report import (
     UnitRow,
     make_row,
     render_csv,
+    render_drift_csv,
+    render_drift_json_mapping,
+    render_drift_text,
     render_json_mapping,
     render_text,
 )
 from .rules import DEFAULT_CONFIG_DOCUMENT, ConfigError, RuleSet, default_rules, load_rules
 from .syntax import ParseError, parse_unit
-from .values import format_icp
 
 CONFIG_FILE_NAME = "cdd.json"
 CONFIG_ENV_VAR = "CDD_CONFIG"
@@ -194,12 +196,15 @@ def cmd_init(args) -> int:
     return 0
 
 
-def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet):
-    """Shared check/reconcile pipeline: analyses + drift per unit, issues."""
+def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet, on_file=None):
+    """Shared check/reconcile pipeline: analyses + drift per unit, issues.
+
+    ``on_file(rec, file, text, unit, file_rows)``, if given, sees each parsed
+    file while its unit is alive; no unit outlives its file's turn.
+    """
     rows: list[UnitRow] = []
     issues: list[FileIssue] = []
     parse_failures = 0
-    per_file: dict[str, list] = {}
     for file, rec in files:
         try:
             text = file.read_text(encoding="utf-8")
@@ -234,9 +239,10 @@ def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet):
             row = make_row(analysis, v, declared_total, status)
             rows.append(row)
             file_rows.append((analysis, row))
-        per_file[rec] = [text, file_rows, file]
+        if on_file is not None:
+            on_file(rec, file, text, unit, file_rows)
     rows.sort(key=lambda r: (r.path, r.type_name))
-    return rows, issues, parse_failures, per_file
+    return rows, issues, parse_failures
 
 
 def _should_fail(args, report: CheckReport) -> bool:
@@ -250,7 +256,7 @@ def _should_fail(args, report: CheckReport) -> bool:
 def cmd_check(args) -> int:
     rules = _load_config(args)
     files = _discover(args.paths, rules)
-    rows, issues, parse_failures, _ = _analyze_files(files, rules)
+    rows, issues, parse_failures = _analyze_files(files, rules)
     report = CheckReport(tuple(rows), tuple(issues), parse_failures)
     if args.format == "json":
         print(json.dumps(render_json_mapping(report), indent=2))
@@ -264,100 +270,45 @@ def cmd_check(args) -> int:
 def cmd_reconcile(args) -> int:
     rules = _load_config(args)
     files = _discover(args.paths, rules)
-    rows, issues, parse_failures, per_file = _analyze_files(files, rules)
-    report = CheckReport(tuple(rows), tuple(issues), parse_failures)
-
     if args.fix:
-        changed = 0
-        conflicts = 0
-        for rec in sorted(per_file):
-            text, file_rows, file = per_file[rec]
-            stale = [a for a, row in file_rows
-                     if row.drift_status is not DriftStatus.IN_SYNC]
-            if not stale:
-                continue
-            try:
-                fixed = apply_fixes(text, [a for a, _ in file_rows])
-            except RewriteConflict as exc:
-                print(f"{rec}: {exc}", file=sys.stderr)
-                conflicts += 1
-                continue
-            if fixed != text:
-                file.write_text(fixed, encoding="utf-8")
-                changed += 1
-                print(f"fixed {rec}")
-        print(f"{changed} files changed")
-        return 1 if conflicts else 0
-
+        return _fix_files(files, rules)
+    rows, issues, parse_failures = _analyze_files(files, rules)
+    report = CheckReport(tuple(rows), tuple(issues), parse_failures)
     if args.format == "json":
-        print(json.dumps(_drift_json(report), indent=2))
+        print(json.dumps(render_drift_json_mapping(report), indent=2))
     elif args.format == "csv":
-        sys.stdout.write(_drift_csv(report))
+        sys.stdout.write(render_drift_csv(report))
     else:
-        for row in report.rows:
-            if row.drift_status is DriftStatus.IN_SYNC:
-                continue
-            declared = (format_icp(row.declared_total)
-                        if row.declared_total is not None else "-")
-            delta = ""
-            if row.declared_total is not None:
-                diff = row.total - row.declared_total
-                delta = f" (delta {'+' if diff > 0 else ''}{format_icp(diff)})"
-            print(f"{row.path}:{row.type_name}: {row.drift_status.value}: "
-                  f"declared {declared}, computed {format_icp(row.total)}{delta}")
-        for issue in report.issues:
-            print(f"{issue.path}: {issue.message}")
-        print(f"{len(report.rows)} units, {report.drifted_count} drifted, "
-              f"{report.unannotated_count} unannotated")
+        sys.stdout.write(render_drift_text(report))
     drift_found = report.drifted_count + report.unannotated_count > 0
     return 1 if (args.fail_on == "drift" and drift_found) else 0
 
 
-def _drift_json(report: CheckReport) -> dict:
-    from .values import json_number
+def _fix_files(files: list[tuple[Path, str]], rules: RuleSet) -> int:
+    """reconcile --fix: each file's fix is made from the unit parsed for its
+    analysis; nothing is written until every file has been read."""
+    fixes: list[tuple[str, Path, str]] = []
+    conflicts = 0
 
-    return {
-        "schema_version": 1,
-        "units": [
-            {
-                "path": row.path,
-                "type": row.type_name,
-                "declared_total": (json_number(row.declared_total)
-                                   if row.declared_total is not None else None),
-                "computed_total": json_number(row.total),
-                "delta": (json_number(row.total - row.declared_total)
-                          if row.declared_total is not None else None),
-                "status": row.drift_status.value,
-            }
-            for row in report.rows
-        ],
-        "summary": {
-            "units": len(report.rows),
-            "drifted_count": report.drifted_count,
-            "unannotated_count": report.unannotated_count,
-            "parse_failures": report.parse_failures,
-        },
-    }
+    def fix(rec, file, text, unit, file_rows) -> None:
+        nonlocal conflicts
+        if all(row.drift_status is DriftStatus.IN_SYNC for _, row in file_rows):
+            return
+        try:
+            fixed = apply_fixes(text, [a for a, _ in file_rows], unit)
+        except RewriteConflict as exc:
+            print(f"{rec}: {exc}", file=sys.stderr)
+            conflicts += 1
+            return
+        if fixed != text:
+            fixes.append((rec, file, fixed))
 
-
-def _drift_csv(report: CheckReport) -> str:
-    import csv as _csv
-    import io
-
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "type", "declared", "computed", "delta", "status"])
-    for row in report.rows:
-        writer.writerow([
-            row.path,
-            row.type_name,
-            format_icp(row.declared_total) if row.declared_total is not None else "",
-            format_icp(row.total),
-            (format_icp(row.total - row.declared_total)
-             if row.declared_total is not None else ""),
-            row.drift_status.value,
-        ])
-    return buf.getvalue()
+    _analyze_files(files, rules, fix)
+    for rec, file, fixed in fixes:
+        file.write_text(fixed, encoding="utf-8")
+        print(f"fixed {rec}")
+    print(f"{len(fixes)} files changed")
+    return 1 if conflicts else 0
 
 
 def cmd_history(args) -> int:

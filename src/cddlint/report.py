@@ -1,6 +1,7 @@
-"""Check-run report: per-unit rows plus summary, rendered as text, JSON or CSV.
+"""Check-run report: per-unit rows plus summary, rendered as text, JSON or CSV,
+either as the check report or as the drift report of ``reconcile``.
 
-All three renderings show the same numbers; JSON documents carry a
+All three renderings of each show the same numbers; JSON documents carry a
 schema_version and validate against the shipped schema files.
 """
 
@@ -153,5 +154,67 @@ def render_csv(report: CheckReport) -> str:
             format_icp(row.declared_total) if row.declared_total is not None else "",
             row.drift_status.value,
             *(format_icp(row.subtotals[cat]) for cat in IcpCategory),
+        ])
+    return buf.getvalue()
+
+
+def render_drift_text(report: CheckReport) -> str:
+    lines: list[str] = []
+    for row in report.rows:
+        if row.drift_status is DriftStatus.IN_SYNC:
+            continue
+        declared = (format_icp(row.declared_total)
+                    if row.declared_total is not None else "-")
+        delta = ""
+        if row.declared_total is not None:
+            diff = row.total - row.declared_total
+            delta = f" (delta {'+' if diff > 0 else ''}{format_icp(diff)})"
+        lines.append(f"{row.path}:{row.type_name}: {row.drift_status.value}: "
+                     f"declared {declared}, computed {format_icp(row.total)}{delta}")
+    for issue in report.issues:
+        lines.append(f"{issue.path}: {issue.message}")
+    lines.append(f"{len(report.rows)} units, {report.drifted_count} drifted, "
+                 f"{report.unannotated_count} unannotated")
+    return "\n".join(lines) + "\n"
+
+
+def render_drift_json_mapping(report: CheckReport) -> dict:
+    return {
+        "schema_version": 1,
+        "units": [
+            {
+                "path": row.path,
+                "type": row.type_name,
+                "declared_total": (json_number(row.declared_total)
+                                   if row.declared_total is not None else None),
+                "computed_total": json_number(row.total),
+                "delta": (json_number(row.total - row.declared_total)
+                          if row.declared_total is not None else None),
+                "status": row.drift_status.value,
+            }
+            for row in report.rows
+        ],
+        "summary": {
+            "units": len(report.rows),
+            "drifted_count": report.drifted_count,
+            "unannotated_count": report.unannotated_count,
+            "parse_failures": report.parse_failures,
+        },
+    }
+
+
+def render_drift_csv(report: CheckReport) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path", "type", "declared", "computed", "delta", "status"])
+    for row in report.rows:
+        writer.writerow([
+            row.path,
+            row.type_name,
+            format_icp(row.declared_total) if row.declared_total is not None else "",
+            format_icp(row.total),
+            (format_icp(row.total - row.declared_total)
+             if row.declared_total is not None else ""),
+            row.drift_status.value,
         ])
     return buf.getvalue()

@@ -5,6 +5,10 @@ extraction and line accounting. Error tolerance is member-level: an
 unparseable statement becomes an Opaque expression, an unparseable member is
 skipped, both with a recorded Diagnostic; an unparseable type header raises
 ParseError.
+
+Binary operators are parsed by one precedence-climbing loop,
+``_Parser._parse_binary``, driven by ``_BINARY_LEVELS``: that table is the one
+place operator precedence lives.
 """
 
 from __future__ import annotations
@@ -39,6 +43,18 @@ _NON_TYPE_WORDS = frozenset({
     "continue", "this", "super", "true", "false", "null", "instanceof",
     "void", "assert", "synchronized",
 }) | _TYPE_KEYWORDS
+
+# Binary operators by precedence level, loosest first (JLS SE 17 §15.17-15.24).
+# ">>" and ">>>" are written as adjacent GT tokens.
+_BINARY_LEVELS = (
+    ("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+    ("<", ">", "<=", ">=", "instanceof"), ("<<", ">>", ">>>"),
+    ("+", "-"), ("*", "/", "%"),
+)
+_BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS, 1) for op in ops}
+_TIGHTEST = len(_BINARY_LEVELS)
+_BOOL_OPS = frozenset({"||", "&&"})
+_COMPARISONS = frozenset({"==", "!=", "<", ">", "<=", ">=", "instanceof"})
 
 MARKER_COMMENT_RE = re.compile(r"^//\s*@ICP\(\s*(\d+(?:\.\d+)?)\s*\)\s*$")
 
@@ -153,9 +169,10 @@ class _Parser:
             diagnostics=tuple(self.diagnostics),
         )
 
-    def _parse_type_decl_hard(self) -> ast.TypeDecl:
+    def _parse_type_decl_hard(self, start=None, annotations=None) -> ast.TypeDecl:
+        # a broken type header, top-level or nested, is a hard error
         try:
-            return self._parse_type_decl()
+            return self._parse_type_decl(start, annotations)
         except _Fail as exc:
             self.diag(exc.message, exc.span)
             raise ParseError(self.diagnostics) from exc
@@ -203,14 +220,6 @@ class _Parser:
             enum_constants=enum_constants,
         )
 
-    def _parse_nested_type(self, start, annotations) -> ast.TypeDecl:
-        # a broken nested type header is as hard an error as a top-level one
-        try:
-            return self._parse_type_decl(start, annotations)
-        except _Fail as exc:
-            self.diag(exc.message, exc.span)
-            raise ParseError(self.diagnostics) from exc
-
     def _parse_enum_constants(self) -> tuple[ast.EnumConstant, ...]:
         constants: list[ast.EnumConstant] = []
         while self.cur.kind not in (_K.SEMI, _K.RBRACE, _K.EOF):
@@ -224,7 +233,7 @@ class _Parser:
                 args = self._parse_call_args()
             if self.cur.kind == _K.LBRACE:
                 self.diag("enum constant body is not analyzed", _tok_span(self.cur))
-                self._skip_balanced_braces()
+                self._skip_balanced(_K.LBRACE, _K.RBRACE)
             constants.append(ast.EnumConstant(name, args, self.span_from(start)))
             if self.cur.kind == _K.COMMA:
                 self.advance()
@@ -249,17 +258,17 @@ class _Parser:
         try:
             annotations = self._parse_annotations()
             if self.cur.kind == _K.IDENT and self.cur.text in _TYPE_KEYWORDS:
-                nested.append(self._parse_nested_type(start, annotations))
+                nested.append(self._parse_type_decl_hard(start, annotations))
                 return
             while self.cur.kind == _K.IDENT and self.cur.text in MODIFIERS:
                 self.advance()
                 annotations += self._parse_annotations()  # interleaved @Anno
             if self.cur.kind == _K.IDENT and self.cur.text in _TYPE_KEYWORDS:
-                nested.append(self._parse_nested_type(start, annotations))
+                nested.append(self._parse_type_decl_hard(start, annotations))
                 return
             if self.cur.kind == _K.LBRACE:
                 self.diag("initializer block is not analyzed", _tok_span(self.cur))
-                self._skip_balanced_braces()
+                self._skip_balanced(_K.LBRACE, _K.RBRACE)
                 return
             if self.cur.kind == _K.LT:
                 self._skip_generics()  # generic method type parameters
@@ -283,7 +292,12 @@ class _Parser:
             else:
                 if return_type is None:
                     raise _Fail("field cannot be void", _tok_span(name_tok))
-                fields.extend(self._parse_field_declarators(start, annotations, return_type, name_tok))
+                names = self._parse_declarators(name_tok.text, "field name")
+                span = self.span_from(start)
+                fields.extend(
+                    ast.FieldDecl(nm, return_type, annotations if i == 0 else (), iv, span)
+                    for i, (nm, iv) in enumerate(names)
+                )
         except _Fail as exc:
             self.diag(exc.message, exc.span)
             self._recover_member()
@@ -344,38 +358,25 @@ class _Parser:
         self.expect(_K.RPAREN, "')'")
         return tuple(params)
 
-    def _parse_field_declarators(
-        self,
-        start: Token,
-        annotations: tuple[ast.AnnotationUse, ...],
-        ftype: ast.TypeRef,
-        name_tok: Token,
-    ) -> list[ast.FieldDecl]:
-        decls: list[ast.FieldDecl] = []
+    def _parse_declarators(
+        self, name: str, what: str
+    ) -> list[tuple[str, Optional[ast.Expr]]]:
+        """The rest of a field or local declarator list after its first name,
+        through the ';': one (name, initializer) pair per declarator."""
         names: list[tuple[str, Optional[ast.Expr]]] = []
-        name = name_tok.text
-        self._skip_array_suffix()
-        init = None
-        if self.cur.kind == _K.ASSIGN:
-            self.advance()
-            init = self._parse_initializer_value()
-        names.append((name, init))
-        while self.cur.kind == _K.COMMA:
-            self.advance()
-            nxt = self.expect(_K.IDENT, "field name").text
+        while True:
             self._skip_array_suffix()
-            nxt_init = None
+            init = None
             if self.cur.kind == _K.ASSIGN:
                 self.advance()
-                nxt_init = self._parse_initializer_value()
-            names.append((nxt, nxt_init))
+                init = self._parse_initializer_value()
+            names.append((name, init))
+            if self.cur.kind != _K.COMMA:
+                break
+            self.advance()
+            name = self.expect(_K.IDENT, what).text
         self.expect(_K.SEMI, "';'")
-        span = self.span_from(start)
-        for i, (nm, iv) in enumerate(names):
-            decls.append(
-                ast.FieldDecl(nm, ftype, annotations if i == 0 else (), iv, span)
-            )
-        return decls
+        return names
 
     def _parse_initializer_value(self) -> ast.Expr:
         if self.cur.kind == _K.LBRACE:
@@ -416,7 +417,7 @@ class _Parser:
                     numeric = _parse_decimal(self.advance().text)
                     self.advance()
                 else:
-                    self._skip_balanced_parens()
+                    self._skip_balanced(_K.LPAREN, _K.RPAREN)
             uses.append(ast.AnnotationUse(name, numeric, self.span_from(start)))
         return tuple(uses)
 
@@ -556,13 +557,8 @@ class _Parser:
                 self.expect(_K.RPAREN, "')'")
                 block = self._parse_block()
                 return [ast.Block(block.stmts, self.span_from(start), annotations, markers)]
-            if word == "assert":
-                self.diag("assert statement is not analyzed", _tok_span(self.cur))
-                self._skip_to_semi()
-                span = self.span_from(start)
-                return [ast.ExprStmt(ast.Opaque((), span), span, annotations, markers)]
-            if word == "yield":
-                self.diag("yield statement is not analyzed", _tok_span(self.cur))
+            if word in ("assert", "yield"):
+                self.diag(f"{word} statement is not analyzed", _tok_span(self.cur))
                 self._skip_to_semi()
                 span = self.span_from(start)
                 return [ast.ExprStmt(ast.Opaque((), span), span, annotations, markers)]
@@ -639,7 +635,7 @@ class _Parser:
         init: list[ast.Stmt] = []
         if self.cur.kind != _K.SEMI:
             decl_start = self.cur
-            decls = self._try_parse_local_decl(decl_start, (), (), terminator=_K.SEMI)
+            decls = self._try_parse_local_decl(decl_start, (), ())
             if decls is not None:
                 init.extend(decls)
             else:
@@ -702,7 +698,6 @@ class _Parser:
         start: Token,
         annotations: tuple[ast.AnnotationUse, ...],
         markers: tuple[ast.Marker, ...],
-        terminator: TokenKind = _K.SEMI,
     ) -> Optional[list[ast.Stmt]]:
         saved = self.pos
         saved_diags = len(self.diagnostics)
@@ -713,8 +708,6 @@ class _Parser:
             if self.at_word("var") and self.peek().kind == _K.IDENT:
                 self.advance()
             else:
-                if self.cur.kind != _K.IDENT or self.cur.text in _NON_TYPE_WORDS:
-                    raise _Fail("not a declaration", _tok_span(self.cur))
                 declared = self._parse_type()
             if self.cur.kind != _K.IDENT:
                 raise _Fail("not a declaration", _tok_span(self.cur))
@@ -723,23 +716,7 @@ class _Parser:
             if after not in (_K.ASSIGN, _K.SEMI, _K.COMMA, _K.LBRACKET):
                 raise _Fail("not a declaration", _tok_span(self.cur))
             self.advance()
-            names: list[tuple[str, Optional[ast.Expr]]] = []
-            self._skip_array_suffix()
-            init = None
-            if self.cur.kind == _K.ASSIGN:
-                self.advance()
-                init = self._parse_initializer_value()
-            names.append((name_tok.text, init))
-            while self.cur.kind == _K.COMMA:
-                self.advance()
-                nm = self.expect(_K.IDENT, "variable name").text
-                self._skip_array_suffix()
-                iv = None
-                if self.cur.kind == _K.ASSIGN:
-                    self.advance()
-                    iv = self._parse_initializer_value()
-                names.append((nm, iv))
-            self.expect(terminator, "';'")
+            names = self._parse_declarators(name_tok.text, "variable name")
             span = self.span_from(start)
             return [
                 ast.LocalDecl(nm, declared, iv, span,
@@ -856,7 +833,7 @@ class _Parser:
         return self._parse_assignment()
 
     def _parse_ternary_free_expr(self) -> ast.Expr:
-        return self._parse_oror()
+        return self._parse_binary()
 
     def _parse_assignment(self) -> ast.Expr:
         start = self.cur
@@ -872,7 +849,7 @@ class _Parser:
 
     def _parse_ternary(self) -> ast.Expr:
         start = self.cur
-        cond = self._parse_oror()
+        cond = self._parse_binary()
         if self.cur.kind == _K.QUESTION:
             q_span = _tok_span(self.advance())
             then_expr = self._parse_ternary()
@@ -881,120 +858,49 @@ class _Parser:
             return ast.Ternary(cond, then_expr, else_expr, q_span, self.span_from(start))
         return cond
 
-    def _parse_oror(self) -> ast.Expr:
+    def _parse_binary(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing: a chain of binary operators of level min_prec
+        or tighter, left-associative; each node spans from the chain's start."""
         start = self.cur
-        lhs = self._parse_andand()
-        while self.cur.kind == _K.OROR:
-            op_span = _tok_span(self.advance())
-            rhs = self._parse_andand()
-            lhs = ast.BoolBinary("||", lhs, rhs, op_span, self.span_from(start))
-        return lhs
-
-    def _parse_andand(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_bit_or()
-        while self.cur.kind == _K.ANDAND:
-            op_span = _tok_span(self.advance())
-            rhs = self._parse_bit_or()
-            lhs = ast.BoolBinary("&&", lhs, rhs, op_span, self.span_from(start))
-        return lhs
-
-    def _parse_bit_or(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_bit_xor()
-        while self.cur.kind == _K.BAR:
-            self.advance()
-            rhs = self._parse_bit_xor()
-            lhs = ast.Binary("|", lhs, rhs, self.span_from(start))
-        return lhs
-
-    def _parse_bit_xor(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_bit_and()
-        while self.cur.kind == _K.CARET:
-            self.advance()
-            rhs = self._parse_bit_and()
-            lhs = ast.Binary("^", lhs, rhs, self.span_from(start))
-        return lhs
-
-    def _parse_bit_and(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_equality()
-        while self.cur.kind == _K.AMP:
-            self.advance()
-            rhs = self._parse_equality()
-            lhs = ast.Binary("&", lhs, rhs, self.span_from(start))
-        return lhs
-
-    def _parse_equality(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_relational()
-        while self.cur.kind in (_K.EQ, _K.NE):
-            op = self.advance().text
-            rhs = self._parse_relational()
-            lhs = ast.Comparison(op, lhs, rhs, self.span_from(start))
-        return lhs
-
-    def _parse_relational(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_shift()
+        lhs = self._parse_unary()
+        # after combining at level p only level p or looser may follow, so
+        # `x instanceof T - b`, whose type operand is no shift expression,
+        # stops at the '-' as the level-by-level grammar does
+        ceiling = _TIGHTEST
         while True:
-            k = self.cur.kind
-            if k in (_K.LE, _K.GE):
-                op = self.advance().text
-                lhs = ast.Comparison(op, lhs, self._parse_shift(), self.span_from(start))
-            elif k in (_K.LT, _K.GT) and not self._gt_is_shift():
-                op = self.advance().text
-                lhs = ast.Comparison(op, lhs, self._parse_shift(), self.span_from(start))
-            elif self.at_word("instanceof"):
-                self.advance()
+            op, prec = self._binary_op()
+            if not min_prec <= prec <= ceiling:
+                return lhs
+            ceiling = prec
+            op_tok = self.advance()
+            if op_tok.kind == _K.GT:
+                for _ in op[1:]:  # the adjacent GTs of a '>>' or '>>>'
+                    self.advance()
+            if op == "instanceof":
                 ty = self._parse_type()
                 if self.cur.kind == _K.IDENT:  # pattern variable (accepted, unused)
                     self.advance()
                 rhs = ast.NameRef(ty.qualified_name, ty.span)
-                lhs = ast.Comparison("instanceof", lhs, rhs, self.span_from(start))
             else:
-                return lhs
-
-    def _gt_is_shift(self) -> bool:
-        t, nxt = self.cur, self.peek()
-        return (t.kind == _K.GT and nxt.kind == _K.GT
-                and t.byte_end == nxt.byte_start)
-
-    def _parse_shift(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_additive()
-        while True:
-            if self.cur.kind == _K.SHL:
-                self.advance()
-                lhs = ast.Binary("<<", lhs, self._parse_additive(), self.span_from(start))
-            elif self._gt_is_shift():
-                self.advance()
-                self.advance()
-                op = ">>"
-                if (self.cur.kind == _K.GT
-                        and self.prev.byte_end == self.cur.byte_start):
-                    self.advance()
-                    op = ">>>"
-                lhs = ast.Binary(op, lhs, self._parse_additive(), self.span_from(start))
+                rhs = self._parse_binary(prec + 1)
+            if op in _BOOL_OPS:
+                lhs = ast.BoolBinary(op, lhs, rhs, _tok_span(op_tok), self.span_from(start))
+            elif op in _COMPARISONS:
+                lhs = ast.Comparison(op, lhs, rhs, self.span_from(start))
             else:
-                return lhs
+                lhs = ast.Binary(op, lhs, rhs, self.span_from(start))
 
-    def _parse_additive(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_multiplicative()
-        while self.cur.kind in (_K.PLUS, _K.MINUS):
-            op = self.advance().text
-            lhs = ast.Binary(op, lhs, self._parse_multiplicative(), self.span_from(start))
-        return lhs
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        start = self.cur
-        lhs = self._parse_unary()
-        while self.cur.kind in (_K.STAR, _K.SLASH, _K.PERCENT):
-            op = self.advance().text
-            lhs = ast.Binary(op, lhs, self._parse_unary(), self.span_from(start))
-        return lhs
+    def _binary_op(self) -> tuple[str, int]:
+        """The binary operator at the cursor and its level (0 if none); a
+        '>' followed by an adjacent '>' is a shift."""
+        t = self.cur
+        op = t.text
+        if t.kind == _K.GT:
+            nxt, third = self.peek(), self.peek(2)
+            if nxt.kind == _K.GT and t.byte_end == nxt.byte_start:
+                adjacent = third.kind == _K.GT and nxt.byte_end == third.byte_start
+                op = ">>>" if adjacent else ">>"
+        return op, _BINARY_PREC.get(op, 0)
 
     def _parse_unary(self) -> ast.Expr:
         start = self.cur
@@ -1002,10 +908,7 @@ class _Parser:
         if k == _K.NOT:
             self.advance()
             return ast.Not(self._parse_unary(), self.span_from(start))
-        if k in (_K.PLUS, _K.MINUS, _K.TILDE):
-            op = self.advance().text
-            return ast.Unary(op, self._parse_unary(), True, self.span_from(start))
-        if k in (_K.PLUSPLUS, _K.MINUSMINUS):
+        if k in (_K.PLUS, _K.MINUS, _K.TILDE, _K.PLUSPLUS, _K.MINUSMINUS):
             op = self.advance().text
             return ast.Unary(op, self._parse_unary(), True, self.span_from(start))
         if k == _K.LPAREN:
@@ -1116,7 +1019,7 @@ class _Parser:
                 self.expect(_K.LPAREN, "'('")
                 scrutinee = self._parse_expr()
                 self.expect(_K.RPAREN, "')'")
-                self._skip_balanced_braces()
+                self._skip_balanced(_K.LBRACE, _K.RBRACE)
                 return ast.Opaque((scrutinee,), self.span_from(start))
             if self.peek().kind == _K.ARROW:  # single-param lambda
                 name = self.advance().text
@@ -1158,7 +1061,7 @@ class _Parser:
             args = self._parse_call_args()
         if self.cur.kind == _K.LBRACE:
             self.diag("anonymous class body is not analyzed", _tok_span(self.cur))
-            self._skip_balanced_braces()
+            self._skip_balanced(_K.LBRACE, _K.RBRACE)
             return ast.Opaque(args, self.span_from(start))
         return ast.New(ty, args, self.span_from(start))
 
@@ -1226,26 +1129,13 @@ class _Parser:
                 depth -= 1
             self.advance()
 
-    def _skip_balanced_parens(self) -> None:
+    def _skip_balanced(self, open_kind: TokenKind, close_kind: TokenKind) -> None:
         depth = 0
         while self.cur.kind != _K.EOF:
             k = self.cur.kind
-            if k == _K.LPAREN:
+            if k == open_kind:
                 depth += 1
-            elif k == _K.RPAREN:
-                depth -= 1
-                if depth == 0:
-                    self.advance()
-                    return
-            self.advance()
-
-    def _skip_balanced_braces(self) -> None:
-        depth = 0
-        while self.cur.kind != _K.EOF:
-            k = self.cur.kind
-            if k == _K.LBRACE:
-                depth += 1
-            elif k == _K.RBRACE:
+            elif k == close_kind:
                 depth -= 1
                 if depth == 0:
                     self.advance()

@@ -11,6 +11,8 @@ Lexical contract:
   - ``>>`` and ``>>>`` are emitted as individual GT tokens (the parser
     re-merges adjacent GTs into shifts); ``>>=``, ``>>>=``, ``<<`` and
     ``<<=`` are single tokens
+  - string and char literals cannot hold a line terminator, not even after a
+    backslash (JLS SE 17 §3.10.5): such a literal is unterminated at its line
   - the pattern ends in a catch-all alternative, so no byte is ever skipped:
     an invalid byte, or an unterminated block comment, string or char
     literal, raises InvalidCharacter
@@ -58,12 +60,12 @@ _TOKEN_RE = re.compile(
     | 0[bB][01_]*[lLfFdD]?
     | (?: [0-9][0-9_]*(?:\.[0-9_]*)? | \.[0-9][0-9_]* )
       (?: [eE][+-]?[0-9]+ )? [lLfFdD]? )              # number
-  | ( "(?:[^"\\\n]|\\.)*" )                           # string literal
-  | ( '(?:[^'\\\n]|\\.)*' )                           # char literal
+  | ( "(?:[^"\\\n]|\\[^\n])*" )                       # string literal
+  | ( '(?:[^'\\\n]|\\[^\n])*' )                       # char literal
   | ( >>>= | >>= | <<= | \.\.\. | -- | \+\+ | && | \|\| | << | :: | ->
     | [-=!<>+*/%&|^]= | [-(){}\[\];,@?~.:=<>!&|^+*/%] )  # punctuation
-  | ( "(?:[^"\\\n]|\\.)*\\? )                         # unterminated string
-  | ( '(?:[^'\\\n]|\\.)*\\? )                         # unterminated char
+  | ( "(?:[^"\\\n]|\\[^\n])*\\? )                     # unterminated string
+  | ( '(?:[^'\\\n]|\\[^\n])*\\? )                     # unterminated char
   | ( . )                                             # any other byte
     """,
     re.VERBOSE | re.DOTALL,

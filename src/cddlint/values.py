@@ -31,8 +31,8 @@ def format_icp(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     if is_half_step(value):
-        doubled = value * 2
-        return f"{doubled.numerator // 2}.5"
+        sign = "-" if value < 0 else ""
+        return f"{sign}{abs(value.numerator) // 2}.5"
     return f"{float(value):g}"
 
 

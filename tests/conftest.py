@@ -34,11 +34,12 @@ def oracle_manifest() -> dict:
     return json.loads((ORACLE_DIR / "manifest.json").read_text(encoding="utf-8"))
 
 
-# Nested deeper than the parser's recursion allows: each file holding it
-# must fail alone, as a parse failure.
+# Nested far deeper than the parser's recursion allows (it gives out at
+# about 140 parentheses): each file holding it must fail alone, as a parse
+# failure.
 DEEP_SOURCE = (
     "class Deep {\n  int f(int a) {\n    return "
-    + "(" * 120 + "a" + ")" * 120 + ";\n  }\n}\n"
+    + "(" * 1000 + "a" + ")" * 1000 + ";\n  }\n}\n"
 )
 
 

@@ -168,8 +168,8 @@ class TestApplyFix:
             "@ICP(9)\nclass A { void f(boolean x) { if (x) {} } }\n"
             "class B { void g() { try {} finally {} } }\n"
         )
-        analyses = analyses_of(text, default_rules())
-        fixed = apply_fixes(text, analyses)
+        unit = parse_unit(text, "T.java")
+        fixed = apply_fixes(text, analyze_unit(unit, default_rules()), unit)
         assert fixed == (
             "@ICP(2)\nclass A { void f(boolean x) { if (x) {} } }\n"
             "@ICP(2)\nclass B { void g() { try {} finally {} } }\n"

@@ -278,6 +278,40 @@ class TestReconcile:
         validate(doc, "drift_report.schema.json")
         assert doc["units"][0]["status"] == "unannotated"
 
+    @pytest.fixture()
+    def drift_tree(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in {
+            "A.java": "@ICP(2)\nclass A { void f(boolean x) { if (x) {} } }\n",
+            "B.java": "@ICP(5)\nclass B { void g() { try {} finally {} } }\n",
+            "C.java": "class C { void h(int y) { while (y > 0) { y--; } } }\n",
+            "D.java": "@ICP(0.5)\nclass D { int k; }\n",
+            "E.java": "class E {\n",
+        }.items():
+            (tmp_path / name).write_text(text)
+
+    def test_text_lists_each_drift(self, drift_tree, capsys):
+        code, out, _ = run(capsys, "reconcile", ".")
+        assert code == 0
+        assert out.splitlines() == [
+            "B.java:B: drifted: declared 5, computed 2 (delta -3)",
+            "C.java:C: unannotated: declared -, computed 2",
+            "D.java:D: drifted: declared 0.5, computed 0 (delta -0.5)",
+            "E.java: parse failed: expected '}'",
+            "4 units, 2 drifted, 1 unannotated",
+        ]
+
+    def test_csv_has_a_row_per_unit(self, drift_tree, capsys):
+        code, out, _ = run(capsys, "reconcile", ".", "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "path,type,declared,computed,delta,status",
+            "A.java,A,2,2,0,in_sync",
+            "B.java,B,5,2,-3,drifted",
+            "C.java,C,,2,,unannotated",
+            "D.java,D,0.5,0,-0.5,drifted",
+        ]
+
     def test_rewrite_conflict_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "A.java").write_text(

@@ -116,6 +116,73 @@ class TestBasics:
         assert len(unit.raw_text_hash) == 64
 
 
+def shape(expr) -> str:
+    """A binary-operator tree written out with every node parenthesized."""
+    if isinstance(expr, (ast.Binary, ast.BoolBinary, ast.Comparison)):
+        return f"({shape(expr.lhs)} {expr.op} {shape(expr.rhs)})"
+    assert isinstance(expr, ast.NameRef), expr
+    return expr.name
+
+
+def returned(src: str):
+    unit = parse_unit(f"class A {{ Object f() {{ return {src}; }} }}")
+    assert unit.diagnostics == ()
+    return unit.types[0].methods[0].body.stmts[0].expr
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize("src, expected", [
+        # each pair of adjacent levels, looser first, then tighter first
+        ("a || b && c", "(a || (b && c))"),
+        ("a && b | c", "(a && (b | c))"),
+        ("a | b ^ c", "(a | (b ^ c))"),
+        ("a ^ b & c", "(a ^ (b & c))"),
+        ("a & b == c", "(a & (b == c))"),
+        ("a == b < c", "(a == (b < c))"),
+        ("a < b << c", "(a < (b << c))"),
+        ("a << b + c", "(a << (b + c))"),
+        ("a + b * c", "(a + (b * c))"),
+        ("a * b + c << d < e == f & g ^ h | i && j || k",
+         "((((((((((a * b) + c) << d) < e) == f) & g) ^ h) | i) && j) || k)"),
+        # left associativity within a level
+        ("a - b - c", "((a - b) - c)"),
+        ("a / b * c % d", "(((a / b) * c) % d)"),
+        ("a != b == c", "((a != b) == c)"),
+        # '>' tokens: adjacent ones are shifts, a lone one compares
+        ("a >>> b", "(a >>> b)"),
+        ("a >> b > c", "((a >> b) > c)"),
+        ("a > b >>> c", "(a > (b >>> c))"),
+        ("a instanceof T == b", "((a instanceof T) == b)"),
+        ("a && b instanceof T", "(a && (b instanceof T))"),
+    ])
+    def test_table(self, src, expected):
+        assert shape(returned(src)) == expected
+
+    def test_node_types(self):
+        expr = returned("a || b == c + d")
+        assert type(expr) is ast.BoolBinary
+        assert expr.op_span.byte_start == expr.span.byte_start + len("a ")
+        assert type(expr.rhs) is ast.Comparison
+        assert type(expr.rhs.rhs) is ast.Binary
+
+    def test_span_runs_from_the_first_token_of_the_chain(self):
+        src = "(a) - b * c - d"
+        expr = returned(src)
+        assert expr.span.byte_end - expr.span.byte_start == len(src)
+        assert expr.lhs.span.byte_start == expr.span.byte_start  # (a) - b * c
+        assert expr.lhs.rhs.span.byte_end - expr.lhs.rhs.span.byte_start == len("b * c")
+
+    def test_instanceof_operand_takes_no_tighter_operator(self):
+        # the type operand of instanceof is not a shift expression
+        unit = parse_unit("class A { void f() { x instanceof String - b; } }")
+        [stmt] = unit.types[0].methods[0].body.stmts
+        assert isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Opaque)
+        assert [d.message for d in unit.diagnostics] == ["expected ';'"]
+
+    def test_deep_parentheses_parse(self):
+        assert shape(returned("(" * 120 + "a" + ")" * 120)) == "a"
+
+
 class TestErrorTolerance:
     def test_anonymous_class_becomes_opaque_with_diagnostic(self):
         src = "class A { void f() { Runnable r = new Runnable() { }; } }"

@@ -236,7 +236,7 @@ def test_fix_idempotence_and_soundness(bodies, declared):
         text = f"@ICP({declared})\n{text}"
     unit = parse_unit(text, "G.java")
     analyses = analyze_unit(unit, RULES)
-    fixed = apply_fixes(text, analyses)
+    fixed = apply_fixes(text, analyses, unit)
 
     unit2 = parse_unit(fixed, "G.java")
     declared2 = extract_declared(unit2)
@@ -244,4 +244,4 @@ def test_fix_idempotence_and_soundness(bodies, declared):
     for analysis in analyses2:
         assert reconcile(analysis, declared2).status is DriftStatus.IN_SYNC
 
-    assert apply_fixes(fixed, analyses2) == fixed
+    assert apply_fixes(fixed, analyses2, unit2) == fixed

@@ -91,6 +91,17 @@ class TestErrors:
         with pytest.raises(InvalidCharacter):
             tokenize("/* never closed")
 
+    @pytest.mark.parametrize("text, message", [
+        ('int x;\nString s = "a\\\nb";\nint y;', "unterminated string literal"),
+        ("int x;\nchar c = '\\\n';\nint y;", "unterminated char literal"),
+    ])
+    def test_backslash_newline_ends_a_literal_at_its_line(self, text, message):
+        # Java forbids a line terminator in these literals, even escaped;
+        # accepting one would count every later line of the file one low
+        with pytest.raises(InvalidCharacter) as info:
+            tokenize(text)
+        assert (info.value.message, info.value.line) == (message, 2)
+
 
 class TestPhysicalLoc:
     def test_two_newlines(self):
