@@ -1,22 +1,39 @@
 """Snapshot providers: git repositories and directory-of-snapshots trees.
 
-Git access goes through the `git` executable using object reads only
-(rev-parse, log, ls-tree, cat-file --batch); the working tree is never
-touched. The directory provider implements the same contract from plain
-folders, so the pipeline can be exercised without git.
+Both providers serve a series through the same calls: `list_commits`, then
+`listings`, which yields each selected commit's wanted files as (path, key)
+pairs, then `read_files` for the pairs a caller has not seen, and `close`.
+The key stands for a file's bytes, so an unchanged file keeps its key from
+one snapshot to the next.
+
+Git access goes through the `git` executable using object reads only; the
+working tree is never touched. A series costs a fixed number of git
+processes, whatever its length: one `log` for the commit list, one `ls-tree`
+of the first selected commit, one first-parent raw-diff `log` over the rest
+of the range, and one long-lived `cat-file --batch` that is asked for blobs
+by id. A merge contributes its diff against its first parent, so each
+snapshot is the tree of its commit. The key is the blob id, so a path that
+is not UTF-8, or that holds a newline, is read like any other.
+
+The directory provider reads plain `NNNN_<id>/` folders, so the pipeline
+can be exercised without git. It reads and hashes every file of each
+snapshot it lists; its key is the sha256 of the bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 RangeSpec = Union[None, int, str]  # None=all, int=last N, "A..B"=id range
+Listing = list[tuple[str, str]]  # a snapshot's (path, key) pairs
+PathFilter = Callable[[str], bool]
 
 
 class RepoNotFound(Exception):
@@ -78,6 +95,7 @@ def _find_commit(commits: list[CommitMeta], commit_id: str) -> int:
 class GitProvider:
     def __init__(self, repo_path: Union[str, Path]):
         self.repo_path = Path(repo_path)
+        self._cat_file: Optional[subprocess.Popen] = None
         if not self.repo_path.is_dir():
             raise RepoNotFound(f"{repo_path}: no such directory")
         try:
@@ -85,12 +103,10 @@ class GitProvider:
         except VcsToolError as exc:
             raise RepoNotFound(f"{repo_path}: not a git repository ({exc})") from exc
 
-    def _git(self, *args: str, data: Optional[bytes] = None) -> bytes:
+    def _git(self, *args: str) -> bytes:
         try:
             proc = subprocess.run(
-                ["git", "-C", str(self.repo_path), *args],
-                input=data,
-                capture_output=True,
+                ["git", "-C", str(self.repo_path), *args], capture_output=True
             )
         except FileNotFoundError as exc:
             raise VcsToolError("git executable not found on PATH") from exc
@@ -117,32 +133,112 @@ class GitProvider:
             raise RangeEmpty("repository has no commits")
         return apply_range(commits, range_spec)
 
-    def read_files(
-        self, commit_id: str, path_filter: Callable[[str], bool]
-    ) -> list[tuple[str, bytes]]:
-        listing = self._git("ls-tree", "-r", "-z", "--name-only", commit_id)
-        paths = [p.decode("utf-8", "replace") for p in listing.split(b"\0") if p]
-        wanted = [p for p in paths if path_filter(p)]
-        if not wanted:
-            return []
-        request = "".join(f"{commit_id}:{p}\n" for p in wanted).encode("utf-8")
-        out = self._git("cat-file", "--batch", data=request)
-        return list(zip(wanted, _parse_cat_file_batch(out, wanted)))
+    def listings(
+        self, commits: list[CommitMeta], path_filter: PathFilter
+    ) -> Iterator[Listing]:
+        """Yield, for each of `commits` (consecutive in the first-parent
+        walk, oldest first), the (path, blob id) pairs of the blobs whose
+        path `path_filter` accepts, in `ls-tree` order: bytewise by path.
+        A path that is not UTF-8 is shown with replacement characters."""
+        tree: dict[bytes, tuple[str, str]] = {}  # raw path -> pair
 
+        def put(raw: bytes, blob_id: bytes) -> None:
+            path = raw.decode("utf-8", "replace")
+            if path_filter(path):
+                tree[raw] = (path, blob_id.decode("ascii"))
 
-def _parse_cat_file_batch(out: bytes, wanted: list[str]) -> list[bytes]:
-    blobs: list[bytes] = []
-    pos = 0
-    for path in wanted:
-        nl = out.index(b"\n", pos)
-        header = out[pos:nl].decode("utf-8", "replace")
-        pos = nl + 1
-        if header.endswith(" missing"):
-            raise VcsToolError(f"object missing for {path}")
-        size = int(header.rsplit(" ", 1)[1])
-        blobs.append(out[pos:pos + size])
-        pos += size + 1  # trailing newline after each object
-    return blobs
+        for record in self._git("ls-tree", "-r", "-z", commits[0].id).split(b"\0"):
+            if record:
+                meta, _, raw = record.partition(b"\t")
+                _, kind, blob_id = meta.split(b" ")
+                if kind == b"blob":
+                    put(raw, blob_id)
+        yield [tree[raw] for raw in sorted(tree)]
+        if len(commits) == 1:
+            return
+
+        out = self._git(
+            "log", "--first-parent", "--reverse", "--diff-merges=first-parent",
+            "--raw", "-z", "--no-renames", "--no-abbrev", "--format=%H",
+            f"{commits[0].id}..{commits[-1].id}", "--",
+        )
+        # -z output: a commit id, then per changed path a
+        # ":mode mode id id status" record and the path, all NUL-separated
+        walked: list[str] = []
+        diffs: list[list[tuple[bytes, bytes]]] = []
+        tokens = iter(out.split(b"\0"))
+        for token in tokens:
+            token = token.lstrip(b"\n")
+            if token.startswith(b":"):
+                _, new_mode, _, blob_id, status = token.split(b" ")
+                # deleted, or replaced by a submodule
+                gone = status == b"D" or new_mode == b"160000"
+                diffs[-1].append((next(tokens), b"" if gone else blob_id))
+            elif token:
+                walked.append(token.decode("ascii"))
+                diffs.append([])
+        if walked != [c.id for c in commits[1:]]:
+            raise VcsToolError("git log walked other commits than the range holds")
+        for diff in diffs:
+            for raw, blob_id in diff:
+                if blob_id:
+                    put(raw, blob_id)
+                else:
+                    tree.pop(raw, None)
+            yield [tree[raw] for raw in sorted(tree)]
+
+    def read_files(self, pairs: Listing) -> list[tuple[str, bytes]]:
+        """Fetch the blobs of (path, blob id) pairs by id. A missing object
+        raises `VcsToolError` naming its path."""
+        files: list[tuple[str, bytes]] = []
+        for path, blob_id in pairs:
+            blob = self._fetch(blob_id)
+            if blob is None:
+                raise VcsToolError(f"object missing for {path}")
+            files.append((path, blob))
+        return files
+
+    def _fetch(self, blob_id: str) -> Optional[bytes]:
+        """One round trip to the `cat-file --batch` process kept until
+        `close`: the id is written and its whole reply read before the next
+        request, so neither pipe can fill. A missing object has a one-line
+        reply, so the stream stays in step; it gives None."""
+        if self._cat_file is None:
+            try:
+                self._cat_file = subprocess.Popen(
+                    ["git", "-C", str(self.repo_path), "cat-file", "--batch"],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                )
+            except FileNotFoundError as exc:
+                raise VcsToolError("git executable not found on PATH") from exc
+        proc = self._cat_file
+        try:
+            proc.stdin.write(blob_id.encode("ascii") + b"\n")
+            proc.stdin.flush()
+            header = proc.stdout.readline()
+            if header.endswith(b" missing\n"):
+                return None
+            size = int(header.split()[2])
+            body = proc.stdout.read(size + 1)  # the blob and a newline
+            if len(body) != size + 1:
+                raise ValueError("short read")
+        except (BrokenPipeError, IndexError, ValueError) as exc:
+            self.close()
+            raise VcsToolError(f"git cat-file failed on {blob_id}: {exc}") from exc
+        return body[:-1]
+
+    def close(self) -> None:
+        """Stop the `cat-file` process, if one runs, and reap it."""
+        proc, self._cat_file = self._cat_file, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        proc.stdout.close()
+        proc.wait()
 
 
 _SNAPSHOT_DIR_RE = re.compile(r"^(\d+)_(.+)$")
@@ -172,6 +268,7 @@ class SnapshotDirProvider:
                 ordered.append((int(m.group(1)), m.group(2)))
                 self._dirs[m.group(2)] = child
         self._order = [cid for _, cid in sorted(ordered)]
+        self._blobs: dict[tuple[str, str], bytes] = {}  # of the last listing
 
     def list_commits(self, range_spec: RangeSpec = None) -> list[CommitMeta]:
         commits: list[CommitMeta] = []
@@ -188,17 +285,26 @@ class SnapshotDirProvider:
             raise RangeEmpty("snapshot directory has no snapshots")
         return apply_range(commits, range_spec)
 
-    def read_files(
-        self, commit_id: str, path_filter: Callable[[str], bool]
-    ) -> list[tuple[str, bytes]]:
-        base = self._dirs.get(commit_id)
-        if base is None:
-            raise VcsToolError(f"no snapshot directory for {commit_id}")
-        files: list[tuple[str, bytes]] = []
-        for child in sorted(base.rglob("*")):
-            if not child.is_file():
-                continue
-            rel = child.relative_to(base).as_posix()
-            if path_filter(rel):
-                files.append((rel, child.read_bytes()))
-        return files
+    def listings(
+        self, commits: list[CommitMeta], path_filter: PathFilter
+    ) -> Iterator[Listing]:
+        """Yield each commit's (path, sha256) pairs of the files whose path
+        `path_filter` accepts, in sorted path order; the bytes of the last
+        listing are kept for `read_files`."""
+        for commit in commits:
+            base = self._dirs.get(commit.id)
+            if base is None:
+                raise VcsToolError(f"no snapshot directory for {commit.id}")
+            self._blobs = {}
+            for child in sorted(base.rglob("*")):
+                rel = child.relative_to(base).as_posix()
+                if child.is_file() and path_filter(rel):
+                    blob = child.read_bytes()
+                    self._blobs[rel, hashlib.sha256(blob).hexdigest()] = blob
+            yield list(self._blobs)
+
+    def read_files(self, pairs: Listing) -> list[tuple[str, bytes]]:
+        return [(path, self._blobs[path, key]) for path, key in pairs]
+
+    def close(self) -> None:
+        self._blobs = {}

@@ -2,30 +2,37 @@
 classes over the limit, method-length stats and budget-commit detection.
 
 A snapshot's metrics are aggregated from one `FileResult` per non-test file.
-Within one `series()` call a `FileMemo` keeps the previous snapshot's results,
-keyed by (path, sha256 of the file's bytes), so only files that are new or
-changed since that snapshot are parsed and analysed. The key covers every
-input of a result: the bytes, and the path that test globs, limit overrides
-and diagnostics depend on; the rules are fixed for the call. The memo is
-replaced by each snapshot's results, so it never holds more than one
-snapshot, and nothing outlives the call.
+`series()` walks the range once: the provider yields each snapshot's wanted
+files as (path, key) pairs, where the key is the git blob id, or the sha256
+of the bytes for snapshot folders. A `FileMemo` keeps what the previous
+snapshot's pairs came to: the decoded file with its test flag, or its "not
+UTF-8" note, and each non-test file's `FileResult`. Only pairs new since
+that snapshot are fetched, decoded, matched against the test globs, parsed
+and analysed. The key covers every input of a result: the bytes, and the
+path that test globs, limit overrides and diagnostics depend on; the rules
+are fixed for the call. The memo is replaced by each snapshot's entries, so
+it never holds more than one snapshot, and nothing outlives the call.
+
+`read_snapshot_files` followed by `analyze_snapshot` without a memo is the
+independent full read of one commit that a series snapshot must equal.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..engine import analyze_unit, verdict
 from ..methods import MethodStats, method_lengths, method_stats, stats_from_lengths
 from ..rules import RuleSet
 from ..syntax import ParseError, ast, parse_unit
 from ..values import format_fixed2
-from .providers import CommitMeta, GitProvider, RangeSpec, SnapshotDirProvider
+from .providers import (
+    CommitMeta, GitProvider, Listing, PathFilter, RangeSpec, SnapshotDirProvider,
+)
 
 Provider = Union[GitProvider, SnapshotDirProvider]
 
@@ -41,6 +48,7 @@ class SnapshotFile:
     path: str
     text: str
     is_test: bool
+    key: str = ""  # the provider's key for the bytes; a memo needs it
 
 
 @dataclass(frozen=True)
@@ -68,24 +76,36 @@ class SeriesReport:
     parameters: dict
 
 
+def _wanted(rules: RuleSet) -> PathFilter:
+    return lambda path: rules.is_included_path(path) and not rules.is_excluded_path(path)
+
+
+def _decode(path: str, key: str, blob: bytes, rules: RuleSet) -> Union[SnapshotFile, str]:
+    """A fetched file, or the note that skips it when it is not UTF-8."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return f"{path}: skipped (not valid UTF-8)"
+    return SnapshotFile(path, text, rules.is_test_path(path), key)
+
+
+def _split(entries) -> tuple[list[SnapshotFile], list[str]]:
+    files = [e for e in entries if isinstance(e, SnapshotFile)]
+    return files, [e for e in entries if isinstance(e, str)]
+
+
 def read_snapshot_files(
     provider: Provider, commit: CommitMeta, rules: RuleSet
 ) -> tuple[list[SnapshotFile], list[str]]:
-    """Fetch matching files at a commit; binary files are skipped with a note."""
-
-    def wanted(path: str) -> bool:
-        return rules.is_included_path(path) and not rules.is_excluded_path(path)
-
-    files: list[SnapshotFile] = []
-    diagnostics: list[str] = []
-    for path, blob in provider.read_files(commit.id, wanted):
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError:
-            diagnostics.append(f"{path}: skipped (not valid UTF-8)")
-            continue
-        files.append(SnapshotFile(path, text, rules.is_test_path(path)))
-    return files, diagnostics
+    """Fetch every matching file at one commit, with no memo; files that are
+    not UTF-8 are skipped with a note."""
+    [listing] = provider.listings([commit], _wanted(rules))
+    try:
+        blobs = provider.read_files(listing)
+    finally:
+        provider.close()
+    return _split([_decode(path, key, blob, rules)
+                   for (path, key), (_, blob) in zip(listing, blobs)])
 
 
 def detect_cdd_commit(message: str, rules: RuleSet) -> Optional[tuple[str, str]]:
@@ -147,22 +167,35 @@ def analyze_file(f: SnapshotFile, rules: RuleSet) -> FileResult:
 
 
 class FileMemo:
-    """The `FileResult`s of the last snapshot analysed, keyed by (path, sha256
-    of the file's bytes); one memo serves one `RuleSet`. The bytes are the
-    text encoded again, which gives back the blob a valid UTF-8 text came from."""
+    """What the last snapshot's (path, key) pairs came to: the decoded file
+    or its "not UTF-8" note, and the `FileResult` of each non-test file. One
+    memo serves one provider and one `RuleSet`."""
 
     def __init__(self) -> None:
-        self._last: dict[tuple[str, bytes], FileResult] = {}
+        self._entries: dict[tuple[str, str], Union[SnapshotFile, str]] = {}
+        self._results: dict[tuple[str, str], FileResult] = {}
+
+    def read(
+        self, listing: Listing,
+        read_files: Callable[[Listing], list[tuple[str, bytes]]], rules: RuleSet,
+    ) -> tuple[list[SnapshotFile], list[str]]:
+        """A snapshot's files and notes, as `read_snapshot_files` gives them;
+        only the pairs the last snapshot did not list are read."""
+        unseen = [pair for pair in listing if pair not in self._entries]
+        blobs = dict(zip(unseen, (blob for _, blob in read_files(unseen))))
+        self._entries = {pair: self._entries.get(pair)
+                         or _decode(*pair, blobs[pair], rules) for pair in listing}
+        return _split([self._entries[pair] for pair in listing])
 
     def analyze(self, files: list[SnapshotFile], rules: RuleSet) -> list[FileResult]:
-        current: dict[tuple[str, bytes], FileResult] = {}
+        current: dict[tuple[str, str], FileResult] = {}
         results = []
         for f in files:
-            key = (f.path, hashlib.sha256(f.text.encode("utf-8")).digest())
-            result = self._last.get(key) or analyze_file(f, rules)
+            key = (f.path, f.key)
+            result = self._results.get(key) or analyze_file(f, rules)
             current[key] = result
             results.append(result)
-        self._last = current
+        self._results = current
         return results
 
 
@@ -170,8 +203,8 @@ def analyze_snapshot(
     files: list[SnapshotFile], rules: RuleSet, memo: Optional[FileMemo] = None
 ) -> SnapshotStats:
     """Class metrics over non-test units; parse failures are tallied, not
-    fatal. With a memo, files unchanged since the memo's last snapshot reuse
-    that snapshot's results; the metrics are the same either way."""
+    fatal. With a memo, files whose (path, key) the memo's last snapshot
+    held reuse that snapshot's results; the metrics are the same either way."""
     if memo is None:
         memo = FileMemo()
     results = memo.analyze([f for f in files if not f.is_test], rules)
@@ -211,19 +244,22 @@ def series(
     failures: list[str] = []
     commits = provider.list_commits(range_spec)
     memo = FileMemo()
-    for commit in commits:
-        try:
-            files, diags = read_snapshot_files(provider, commit, rules)
-            stats = analyze_snapshot(files, rules, memo)
-            if diags:
-                stats = replace(stats, diagnostics=tuple(diags) + stats.diagnostics)
-        except Exception as exc:  # per-snapshot isolation
-            failures.append(f"{commit.id}: {exc}")
-            stats = SnapshotStats(0, None, None, None,
-                                  method_stats([], rules), 0, (str(exc),))
-        snapshots.append(
-            SnapshotMetrics(commit, stats, detect_cdd_commit(commit.message, rules))
-        )
+    try:
+        for commit, listing in zip(commits, provider.listings(commits, _wanted(rules))):
+            try:
+                files, notes = memo.read(listing, provider.read_files, rules)
+                stats = analyze_snapshot(files, rules, memo)
+                if notes:
+                    stats = replace(stats, diagnostics=tuple(notes) + stats.diagnostics)
+            except Exception as exc:  # per-snapshot isolation
+                failures.append(f"{commit.id}: {exc}")
+                stats = SnapshotStats(0, None, None, None,
+                                      method_stats([], rules), 0, (str(exc),))
+            snapshots.append(
+                SnapshotMetrics(commit, stats, detect_cdd_commit(commit.message, rules))
+            )
+    finally:
+        provider.close()
     if failures and len(failures) == len(commits):
         raise RuntimeError(
             "every snapshot failed; first error: " + failures[0]

@@ -117,7 +117,7 @@ HISTORY_COMMITS = [
 ]
 
 
-def _git(repo: Path, *args: str, env: dict | None = None) -> str:
+def run_git(repo: Path, *args: str, env: dict | None = None) -> str:
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
         capture_output=True, text=True, env=env, check=True,
@@ -130,9 +130,9 @@ def commit_tree(repo: Path, changes: dict, message: str, timestamp: str) -> None
     `timestamp`; the repository is created on first use."""
     if not repo.exists():
         repo.mkdir()
-        _git(repo, "init", "-q")
-        _git(repo, "config", "user.name", "fixture")
-        _git(repo, "config", "user.email", "fixture@example.com")
+        run_git(repo, "init", "-q")
+        run_git(repo, "config", "user.name", "fixture")
+        run_git(repo, "config", "user.email", "fixture@example.com")
     for path, content in changes.items():
         target = repo / path
         if content is None:
@@ -143,12 +143,17 @@ def commit_tree(repo: Path, changes: dict, message: str, timestamp: str) -> None
             target.write_bytes(content)
         else:
             target.write_text(content, encoding="utf-8")
+    run_git(repo, "add", "-A")
+    run_git(repo, "commit", "-q", "-m", message, env=dated_env(timestamp))
+
+
+def dated_env(timestamp: str) -> dict:
+    """The environment that dates a git commit at `timestamp` (ISO, UTC)."""
     env = dict(os.environ)
     git_date = timestamp.replace("Z", " +0000").replace("T", " ")
     env["GIT_AUTHOR_DATE"] = git_date
     env["GIT_COMMITTER_DATE"] = git_date
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", message, env=env)
+    return env
 
 
 @pytest.fixture()
@@ -157,7 +162,7 @@ def history_repo(tmp_path: Path) -> tuple[Path, list[str]]:
     repo = tmp_path / "repo"
     for timestamp, message, changes in HISTORY_COMMITS:
         commit_tree(repo, changes, message, timestamp)
-    ids = _git(repo, "rev-list", "--first-parent", "--reverse", "HEAD").split()
+    ids = run_git(repo, "rev-list", "--first-parent", "--reverse", "HEAD").split()
     assert len(ids) == len(HISTORY_COMMITS)
     return repo, ids
 

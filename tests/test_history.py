@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +29,9 @@ from cddlint.history import (
 from cddlint.history.series import SnapshotFile
 from cddlint.rules import LimitOverride, default_rules
 
-from conftest import A_V1, A_V2, BIG, DEEP_SOURCE, TEST_FILE, commit_tree
+from conftest import (
+    A_V1, A_V2, BIG, DEEP_SOURCE, TEST_FILE, commit_tree, dated_env, run_git,
+)
 
 # `cddlint.history.series` the attribute is the series() function
 series_module = importlib.import_module("cddlint.history.series")
@@ -290,16 +294,20 @@ def memo_repo(tmp_path) -> Path:
     return repo
 
 
+def fresh_stats(provider, commit, rules):
+    """One commit read in full and analysed without a memo: the reference
+    each series snapshot must equal, diagnostics included."""
+    files, notes = read_snapshot_files(provider, commit, rules)
+    alone = analyze_snapshot(files, rules)
+    return replace(alone, diagnostics=tuple(notes) + alone.diagnostics)
+
+
 class TestSeriesMemo:
     def test_every_snapshot_equals_a_fresh_analysis(self, memo_repo):
         provider = GitProvider(memo_repo)
         report = series(provider, None, MEMO_RULES)
         for snap in report.snapshots:
-            files, diags = read_snapshot_files(provider, snap.commit, MEMO_RULES)
-            alone = analyze_snapshot(files, MEMO_RULES)
-            assert snap.stats == replace(
-                alone, diagnostics=tuple(diags) + alone.diagnostics
-            )
+            assert snap.stats == fresh_stats(provider, snap.commit, MEMO_RULES)
         # the fixture reaches every case it is meant to
         stats = [s.stats for s in report.snapshots]
         assert [s.parse_failures for s in stats] == [1, 2, 2, 2, 1]
@@ -320,6 +328,18 @@ class TestSeriesMemo:
             previous = current
         assert expected == 8  # 3, then A2, Same2 and Deep, A1 again, Big, none
 
+        # every matching pair is read, test files and non-UTF-8 ones too
+        expected_reads = 0
+        tree: dict = {}
+        previous = set()
+        for changes in MEMO_COMMITS:
+            tree.update(changes)
+            current = {(path, content) for path, content in tree.items()
+                       if content is not None and path.endswith(".java")}
+            expected_reads += len(current - previous)
+            previous = current
+        assert expected_reads == 12  # 5, 3, A1 and TA, Big and Bin, none
+
         parsed = []
         real = series_module.parse_unit
 
@@ -327,6 +347,155 @@ class TestSeriesMemo:
             parsed.append(path)
             return real(text, path)
 
+        read = []
+        real_read = GitProvider.read_files
+
+        def counting_read(self, pairs):
+            read.extend(pairs)
+            return real_read(self, pairs)
+
         monkeypatch.setattr(series_module, "parse_unit", counting)
+        monkeypatch.setattr(GitProvider, "read_files", counting_read)
         series(provider, None, MEMO_RULES)
         assert len(parsed) == expected
+        assert len(read) == expected_reads
+
+
+BROKEN = "not java at all"
+
+
+@pytest.fixture()
+def merge_repo(tmp_path) -> tuple[Path, list[str]]:
+    """Five first-parent commits: a base, a `git mv` rename, a delete, the
+    `--no-ff` merge of a side branch, and an edit of a file the merge brought.
+    The three unparseable files `src/a-b.java`, `src/a/X.java` and
+    `src/a0.java` are in git's path order; `src/a/X.java` arrives last."""
+    repo = tmp_path / "merge"
+    base = {"src/a-b.java": BROKEN, "src/a0.java": BROKEN,
+            "Old.java": A_V1, "Gone.java": BIG}
+    commit_tree(repo, base, "base", "2021-12-01T00:00:00Z")
+    trunk = run_git(repo, "symbolic-ref", "--short", "HEAD")
+    run_git(repo, "checkout", "-q", "-b", "side")
+    commit_tree(repo, {"src/a/X.java": BROKEN, "Side.java": A_V2},
+                "side work", "2021-12-02T00:00:00Z")
+    commit_tree(repo, {"Side.java": BIG.replace("class Big", "class Side")},
+                "more side work", "2021-12-03T00:00:00Z")
+    run_git(repo, "checkout", "-q", trunk)
+    run_git(repo, "mv", "Old.java", "src/New.java")
+    commit_tree(repo, {}, "move Old", "2021-12-04T00:00:00Z")
+    commit_tree(repo, {"Gone.java": None}, "drop Gone", "2021-12-05T00:00:00Z")
+    run_git(repo, "merge", "-q", "--no-ff", "side", "-m", "merge side",
+            env=dated_env("2021-12-06T00:00:00Z"))
+    commit_tree(repo, {"src/a/X.java": A_V1.replace("class A", "class X")},
+                "fix X", "2021-12-07T00:00:00Z")
+    ids = run_git(repo, "rev-list", "--first-parent", "--reverse", "HEAD").split()
+    assert run_git(repo, "rev-list", "--merges", "HEAD").split() == [ids[3]]
+    return repo, ids
+
+
+class TestGitWalk:
+    @pytest.mark.parametrize("span", ["all", "last 2", "A..B"])
+    def test_every_snapshot_equals_a_fresh_read(self, merge_repo, span):
+        repo, ids = merge_repo
+        range_spec = {"all": None, "last 2": 2, "A..B": f"{ids[1]}..{ids[3]}"}[span]
+        provider = GitProvider(repo)
+        report = series(provider, range_spec, RULES)
+        for snap in report.snapshots:
+            assert snap.stats == fresh_stats(provider, snap.commit, RULES)
+
+    def test_the_merge_brings_the_side_branch(self, merge_repo):
+        repo, ids = merge_repo
+        report = series(GitProvider(repo), None, RULES)
+        stats = [s.stats for s in report.snapshots]
+        # Old, Gone | New, Gone | New | New, Side | New, Side, X
+        assert [s.class_count for s in stats] == [2, 2, 1, 2, 3]
+        # parse failures come in git's path order
+        assert [d.split(":")[0] for d in stats[3].diagnostics] == [
+            "src/a-b.java", "src/a/X.java", "src/a0.java"]
+
+
+class TestReadByBlobId:
+    @pytest.mark.parametrize("name", [os.fsdecode(b"caf\xe9.java"), "New\nLine.java"],
+                             ids=["not-utf8", "newline"])
+    def test_unusual_file_name(self, tmp_path, name):
+        repo = tmp_path / "odd"
+        commit_tree(repo, {name: A_V1, "Big.java": BIG}, "c0", "2021-12-01T00:00:00Z")
+        commit_tree(repo, {name: BROKEN}, "c1", "2021-12-02T00:00:00Z")
+        provider = GitProvider(repo)
+        report = series(provider, None, RULES)
+        stats = [s.stats for s in report.snapshots]
+        assert [s.class_count for s in stats] == [2, 1]
+        shown = name.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+        [failure] = stats[1].diagnostics
+        assert failure.startswith(f"{shown}: parse failed")
+        for snap in report.snapshots:
+            assert snap.stats == fresh_stats(provider, snap.commit, RULES)
+
+
+def drop_blob(repo: Path, spec: str) -> None:
+    """Delete the loose object of the blob `spec` names, as a damaged
+    repository would lack it."""
+    blob_id = run_git(repo, "rev-parse", spec)
+    (repo / ".git" / "objects" / blob_id[:2] / blob_id[2:]).unlink()
+
+
+@pytest.fixture()
+def git_processes(monkeypatch) -> list[subprocess.Popen]:
+    """Every process started through `subprocess` from here on."""
+    started: list[subprocess.Popen] = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+class TestGitProcesses:
+    def test_a_series_starts_a_fixed_number(self, history_repo, tmp_path,
+                                            git_processes):
+        long_repo = tmp_path / "long"
+        for i in range(12):
+            commit_tree(long_repo, {"A.java": (A_V1, A_V2)[i % 2],
+                                    f"F{i}.java": f"class F{i} {{}}\n"},
+                        f"commit {i}", f"2021-12-{i + 1:02d}T00:00:00Z")
+        counts = []
+        for repo in (history_repo[0], long_repo):
+            provider = GitProvider(repo)
+            git_processes.clear()
+            report = series(provider, None, RULES)
+            counts.append((len(report.snapshots), len(git_processes)))
+            assert all(p.returncode is not None for p in git_processes)
+        # log, ls-tree, the raw-diff log and one cat-file, whatever the length
+        assert counts == [(5, 4), (12, 4)]
+
+    def test_no_cat_file_left_when_every_snapshot_fails(self, tmp_path,
+                                                        git_processes):
+        repo = tmp_path / "damaged"
+        commit_tree(repo, {"A.java": A_V1, "Big.java": BIG}, "c0",
+                    "2021-12-01T00:00:00Z")
+        commit_tree(repo, {"A.java": A_V2}, "c1", "2021-12-02T00:00:00Z")
+        drop_blob(repo, "HEAD:Big.java")
+        git_processes.clear()
+        with pytest.raises(RuntimeError, match="every snapshot failed"):
+            series(GitProvider(repo), None, RULES)
+        assert any("cat-file" in p.args for p in git_processes)
+        assert all(p.returncode is not None for p in git_processes)
+
+
+class TestMissingObject:
+    def test_fails_only_the_snapshots_that_list_it(self, tmp_path):
+        repo = tmp_path / "damaged"
+        commit_tree(repo, {"A.java": A_V1, "Big.java": BIG}, "c0",
+                    "2021-12-01T00:00:00Z")
+        commit_tree(repo, {"C.java": "class C {}\n"}, "c1", "2021-12-02T00:00:00Z")
+        commit_tree(repo, {"A.java": A_V2}, "c2", "2021-12-03T00:00:00Z")
+        drop_blob(repo, "HEAD~2:A.java")
+        provider = GitProvider(repo)
+        report = series(provider, None, RULES)
+        stats = [s.stats for s in report.snapshots]
+        assert [s.diagnostics for s in stats[:2]] == [("object missing for A.java",)] * 2
+        assert [s.class_count for s in stats] == [0, 0, 3]
+        assert stats[2] == fresh_stats(provider, report.snapshots[2].commit, RULES)
