@@ -160,7 +160,7 @@ def _discover(paths: Optional[list[str]], rules: RuleSet) -> list[tuple[Path, st
                 rel = child.relative_to(p).as_posix()
                 rec = rel if raw in (".", "./") else f"{p.as_posix().rstrip('/')}/{rel}"
                 rec = rec.removeprefix("./")
-                if _wanted(rec, rules):
+                if rules.is_wanted_path(_rule_path(rec)):
                     found.setdefault(rec, child)
         else:
             raise _ExitWith(2, f"no such file or directory: {raw}")
@@ -172,11 +172,6 @@ def _rule_path(rec: str) -> str:
     an absolute path is the same file named relative to the working
     directory, as if its directory had been given so."""
     return Path(os.path.relpath(rec)).as_posix() if os.path.isabs(rec) else rec
-
-
-def _wanted(rec: str, rules: RuleSet) -> bool:
-    rec = _rule_path(rec)
-    return rules.is_included_path(rec) and not rules.is_excluded_path(rec)
 
 
 # ── commands ─────────────────────────────────────────────────────────────

@@ -27,7 +27,7 @@ counted and the lambda itself costs nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -285,7 +285,7 @@ class _TypeWalker:
                 self._emit(IcpCategory.EXCEPTION, stmt.finally_kw, "finally block")
                 self._walk_stmt(stmt.finally_block, scope)
 
-        # Break / Continue contribute nothing
+        # Jump (break / continue) contributes nothing
 
     def _walk_local_decl(self, stmt: ast.LocalDecl, scope: _Scope,
                          what: str = "declaration") -> None:
@@ -330,9 +330,7 @@ class _TypeWalker:
         self._expr_region(condition, scope)
 
     def _condition_sites(self, condition: ast.Expr) -> None:
-        op_spans: list[Span] = []
-        _collect_bool_ops(condition, op_spans)
-        op_spans.sort(key=lambda s: s.byte_start)
+        op_spans = sorted(_collect_bool_ops(condition), key=lambda s: s.byte_start)
         n = 1 + len(op_spans)
         self._emit(IcpCategory.CONDITION, condition.span,
                    f"boolean condition 1 of {n}")
@@ -381,11 +379,16 @@ class _TypeWalker:
                 self._walk_expr(arg, scope, region)
             return
 
-        if isinstance(expr, (ast.BoolBinary, ast.Comparison, ast.Binary)):
-            self._walk_expr(expr.lhs, scope, region)
-            self._walk_expr(expr.rhs, scope, region)
-        elif isinstance(expr, ast.Not):
-            self._walk_expr(expr.inner, scope, region)
+        if isinstance(expr, ast.Binary):
+            # down the left spine in a loop, so a long left-associative chain
+            # costs no recursion; operands are still walked left to right
+            rights: list[ast.Expr] = []
+            while isinstance(expr, ast.Binary):
+                rights.append(expr.rhs)
+                expr = expr.lhs
+            self._walk_expr(expr, scope, region)
+            for rhs in reversed(rights):
+                self._walk_expr(rhs, scope, region)
         elif isinstance(expr, ast.Unary):
             self._walk_expr(expr.inner, scope, region)
         elif isinstance(expr, ast.Assign):
@@ -424,17 +427,20 @@ def _receiver_root(expr: ast.Expr) -> Optional[tuple[str, Span]]:
     return None
 
 
-def _collect_bool_ops(expr: ast.Expr, out: list[Span]) -> None:
+def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
     """Spans of every &&/|| operator reachable without crossing a lambda.
 
     The lambda boundary applies to condition counting unconditionally; with
     lambda counting on, an `if` inside a lambda body still gets its own guard.
+    An explicit stack keeps a long operator chain from costing recursion.
     """
-    if isinstance(expr, ast.Lambda):
-        return
-    if isinstance(expr, ast.BoolBinary):
-        out.append(expr.op_span)
-    for child in ast.iter_children(expr):
-        if isinstance(child, ast.TypeRef):
+    out: list[Span] = []
+    stack: list[object] = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Lambda, ast.TypeRef)):
             continue
-        _collect_bool_ops(child, out)  # type: ignore[arg-type]
+        if isinstance(node, ast.Binary) and node.op in ("&&", "||"):
+            out.append(node.op_span)
+        stack.extend(ast.iter_children(node))
+    return out

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 from dataclasses import dataclass
@@ -289,17 +290,18 @@ class SnapshotDirProvider:
         self, commits: list[CommitMeta], path_filter: PathFilter
     ) -> Iterator[Listing]:
         """Yield each commit's (path, sha256) pairs of the files whose path
-        `path_filter` accepts, in sorted path order; the bytes of the last
-        listing are kept for `read_files`."""
+        `path_filter` accepts, bytewise by path as git lists them; the bytes
+        of the last listing are kept for `read_files`."""
         for commit in commits:
             base = self._dirs.get(commit.id)
             if base is None:
                 raise VcsToolError(f"no snapshot directory for {commit.id}")
             self._blobs = {}
-            for child in sorted(base.rglob("*")):
-                rel = child.relative_to(base).as_posix()
-                if child.is_file() and path_filter(rel):
-                    blob = child.read_bytes()
+            files = {child.relative_to(base).as_posix(): child
+                     for child in base.rglob("*") if child.is_file()}
+            for rel in sorted(files, key=os.fsencode):
+                if path_filter(rel):
+                    blob = files[rel].read_bytes()
                     self._blobs[rel, hashlib.sha256(blob).hexdigest()] = blob
             yield list(self._blobs)
 

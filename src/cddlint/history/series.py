@@ -31,7 +31,7 @@ from ..rules import RuleSet
 from ..syntax import ParseError, ast, parse_unit
 from ..values import format_fixed2
 from .providers import (
-    CommitMeta, GitProvider, Listing, PathFilter, RangeSpec, SnapshotDirProvider,
+    CommitMeta, GitProvider, Listing, RangeSpec, SnapshotDirProvider,
 )
 
 Provider = Union[GitProvider, SnapshotDirProvider]
@@ -76,10 +76,6 @@ class SeriesReport:
     parameters: dict
 
 
-def _wanted(rules: RuleSet) -> PathFilter:
-    return lambda path: rules.is_included_path(path) and not rules.is_excluded_path(path)
-
-
 def _decode(path: str, key: str, blob: bytes, rules: RuleSet) -> Union[SnapshotFile, str]:
     """A fetched file, or the note that skips it when it is not UTF-8."""
     try:
@@ -99,7 +95,7 @@ def read_snapshot_files(
 ) -> tuple[list[SnapshotFile], list[str]]:
     """Fetch every matching file at one commit, with no memo; files that are
     not UTF-8 are skipped with a note."""
-    [listing] = provider.listings([commit], _wanted(rules))
+    [listing] = provider.listings([commit], rules.is_wanted_path)
     try:
         blobs = provider.read_files(listing)
     finally:
@@ -245,7 +241,7 @@ def series(
     commits = provider.list_commits(range_spec)
     memo = FileMemo()
     try:
-        for commit, listing in zip(commits, provider.listings(commits, _wanted(rules))):
+        for commit, listing in zip(commits, provider.listings(commits, rules.is_wanted_path)):
             try:
                 files, notes = memo.read(listing, provider.read_files, rules)
                 stats = analyze_snapshot(files, rules, memo)

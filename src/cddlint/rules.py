@@ -174,11 +174,10 @@ class RuleSet:
     def is_test_path(self, path: str) -> bool:
         return any_glob_match(self.test_globs, path)
 
-    def is_excluded_path(self, path: str) -> bool:
-        return any_glob_match(self.exclude_globs, path)
-
-    def is_included_path(self, path: str) -> bool:
-        return any_glob_match(self.include_globs, path)
+    def is_wanted_path(self, path: str) -> bool:
+        """Included by a glob and excluded by none."""
+        return (any_glob_match(self.include_globs, path)
+                and not any_glob_match(self.exclude_globs, path))
 
     def to_config_mapping(self) -> dict:
         return {

@@ -69,8 +69,8 @@ class Param:
 # ── Expressions ──────────────────────────────────────────────────────────
 
 @dataclass(frozen=True)
-class BoolBinary:
-    op: str  # '&&' or '||'
+class Binary:
+    op: str  # || && | ^ & == != < > <= >= instanceof << >> >>> + - * / %
     lhs: "Expr"
     rhs: "Expr"
     op_span: Span
@@ -78,32 +78,9 @@ class BoolBinary:
 
 
 @dataclass(frozen=True)
-class Not:
-    inner: "Expr"
-    span: Span
-
-
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # == != < > <= >= instanceof
-    lhs: "Expr"
-    rhs: "Expr"
-    span: Span
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # arithmetic / bitwise / shift
-    lhs: "Expr"
-    rhs: "Expr"
-    span: Span
-
-
-@dataclass(frozen=True)
 class Unary:
-    op: str
+    op: str  # prefix ! ~ + - ++ --, or postfix ++ --
     inner: "Expr"
-    prefix: bool
     span: Span
 
 
@@ -129,7 +106,6 @@ class Call:
     receiver: Optional["Expr"]
     name: str
     args: tuple["Expr", ...]
-    name_span: Span
     span: Span
 
 
@@ -185,7 +161,6 @@ class Cast:
 @dataclass(frozen=True)
 class Literal:
     text: str
-    kind: str  # number | string | char | bool | null
     span: Span
 
 
@@ -212,9 +187,8 @@ class Opaque:
 
 
 Expr = Union[
-    BoolBinary, Not, Comparison, Binary, Unary, Assign, Ternary, Call, NameRef,
-    FieldAccess, IndexAccess, Lambda, New, ArrayNew, Cast, Literal, MethodRef,
-    InitializerList, Opaque,
+    Binary, Unary, Assign, Ternary, Call, NameRef, FieldAccess, IndexAccess,
+    Lambda, New, ArrayNew, Cast, Literal, MethodRef, InitializerList, Opaque,
 ]
 
 
@@ -272,7 +246,6 @@ class SwitchCase:
 class Switch:
     scrutinee: Expr
     cases: tuple[SwitchCase, ...]
-    has_default: bool
     kw: Span
     span: Span
     annotations: tuple[AnnotationUse, ...] = ()
@@ -336,24 +309,15 @@ class Throw:
 
 
 @dataclass(frozen=True)
-class Break:
-    label: Optional[str]
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
-
-
-@dataclass(frozen=True)
-class Continue:
-    label: Optional[str]
+class Jump:
+    kind: str  # break | continue; a label is skipped
     span: Span
     annotations: tuple[AnnotationUse, ...] = ()
     markers: tuple[Marker, ...] = ()
 
 
 Stmt = Union[
-    Block, If, Loop, Switch, Try, LocalDecl, ExprStmt, Return, Throw, Break,
-    Continue,
+    Block, If, Loop, Switch, Try, LocalDecl, ExprStmt, Return, Throw, Jump,
 ]
 
 
@@ -375,7 +339,6 @@ class MethodDecl:
     return_type: Optional[TypeRef]  # None for void and constructors
     annotations: tuple[AnnotationUse, ...]
     body: Optional[Block]  # None for abstract / interface methods
-    is_constructor: bool
     span: Span
     body_line_count: int  # body brace span height; 0 when body is absent
 

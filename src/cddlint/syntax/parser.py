@@ -53,8 +53,6 @@ _BINARY_LEVELS = (
 )
 _BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS, 1) for op in ops}
 _TIGHTEST = len(_BINARY_LEVELS)
-_BOOL_OPS = frozenset({"||", "&&"})
-_COMPARISONS = frozenset({"==", "!=", "<", ">", "<=", ">=", "instanceof"})
 
 MARKER_COMMENT_RE = re.compile(r"^//\s*@ICP\(\s*(\d+(?:\.\d+)?)\s*\)\s*$")
 
@@ -277,7 +275,7 @@ class _Parser:
                 and self.peek().kind == _K.LPAREN
                 and self.cur.text not in _NON_TYPE_WORDS
             ):
-                methods.append(self._parse_method(start, annotations, None, True))
+                methods.append(self._parse_method(start, annotations, None))
                 return
             return_type: Optional[ast.TypeRef] = None
             if self.at_word("void"):
@@ -286,9 +284,7 @@ class _Parser:
                 return_type = self._parse_type()
             name_tok = self.expect(_K.IDENT, "member name")
             if self.cur.kind == _K.LPAREN:
-                methods.append(
-                    self._parse_method(start, annotations, return_type, False, name_tok)
-                )
+                methods.append(self._parse_method(start, annotations, return_type, name_tok))
             else:
                 if return_type is None:
                     raise _Fail("field cannot be void", _tok_span(name_tok))
@@ -307,7 +303,6 @@ class _Parser:
         start: Token,
         annotations: tuple[ast.AnnotationUse, ...],
         return_type: Optional[ast.TypeRef],
-        is_constructor: bool,
         name_tok: Optional[Token] = None,
     ) -> ast.MethodDecl:
         if name_tok is None:
@@ -331,7 +326,6 @@ class _Parser:
             return_type=return_type,
             annotations=annotations,
             body=body,
-            is_constructor=is_constructor,
             span=self.span_from(start),
             body_line_count=body_lines,
         )
@@ -542,12 +536,10 @@ class _Parser:
                 return [ast.Throw(expr, self.span_from(start), annotations, markers)]
             if word in ("break", "continue"):
                 self.advance()
-                label = None
-                if self.cur.kind == _K.IDENT:
-                    label = self.advance().text
+                if self.cur.kind == _K.IDENT:  # label
+                    self.advance()
                 self.expect(_K.SEMI, "';'")
-                node = ast.Break if word == "break" else ast.Continue
-                return [node(label, self.span_from(start), annotations, markers)]
+                return [ast.Jump(word, self.span_from(start), annotations, markers)]
             if word == "synchronized" and self.peek().kind == _K.LPAREN:
                 self.diag("synchronized statement is analyzed as a plain block",
                           _tok_span(self.cur))
@@ -675,13 +667,7 @@ class _Parser:
         try:
             start = self.cur
             anns = self._parse_annotations()
-            if self.at_word("final"):
-                self.advance()
-            declared: Optional[ast.TypeRef] = None
-            if self.at_word("var") and self.peek().kind == _K.IDENT:
-                self.advance()
-            else:
-                declared = self._parse_type()
+            declared = self._parse_local_type()
             name = self.expect(_K.IDENT, "loop variable").text
             if self.cur.kind != _K.COLON:
                 raise _Fail("not an enhanced for", _tok_span(self.cur))
@@ -702,13 +688,7 @@ class _Parser:
         saved = self.pos
         saved_diags = len(self.diagnostics)
         try:
-            if self.at_word("final"):
-                self.advance()
-            declared: Optional[ast.TypeRef] = None
-            if self.at_word("var") and self.peek().kind == _K.IDENT:
-                self.advance()
-            else:
-                declared = self._parse_type()
+            declared = self._parse_local_type()
             if self.cur.kind != _K.IDENT:
                 raise _Fail("not a declaration", _tok_span(self.cur))
             name_tok = self.cur
@@ -728,6 +708,17 @@ class _Parser:
             del self.diagnostics[saved_diags:]
             return None
 
+    def _parse_local_type(self) -> Optional[ast.TypeRef]:
+        """The head of a local variable, loop variable or try resource: an
+        optional `final`, then `var` before a name (None: no type is
+        inferred) or a type."""
+        if self.at_word("final"):
+            self.advance()
+        if self.at_word("var") and self.peek().kind == _K.IDENT:
+            self.advance()
+            return None
+        return self._parse_type()
+
     def _parse_switch(self, start, annotations, markers) -> ast.Switch:
         kw = _tok_span(self.expect_word("switch"))
         self.expect(_K.LPAREN, "'('")
@@ -735,7 +726,6 @@ class _Parser:
         self.expect(_K.RPAREN, "')'")
         self.expect(_K.LBRACE, "'{'")
         cases: list[ast.SwitchCase] = []
-        has_default = False
         while self.cur.kind != _K.RBRACE and self.cur.kind != _K.EOF:
             case_start = self.cur
             labels: list[ast.CaseLabel] = []
@@ -744,7 +734,6 @@ class _Parser:
                 if self.at_word("default"):
                     self.advance()
                     labels.append(ast.CaseLabel(None, self.span_from(lbl_start)))
-                    has_default = True
                 else:
                     self.advance()
                     expr = self._parse_ternary_free_expr()
@@ -772,8 +761,8 @@ class _Parser:
             cases.append(ast.SwitchCase(tuple(labels), tuple(stmts),
                                         self.span_from(case_start)))
         self.expect(_K.RBRACE, "'}'")
-        return ast.Switch(scrutinee, tuple(cases), has_default, kw,
-                          self.span_from(start), annotations, markers)
+        return ast.Switch(scrutinee, tuple(cases), kw, self.span_from(start),
+                          annotations, markers)
 
     def _parse_try(self, start, annotations, markers) -> ast.Try:
         kw = _tok_span(self.expect_word("try"))
@@ -783,13 +772,7 @@ class _Parser:
             while self.cur.kind != _K.RPAREN and self.cur.kind != _K.EOF:
                 res_start = self.cur
                 anns = self._parse_annotations()
-                if self.at_word("final"):
-                    self.advance()
-                declared: Optional[ast.TypeRef] = None
-                if self.at_word("var") and self.peek().kind == _K.IDENT:
-                    self.advance()
-                else:
-                    declared = self._parse_type()
+                declared = self._parse_local_type()
                 name = self.expect(_K.IDENT, "resource name").text
                 self.expect(_K.ASSIGN, "'='")
                 init = self._parse_expr()
@@ -876,6 +859,7 @@ class _Parser:
             if op_tok.kind == _K.GT:
                 for _ in op[1:]:  # the adjacent GTs of a '>>' or '>>>'
                     self.advance()
+            op_span = self.span_from(op_tok)
             if op == "instanceof":
                 ty = self._parse_type()
                 if self.cur.kind == _K.IDENT:  # pattern variable (accepted, unused)
@@ -883,12 +867,7 @@ class _Parser:
                 rhs = ast.NameRef(ty.qualified_name, ty.span)
             else:
                 rhs = self._parse_binary(prec + 1)
-            if op in _BOOL_OPS:
-                lhs = ast.BoolBinary(op, lhs, rhs, _tok_span(op_tok), self.span_from(start))
-            elif op in _COMPARISONS:
-                lhs = ast.Comparison(op, lhs, rhs, self.span_from(start))
-            else:
-                lhs = ast.Binary(op, lhs, rhs, self.span_from(start))
+            lhs = ast.Binary(op, lhs, rhs, op_span, self.span_from(start))
 
     def _binary_op(self) -> tuple[str, int]:
         """The binary operator at the cursor and its level (0 if none); a
@@ -905,12 +884,9 @@ class _Parser:
     def _parse_unary(self) -> ast.Expr:
         start = self.cur
         k = self.cur.kind
-        if k == _K.NOT:
-            self.advance()
-            return ast.Not(self._parse_unary(), self.span_from(start))
-        if k in (_K.PLUS, _K.MINUS, _K.TILDE, _K.PLUSPLUS, _K.MINUSMINUS):
+        if k in (_K.NOT, _K.PLUS, _K.MINUS, _K.TILDE, _K.PLUSPLUS, _K.MINUSMINUS):
             op = self.advance().text
-            return ast.Unary(op, self._parse_unary(), True, self.span_from(start))
+            return ast.Unary(op, self._parse_unary(), self.span_from(start))
         if k == _K.LPAREN:
             cast = self._try_parse_cast(start)
             if cast is not None:
@@ -952,13 +928,12 @@ class _Parser:
                     raise _Fail("expected member name after '.'", _tok_span(self.peek()))
                 if self.cur.kind == _K.LPAREN:
                     args = self._parse_call_args()
-                    expr = ast.Call(expr, name_tok.text, args, _tok_span(name_tok),
-                                    self.span_from(start))
+                    expr = ast.Call(expr, name_tok.text, args, self.span_from(start))
                 else:
                     expr = ast.FieldAccess(expr, name_tok.text, self.span_from(start))
             elif k == _K.LPAREN and isinstance(expr, ast.NameRef):
                 args = self._parse_call_args()
-                expr = ast.Call(None, expr.name, args, expr.span, self.span_from(start))
+                expr = ast.Call(None, expr.name, args, self.span_from(start))
             elif k == _K.LBRACKET:
                 self.advance()
                 idx = self._parse_expr()
@@ -973,7 +948,7 @@ class _Parser:
                 expr = ast.MethodRef(expr, name, self.span_from(start))
             elif k in (_K.PLUSPLUS, _K.MINUSMINUS):
                 op = self.advance().text
-                expr = ast.Unary(op, expr, False, self.span_from(start))
+                expr = ast.Unary(op, expr, self.span_from(start))
             else:
                 return expr
 
@@ -993,24 +968,13 @@ class _Parser:
         start = self.cur
         k = self.cur.kind
 
-        if k == _K.NUMBER:
+        if k in (_K.NUMBER, _K.STRING, _K.CHAR) or (
+                k == _K.IDENT and self.cur.text in ("true", "false", "null")):
             t = self.advance()
-            return ast.Literal(t.text, "number", _tok_span(t))
-        if k == _K.STRING:
-            t = self.advance()
-            return ast.Literal(t.text, "string", _tok_span(t))
-        if k == _K.CHAR:
-            t = self.advance()
-            return ast.Literal(t.text, "char", _tok_span(t))
+            return ast.Literal(t.text, _tok_span(t))
 
         if k == _K.IDENT:
             word = self.cur.text
-            if word in ("true", "false"):
-                t = self.advance()
-                return ast.Literal(t.text, "bool", _tok_span(t))
-            if word == "null":
-                t = self.advance()
-                return ast.Literal(t.text, "null", _tok_span(t))
             if word == "new":
                 return self._parse_new(start)
             if word == "switch":

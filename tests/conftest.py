@@ -42,6 +42,17 @@ DEEP_SOURCE = (
     + "(" * 1000 + "a" + ")" * 1000 + ";\n  }\n}\n"
 )
 
+# 5,000-term operator chains, far longer than recursion would allow: the
+# engine walks a chain in a loop, so each is analysed whole.
+LONG_GUARD_SOURCE = (
+    "class Guard {\n  void f(boolean a) {\n    if ("
+    + " && ".join(["a"] * 5000) + ") {}\n  }\n}\n"
+)
+LONG_SUM_SOURCE = (
+    "class Sum {\n  Repo repo;\n  int f() {\n    return "
+    + " + ".join(["repo.size()"] * 5000) + ";\n  }\n}\n"
+)
+
 
 # ── history fixture ──────────────────────────────────────────────────────
 #

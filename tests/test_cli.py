@@ -20,7 +20,10 @@ import pytest
 import cddlint
 from cddlint.cli import main
 
-from conftest import DEEP_SOURCE, FIXTURES, LISTING_PATH, ORACLE_DIR
+from conftest import (
+    DEEP_SOURCE, FIXTURES, LISTING_PATH, LONG_GUARD_SOURCE, LONG_SUM_SOURCE,
+    ORACLE_DIR,
+)
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "cddlint" / "schemas"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -184,6 +187,20 @@ class TestCheck:
         assert doc["diagnostics"] == [
             {"path": "Deep.java", "message": "parse failed: nesting too deep"}
         ]
+
+    def test_long_operator_chains_are_analysed(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "Guard.java").write_text(LONG_GUARD_SOURCE)
+        (tmp_path / "Sum.java").write_text(LONG_SUM_SOURCE)
+        (tmp_path / "cdd.json").write_text('{"internal_types": ["Repo"]}')
+        code, out, _ = run(capsys, "check", ".", "--format", "json")
+        assert code == 1  # Guard is far over the limit
+        doc = json.loads(out)
+        assert [(u["path"], u["type"], u["total"]) for u in doc["units"]] == [
+            ("Guard.java", "Guard", 5001), ("Sum.java", "Sum", 2),
+        ]
+        assert doc["summary"]["parse_failures"] == 0
 
     def test_absolute_directory_matches_relative(self, corpus_dir, capsys):
         config = json.loads(CORPUS_CONFIG)

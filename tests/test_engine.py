@@ -16,7 +16,7 @@ from cddlint.rules import (
 )
 from cddlint.syntax import parse_unit
 
-from conftest import LISTING_INTERNAL_TYPES
+from conftest import LISTING_INTERNAL_TYPES, LONG_GUARD_SOURCE, LONG_SUM_SOURCE
 
 B = IcpCategory.BRANCH
 C = IcpCategory.CONDITION
@@ -235,6 +235,22 @@ class TestExpressionPositions:
         )
         # two fields plus the bare-name initializer use of a
         assert a.subtotals[I] == 3
+
+
+class TestLongChains:
+    def test_long_guard_counts_every_operator(self):
+        a = analyze_one(LONG_GUARD_SOURCE)
+        # the if, then the guard's 1 + 4,999 `&&` conditions
+        assert a.total == 5001
+        assert a.subtotals[B] == 1 and a.subtotals[C] == 5000
+
+    def test_long_sum_makes_one_use_at_its_first_term(self):
+        a = analyze_one(LONG_SUM_SOURCE, default_rules(internal_types=("Repo",)))
+        assert [s.reason for s in a.sites] == [
+            "internal coupling: Repo field",
+            "internal coupling: use of repo (Repo)",
+        ]
+        assert a.sites[1].span.byte_start == LONG_SUM_SOURCE.index("repo.size()")
 
 
 class TestGolden:

@@ -414,6 +414,28 @@ class TestGitWalk:
             "src/a-b.java", "src/a/X.java", "src/a0.java"]
 
 
+class TestListingOrder:
+    def test_snapshot_dirs_list_files_as_git_does(self, tmp_path):
+        # part by part `src/a/X.java` would sort first; bytewise '-' < '/' < '0'
+        tree = {"src/a0.java": BROKEN, "src/a/X.java": BROKEN, "src/a-b.java": BROKEN}
+        repo = tmp_path / "repo"
+        commit_tree(repo, tree, "c0", "2021-12-01T00:00:00Z")
+        commit_id = run_git(repo, "rev-parse", "HEAD")
+        snapshots = tmp_path / "snapshots"
+        for path, content in tree.items():
+            target = snapshots / f"0000_{commit_id}" / path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(content, encoding="utf-8")
+        (snapshots / "commits.jsonl").write_text(json.dumps(
+            {"id": commit_id, "timestamp": "2021-12-01T00:00:00Z", "message": "c0"}
+        ) + "\n", encoding="utf-8")
+        [in_git] = series(GitProvider(repo), None, RULES).snapshots
+        [in_dirs] = series(SnapshotDirProvider(snapshots), None, RULES).snapshots
+        assert [d.split(":")[0] for d in in_git.stats.diagnostics] == [
+            "src/a-b.java", "src/a/X.java", "src/a0.java"]
+        assert in_dirs.stats.diagnostics == in_git.stats.diagnostics
+
+
 class TestReadByBlobId:
     @pytest.mark.parametrize("name", [os.fsdecode(b"caf\xe9.java"), "New\nLine.java"],
                              ids=["not-utf8", "newline"])

@@ -118,7 +118,7 @@ class TestBasics:
 
 def shape(expr) -> str:
     """A binary-operator tree written out with every node parenthesized."""
-    if isinstance(expr, (ast.Binary, ast.BoolBinary, ast.Comparison)):
+    if type(expr) is ast.Binary:
         return f"({shape(expr.lhs)} {expr.op} {shape(expr.rhs)})"
     assert isinstance(expr, ast.NameRef), expr
     return expr.name
@@ -160,10 +160,12 @@ class TestPrecedence:
 
     def test_node_types(self):
         expr = returned("a || b == c + d")
-        assert type(expr) is ast.BoolBinary
+        assert type(expr) is ast.Binary
         assert expr.op_span.byte_start == expr.span.byte_start + len("a ")
-        assert type(expr.rhs) is ast.Comparison
+        assert type(expr.rhs) is ast.Binary
+        assert expr.rhs.op_span.byte_start == expr.span.byte_start + len("a || b ")
         assert type(expr.rhs.rhs) is ast.Binary
+        assert expr.rhs.rhs.op_span.byte_start == expr.span.byte_start + len("a || b == c ")
 
     def test_span_runs_from_the_first_token_of_the_chain(self):
         src = "(a) - b * c - d"
