@@ -131,7 +131,12 @@ def _iter_stmts(stmt: ast.Stmt) -> Iterator[ast.Stmt]:
         for s in stmt.stmts:
             yield from _iter_stmts(s)
     elif isinstance(stmt, ast.If):
-        yield from _iter_stmts(stmt.then)
+        while True:  # an `else if` chain is walked here, not by recursion
+            yield from _iter_stmts(stmt.then)
+            if not isinstance(stmt.else_branch, ast.If):
+                break
+            stmt = stmt.else_branch
+            yield stmt
         if stmt.else_branch is not None:
             yield from _iter_stmts(stmt.else_branch)
     elif isinstance(stmt, ast.Loop):

@@ -53,7 +53,6 @@ class UnitAnalysis:
     sites: tuple[IcpSite, ...]
     total: Fraction
     subtotals: dict[IcpCategory, Fraction]
-    declared_total: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -226,13 +225,18 @@ class _TypeWalker:
             self._expr_region(stmt.expr, scope)
 
         elif isinstance(stmt, ast.If):
-            self._emit(IcpCategory.BRANCH, stmt.if_kw, "if statement")
-            self._guard(stmt.condition, scope)
-            self._walk_stmt(stmt.then, scope)
-            if stmt.else_branch is not None:
+            while True:  # an `else if` chain is walked here, not by recursion
+                self._emit(IcpCategory.BRANCH, stmt.if_kw, "if statement")
+                self._guard(stmt.condition, scope)
+                self._walk_stmt(stmt.then, scope)
+                if stmt.else_branch is None:
+                    break
                 assert stmt.else_kw is not None
                 self._emit(IcpCategory.BRANCH, stmt.else_kw, "else branch")
-                self._walk_stmt(stmt.else_branch, scope)
+                if not isinstance(stmt.else_branch, ast.If):
+                    self._walk_stmt(stmt.else_branch, scope)
+                    break
+                stmt = stmt.else_branch
 
         elif isinstance(stmt, ast.Loop):
             reason = {

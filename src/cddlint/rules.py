@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .values import is_half_step, to_fraction
+from .values import is_half_step, json_number, to_fraction
 
 
 class IcpCategory(enum.Enum):
@@ -182,14 +182,14 @@ class RuleSet:
     def to_config_mapping(self) -> dict:
         return {
             "categories": {
-                cat.value: {"enabled": rule.enabled, "cost": _num(rule.cost)}
+                cat.value: {"enabled": rule.enabled, "cost": json_number(rule.cost)}
                 for cat, rule in self.categories.items()
             },
             "internal_types": list(self.internal_types),
             "external_types": list(self.external_types),
-            "default_limit": _num(self.default_limit),
+            "default_limit": json_number(self.default_limit),
             "limit_overrides": [
-                {"pattern": o.pattern, "limit": _num(o.limit)}
+                {"pattern": o.pattern, "limit": json_number(o.limit)}
                 for o in self.limit_overrides
             ],
             "exclude_globs": list(self.exclude_globs),
@@ -202,10 +202,6 @@ class RuleSet:
     def digest(self) -> str:
         canonical = json.dumps(self.to_config_mapping(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _num(value: Fraction):
-    return value.numerator if value.denominator == 1 else float(value)
 
 
 def default_rules(**overrides: Any) -> RuleSet:

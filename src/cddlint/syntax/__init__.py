@@ -3,7 +3,7 @@
 from .ast import Diagnostic, SourceUnit, Span, iter_type_decls
 from .parser import ParseError, parse_unit
 from .scanner import active_backend, physical_loc, tokenize
-from .tokens import InvalidCharacter, Token, TokenKind, Trivia, TriviaKind
+from .tokens import InvalidCharacter, Token, TokenKind, Trivia
 
 __all__ = [
     "Diagnostic",
@@ -14,7 +14,6 @@ __all__ = [
     "Token",
     "TokenKind",
     "Trivia",
-    "TriviaKind",
     "active_backend",
     "iter_type_decls",
     "parse_unit",

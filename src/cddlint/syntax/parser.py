@@ -23,7 +23,9 @@ from .ast import Span
 from .scanner import tokenize_bytes
 from .tokens import InvalidCharacter, Token, TokenKind
 
-_K = TokenKind
+# punctuation is matched by its text; these are the only kinds the parser tests
+_IDENT, _NUMBER, _EOF = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.EOF
+_LITERALS = frozenset({TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR})
 
 MODIFIERS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
@@ -45,7 +47,7 @@ _NON_TYPE_WORDS = frozenset({
 }) | _TYPE_KEYWORDS
 
 # Binary operators by precedence level, loosest first (JLS SE 17 §15.17-15.24).
-# ">>" and ">>>" are written as adjacent GT tokens.
+# ">>" and ">>>" are written as adjacent ">" tokens.
 _BINARY_LEVELS = (
     ("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
     ("<", ">", "<=", ">=", "instanceof"), ("<<", ">>", ">>>"),
@@ -53,6 +55,11 @@ _BINARY_LEVELS = (
 )
 _BINARY_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS, 1) for op in ops}
 _TIGHTEST = len(_BINARY_LEVELS)
+
+_ASSIGN_OPS = frozenset({
+    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=",
+})
+_PREFIX_OPS = frozenset({"!", "+", "-", "~", "++", "--"})
 
 MARKER_COMMENT_RE = re.compile(r"^//\s*@ICP\(\s*(\d+(?:\.\d+)?)\s*\)\s*$")
 
@@ -78,7 +85,7 @@ class _Fail(Exception):
 
 
 def _tok_span(t: Token) -> Span:
-    return Span(t.byte_start, t.byte_end, t.line_start, t.line_end)
+    return Span(t.byte_start, t.byte_end, t.line, t.line)
 
 
 def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
@@ -95,9 +102,9 @@ def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
 class _Parser:
     def __init__(self, tokens: list[Token], data: bytes, path: str):
         n = len(data)
-        if not tokens or tokens[-1].kind != _K.EOF:
-            last_line = tokens[-1].line_end if tokens else 1
-            tokens = tokens + [Token(_K.EOF, "", n, n, last_line, last_line, ())]
+        if not tokens or tokens[-1].kind != _EOF:
+            last_line = tokens[-1].line if tokens else 1
+            tokens = tokens + [Token(_EOF, "", n, n, last_line, ())]
         self.toks = tokens
         self.pos = 0
         self.data = data
@@ -120,18 +127,15 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        if self.cur.kind != kind:
-            raise _Fail(f"expected {what}", _tok_span(self.cur))
+    def expect(self, text: str, what: str = "") -> Token:
+        """Consume the token spelled `text`, a word or a punctuation mark."""
+        if self.cur.text != text:
+            raise _Fail(f"expected {what or repr(text)}", _tok_span(self.cur))
         return self.advance()
 
-    def at_word(self, text: str) -> bool:
-        t = self.cur
-        return t.kind == _K.IDENT and t.text == text
-
-    def expect_word(self, text: str) -> Token:
-        if not self.at_word(text):
-            raise _Fail(f"expected '{text}'", _tok_span(self.cur))
+    def expect_ident(self, what: str) -> Token:
+        if self.cur.kind != _IDENT:
+            raise _Fail(f"expected {what}", _tok_span(self.cur))
         return self.advance()
 
     @property
@@ -140,7 +144,7 @@ class _Parser:
 
     def span_from(self, start: Token) -> Span:
         end = self.prev
-        return Span(start.byte_start, end.byte_end, start.line_start, end.line_end)
+        return Span(start.byte_start, end.byte_end, start.line, end.line)
 
     def diag(self, message: str, span: Span) -> None:
         self.diagnostics.append(ast.Diagnostic(message, span))
@@ -149,12 +153,12 @@ class _Parser:
 
     def parse(self) -> ast.SourceUnit:
         types: list[ast.TypeDecl] = []
-        if self.at_word("package"):
+        if self.cur.text == "package":
             self._skip_to_semi()
-        while self.at_word("import"):
+        while self.cur.text == "import":
             self._skip_to_semi()
-        while self.cur.kind != _K.EOF:
-            if self.cur.kind == _K.SEMI:
+        while self.cur.kind != _EOF:
+            if self.cur.text == ";":
                 self.advance()
                 continue
             decl = self._parse_type_decl_hard()
@@ -184,17 +188,17 @@ class _Parser:
             start = self.cur
             annotations = self._parse_annotations()
         header_tok = self.cur
-        while self.cur.kind == _K.IDENT and self.cur.text in MODIFIERS:
+        while self.cur.text in MODIFIERS:
             self.advance()
-        if not (self.cur.kind == _K.IDENT and self.cur.text in _TYPE_KEYWORDS):
+        if self.cur.text not in _TYPE_KEYWORDS:
             raise _Fail("expected class, interface or enum", _tok_span(self.cur))
         kind = self.advance().text
-        name = self.expect(_K.IDENT, "type name").text
-        if self.cur.kind == _K.LT:
+        name = self.expect_ident("type name").text
+        if self.cur.text == "<":
             self._skip_generics()
-        while self.cur.kind != _K.LBRACE and self.cur.kind != _K.EOF:
+        while self.cur.text != "{" and self.cur.kind != _EOF:
             self.advance()  # extends / implements clauses are not analyzed
-        self.expect(_K.LBRACE, "'{'")
+        self.expect("{")
 
         enum_constants: tuple[ast.EnumConstant, ...] = ()
         if kind == "enum":
@@ -203,9 +207,9 @@ class _Parser:
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
         nested: list[ast.TypeDecl] = []
-        while self.cur.kind != _K.RBRACE and self.cur.kind != _K.EOF:
+        while self.cur.text != "}" and self.cur.kind != _EOF:
             self._parse_member(fields, methods, nested)
-        self.expect(_K.RBRACE, "'}'")
+        self.expect("}")
         return ast.TypeDecl(
             name=name,
             kind=kind,
@@ -220,24 +224,24 @@ class _Parser:
 
     def _parse_enum_constants(self) -> tuple[ast.EnumConstant, ...]:
         constants: list[ast.EnumConstant] = []
-        while self.cur.kind not in (_K.SEMI, _K.RBRACE, _K.EOF):
+        while self.cur.text not in (";", "}") and self.cur.kind != _EOF:
             self._parse_annotations()
             start = self.cur
-            if self.cur.kind != _K.IDENT:
+            if self.cur.kind != _IDENT:
                 break
             name = self.advance().text
             args: tuple[ast.Expr, ...] = ()
-            if self.cur.kind == _K.LPAREN:
+            if self.cur.text == "(":
                 args = self._parse_call_args()
-            if self.cur.kind == _K.LBRACE:
+            if self.cur.text == "{":
                 self.diag("enum constant body is not analyzed", _tok_span(self.cur))
-                self._skip_balanced(_K.LBRACE, _K.RBRACE)
+                self._skip_balanced("{", "}")
             constants.append(ast.EnumConstant(name, args, self.span_from(start)))
-            if self.cur.kind == _K.COMMA:
+            if self.cur.text == ",":
                 self.advance()
             else:
                 break
-        if self.cur.kind == _K.SEMI:
+        if self.cur.text == ";":
             self.advance()
         return tuple(constants)
 
@@ -249,41 +253,41 @@ class _Parser:
         methods: list[ast.MethodDecl],
         nested: list[ast.TypeDecl],
     ) -> None:
-        if self.cur.kind == _K.SEMI:
+        if self.cur.text == ";":
             self.advance()
             return
         start = self.cur
         try:
             annotations = self._parse_annotations()
-            if self.cur.kind == _K.IDENT and self.cur.text in _TYPE_KEYWORDS:
+            if self.cur.text in _TYPE_KEYWORDS:
                 nested.append(self._parse_type_decl_hard(start, annotations))
                 return
-            while self.cur.kind == _K.IDENT and self.cur.text in MODIFIERS:
+            while self.cur.text in MODIFIERS:
                 self.advance()
                 annotations += self._parse_annotations()  # interleaved @Anno
-            if self.cur.kind == _K.IDENT and self.cur.text in _TYPE_KEYWORDS:
+            if self.cur.text in _TYPE_KEYWORDS:
                 nested.append(self._parse_type_decl_hard(start, annotations))
                 return
-            if self.cur.kind == _K.LBRACE:
+            if self.cur.text == "{":
                 self.diag("initializer block is not analyzed", _tok_span(self.cur))
-                self._skip_balanced(_K.LBRACE, _K.RBRACE)
+                self._skip_balanced("{", "}")
                 return
-            if self.cur.kind == _K.LT:
+            if self.cur.text == "<":
                 self._skip_generics()  # generic method type parameters
             if (
-                self.cur.kind == _K.IDENT
-                and self.peek().kind == _K.LPAREN
+                self.cur.kind == _IDENT
+                and self.peek().text == "("
                 and self.cur.text not in _NON_TYPE_WORDS
             ):
                 methods.append(self._parse_method(start, annotations, None))
                 return
             return_type: Optional[ast.TypeRef] = None
-            if self.at_word("void"):
+            if self.cur.text == "void":
                 self.advance()
             else:
                 return_type = self._parse_type()
-            name_tok = self.expect(_K.IDENT, "member name")
-            if self.cur.kind == _K.LPAREN:
+            name_tok = self.expect_ident("member name")
+            if self.cur.text == "(":
                 methods.append(self._parse_method(start, annotations, return_type, name_tok))
             else:
                 if return_type is None:
@@ -306,17 +310,17 @@ class _Parser:
         name_tok: Optional[Token] = None,
     ) -> ast.MethodDecl:
         if name_tok is None:
-            name_tok = self.expect(_K.IDENT, "constructor name")
+            name_tok = self.expect_ident("constructor name")
         params = self._parse_params()
-        if self.at_word("throws"):
+        if self.cur.text == "throws":
             self.advance()
-            while self.cur.kind not in (_K.LBRACE, _K.SEMI, _K.EOF):
+            while self.cur.text not in ("{", ";") and self.cur.kind != _EOF:
                 self.advance()
         body: Optional[ast.Block] = None
-        if self.cur.kind == _K.LBRACE:
+        if self.cur.text == "{":
             body = self._parse_block()
         else:
-            self.expect(_K.SEMI, "method body or ';'")
+            self.expect(";", "method body or ';'")
         body_lines = 0
         if body is not None:
             body_lines = body.span.line_end - body.span.line_start + 1
@@ -331,25 +335,25 @@ class _Parser:
         )
 
     def _parse_params(self) -> tuple[ast.Param, ...]:
-        self.expect(_K.LPAREN, "'('")
+        self.expect("(")
         params: list[ast.Param] = []
-        while self.cur.kind != _K.RPAREN and self.cur.kind != _K.EOF:
+        while self.cur.text != ")" and self.cur.kind != _EOF:
             start = self.cur
             anns = self._parse_annotations()
-            if self.at_word("final"):
+            if self.cur.text == "final":
                 self.advance()
                 anns += self._parse_annotations()
             ptype = self._parse_type()
-            if self.cur.kind == _K.ELLIPSIS:
+            if self.cur.text == "...":
                 self.advance()  # varargs behave like the element type
-            name = self.expect(_K.IDENT, "parameter name").text
+            name = self.expect_ident("parameter name").text
             self._skip_array_suffix()
             params.append(ast.Param(name, ptype, anns, self.span_from(start)))
-            if self.cur.kind == _K.COMMA:
+            if self.cur.text == ",":
                 self.advance()
             else:
                 break
-        self.expect(_K.RPAREN, "')'")
+        self.expect(")")
         return tuple(params)
 
     def _parse_declarators(
@@ -361,116 +365,116 @@ class _Parser:
         while True:
             self._skip_array_suffix()
             init = None
-            if self.cur.kind == _K.ASSIGN:
+            if self.cur.text == "=":
                 self.advance()
                 init = self._parse_initializer_value()
             names.append((name, init))
-            if self.cur.kind != _K.COMMA:
+            if self.cur.text != ",":
                 break
             self.advance()
-            name = self.expect(_K.IDENT, what).text
-        self.expect(_K.SEMI, "';'")
+            name = self.expect_ident(what).text
+        self.expect(";")
         return names
 
     def _parse_initializer_value(self) -> ast.Expr:
-        if self.cur.kind == _K.LBRACE:
+        if self.cur.text == "{":
             return self._parse_initializer_list()
         return self._parse_expr()
 
     def _parse_initializer_list(self) -> ast.Expr:
         start = self.cur
-        self.expect(_K.LBRACE, "'{'")
+        self.expect("{")
         items: list[ast.Expr] = []
-        while self.cur.kind != _K.RBRACE and self.cur.kind != _K.EOF:
+        while self.cur.text != "}" and self.cur.kind != _EOF:
             items.append(self._parse_initializer_value())
-            if self.cur.kind == _K.COMMA:
+            if self.cur.text == ",":
                 self.advance()
             else:
                 break
-        self.expect(_K.RBRACE, "'}'")
+        self.expect("}")
         return ast.InitializerList(tuple(items), self.span_from(start))
 
     # ── annotations and types ───────────────────────────────────────────
 
     def _parse_annotations(self) -> tuple[ast.AnnotationUse, ...]:
         uses: list[ast.AnnotationUse] = []
-        while self.cur.kind == _K.AT:
+        while self.cur.text == "@":
             start = self.advance()
-            name = self.expect(_K.IDENT, "annotation name").text
-            while self.cur.kind == _K.DOT and self.peek().kind == _K.IDENT:
+            name = self.expect_ident("annotation name").text
+            while self.cur.text == "." and self.peek().kind == _IDENT:
                 self.advance()
                 name += "." + self.advance().text
             numeric: Optional[Fraction] = None
-            if self.cur.kind == _K.LPAREN:
+            if self.cur.text == "(":
                 if (
-                    self.peek().kind == _K.NUMBER
-                    and self.peek(2).kind == _K.RPAREN
+                    self.peek().kind == _NUMBER
+                    and self.peek(2).text == ")"
                 ):
                     self.advance()
                     # stays None for non-decimal literals such as hex
                     numeric = _parse_decimal(self.advance().text)
                     self.advance()
                 else:
-                    self._skip_balanced(_K.LPAREN, _K.RPAREN)
+                    self._skip_balanced("(", ")")
             uses.append(ast.AnnotationUse(name, numeric, self.span_from(start)))
         return tuple(uses)
 
     def _parse_type(self) -> ast.TypeRef:
         start = self.cur
-        if self.cur.kind != _K.IDENT or self.cur.text in _NON_TYPE_WORDS:
+        if self.cur.kind != _IDENT or self.cur.text in _NON_TYPE_WORDS:
             raise _Fail("expected type", _tok_span(self.cur))
         name = self.advance().text
         if name not in PRIMITIVES:
             while (
-                self.cur.kind == _K.DOT
-                and self.peek().kind == _K.IDENT
+                self.cur.text == "."
+                and self.peek().kind == _IDENT
                 and self.peek().text not in _NON_TYPE_WORDS
             ):
                 self.advance()
                 name += "." + self.advance().text
         args: tuple[ast.TypeRef, ...] = ()
-        if self.cur.kind == _K.LT:
+        if self.cur.text == "<":
             args = self._parse_type_args()
         self._skip_array_suffix()
         return ast.TypeRef(name, args, self.span_from(start))
 
     def _parse_type_args(self) -> tuple[ast.TypeRef, ...]:
-        self.expect(_K.LT, "'<'")
+        self.expect("<")
         args: list[ast.TypeRef] = []
-        if self.cur.kind == _K.GT:  # diamond
+        if self.cur.text == ">":  # diamond
             self.advance()
             return ()
         while True:
-            if self.cur.kind == _K.QUESTION:  # wildcard, accepted and ignored
+            if self.cur.text == "?":  # wildcard, accepted and ignored
                 self.advance()
-                if self.at_word("extends") or self.at_word("super"):
+                if self.cur.text in ("extends", "super"):
                     self.advance()
                     args.append(self._parse_type())
             else:
                 args.append(self._parse_type())
-            if self.cur.kind == _K.COMMA:
+            if self.cur.text == ",":
                 self.advance()
                 continue
-            self.expect(_K.GT, "'>'")
+            self.expect(">")
             return tuple(args)
 
     def _skip_array_suffix(self) -> None:
-        while self.cur.kind == _K.LBRACKET and self.peek().kind == _K.RBRACKET:
+        while self.cur.text == "[" and self.peek().text == "]":
             self.advance()
             self.advance()
 
     def _skip_generics(self) -> None:
         depth = 0
-        while self.cur.kind != _K.EOF:
-            k = self.cur.kind
-            if k == _K.LT:
+        while self.cur.kind != _EOF:
+            k = self.cur.text
+            if k == "<":
                 depth += 1
-            elif k == _K.GT:
+            elif k == ">":
                 depth -= 1
                 if depth == 0:
                     self.advance()
                     return
-            elif k in (_K.LBRACE, _K.RBRACE, _K.SEMI):
+            elif k in ("{", "}", ";"):
                 return  # malformed; bail without consuming
             self.advance()
 
@@ -478,11 +482,11 @@ class _Parser:
 
     def _parse_block(self) -> ast.Block:
         start = self.cur
-        self.expect(_K.LBRACE, "'{'")
+        self.expect("{")
         stmts: list[ast.Stmt] = []
-        while self.cur.kind != _K.RBRACE and self.cur.kind != _K.EOF:
+        while self.cur.text != "}" and self.cur.kind != _EOF:
             stmts.extend(self._parse_statement_recovering())
-        self.expect(_K.RBRACE, "'}'")
+        self.expect("}")
         return ast.Block(tuple(stmts), self.span_from(start))
 
     def _parse_statement_recovering(self) -> list[ast.Stmt]:
@@ -491,24 +495,29 @@ class _Parser:
         try:
             return self._parse_statement()
         except _Fail as exc:
-            self.diag(exc.message, exc.span)
-            self._recover_statement()
-            span = self.span_from(start) if self.pos > start_pos else _tok_span(start)
-            return [ast.ExprStmt(ast.Opaque((), span), span)]
+            return [self._failed_statement(exc, start, start_pos)]
+
+    def _failed_statement(self, exc: _Fail, start: Token, start_pos: int) -> ast.Stmt:
+        """Record the failure, skip the rest of the statement and stand an
+        Opaque statement in its place."""
+        self.diag(exc.message, exc.span)
+        self._recover_statement()
+        span = self.span_from(start) if self.pos > start_pos else _tok_span(start)
+        return ast.ExprStmt(ast.Opaque((), span), span)
 
     def _parse_statement(self) -> list[ast.Stmt]:
         start = self.cur
         markers = _markers_from_trivia(start)
         annotations = self._parse_annotations()
 
-        if self.cur.kind == _K.SEMI:
+        if self.cur.text == ";":
             self.advance()
             return [ast.Block((), self.span_from(start), annotations, markers)]
-        if self.cur.kind == _K.LBRACE:
+        if self.cur.text == "{":
             block = self._parse_block()
             return [ast.Block(block.stmts, self.span_from(start), annotations, markers)]
 
-        if self.cur.kind == _K.IDENT:
+        if self.cur.kind == _IDENT:
             word = self.cur.text
             if word == "if":
                 return [self._parse_if(start, annotations, markers)]
@@ -525,28 +534,28 @@ class _Parser:
             if word == "return":
                 self.advance()
                 expr = None
-                if self.cur.kind != _K.SEMI:
+                if self.cur.text != ";":
                     expr = self._parse_expr()
-                self.expect(_K.SEMI, "';'")
+                self.expect(";")
                 return [ast.Return(expr, self.span_from(start), annotations, markers)]
             if word == "throw":
                 self.advance()
                 expr = self._parse_expr()
-                self.expect(_K.SEMI, "';'")
+                self.expect(";")
                 return [ast.Throw(expr, self.span_from(start), annotations, markers)]
             if word in ("break", "continue"):
                 self.advance()
-                if self.cur.kind == _K.IDENT:  # label
+                if self.cur.kind == _IDENT:  # label
                     self.advance()
-                self.expect(_K.SEMI, "';'")
+                self.expect(";")
                 return [ast.Jump(word, self.span_from(start), annotations, markers)]
-            if word == "synchronized" and self.peek().kind == _K.LPAREN:
+            if word == "synchronized" and self.peek().text == "(":
                 self.diag("synchronized statement is analyzed as a plain block",
                           _tok_span(self.cur))
                 self.advance()
-                self.expect(_K.LPAREN, "'('")
+                self.expect("(")
                 self._parse_expr()
-                self.expect(_K.RPAREN, "')'")
+                self.expect(")")
                 block = self._parse_block()
                 return [ast.Block(block.stmts, self.span_from(start), annotations, markers)]
             if word in ("assert", "yield"):
@@ -554,7 +563,7 @@ class _Parser:
                 self._skip_to_semi()
                 span = self.span_from(start)
                 return [ast.ExprStmt(ast.Opaque((), span), span, annotations, markers)]
-            if self.peek().kind == _K.COLON and word not in ("case", "default"):
+            if self.peek().text == ":" and word not in ("case", "default"):
                 self.diag("labeled statement: label ignored", _tok_span(self.cur))
                 self.advance()
                 self.advance()
@@ -565,22 +574,47 @@ class _Parser:
             return decls
 
         expr = self._parse_expr()
-        self.expect(_K.SEMI, "';'")
+        self.expect(";")
         return [ast.ExprStmt(expr, self.span_from(start), annotations, markers)]
 
     def _parse_if(self, start, annotations, markers) -> ast.If:
-        if_kw = _tok_span(self.expect_word("if"))
-        self.expect(_K.LPAREN, "'('")
-        cond = self._parse_expr()
-        self.expect(_K.RPAREN, "')'")
-        then = self._parse_substatement()
-        else_kw = None
-        else_branch = None
-        if self.at_word("else"):
-            else_kw = _tok_span(self.advance())
-            else_branch = self._parse_substatement()
-        return ast.If(cond, then, else_branch, if_kw, else_kw,
-                      self.span_from(start), annotations, markers)
+        # an `else if` chain is read link by link in this loop, not by
+        # recursion, so no chain length exhausts the stack; the nested If
+        # nodes are built innermost first once the chain has ended
+        links = []
+        else_branch: Optional[ast.Stmt] = None
+        while True:
+            start_pos = self.pos
+            try:
+                if_kw = _tok_span(self.expect("if"))
+                self.expect("(")
+                cond = self._parse_expr()
+                self.expect(")")
+            except _Fail as exc:
+                if not links:
+                    raise
+                # a broken link is the failed statement of the else before it
+                else_branch = self._failed_statement(exc, start, start_pos)
+                break
+            then = self._parse_substatement()
+            else_kw = _tok_span(self.advance()) if self.cur.text == "else" else None
+            links.append((start, annotations, markers, if_kw, cond, then, else_kw))
+            if else_kw is None:
+                break
+            start, saved = self.cur, self.pos
+            try:
+                annotations = self._parse_annotations()
+            except _Fail:
+                annotations = None
+            if annotations is None or self.cur.text != "if":
+                self.pos = saved  # not a link: the else branch is parsed whole
+                else_branch = self._parse_substatement()
+                break
+            markers = _markers_from_trivia(start)
+        for start, annotations, markers, if_kw, cond, then, else_kw in reversed(links):
+            else_branch = ast.If(cond, then, else_branch, if_kw, else_kw,
+                                 self.span_from(start), annotations, markers)
+        return else_branch
 
     def _parse_substatement(self) -> ast.Stmt:
         stmts = self._parse_statement_recovering()
@@ -592,60 +626,60 @@ class _Parser:
         return ast.Block(tuple(stmts), span)
 
     def _parse_while(self, start, annotations, markers) -> ast.Loop:
-        kw = _tok_span(self.expect_word("while"))
-        self.expect(_K.LPAREN, "'('")
+        kw = _tok_span(self.expect("while"))
+        self.expect("(")
         cond = self._parse_expr()
-        self.expect(_K.RPAREN, "')'")
+        self.expect(")")
         body = self._parse_substatement()
         return ast.Loop("while", cond, body, kw, self.span_from(start),
                         annotations=annotations, markers=markers)
 
     def _parse_do_while(self, start, annotations, markers) -> ast.Loop:
-        kw = _tok_span(self.expect_word("do"))
+        kw = _tok_span(self.expect("do"))
         body = self._parse_substatement()
-        self.expect_word("while")
-        self.expect(_K.LPAREN, "'('")
+        self.expect("while")
+        self.expect("(")
         cond = self._parse_expr()
-        self.expect(_K.RPAREN, "')'")
-        self.expect(_K.SEMI, "';'")
+        self.expect(")")
+        self.expect(";")
         return ast.Loop("do_while", cond, body, kw, self.span_from(start),
                         annotations=annotations, markers=markers)
 
     def _parse_for(self, start, annotations, markers) -> ast.Loop:
-        kw = _tok_span(self.expect_word("for"))
-        self.expect(_K.LPAREN, "'('")
+        kw = _tok_span(self.expect("for"))
+        self.expect("(")
 
         enhanced = self._try_parse_for_each_header()
         if enhanced is not None:
             var, iterable = enhanced
-            self.expect(_K.RPAREN, "')'")
+            self.expect(")")
             body = self._parse_substatement()
             return ast.Loop("for_each", None, body, kw, self.span_from(start),
                             var=var, iterable=iterable,
                             annotations=annotations, markers=markers)
 
         init: list[ast.Stmt] = []
-        if self.cur.kind != _K.SEMI:
+        if self.cur.text != ";":
             decl_start = self.cur
             decls = self._try_parse_local_decl(decl_start, (), ())
             if decls is not None:
                 init.extend(decls)
             else:
                 init.append(self._parse_expr_list_stmt())
-                self.expect(_K.SEMI, "';'")
+                self.expect(";")
         else:
             self.advance()
         cond = None
-        if self.cur.kind != _K.SEMI:
+        if self.cur.text != ";":
             cond = self._parse_expr()
-        self.expect(_K.SEMI, "';'")
+        self.expect(";")
         update: list[ast.Expr] = []
-        if self.cur.kind != _K.RPAREN:
+        if self.cur.text != ")":
             update.append(self._parse_expr())
-            while self.cur.kind == _K.COMMA:
+            while self.cur.text == ",":
                 self.advance()
                 update.append(self._parse_expr())
-        self.expect(_K.RPAREN, "')'")
+        self.expect(")")
         body = self._parse_substatement()
         return ast.Loop("for", cond, body, kw, self.span_from(start),
                         init=tuple(init), update=tuple(update),
@@ -654,7 +688,7 @@ class _Parser:
     def _parse_expr_list_stmt(self) -> ast.Stmt:
         start = self.cur
         exprs = [self._parse_expr()]
-        while self.cur.kind == _K.COMMA:
+        while self.cur.text == ",":
             self.advance()
             exprs.append(self._parse_expr())
         span = self.span_from(start)
@@ -668,8 +702,8 @@ class _Parser:
             start = self.cur
             anns = self._parse_annotations()
             declared = self._parse_local_type()
-            name = self.expect(_K.IDENT, "loop variable").text
-            if self.cur.kind != _K.COLON:
+            name = self.expect_ident("loop variable").text
+            if self.cur.text != ":":
                 raise _Fail("not an enhanced for", _tok_span(self.cur))
             self.advance()
             iterable = self._parse_expr()
@@ -689,11 +723,10 @@ class _Parser:
         saved_diags = len(self.diagnostics)
         try:
             declared = self._parse_local_type()
-            if self.cur.kind != _K.IDENT:
+            if self.cur.kind != _IDENT:
                 raise _Fail("not a declaration", _tok_span(self.cur))
             name_tok = self.cur
-            after = self.peek().kind
-            if after not in (_K.ASSIGN, _K.SEMI, _K.COMMA, _K.LBRACKET):
+            if self.peek().text not in ("=", ";", ",", "["):
                 raise _Fail("not a declaration", _tok_span(self.cur))
             self.advance()
             names = self._parse_declarators(name_tok.text, "variable name")
@@ -712,99 +745,95 @@ class _Parser:
         """The head of a local variable, loop variable or try resource: an
         optional `final`, then `var` before a name (None: no type is
         inferred) or a type."""
-        if self.at_word("final"):
+        if self.cur.text == "final":
             self.advance()
-        if self.at_word("var") and self.peek().kind == _K.IDENT:
+        if self.cur.text == "var" and self.peek().kind == _IDENT:
             self.advance()
             return None
         return self._parse_type()
 
     def _parse_switch(self, start, annotations, markers) -> ast.Switch:
-        kw = _tok_span(self.expect_word("switch"))
-        self.expect(_K.LPAREN, "'('")
+        kw = _tok_span(self.expect("switch"))
+        self.expect("(")
         scrutinee = self._parse_expr()
-        self.expect(_K.RPAREN, "')'")
-        self.expect(_K.LBRACE, "'{'")
+        self.expect(")")
+        self.expect("{")
         cases: list[ast.SwitchCase] = []
-        while self.cur.kind != _K.RBRACE and self.cur.kind != _K.EOF:
+        while self.cur.text != "}" and self.cur.kind != _EOF:
             case_start = self.cur
             labels: list[ast.CaseLabel] = []
-            while self.at_word("case") or self.at_word("default"):
+            while self.cur.text in ("case", "default"):
                 lbl_start = self.cur
-                if self.at_word("default"):
+                if self.cur.text == "default":
                     self.advance()
                     labels.append(ast.CaseLabel(None, self.span_from(lbl_start)))
                 else:
                     self.advance()
-                    expr = self._parse_ternary_free_expr()
-                    while self.cur.kind == _K.COMMA:  # case A, B:
+                    expr = self._parse_binary()  # no ternary: ':' ends the label
+                    while self.cur.text == ",":  # case A, B:
                         self.advance()
                         labels.append(ast.CaseLabel(expr, self.span_from(lbl_start)))
                         lbl_start = self.cur
-                        expr = self._parse_ternary_free_expr()
+                        expr = self._parse_binary()
                     labels.append(ast.CaseLabel(expr, self.span_from(lbl_start)))
-                if self.cur.kind == _K.ARROW:
+                if self.cur.text == "->":
                     self.diag("arrow switch case analyzed as labeled case",
                               _tok_span(self.cur))
                     self.advance()
                     break
-                self.expect(_K.COLON, "':'")
+                self.expect(":")
             if not labels:
                 raise _Fail("expected 'case' or 'default'", _tok_span(self.cur))
             stmts: list[ast.Stmt] = []
-            while (
-                self.cur.kind not in (_K.RBRACE, _K.EOF)
-                and not self.at_word("case")
-                and not self.at_word("default")
-            ):
+            while self.cur.text not in ("}", "case", "default") and self.cur.kind != _EOF:
                 stmts.extend(self._parse_statement_recovering())
             cases.append(ast.SwitchCase(tuple(labels), tuple(stmts),
                                         self.span_from(case_start)))
-        self.expect(_K.RBRACE, "'}'")
+        self.expect("}")
         return ast.Switch(scrutinee, tuple(cases), kw, self.span_from(start),
                           annotations, markers)
 
     def _parse_try(self, start, annotations, markers) -> ast.Try:
-        kw = _tok_span(self.expect_word("try"))
+        kw = _tok_span(self.expect("try"))
         resources: list[ast.LocalDecl] = []
-        if self.cur.kind == _K.LPAREN:
+        if self.cur.text == "(":
             self.advance()
-            while self.cur.kind != _K.RPAREN and self.cur.kind != _K.EOF:
+            while self.cur.text != ")" and self.cur.kind != _EOF:
                 res_start = self.cur
                 anns = self._parse_annotations()
                 declared = self._parse_local_type()
-                name = self.expect(_K.IDENT, "resource name").text
-                self.expect(_K.ASSIGN, "'='")
+                name = self.expect_ident("resource name").text
+                self.expect("=")
                 init = self._parse_expr()
                 resources.append(
                     ast.LocalDecl(name, declared, init, self.span_from(res_start), anns, ())
                 )
-                if self.cur.kind == _K.SEMI:
+                if self.cur.text == ";":
                     self.advance()
                 else:
                     break
-            self.expect(_K.RPAREN, "')'")
+            self.expect(")")
         body = self._parse_block()
         catches: list[ast.CatchClause] = []
-        while self.at_word("catch"):
+        while self.cur.text == "catch":
             c_start = self.cur
             c_kw = _tok_span(self.advance())
-            self.expect(_K.LPAREN, "'('")
+            self.expect("(")
             self._parse_annotations()
-            if self.at_word("final"):
+            if self.cur.text == "final":
                 self.advance()
             types = [self._parse_type()]
-            while self.cur.kind == _K.BAR:  # multi-catch: one clause
+            while self.cur.text == "|":  # multi-catch: one clause
                 self.advance()
                 types.append(self._parse_type())
-            pname = self.expect(_K.IDENT, "catch parameter").text
-            self.expect(_K.RPAREN, "')'")
+            pname = self.expect_ident("catch parameter").text
+            self.expect(")")
             c_body = self._parse_block()
             catches.append(ast.CatchClause(pname, tuple(types), c_body, c_kw,
                                            self.span_from(c_start)))
         finally_block = None
         finally_kw = None
-        if self.at_word("finally"):
+        if self.cur.text == "finally":
             finally_kw = _tok_span(self.advance())
             finally_block = self._parse_block()
         return ast.Try(tuple(resources), body, tuple(catches), finally_block,
@@ -813,30 +842,22 @@ class _Parser:
     # ── expressions ─────────────────────────────────────────────────────
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_assignment()
-
-    def _parse_ternary_free_expr(self) -> ast.Expr:
-        return self._parse_binary()
-
-    def _parse_assignment(self) -> ast.Expr:
+        """An expression: an assignment, a ternary or a binary chain."""
         start = self.cur
         lhs = self._parse_ternary()
-        k = self.cur.kind
-        if k in (_K.ASSIGN, _K.PLUS_ASSIGN, _K.MINUS_ASSIGN, _K.STAR_ASSIGN,
-                 _K.SLASH_ASSIGN, _K.PERCENT_ASSIGN, _K.AMP_ASSIGN, _K.BAR_ASSIGN,
-                 _K.CARET_ASSIGN, _K.SHL_ASSIGN, _K.SHR_ASSIGN, _K.USHR_ASSIGN):
+        if self.cur.text in _ASSIGN_OPS:
             op = self.advance().text
-            value = self._parse_assignment()
+            value = self._parse_expr()
             return ast.Assign(op, lhs, value, self.span_from(start))
         return lhs
 
     def _parse_ternary(self) -> ast.Expr:
         start = self.cur
         cond = self._parse_binary()
-        if self.cur.kind == _K.QUESTION:
+        if self.cur.text == "?":
             q_span = _tok_span(self.advance())
             then_expr = self._parse_ternary()
-            self.expect(_K.COLON, "':'")
+            self.expect(":")
             else_expr = self._parse_ternary()
             return ast.Ternary(cond, then_expr, else_expr, q_span, self.span_from(start))
         return cond
@@ -856,13 +877,13 @@ class _Parser:
                 return lhs
             ceiling = prec
             op_tok = self.advance()
-            if op_tok.kind == _K.GT:
-                for _ in op[1:]:  # the adjacent GTs of a '>>' or '>>>'
+            if op_tok.text == ">":
+                for _ in op[1:]:  # the adjacent ">"s of a '>>' or '>>>'
                     self.advance()
             op_span = self.span_from(op_tok)
             if op == "instanceof":
                 ty = self._parse_type()
-                if self.cur.kind == _K.IDENT:  # pattern variable (accepted, unused)
+                if self.cur.kind == _IDENT:  # pattern variable (accepted, unused)
                     self.advance()
                 rhs = ast.NameRef(ty.qualified_name, ty.span)
             else:
@@ -874,20 +895,19 @@ class _Parser:
         '>' followed by an adjacent '>' is a shift."""
         t = self.cur
         op = t.text
-        if t.kind == _K.GT:
+        if t.text == ">":
             nxt, third = self.peek(), self.peek(2)
-            if nxt.kind == _K.GT and t.byte_end == nxt.byte_start:
-                adjacent = third.kind == _K.GT and nxt.byte_end == third.byte_start
+            if nxt.text == ">" and t.byte_end == nxt.byte_start:
+                adjacent = third.text == ">" and nxt.byte_end == third.byte_start
                 op = ">>>" if adjacent else ">>"
         return op, _BINARY_PREC.get(op, 0)
 
     def _parse_unary(self) -> ast.Expr:
         start = self.cur
-        k = self.cur.kind
-        if k in (_K.NOT, _K.PLUS, _K.MINUS, _K.TILDE, _K.PLUSPLUS, _K.MINUSMINUS):
-            op = self.advance().text
-            return ast.Unary(op, self._parse_unary(), self.span_from(start))
-        if k == _K.LPAREN:
+        if start.text in _PREFIX_OPS:
+            self.advance()
+            return ast.Unary(start.text, self._parse_unary(), self.span_from(start))
+        if start.text == "(":
             cast = self._try_parse_cast(start)
             if cast is not None:
                 return cast
@@ -896,14 +916,12 @@ class _Parser:
     def _try_parse_cast(self, start: Token) -> Optional[ast.Expr]:
         saved = self.pos
         try:
-            self.expect(_K.LPAREN, "'('")
+            self.expect("(")
             ty = self._parse_type()
-            self.expect(_K.RPAREN, "')'")
-            k = self.cur.kind
-            castable = k in (_K.IDENT, _K.NUMBER, _K.STRING, _K.CHAR, _K.LPAREN,
-                             _K.NOT, _K.TILDE)
-            if castable and not (self.cur.kind == _K.IDENT
-                                 and self.cur.text == "instanceof"):
+            self.expect(")")
+            t = self.cur
+            castable = t.kind == _IDENT or t.kind in _LITERALS or t.text in ("(", "!", "~")
+            if castable and t.text != "instanceof":
                 inner = self._parse_unary()
                 return ast.Cast(ty, inner, self.span_from(start))
             raise _Fail("not a cast", _tok_span(self.cur))
@@ -915,77 +933,74 @@ class _Parser:
         start = self.cur
         expr = self._parse_primary()
         while True:
-            k = self.cur.kind
-            if k == _K.DOT:
-                if self.peek().kind == _K.LT:  # obj.<T>call()
+            k = self.cur.text
+            if k == ".":
+                if self.peek().text == "<":  # obj.<T>call()
                     self.advance()
                     self._skip_generics()
-                    name_tok = self.expect(_K.IDENT, "member name")
-                elif self.peek().kind == _K.IDENT:
+                    name_tok = self.expect_ident("member name")
+                elif self.peek().kind == _IDENT:
                     self.advance()
                     name_tok = self.advance()
                 else:
                     raise _Fail("expected member name after '.'", _tok_span(self.peek()))
-                if self.cur.kind == _K.LPAREN:
+                if self.cur.text == "(":
                     args = self._parse_call_args()
                     expr = ast.Call(expr, name_tok.text, args, self.span_from(start))
                 else:
                     expr = ast.FieldAccess(expr, name_tok.text, self.span_from(start))
-            elif k == _K.LPAREN and isinstance(expr, ast.NameRef):
+            elif k == "(" and isinstance(expr, ast.NameRef):
                 args = self._parse_call_args()
                 expr = ast.Call(None, expr.name, args, self.span_from(start))
-            elif k == _K.LBRACKET:
+            elif k == "[":
                 self.advance()
                 idx = self._parse_expr()
-                self.expect(_K.RBRACKET, "']'")
+                self.expect("]")
                 expr = ast.IndexAccess(expr, idx, self.span_from(start))
-            elif k == _K.COLONCOLON:
+            elif k == "::":
                 self.advance()
-                if self.at_word("new") or self.cur.kind == _K.IDENT:
+                if self.cur.kind == _IDENT:  # a method name or `new`
                     name = self.advance().text
                 else:
                     raise _Fail("expected method reference name", _tok_span(self.cur))
                 expr = ast.MethodRef(expr, name, self.span_from(start))
-            elif k in (_K.PLUSPLUS, _K.MINUSMINUS):
+            elif k in ("++", "--"):
                 op = self.advance().text
                 expr = ast.Unary(op, expr, self.span_from(start))
             else:
                 return expr
 
     def _parse_call_args(self) -> tuple[ast.Expr, ...]:
-        self.expect(_K.LPAREN, "'('")
+        self.expect("(")
         args: list[ast.Expr] = []
-        while self.cur.kind != _K.RPAREN and self.cur.kind != _K.EOF:
+        while self.cur.text != ")" and self.cur.kind != _EOF:
             args.append(self._parse_expr())
-            if self.cur.kind == _K.COMMA:
+            if self.cur.text == ",":
                 self.advance()
             else:
                 break
-        self.expect(_K.RPAREN, "')'")
+        self.expect(")")
         return tuple(args)
 
     def _parse_primary(self) -> ast.Expr:
         start = self.cur
-        k = self.cur.kind
+        if start.kind in _LITERALS or start.text in ("true", "false", "null"):
+            self.advance()
+            return ast.Literal(start.text, _tok_span(start))
 
-        if k in (_K.NUMBER, _K.STRING, _K.CHAR) or (
-                k == _K.IDENT and self.cur.text in ("true", "false", "null")):
-            t = self.advance()
-            return ast.Literal(t.text, _tok_span(t))
-
-        if k == _K.IDENT:
-            word = self.cur.text
+        if start.kind == _IDENT:
+            word = start.text
             if word == "new":
                 return self._parse_new(start)
             if word == "switch":
                 self.diag("switch expression is not analyzed", _tok_span(self.cur))
                 self.advance()
-                self.expect(_K.LPAREN, "'('")
+                self.expect("(")
                 scrutinee = self._parse_expr()
-                self.expect(_K.RPAREN, "')'")
-                self._skip_balanced(_K.LBRACE, _K.RBRACE)
+                self.expect(")")
+                self._skip_balanced("{", "}")
                 return ast.Opaque((scrutinee,), self.span_from(start))
-            if self.peek().kind == _K.ARROW:  # single-param lambda
+            if self.peek().text == "->":  # single-param lambda
                 name = self.advance().text
                 self.advance()
                 body = self._parse_lambda_body()
@@ -993,113 +1008,111 @@ class _Parser:
             t = self.advance()
             return ast.NameRef(t.text, _tok_span(t))
 
-        if k == _K.LPAREN:
+        if start.text == "(":
             if self._lparen_starts_lambda():
                 return self._parse_paren_lambda(start)
             self.advance()
             inner = self._parse_expr()
-            self.expect(_K.RPAREN, "')'")
+            self.expect(")")
             return inner
 
-        if k == _K.LBRACE:
+        if start.text == "{":
             return self._parse_initializer_list()
 
         raise _Fail("expected expression", _tok_span(self.cur))
 
     def _parse_new(self, start: Token) -> ast.Expr:
-        self.expect_word("new")
+        self.expect("new")
         ty = self._parse_type()
-        if self.cur.kind == _K.LBRACKET:
+        if self.cur.text == "[":
             dims: list[ast.Expr] = []
-            while self.cur.kind == _K.LBRACKET:
+            while self.cur.text == "[":
                 self.advance()
-                if self.cur.kind != _K.RBRACKET:
+                if self.cur.text != "]":
                     dims.append(self._parse_expr())
-                self.expect(_K.RBRACKET, "']'")
+                self.expect("]")
             init = None
-            if self.cur.kind == _K.LBRACE:
+            if self.cur.text == "{":
                 init = self._parse_initializer_list()
             return ast.ArrayNew(ty, tuple(dims), init, self.span_from(start))
         args: tuple[ast.Expr, ...] = ()
-        if self.cur.kind == _K.LPAREN:
+        if self.cur.text == "(":
             args = self._parse_call_args()
-        if self.cur.kind == _K.LBRACE:
+        if self.cur.text == "{":
             self.diag("anonymous class body is not analyzed", _tok_span(self.cur))
-            self._skip_balanced(_K.LBRACE, _K.RBRACE)
+            self._skip_balanced("{", "}")
             return ast.Opaque(args, self.span_from(start))
         return ast.New(ty, args, self.span_from(start))
 
     def _lparen_starts_lambda(self) -> bool:
-        # scan to the matching ')' and check for '->'
+        # scan to the matching ')' and check for '->'; the list ends in EOF,
+        # so a ')' always has a next token
         depth = 0
-        i = self.pos
-        while i < len(self.toks):
-            k = self.toks[i].kind
-            if k == _K.LPAREN:
+        for i in range(self.pos, len(self.toks)):
+            k = self.toks[i].text
+            if k == "(":
                 depth += 1
-            elif k == _K.RPAREN:
+            elif k == ")":
                 depth -= 1
                 if depth == 0:
-                    nxt = self.toks[i + 1] if i + 1 < len(self.toks) else None
-                    return nxt is not None and nxt.kind == _K.ARROW
-            elif k in (_K.SEMI, _K.LBRACE, _K.EOF):
+                    return self.toks[i + 1].text == "->"
+            elif k in (";", "{"):
                 return False
-            i += 1
         return False
 
     def _parse_paren_lambda(self, start: Token) -> ast.Expr:
-        self.expect(_K.LPAREN, "'('")
+        self.expect("(")
         params: list[str] = []
-        while self.cur.kind != _K.RPAREN and self.cur.kind != _K.EOF:
+        while self.cur.text != ")" and self.cur.kind != _EOF:
             self._parse_annotations()
-            if self.at_word("final"):
+            if self.cur.text == "final":
                 self.advance()
             last_name = None
-            while self.cur.kind not in (_K.COMMA, _K.RPAREN, _K.EOF):
-                if self.cur.kind == _K.IDENT:
+            while self.cur.text not in (",", ")") and self.cur.kind != _EOF:
+                if self.cur.kind == _IDENT:
                     last_name = self.cur.text
-                if self.cur.kind == _K.LT:
+                if self.cur.text == "<":
                     self._skip_generics()
                 else:
                     self.advance()
             if last_name:
                 params.append(last_name)
-            if self.cur.kind == _K.COMMA:
+            if self.cur.text == ",":
                 self.advance()
-        self.expect(_K.RPAREN, "')'")
-        self.expect(_K.ARROW, "'->'")
+        self.expect(")")
+        self.expect("->")
         body = self._parse_lambda_body()
         return ast.Lambda(tuple(params), body, self.span_from(start))
 
     def _parse_lambda_body(self):
-        if self.cur.kind == _K.LBRACE:
+        if self.cur.text == "{":
             return self._parse_block()
-        return self._parse_assignment()
+        return self._parse_expr()
 
     # ── recovery and skipping ───────────────────────────────────────────
 
     def _skip_to_semi(self) -> None:
         depth = 0
-        while self.cur.kind != _K.EOF:
-            k = self.cur.kind
-            if k == _K.SEMI and depth == 0:
+        while self.cur.kind != _EOF:
+            k = self.cur.text
+            if k == ";" and depth == 0:
                 self.advance()
                 return
-            if k == _K.LBRACE:
+            if k == "{":
                 depth += 1
-            elif k == _K.RBRACE:
+            elif k == "}":
                 if depth == 0:
                     return
                 depth -= 1
             self.advance()
 
-    def _skip_balanced(self, open_kind: TokenKind, close_kind: TokenKind) -> None:
+    def _skip_balanced(self, open_text: str, close_text: str) -> None:
         depth = 0
-        while self.cur.kind != _K.EOF:
-            k = self.cur.kind
-            if k == open_kind:
+        while self.cur.kind != _EOF:
+            k = self.cur.text
+            if k == open_text:
                 depth += 1
-            elif k == close_kind:
+            elif k == close_text:
                 depth -= 1
                 if depth == 0:
                     self.advance()
@@ -1108,14 +1121,14 @@ class _Parser:
 
     def _recover_member(self) -> None:
         depth = 0
-        while self.cur.kind != _K.EOF:
-            k = self.cur.kind
-            if k == _K.SEMI and depth == 0:
+        while self.cur.kind != _EOF:
+            k = self.cur.text
+            if k == ";" and depth == 0:
                 self.advance()
                 return
-            if k == _K.LBRACE:
+            if k == "{":
                 depth += 1
-            elif k == _K.RBRACE:
+            elif k == "}":
                 if depth == 0:
                     return
                 depth -= 1
@@ -1139,6 +1152,6 @@ def _markers_from_trivia(tok: Token) -> tuple[ast.Marker, ...]:
     for tr in tok.trivia:  # line comments only
         m = MARKER_COMMENT_RE.match(tr.text)
         if m:
-            span = Span(tr.byte_start, tr.byte_end, tr.line_start, tr.line_end)
+            span = Span(tr.byte_start, tr.byte_end, tr.line, tr.line)
             markers.append(ast.Marker(Fraction(m.group(1)), span))
     return tuple(markers)

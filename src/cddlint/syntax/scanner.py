@@ -2,15 +2,20 @@
 
 Lexical contract:
   - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
+  - a token is (kind, text, byte_start, byte_end, line, trivia); its kind is
+    IDENT (keywords included), NUMBER, STRING, CHAR, PUNCT or EOF, and no
+    token spans lines, so one line number places it
+  - an operator or separator is a PUNCT token named by its spelling alone:
+    ``tok.text`` is "{", "->", "+=", ... as in JLS SE 17 §3.11-3.12
   - ``//`` line comments are attached as trivia to the following token;
     trailing ones, with no token after them, ride a final EOF token
   - whitespace and ``/* */`` block comments make no object: they only move
     the line counter
   - an EOF token ends the list whenever anything follows the last token,
     so tokenize("") == [] but tokenize("  ") is one EOF token
-  - ``>>`` and ``>>>`` are emitted as individual GT tokens (the parser
-    re-merges adjacent GTs into shifts); ``>>=``, ``>>>=``, ``<<`` and
-    ``<<=`` are single tokens
+  - ``>>`` and ``>>>`` are emitted as adjacent ">" tokens (the parser
+    re-merges them into shifts); ``>>=``, ``>>>=``, ``<<`` and ``<<=`` are
+    single tokens
   - string and char literals cannot hold a line terminator, not even after a
     backslash (JLS SE 17 §3.10.5): such a literal is unterminated at its line
   - the pattern ends in a catch-all alternative, so no byte is ever skipped:
@@ -24,31 +29,13 @@ import re
 from sys import intern
 from typing import NoReturn
 
-from .tokens import InvalidCharacter, Token, TokenKind, Trivia, TriviaKind
-
-_K = TokenKind
-
-_PUNCT = {
-    b"(": _K.LPAREN, b")": _K.RPAREN, b"{": _K.LBRACE, b"}": _K.RBRACE,
-    b"[": _K.LBRACKET, b"]": _K.RBRACKET, b";": _K.SEMI, b",": _K.COMMA,
-    b"@": _K.AT, b"?": _K.QUESTION, b"~": _K.TILDE,
-    b"...": _K.ELLIPSIS, b".": _K.DOT, b"::": _K.COLONCOLON, b":": _K.COLON,
-    b"->": _K.ARROW,
-    b"=": _K.ASSIGN, b"+=": _K.PLUS_ASSIGN, b"-=": _K.MINUS_ASSIGN,
-    b"*=": _K.STAR_ASSIGN, b"/=": _K.SLASH_ASSIGN, b"%=": _K.PERCENT_ASSIGN,
-    b"&=": _K.AMP_ASSIGN, b"|=": _K.BAR_ASSIGN, b"^=": _K.CARET_ASSIGN,
-    b"<<=": _K.SHL_ASSIGN, b">>=": _K.SHR_ASSIGN, b">>>=": _K.USHR_ASSIGN,
-    b"==": _K.EQ, b"!=": _K.NE, b"<": _K.LT, b">": _K.GT, b"<=": _K.LE,
-    b">=": _K.GE, b"&&": _K.ANDAND, b"||": _K.OROR, b"!": _K.NOT,
-    b"&": _K.AMP, b"|": _K.BAR, b"^": _K.CARET, b"+": _K.PLUS, b"-": _K.MINUS,
-    b"*": _K.STAR, b"/": _K.SLASH, b"%": _K.PERCENT, b"++": _K.PLUSPLUS,
-    b"--": _K.MINUSMINUS, b"<<": _K.SHL,
-}
+from .tokens import InvalidCharacter, Token, TokenKind, Trivia
 
 # Group numbers, in pattern order; m.lastindex names the alternative matched.
 _SPACE, _LINE, _BAD_BLOCK, _IDENT, _NUMBER, _STRING, _CHAR, _PUNCTUATION, \
     _BAD_STRING, _BAD_CHAR, _BAD_BYTE = range(1, 12)
-_SIMPLE = {_NUMBER: _K.NUMBER, _STRING: _K.STRING, _CHAR: _K.CHAR}
+_KIND = {_IDENT: TokenKind.IDENT, _NUMBER: TokenKind.NUMBER, _STRING: TokenKind.STRING,
+         _CHAR: TokenKind.CHAR, _PUNCTUATION: TokenKind.PUNCT}
 
 _TOKEN_RE = re.compile(
     rb"""
@@ -94,24 +81,19 @@ def tokenize_bytes(data: bytes) -> list[Token]:
         if group == _SPACE:
             line += data.count(b"\n", start, end)
         elif group == _LINE:
-            comments.append(Trivia(TriviaKind.LINE_COMMENT, m.group().decode("utf-8"),
-                                   start, end, line, line))
+            comments.append(Trivia(m.group().decode("utf-8"), start, end, line))
         elif _IDENT <= group <= _PUNCTUATION:
-            text = m.group()
-            if group == _IDENT:
-                kind, text = _K.IDENT, intern(text.decode("utf-8"))
-            elif group == _PUNCTUATION:
-                kind, text = _PUNCT[text], text.decode("utf-8")
-            else:
-                kind, text = _SIMPLE[group], text.decode("utf-8")
-            append(Token(kind, text, start, end, line, line, tuple(comments)))
+            text = m.group().decode("utf-8")
+            if group == _IDENT or group == _PUNCTUATION:
+                text = intern(text)
+            append(Token(_KIND[group], text, start, end, line, tuple(comments)))
             if comments:
                 comments = []
         else:
             _raise(data, group, start, end, line)
     n = len(data)
     if n and (not tokens or tokens[-1].byte_end < n):
-        append(Token(_K.EOF, "", n, n, line, line, tuple(comments)))
+        append(Token(TokenKind.EOF, "", n, n, line, tuple(comments)))
     return tokens
 
 

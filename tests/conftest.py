@@ -48,6 +48,12 @@ LONG_GUARD_SOURCE = (
     "class Guard {\n  void f(boolean a) {\n    if ("
     + " && ".join(["a"] * 5000) + ") {}\n  }\n}\n"
 )
+# a 1,000-link `else if` chain: 1,000 ifs, 1,000 conditions, 1,000 elses
+ELSE_IF_SOURCE = (
+    "class Chain {\n  int f(int x) {\n    "
+    + "\n    else ".join(f"if (x == {i}) return {i};" for i in range(1000))
+    + "\n    else return -1;\n  }\n}\n"
+)
 LONG_SUM_SOURCE = (
     "class Sum {\n  Repo repo;\n  int f() {\n    return "
     + " + ".join(["repo.size()"] * 5000) + ";\n  }\n}\n"

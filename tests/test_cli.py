@@ -21,7 +21,7 @@ import cddlint
 from cddlint.cli import main
 
 from conftest import (
-    DEEP_SOURCE, FIXTURES, LISTING_PATH, LONG_GUARD_SOURCE, LONG_SUM_SOURCE,
+    DEEP_SOURCE, ELSE_IF_SOURCE, FIXTURES, LISTING_PATH, LONG_GUARD_SOURCE, LONG_SUM_SOURCE,
     ORACLE_DIR,
 )
 
@@ -201,6 +201,16 @@ class TestCheck:
             ("Guard.java", "Guard", 5001), ("Sum.java", "Sum", 2),
         ]
         assert doc["summary"]["parse_failures"] == 0
+
+    def test_long_else_if_chain_is_analysed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "Chain.java").write_text(ELSE_IF_SOURCE)
+        code, out, _ = run(capsys, "check", ".", "--format", "json")
+        doc = json.loads(out)
+        assert [(u["path"], u["type"], u["total"]) for u in doc["units"]] == [
+            ("Chain.java", "Chain", 3000),
+        ]
+        assert (code, doc["diagnostics"]) == (1, [])
 
     def test_absolute_directory_matches_relative(self, corpus_dir, capsys):
         config = json.loads(CORPUS_CONFIG)

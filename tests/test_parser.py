@@ -4,13 +4,14 @@ completeness, error tolerance, and determinism."""
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from cddlint.syntax import ParseError, TokenKind, parse_unit, tokenize
 from cddlint.syntax import ast
 
-from conftest import ORACLE_DIR
+from conftest import ELSE_IF_SOURCE, FIXTURES, ORACLE_DIR
 
 ORACLE_FILES = sorted(ORACLE_DIR.rglob("*.java"))
 
@@ -183,6 +184,86 @@ class TestPrecedence:
 
     def test_deep_parentheses_parse(self):
         assert shape(returned("(" * 120 + "a" + ")" * 120)) == "a"
+
+
+class TestElseIfChain:
+    SRC = ("class A { int f(int x) {\n"
+           "  if (x == 0) return 0;\n"
+           "  else // @ICP(1)\n"
+           "  @ICP(2) if (x == 1) return 1;\n"
+           "  else if (x ==) return 2;\n"
+           "  return 3; } }")
+
+    def test_links_nest_with_their_spans_and_markers(self):
+        unit = parse_unit(self.SRC)
+        outer, ret = unit.types[0].methods[0].body.stmts
+        inner = outer.else_branch
+        assert isinstance(inner, ast.If) and isinstance(ret, ast.Return)
+        src = self.SRC.encode()
+        assert inner.span.byte_start == src.index(b"@ICP(2) if (x == 1)")
+        chain_end = src.index(b"return 2;") + len(b"return 2;")
+        assert inner.span.byte_end == outer.span.byte_end == chain_end
+        assert (outer.markers, [m.value for m in inner.markers]) == ((), [1])
+        assert [a.numeric_arg for a in inner.annotations] == [2]
+        assert (outer.else_kw.line_start, inner.else_kw.line_start) == (3, 5)
+
+    def test_a_broken_link_is_the_failed_else_branch(self):
+        unit = parse_unit(self.SRC)
+        failed = unit.types[0].methods[0].body.stmts[0].else_branch.else_branch
+        assert isinstance(failed, ast.ExprStmt) and isinstance(failed.expr, ast.Opaque)
+        assert self.SRC.encode()[failed.span.byte_start:failed.span.byte_end] == (
+            b"if (x ==) return 2;")
+        assert [d.message for d in unit.diagnostics] == ["expected expression"]
+
+    def test_long_chain_parses_without_recursion(self):
+        stmt = parse_unit(ELSE_IF_SOURCE).types[0].methods[0].body.stmts[0]
+        links = 0
+        while isinstance(stmt, ast.If):
+            links += 1
+            stmt = stmt.else_branch
+        assert links == 1000 and isinstance(stmt, ast.Return)
+
+
+def _mutants(count: int, seed: int):
+    """Fixture texts with tokens deleted, or copies of tokens inserted."""
+    rng = random.Random(seed)
+    sources = [p.read_bytes() for p in sorted(FIXTURES.rglob("*.java"))]
+    spans = [[(t.byte_start, t.byte_end) for t in tokenize(s.decode())] for s in sources]
+    for _ in range(count):
+        i = rng.randrange(len(sources))
+        data, toks = sources[i], spans[i]
+        for _ in range(rng.randint(1, 3)):
+            start, end = toks[rng.randrange(len(toks))]
+            if rng.random() < 0.5:
+                data = data[:start] + data[end:]
+            else:
+                a, b = toks[rng.randrange(len(toks))]
+                data = data[:start] + b" " + sources[i][a:b] + b" " + data[start:]
+            toks = [(a, b) for a, b in toks if b <= len(data)]
+        yield data.decode()
+
+
+class TestMutationFuzz:
+    def test_mutated_fixtures_parse_in_bounds_or_fail_cleanly(self):
+        failed = 0
+        for text in _mutants(2000, seed=7):
+            try:
+                unit = parse_unit(text)
+            except ParseError as exc:
+                failed += 1
+                assert exc.diagnostics
+                continue
+            size = len(text.encode())
+            lines = unit.physical_lines + 1
+            stack = list(unit.types) + list(unit.diagnostics)
+            while stack:
+                node = stack.pop()
+                span = node.span
+                assert 0 <= span.byte_start <= span.byte_end <= size, (text, node)
+                assert 1 <= span.line_start <= span.line_end <= lines, (text, node)
+                if not isinstance(node, ast.Diagnostic):
+                    stack.extend(ast.iter_children(node))
+        assert 0 < failed < 2000  # the mutations reach both outcomes
 
 
 class TestErrorTolerance:
