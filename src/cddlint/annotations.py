@@ -55,7 +55,6 @@ class SiteAnnotation:
 @dataclass(frozen=True)
 class DeclaredIcp:
     class_level: dict[str, Fraction]
-    class_level_spans: dict[str, tuple[Span, ...]]  # @ICP annotation spans
     site_level: tuple[SiteAnnotation, ...]
 
     def is_empty(self) -> bool:
@@ -71,10 +70,7 @@ class SiteMismatch:
 
 @dataclass(frozen=True)
 class DriftReport:
-    path: str
-    type_name: str
     declared_total: Optional[Fraction]
-    computed_total: Fraction
     delta: Optional[Fraction]  # computed - declared; None when unannotated
     status: DriftStatus
     site_mismatches: tuple[SiteMismatch, ...]
@@ -89,15 +85,12 @@ def _icp_value(anno: ast.AnnotationUse) -> Fraction:
 def extract_declared(unit: ast.SourceUnit) -> DeclaredIcp:
     """Collect @ICP values from types, members, locals and marker comments."""
     class_level: dict[str, Fraction] = {}
-    class_spans: dict[str, list[Span]] = {}
     site_level: list[SiteAnnotation] = []
 
     for dotted, decl in iter_type_decls(unit):
         for anno in decl.annotations:
             if anno.simple_name() == "ICP":
-                value = _icp_value(anno)
-                class_level.setdefault(dotted, value)
-                class_spans.setdefault(dotted, []).append(anno.span)
+                class_level.setdefault(dotted, _icp_value(anno))
 
         def site(span: Span, value: Fraction) -> None:
             site_level.append(SiteAnnotation(dotted, span, value))
@@ -118,11 +111,7 @@ def extract_declared(unit: ast.SourceUnit) -> DeclaredIcp:
                     for marker in stmt.markers:
                         site(stmt.span, marker.value)
 
-    return DeclaredIcp(
-        class_level=class_level,
-        class_level_spans={k: tuple(v) for k, v in class_spans.items()},
-        site_level=tuple(site_level),
-    )
+    return DeclaredIcp(class_level, tuple(site_level))
 
 
 def _iter_stmts(stmt: ast.Stmt) -> Iterator[ast.Stmt]:
@@ -163,14 +152,10 @@ def reconcile(analysis: UnitAnalysis, declared: DeclaredIcp) -> DriftReport:
     """Class-level comparison decides the status; site-level is advisory."""
     declared_total = declared.class_level.get(analysis.type_name)
     if declared_total is None:
-        status = DriftStatus.UNANNOTATED
-        delta = None
-    elif declared_total == analysis.total:
-        status = DriftStatus.IN_SYNC
-        delta = Fraction(0)
+        delta, status = None, DriftStatus.UNANNOTATED
     else:
-        status = DriftStatus.DRIFTED
         delta = analysis.total - declared_total
+        status = DriftStatus.DRIFTED if delta else DriftStatus.IN_SYNC
 
     mismatches: list[SiteMismatch] = []
     for entry in declared.site_level:
@@ -183,15 +168,7 @@ def reconcile(analysis: UnitAnalysis, declared: DeclaredIcp) -> DriftReport:
         if computed != entry.value:
             mismatches.append(SiteMismatch(entry.span, entry.value, computed))
 
-    return DriftReport(
-        path=analysis.path,
-        type_name=analysis.type_name,
-        declared_total=declared_total,
-        computed_total=analysis.total,
-        delta=delta,
-        status=status,
-        site_mismatches=tuple(mismatches),
-    )
+    return DriftReport(declared_total, delta, status, tuple(mismatches))
 
 
 def apply_fix(text: str, analysis: UnitAnalysis) -> str:

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .annotations import (
+    DeclaredIcp,
     DriftStatus,
     MalformedIcp,
     RewriteConflict,
@@ -220,18 +221,13 @@ def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet, on_file=None):
             continue
         try:
             declared = extract_declared(unit)
-        except MalformedIcp as exc:
+        except MalformedIcp as exc:  # the file's units count as unannotated
             issues.append(FileIssue(rec, str(exc)))
-            declared = None
+            declared = DeclaredIcp({}, ())
         file_rows = []
         for analysis in analyses:
             v = verdict(analysis, rules, _rule_path(rec))
-            if declared is not None:
-                drift = reconcile(analysis, declared)
-                status, declared_total = drift.status, drift.declared_total
-            else:
-                status, declared_total = DriftStatus.UNANNOTATED, None
-            row = make_row(analysis, v, declared_total, status)
+            row = make_row(analysis, v, reconcile(analysis, declared))
             rows.append(row)
             file_rows.append((analysis, row))
         if on_file is not None:
@@ -275,8 +271,7 @@ def cmd_reconcile(args) -> int:
         sys.stdout.write(render_drift_csv(report))
     else:
         sys.stdout.write(render_drift_text(report))
-    drift_found = report.drifted_count + report.unannotated_count > 0
-    return 1 if (args.fail_on == "drift" and drift_found) else 0
+    return 1 if args.fail_on == "drift" and _should_fail(args, report) else 0
 
 
 def _fix_files(files: list[tuple[Path, str]], rules: RuleSet) -> int:

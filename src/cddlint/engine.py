@@ -1,8 +1,11 @@
 """ICP counting engine.
 
-Walks a parsed SourceUnit and produces one analysis per type declaration
-(nested types are independent units; their sites never roll up into the
-enclosing class). Counting rules:
+Walks a parsed SourceUnit and produces one analysis per type declaration,
+in the pre-order of `ast.iter_type_decls` (nested types are independent
+units; their sites never roll up into the enclosing class). Each analysis
+carries its declaration's span, so what is known per declaration, such as
+its line count, is read from the analyses without a second walk. Counting
+rules:
 
   branch      one point per `if`, per `else`, per loop of any kind, per
               ternary operator, one for `switch` plus one per case/default
@@ -50,6 +53,7 @@ class IcpSite:
 class UnitAnalysis:
     path: str
     type_name: str  # dotted path for nested declarations
+    span: Span  # the type declaration's
     sites: tuple[IcpSite, ...]
     total: Fraction
     subtotals: dict[IcpCategory, Fraction]
@@ -57,9 +61,6 @@ class UnitAnalysis:
 
 @dataclass(frozen=True)
 class Verdict:
-    path: str
-    type_name: str
-    total: Fraction
     applicable_limit: Fraction
     over_limit: bool
 
@@ -77,7 +78,7 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
             subtotals[site.category] += site.cost
         total = sum(subtotals.values(), _ZERO)
         analyses.append(
-            UnitAnalysis(unit.path, dotted, tuple(sites), total, subtotals)
+            UnitAnalysis(unit.path, dotted, decl.span, tuple(sites), total, subtotals)
         )
         for inner in decl.nested:
             walk(dotted, inner, walker.type_scope)
@@ -92,13 +93,8 @@ def verdict(
 ) -> Verdict:
     """Limit check; limit overrides match `rule_path`, by default the unit's path."""
     limit = rules.limit_for(rule_path or analysis.path, analysis.type_name)
-    return Verdict(
-        path=analysis.path,
-        type_name=analysis.type_name,
-        total=analysis.total,
-        applicable_limit=limit,
-        over_limit=analysis.total > limit,  # strictly greater: a unit at the
-    )                                       # limit does not need refactoring
+    # strictly greater: a unit at the limit does not need refactoring
+    return Verdict(limit, analysis.total > limit)
 
 
 class _Scope:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 from ..engine import analyze_unit, verdict
 from ..methods import MethodStats, method_lengths, method_stats, stats_from_lengths
 from ..rules import RuleSet
-from ..syntax import ParseError, ast, parse_unit
+from ..syntax import ParseError, parse_unit
 from ..values import format_fixed2
 from .providers import (
     CommitMeta, GitProvider, Listing, RangeSpec, SnapshotDirProvider,
@@ -144,14 +144,9 @@ def analyze_file(f: SnapshotFile, rules: RuleSet) -> FileResult:
         return FileResult(failure=f"{f.path}: parse failed: {exc}")
     except RecursionError:
         return FileResult(failure=f"{f.path}: parse failed: nesting too deep")
-    single_top = len(unit.types) == 1
-    class_locs = []
-    # one analysis per declaration, in the same pre-order walk
-    for _, decl in ast.iter_type_decls(unit):
-        if single_top and decl is unit.types[0]:
-            class_locs.append(unit.physical_lines)
-        else:
-            class_locs.append(decl.span.line_end - decl.span.line_start + 1)
+    class_locs = [a.span.line_end - a.span.line_start + 1 for a in analyses]
+    if len(unit.types) == 1:  # the first analysis is the top-level class's
+        class_locs[0] = unit.physical_lines
     lengths, excluded = method_lengths(unit, rules)
     return FileResult(
         class_locs=tuple(class_locs),

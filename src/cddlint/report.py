@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .annotations import DriftStatus
+from .annotations import DriftReport, DriftStatus
 from .engine import UnitAnalysis, Verdict
 from .rules import IcpCategory
 from .values import format_icp, json_number
@@ -28,6 +28,7 @@ class UnitRow:
     limit: Fraction
     over_limit: bool
     declared_total: Optional[Fraction]
+    delta: Optional[Fraction]  # computed - declared; None when unannotated
     drift_status: DriftStatus
 
 
@@ -56,12 +57,7 @@ class CheckReport:
         return sum(1 for r in self.rows if r.drift_status is DriftStatus.UNANNOTATED)
 
 
-def make_row(
-    analysis: UnitAnalysis,
-    unit_verdict: Verdict,
-    declared_total: Optional[Fraction],
-    status: DriftStatus,
-) -> UnitRow:
+def make_row(analysis: UnitAnalysis, unit_verdict: Verdict, drift: DriftReport) -> UnitRow:
     return UnitRow(
         path=analysis.path,
         type_name=analysis.type_name,
@@ -69,8 +65,9 @@ def make_row(
         subtotals=analysis.subtotals,
         limit=unit_verdict.applicable_limit,
         over_limit=unit_verdict.over_limit,
-        declared_total=declared_total,
-        drift_status=status,
+        declared_total=drift.declared_total,
+        delta=drift.delta,
+        drift_status=drift.status,
     )
 
 
@@ -166,9 +163,8 @@ def render_drift_text(report: CheckReport) -> str:
         declared = (format_icp(row.declared_total)
                     if row.declared_total is not None else "-")
         delta = ""
-        if row.declared_total is not None:
-            diff = row.total - row.declared_total
-            delta = f" (delta {'+' if diff > 0 else ''}{format_icp(diff)})"
+        if row.delta is not None:
+            delta = f" (delta {'+' if row.delta > 0 else ''}{format_icp(row.delta)})"
         lines.append(f"{row.path}:{row.type_name}: {row.drift_status.value}: "
                      f"declared {declared}, computed {format_icp(row.total)}{delta}")
     for issue in report.issues:
@@ -188,8 +184,7 @@ def render_drift_json_mapping(report: CheckReport) -> dict:
                 "declared_total": (json_number(row.declared_total)
                                    if row.declared_total is not None else None),
                 "computed_total": json_number(row.total),
-                "delta": (json_number(row.total - row.declared_total)
-                          if row.declared_total is not None else None),
+                "delta": json_number(row.delta) if row.delta is not None else None,
                 "status": row.drift_status.value,
             }
             for row in report.rows
@@ -213,8 +208,7 @@ def render_drift_csv(report: CheckReport) -> str:
             row.type_name,
             format_icp(row.declared_total) if row.declared_total is not None else "",
             format_icp(row.total),
-            (format_icp(row.total - row.declared_total)
-             if row.declared_total is not None else ""),
+            format_icp(row.delta) if row.delta is not None else "",
             row.drift_status.value,
         ])
     return buf.getvalue()

@@ -3,6 +3,11 @@
 The config document is JSON (conventionally `cdd.json`). Full-line `//`
 comments are tolerated so generated configs can carry explanations. Unknown
 keys are rejected to catch typos.
+
+`DEFAULT_CONFIG_DOCUMENT`, the document `cddlint init` writes, is the only
+statement of the defaults: it is read once at import, a field that a config
+leaves out (at the top or in a category) takes its value, and
+`default_rules()` is the rule set it reads to.
 """
 
 from __future__ import annotations
@@ -11,12 +16,12 @@ import enum
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .values import is_half_step, json_number, to_fraction
+from .values import is_half_step, json_number
 
 
 class IcpCategory(enum.Enum):
@@ -27,18 +32,40 @@ class IcpCategory(enum.Enum):
     EXTERNAL_COUPLING = "external_coupling"
 
 
-DEFAULT_COSTS = {
-    IcpCategory.BRANCH: Fraction(1),
-    IcpCategory.CONDITION: Fraction(1),
-    IcpCategory.EXCEPTION: Fraction(1),
-    IcpCategory.INTERNAL_COUPLING: Fraction(1),
-    IcpCategory.EXTERNAL_COUPLING: Fraction(1, 2),
+DEFAULT_CONFIG_DOCUMENT = """\
+{
+  // Per-category switches and costs (costs are multiples of 0.5).
+  "categories": {
+    "branch":            { "enabled": true, "cost": 1 },
+    "condition":         { "enabled": true, "cost": 1 },
+    "exception":         { "enabled": true, "cost": 1 },
+    "internal_coupling": { "enabled": true, "cost": 1 },
+    "external_coupling": { "enabled": true, "cost": 0.5 }
+  },
+  // Project classes whose use counts as internal coupling (glob patterns,
+  // matched against simple and qualified type names).
+  "internal_types": [],
+  // Library/framework types whose declarations count as external coupling.
+  // java.lang simple names and primitives never match.
+  "external_types": [],
+  // A unit whose total exceeds the limit must be refactored.
+  "default_limit": 10,
+  // First matching override wins; patterns match unit paths or type names.
+  // Example: { "pattern": "**/dto/**", "limit": 20 }
+  "limit_overrides": [],
+  // Files to skip entirely.
+  "exclude_globs": [],
+  // Files whose classes and methods stay out of history and method metrics.
+  "test_globs": ["**/src/test/**"],
+  // Files to analyze.
+  "include_globs": ["**/*.java"],
+  // Count each lambda expression as a branch point and analyze its body.
+  "count_lambdas": false,
+  // First commit-message line marking a complexity-budget commit.
+  "commit_pattern": "^cdd\\\\(([^)]+)\\\\):\\\\s*(.+)$"
 }
+"""
 
-DEFAULT_LIMIT = Fraction(10)
-DEFAULT_TEST_GLOBS = ("**/src/test/**",)
-DEFAULT_INCLUDE_GLOBS = ("**/*.java",)
-DEFAULT_COMMIT_PATTERN = r"^cdd\(([^)]+)\):\s*(.+)$"
 
 # simple names that never match a coupling pattern: implicitly imported
 # java.lang types (e.g. Long in a method signature) and primitives
@@ -205,21 +232,8 @@ class RuleSet:
 
 
 def default_rules(**overrides: Any) -> RuleSet:
-    """The paper-default rule set; keyword overrides for tests and callers."""
-    base = dict(
-        categories={cat: CategoryRule(True, cost) for cat, cost in DEFAULT_COSTS.items()},
-        internal_types=(),
-        external_types=(),
-        default_limit=DEFAULT_LIMIT,
-        limit_overrides=(),
-        exclude_globs=(),
-        test_globs=DEFAULT_TEST_GLOBS,
-        include_globs=DEFAULT_INCLUDE_GLOBS,
-        count_lambdas=False,
-        commit_pattern=re.compile(DEFAULT_COMMIT_PATTERN),
-    )
-    base.update(overrides)
-    return RuleSet(**base)
+    """The rules of the `init` document; keyword overrides for tests and callers."""
+    return replace(_DEFAULT_RULES, **overrides)
 
 
 def _strip_comment_lines(text: str) -> str:
@@ -227,61 +241,61 @@ def _strip_comment_lines(text: str) -> str:
     return "\n".join(kept)
 
 
-_TOP_LEVEL_KEYS = {
-    "categories", "internal_types", "external_types", "default_limit",
-    "limit_overrides", "exclude_globs", "test_globs", "include_globs",
-    "count_lambdas", "commit_pattern",
-}
+def _read_document(config_document: str) -> Any:
+    try:
+        return json.loads(_strip_comment_lines(config_document), parse_float=Fraction)
+    except json.JSONDecodeError as exc:
+        raise ConfigError("", f"invalid JSON: {exc}") from exc
 
 
 def load_rules(config_document: str) -> RuleSet:
     """Parse and validate a config document; unspecified fields default."""
-    try:
-        data = json.loads(_strip_comment_lines(config_document), parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("", f"invalid JSON: {exc}") from exc
-    return rules_from_mapping(data)
+    return rules_from_mapping(_read_document(config_document))
 
 
 def rules_from_mapping(data: Any) -> RuleSet:
+    """Validate a read config document; a field it leaves out, at the top or
+    in a category, takes the `init` document's value."""
     if not isinstance(data, dict):
         raise ConfigError("", "config document must be a JSON object")
-    unknown = set(data) - _TOP_LEVEL_KEYS
+    unknown = set(data) - _DEFAULTS.keys()
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
 
-    categories = {cat: CategoryRule(True, cost) for cat, cost in DEFAULT_COSTS.items()}
     raw_cats = data.get("categories", {})
     if not isinstance(raw_cats, dict):
         raise ConfigError("categories", "must be an object")
-    by_value = {cat.value: cat for cat in IcpCategory}
-    for name, raw in raw_cats.items():
-        if name not in by_value:
+    default_cats = _DEFAULTS["categories"]
+    categories: dict[IcpCategory, CategoryRule] = {}
+    # the document's own entries first, in its order, so that an error names
+    # its first bad entry; then the categories it leaves out
+    for name, raw in [*raw_cats.items(),
+                      *((name, {}) for name in default_cats if name not in raw_cats)]:
+        if name not in default_cats:
             raise ConfigError(f"categories.{name}", "unknown category")
         if not isinstance(raw, dict):
             raise ConfigError(f"categories.{name}", "must be an object")
-        bad = set(raw) - {"enabled", "cost"}
+        bad = set(raw) - default_cats[name].keys()
         if bad:
             raise ConfigError(f"categories.{name}.{sorted(bad)[0]}", "unknown key")
-        cat = by_value[name]
-        enabled = raw.get("enabled", True)
+        enabled = raw.get("enabled", default_cats[name]["enabled"])
         if not isinstance(enabled, bool):
             raise ConfigError(f"categories.{name}.enabled", "must be true or false")
-        cost = _decimal_field(raw.get("cost", DEFAULT_COSTS[cat]),
+        cost = _decimal_field(raw.get("cost", default_cats[name]["cost"]),
                               f"categories.{name}.cost")
         if cost < 0:
             raise ConfigError(f"categories.{name}.cost", "must be non-negative")
         if not is_half_step(cost):
             raise ConfigError(f"categories.{name}.cost", "must be a multiple of 0.5")
-        categories[cat] = CategoryRule(enabled, cost)
+        categories[IcpCategory(name)] = CategoryRule(enabled, cost)
 
-    default_limit = _decimal_field(data.get("default_limit", DEFAULT_LIMIT),
+    default_limit = _decimal_field(data.get("default_limit", _DEFAULTS["default_limit"]),
                                    "default_limit")
     if default_limit <= 0:
         raise ConfigError("default_limit", "must be positive")
 
     overrides: list[LimitOverride] = []
-    raw_overrides = data.get("limit_overrides", [])
+    raw_overrides = data.get("limit_overrides", _DEFAULTS["limit_overrides"])
     if not isinstance(raw_overrides, list):
         raise ConfigError("limit_overrides", "must be a list")
     for i, raw in enumerate(raw_overrides):
@@ -298,7 +312,7 @@ def rules_from_mapping(data: Any) -> RuleSet:
             raise ConfigError(f"{where}.limit", "must be positive")
         overrides.append(LimitOverride(raw["pattern"], limit))
 
-    pattern_text = data.get("commit_pattern", DEFAULT_COMMIT_PATTERN)
+    pattern_text = data.get("commit_pattern", _DEFAULTS["commit_pattern"])
     if not isinstance(pattern_text, str):
         raise ConfigError("commit_pattern", "must be a string")
     try:
@@ -306,71 +320,42 @@ def rules_from_mapping(data: Any) -> RuleSet:
     except re.error as exc:
         raise ConfigError("commit_pattern", f"invalid regular expression: {exc}") from exc
 
-    count_lambdas = data.get("count_lambdas", False)
+    count_lambdas = data.get("count_lambdas", _DEFAULTS["count_lambdas"])
     if not isinstance(count_lambdas, bool):
         raise ConfigError("count_lambdas", "must be true or false")
 
     return RuleSet(
-        categories=categories,
-        internal_types=_string_list(data, "internal_types", ()),
-        external_types=_string_list(data, "external_types", ()),
+        categories={cat: categories[cat] for cat in IcpCategory},
+        internal_types=_string_list(data, "internal_types"),
+        external_types=_string_list(data, "external_types"),
         default_limit=default_limit,
         limit_overrides=tuple(overrides),
-        exclude_globs=_string_list(data, "exclude_globs", ()),
-        test_globs=_string_list(data, "test_globs", DEFAULT_TEST_GLOBS),
-        include_globs=_string_list(data, "include_globs", DEFAULT_INCLUDE_GLOBS),
+        exclude_globs=_string_list(data, "exclude_globs"),
+        test_globs=_string_list(data, "test_globs"),
+        include_globs=_string_list(data, "include_globs"),
         count_lambdas=count_lambdas,
         commit_pattern=commit_pattern,
     )
 
 
 def _decimal_field(value: Any, path: str) -> Fraction:
+    # the document is read with parse_float=Fraction: a number is an int or a Fraction
     if value is None:
         raise ConfigError(path, "missing value")
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
-    return to_fraction(value)
+    return Fraction(value)
 
 
-def _string_list(data: dict, key: str, default_value: tuple[str, ...]) -> tuple[str, ...]:
+def _string_list(data: dict, key: str) -> tuple[str, ...]:
     raw = data.get(key)
     if raw is None:
-        return tuple(default_value)
+        raw = _DEFAULTS[key]
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise ConfigError(key, "must be a list of strings")
     return tuple(raw)
 
 
-DEFAULT_CONFIG_DOCUMENT = """\
-{
-  // Per-category switches and costs (costs are multiples of 0.5).
-  "categories": {
-    "branch":            { "enabled": true, "cost": 1 },
-    "condition":         { "enabled": true, "cost": 1 },
-    "exception":         { "enabled": true, "cost": 1 },
-    "internal_coupling": { "enabled": true, "cost": 1 },
-    "external_coupling": { "enabled": true, "cost": 0.5 }
-  },
-  // Project classes whose use counts as internal coupling (glob patterns,
-  // matched against simple and qualified type names).
-  "internal_types": [],
-  // Library/framework types whose declarations count as external coupling.
-  // java.lang simple names and primitives never match.
-  "external_types": [],
-  // A unit whose total exceeds the limit must be refactored.
-  "default_limit": 10,
-  // First matching override wins; patterns match unit paths or type names.
-  // Example: { "pattern": "**/dto/**", "limit": 20 }
-  "limit_overrides": [],
-  // Files to skip entirely.
-  "exclude_globs": [],
-  // Files whose classes and methods stay out of history and method metrics.
-  "test_globs": ["**/src/test/**"],
-  // Files to analyze.
-  "include_globs": ["**/*.java"],
-  // Count each lambda expression as a branch point and analyze its body.
-  "count_lambdas": false,
-  // First commit-message line marking a complexity-budget commit.
-  "commit_pattern": "^cdd\\\\(([^)]+)\\\\):\\\\s*(.+)$"
-}
-"""
+# the `init` document is the defaults: read once, at import
+_DEFAULTS = _read_document(DEFAULT_CONFIG_DOCUMENT)
+_DEFAULT_RULES = rules_from_mapping(_DEFAULTS)

@@ -339,10 +339,7 @@ class _Parser:
         params: list[ast.Param] = []
         while self.cur.text != ")" and self.cur.kind != _EOF:
             start = self.cur
-            anns = self._parse_annotations()
-            if self.cur.text == "final":
-                self.advance()
-                anns += self._parse_annotations()
+            anns = self._parse_variable_modifiers()
             ptype = self._parse_type()
             if self.cur.text == "...":
                 self.advance()  # varargs behave like the element type
@@ -418,6 +415,15 @@ class _Parser:
                     self._skip_balanced("(", ")")
             uses.append(ast.AnnotationUse(name, numeric, self.span_from(start)))
         return tuple(uses)
+
+    def _parse_variable_modifiers(self) -> tuple[ast.AnnotationUse, ...]:
+        """The annotations and `final` before a variable, in any order
+        (JLS SE 17 §4.12.4); the annotations."""
+        anns = self._parse_annotations()
+        while self.cur.text == "final":
+            self.advance()
+            anns += self._parse_annotations()
+        return anns
 
     def _parse_type(self) -> ast.TypeRef:
         start = self.cur
@@ -700,7 +706,7 @@ class _Parser:
         saved = self.pos
         try:
             start = self.cur
-            anns = self._parse_annotations()
+            anns = self._parse_variable_modifiers()
             declared = self._parse_local_type()
             name = self.expect_ident("loop variable").text
             if self.cur.text != ":":
@@ -722,6 +728,7 @@ class _Parser:
         saved = self.pos
         saved_diags = len(self.diagnostics)
         try:
+            annotations += self._parse_variable_modifiers()
             declared = self._parse_local_type()
             if self.cur.kind != _IDENT:
                 raise _Fail("not a declaration", _tok_span(self.cur))
@@ -742,11 +749,9 @@ class _Parser:
             return None
 
     def _parse_local_type(self) -> Optional[ast.TypeRef]:
-        """The head of a local variable, loop variable or try resource: an
-        optional `final`, then `var` before a name (None: no type is
-        inferred) or a type."""
-        if self.cur.text == "final":
-            self.advance()
+        """The type of a local variable, loop variable or try resource, after
+        its modifiers: `var` before a name (None: no type is inferred) or a
+        type."""
         if self.cur.text == "var" and self.peek().kind == _IDENT:
             self.advance()
             return None
@@ -800,7 +805,7 @@ class _Parser:
             self.advance()
             while self.cur.text != ")" and self.cur.kind != _EOF:
                 res_start = self.cur
-                anns = self._parse_annotations()
+                anns = self._parse_variable_modifiers()
                 declared = self._parse_local_type()
                 name = self.expect_ident("resource name").text
                 self.expect("=")
@@ -819,9 +824,7 @@ class _Parser:
             c_start = self.cur
             c_kw = _tok_span(self.advance())
             self.expect("(")
-            self._parse_annotations()
-            if self.cur.text == "final":
-                self.advance()
+            self._parse_variable_modifiers()
             types = [self._parse_type()]
             while self.cur.text == "|":  # multi-catch: one clause
                 self.advance()
@@ -1064,9 +1067,7 @@ class _Parser:
         self.expect("(")
         params: list[str] = []
         while self.cur.text != ")" and self.cur.kind != _EOF:
-            self._parse_annotations()
-            if self.cur.text == "final":
-                self.advance()
+            self._parse_variable_modifiers()
             last_name = None
             while self.cur.text not in (",", ")") and self.cur.kind != _EOF:
                 if self.cur.kind == _IDENT:

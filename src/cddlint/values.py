@@ -9,18 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Decimal = Union[int, float, str, Fraction]
-
-
-def to_fraction(value: Decimal) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a decimal value")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    return Fraction(value).limit_denominator(1_000_000)
-
 
 def is_half_step(value: Fraction) -> bool:
     return (value * 2).denominator == 1

@@ -116,7 +116,7 @@ def test_c4_verdict_boundary():
         probe = analyze_single("class T {}", rules)
 
         def with_total(total, path="src/T.java", name="T") -> UnitAnalysis:
-            return UnitAnalysis(path, name, (), total, probe.subtotals)
+            return UnitAnalysis(path, name, probe.span, (), total, probe.subtotals)
 
         for total in (Fraction(19, 2), Fraction(10)):
             assert not verdict(with_total(total), rules).over_limit

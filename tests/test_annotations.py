@@ -54,6 +54,12 @@ class TestExtract:
         with pytest.raises(MalformedIcp):
             extract_declared(parse_unit("@ICP class A {}"))
 
+    def test_site_annotation_after_final(self):
+        declared = extract_declared(parse_unit(
+            "class A { void f(boolean c) { final @ICP(2) int x = c ? 1 : 2; } }"
+        ))
+        assert [(e.owner, e.value) for e in declared.site_level] == [("A", 2)]
+
     def test_other_annotations_ignored(self):
         declared = extract_declared(parse_unit("@Entity class A { @Id int x; }"))
         assert declared.is_empty()
@@ -75,7 +81,7 @@ class TestReconcile:
         assert report.status is DriftStatus.UNANNOTATED
         assert report.declared_total is None
         assert report.delta is None
-        assert report.computed_total == 3
+        assert analysis.total == 3
 
     def test_drifted_by_one(self, listing_source):
         text = listing_source.replace("@ICP(8)", "@ICP(7)")

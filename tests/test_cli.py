@@ -136,6 +136,24 @@ class TestCheck:
         assert unit["subtotals"]["internal_coupling"] == 6
         assert unit["drift_status"] == "in_sync"
 
+    def test_malformed_icp_leaves_the_file_unannotated(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "Bad.java").write_text(
+            "class Bad {\n  @ICP(x)\n  static class In {}\n}\n")
+        code, out, _ = run(capsys, "check", ".", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        validate(doc, "check_report.schema.json")
+        assert [(u["type"], u["drift_status"], u["declared_total"])
+                for u in doc["units"]] == [
+            ("Bad", "unannotated", None), ("Bad.In", "unannotated", None),
+        ]
+        assert doc["summary"]["unannotated_count"] == 2
+        assert doc["diagnostics"] == [
+            {"path": "Bad.java", "message": "@ICP needs a decimal argument (line 2)"}
+        ]
+
     def test_formats_agree_on_numbers(self, corpus_dir, capsys):
         (corpus_dir / "cdd.json").write_text(CORPUS_CONFIG)
         _, json_out, _ = run(capsys, "check", ".", "--format", "json")

@@ -276,7 +276,7 @@ class TestVerdicts:
     def test_strict_inequality(self, total, expected):
         source = "class T {%s}" % (" private Dep d;" * 0)
         a = analyze_one(source)
-        forced = type(a)(a.path, a.type_name, a.sites, total, a.subtotals)
+        forced = type(a)(a.path, a.type_name, a.span, a.sites, total, a.subtotals)
         assert verdict(forced, DEFAULTS).over_limit is expected
 
     def test_override_first_match_wins(self):
@@ -285,14 +285,14 @@ class TestVerdicts:
             LimitOverride("**/dto/**", Fraction(5)),
         ))
         a = analyze_one("class T {}")
-        forced = type(a)("src/dto/X.java", "X", (), Fraction(12), a.subtotals)
+        forced = type(a)("src/dto/X.java", "X", a.span, (), Fraction(12), a.subtotals)
         v = verdict(forced, rules)
         assert v.applicable_limit == 20 and not v.over_limit
 
     def test_override_matches_type_name_too(self):
         rules = default_rules(limit_overrides=(LimitOverride("*Dto", Fraction(20)),))
         a = analyze_one("class T {}")
-        forced = type(a)("src/X.java", "BigDto", (), Fraction(12), a.subtotals)
+        forced = type(a)("src/X.java", "BigDto", a.span, (), Fraction(12), a.subtotals)
         assert not verdict(forced, rules).over_limit
 
 
@@ -317,3 +317,29 @@ class TestStructure:
         by_name = {a.type_name: a for a in analyze_unit(unit, rules)}
         assert by_name["Outer"].total == 2  # only its own if
         assert by_name["Outer.In"].total == 2  # only its own while
+
+
+class TestVariableModifiers:
+    """Annotations and `final` before a variable come in any order (JLS SE 17
+    §4.12.4); each form once made the parser drop the code after it."""
+
+    @pytest.mark.parametrize("body,total", [
+        # ternary 1 + its condition 1, if 1 + its condition 1
+        ("final @Nullable String x = c ? g() : h(); if (x == null) return;", 4),
+        # for 1, if 1 + condition 1
+        ("for (final @Nullable String s : xs) { if (s == null) return; }", 3),
+        # try 1, if 1 + condition 1
+        ("try (final @Cleanup Reader r = open()) { if (r == null) return; }", 3),
+        # try 1, catch 1, if 1 + condition 1
+        ("try { g(); } catch (final @Ignored Exception e) { if (e == null) return; }", 4),
+        # for 1 + condition 1; modifiers repeat and interleave
+        ("for (@A final @B final int i = 0; i < 3; i++) {}", 2),
+        # nothing in a lambda counts; if 1 + condition 1
+        ('g((final @A("x") String s) -> s); if (c) return;', 2),
+    ])
+    def test_final_before_an_annotation(self, body, total):
+        unit = parse_unit(
+            f"class T {{ void m(boolean c, List<String> xs) {{ {body} }} }}", "T.java")
+        assert unit.diagnostics == ()
+        [a] = analyze_unit(unit, DEFAULTS)
+        assert a.total == total

@@ -199,6 +199,19 @@ class TestAnalyzeSnapshot:
         assert stats.class_count == 1
         assert stats.mean_icp == 2
 
+    def test_class_loc_attribution(self):
+        # two top-level classes: each class, the nested one too, counts its
+        # declaration's lines: A 1-6 is 6, A.N 3-5 is 3, B 8-10 is 3
+        two = SnapshotFile("Two.java", (
+            "class A {\n  void f() {}\n  static class N {\n    int x;\n  }\n}\n"
+            "\nclass B {\n  int y;\n}\n"), False)
+        # one top-level class counts the file's 6 lines; S.M 4-5 is 2
+        one = SnapshotFile("One.java", (
+            "package p;\n\nclass S {\n  class M {\n  }\n}\n"), False)
+        stats = analyze_snapshot([two, one], RULES)
+        assert stats.class_count == 5
+        assert stats.mean_physical_loc == Fraction(6 + 3 + 3 + 6 + 2, 5)
+
     def test_exclusion_correctness(self):
         files = [
             SnapshotFile("A.java", "class A {}", False),

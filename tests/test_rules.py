@@ -93,6 +93,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_rules("{nope}")
 
+    def test_null_string_list_takes_the_default(self):
+        assert load_rules('{"test_globs": null}').test_globs == ("**/src/test/**",)
+
+    def test_null_cost_is_a_missing_value(self):
+        with pytest.raises(ConfigError) as err:
+            load_rules('{"categories": {"branch": {"cost": null}}}')
+        assert str(err.value) == "categories.branch.cost: missing value"
+
+    def test_first_bad_category_in_document_order_is_named(self):
+        with pytest.raises(ConfigError) as err:
+            load_rules('{"categories": {"condition": {"enabled": 1},'
+                       ' "branch": {"cost": -1}}}')
+        assert str(err.value) == "categories.condition.enabled: must be true or false"
+
     def test_override_needs_pattern_and_limit(self):
         with pytest.raises(ConfigError):
             load_rules('{"limit_overrides": [{"limit": 20}]}')
