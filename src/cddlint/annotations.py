@@ -10,9 +10,8 @@ class level.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .engine import UnitAnalysis
 from .syntax import ast, parse_unit
@@ -45,15 +44,13 @@ class DriftStatus(enum.Enum):
     UNANNOTATED = "unannotated"
 
 
-@dataclass(frozen=True)
-class SiteAnnotation:
+class SiteAnnotation(NamedTuple):
     owner: str  # dotted type name the annotated element belongs to
     span: Span  # span of the annotated element
     value: Fraction
 
 
-@dataclass(frozen=True)
-class DeclaredIcp:
+class DeclaredIcp(NamedTuple):
     class_level: dict[str, Fraction]
     site_level: tuple[SiteAnnotation, ...]
 
@@ -61,15 +58,13 @@ class DeclaredIcp:
         return not self.class_level and not self.site_level
 
 
-@dataclass(frozen=True)
-class SiteMismatch:
+class SiteMismatch(NamedTuple):
     span: Span
     declared: Fraction
     computed: Fraction
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     declared_total: Optional[Fraction]
     delta: Optional[Fraction]  # computed - declared; None when unannotated
     status: DriftStatus

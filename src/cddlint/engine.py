@@ -30,27 +30,24 @@ counted and the lambda itself costs nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .rules import IcpCategory, RuleSet
+from .rules import IcpCategory, RuleSet, type_matcher
 from .syntax import ast
 from .syntax.ast import Span
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class IcpSite:
+class IcpSite(NamedTuple):
     category: IcpCategory
     cost: Fraction
     span: Span
     reason: str
 
 
-@dataclass(frozen=True)
-class UnitAnalysis:
+class UnitAnalysis(NamedTuple):
     path: str
     type_name: str  # dotted path for nested declarations
     span: Span  # the type declaration's
@@ -59,8 +56,7 @@ class UnitAnalysis:
     subtotals: dict[IcpCategory, Fraction]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     applicable_limit: Fraction
     over_limit: bool
 
@@ -136,6 +132,8 @@ class _Region:
 class _TypeWalker:
     def __init__(self, rules: RuleSet, outer_scope: Optional[_Scope]):
         self.rules = rules
+        self._internal = type_matcher(rules.internal_types).matches
+        self._external = type_matcher(rules.external_types, exclude_java_lang=True).matches
         self.sites: list[IcpSite] = []
         self.type_scope = _Scope(outer_scope)
 
@@ -145,12 +143,6 @@ class _TypeWalker:
         rule = self.rules.categories[category]
         if rule.enabled:
             self.sites.append(IcpSite(category, rule.cost, span, reason))
-
-    def _internal(self, name: str) -> bool:
-        return self.rules.internal_matcher.matches(name)
-
-    def _external(self, name: str) -> bool:
-        return self.rules.external_matcher.matches(name)
 
     # ── type body ───────────────────────────────────────────────────────
 

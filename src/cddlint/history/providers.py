@@ -27,10 +27,9 @@ import json
 import os
 import re
 import subprocess
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 RangeSpec = Union[None, int, str]  # None=all, int=last N, "A..B"=id range
 Listing = list[tuple[str, str]]  # a snapshot's (path, key) pairs
@@ -49,8 +48,7 @@ class VcsToolError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CommitMeta:
+class CommitMeta(NamedTuple):
     id: str
     timestamp: str  # ISO-8601 UTC
     message: str

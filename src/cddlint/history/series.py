@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from ..engine import analyze_unit, verdict
 from ..methods import MethodStats, method_lengths, method_stats, stats_from_lengths
@@ -43,16 +42,14 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class SnapshotFile:
+class SnapshotFile(NamedTuple):
     path: str
     text: str
     is_test: bool
     key: str = ""  # the provider's key for the bytes; a memo needs it
 
 
-@dataclass(frozen=True)
-class SnapshotStats:
+class SnapshotStats(NamedTuple):
     class_count: int
     mean_physical_loc: Optional[Fraction]
     mean_icp: Optional[Fraction]
@@ -62,15 +59,13 @@ class SnapshotStats:
     diagnostics: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SnapshotMetrics:
+class SnapshotMetrics(NamedTuple):
     commit: CommitMeta
     stats: SnapshotStats
     cdd_commit: Optional[tuple[str, str]]  # (unit name, description)
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     snapshots: tuple[SnapshotMetrics, ...]
     rules_digest: str
     parameters: dict
@@ -115,8 +110,7 @@ def detect_cdd_commit(message: str, rules: RuleSet) -> Optional[tuple[str, str]]
     return unit or "", description or ""
 
 
-@dataclass(frozen=True)
-class FileResult:
+class FileResult(NamedTuple):
     """What one non-test file adds to its snapshot: per-class LOC and totals,
     how many classes are over their limit, the counted method lengths, and
     the excluded method count; or, when it did not parse, only `failure`."""
@@ -241,7 +235,7 @@ def series(
                 files, notes = memo.read(listing, provider.read_files, rules)
                 stats = analyze_snapshot(files, rules, memo)
                 if notes:
-                    stats = replace(stats, diagnostics=tuple(notes) + stats.diagnostics)
+                    stats = stats._replace(diagnostics=tuple(notes) + stats.diagnostics)
             except Exception as exc:  # per-snapshot isolation
                 failures.append(f"{commit.id}: {exc}")
                 stats = SnapshotStats(0, None, None, None,

@@ -4,9 +4,8 @@ getters/setters, equals/hashCode and test-file methods are excluded."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .rules import RuleSet
 from .syntax import ast
@@ -15,8 +14,7 @@ from .syntax.ast import iter_type_decls
 SLOC_THRESHOLD = 24  # methods at or under this body length are "small"
 
 
-@dataclass(frozen=True)
-class MethodStats:
+class MethodStats(NamedTuple):
     counted_methods: int
     excluded_methods: int
     min_loc: Optional[int]

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .annotations import DriftReport, DriftStatus
 from .engine import UnitAnalysis, Verdict
@@ -19,8 +18,7 @@ from .rules import IcpCategory
 from .values import format_icp, json_number
 
 
-@dataclass(frozen=True)
-class UnitRow:
+class UnitRow(NamedTuple):
     path: str
     type_name: str
     total: Fraction
@@ -32,14 +30,12 @@ class UnitRow:
     drift_status: DriftStatus
 
 
-@dataclass(frozen=True)
-class FileIssue:
+class FileIssue(NamedTuple):
     path: str
     message: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     rows: tuple[UnitRow, ...]
     issues: tuple[FileIssue, ...]
     parse_failures: int

@@ -16,10 +16,9 @@ import enum
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any
+from typing import Any, NamedTuple
 
 from .values import is_half_step, json_number
 
@@ -126,14 +125,12 @@ def any_glob_match(patterns: tuple[str, ...], path: str) -> bool:
     return any(glob_match(p, path) for p in patterns)
 
 
-@dataclass(frozen=True)
-class CategoryRule:
+class CategoryRule(NamedTuple):
     enabled: bool
     cost: Fraction
 
 
-@dataclass(frozen=True)
-class LimitOverride:
+class LimitOverride(NamedTuple):
     pattern: str  # matched against the unit path, then the type name
     limit: Fraction
 
@@ -146,14 +143,22 @@ class TypeMatcher:
 
     Patterns without a dot also match the simple (last-segment) name, so
     `CertificateRepository` matches both the bare and the package-qualified
-    spelling.
+    spelling. Each name's answer is kept, so a matcher from `type_matcher`
+    answers each distinct name once for as long as it lives.
     """
 
     def __init__(self, patterns: tuple[str, ...], exclude_java_lang: bool = False):
         self.patterns = patterns
         self._exclude_java_lang = exclude_java_lang
+        self._answers: dict[str, bool] = {}
 
     def matches(self, qualified_name: str) -> bool:
+        answer = self._answers.get(qualified_name)
+        if answer is None:
+            answer = self._answers[qualified_name] = self._match(qualified_name)
+        return answer
+
+    def _match(self, qualified_name: str) -> bool:
         simple = qualified_name.rpartition(".")[2]
         if self._exclude_java_lang:
             if simple in PRIMITIVE_NAMES:
@@ -170,8 +175,15 @@ class TypeMatcher:
         return False
 
 
-@dataclass(frozen=True)
-class RuleSet:
+@lru_cache(maxsize=32)
+def type_matcher(patterns: tuple[str, ...], exclude_java_lang: bool = False) -> TypeMatcher:
+    """The one matcher for these patterns: rule sets with equal patterns
+    share it and its answers, and a rule set made by `_replace` with new
+    patterns gets its own."""
+    return TypeMatcher(patterns, exclude_java_lang)
+
+
+class RuleSet(NamedTuple):
     categories: dict[IcpCategory, CategoryRule]
     internal_types: tuple[str, ...]
     external_types: tuple[str, ...]
@@ -182,15 +194,6 @@ class RuleSet:
     include_globs: tuple[str, ...]
     count_lambdas: bool
     commit_pattern: re.Pattern
-    internal_matcher: TypeMatcher = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
-    external_matcher: TypeMatcher = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        object.__setattr__(self, "internal_matcher", TypeMatcher(self.internal_types))
-        object.__setattr__(
-            self, "external_matcher",
-            TypeMatcher(self.external_types, exclude_java_lang=True),
-        )
 
     def limit_for(self, path: str, type_name: str) -> Fraction:
         for override in self.limit_overrides:  # ordered, first match wins
@@ -233,7 +236,7 @@ class RuleSet:
 
 def default_rules(**overrides: Any) -> RuleSet:
     """The rules of the `init` document; keyword overrides for tests and callers."""
-    return replace(_DEFAULT_RULES, **overrides)
+    return _DEFAULT_RULES._replace(**overrides)
 
 
 def _strip_comment_lines(text: str) -> str:

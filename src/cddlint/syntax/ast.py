@@ -1,14 +1,18 @@
 """Syntax tree for the analyzed Java subset.
 
-All nodes are immutable (frozen dataclasses over tuples) and carry a byte
-Span, so parsed units can be shared freely across threads and spans can be
-spliced back into the original bytes.
+All nodes are immutable and carry a byte Span, so parsed units can be shared
+freely across threads and spans can be spliced back into the original bytes.
+
+Nodes are `typing.NamedTuple`s: defining one costs far less at import than
+a frozen dataclass, and a node is built as cheaply as a tuple. `==` is tuple
+equality, so nodes of two types with equal fields compare equal; no reader
+compares nodes, it tests their type with `isinstance`. `iter_children` walks
+a node's fields in order and yields those that are nodes or hold nodes in a
+tuple.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -23,14 +27,12 @@ class Span(NamedTuple):
         return self.byte_start <= other.byte_start and other.byte_end <= self.byte_end
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     span: Span
 
 
-@dataclass(frozen=True)
-class AnnotationUse:
+class AnnotationUse(NamedTuple):
     name: str  # dotted; simple_name() gives the last segment
     numeric_arg: Optional[Fraction]  # set iff written as @Name(<decimal>)
     span: Span
@@ -39,16 +41,14 @@ class AnnotationUse:
         return self.name.rpartition(".")[2]
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(NamedTuple):
     """A `// @ICP(<decimal>)` line comment preceding a statement."""
 
     value: Fraction
     span: Span
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(NamedTuple):
     qualified_name: str  # array suffixes already normalized away
     type_args: tuple["TypeRef", ...]
     span: Span
@@ -58,8 +58,7 @@ class TypeRef:
         return self.qualified_name.rpartition(".")[2]
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
     type: TypeRef
     annotations: tuple[AnnotationUse, ...]
@@ -68,8 +67,7 @@ class Param:
 
 # ── Expressions ──────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # || && | ^ & == != < > <= >= instanceof << >> >>> + - * / %
     lhs: "Expr"
     rhs: "Expr"
@@ -77,23 +75,20 @@ class Binary:
     span: Span
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # prefix ! ~ + - ++ --, or postfix ++ --
     inner: "Expr"
     span: Span
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     op: str  # = += -= ...
     target: "Expr"
     value: "Expr"
     span: Span
 
 
-@dataclass(frozen=True)
-class Ternary:
+class Ternary(NamedTuple):
     cond: "Expr"
     then_expr: "Expr"
     else_expr: "Expr"
@@ -101,84 +96,72 @@ class Ternary:
     span: Span
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     receiver: Optional["Expr"]
     name: str
     args: tuple["Expr", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(NamedTuple):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class FieldAccess:
+class FieldAccess(NamedTuple):
     receiver: "Expr"
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class IndexAccess:
+class IndexAccess(NamedTuple):
     receiver: "Expr"
     index: "Expr"
     span: Span
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(NamedTuple):
     params: tuple[str, ...]
     body: Union["Expr", "Block"]
     span: Span
 
 
-@dataclass(frozen=True)
-class New:
+class New(NamedTuple):
     type: TypeRef
     args: tuple["Expr", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class ArrayNew:
+class ArrayNew(NamedTuple):
     type: TypeRef
     dims: tuple["Expr", ...]
     init: Optional["Expr"]
     span: Span
 
 
-@dataclass(frozen=True)
-class Cast:
+class Cast(NamedTuple):
     type: TypeRef
     inner: "Expr"
     span: Span
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     text: str
     span: Span
 
 
-@dataclass(frozen=True)
-class MethodRef:
+class MethodRef(NamedTuple):
     receiver: "Expr"
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class InitializerList:
+class InitializerList(NamedTuple):
     items: tuple["Expr", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class Opaque:
+class Opaque(NamedTuple):
     """An expression outside the supported grammar; children keep any counted
     constructs that could be recovered from inside it visible to the engine."""
 
@@ -194,16 +177,14 @@ Expr = Union[
 
 # ── Statements ───────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     stmts: tuple["Stmt", ...]
     span: Span
     annotations: tuple[AnnotationUse, ...] = ()
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class If:
+class If(NamedTuple):
     condition: Expr
     then: "Stmt"
     else_branch: Optional["Stmt"]
@@ -214,8 +195,7 @@ class If:
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     kind: str  # for | while | do_while | for_each
     condition: Optional[Expr]
     body: "Stmt"
@@ -229,21 +209,18 @@ class Loop:
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(NamedTuple):
     expr: Optional[Expr]  # None for `default`
     span: Span
 
 
-@dataclass(frozen=True)
-class SwitchCase:
+class SwitchCase(NamedTuple):
     labels: tuple[CaseLabel, ...]
     stmts: tuple["Stmt", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class Switch:
+class Switch(NamedTuple):
     scrutinee: Expr
     cases: tuple[SwitchCase, ...]
     kw: Span
@@ -252,8 +229,7 @@ class Switch:
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class CatchClause:
+class CatchClause(NamedTuple):
     param_name: str
     types: tuple[TypeRef, ...]  # multi-catch keeps one clause, many types
     body: Block
@@ -261,8 +237,7 @@ class CatchClause:
     span: Span
 
 
-@dataclass(frozen=True)
-class Try:
+class Try(NamedTuple):
     resources: tuple["LocalDecl", ...]
     body: Block
     catches: tuple[CatchClause, ...]
@@ -274,8 +249,7 @@ class Try:
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class LocalDecl:
+class LocalDecl(NamedTuple):
     name: str
     declared_type: Optional[TypeRef]  # None for `var` (no inference is done)
     initializer: Optional[Expr]
@@ -284,32 +258,28 @@ class LocalDecl:
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class ExprStmt:
+class ExprStmt(NamedTuple):
     expr: Expr
     span: Span
     annotations: tuple[AnnotationUse, ...] = ()
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(NamedTuple):
     expr: Optional[Expr]
     span: Span
     annotations: tuple[AnnotationUse, ...] = ()
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class Throw:
+class Throw(NamedTuple):
     expr: Expr
     span: Span
     annotations: tuple[AnnotationUse, ...] = ()
     markers: tuple[Marker, ...] = ()
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(NamedTuple):
     kind: str  # break | continue; a label is skipped
     span: Span
     annotations: tuple[AnnotationUse, ...] = ()
@@ -323,8 +293,7 @@ Stmt = Union[
 
 # ── Declarations ─────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(NamedTuple):
     name: str
     declared_type: TypeRef  # fields always carry an explicit type
     annotations: tuple[AnnotationUse, ...]
@@ -332,8 +301,7 @@ class FieldDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(NamedTuple):
     name: str
     params: tuple[Param, ...]
     return_type: Optional[TypeRef]  # None for void and constructors
@@ -343,15 +311,13 @@ class MethodDecl:
     body_line_count: int  # body brace span height; 0 when body is absent
 
 
-@dataclass(frozen=True)
-class EnumConstant:
+class EnumConstant(NamedTuple):
     name: str
     args: tuple[Expr, ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class TypeDecl:
+class TypeDecl(NamedTuple):
     name: str
     kind: str  # class | interface | enum
     annotations: tuple[AnnotationUse, ...]
@@ -363,8 +329,7 @@ class TypeDecl:
     enum_constants: tuple[EnumConstant, ...] = ()
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class SourceUnit(NamedTuple):
     path: str
     types: tuple[TypeDecl, ...]
     physical_lines: int
@@ -385,13 +350,12 @@ def iter_type_decls(unit: SourceUnit) -> Iterator[tuple[str, TypeDecl]]:
         yield from walk("", top)
 
 
-def iter_children(node: object) -> Iterator[object]:
-    """Yield the direct spanned child nodes of a dataclass AST node."""
-    for f in dataclasses.fields(node):  # type: ignore[arg-type]
-        value = getattr(node, f.name)
-        if dataclasses.is_dataclass(value) and hasattr(value, "span"):
+def iter_children(node: tuple) -> Iterator[tuple]:
+    """Yield the direct child nodes of a node, in field order."""
+    for value in node:
+        if hasattr(value, "span"):  # a node; a Span has no `span`
             yield value
         elif isinstance(value, tuple):
             for item in value:
-                if dataclasses.is_dataclass(item) and hasattr(item, "span"):
+                if hasattr(item, "span"):
                     yield item

@@ -451,10 +451,13 @@ class _Parser:
             self.advance()
             return ()
         while True:
+            # type-use annotations (JLS SE 17 §4.11) are read and dropped
+            self._parse_annotations()
             if self.cur.text == "?":  # wildcard, accepted and ignored
                 self.advance()
                 if self.cur.text in ("extends", "super"):
                     self.advance()
+                    self._parse_annotations()
                     args.append(self._parse_type())
             else:
                 args.append(self._parse_type())
@@ -465,7 +468,14 @@ class _Parser:
             return tuple(args)
 
     def _skip_array_suffix(self) -> None:
-        while self.cur.text == "[" and self.peek().text == "]":
+        """Dimensions `[]`, each after any type-use annotations (`String @A []`)."""
+        while True:
+            saved = self.pos
+            if self.cur.text == "@":
+                self._parse_annotations()
+            if self.cur.text != "[" or self.peek().text != "]":
+                self.pos = saved  # annotations not followed by `[]` are not ours
+                return
             self.advance()
             self.advance()
 

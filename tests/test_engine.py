@@ -3,6 +3,7 @@ and rule-set behavior (category toggles, costs, lambda handling)."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,18 @@ class TestCouplingRules:
         )
         assert a.total == 0
 
+    def test_replaced_patterns_are_the_ones_matched(self):
+        # matchers are shared by pattern, so a rule set made by `_replace`
+        # must answer with its own patterns, not with its original's
+        source = "class T { Repo r; Lib l; }"
+        rules = default_rules(internal_types=("Repo",), external_types=("Lib",))
+        swapped = rules._replace(internal_types=("Lib",), external_types=("Repo",))
+        as_given = ["internal coupling: Repo field", "external coupling: Lib declaration"]
+        assert [s.reason for s in analyze_one(source, rules).sites] == as_given
+        assert [s.reason for s in analyze_one(source, swapped).sites] == [
+            "external coupling: Repo declaration", "internal coupling: Lib field"]
+        assert [s.reason for s in analyze_one(source, rules).sites] == as_given
+
 
 class TestLambdas:
     WRAPPED = "class T { void m(Runner r) { r.accept(() -> pick(x ? 1 : 2)); } }"
@@ -343,3 +356,28 @@ class TestVariableModifiers:
         assert unit.diagnostics == ()
         [a] = analyze_unit(unit, DEFAULTS)
         assert a.total == total
+
+
+class TestTypeUseAnnotations:
+    """Type-use annotations inside a type (JLS SE 17 §4.11) are read, so the
+    declaration that holds them keeps its code: each total is that of the
+    same source without the annotations."""
+
+    @pytest.mark.parametrize("member,total", [
+        # if 1 + its condition 1
+        ("void f(java.util.List<@NonNull String> xs, boolean c) { if (c) return; }", 2),
+        ("void f(String @A [] xs, boolean c) { if (c) return; }", 2),
+        ("void f(String @A [] @B [] xs, boolean c) { if (c) return; }", 2),
+        # ternary 1 + its condition 1, if 1 + its condition 1
+        ("void f(boolean c) { java.util.List<@A String> xs = c ? g() : h(); if (c) return; }", 4),
+        ("void f(boolean c) { Map<@A ? extends @B K, @C ? super V> m = c ? g() : h();"
+         " if (c) return; }", 4),
+        ('void f(boolean c) { Object o = (List<@A("x") String>) (c ? g() : h());'
+         " if (c) return; }", 4),
+    ])
+    def test_annotation_inside_a_type(self, member, total):
+        for source in (member, re.sub(r'@\w+(\("x"\))? ', "", member)):
+            unit = parse_unit(f"class T {{ {source} }}", "T.java")
+            assert unit.diagnostics == ()
+            [a] = analyze_unit(unit, DEFAULTS)
+            assert a.total == total

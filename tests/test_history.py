@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -312,7 +311,7 @@ def fresh_stats(provider, commit, rules):
     each series snapshot must equal, diagnostics included."""
     files, notes = read_snapshot_files(provider, commit, rules)
     alone = analyze_snapshot(files, rules)
-    return replace(alone, diagnostics=tuple(notes) + alone.diagnostics)
+    return alone._replace(diagnostics=tuple(notes) + alone.diagnostics)
 
 
 class TestSeriesMemo:

@@ -3,7 +3,6 @@ completeness, error tolerance, and determinism."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest

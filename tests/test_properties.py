@@ -6,7 +6,6 @@ All suites run 200 examples with hypothesis derandomization (fixed seed).
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -167,7 +166,7 @@ def test_additivity(bodies):
             cat: CategoryRule(cat is not disabled and rule.enabled, rule.cost)
             for cat, rule in RULES.categories.items()
         }
-        [partial] = analyze_unit(unit, dataclasses.replace(RULES, categories=cats))
+        [partial] = analyze_unit(unit, RULES._replace(categories=cats))
         assert partial.total == full.total - full.subtotals[disabled]
         kept = tuple(s for s in full.sites if s.category is not disabled)
         assert partial.sites == kept

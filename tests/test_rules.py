@@ -14,6 +14,7 @@ from cddlint.rules import (
     default_rules,
     glob_match,
     load_rules,
+    type_matcher,
 )
 
 
@@ -156,3 +157,9 @@ class TestTypeMatcher:
         assert external.matches("Optional")
         internal = TypeMatcher(("Long",))
         assert internal.matches("Long")
+
+    def test_one_matcher_per_patterns(self):
+        # one matcher, and so one set of answers, serves every rule set and
+        # file with these patterns
+        assert type_matcher(("Repo",)) is type_matcher(("Repo",))
+        assert type_matcher(("Repo",)) is not type_matcher(("Repo", "Lib"))
