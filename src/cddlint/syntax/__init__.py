@@ -3,7 +3,7 @@
 from .ast import Diagnostic, SourceUnit, Span, iter_type_decls
 from .parser import ParseError, parse_unit
 from .scanner import active_backend, physical_loc, tokenize
-from .tokens import InvalidCharacter, Token, TokenKind, Trivia
+from .tokens import InvalidCharacter, TokenKind, TokenStream
 
 __all__ = [
     "Diagnostic",
@@ -11,9 +11,8 @@ __all__ = [
     "ParseError",
     "SourceUnit",
     "Span",
-    "Token",
     "TokenKind",
-    "Trivia",
+    "TokenStream",
     "active_backend",
     "iter_type_decls",
     "parse_unit",

@@ -21,7 +21,7 @@ from typing import Optional
 from . import ast
 from .ast import Span
 from .scanner import tokenize_bytes
-from .tokens import InvalidCharacter, Token, TokenKind
+from .tokens import InvalidCharacter, TokenKind, TokenStream
 
 # punctuation is matched by its text; these are the only kinds the parser tests
 _IDENT, _NUMBER, _EOF = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.EOF
@@ -84,10 +84,6 @@ class _Fail(Exception):
         super().__init__(message)
 
 
-def _tok_span(t: Token) -> Span:
-    return Span(t.byte_start, t.byte_end, t.line, t.line)
-
-
 def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
     """Parse source text into a SourceUnit; pure function of the input."""
     data = text.encode("utf-8")
@@ -100,12 +96,18 @@ def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], data: bytes, path: str):
-        n = len(data)
-        if not tokens or tokens[-1].kind != _EOF:
-            last_line = tokens[-1].line if tokens else 1
-            tokens = tokens + [Token(_EOF, "", n, n, last_line, ())]
-        self.toks = tokens
+    """Reads the stream by token number: ``self.pos`` is the current token.
+    The stream's lists run two EOF entries past its last token, so lookahead
+    needs no bounds check, and ``advance`` is only called on a token its
+    caller has tested, never on EOF."""
+
+    def __init__(self, tokens: TokenStream, data: bytes, path: str):
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.starts = tokens.starts
+        self.ends = tokens.ends
+        self.lines = tokens.lines
+        self.comments = tokens.comments
         self.pos = 0
         self.data = data
         self.path = path
@@ -113,38 +115,39 @@ class _Parser:
 
     # ── token access ────────────────────────────────────────────────────
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
+    def advance(self) -> int:
+        i = self.pos
+        self.pos = i + 1
+        return i
 
-    def peek(self, offset: int = 1) -> Token:
-        idx = min(self.pos + offset, len(self.toks) - 1)
-        return self.toks[idx]
-
-    def advance(self) -> Token:
-        tok = self.toks[self.pos]
-        if self.pos < len(self.toks) - 1:
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str, what: str = "") -> Token:
+    def expect(self, text: str, what: str = "") -> int:
         """Consume the token spelled `text`, a word or a punctuation mark."""
-        if self.cur.text != text:
-            raise _Fail(f"expected {what or repr(text)}", _tok_span(self.cur))
+        if self.texts[self.pos] != text:
+            raise _Fail(f"expected {what or repr(text)}", self.tok_span(self.pos))
         return self.advance()
 
-    def expect_ident(self, what: str) -> Token:
-        if self.cur.kind != _IDENT:
-            raise _Fail(f"expected {what}", _tok_span(self.cur))
+    def expect_ident(self, what: str) -> int:
+        if self.kinds[self.pos] != _IDENT:
+            raise _Fail(f"expected {what}", self.tok_span(self.pos))
         return self.advance()
 
-    @property
-    def prev(self) -> Token:
-        return self.toks[self.pos - 1] if self.pos > 0 else self.toks[0]
+    def tok_span(self, i: int) -> Span:
+        line = self.lines[i]
+        return Span(self.starts[i], self.ends[i], line, line)
 
-    def span_from(self, start: Token) -> Span:
-        end = self.prev
-        return Span(start.byte_start, end.byte_end, start.line, end.line)
+    def span_from(self, start: int) -> Span:
+        """From token `start` through the last token consumed."""
+        end = self.pos - 1 if self.pos else 0
+        return Span(self.starts[start], self.ends[end], self.lines[start], self.lines[end])
+
+    def markers_before(self, i: int) -> tuple[ast.Marker, ...]:
+        """The `// @ICP(n)` marker comments before token i."""
+        markers: list[ast.Marker] = []
+        for text, start, end, line in self.comments.get(i, ()):
+            m = MARKER_COMMENT_RE.match(text)
+            if m:
+                markers.append(ast.Marker(Fraction(m.group(1)), Span(start, end, line, line)))
+        return tuple(markers)
 
     def diag(self, message: str, span: Span) -> None:
         self.diagnostics.append(ast.Diagnostic(message, span))
@@ -153,12 +156,12 @@ class _Parser:
 
     def parse(self) -> ast.SourceUnit:
         types: list[ast.TypeDecl] = []
-        if self.cur.text == "package":
+        if self.texts[self.pos] == "package":
             self._skip_to_semi()
-        while self.cur.text == "import":
+        while self.texts[self.pos] == "import":
             self._skip_to_semi()
-        while self.cur.kind != _EOF:
-            if self.cur.text == ";":
+        while self.kinds[self.pos] != _EOF:
+            if self.texts[self.pos] == ";":
                 self.advance()
                 continue
             decl = self._parse_type_decl_hard()
@@ -181,22 +184,22 @@ class _Parser:
 
     def _parse_type_decl(
         self,
-        start: Optional[Token] = None,
+        start: Optional[int] = None,
         annotations: Optional[tuple[ast.AnnotationUse, ...]] = None,
     ) -> ast.TypeDecl:
         if start is None:
-            start = self.cur
+            start = self.pos
             annotations = self._parse_annotations()
-        header_tok = self.cur
-        while self.cur.text in MODIFIERS:
+        header_tok = self.pos
+        while self.texts[self.pos] in MODIFIERS:
             self.advance()
-        if self.cur.text not in _TYPE_KEYWORDS:
-            raise _Fail("expected class, interface or enum", _tok_span(self.cur))
-        kind = self.advance().text
-        name = self.expect_ident("type name").text
-        if self.cur.text == "<":
+        if self.texts[self.pos] not in _TYPE_KEYWORDS:
+            raise _Fail("expected class, interface or enum", self.tok_span(self.pos))
+        kind = self.texts[self.advance()]
+        name = self.texts[self.expect_ident("type name")]
+        if self.texts[self.pos] == "<":
             self._skip_generics()
-        while self.cur.text != "{" and self.cur.kind != _EOF:
+        while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
             self.advance()  # extends / implements clauses are not analyzed
         self.expect("{")
 
@@ -207,7 +210,7 @@ class _Parser:
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
         nested: list[ast.TypeDecl] = []
-        while self.cur.text != "}" and self.cur.kind != _EOF:
+        while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             self._parse_member(fields, methods, nested)
         self.expect("}")
         return ast.TypeDecl(
@@ -218,30 +221,30 @@ class _Parser:
             methods=tuple(methods),
             nested=tuple(nested),
             span=self.span_from(start),
-            header_start=header_tok.byte_start,
+            header_start=self.starts[header_tok],
             enum_constants=enum_constants,
         )
 
     def _parse_enum_constants(self) -> tuple[ast.EnumConstant, ...]:
         constants: list[ast.EnumConstant] = []
-        while self.cur.text not in (";", "}") and self.cur.kind != _EOF:
+        while self.texts[self.pos] not in (";", "}") and self.kinds[self.pos] != _EOF:
             self._parse_annotations()
-            start = self.cur
-            if self.cur.kind != _IDENT:
+            start = self.pos
+            if self.kinds[self.pos] != _IDENT:
                 break
-            name = self.advance().text
+            name = self.texts[self.advance()]
             args: tuple[ast.Expr, ...] = ()
-            if self.cur.text == "(":
+            if self.texts[self.pos] == "(":
                 args = self._parse_call_args()
-            if self.cur.text == "{":
-                self.diag("enum constant body is not analyzed", _tok_span(self.cur))
+            if self.texts[self.pos] == "{":
+                self.diag("enum constant body is not analyzed", self.tok_span(self.pos))
                 self._skip_balanced("{", "}")
             constants.append(ast.EnumConstant(name, args, self.span_from(start)))
-            if self.cur.text == ",":
+            if self.texts[self.pos] == ",":
                 self.advance()
             else:
                 break
-        if self.cur.text == ";":
+        if self.texts[self.pos] == ";":
             self.advance()
         return tuple(constants)
 
@@ -253,46 +256,46 @@ class _Parser:
         methods: list[ast.MethodDecl],
         nested: list[ast.TypeDecl],
     ) -> None:
-        if self.cur.text == ";":
+        if self.texts[self.pos] == ";":
             self.advance()
             return
-        start = self.cur
+        start = self.pos
         try:
             annotations = self._parse_annotations()
-            if self.cur.text in _TYPE_KEYWORDS:
+            if self.texts[self.pos] in _TYPE_KEYWORDS:
                 nested.append(self._parse_type_decl_hard(start, annotations))
                 return
-            while self.cur.text in MODIFIERS:
+            while self.texts[self.pos] in MODIFIERS:
                 self.advance()
                 annotations += self._parse_annotations()  # interleaved @Anno
-            if self.cur.text in _TYPE_KEYWORDS:
+            if self.texts[self.pos] in _TYPE_KEYWORDS:
                 nested.append(self._parse_type_decl_hard(start, annotations))
                 return
-            if self.cur.text == "{":
-                self.diag("initializer block is not analyzed", _tok_span(self.cur))
+            if self.texts[self.pos] == "{":
+                self.diag("initializer block is not analyzed", self.tok_span(self.pos))
                 self._skip_balanced("{", "}")
                 return
-            if self.cur.text == "<":
+            if self.texts[self.pos] == "<":
                 self._skip_generics()  # generic method type parameters
             if (
-                self.cur.kind == _IDENT
-                and self.peek().text == "("
-                and self.cur.text not in _NON_TYPE_WORDS
+                self.kinds[self.pos] == _IDENT
+                and self.texts[self.pos + 1] == "("
+                and self.texts[self.pos] not in _NON_TYPE_WORDS
             ):
                 methods.append(self._parse_method(start, annotations, None))
                 return
             return_type: Optional[ast.TypeRef] = None
-            if self.cur.text == "void":
+            if self.texts[self.pos] == "void":
                 self.advance()
             else:
                 return_type = self._parse_type()
             name_tok = self.expect_ident("member name")
-            if self.cur.text == "(":
+            if self.texts[self.pos] == "(":
                 methods.append(self._parse_method(start, annotations, return_type, name_tok))
             else:
                 if return_type is None:
-                    raise _Fail("field cannot be void", _tok_span(name_tok))
-                names = self._parse_declarators(name_tok.text, "field name")
+                    raise _Fail("field cannot be void", self.tok_span(name_tok))
+                names = self._parse_declarators(self.texts[name_tok], "field name")
                 span = self.span_from(start)
                 fields.extend(
                     ast.FieldDecl(nm, return_type, annotations if i == 0 else (), iv, span)
@@ -304,20 +307,20 @@ class _Parser:
 
     def _parse_method(
         self,
-        start: Token,
+        start: int,
         annotations: tuple[ast.AnnotationUse, ...],
         return_type: Optional[ast.TypeRef],
-        name_tok: Optional[Token] = None,
+        name_tok: Optional[int] = None,
     ) -> ast.MethodDecl:
         if name_tok is None:
             name_tok = self.expect_ident("constructor name")
         params = self._parse_params()
-        if self.cur.text == "throws":
+        if self.texts[self.pos] == "throws":
             self.advance()
-            while self.cur.text not in ("{", ";") and self.cur.kind != _EOF:
+            while self.texts[self.pos] not in ("{", ";") and self.kinds[self.pos] != _EOF:
                 self.advance()
         body: Optional[ast.Block] = None
-        if self.cur.text == "{":
+        if self.texts[self.pos] == "{":
             body = self._parse_block()
         else:
             self.expect(";", "method body or ';'")
@@ -325,7 +328,7 @@ class _Parser:
         if body is not None:
             body_lines = body.span.line_end - body.span.line_start + 1
         return ast.MethodDecl(
-            name=name_tok.text,
+            name=self.texts[name_tok],
             params=params,
             return_type=return_type,
             annotations=annotations,
@@ -337,16 +340,16 @@ class _Parser:
     def _parse_params(self) -> tuple[ast.Param, ...]:
         self.expect("(")
         params: list[ast.Param] = []
-        while self.cur.text != ")" and self.cur.kind != _EOF:
-            start = self.cur
+        while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
+            start = self.pos
             anns = self._parse_variable_modifiers()
             ptype = self._parse_type()
-            if self.cur.text == "...":
+            if self.texts[self.pos] == "...":
                 self.advance()  # varargs behave like the element type
-            name = self.expect_ident("parameter name").text
+            name = self.texts[self.expect_ident("parameter name")]
             self._skip_array_suffix()
             params.append(ast.Param(name, ptype, anns, self.span_from(start)))
-            if self.cur.text == ",":
+            if self.texts[self.pos] == ",":
                 self.advance()
             else:
                 break
@@ -362,29 +365,29 @@ class _Parser:
         while True:
             self._skip_array_suffix()
             init = None
-            if self.cur.text == "=":
+            if self.texts[self.pos] == "=":
                 self.advance()
                 init = self._parse_initializer_value()
             names.append((name, init))
-            if self.cur.text != ",":
+            if self.texts[self.pos] != ",":
                 break
             self.advance()
-            name = self.expect_ident(what).text
+            name = self.texts[self.expect_ident(what)]
         self.expect(";")
         return names
 
     def _parse_initializer_value(self) -> ast.Expr:
-        if self.cur.text == "{":
+        if self.texts[self.pos] == "{":
             return self._parse_initializer_list()
         return self._parse_expr()
 
     def _parse_initializer_list(self) -> ast.Expr:
-        start = self.cur
+        start = self.pos
         self.expect("{")
         items: list[ast.Expr] = []
-        while self.cur.text != "}" and self.cur.kind != _EOF:
+        while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             items.append(self._parse_initializer_value())
-            if self.cur.text == ",":
+            if self.texts[self.pos] == ",":
                 self.advance()
             else:
                 break
@@ -395,21 +398,21 @@ class _Parser:
 
     def _parse_annotations(self) -> tuple[ast.AnnotationUse, ...]:
         uses: list[ast.AnnotationUse] = []
-        while self.cur.text == "@":
+        while self.texts[self.pos] == "@":
             start = self.advance()
-            name = self.expect_ident("annotation name").text
-            while self.cur.text == "." and self.peek().kind == _IDENT:
+            name = self.texts[self.expect_ident("annotation name")]
+            while self.texts[self.pos] == "." and self.kinds[self.pos + 1] == _IDENT:
                 self.advance()
-                name += "." + self.advance().text
+                name += "." + self.texts[self.advance()]
             numeric: Optional[Fraction] = None
-            if self.cur.text == "(":
+            if self.texts[self.pos] == "(":
                 if (
-                    self.peek().kind == _NUMBER
-                    and self.peek(2).text == ")"
+                    self.kinds[self.pos + 1] == _NUMBER
+                    and self.texts[self.pos + 2] == ")"
                 ):
                     self.advance()
                     # stays None for non-decimal literals such as hex
-                    numeric = _parse_decimal(self.advance().text)
+                    numeric = _parse_decimal(self.texts[self.advance()])
                     self.advance()
                 else:
                     self._skip_balanced("(", ")")
@@ -420,26 +423,26 @@ class _Parser:
         """The annotations and `final` before a variable, in any order
         (JLS SE 17 §4.12.4); the annotations."""
         anns = self._parse_annotations()
-        while self.cur.text == "final":
+        while self.texts[self.pos] == "final":
             self.advance()
             anns += self._parse_annotations()
         return anns
 
     def _parse_type(self) -> ast.TypeRef:
-        start = self.cur
-        if self.cur.kind != _IDENT or self.cur.text in _NON_TYPE_WORDS:
-            raise _Fail("expected type", _tok_span(self.cur))
-        name = self.advance().text
+        start = self.pos
+        if self.kinds[self.pos] != _IDENT or self.texts[self.pos] in _NON_TYPE_WORDS:
+            raise _Fail("expected type", self.tok_span(self.pos))
+        name = self.texts[self.advance()]
         if name not in PRIMITIVES:
             while (
-                self.cur.text == "."
-                and self.peek().kind == _IDENT
-                and self.peek().text not in _NON_TYPE_WORDS
+                self.texts[self.pos] == "."
+                and self.kinds[self.pos + 1] == _IDENT
+                and self.texts[self.pos + 1] not in _NON_TYPE_WORDS
             ):
                 self.advance()
-                name += "." + self.advance().text
+                name += "." + self.texts[self.advance()]
         args: tuple[ast.TypeRef, ...] = ()
-        if self.cur.text == "<":
+        if self.texts[self.pos] == "<":
             args = self._parse_type_args()
         self._skip_array_suffix()
         return ast.TypeRef(name, args, self.span_from(start))
@@ -447,21 +450,21 @@ class _Parser:
     def _parse_type_args(self) -> tuple[ast.TypeRef, ...]:
         self.expect("<")
         args: list[ast.TypeRef] = []
-        if self.cur.text == ">":  # diamond
+        if self.texts[self.pos] == ">":  # diamond
             self.advance()
             return ()
         while True:
             # type-use annotations (JLS SE 17 §4.11) are read and dropped
             self._parse_annotations()
-            if self.cur.text == "?":  # wildcard, accepted and ignored
+            if self.texts[self.pos] == "?":  # wildcard, accepted and ignored
                 self.advance()
-                if self.cur.text in ("extends", "super"):
+                if self.texts[self.pos] in ("extends", "super"):
                     self.advance()
                     self._parse_annotations()
                     args.append(self._parse_type())
             else:
                 args.append(self._parse_type())
-            if self.cur.text == ",":
+            if self.texts[self.pos] == ",":
                 self.advance()
                 continue
             self.expect(">")
@@ -471,9 +474,9 @@ class _Parser:
         """Dimensions `[]`, each after any type-use annotations (`String @A []`)."""
         while True:
             saved = self.pos
-            if self.cur.text == "@":
+            if self.texts[self.pos] == "@":
                 self._parse_annotations()
-            if self.cur.text != "[" or self.peek().text != "]":
+            if self.texts[self.pos] != "[" or self.texts[self.pos + 1] != "]":
                 self.pos = saved  # annotations not followed by `[]` are not ours
                 return
             self.advance()
@@ -481,8 +484,8 @@ class _Parser:
 
     def _skip_generics(self) -> None:
         depth = 0
-        while self.cur.kind != _EOF:
-            k = self.cur.text
+        while self.kinds[self.pos] != _EOF:
+            k = self.texts[self.pos]
             if k == "<":
                 depth += 1
             elif k == ">":
@@ -497,44 +500,43 @@ class _Parser:
     # ── statements ──────────────────────────────────────────────────────
 
     def _parse_block(self) -> ast.Block:
-        start = self.cur
+        start = self.pos
         self.expect("{")
         stmts: list[ast.Stmt] = []
-        while self.cur.text != "}" and self.cur.kind != _EOF:
+        while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             stmts.extend(self._parse_statement_recovering())
         self.expect("}")
         return ast.Block(tuple(stmts), self.span_from(start))
 
     def _parse_statement_recovering(self) -> list[ast.Stmt]:
-        start = self.cur
-        start_pos = self.pos
+        start = self.pos
         try:
             return self._parse_statement()
         except _Fail as exc:
-            return [self._failed_statement(exc, start, start_pos)]
+            return [self._failed_statement(exc, start)]
 
-    def _failed_statement(self, exc: _Fail, start: Token, start_pos: int) -> ast.Stmt:
+    def _failed_statement(self, exc: _Fail, start: int) -> ast.Stmt:
         """Record the failure, skip the rest of the statement and stand an
         Opaque statement in its place."""
         self.diag(exc.message, exc.span)
         self._recover_statement()
-        span = self.span_from(start) if self.pos > start_pos else _tok_span(start)
+        span = self.span_from(start) if self.pos > start else self.tok_span(start)
         return ast.ExprStmt(ast.Opaque((), span), span)
 
     def _parse_statement(self) -> list[ast.Stmt]:
-        start = self.cur
-        markers = _markers_from_trivia(start)
+        start = self.pos
+        markers = self.markers_before(start)
         annotations = self._parse_annotations()
 
-        if self.cur.text == ";":
+        if self.texts[self.pos] == ";":
             self.advance()
             return [ast.Block((), self.span_from(start), annotations, markers)]
-        if self.cur.text == "{":
+        if self.texts[self.pos] == "{":
             block = self._parse_block()
             return [ast.Block(block.stmts, self.span_from(start), annotations, markers)]
 
-        if self.cur.kind == _IDENT:
-            word = self.cur.text
+        if self.kinds[self.pos] == _IDENT:
+            word = self.texts[self.pos]
             if word == "if":
                 return [self._parse_if(start, annotations, markers)]
             if word == "while":
@@ -550,7 +552,7 @@ class _Parser:
             if word == "return":
                 self.advance()
                 expr = None
-                if self.cur.text != ";":
+                if self.texts[self.pos] != ";":
                     expr = self._parse_expr()
                 self.expect(";")
                 return [ast.Return(expr, self.span_from(start), annotations, markers)]
@@ -561,13 +563,13 @@ class _Parser:
                 return [ast.Throw(expr, self.span_from(start), annotations, markers)]
             if word in ("break", "continue"):
                 self.advance()
-                if self.cur.kind == _IDENT:  # label
+                if self.kinds[self.pos] == _IDENT:  # label
                     self.advance()
                 self.expect(";")
                 return [ast.Jump(word, self.span_from(start), annotations, markers)]
-            if word == "synchronized" and self.peek().text == "(":
+            if word == "synchronized" and self.texts[self.pos + 1] == "(":
                 self.diag("synchronized statement is analyzed as a plain block",
-                          _tok_span(self.cur))
+                          self.tok_span(self.pos))
                 self.advance()
                 self.expect("(")
                 self._parse_expr()
@@ -575,12 +577,12 @@ class _Parser:
                 block = self._parse_block()
                 return [ast.Block(block.stmts, self.span_from(start), annotations, markers)]
             if word in ("assert", "yield"):
-                self.diag(f"{word} statement is not analyzed", _tok_span(self.cur))
+                self.diag(f"{word} statement is not analyzed", self.tok_span(self.pos))
                 self._skip_to_semi()
                 span = self.span_from(start)
                 return [ast.ExprStmt(ast.Opaque((), span), span, annotations, markers)]
-            if self.peek().text == ":" and word not in ("case", "default"):
-                self.diag("labeled statement: label ignored", _tok_span(self.cur))
+            if self.texts[self.pos + 1] == ":" and word not in ("case", "default"):
+                self.diag("labeled statement: label ignored", self.tok_span(self.pos))
                 self.advance()
                 self.advance()
                 return self._parse_statement()
@@ -600,9 +602,8 @@ class _Parser:
         links = []
         else_branch: Optional[ast.Stmt] = None
         while True:
-            start_pos = self.pos
             try:
-                if_kw = _tok_span(self.expect("if"))
+                if_kw = self.tok_span(self.expect("if"))
                 self.expect("(")
                 cond = self._parse_expr()
                 self.expect(")")
@@ -610,23 +611,23 @@ class _Parser:
                 if not links:
                     raise
                 # a broken link is the failed statement of the else before it
-                else_branch = self._failed_statement(exc, start, start_pos)
+                else_branch = self._failed_statement(exc, start)
                 break
             then = self._parse_substatement()
-            else_kw = _tok_span(self.advance()) if self.cur.text == "else" else None
+            else_kw = self.tok_span(self.advance()) if self.texts[self.pos] == "else" else None
             links.append((start, annotations, markers, if_kw, cond, then, else_kw))
             if else_kw is None:
                 break
-            start, saved = self.cur, self.pos
+            start = self.pos
             try:
                 annotations = self._parse_annotations()
             except _Fail:
                 annotations = None
-            if annotations is None or self.cur.text != "if":
-                self.pos = saved  # not a link: the else branch is parsed whole
+            if annotations is None or self.texts[self.pos] != "if":
+                self.pos = start  # not a link: the else branch is parsed whole
                 else_branch = self._parse_substatement()
                 break
-            markers = _markers_from_trivia(start)
+            markers = self.markers_before(start)
         for start, annotations, markers, if_kw, cond, then, else_kw in reversed(links):
             else_branch = ast.If(cond, then, else_branch, if_kw, else_kw,
                                  self.span_from(start), annotations, markers)
@@ -642,7 +643,7 @@ class _Parser:
         return ast.Block(tuple(stmts), span)
 
     def _parse_while(self, start, annotations, markers) -> ast.Loop:
-        kw = _tok_span(self.expect("while"))
+        kw = self.tok_span(self.expect("while"))
         self.expect("(")
         cond = self._parse_expr()
         self.expect(")")
@@ -651,7 +652,7 @@ class _Parser:
                         annotations=annotations, markers=markers)
 
     def _parse_do_while(self, start, annotations, markers) -> ast.Loop:
-        kw = _tok_span(self.expect("do"))
+        kw = self.tok_span(self.expect("do"))
         body = self._parse_substatement()
         self.expect("while")
         self.expect("(")
@@ -662,7 +663,7 @@ class _Parser:
                         annotations=annotations, markers=markers)
 
     def _parse_for(self, start, annotations, markers) -> ast.Loop:
-        kw = _tok_span(self.expect("for"))
+        kw = self.tok_span(self.expect("for"))
         self.expect("(")
 
         enhanced = self._try_parse_for_each_header()
@@ -675,8 +676,8 @@ class _Parser:
                             annotations=annotations, markers=markers)
 
         init: list[ast.Stmt] = []
-        if self.cur.text != ";":
-            decl_start = self.cur
+        if self.texts[self.pos] != ";":
+            decl_start = self.pos
             decls = self._try_parse_local_decl(decl_start, (), ())
             if decls is not None:
                 init.extend(decls)
@@ -686,13 +687,13 @@ class _Parser:
         else:
             self.advance()
         cond = None
-        if self.cur.text != ";":
+        if self.texts[self.pos] != ";":
             cond = self._parse_expr()
         self.expect(";")
         update: list[ast.Expr] = []
-        if self.cur.text != ")":
+        if self.texts[self.pos] != ")":
             update.append(self._parse_expr())
-            while self.cur.text == ",":
+            while self.texts[self.pos] == ",":
                 self.advance()
                 update.append(self._parse_expr())
         self.expect(")")
@@ -702,9 +703,9 @@ class _Parser:
                         annotations=annotations, markers=markers)
 
     def _parse_expr_list_stmt(self) -> ast.Stmt:
-        start = self.cur
+        start = self.pos
         exprs = [self._parse_expr()]
-        while self.cur.text == ",":
+        while self.texts[self.pos] == ",":
             self.advance()
             exprs.append(self._parse_expr())
         span = self.span_from(start)
@@ -713,25 +714,24 @@ class _Parser:
         return ast.Block(tuple(ast.ExprStmt(e, e.span) for e in exprs), span)
 
     def _try_parse_for_each_header(self) -> Optional[tuple[ast.LocalDecl, ast.Expr]]:
-        saved = self.pos
+        start = self.pos
         try:
-            start = self.cur
             anns = self._parse_variable_modifiers()
             declared = self._parse_local_type()
-            name = self.expect_ident("loop variable").text
-            if self.cur.text != ":":
-                raise _Fail("not an enhanced for", _tok_span(self.cur))
+            name = self.texts[self.expect_ident("loop variable")]
+            if self.texts[self.pos] != ":":
+                raise _Fail("not an enhanced for", self.tok_span(self.pos))
             self.advance()
             iterable = self._parse_expr()
             var = ast.LocalDecl(name, declared, None, self.span_from(start), anns, ())
             return var, iterable
         except _Fail:
-            self.pos = saved
+            self.pos = start
             return None
 
     def _try_parse_local_decl(
         self,
-        start: Token,
+        start: int,
         annotations: tuple[ast.AnnotationUse, ...],
         markers: tuple[ast.Marker, ...],
     ) -> Optional[list[ast.Stmt]]:
@@ -740,13 +740,13 @@ class _Parser:
         try:
             annotations += self._parse_variable_modifiers()
             declared = self._parse_local_type()
-            if self.cur.kind != _IDENT:
-                raise _Fail("not a declaration", _tok_span(self.cur))
-            name_tok = self.cur
-            if self.peek().text not in ("=", ";", ",", "["):
-                raise _Fail("not a declaration", _tok_span(self.cur))
+            if self.kinds[self.pos] != _IDENT:
+                raise _Fail("not a declaration", self.tok_span(self.pos))
+            name_tok = self.pos
+            if self.texts[self.pos + 1] not in ("=", ";", ",", "["):
+                raise _Fail("not a declaration", self.tok_span(self.pos))
             self.advance()
-            names = self._parse_declarators(name_tok.text, "variable name")
+            names = self._parse_declarators(self.texts[name_tok], "variable name")
             span = self.span_from(start)
             return [
                 ast.LocalDecl(nm, declared, iv, span,
@@ -762,45 +762,45 @@ class _Parser:
         """The type of a local variable, loop variable or try resource, after
         its modifiers: `var` before a name (None: no type is inferred) or a
         type."""
-        if self.cur.text == "var" and self.peek().kind == _IDENT:
+        if self.texts[self.pos] == "var" and self.kinds[self.pos + 1] == _IDENT:
             self.advance()
             return None
         return self._parse_type()
 
     def _parse_switch(self, start, annotations, markers) -> ast.Switch:
-        kw = _tok_span(self.expect("switch"))
+        kw = self.tok_span(self.expect("switch"))
         self.expect("(")
         scrutinee = self._parse_expr()
         self.expect(")")
         self.expect("{")
         cases: list[ast.SwitchCase] = []
-        while self.cur.text != "}" and self.cur.kind != _EOF:
-            case_start = self.cur
+        while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
+            case_start = self.pos
             labels: list[ast.CaseLabel] = []
-            while self.cur.text in ("case", "default"):
-                lbl_start = self.cur
-                if self.cur.text == "default":
+            while self.texts[self.pos] in ("case", "default"):
+                lbl_start = self.pos
+                if self.texts[self.pos] == "default":
                     self.advance()
                     labels.append(ast.CaseLabel(None, self.span_from(lbl_start)))
                 else:
                     self.advance()
                     expr = self._parse_binary()  # no ternary: ':' ends the label
-                    while self.cur.text == ",":  # case A, B:
+                    while self.texts[self.pos] == ",":  # case A, B:
                         self.advance()
                         labels.append(ast.CaseLabel(expr, self.span_from(lbl_start)))
-                        lbl_start = self.cur
+                        lbl_start = self.pos
                         expr = self._parse_binary()
                     labels.append(ast.CaseLabel(expr, self.span_from(lbl_start)))
-                if self.cur.text == "->":
+                if self.texts[self.pos] == "->":
                     self.diag("arrow switch case analyzed as labeled case",
-                              _tok_span(self.cur))
+                              self.tok_span(self.pos))
                     self.advance()
                     break
                 self.expect(":")
             if not labels:
-                raise _Fail("expected 'case' or 'default'", _tok_span(self.cur))
+                raise _Fail("expected 'case' or 'default'", self.tok_span(self.pos))
             stmts: list[ast.Stmt] = []
-            while self.cur.text not in ("}", "case", "default") and self.cur.kind != _EOF:
+            while self.texts[self.pos] not in ("}", "case", "default") and self.kinds[self.pos] != _EOF:
                 stmts.extend(self._parse_statement_recovering())
             cases.append(ast.SwitchCase(tuple(labels), tuple(stmts),
                                         self.span_from(case_start)))
@@ -809,45 +809,45 @@ class _Parser:
                           annotations, markers)
 
     def _parse_try(self, start, annotations, markers) -> ast.Try:
-        kw = _tok_span(self.expect("try"))
+        kw = self.tok_span(self.expect("try"))
         resources: list[ast.LocalDecl] = []
-        if self.cur.text == "(":
+        if self.texts[self.pos] == "(":
             self.advance()
-            while self.cur.text != ")" and self.cur.kind != _EOF:
-                res_start = self.cur
+            while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
+                res_start = self.pos
                 anns = self._parse_variable_modifiers()
                 declared = self._parse_local_type()
-                name = self.expect_ident("resource name").text
+                name = self.texts[self.expect_ident("resource name")]
                 self.expect("=")
                 init = self._parse_expr()
                 resources.append(
                     ast.LocalDecl(name, declared, init, self.span_from(res_start), anns, ())
                 )
-                if self.cur.text == ";":
+                if self.texts[self.pos] == ";":
                     self.advance()
                 else:
                     break
             self.expect(")")
         body = self._parse_block()
         catches: list[ast.CatchClause] = []
-        while self.cur.text == "catch":
-            c_start = self.cur
-            c_kw = _tok_span(self.advance())
+        while self.texts[self.pos] == "catch":
+            c_start = self.pos
+            c_kw = self.tok_span(self.advance())
             self.expect("(")
             self._parse_variable_modifiers()
             types = [self._parse_type()]
-            while self.cur.text == "|":  # multi-catch: one clause
+            while self.texts[self.pos] == "|":  # multi-catch: one clause
                 self.advance()
                 types.append(self._parse_type())
-            pname = self.expect_ident("catch parameter").text
+            pname = self.texts[self.expect_ident("catch parameter")]
             self.expect(")")
             c_body = self._parse_block()
             catches.append(ast.CatchClause(pname, tuple(types), c_body, c_kw,
                                            self.span_from(c_start)))
         finally_block = None
         finally_kw = None
-        if self.cur.text == "finally":
-            finally_kw = _tok_span(self.advance())
+        if self.texts[self.pos] == "finally":
+            finally_kw = self.tok_span(self.advance())
             finally_block = self._parse_block()
         return ast.Try(tuple(resources), body, tuple(catches), finally_block,
                        kw, finally_kw, self.span_from(start), annotations, markers)
@@ -856,19 +856,19 @@ class _Parser:
 
     def _parse_expr(self) -> ast.Expr:
         """An expression: an assignment, a ternary or a binary chain."""
-        start = self.cur
+        start = self.pos
         lhs = self._parse_ternary()
-        if self.cur.text in _ASSIGN_OPS:
-            op = self.advance().text
+        if self.texts[self.pos] in _ASSIGN_OPS:
+            op = self.texts[self.advance()]
             value = self._parse_expr()
             return ast.Assign(op, lhs, value, self.span_from(start))
         return lhs
 
     def _parse_ternary(self) -> ast.Expr:
-        start = self.cur
+        start = self.pos
         cond = self._parse_binary()
-        if self.cur.text == "?":
-            q_span = _tok_span(self.advance())
+        if self.texts[self.pos] == "?":
+            q_span = self.tok_span(self.advance())
             then_expr = self._parse_ternary()
             self.expect(":")
             else_expr = self._parse_ternary()
@@ -878,7 +878,7 @@ class _Parser:
     def _parse_binary(self, min_prec: int = 1) -> ast.Expr:
         """Precedence climbing: a chain of binary operators of level min_prec
         or tighter, left-associative; each node spans from the chain's start."""
-        start = self.cur
+        start = self.pos
         lhs = self._parse_unary()
         # after combining at level p only level p or looser may follow, so
         # `x instanceof T - b`, whose type operand is no shift expression,
@@ -889,14 +889,13 @@ class _Parser:
             if not min_prec <= prec <= ceiling:
                 return lhs
             ceiling = prec
-            op_tok = self.advance()
-            if op_tok.text == ">":
-                for _ in op[1:]:  # the adjacent ">"s of a '>>' or '>>>'
-                    self.advance()
+            op_tok = self.pos
+            # a '>>' or '>>>' is that many adjacent ">" tokens
+            self.pos += len(op) if self.texts[op_tok] == ">" else 1
             op_span = self.span_from(op_tok)
             if op == "instanceof":
                 ty = self._parse_type()
-                if self.cur.kind == _IDENT:  # pattern variable (accepted, unused)
+                if self.kinds[self.pos] == _IDENT:  # pattern variable (accepted, unused)
                     self.advance()
                 rhs = ast.NameRef(ty.qualified_name, ty.span)
             else:
@@ -906,62 +905,60 @@ class _Parser:
     def _binary_op(self) -> tuple[str, int]:
         """The binary operator at the cursor and its level (0 if none); a
         '>' followed by an adjacent '>' is a shift."""
-        t = self.cur
-        op = t.text
-        if t.text == ">":
-            nxt, third = self.peek(), self.peek(2)
-            if nxt.text == ">" and t.byte_end == nxt.byte_start:
-                adjacent = third.text == ">" and nxt.byte_end == third.byte_start
-                op = ">>>" if adjacent else ">>"
+        i, texts = self.pos, self.texts
+        op = texts[i]
+        if op == ">" and texts[i + 1] == ">" and self.ends[i] == self.starts[i + 1]:
+            adjacent = texts[i + 2] == ">" and self.ends[i + 1] == self.starts[i + 2]
+            op = ">>>" if adjacent else ">>"
         return op, _BINARY_PREC.get(op, 0)
 
     def _parse_unary(self) -> ast.Expr:
-        start = self.cur
-        if start.text in _PREFIX_OPS:
+        start = self.pos
+        text = self.texts[start]
+        if text in _PREFIX_OPS:
             self.advance()
-            return ast.Unary(start.text, self._parse_unary(), self.span_from(start))
-        if start.text == "(":
+            return ast.Unary(text, self._parse_unary(), self.span_from(start))
+        if text == "(":
             cast = self._try_parse_cast(start)
             if cast is not None:
                 return cast
         return self._parse_postfix()
 
-    def _try_parse_cast(self, start: Token) -> Optional[ast.Expr]:
-        saved = self.pos
+    def _try_parse_cast(self, start: int) -> Optional[ast.Expr]:
         try:
             self.expect("(")
             ty = self._parse_type()
             self.expect(")")
-            t = self.cur
-            castable = t.kind == _IDENT or t.kind in _LITERALS or t.text in ("(", "!", "~")
-            if castable and t.text != "instanceof":
+            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            castable = kind == _IDENT or kind in _LITERALS or text in ("(", "!", "~")
+            if castable and text != "instanceof":
                 inner = self._parse_unary()
                 return ast.Cast(ty, inner, self.span_from(start))
-            raise _Fail("not a cast", _tok_span(self.cur))
+            raise _Fail("not a cast", self.tok_span(self.pos))
         except _Fail:
-            self.pos = saved
+            self.pos = start
             return None
 
     def _parse_postfix(self) -> ast.Expr:
-        start = self.cur
+        start = self.pos
         expr = self._parse_primary()
         while True:
-            k = self.cur.text
+            k = self.texts[self.pos]
             if k == ".":
-                if self.peek().text == "<":  # obj.<T>call()
+                if self.texts[self.pos + 1] == "<":  # obj.<T>call()
                     self.advance()
                     self._skip_generics()
                     name_tok = self.expect_ident("member name")
-                elif self.peek().kind == _IDENT:
+                elif self.kinds[self.pos + 1] == _IDENT:
                     self.advance()
                     name_tok = self.advance()
                 else:
-                    raise _Fail("expected member name after '.'", _tok_span(self.peek()))
-                if self.cur.text == "(":
+                    raise _Fail("expected member name after '.'", self.tok_span(self.pos + 1))
+                if self.texts[self.pos] == "(":
                     args = self._parse_call_args()
-                    expr = ast.Call(expr, name_tok.text, args, self.span_from(start))
+                    expr = ast.Call(expr, self.texts[name_tok], args, self.span_from(start))
                 else:
-                    expr = ast.FieldAccess(expr, name_tok.text, self.span_from(start))
+                    expr = ast.FieldAccess(expr, self.texts[name_tok], self.span_from(start))
             elif k == "(" and isinstance(expr, ast.NameRef):
                 args = self._parse_call_args()
                 expr = ast.Call(None, expr.name, args, self.span_from(start))
@@ -972,13 +969,13 @@ class _Parser:
                 expr = ast.IndexAccess(expr, idx, self.span_from(start))
             elif k == "::":
                 self.advance()
-                if self.cur.kind == _IDENT:  # a method name or `new`
-                    name = self.advance().text
+                if self.kinds[self.pos] == _IDENT:  # a method name or `new`
+                    name = self.texts[self.advance()]
                 else:
-                    raise _Fail("expected method reference name", _tok_span(self.cur))
+                    raise _Fail("expected method reference name", self.tok_span(self.pos))
                 expr = ast.MethodRef(expr, name, self.span_from(start))
             elif k in ("++", "--"):
-                op = self.advance().text
+                op = self.texts[self.advance()]
                 expr = ast.Unary(op, expr, self.span_from(start))
             else:
                 return expr
@@ -986,9 +983,9 @@ class _Parser:
     def _parse_call_args(self) -> tuple[ast.Expr, ...]:
         self.expect("(")
         args: list[ast.Expr] = []
-        while self.cur.text != ")" and self.cur.kind != _EOF:
+        while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
             args.append(self._parse_expr())
-            if self.cur.text == ",":
+            if self.texts[self.pos] == ",":
                 self.advance()
             else:
                 break
@@ -996,32 +993,31 @@ class _Parser:
         return tuple(args)
 
     def _parse_primary(self) -> ast.Expr:
-        start = self.cur
-        if start.kind in _LITERALS or start.text in ("true", "false", "null"):
+        start = self.pos
+        kind, word = self.kinds[start], self.texts[start]
+        if kind in _LITERALS or word in ("true", "false", "null"):
             self.advance()
-            return ast.Literal(start.text, _tok_span(start))
+            return ast.Literal(word, self.tok_span(start))
 
-        if start.kind == _IDENT:
-            word = start.text
+        if kind == _IDENT:
             if word == "new":
                 return self._parse_new(start)
             if word == "switch":
-                self.diag("switch expression is not analyzed", _tok_span(self.cur))
+                self.diag("switch expression is not analyzed", self.tok_span(self.pos))
                 self.advance()
                 self.expect("(")
                 scrutinee = self._parse_expr()
                 self.expect(")")
                 self._skip_balanced("{", "}")
                 return ast.Opaque((scrutinee,), self.span_from(start))
-            if self.peek().text == "->":  # single-param lambda
-                name = self.advance().text
-                self.advance()
+            if self.texts[start + 1] == "->":  # single-param lambda
+                self.pos = start + 2
                 body = self._parse_lambda_body()
-                return ast.Lambda((name,), body, self.span_from(start))
-            t = self.advance()
-            return ast.NameRef(t.text, _tok_span(t))
+                return ast.Lambda((word,), body, self.span_from(start))
+            self.advance()
+            return ast.NameRef(word, self.tok_span(start))
 
-        if start.text == "(":
+        if word == "(":
             if self._lparen_starts_lambda():
                 return self._parse_paren_lambda(start)
             self.advance()
@@ -1029,66 +1025,67 @@ class _Parser:
             self.expect(")")
             return inner
 
-        if start.text == "{":
+        if word == "{":
             return self._parse_initializer_list()
 
-        raise _Fail("expected expression", _tok_span(self.cur))
+        raise _Fail("expected expression", self.tok_span(self.pos))
 
-    def _parse_new(self, start: Token) -> ast.Expr:
+    def _parse_new(self, start: int) -> ast.Expr:
         self.expect("new")
         ty = self._parse_type()
-        if self.cur.text == "[":
+        if self.texts[self.pos] == "[":
             dims: list[ast.Expr] = []
-            while self.cur.text == "[":
+            while self.texts[self.pos] == "[":
                 self.advance()
-                if self.cur.text != "]":
+                if self.texts[self.pos] != "]":
                     dims.append(self._parse_expr())
                 self.expect("]")
             init = None
-            if self.cur.text == "{":
+            if self.texts[self.pos] == "{":
                 init = self._parse_initializer_list()
             return ast.ArrayNew(ty, tuple(dims), init, self.span_from(start))
         args: tuple[ast.Expr, ...] = ()
-        if self.cur.text == "(":
+        if self.texts[self.pos] == "(":
             args = self._parse_call_args()
-        if self.cur.text == "{":
-            self.diag("anonymous class body is not analyzed", _tok_span(self.cur))
+        if self.texts[self.pos] == "{":
+            self.diag("anonymous class body is not analyzed", self.tok_span(self.pos))
             self._skip_balanced("{", "}")
             return ast.Opaque(args, self.span_from(start))
         return ast.New(ty, args, self.span_from(start))
 
     def _lparen_starts_lambda(self) -> bool:
-        # scan to the matching ')' and check for '->'; the list ends in EOF,
-        # so a ')' always has a next token
+        # scan to the matching ')' and check for '->'; the lists end in EOF
+        # entries, so a ')' always has a next token
+        texts = self.texts
         depth = 0
-        for i in range(self.pos, len(self.toks)):
-            k = self.toks[i].text
+        for i in range(self.pos, len(texts)):
+            k = texts[i]
             if k == "(":
                 depth += 1
             elif k == ")":
                 depth -= 1
                 if depth == 0:
-                    return self.toks[i + 1].text == "->"
+                    return texts[i + 1] == "->"
             elif k in (";", "{"):
                 return False
         return False
 
-    def _parse_paren_lambda(self, start: Token) -> ast.Expr:
+    def _parse_paren_lambda(self, start: int) -> ast.Expr:
         self.expect("(")
         params: list[str] = []
-        while self.cur.text != ")" and self.cur.kind != _EOF:
+        while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
             self._parse_variable_modifiers()
             last_name = None
-            while self.cur.text not in (",", ")") and self.cur.kind != _EOF:
-                if self.cur.kind == _IDENT:
-                    last_name = self.cur.text
-                if self.cur.text == "<":
+            while self.texts[self.pos] not in (",", ")") and self.kinds[self.pos] != _EOF:
+                if self.kinds[self.pos] == _IDENT:
+                    last_name = self.texts[self.pos]
+                if self.texts[self.pos] == "<":
                     self._skip_generics()
                 else:
                     self.advance()
             if last_name:
                 params.append(last_name)
-            if self.cur.text == ",":
+            if self.texts[self.pos] == ",":
                 self.advance()
         self.expect(")")
         self.expect("->")
@@ -1096,7 +1093,7 @@ class _Parser:
         return ast.Lambda(tuple(params), body, self.span_from(start))
 
     def _parse_lambda_body(self):
-        if self.cur.text == "{":
+        if self.texts[self.pos] == "{":
             return self._parse_block()
         return self._parse_expr()
 
@@ -1104,8 +1101,8 @@ class _Parser:
 
     def _skip_to_semi(self) -> None:
         depth = 0
-        while self.cur.kind != _EOF:
-            k = self.cur.text
+        while self.kinds[self.pos] != _EOF:
+            k = self.texts[self.pos]
             if k == ";" and depth == 0:
                 self.advance()
                 return
@@ -1119,8 +1116,8 @@ class _Parser:
 
     def _skip_balanced(self, open_text: str, close_text: str) -> None:
         depth = 0
-        while self.cur.kind != _EOF:
-            k = self.cur.text
+        while self.kinds[self.pos] != _EOF:
+            k = self.texts[self.pos]
             if k == open_text:
                 depth += 1
             elif k == close_text:
@@ -1132,8 +1129,8 @@ class _Parser:
 
     def _recover_member(self) -> None:
         depth = 0
-        while self.cur.kind != _EOF:
-            k = self.cur.text
+        while self.kinds[self.pos] != _EOF:
+            k = self.texts[self.pos]
             if k == ";" and depth == 0:
                 self.advance()
                 return
@@ -1157,12 +1154,3 @@ def _parse_decimal(text: str) -> Optional[Fraction]:
         return None
     return Fraction(t)
 
-
-def _markers_from_trivia(tok: Token) -> tuple[ast.Marker, ...]:
-    markers: list[ast.Marker] = []
-    for tr in tok.trivia:  # line comments only
-        m = MARKER_COMMENT_RE.match(tr.text)
-        if m:
-            span = Span(tr.byte_start, tr.byte_end, tr.line, tr.line)
-            markers.append(ast.Marker(Fraction(m.group(1)), span))
-    return tuple(markers)

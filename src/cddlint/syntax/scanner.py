@@ -2,17 +2,22 @@
 
 Lexical contract:
   - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
-  - a token is (kind, text, byte_start, byte_end, line, trivia); its kind is
-    IDENT (keywords included), NUMBER, STRING, CHAR, PUNCT or EOF, and no
-    token spans lines, so one line number places it
+  - the result is one TokenStream of parallel lists: token i is
+    ``kinds[i]``, ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``lines[i]``;
+    its kind is IDENT (keywords included), NUMBER, STRING, CHAR, PUNCT or
+    EOF, and no token spans lines, so one line number places it
   - an operator or separator is a PUNCT token named by its spelling alone:
-    ``tok.text`` is "{", "->", "+=", ... as in JLS SE 17 §3.11-3.12
-  - ``//`` line comments are attached as trivia to the following token;
-    trailing ones, with no token after them, ride a final EOF token
-  - whitespace and ``/* */`` block comments make no object: they only move
+    ``texts[i]`` is "{", "->", "+=", ... as in JLS SE 17 §3.11-3.12
+  - ``//`` line comments are kept in ``comments`` under the number of the
+    token that follows them; trailing ones, with no token after them, are
+    kept under a final EOF token
+  - whitespace and ``/* */`` block comments make no entry: they only move
     the line counter
-  - an EOF token ends the list whenever anything follows the last token,
-    so tokenize("") == [] but tokenize("  ") is one EOF token
+  - an EOF token ends the stream whenever anything follows the last token,
+    so len(tokenize("")) == 0 but tokenize("  ") is one EOF token
+  - ``len()`` counts the tokens, that EOF included; two more EOF entries at
+    the end of the input follow in every list, so the parser may look two
+    tokens past the last one without a bounds check
   - ``>>`` and ``>>>`` are emitted as adjacent ">" tokens (the parser
     re-merges them into shifts); ``>>=``, ``>>>=``, ``<<`` and ``<<=`` are
     single tokens
@@ -29,7 +34,7 @@ import re
 from sys import intern
 from typing import NoReturn
 
-from .tokens import InvalidCharacter, Token, TokenKind, Trivia
+from .tokens import InvalidCharacter, TokenKind, TokenStream
 
 # Group numbers, in pattern order; m.lastindex names the alternative matched.
 _SPACE, _LINE, _BAD_BLOCK, _IDENT, _NUMBER, _STRING, _CHAR, _PUNCTUATION, \
@@ -64,37 +69,52 @@ def active_backend() -> str:
     return "pure-python"
 
 
-def tokenize(text: str) -> list[Token]:
-    """Lex source text into tokens with byte spans and attached line comments."""
+def tokenize(text: str) -> TokenStream:
+    """Lex source text into a token stream with byte spans and line comments."""
     return tokenize_bytes(text.encode("utf-8"))
 
 
-def tokenize_bytes(data: bytes) -> list[Token]:
+def tokenize_bytes(data: bytes) -> TokenStream:
     """Lex UTF-8 bytes; spans index directly into ``data``."""
-    tokens: list[Token] = []
-    append = tokens.append
-    comments: list[Trivia] = []
+    kinds: list[int] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    lines: list[int] = []
+    add_kind, add_text, add_start, add_end, add_line = (
+        kinds.append, texts.append, starts.append, ends.append, lines.append)
+    comments: dict[int, list[tuple[str, int, int, int]]] = {}
     line = 1
     for m in _TOKEN_RE.finditer(data):
         group = m.lastindex
         start, end = m.span()
         if group == _SPACE:
             line += data.count(b"\n", start, end)
-        elif group == _LINE:
-            comments.append(Trivia(m.group().decode("utf-8"), start, end, line))
         elif _IDENT <= group <= _PUNCTUATION:
             text = m.group().decode("utf-8")
             if group == _IDENT or group == _PUNCTUATION:
                 text = intern(text)
-            append(Token(_KIND[group], text, start, end, line, tuple(comments)))
-            if comments:
-                comments = []
+            add_kind(_KIND[group])
+            add_text(text)
+            add_start(start)
+            add_end(end)
+            add_line(line)
+        elif group == _LINE:
+            comment = (m.group().decode("utf-8"), start, end, line)
+            comments.setdefault(len(kinds), []).append(comment)
         else:
             _raise(data, group, start, end, line)
     n = len(data)
-    if n and (not tokens or tokens[-1].byte_end < n):
-        append(Token(TokenKind.EOF, "", n, n, line, tuple(comments)))
-    return tokens
+    count = len(kinds)
+    if n and (not count or ends[-1] < n):
+        count += 1
+    eofs = count - len(kinds) + 2  # the final EOF token, if any, and two more
+    kinds += [TokenKind.EOF] * eofs
+    texts += [""] * eofs
+    starts += [n] * eofs
+    ends += [n] * eofs
+    lines += [line] * eofs
+    return TokenStream(kinds, texts, starts, ends, lines, comments, count)
 
 
 def _raise(data: bytes, group: int, start: int, end: int, line: int) -> NoReturn:

@@ -1,9 +1,8 @@
-"""Token and trivia records produced by the scanner."""
+"""The token stream produced by the scanner."""
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 
 class TokenKind(enum.IntEnum):
@@ -15,22 +14,29 @@ class TokenKind(enum.IntEnum):
     EOF = 6
 
 
-class Trivia(NamedTuple):
-    """A `//` line comment; the only trivia the scanner keeps."""
+class TokenStream:
+    """Tokens as parallel lists indexed by token number: token i is
+    ``kinds[i]``, ``texts[i]``, bytes ``starts[i]:ends[i]``, on ``lines[i]``.
+    ``comments`` maps a token number to the ``//`` line comments before it,
+    each a (text, byte_start, byte_end, line) tuple.
 
-    text: str
-    byte_start: int
-    byte_end: int
-    line: int
+    ``len()`` is the token count. The lists run two EOF entries past it, so
+    a reader may look up to two tokens beyond the last one.
+    """
 
+    __slots__ = ("kinds", "texts", "starts", "ends", "lines", "comments", "count")
 
-class Token(NamedTuple):
-    kind: int
-    text: str
-    byte_start: int
-    byte_end: int
-    line: int
-    trivia: tuple[Trivia, ...]
+    def __init__(self, kinds, texts, starts, ends, lines, comments, count):
+        self.kinds: list[int] = kinds
+        self.texts: list[str] = texts
+        self.starts: list[int] = starts
+        self.ends: list[int] = ends
+        self.lines: list[int] = lines
+        self.comments: dict[int, list[tuple[str, int, int, int]]] = comments
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
 
 
 class InvalidCharacter(Exception):

@@ -227,7 +227,10 @@ def _mutants(count: int, seed: int):
     """Fixture texts with tokens deleted, or copies of tokens inserted."""
     rng = random.Random(seed)
     sources = [p.read_bytes() for p in sorted(FIXTURES.rglob("*.java"))]
-    spans = [[(t.byte_start, t.byte_end) for t in tokenize(s.decode())] for s in sources]
+    spans = []
+    for source in sources:
+        ts = tokenize(source.decode())
+        spans.append([(ts.starts[i], ts.ends[i]) for i in range(len(ts))])
     for _ in range(count):
         i = rng.randrange(len(sources))
         data, toks = sources[i], spans[i]
@@ -312,7 +315,8 @@ class TestTreeInvariants:
         text = path.read_text()
         unit = parse_unit(text, path.name)
         assert unit.diagnostics == (), "oracle corpus must parse cleanly"
-        words = [t.text for t in tokenize(text) if t.kind == TokenKind.IDENT]
+        ts = tokenize(text)
+        words = [w for k, w in zip(ts.kinds, ts.texts) if k == TokenKind.IDENT]
         nodes = list(all_nodes(unit))
         assert words.count("if") == sum(isinstance(n, ast.If) for n in nodes)
         # every for/for-each has one `for`; a while has one `while`; a
