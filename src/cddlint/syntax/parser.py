@@ -6,6 +6,9 @@ unparseable statement becomes an Opaque expression, an unparseable member is
 skipped, both with a recorded Diagnostic; an unparseable type header raises
 ParseError.
 
+Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
+the number of the current token, and spans are built from its lists.
+
 Binary operators are parsed by one precedence-climbing loop,
 ``_Parser._parse_binary``, driven by ``_BINARY_LEVELS``: that table is the one
 place operator precedence lives.
@@ -96,10 +99,9 @@ def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
 
 
 class _Parser:
-    """Reads the stream by token number: ``self.pos`` is the current token.
-    The stream's lists run two EOF entries past its last token, so lookahead
-    needs no bounds check, and ``advance`` is only called on a token its
-    caller has tested, never on EOF."""
+    """Lookahead needs no bounds check, as the stream's lists run two EOF
+    entries past its last token; ``advance`` is only called on a token its
+    caller has tested, so never on EOF."""
 
     def __init__(self, tokens: TokenStream, data: bytes, path: str):
         self.kinds = tokens.kinds
@@ -277,11 +279,9 @@ class _Parser:
                 return
             if self.texts[self.pos] == "<":
                 self._skip_generics()  # generic method type parameters
-            if (
-                self.kinds[self.pos] == _IDENT
-                and self.texts[self.pos + 1] == "("
-                and self.texts[self.pos] not in _NON_TYPE_WORDS
-            ):
+            i = self.pos
+            if (self.kinds[i] == _IDENT and self.texts[i + 1] == "("
+                    and self.texts[i] not in _NON_TYPE_WORDS):
                 methods.append(self._parse_method(start, annotations, None))
                 return
             return_type: Optional[ast.TypeRef] = None
@@ -344,7 +344,7 @@ class _Parser:
             start = self.pos
             anns = self._parse_variable_modifiers()
             ptype = self._parse_type()
-            if self.texts[self.pos] == "...":
+            if self._at_annotated("..."):
                 self.advance()  # varargs behave like the element type
             name = self.texts[self.expect_ident("parameter name")]
             self._skip_array_suffix()
@@ -405,17 +405,13 @@ class _Parser:
                 self.advance()
                 name += "." + self.texts[self.advance()]
             numeric: Optional[Fraction] = None
-            if self.texts[self.pos] == "(":
-                if (
-                    self.kinds[self.pos + 1] == _NUMBER
-                    and self.texts[self.pos + 2] == ")"
-                ):
-                    self.advance()
-                    # stays None for non-decimal literals such as hex
-                    numeric = _parse_decimal(self.texts[self.advance()])
-                    self.advance()
-                else:
-                    self._skip_balanced("(", ")")
+            texts, i = self.texts, self.pos
+            if texts[i] == "(" and self.kinds[i + 1] == _NUMBER and texts[i + 2] == ")":
+                # stays None for non-decimal literals such as hex
+                numeric = _parse_decimal(texts[i + 1])
+                self.pos = i + 3
+            elif texts[i] == "(":
+                self._skip_balanced("(", ")")
             uses.append(ast.AnnotationUse(name, numeric, self.span_from(start)))
         return tuple(uses)
 
@@ -434,12 +430,13 @@ class _Parser:
             raise _Fail("expected type", self.tok_span(self.pos))
         name = self.texts[self.advance()]
         if name not in PRIMITIVES:
-            while (
-                self.texts[self.pos] == "."
-                and self.kinds[self.pos + 1] == _IDENT
-                and self.texts[self.pos + 1] not in _NON_TYPE_WORDS
-            ):
-                self.advance()
+            while self.texts[self.pos] == ".":
+                dot = self.advance()
+                if self.texts[self.pos] == "@":
+                    self._parse_annotations()  # java.util.@A List
+                if self.kinds[self.pos] != _IDENT or self.texts[self.pos] in _NON_TYPE_WORDS:
+                    self.pos = dot
+                    break
                 name += "." + self.texts[self.advance()]
         args: tuple[ast.TypeRef, ...] = ()
         if self.texts[self.pos] == "<":
@@ -470,17 +467,25 @@ class _Parser:
             self.expect(">")
             return tuple(args)
 
+    def _at_annotated(self, text: str) -> bool:
+        """Whether `text` follows the type-use annotations, if any, at the
+        cursor (JLS SE 17 §4.11); they are consumed only if it does."""
+        saved = self.pos
+        if self.texts[saved] == "@":
+            self._parse_annotations()
+        if self.texts[self.pos] == text:
+            return True
+        self.pos = saved
+        return False
+
     def _skip_array_suffix(self) -> None:
         """Dimensions `[]`, each after any type-use annotations (`String @A []`)."""
         while True:
             saved = self.pos
-            if self.texts[self.pos] == "@":
-                self._parse_annotations()
-            if self.texts[self.pos] != "[" or self.texts[self.pos + 1] != "]":
-                self.pos = saved  # annotations not followed by `[]` are not ours
+            if not (self._at_annotated("[") and self.texts[self.pos + 1] == "]"):
+                self.pos = saved
                 return
-            self.advance()
-            self.advance()
+            self.pos += 2
 
     def _skip_generics(self) -> None:
         depth = 0
@@ -537,18 +542,9 @@ class _Parser:
 
         if self.kinds[self.pos] == _IDENT:
             word = self.texts[self.pos]
-            if word == "if":
-                return [self._parse_if(start, annotations, markers)]
-            if word == "while":
-                return [self._parse_while(start, annotations, markers)]
-            if word == "do":
-                return [self._parse_do_while(start, annotations, markers)]
-            if word == "for":
-                return [self._parse_for(start, annotations, markers)]
-            if word == "switch":
-                return [self._parse_switch(start, annotations, markers)]
-            if word == "try":
-                return [self._parse_try(start, annotations, markers)]
+            parse_compound = self._COMPOUND_STATEMENTS.get(word)
+            if parse_compound is not None:
+                return [parse_compound(self, start, annotations, markers)]
             if word == "return":
                 self.advance()
                 expr = None
@@ -583,8 +579,7 @@ class _Parser:
                 return [ast.ExprStmt(ast.Opaque((), span), span, annotations, markers)]
             if self.texts[self.pos + 1] == ":" and word not in ("case", "default"):
                 self.diag("labeled statement: label ignored", self.tok_span(self.pos))
-                self.advance()
-                self.advance()
+                self.pos += 2
                 return self._parse_statement()
 
         decls = self._try_parse_local_decl(start, annotations, markers)
@@ -677,8 +672,7 @@ class _Parser:
 
         init: list[ast.Stmt] = []
         if self.texts[self.pos] != ";":
-            decl_start = self.pos
-            decls = self._try_parse_local_decl(decl_start, (), ())
+            decls = self._try_parse_local_decl(self.pos, (), ())
             if decls is not None:
                 init.extend(decls)
             else:
@@ -740,13 +734,10 @@ class _Parser:
         try:
             annotations += self._parse_variable_modifiers()
             declared = self._parse_local_type()
-            if self.kinds[self.pos] != _IDENT:
-                raise _Fail("not a declaration", self.tok_span(self.pos))
-            name_tok = self.pos
-            if self.texts[self.pos + 1] not in ("=", ";", ",", "["):
-                raise _Fail("not a declaration", self.tok_span(self.pos))
-            self.advance()
-            names = self._parse_declarators(self.texts[name_tok], "variable name")
+            i = self.pos  # the name, if this is a declaration
+            if self.kinds[i] != _IDENT or self.texts[i + 1] not in ("=", ";", ",", "[", "@"):
+                raise _Fail("not a declaration", self.tok_span(i))
+            names = self._parse_declarators(self.texts[self.advance()], "variable name")
             span = self.span_from(start)
             return [
                 ast.LocalDecl(nm, declared, iv, span,
@@ -800,7 +791,8 @@ class _Parser:
             if not labels:
                 raise _Fail("expected 'case' or 'default'", self.tok_span(self.pos))
             stmts: list[ast.Stmt] = []
-            while self.texts[self.pos] not in ("}", "case", "default") and self.kinds[self.pos] != _EOF:
+            while (self.texts[self.pos] not in ("}", "case", "default")
+                   and self.kinds[self.pos] != _EOF):
                 stmts.extend(self._parse_statement_recovering())
             cases.append(ast.SwitchCase(tuple(labels), tuple(stmts),
                                         self.span_from(case_start)))
@@ -945,15 +937,12 @@ class _Parser:
         while True:
             k = self.texts[self.pos]
             if k == ".":
-                if self.texts[self.pos + 1] == "<":  # obj.<T>call()
-                    self.advance()
+                self.advance()
+                if self.texts[self.pos] == "<":  # obj.<T>call()
                     self._skip_generics()
-                    name_tok = self.expect_ident("member name")
-                elif self.kinds[self.pos + 1] == _IDENT:
-                    self.advance()
-                    name_tok = self.advance()
-                else:
-                    raise _Fail("expected member name after '.'", self.tok_span(self.pos + 1))
+                elif self.kinds[self.pos] != _IDENT:
+                    raise _Fail("expected member name after '.'", self.tok_span(self.pos))
+                name_tok = self.expect_ident("member name")
                 if self.texts[self.pos] == "(":
                     args = self._parse_call_args()
                     expr = ast.Call(expr, self.texts[name_tok], args, self.span_from(start))
@@ -1032,6 +1021,7 @@ class _Parser:
 
     def _parse_new(self, start: int) -> ast.Expr:
         self.expect("new")
+        self._parse_annotations()  # type-use annotations, read and dropped
         ty = self._parse_type()
         if self.texts[self.pos] == "[":
             dims: list[ast.Expr] = []
@@ -1146,6 +1136,12 @@ class _Parser:
             self.advance()
 
     _recover_statement = _recover_member
+
+    # statements that start with a keyword and hold other statements or blocks
+    _COMPOUND_STATEMENTS = {
+        "if": _parse_if, "while": _parse_while, "do": _parse_do_while,
+        "for": _parse_for, "switch": _parse_switch, "try": _parse_try,
+    }
 
 
 def _parse_decimal(text: str) -> Optional[Fraction]:

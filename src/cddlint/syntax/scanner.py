@@ -2,22 +2,20 @@
 
 Lexical contract:
   - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
-  - the result is one TokenStream of parallel lists: token i is
-    ``kinds[i]``, ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``lines[i]``;
-    its kind is IDENT (keywords included), NUMBER, STRING, CHAR, PUNCT or
-    EOF, and no token spans lines, so one line number places it
+  - the result is a TokenStream of parallel lists: token i is ``kinds[i]``,
+    ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``lines[i]``; a kind is
+    IDENT (keywords included), NUMBER, STRING, CHAR, PUNCT or EOF, and no
+    token spans lines, so one line number places it
   - an operator or separator is a PUNCT token named by its spelling alone:
     ``texts[i]`` is "{", "->", "+=", ... as in JLS SE 17 §3.11-3.12
-  - ``//`` line comments are kept in ``comments`` under the number of the
-    token that follows them; trailing ones, with no token after them, are
-    kept under a final EOF token
+  - ``comments[i]`` lists the ``//`` line comments before token i; trailing
+    ones, with no token after them, are listed under a final EOF token
   - whitespace and ``/* */`` block comments make no entry: they only move
     the line counter
   - an EOF token ends the stream whenever anything follows the last token,
     so len(tokenize("")) == 0 but tokenize("  ") is one EOF token
-  - ``len()`` counts the tokens, that EOF included; two more EOF entries at
-    the end of the input follow in every list, so the parser may look two
-    tokens past the last one without a bounds check
+  - ``len()`` counts the tokens, that EOF included; every list holds two
+    more EOF entries past them
   - ``>>`` and ``>>>`` are emitted as adjacent ">" tokens (the parser
     re-merges them into shifts); ``>>=``, ``>>>=``, ``<<`` and ``<<=`` are
     single tokens
@@ -105,15 +103,11 @@ def tokenize_bytes(data: bytes) -> TokenStream:
         else:
             _raise(data, group, start, end, line)
     n = len(data)
-    count = len(kinds)
-    if n and (not count or ends[-1] < n):
-        count += 1
+    count = len(kinds) + (n > 0 and (not kinds or ends[-1] < n))
     eofs = count - len(kinds) + 2  # the final EOF token, if any, and two more
-    kinds += [TokenKind.EOF] * eofs
-    texts += [""] * eofs
-    starts += [n] * eofs
-    ends += [n] * eofs
-    lines += [line] * eofs
+    for entries, eof in ((kinds, TokenKind.EOF), (texts, ""), (starts, n), (ends, n),
+                         (lines, line)):
+        entries += [eof] * eofs
     return TokenStream(kinds, texts, starts, ends, lines, comments, count)
 
 

@@ -15,14 +15,10 @@ class TokenKind(enum.IntEnum):
 
 
 class TokenStream:
-    """Tokens as parallel lists indexed by token number: token i is
-    ``kinds[i]``, ``texts[i]``, bytes ``starts[i]:ends[i]``, on ``lines[i]``.
-    ``comments`` maps a token number to the ``//`` line comments before it,
-    each a (text, byte_start, byte_end, line) tuple.
-
-    ``len()`` is the token count. The lists run two EOF entries past it, so
-    a reader may look up to two tokens beyond the last one.
-    """
+    """Token i is ``kinds[i]``, ``texts[i]``, bytes ``starts[i]:ends[i]``, on
+    ``lines[i]``; ``comments[i]``, if present, lists the ``//`` line comments
+    before it as (text, byte_start, byte_end, line). ``len()`` is the token
+    count; the lists run two EOF entries past it (see scanner.py)."""
 
     __slots__ = ("kinds", "texts", "starts", "ends", "lines", "comments", "count")
 

@@ -421,6 +421,13 @@ class TestHistory:
         assert "missing-repo" in err
 
 
+def fresh_interpreter_env() -> dict:
+    """The environment of a child interpreter that imports this cddlint."""
+    package_root = str(Path(cddlint.__file__).resolve().parent.parent)
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+
 class TestInstalledScript:
     def test_console_entry_point(self, tmp_path):
         tomllib = pytest.importorskip("tomllib")
@@ -434,14 +441,20 @@ class TestInstalledScript:
             "sys.argv = ['cddlint', *sys.argv[2:]]\n"
             "sys.exit(ep.load()())\n"
         )
-        package_root = str(Path(cddlint.__file__).resolve().parent.parent)
-        pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
         proc = subprocess.run(
             [sys.executable, "-c", wrapper, target, "--help"],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
+            capture_output=True, text=True, cwd=tmp_path, env=fresh_interpreter_env(),
         )
         assert_help_lists_subcommands(proc)
+
+    def test_module_entry_point(self, tmp_path, oracle_manifest):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cddlint", "check", str(ORACLE_DIR)],
+            capture_output=True, text=True, cwd=tmp_path, env=fresh_interpreter_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        units = sum(len(f["units"]) for f in oracle_manifest["files"].values())
+        assert proc.stdout.splitlines()[-1].startswith(f"{units} units, ")
 
     @pytest.mark.skipif(shutil.which("cddlint") is None,
                         reason="cddlint console script not installed on PATH")

@@ -374,6 +374,10 @@ class TestTypeUseAnnotations:
          " if (c) return; }", 4),
         ('void f(boolean c) { Object o = (List<@A("x") String>) (c ? g() : h());'
          " if (c) return; }", 4),
+        ("void f(boolean c, String @A ... xs) { if (c) return; }", 2),
+        ("void f(boolean c, java.util.@A List<String> xs) { if (c) return; }", 2),
+        ("void f(boolean c) { String xs @A [] = c ? g() : h(); if (c) return; }", 4),
+        ("void f(boolean c) { Object o = new @A String[c ? 1 : 2]; if (c) return; }", 4),
     ])
     def test_annotation_inside_a_type(self, member, total):
         for source in (member, re.sub(r'@\w+(\("x"\))? ', "", member)):

@@ -1,20 +1,29 @@
 """Property suites over generated sources: additivity, cost linearity,
-monotonicity, parallel determinism, and fix idempotence/soundness.
+monotonicity, parallel determinism, fix idempotence/soundness, the token
+stream's invariants, and nesting depth.
 
-All suites run 200 examples with hypothesis derandomization (fixed seed).
+The generated-class suites run 200 examples with hypothesis derandomization
+(fixed seed).
 """
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cddlint.annotations import DriftStatus, apply_fixes, extract_declared, reconcile
+from cddlint.cli import main
 from cddlint.engine import analyze_unit, verdict
+from cddlint.history import analyze_snapshot
+from cddlint.history.series import SnapshotFile
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
-from cddlint.syntax import parse_unit
+from cddlint.syntax import InvalidCharacter, TokenKind, parse_unit, tokenize
+
+from conftest import FIXTURES
 
 RULES = default_rules(internal_types=("Internal*",), external_types=("External*",))
 
@@ -244,3 +253,96 @@ def test_fix_idempotence_and_soundness(bodies, declared):
         assert reconcile(analysis, declared2).status is DriftStatus.IN_SYNC
 
     assert apply_fixes(fixed, analyses2, unit2) == fixed
+
+
+# ── the token stream ─────────────────────────────────────────────────────
+
+_SCAN_PIECES = sorted(set("".join(
+    p.read_text(encoding="utf-8") for p in FIXTURES.rglob("*.java")
+))) + ["//", "/*", "*/", "\n"]
+
+
+@given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=60).map("".join))
+@settings(max_examples=1000, derandomize=True, deadline=None)
+def test_token_stream_invariants(text):
+    """Every token is the bytes it spans, on the line its offset gives, in
+    order; line comments sit under token numbers; an EOF token ends the stream
+    exactly when something follows the last token; len() counts no sentinel."""
+    data = text.encode("utf-8")
+    try:
+        ts = tokenize(text)
+    except InvalidCharacter:
+        return
+    n = len(ts)
+    for i in range(n):
+        assert ts.texts[i] == data[ts.starts[i]:ts.ends[i]].decode("utf-8")
+        assert ts.lines[i] == 1 + data.count(b"\n", 0, ts.starts[i])
+        if i + 1 < n:
+            assert ts.ends[i] <= ts.starts[i + 1]
+    for i, comments in ts.comments.items():
+        assert 0 <= i < n
+        for comment, start, end, line in comments:
+            assert comment.startswith("//")
+            assert comment == data[start:end].decode("utf-8")
+            assert line == 1 + data.count(b"\n", 0, start)
+    tokens = [i for i in range(n) if ts.kinds[i] != TokenKind.EOF]
+    ends_in_eof = bool(data) and (not tokens or ts.ends[tokens[-1]] < len(data))
+    assert tokens == list(range(n - ends_in_eof))
+    # past len(), the lists hold only EOF entries, at least the two the
+    # parser may look ahead
+    lists = (ts.kinds, ts.texts, ts.starts, ts.ends, ts.lines)
+    assert len({len(lst) for lst in lists}) == 1 and len(ts.kinds) >= n + 2
+    tail = list(zip(*(lst[n - ends_in_eof:] for lst in lists)))
+    last_line = 1 + data.count(b"\n")
+    assert set(tail) == {(TokenKind.EOF, "", len(data), len(data), last_line)}
+
+
+# ── nesting depth ────────────────────────────────────────────────────────
+
+# forms the parser still reads by recursion: a statement nested `depth` deep,
+# and its hand-computed total at depth 100
+NESTED_FORMS = {
+    # if 1 + 101 conditions
+    "parentheses": (lambda d: "if (" + "(c && " * d + "c" + ")" * d + ") return;", 102),
+    # 100 ternaries 1 + their conditions 1
+    "ternaries": (lambda d: "int v = " + "c ? 0 : " * d + "1;", 200),
+    # if 1 + its condition 1
+    "unary chains": (lambda d: "if (" + "!" * d + "c) return;", 2),
+    # 100 ifs 1 + their conditions 1
+    "blocks": (lambda d: "{ if (c) return; " * d + "}" * d, 200),
+}
+
+
+def nested_class(form: str, depth: int) -> str:
+    stmt = NESTED_FORMS[form][0](depth)
+    return f"class Deep {{\n  void f(boolean c) {{\n    {stmt}\n  }}\n}}\n"
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_recursive_forms_parse_to_depth_100(form):
+    unit = parse_unit(nested_class(form, 100), "Deep.java")
+    assert unit.diagnostics == ()
+    [analysis] = analyze_unit(unit, RULES)
+    assert analysis.total == NESTED_FORMS[form][1]
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_too_deep_nesting_fails_its_file_alone(form, tmp_path, monkeypatch, capsys):
+    """2,000 levels exhaust the parser's recursion: `check` and `history`
+    report that one file as a parse failure and score the others."""
+    deep = nested_class(form, 2000)
+    ok = "class Ok { void f(boolean c) { if (c) return; } }"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "Deep.java").write_text(deep)
+    (tmp_path / "Ok.java").write_text(ok)
+    assert main(["check", "--format", "json", "."]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"] == [
+        {"path": "Deep.java", "message": "parse failed: nesting too deep"}
+    ]
+    assert [(u["path"], u["total"]) for u in doc["units"]] == [("Ok.java", 2)]
+
+    files = [SnapshotFile("Deep.java", deep, False), SnapshotFile("Ok.java", ok, False)]
+    stats = analyze_snapshot(files, RULES)
+    assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
+    assert (stats.class_count, stats.mean_icp) == (1, 2)
