@@ -479,12 +479,9 @@ class _Parser:
         return False
 
     def _skip_array_suffix(self) -> None:
-        """Dimensions `[]`, each after any type-use annotations (`String @A []`)."""
-        while True:
-            saved = self.pos
-            if not (self._at_annotated("[") and self.texts[self.pos + 1] == "]"):
-                self.pos = saved
-                return
+        """Dimensions `[]`, each after any type-use annotations (`String @A []`);
+        the annotations before a `[` that opens no `[]` are read too."""
+        while self._at_annotated("[") and self.texts[self.pos + 1] == "]":
             self.pos += 2
 
     def _skip_generics(self) -> None:

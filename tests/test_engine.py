@@ -378,6 +378,7 @@ class TestTypeUseAnnotations:
         ("void f(boolean c, java.util.@A List<String> xs) { if (c) return; }", 2),
         ("void f(boolean c) { String xs @A [] = c ? g() : h(); if (c) return; }", 4),
         ("void f(boolean c) { Object o = new @A String[c ? 1 : 2]; if (c) return; }", 4),
+        ("void f(boolean c) { Object o = new String @A [c ? 1 : 2]; if (c) return; }", 4),
     ])
     def test_annotation_inside_a_type(self, member, total):
         for source in (member, re.sub(r'@\w+(\("x"\))? ', "", member)):
