@@ -18,18 +18,25 @@ is not UTF-8, or that holds a newline, is read like any other.
 The directory provider reads plain `NNNN_<id>/` folders, so the pipeline
 can be exercised without git. It reads and hashes every file of each
 snapshot it lists; its key is the sha256 of the bytes.
+
+`subprocess` and `hashlib` are imported inside the calls that use them, and
+timestamps are formatted with `time`, not `datetime`: `cddlint.cli` imports
+this module for every command, and `check`, `reconcile` and `init` start no
+process and hash nothing, so they do not pay for loading these modules
+(`hashlib` loads OpenSSL).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
-import subprocess
-from datetime import datetime, timezone
+import time
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Union
+
+if TYPE_CHECKING:
+    import subprocess
 
 RangeSpec = Union[None, int, str]  # None=all, int=last N, "A..B"=id range
 Listing = list[tuple[str, str]]  # a snapshot's (path, key) pairs
@@ -56,9 +63,7 @@ class CommitMeta(NamedTuple):
 
 
 def _iso_utc(epoch: int) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))
 
 
 def apply_range(commits: list[CommitMeta], range_spec: RangeSpec) -> list[CommitMeta]:
@@ -103,6 +108,8 @@ class GitProvider:
             raise RepoNotFound(f"{repo_path}: not a git repository ({exc})") from exc
 
     def _git(self, *args: str) -> bytes:
+        import subprocess
+
         try:
             proc = subprocess.run(
                 ["git", "-C", str(self.repo_path), *args], capture_output=True
@@ -203,6 +210,8 @@ class GitProvider:
         request, so neither pipe can fill. A missing object has a one-line
         reply, so the stream stays in step; it gives None."""
         if self._cat_file is None:
+            import subprocess
+
             try:
                 self._cat_file = subprocess.Popen(
                     ["git", "-C", str(self.repo_path), "cat-file", "--batch"],
@@ -290,6 +299,8 @@ class SnapshotDirProvider:
         """Yield each commit's (path, sha256) pairs of the files whose path
         `path_filter` accepts, bytewise by path as git lists them; the bytes
         of the last listing are kept for `read_files`."""
+        import hashlib
+
         for commit in commits:
             base = self._dirs.get(commit.id)
             if base is None:

@@ -19,7 +19,6 @@ independent full read of one commit that a series snapshot must equal.
 
 from __future__ import annotations
 
-import csv
 import io
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
@@ -261,6 +260,8 @@ def _fmt(value: Optional[Fraction]) -> str:
 
 
 def render_csv(report: SeriesReport) -> str:
+    import csv  # here: check and reconcile import this module too
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

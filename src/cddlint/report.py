@@ -3,11 +3,13 @@ either as the check report or as the drift report of ``reconcile``.
 
 All three renderings of each show the same numbers; JSON documents carry a
 schema_version and validate against the shipped schema files.
+
+The CSV renderers import `csv` where they run, so a text or JSON run does
+not load it.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -131,6 +133,8 @@ def render_json_mapping(report: CheckReport) -> dict:
 
 
 def render_csv(report: CheckReport) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([
@@ -195,6 +199,8 @@ def render_drift_json_mapping(report: CheckReport) -> dict:
 
 
 def render_drift_csv(report: CheckReport) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "type", "declared", "computed", "delta", "status"])

@@ -13,7 +13,6 @@ leaves out (at the top or in a category) takes its value, and
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -230,6 +229,11 @@ class RuleSet(NamedTuple):
         }
 
     def digest(self) -> str:
+        """The sha256 of the canonical config mapping, which `history`
+        reports. `hashlib` is imported here, not at the top: it loads
+        OpenSSL, and `check`, `reconcile` and `init` never need a digest."""
+        import hashlib
+
         canonical = json.dumps(self.to_config_mapping(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -332,8 +332,7 @@ class TypeDecl(NamedTuple):
 class SourceUnit(NamedTuple):
     path: str
     types: tuple[TypeDecl, ...]
-    physical_lines: int
-    raw_text_hash: str
+    physical_lines: int  # LF count, as `wc -l` gives; a lone CR is not counted
     diagnostics: tuple[Diagnostic, ...] = ()
 
 

@@ -16,7 +16,6 @@ place operator precedence lives.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from fractions import Fraction
 from typing import Optional
@@ -172,7 +171,6 @@ class _Parser:
             path=self.path,
             types=tuple(types),
             physical_lines=self.data.count(b"\n"),
-            raw_text_hash=hashlib.sha256(self.data).hexdigest(),
             diagnostics=tuple(self.diagnostics),
         )
 

@@ -2,6 +2,7 @@
 
 Lexical contract:
   - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
+  - a line ends at LF, at CR LF or at a lone CR (JLS SE 17 §3.4)
   - the result is a TokenStream of parallel lists: token i is ``kinds[i]``,
     ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``lines[i]``; a kind is
     IDENT (keywords included), NUMBER, STRING, CHAR, PUNCT or EOF, and no
@@ -12,9 +13,9 @@ Lexical contract:
     ones, with no token after them, are listed under a final EOF token
   - whitespace and ``/* */`` block comments make no entry: one match takes
     the gap of them before a token (or ``//`` comment) and the token itself,
-    and the line counter moves by the newlines from the previous match's end
-    to the token's start; the gap after the last token ends in the empty END
-    alternative at the end of the input
+    and the line counter moves by the line terminators from the previous
+    match's end to the token's start; the gap after the last token ends in
+    the empty END alternative at the end of the input
   - an EOF token ends the stream whenever anything follows the last token,
     so len(tokenize("")) == 0 but tokenize("  ") is one EOF token
   - ``len()`` counts the tokens, that EOF included; every list holds two
@@ -49,19 +50,19 @@ _KIND = {_IDENT: TokenKind.IDENT, _NUMBER: TokenKind.NUMBER, _STRING: TokenKind.
 _TOKEN_RE = re.compile(
     rb"""
     (?: [ \t\r\n\f]+ | /\*.*?\*/ )*                   # whitespace, block comments
-    (?: ( //[^\n]* )                                  # line comment
+    (?: ( //[^\r\n]* )                                # line comment
       | ( /\* )                                       # unterminated comment
       | ( [A-Za-z_$][A-Za-z0-9_$]* )                  # identifier
       | ( 0[xX][0-9a-fA-F_]*[lLfFdD]?
         | 0[bB][01_]*[lLfFdD]?
         | (?: [0-9][0-9_]*(?:\.[0-9_]*)? | \.[0-9][0-9_]* )
           (?: [eE][+-]?[0-9]+ )? [lLfFdD]? )          # number
-      | ( "(?:[^"\\\n]|\\[^\n])*" )                   # string literal
-      | ( '(?:[^'\\\n]|\\[^\n])*' )                   # char literal
+      | ( "(?:[^"\\\r\n]|\\[^\r\n])*" )               # string literal
+      | ( '(?:[^'\\\r\n]|\\[^\r\n])*' )               # char literal
       | ( >>>= | >>= | <<= | \.\.\. | -- | \+\+ | && | \|\| | << | :: | ->
         | [-=!<>+*/%&|^]= | [-(){}\[\];,@?~.:=<>!&|^+*/%] ) # punctuation
-      | ( "(?:[^"\\\n]|\\[^\n])*\\? )                 # unterminated string
-      | ( '(?:[^'\\\n]|\\[^\n])*\\? )                 # unterminated char
+      | ( "(?:[^"\\\r\n]|\\[^\r\n])*\\? )             # unterminated string
+      | ( '(?:[^'\\\r\n]|\\[^\r\n])*\\? )             # unterminated char
       | ( . )                                         # any other byte
       | ( \Z )                                        # end of input
     )
@@ -90,12 +91,18 @@ def tokenize_bytes(data: bytes) -> TokenStream:
     add_kind, add_text, add_start, add_end, add_line = (
         kinds.append, texts.append, starts.append, ends.append, lines.append)
     comments: dict[int, list[tuple[str, int, int, int]]] = {}
+    # the line counter counts LFs: in a file that holds a CR it counts them in
+    # a copy of the same length in which each CR LF is a space and an LF and
+    # each lone CR is an LF, so a file without a CR pays nothing per token
+    breaks = data
+    if b"\r" in data:
+        breaks = data.replace(b"\r\n", b" \n").replace(b"\r", b"\n")
     line = 1
     last = 0  # where the previous match ended
     for m in _TOKEN_RE.finditer(data):
         group = m.lastindex
         start = m.start(group)
-        line += data.count(b"\n", last, start)
+        line += breaks.count(b"\n", last, start)
         last = end = m.end()
         if _IDENT <= group <= _PUNCTUATION:
             text = data[start:end].decode("utf-8")
@@ -133,5 +140,6 @@ def _raise(data: bytes, group: int, start: int, end: int, line: int) -> NoReturn
 
 
 def physical_loc(text: str) -> int:
-    """Physical line count: the number of newline characters (wc -l)."""
+    """Physical line count: the number of newline characters (wc -l). A lone
+    CR ends a token's line but is not counted here."""
     return text.count("\n")

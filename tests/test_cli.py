@@ -4,6 +4,7 @@ validation of JSON outputs, and format agreement on numeric values."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import pytest
 
 import cddlint
 from cddlint.cli import main
+from cddlint.rules import load_rules
 
 from conftest import (
     DEEP_SOURCE, ELSE_IF_SOURCE, FIXTURES, LISTING_PATH, LONG_GUARD_SOURCE, LONG_SUM_SOURCE,
@@ -405,6 +407,20 @@ class TestHistory:
         assert (tmp_path / "a" / "cdd_series.csv").read_text() == \
             (tmp_path / "b" / "cdd_series.csv").read_text()
 
+    def test_json_carries_the_sha256_rules_digest(self, history_repo, tmp_path,
+                                                  capsys, monkeypatch):
+        repo, _ = history_repo
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"internal_types": ["Internal*"], "default_limit": 9}))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "history", str(repo), "--config", str(cfg),
+                           "--output-dir", "out")
+        assert code == 0, err
+        doc = json.loads((tmp_path / "out" / "cdd_series.json").read_text())
+        mapping = load_rules(cfg.read_text()).to_config_mapping()
+        canonical = json.dumps(mapping, sort_keys=True).encode()
+        assert doc["rules_digest"] == hashlib.sha256(canonical).hexdigest()
+
     def test_range_limits_rows(self, history_repo, tmp_path, capsys, monkeypatch):
         repo, _ = history_repo
         monkeypatch.chdir(tmp_path)
@@ -462,3 +478,50 @@ class TestInstalledScript:
         proc = subprocess.run(["cddlint", "--help"], capture_output=True, text=True)
         assert_help_lists_subcommands(proc)
 
+
+
+# modules that only `history` (processes, digests, dates) and CSV output use
+HISTORY_AND_CSV_MODULES = {"hashlib", "_hashlib", "subprocess", "datetime", "csv"}
+
+FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import cddlint.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cddlint.cli.main(argv)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestFootprint:
+    """What a command loads, in a fresh interpreter: `check`, `reconcile` and
+    `init` run on every save and every commit, so they load no module that
+    only `history` or CSV output needs (`hashlib` loads OpenSSL)."""
+
+    @staticmethod
+    def added_modules(tmp_path, argv: list[str]) -> set[str]:
+        # -S: no site-packages `.pth` file can import a module first
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", FOOTPRINT_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, cwd=tmp_path, env=fresh_interpreter_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout))
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["check", "--fail-on", "never", str(ORACLE_DIR)],
+        ["reconcile", str(ORACLE_DIR)],
+        ["init", "."],
+    ], ids=["import", "check", "reconcile", "init"])
+    def test_loads_no_history_or_csv_module(self, tmp_path, argv):
+        added = self.added_modules(tmp_path, argv)
+        assert "cddlint.cli" in added
+        assert not added & HISTORY_AND_CSV_MODULES
+
+    def test_csv_output_loads_csv_alone(self, tmp_path):
+        added = self.added_modules(
+            tmp_path, ["check", "--fail-on", "never", "--format", "csv", str(ORACLE_DIR)])
+        assert added & HISTORY_AND_CSV_MODULES == {"csv"}

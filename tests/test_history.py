@@ -3,11 +3,13 @@ hand-computed 5-commit golden CSV in both provider modes."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from cddlint.history import (
     render_json_mapping,
     series,
 )
+from cddlint.history.providers import _iso_utc
 from cddlint.history.series import SnapshotFile
 from cddlint.rules import LimitOverride, default_rules
 
@@ -446,6 +449,32 @@ class TestListingOrder:
         assert [d.split(":")[0] for d in in_git.stats.diagnostics] == [
             "src/a-b.java", "src/a/X.java", "src/a0.java"]
         assert in_dirs.stats.diagnostics == in_git.stats.diagnostics
+
+
+class TestLazilyLoadedOutputs:
+    """`datetime` and `hashlib` are not imported where these outputs are
+    made; the outputs are the ones those modules gave."""
+
+    @pytest.mark.parametrize("epoch", [0, -86_400, 1_600_000_000, 2**31, 4_102_444_800])
+    def test_timestamps_match_datetime(self, epoch):
+        expected = datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ")
+        assert _iso_utc(epoch) == expected
+
+    def test_snapshot_keys_are_sha256_of_the_bytes(self, history_snapshot_dir):
+        provider = SnapshotDirProvider(history_snapshot_dir)
+        commits = provider.list_commits()
+        listings = list(provider.listings(commits, lambda path: True))
+        assert len(listings) == len(commits)
+        for commit, listing in zip(commits, listings):
+            base = next(history_snapshot_dir.glob(f"*_{commit.id}"))
+            assert listing == [
+                (path, hashlib.sha256((base / path).read_bytes()).hexdigest())
+                for path, _ in listing
+            ]
+            assert {path for path, _ in listing} == {
+                child.relative_to(base).as_posix()
+                for child in base.rglob("*") if child.is_file()}
 
 
 class TestReadByBlobId:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cddlint.annotations import extract_declared
 from cddlint.engine import analyze_unit
 from cddlint.rules import IcpCategory, default_rules
 from cddlint.syntax import parse_unit
@@ -67,3 +68,31 @@ def test_exact_match(rel_path, manifest):
             )
         assert sum(analysis.subtotals.values()) == analysis.total
         assert analysis.total == sum((s.cost for s in analysis.sites), Fraction(0))
+
+
+def _line_shape(unit, rules):
+    """Each unit's total and span lines, each site's category, cost, lines
+    and reason, and each declared @ICP with its lines."""
+    units = [
+        (a.type_name, a.total, a.span.line_start, a.span.line_end,
+         [(s.category, s.cost, s.span.line_start, s.span.line_end, s.reason)
+          for s in a.sites])
+        for a in analyze_unit(unit, rules)
+    ]
+    declared = extract_declared(unit)
+    sites = [(s.owner, s.value, s.span.line_start, s.span.line_end)
+             for s in declared.site_level]
+    diagnostics = [(d.message, d.span.line_start) for d in unit.diagnostics]
+    return units, declared.class_level, sites, diagnostics
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_agree(rel_path, ending, manifest):
+    """A lone CR and a CR LF each end a line (JLS SE 17 §3.4): the CR and
+    CR LF forms of a fixture score and place everything as its LF form."""
+    rules = corpus_rules(manifest)
+    text = (ORACLE_DIR / rel_path).read_bytes().decode("utf-8")
+    assert "\r" not in text
+    lf = _line_shape(parse_unit(text, rel_path), rules)
+    other = _line_shape(parse_unit(text.replace("\n", ending), rel_path), rules)
+    assert other == lf

@@ -9,6 +9,7 @@ The generated-class suites run 200 examples with hypothesis derandomization
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -307,7 +308,14 @@ def test_subtotals_add_up_on_generated_classes(bodies):
 # backslash and a non-ASCII letter, and the comment delimiters
 _SCAN_PIECES = sorted(set("".join(
     p.read_text(encoding="utf-8") for p in FIXTURES.rglob("*.java")
-)) | set("\n\r\t\f\"'\\é")) + ["//", "/*", "*/", "\n"]
+)) | set("\n\r\t\f\"'\\é")) + ["//", "/*", "*/", "\n", "\r\n"]
+
+# a line ends at LF, CR LF or a lone CR (JLS SE 17 §3.4)
+_LINE_TERMINATOR = re.compile(rb"\r\n|\r|\n")
+
+
+def _line_at(data: bytes, offset: int) -> int:
+    return 1 + len(_LINE_TERMINATOR.findall(data, 0, offset))
 
 
 @given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=60).map("".join))
@@ -316,17 +324,19 @@ def test_token_stream_invariants(text):
     """Every token is the bytes it spans, on the line its offset gives, in
     order; line comments sit under token numbers; an EOF token ends the stream
     exactly when something follows the last token; len() counts no sentinel;
-    an error is reported on the line of its offset."""
+    an error is reported on the line of its offset; no token or comment holds
+    a line terminator."""
     data = text.encode("utf-8")
     try:
         ts = tokenize(text)
     except InvalidCharacter as exc:
-        assert exc.line == 1 + data.count(b"\n", 0, exc.byte_start)
+        assert exc.line == _line_at(data, exc.byte_start)
         return
     n = len(ts)
     for i in range(n):
         assert ts.texts[i] == data[ts.starts[i]:ts.ends[i]].decode("utf-8")
-        assert ts.lines[i] == 1 + data.count(b"\n", 0, ts.starts[i])
+        assert ts.lines[i] == _line_at(data, ts.starts[i])
+        assert not _LINE_TERMINATOR.search(data, ts.starts[i], ts.ends[i])
         if i + 1 < n:
             assert ts.ends[i] <= ts.starts[i + 1]
     for i, comments in ts.comments.items():
@@ -334,7 +344,8 @@ def test_token_stream_invariants(text):
         for comment, start, end, line in comments:
             assert comment.startswith("//")
             assert comment == data[start:end].decode("utf-8")
-            assert line == 1 + data.count(b"\n", 0, start)
+            assert line == _line_at(data, start)
+            assert not _LINE_TERMINATOR.search(data, start, end)
     tokens = [i for i in range(n) if ts.kinds[i] != TokenKind.EOF]
     ends_in_eof = bool(data) and (not tokens or ts.ends[tokens[-1]] < len(data))
     assert tokens == list(range(n - ends_in_eof))
@@ -343,7 +354,7 @@ def test_token_stream_invariants(text):
     lists = (ts.kinds, ts.texts, ts.starts, ts.ends, ts.lines)
     assert len({len(lst) for lst in lists}) == 1 and len(ts.kinds) >= n + 2
     tail = list(zip(*(lst[n - ends_in_eof:] for lst in lists)))
-    last_line = 1 + data.count(b"\n")
+    last_line = _line_at(data, len(data))
     assert set(tail) == {(TokenKind.EOF, "", len(data), len(data), last_line)}
 
 

@@ -93,6 +93,15 @@ class TestTrivia:
         assert ts.comments == {}
         assert ts.lines[0] == 2
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_each_line_terminator_ends_a_line(self, ending):
+        # JLS SE 17 §3.4: a lone CR ends a line, and CR LF is one terminator
+        ts = tokenize(ending.join(["// note", "/* a", "b */ x", "", "y // tail"]))
+        assert ts.texts[:len(ts)] == ["x", "y", ""]
+        assert ts.lines[:len(ts)] == [3, 5, 5]
+        assert ts.comments == {0: [("// note", 0, 7, 1)],
+                               2: [("// tail", ts.ends[1] + 1, ts.ends[1] + 8, 5)]}
+
 
 class TestErrors:
     def test_invalid_character(self):
@@ -114,6 +123,15 @@ class TestErrors:
     def test_backslash_newline_ends_a_literal_at_its_line(self, text, message):
         # Java forbids a line terminator in these literals, even escaped;
         # accepting one would count every later line of the file one low
+        with pytest.raises(InvalidCharacter) as info:
+            tokenize(text)
+        assert (info.value.message, info.value.line) == (message, 2)
+
+    @pytest.mark.parametrize("text, message", [
+        ('int x;\rString s = "a\rb";\rint y;', "unterminated string literal"),
+        ("int x;\r\nchar c = '\r\n';\r\nint y;", "unterminated char literal"),
+    ])
+    def test_carriage_return_ends_a_literal_at_its_line(self, text, message):
         with pytest.raises(InvalidCharacter) as info:
             tokenize(text)
         assert (info.value.message, info.value.line) == (message, 2)
