@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator
 
 from .engine import UnitAnalysis
+from .records import Record
 from .syntax import ast, parse_unit
 from .syntax.ast import Span, iter_type_decls
 from .values import format_icp
@@ -44,31 +45,35 @@ class DriftStatus(enum.Enum):
     UNANNOTATED = "unannotated"
 
 
-class SiteAnnotation(NamedTuple):
-    owner: str  # dotted type name the annotated element belongs to
-    span: Span  # span of the annotated element
-    value: Fraction
+class SiteAnnotation(Record):
+    _fields = (
+        "owner",  # dotted type name the annotated element belongs to
+        "span",  # span of the annotated element
+        "value",  # Fraction
+    )
 
 
-class DeclaredIcp(NamedTuple):
-    class_level: dict[str, Fraction]
-    site_level: tuple[SiteAnnotation, ...]
+class DeclaredIcp(Record):
+    _fields = (
+        "class_level",  # dict[str, Fraction] by dotted type name
+        "site_level",  # (SiteAnnotation, ...)
+    )
 
     def is_empty(self) -> bool:
         return not self.class_level and not self.site_level
 
 
-class SiteMismatch(NamedTuple):
-    span: Span
-    declared: Fraction
-    computed: Fraction
+class SiteMismatch(Record):
+    _fields = ("span", "declared", "computed")  # declared, computed: Fraction
 
 
-class DriftReport(NamedTuple):
-    declared_total: Optional[Fraction]
-    delta: Optional[Fraction]  # computed - declared; None when unannotated
-    status: DriftStatus
-    site_mismatches: tuple[SiteMismatch, ...]
+class DriftReport(Record):
+    _fields = (
+        "declared_total",  # Fraction | None
+        "delta",  # computed - declared; None when unannotated
+        "status",  # DriftStatus
+        "site_mismatches",  # (SiteMismatch, ...)
+    )
 
 
 def _icp_value(anno: ast.AnnotationUse) -> Fraction:
@@ -88,7 +93,7 @@ def extract_declared(unit: ast.SourceUnit) -> DeclaredIcp:
                 class_level.setdefault(dotted, _icp_value(anno))
 
         def site(span: Span, value: Fraction) -> None:
-            site_level.append(SiteAnnotation(dotted, span, value))
+            site_level.append(SiteAnnotation((dotted, span, value)))
 
         for f in decl.fields:
             for anno in f.annotations:
@@ -106,7 +111,7 @@ def extract_declared(unit: ast.SourceUnit) -> DeclaredIcp:
                     for marker in stmt.markers:
                         site(stmt.span, marker.value)
 
-    return DeclaredIcp(class_level, tuple(site_level))
+    return DeclaredIcp((class_level, tuple(site_level)))
 
 
 def _iter_stmts(stmt: ast.Stmt) -> Iterator[ast.Stmt]:
@@ -161,9 +166,9 @@ def reconcile(analysis: UnitAnalysis, declared: DeclaredIcp) -> DriftReport:
             Fraction(0),
         )
         if computed != entry.value:
-            mismatches.append(SiteMismatch(entry.span, entry.value, computed))
+            mismatches.append(SiteMismatch((entry.span, entry.value, computed)))
 
-    return DriftReport(declared_total, delta, status, tuple(mismatches))
+    return DriftReport((declared_total, delta, status, tuple(mismatches)))
 
 
 def apply_fix(text: str, analysis: UnitAnalysis) -> str:
@@ -196,12 +201,14 @@ def apply_fixes(text: str, analyses: list[UnitAnalysis], unit: ast.SourceUnit) -
             if data[span.byte_start:span.byte_end] != rendered:
                 edits.append((span.byte_start, span.byte_end, rendered))
         else:
-            line_start = data.rfind(b"\n", 0, decl.header_start) + 1
+            header = decl.header_start
+            line_start = max(data.rfind(b"\n", 0, header), data.rfind(b"\r", 0, header)) + 1
             indent_end = line_start
             while indent_end < len(data) and data[indent_end] in (0x20, 0x09):
                 indent_end += 1
             indent = data[line_start:indent_end]
-            edits.append((line_start, line_start, indent + rendered + b"\n"))
+            edits.append((line_start, line_start,
+                          indent + rendered + _line_terminator(data, header)))
 
     if not edits:
         return text
@@ -209,3 +216,13 @@ def apply_fixes(text: str, analyses: list[UnitAnalysis], unit: ast.SourceUnit) -
     for start, end, replacement in edits:
         data = data[:start] + replacement + data[end:]
     return data.decode("utf-8")
+
+
+def _line_terminator(data: bytes, pos: int) -> bytes:
+    """How the line holding byte `pos` ends: CR LF, a lone CR or LF; LF
+    for a last line with no terminator."""
+    lf = data.find(b"\n", pos)
+    cr = data.find(b"\r", pos, len(data) if lf < 0 else lf)
+    if cr < 0:
+        return b"\n"
+    return b"\r\n" if data[cr + 1:cr + 2] == b"\n" else b"\r"

@@ -203,27 +203,29 @@ def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet, on_file=None):
     parse_failures = 0
     for file, rec in files:
         try:
-            text = file.read_text(encoding="utf-8")
+            # line endings as written: a fixed file keeps its CR LF or CR
+            with file.open(encoding="utf-8", newline="") as handle:
+                text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
-            issues.append(FileIssue(rec, f"unreadable: {exc}"))
+            issues.append(FileIssue((rec, f"unreadable: {exc}")))
             parse_failures += 1
             continue
         try:
             unit = parse_unit(text, rec)
             analyses = analyze_unit(unit, rules)
         except ParseError as exc:
-            issues.append(FileIssue(rec, f"parse failed: {exc}"))
+            issues.append(FileIssue((rec, f"parse failed: {exc}")))
             parse_failures += 1
             continue
         except RecursionError:
-            issues.append(FileIssue(rec, "parse failed: nesting too deep"))
+            issues.append(FileIssue((rec, "parse failed: nesting too deep")))
             parse_failures += 1
             continue
         try:
             declared = extract_declared(unit)
         except MalformedIcp as exc:  # the file's units count as unannotated
-            issues.append(FileIssue(rec, str(exc)))
-            declared = DeclaredIcp({}, ())
+            issues.append(FileIssue((rec, str(exc))))
+            declared = DeclaredIcp(({}, ()))
         file_rows = []
         for analysis in analyses:
             v = verdict(analysis, rules, _rule_path(rec))
@@ -248,7 +250,7 @@ def cmd_check(args) -> int:
     rules = _load_config(args)
     files = _discover(args.paths, rules)
     rows, issues, parse_failures = _analyze_files(files, rules)
-    report = CheckReport(tuple(rows), tuple(issues), parse_failures)
+    report = CheckReport((tuple(rows), tuple(issues), parse_failures))
     if args.format == "json":
         print(json.dumps(render_json_mapping(report), indent=2))
     elif args.format == "csv":
@@ -264,7 +266,7 @@ def cmd_reconcile(args) -> int:
     if args.fix:
         return _fix_files(files, rules)
     rows, issues, parse_failures = _analyze_files(files, rules)
-    report = CheckReport(tuple(rows), tuple(issues), parse_failures)
+    report = CheckReport((tuple(rows), tuple(issues), parse_failures))
     if args.format == "json":
         print(json.dumps(render_drift_json_mapping(report), indent=2))
     elif args.format == "csv":
@@ -295,7 +297,7 @@ def _fix_files(files: list[tuple[Path, str]], rules: RuleSet) -> int:
 
     _analyze_files(files, rules, fix)
     for rec, file, fixed in fixes:
-        file.write_text(fixed, encoding="utf-8")
+        file.write_text(fixed, encoding="utf-8", newline="")
         print(f"fixed {rec}")
     print(f"{len(fixes)} files changed")
     return 1 if conflicts else 0

@@ -36,33 +36,32 @@ built per site.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
+from .records import Record
 from .rules import IcpCategory, RuleSet, type_matcher
 from .syntax import ast
 from .syntax.ast import Span, iter_type_decls
 from .values import exact_sum
 
 
-class IcpSite(NamedTuple):
-    category: IcpCategory
-    cost: Fraction
-    span: Span
-    reason: str
+class IcpSite(Record):
+    _fields = ("category", "cost", "span", "reason")  # cost: Fraction
 
 
-class UnitAnalysis(NamedTuple):
-    path: str
-    type_name: str  # dotted path for nested declarations
-    span: Span  # the type declaration's
-    sites: tuple[IcpSite, ...]
-    total: Fraction
-    subtotals: dict[IcpCategory, Fraction]
+class UnitAnalysis(Record):
+    _fields = (
+        "path",
+        "type_name",  # dotted path for nested declarations
+        "span",  # the type declaration's
+        "sites",  # (IcpSite, ...)
+        "total",  # Fraction
+        "subtotals",  # dict[IcpCategory, Fraction]
+    )
 
 
-class Verdict(NamedTuple):
-    applicable_limit: Fraction
-    over_limit: bool
+class Verdict(Record):
+    _fields = ("applicable_limit", "over_limit")  # Fraction, bool
 
 
 def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
@@ -80,7 +79,7 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
                      for cat, count in counts.items()}
         total = exact_sum(subtotals.values())
         analyses.append(
-            UnitAnalysis(unit.path, dotted, decl.span, tuple(sites), total, subtotals)
+            UnitAnalysis((unit.path, dotted, decl.span, tuple(sites), total, subtotals))
         )
     return analyses
 
@@ -91,7 +90,7 @@ def verdict(
     """Limit check; limit overrides match `rule_path`, by default the unit's path."""
     limit = rules.limit_for(rule_path or analysis.path, analysis.type_name)
     # strictly greater: a unit at the limit does not need refactoring
-    return Verdict(limit, analysis.total > limit)
+    return Verdict((limit, analysis.total > limit))
 
 
 class _Scope:
@@ -143,7 +142,7 @@ class _TypeWalker:
     def _emit(self, category: IcpCategory, span: Span, reason: str) -> None:
         rule = self.rules.categories[category]
         if rule.enabled:
-            self.sites.append(IcpSite(category, rule.cost, span, reason))
+            self.sites.append(IcpSite((category, rule.cost, span, reason)))
 
     # ── type body ───────────────────────────────────────────────────────
 

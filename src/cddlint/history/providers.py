@@ -33,7 +33,9 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
+
+from ..records import Record
 
 if TYPE_CHECKING:
     import subprocess
@@ -55,11 +57,13 @@ class VcsToolError(Exception):
     pass
 
 
-class CommitMeta(NamedTuple):
-    id: str
-    timestamp: str  # ISO-8601 UTC
-    message: str
-    ordinal: int  # position in the full first-parent walk, oldest = 0
+class CommitMeta(Record):
+    _fields = (
+        "id",
+        "timestamp",  # ISO-8601 UTC
+        "message",
+        "ordinal",  # position in the full first-parent walk, oldest = 0
+    )
 
 
 def _iso_utc(epoch: int) -> str:
@@ -132,8 +136,8 @@ class GitProvider:
                 continue
             commit_id, epoch, message = record.split("\x1f", 2)
             commits.append(
-                CommitMeta(commit_id.strip(), _iso_utc(int(epoch)),
-                           message.rstrip("\n"), len(commits))
+                CommitMeta((commit_id.strip(), _iso_utc(int(epoch)),
+                            message.rstrip("\n"), len(commits)))
             )
         if not commits:
             raise RangeEmpty("repository has no commits")
@@ -287,7 +291,7 @@ class SnapshotDirProvider:
             ts = meta["timestamp"]
             timestamp = _iso_utc(ts) if isinstance(ts, int) else str(ts)
             commits.append(
-                CommitMeta(commit_id, timestamp, str(meta["message"]), ordinal)
+                CommitMeta((commit_id, timestamp, str(meta["message"]), ordinal))
             )
         if not commits:
             raise RangeEmpty("snapshot directory has no snapshots")

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import io
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 from ..engine import analyze_unit, verdict
-from ..methods import MethodStats, method_lengths, method_stats, stats_from_lengths
+from ..methods import method_lengths, method_stats, stats_from_lengths
+from ..records import Record
 from ..rules import RuleSet
 from ..syntax import ParseError, parse_unit
 from ..values import exact_sum, format_fixed2
@@ -41,33 +42,39 @@ CSV_COLUMNS = [
 ]
 
 
-class SnapshotFile(NamedTuple):
-    path: str
-    text: str
-    is_test: bool
-    key: str = ""  # the provider's key for the bytes; a memo needs it
+class SnapshotFile(Record):
+    _fields = (
+        "path", "text",
+        "is_test",  # bool
+        "key",  # the provider's key for the bytes; a memo needs it
+    )
 
 
-class SnapshotStats(NamedTuple):
-    class_count: int
-    mean_physical_loc: Optional[Fraction]
-    mean_icp: Optional[Fraction]
-    percent_over_limit: Optional[Fraction]
-    methods: MethodStats
-    parse_failures: int
-    diagnostics: tuple[str, ...]
+class SnapshotStats(Record):
+    _fields = (
+        "class_count",  # int
+        # Fraction | None each, None when the snapshot has no class
+        "mean_physical_loc", "mean_icp", "percent_over_limit",
+        "methods",  # MethodStats
+        "parse_failures",  # int
+        "diagnostics",  # (str, ...)
+    )
 
 
-class SnapshotMetrics(NamedTuple):
-    commit: CommitMeta
-    stats: SnapshotStats
-    cdd_commit: Optional[tuple[str, str]]  # (unit name, description)
+class SnapshotMetrics(Record):
+    _fields = (
+        "commit",  # CommitMeta
+        "stats",  # SnapshotStats
+        "cdd_commit",  # (unit name, description) | None
+    )
 
 
-class SeriesReport(NamedTuple):
-    snapshots: tuple[SnapshotMetrics, ...]
-    rules_digest: str
-    parameters: dict
+class SeriesReport(Record):
+    _fields = (
+        "snapshots",  # (SnapshotMetrics, ...)
+        "rules_digest",  # str
+        "parameters",  # dict
+    )
 
 
 def _decode(path: str, key: str, blob: bytes, rules: RuleSet) -> Union[SnapshotFile, str]:
@@ -76,7 +83,7 @@ def _decode(path: str, key: str, blob: bytes, rules: RuleSet) -> Union[SnapshotF
         text = blob.decode("utf-8")
     except UnicodeDecodeError:
         return f"{path}: skipped (not valid UTF-8)"
-    return SnapshotFile(path, text, rules.is_test_path(path), key)
+    return SnapshotFile((path, text, rules.is_test_path(path), key))
 
 
 def _split(entries) -> tuple[list[SnapshotFile], list[str]]:
@@ -109,17 +116,19 @@ def detect_cdd_commit(message: str, rules: RuleSet) -> Optional[tuple[str, str]]
     return unit or "", description or ""
 
 
-class FileResult(NamedTuple):
+class FileResult(Record):
     """What one non-test file adds to its snapshot: per-class LOC and totals,
     how many classes are over their limit, the counted method lengths, and
     the excluded method count; or, when it did not parse, only `failure`."""
 
-    class_locs: tuple[int, ...] = ()
-    totals: tuple[Fraction, ...] = ()
-    over_limit: int = 0
-    method_lengths: tuple[int, ...] = ()
-    excluded_methods: int = 0
-    failure: Optional[str] = None
+    _fields = (
+        "class_locs",  # (int, ...)
+        "totals",  # (Fraction, ...)
+        "over_limit",  # int
+        "method_lengths",  # (int, ...)
+        "excluded_methods",  # int
+        "failure",  # the diagnostic, or None when the file parsed
+    )
 
 
 def analyze_file(f: SnapshotFile, rules: RuleSet) -> FileResult:
@@ -134,20 +143,21 @@ def analyze_file(f: SnapshotFile, rules: RuleSet) -> FileResult:
         unit = parse_unit(f.text, f.path)
         analyses = analyze_unit(unit, rules)
     except ParseError as exc:
-        return FileResult(failure=f"{f.path}: parse failed: {exc}")
+        return FileResult(((), (), 0, (), 0, f"{f.path}: parse failed: {exc}"))
     except RecursionError:
-        return FileResult(failure=f"{f.path}: parse failed: nesting too deep")
+        return FileResult(((), (), 0, (), 0, f"{f.path}: parse failed: nesting too deep"))
     class_locs = [a.span.line_end - a.span.line_start + 1 for a in analyses]
     if len(unit.types) == 1:  # the first analysis is the top-level class's
         class_locs[0] = unit.physical_lines
     lengths, excluded = method_lengths(unit, rules)
-    return FileResult(
-        class_locs=tuple(class_locs),
-        totals=tuple(a.total for a in analyses),
-        over_limit=sum(verdict(a, rules).over_limit for a in analyses),
-        method_lengths=tuple(lengths),
-        excluded_methods=excluded,
-    )
+    return FileResult((
+        tuple(class_locs),
+        tuple(a.total for a in analyses),
+        sum(verdict(a, rules).over_limit for a in analyses),
+        tuple(lengths),
+        excluded,
+        None,
+    ))
 
 
 class FileMemo:
@@ -209,15 +219,15 @@ def analyze_snapshot(
         excluded += r.excluded_methods
 
     count = len(totals)
-    return SnapshotStats(
-        class_count=count,
-        mean_physical_loc=Fraction(sum(class_locs), count) if count else None,
-        mean_icp=exact_sum(totals) / count if count else None,
-        percent_over_limit=Fraction(100 * over, count) if count else None,
-        methods=stats_from_lengths(lengths, excluded),
-        parse_failures=len(diagnostics),
-        diagnostics=tuple(diagnostics),
-    )
+    return SnapshotStats((
+        count,
+        Fraction(sum(class_locs), count) if count else None,
+        exact_sum(totals) / count if count else None,
+        Fraction(100 * over, count) if count else None,
+        stats_from_lengths(lengths, excluded),
+        len(diagnostics),
+        tuple(diagnostics),
+    ))
 
 
 def series(
@@ -237,10 +247,10 @@ def series(
                     stats = stats._replace(diagnostics=tuple(notes) + stats.diagnostics)
             except Exception as exc:  # per-snapshot isolation
                 failures.append(f"{commit.id}: {exc}")
-                stats = SnapshotStats(0, None, None, None,
-                                      method_stats([], rules), 0, (str(exc),))
+                stats = SnapshotStats((0, None, None, None,
+                                       method_stats([], rules), 0, (str(exc),)))
             snapshots.append(
-                SnapshotMetrics(commit, stats, detect_cdd_commit(commit.message, rules))
+                SnapshotMetrics((commit, stats, detect_cdd_commit(commit.message, rules)))
             )
     finally:
         provider.close()
@@ -248,11 +258,7 @@ def series(
         raise RuntimeError(
             "every snapshot failed; first error: " + failures[0]
         )
-    return SeriesReport(
-        snapshots=tuple(snapshots),
-        rules_digest=rules.digest(),
-        parameters=parameters or {},
-    )
+    return SeriesReport((tuple(snapshots), rules.digest(), parameters or {}))
 
 
 def _fmt(value: Optional[Fraction]) -> str:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable
 
+from .records import Record
 from .rules import RuleSet
 from .syntax import ast
 from .syntax.ast import iter_type_decls
@@ -18,15 +19,13 @@ from .syntax.ast import iter_type_decls
 SLOC_THRESHOLD = 24  # methods at or under this body length are "small"
 
 
-class MethodStats(NamedTuple):
-    counted_methods: int
-    excluded_methods: int
-    min_loc: Optional[int]
-    mean_loc: Optional[Fraction]
-    median_loc: Optional[Fraction]
-    max_loc: Optional[int]
-    stddev_loc: Optional[float]
-    percent_at_or_under_24: Optional[Fraction]
+class MethodStats(Record):
+    # the counts are ints; the rest are None when no method is counted:
+    # min_loc and max_loc ints, stddev_loc a float, the others Fractions
+    _fields = (
+        "counted_methods", "excluded_methods", "min_loc", "mean_loc", "median_loc",
+        "max_loc", "stddev_loc", "percent_at_or_under_24",
+    )
 
 
 def is_getter_or_setter(method: ast.MethodDecl) -> bool:
@@ -73,7 +72,7 @@ def method_stats(units: Iterable[ast.SourceUnit], rules: RuleSet) -> MethodStats
 
 def stats_from_lengths(counted: list[int], excluded: int) -> MethodStats:
     if not counted:
-        return MethodStats(0, excluded, None, None, None, None, None, None)
+        return MethodStats((0, excluded, None, None, None, None, None, None))
     n = len(counted)
     ordered = sorted(counted)
     total = sum(ordered)
@@ -84,13 +83,7 @@ def stats_from_lengths(counted: list[int], excluded: int) -> MethodStats:
         median = Fraction(ordered[n // 2 - 1] + ordered[n // 2], 2)
     variance = Fraction(n * sum(x * x for x in ordered) - total * total, n * n)
     small = sum(1 for x in ordered if x <= SLOC_THRESHOLD)
-    return MethodStats(
-        counted_methods=n,
-        excluded_methods=excluded,
-        min_loc=ordered[0],
-        mean_loc=mean,
-        median_loc=median,
-        max_loc=ordered[-1],
-        stddev_loc=math.sqrt(float(variance)),
-        percent_at_or_under_24=Fraction(100 * small, n),
-    )
+    return MethodStats((
+        n, excluded, ordered[0], mean, median, ordered[-1],
+        math.sqrt(float(variance)), Fraction(100 * small, n),
+    ))

@@ -1,0 +1,51 @@
+"""Records: immutable tuples with named fields, for syntax nodes and results.
+
+A record class names its fields in ``_fields``; its metaclass gives it empty
+``__slots__`` and one read-only accessor per field, the C descriptor that
+``collections.namedtuple`` uses. No code is generated, evaluated or read from
+annotations per class, so defining one is cheap at import.
+
+A record inherits ``tuple.__new__``: it is built from one tuple of all its
+fields, in order, with no Python frame and no defaults, as
+``Span((start, end, line, line))``. ``==`` is tuple equality, ``repr`` names
+the fields, and ``_replace`` returns a copy with some fields changed.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+
+
+def _property_field(index: int, doc: str) -> property:
+    """The accessor ``namedtuple`` falls back to without the C one."""
+    return property(itemgetter(index), doc=doc)
+
+
+try:
+    from collections import _tuplegetter as _field
+except ImportError:  # an interpreter whose collections module lacks it
+    _field = _property_field
+
+
+class RecordType(type):
+    """Metaclass of records: adds ``__slots__ = ()`` and the accessors."""
+
+    def __new__(mcls, name, bases, namespace):
+        namespace["__slots__"] = ()
+        for index, field in enumerate(namespace.get("_fields", ())):
+            namespace[field] = _field(index, f"Alias for field number {index}")
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(tuple, metaclass=RecordType):
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__name__}({pairs})"
+
+    def _replace(self, **changes) -> Record:
+        record = type(self)(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record

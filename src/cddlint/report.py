@@ -11,36 +11,29 @@ not load it.
 from __future__ import annotations
 
 import io
-from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .annotations import DriftReport, DriftStatus
 from .engine import UnitAnalysis, Verdict
+from .records import Record
 from .rules import IcpCategory
 from .values import format_icp, json_number
 
 
-class UnitRow(NamedTuple):
-    path: str
-    type_name: str
-    total: Fraction
-    subtotals: dict[IcpCategory, Fraction]
-    limit: Fraction
-    over_limit: bool
-    declared_total: Optional[Fraction]
-    delta: Optional[Fraction]  # computed - declared; None when unannotated
-    drift_status: DriftStatus
+class UnitRow(Record):
+    _fields = (
+        "path", "type_name", "total", "subtotals", "limit", "over_limit",
+        "declared_total",  # Fraction | None
+        "delta",  # computed - declared; None when unannotated
+        "drift_status",
+    )
 
 
-class FileIssue(NamedTuple):
-    path: str
-    message: str
+class FileIssue(Record):
+    _fields = ("path", "message")
 
 
-class CheckReport(NamedTuple):
-    rows: tuple[UnitRow, ...]
-    issues: tuple[FileIssue, ...]
-    parse_failures: int
+class CheckReport(Record):
+    _fields = ("rows", "issues", "parse_failures")  # (UnitRow, ...), (FileIssue, ...), int
 
     @property
     def over_limit_count(self) -> int:
@@ -56,17 +49,11 @@ class CheckReport(NamedTuple):
 
 
 def make_row(analysis: UnitAnalysis, unit_verdict: Verdict, drift: DriftReport) -> UnitRow:
-    return UnitRow(
-        path=analysis.path,
-        type_name=analysis.type_name,
-        total=analysis.total,
-        subtotals=analysis.subtotals,
-        limit=unit_verdict.applicable_limit,
-        over_limit=unit_verdict.over_limit,
-        declared_total=drift.declared_total,
-        delta=drift.delta,
-        drift_status=drift.status,
-    )
+    return UnitRow((
+        analysis.path, analysis.type_name, analysis.total, analysis.subtotals,
+        unit_verdict.applicable_limit, unit_verdict.over_limit,
+        drift.declared_total, drift.delta, drift.status,
+    ))
 
 
 def _top_categories(row: UnitRow, n: int = 3) -> str:

@@ -17,8 +17,9 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, NamedTuple
+from typing import Any
 
+from .records import Record
 from .values import is_half_step, json_number
 
 
@@ -124,14 +125,15 @@ def any_glob_match(patterns: tuple[str, ...], path: str) -> bool:
     return any(glob_match(p, path) for p in patterns)
 
 
-class CategoryRule(NamedTuple):
-    enabled: bool
-    cost: Fraction
+class CategoryRule(Record):
+    _fields = ("enabled", "cost")  # bool, Fraction
 
 
-class LimitOverride(NamedTuple):
-    pattern: str  # matched against the unit path, then the type name
-    limit: Fraction
+class LimitOverride(Record):
+    _fields = (
+        "pattern",  # matched against the unit path, then the type name
+        "limit",  # Fraction
+    )
 
     def matches(self, path: str, type_name: str) -> bool:
         return glob_match(self.pattern, path) or glob_match(self.pattern, type_name)
@@ -182,17 +184,16 @@ def type_matcher(patterns: tuple[str, ...], exclude_java_lang: bool = False) -> 
     return TypeMatcher(patterns, exclude_java_lang)
 
 
-class RuleSet(NamedTuple):
-    categories: dict[IcpCategory, CategoryRule]
-    internal_types: tuple[str, ...]
-    external_types: tuple[str, ...]
-    default_limit: Fraction
-    limit_overrides: tuple[LimitOverride, ...]
-    exclude_globs: tuple[str, ...]
-    test_globs: tuple[str, ...]
-    include_globs: tuple[str, ...]
-    count_lambdas: bool
-    commit_pattern: re.Pattern
+class RuleSet(Record):
+    _fields = (
+        "categories",  # dict[IcpCategory, CategoryRule]
+        "internal_types", "external_types",  # (str, ...) of glob patterns
+        "default_limit",  # Fraction
+        "limit_overrides",  # (LimitOverride, ...)
+        "exclude_globs", "test_globs", "include_globs",  # (str, ...)
+        "count_lambdas",  # bool
+        "commit_pattern",  # re.Pattern
+    )
 
     def limit_for(self, path: str, type_name: str) -> Fraction:
         for override in self.limit_overrides:  # ordered, first match wins
@@ -294,7 +295,7 @@ def rules_from_mapping(data: Any) -> RuleSet:
             raise ConfigError(f"categories.{name}.cost", "must be non-negative")
         if not is_half_step(cost):
             raise ConfigError(f"categories.{name}.cost", "must be a multiple of 0.5")
-        categories[IcpCategory(name)] = CategoryRule(enabled, cost)
+        categories[IcpCategory(name)] = CategoryRule((enabled, cost))
 
     default_limit = _decimal_field(data.get("default_limit", _DEFAULTS["default_limit"]),
                                    "default_limit")
@@ -317,7 +318,7 @@ def rules_from_mapping(data: Any) -> RuleSet:
         limit = _decimal_field(raw.get("limit"), f"{where}.limit")
         if limit <= 0:
             raise ConfigError(f"{where}.limit", "must be positive")
-        overrides.append(LimitOverride(raw["pattern"], limit))
+        overrides.append(LimitOverride((raw["pattern"], limit)))
 
     pattern_text = data.get("commit_pattern", _DEFAULTS["commit_pattern"])
     if not isinstance(pattern_text, str):
@@ -331,18 +332,18 @@ def rules_from_mapping(data: Any) -> RuleSet:
     if not isinstance(count_lambdas, bool):
         raise ConfigError("count_lambdas", "must be true or false")
 
-    return RuleSet(
-        categories={cat: categories[cat] for cat in IcpCategory},
-        internal_types=_string_list(data, "internal_types"),
-        external_types=_string_list(data, "external_types"),
-        default_limit=default_limit,
-        limit_overrides=tuple(overrides),
-        exclude_globs=_string_list(data, "exclude_globs"),
-        test_globs=_string_list(data, "test_globs"),
-        include_globs=_string_list(data, "include_globs"),
-        count_lambdas=count_lambdas,
-        commit_pattern=commit_pattern,
-    )
+    return RuleSet((
+        {cat: categories[cat] for cat in IcpCategory},
+        _string_list(data, "internal_types"),
+        _string_list(data, "external_types"),
+        default_limit,
+        tuple(overrides),
+        _string_list(data, "exclude_globs"),
+        _string_list(data, "test_globs"),
+        _string_list(data, "include_globs"),
+        count_lambdas,
+        commit_pattern,
+    ))
 
 
 def _decimal_field(value: Any, path: str) -> Fraction:

@@ -3,170 +3,141 @@
 All nodes are immutable and carry a byte Span, so parsed units can be shared
 freely across threads and spans can be spliced back into the original bytes.
 
-Nodes are `typing.NamedTuple`s: defining one costs far less at import than
-a frozen dataclass, and a node is built as cheaply as a tuple. `==` is tuple
-equality, so nodes of two types with equal fields compare equal; no reader
-compares nodes, it tests their type with `isinstance`. `iter_children` walks
-a node's fields in order and yields those that are nodes or hold nodes in a
-tuple.
+Nodes are records (see `cddlint.records`): tuples whose fields are listed in
+`_fields`, built from one tuple of all their fields in that order, as
+`Binary((op, lhs, rhs, op_span, span))`; no field has a default. `==` is
+tuple equality, so nodes of two types with equal fields compare equal; no
+reader compares nodes, it tests their type with `isinstance`.
+`iter_children` walks a node's fields in order and yields those that are
+nodes or hold nodes in a tuple.
+
+The comments give a field's type where its name does not: an `Expr`, a
+`Stmt` and the like are nodes, `(X, ...)` is a tuple of them, and `| None`
+marks a field that may be absent.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Union
+
+from ..records import Record
 
 
-class Span(NamedTuple):
-    byte_start: int
-    byte_end: int
-    line_start: int
-    line_end: int
+class Span(Record):
+    _fields = ("byte_start", "byte_end", "line_start", "line_end")  # ints
 
     def contains(self, other: "Span") -> bool:
         return self.byte_start <= other.byte_start and other.byte_end <= self.byte_end
 
 
-class Diagnostic(NamedTuple):
-    message: str
-    span: Span
+class Diagnostic(Record):
+    _fields = ("message", "span")
 
 
-class AnnotationUse(NamedTuple):
-    name: str  # dotted; simple_name() gives the last segment
-    numeric_arg: Optional[Fraction]  # set iff written as @Name(<decimal>)
-    span: Span
+class AnnotationUse(Record):
+    _fields = (
+        "name",  # dotted; simple_name() gives the last segment
+        "numeric_arg",  # Fraction | None: set iff written as @Name(<decimal>)
+        "span",
+    )
 
     def simple_name(self) -> str:
         return self.name.rpartition(".")[2]
 
 
-class Marker(NamedTuple):
+class Marker(Record):
     """A `// @ICP(<decimal>)` line comment preceding a statement."""
 
-    value: Fraction
-    span: Span
+    _fields = ("value", "span")  # value: Fraction
 
 
-class TypeRef(NamedTuple):
-    qualified_name: str  # array suffixes already normalized away
-    type_args: tuple["TypeRef", ...]
-    span: Span
+class TypeRef(Record):
+    _fields = (
+        "qualified_name",  # array suffixes already normalized away
+        "type_args",  # (TypeRef, ...)
+        "span",
+    )
 
     @property
     def simple_name(self) -> str:
         return self.qualified_name.rpartition(".")[2]
 
 
-class Param(NamedTuple):
-    name: str
-    type: TypeRef
-    annotations: tuple[AnnotationUse, ...]
-    span: Span
+class Param(Record):
+    _fields = ("name", "type", "annotations", "span")  # type: TypeRef
 
 
 # ── Expressions ──────────────────────────────────────────────────────────
 
-class Binary(NamedTuple):
-    op: str  # || && | ^ & == != < > <= >= instanceof << >> >>> + - * / %
-    lhs: "Expr"
-    rhs: "Expr"
-    op_span: Span
-    span: Span
+class Binary(Record):
+    _fields = (
+        "op",  # || && | ^ & == != < > <= >= instanceof << >> >>> + - * / %
+        "lhs", "rhs",  # Expr
+        "op_span", "span",
+    )
 
 
-class Unary(NamedTuple):
-    op: str  # prefix ! ~ + - ++ --, or postfix ++ --
-    inner: "Expr"
-    span: Span
+class Unary(Record):
+    _fields = ("op", "inner", "span")  # op: prefix ! ~ + - ++ --, or postfix ++ --
 
 
-class Assign(NamedTuple):
-    op: str  # = += -= ...
-    target: "Expr"
-    value: "Expr"
-    span: Span
+class Assign(Record):
+    _fields = ("op", "target", "value", "span")  # op: = += -= ...
 
 
-class Ternary(NamedTuple):
-    cond: "Expr"
-    then_expr: "Expr"
-    else_expr: "Expr"
-    question_span: Span
-    span: Span
+class Ternary(Record):
+    _fields = ("cond", "then_expr", "else_expr", "question_span", "span")
 
 
-class Call(NamedTuple):
-    receiver: Optional["Expr"]
-    name: str
-    args: tuple["Expr", ...]
-    span: Span
+class Call(Record):
+    _fields = ("receiver", "name", "args", "span")  # receiver: Expr | None
 
 
-class NameRef(NamedTuple):
-    name: str
-    span: Span
+class NameRef(Record):
+    _fields = ("name", "span")
 
 
-class FieldAccess(NamedTuple):
-    receiver: "Expr"
-    name: str
-    span: Span
+class FieldAccess(Record):
+    _fields = ("receiver", "name", "span")
 
 
-class IndexAccess(NamedTuple):
-    receiver: "Expr"
-    index: "Expr"
-    span: Span
+class IndexAccess(Record):
+    _fields = ("receiver", "index", "span")
 
 
-class Lambda(NamedTuple):
-    params: tuple[str, ...]
-    body: Union["Expr", "Block"]
-    span: Span
+class Lambda(Record):
+    _fields = ("params", "body", "span")  # params: (str, ...); body: Expr | Block
 
 
-class New(NamedTuple):
-    type: TypeRef
-    args: tuple["Expr", ...]
-    span: Span
+class New(Record):
+    _fields = ("type", "args", "span")
 
 
-class ArrayNew(NamedTuple):
-    type: TypeRef
-    dims: tuple["Expr", ...]
-    init: Optional["Expr"]
-    span: Span
+class ArrayNew(Record):
+    _fields = ("type", "dims", "init", "span")  # init: Expr | None
 
 
-class Cast(NamedTuple):
-    type: TypeRef
-    inner: "Expr"
-    span: Span
+class Cast(Record):
+    _fields = ("type", "inner", "span")
 
 
-class Literal(NamedTuple):
-    text: str
-    span: Span
+class Literal(Record):
+    _fields = ("text", "span")
 
 
-class MethodRef(NamedTuple):
-    receiver: "Expr"
-    name: str
-    span: Span
+class MethodRef(Record):
+    _fields = ("receiver", "name", "span")
 
 
-class InitializerList(NamedTuple):
-    items: tuple["Expr", ...]
-    span: Span
+class InitializerList(Record):
+    _fields = ("items", "span")
 
 
-class Opaque(NamedTuple):
+class Opaque(Record):
     """An expression outside the supported grammar; children keep any counted
     constructs that could be recovered from inside it visible to the engine."""
 
-    children: tuple["Expr", ...]
-    span: Span
+    _fields = ("children", "span")
 
 
 Expr = Union[
@@ -176,114 +147,88 @@ Expr = Union[
 
 
 # ── Statements ───────────────────────────────────────────────────────────
+# Every statement ends in `annotations` (AnnotationUse, ...) and `markers`
+# (Marker, ...), () when it has none.
 
-class Block(NamedTuple):
-    stmts: tuple["Stmt", ...]
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
-
-
-class If(NamedTuple):
-    condition: Expr
-    then: "Stmt"
-    else_branch: Optional["Stmt"]
-    if_kw: Span
-    else_kw: Optional[Span]
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class Block(Record):
+    _fields = ("stmts", "span", "annotations", "markers")
 
 
-class Loop(NamedTuple):
-    kind: str  # for | while | do_while | for_each
-    condition: Optional[Expr]
-    body: "Stmt"
-    kw: Span
-    span: Span
-    init: tuple["Stmt", ...] = ()         # classic for
-    update: tuple[Expr, ...] = ()         # classic for
-    var: Optional["LocalDecl"] = None     # enhanced for
-    iterable: Optional[Expr] = None       # enhanced for
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class If(Record):
+    _fields = (
+        "condition", "then",
+        "else_branch",  # Stmt | None
+        "if_kw",
+        "else_kw",  # Span | None
+        "span", "annotations", "markers",
+    )
 
 
-class CaseLabel(NamedTuple):
-    expr: Optional[Expr]  # None for `default`
-    span: Span
+class Loop(Record):
+    _fields = (
+        "kind",  # for | while | do_while | for_each
+        "condition",  # Expr | None
+        "body", "kw", "span",
+        "init", "update",  # classic for: (Stmt, ...), (Expr, ...); else ()
+        "var", "iterable",  # enhanced for: LocalDecl, Expr; else None
+        "annotations", "markers",
+    )
 
 
-class SwitchCase(NamedTuple):
-    labels: tuple[CaseLabel, ...]
-    stmts: tuple["Stmt", ...]
-    span: Span
+class CaseLabel(Record):
+    _fields = ("expr", "span")  # expr: None for `default`
 
 
-class Switch(NamedTuple):
-    scrutinee: Expr
-    cases: tuple[SwitchCase, ...]
-    kw: Span
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class SwitchCase(Record):
+    _fields = ("labels", "stmts", "span")
 
 
-class CatchClause(NamedTuple):
-    param_name: str
-    types: tuple[TypeRef, ...]  # multi-catch keeps one clause, many types
-    body: Block
-    kw: Span
-    span: Span
+class Switch(Record):
+    _fields = ("scrutinee", "cases", "kw", "span", "annotations", "markers")
 
 
-class Try(NamedTuple):
-    resources: tuple["LocalDecl", ...]
-    body: Block
-    catches: tuple[CatchClause, ...]
-    finally_block: Optional[Block]
-    kw: Span
-    finally_kw: Optional[Span]
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class CatchClause(Record):
+    _fields = (
+        "param_name",
+        "types",  # (TypeRef, ...): multi-catch keeps one clause, many types
+        "body", "kw", "span",
+    )
 
 
-class LocalDecl(NamedTuple):
-    name: str
-    declared_type: Optional[TypeRef]  # None for `var` (no inference is done)
-    initializer: Optional[Expr]
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class Try(Record):
+    _fields = (
+        "resources",  # (LocalDecl, ...)
+        "body", "catches",
+        "finally_block",  # Block | None
+        "kw",
+        "finally_kw",  # Span | None
+        "span", "annotations", "markers",
+    )
 
 
-class ExprStmt(NamedTuple):
-    expr: Expr
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class LocalDecl(Record):
+    _fields = (
+        "name",
+        "declared_type",  # None for `var` (no inference is done)
+        "initializer",  # Expr | None
+        "span", "annotations", "markers",
+    )
 
 
-class Return(NamedTuple):
-    expr: Optional[Expr]
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class ExprStmt(Record):
+    _fields = ("expr", "span", "annotations", "markers")
 
 
-class Throw(NamedTuple):
-    expr: Expr
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class Return(Record):
+    _fields = ("expr", "span", "annotations", "markers")  # expr: Expr | None
 
 
-class Jump(NamedTuple):
-    kind: str  # break | continue; a label is skipped
-    span: Span
-    annotations: tuple[AnnotationUse, ...] = ()
-    markers: tuple[Marker, ...] = ()
+class Throw(Record):
+    _fields = ("expr", "span", "annotations", "markers")
+
+
+class Jump(Record):
+    _fields = ("kind", "span", "annotations", "markers")  # break | continue; a label is skipped
 
 
 Stmt = Union[
@@ -293,47 +238,49 @@ Stmt = Union[
 
 # ── Declarations ─────────────────────────────────────────────────────────
 
-class FieldDecl(NamedTuple):
-    name: str
-    declared_type: TypeRef  # fields always carry an explicit type
-    annotations: tuple[AnnotationUse, ...]
-    initializer: Optional[Expr]
-    span: Span
+class FieldDecl(Record):
+    _fields = (
+        "name",
+        "declared_type",  # fields always carry an explicit type
+        "annotations",
+        "initializer",  # Expr | None
+        "span",
+    )
 
 
-class MethodDecl(NamedTuple):
-    name: str
-    params: tuple[Param, ...]
-    return_type: Optional[TypeRef]  # None for void and constructors
-    annotations: tuple[AnnotationUse, ...]
-    body: Optional[Block]  # None for abstract / interface methods
-    span: Span
-    body_line_count: int  # body brace span height; 0 when body is absent
+class MethodDecl(Record):
+    _fields = (
+        "name", "params",
+        "return_type",  # None for void and constructors
+        "annotations",
+        "body",  # None for abstract / interface methods
+        "span",
+        "body_line_count",  # body brace span height; 0 when body is absent
+    )
 
 
-class EnumConstant(NamedTuple):
-    name: str
-    args: tuple[Expr, ...]
-    span: Span
+class EnumConstant(Record):
+    _fields = ("name", "args", "span")
 
 
-class TypeDecl(NamedTuple):
-    name: str
-    kind: str  # class | interface | enum
-    annotations: tuple[AnnotationUse, ...]
-    fields: tuple[FieldDecl, ...]
-    methods: tuple[MethodDecl, ...]
-    nested: tuple["TypeDecl", ...]
-    span: Span
-    header_start: int  # byte offset of the first header token after annotations
-    enum_constants: tuple[EnumConstant, ...] = ()
+class TypeDecl(Record):
+    _fields = (
+        "name",
+        "kind",  # class | interface | enum
+        "annotations", "fields", "methods",
+        "nested",  # (TypeDecl, ...)
+        "span",
+        "header_start",  # byte offset of the first header token after annotations
+        "enum_constants",  # (EnumConstant, ...), () unless an enum
+    )
 
 
-class SourceUnit(NamedTuple):
-    path: str
-    types: tuple[TypeDecl, ...]
-    physical_lines: int  # LF count, as `wc -l` gives; a lone CR is not counted
-    diagnostics: tuple[Diagnostic, ...] = ()
+class SourceUnit(Record):
+    _fields = (
+        "path", "types",
+        "physical_lines",  # LF count, as `wc -l` gives; a lone CR is not counted
+        "diagnostics",
+    )
 
 
 def iter_type_decls(unit: SourceUnit) -> Iterator[tuple[str, TypeDecl]]:

@@ -92,8 +92,8 @@ def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
     try:
         tokens = tokenize_bytes(data)
     except InvalidCharacter as exc:
-        span = Span(exc.byte_start, exc.byte_end, exc.line, exc.line)
-        raise ParseError([ast.Diagnostic(exc.message, span)]) from exc
+        span = Span((exc.byte_start, exc.byte_end, exc.line, exc.line))
+        raise ParseError([ast.Diagnostic((exc.message, span))]) from exc
     return _Parser(tokens, data, path).parse()
 
 
@@ -134,12 +134,12 @@ class _Parser:
 
     def tok_span(self, i: int) -> Span:
         line = self.lines[i]
-        return Span(self.starts[i], self.ends[i], line, line)
+        return Span((self.starts[i], self.ends[i], line, line))
 
     def span_from(self, start: int) -> Span:
         """From token `start` through the last token consumed."""
         end = self.pos - 1 if self.pos else 0
-        return Span(self.starts[start], self.ends[end], self.lines[start], self.lines[end])
+        return Span((self.starts[start], self.ends[end], self.lines[start], self.lines[end]))
 
     def markers_before(self, i: int) -> tuple[ast.Marker, ...]:
         """The `// @ICP(n)` marker comments before token i."""
@@ -147,11 +147,11 @@ class _Parser:
         for text, start, end, line in self.comments.get(i, ()):
             m = MARKER_COMMENT_RE.match(text)
             if m:
-                markers.append(ast.Marker(Fraction(m.group(1)), Span(start, end, line, line)))
+                markers.append(ast.Marker((Fraction(m.group(1)), Span((start, end, line, line)))))
         return tuple(markers)
 
     def diag(self, message: str, span: Span) -> None:
-        self.diagnostics.append(ast.Diagnostic(message, span))
+        self.diagnostics.append(ast.Diagnostic((message, span)))
 
     # ── compilation unit ────────────────────────────────────────────────
 
@@ -167,12 +167,9 @@ class _Parser:
                 continue
             decl = self._parse_type_decl_hard()
             types.append(decl)
-        return ast.SourceUnit(
-            path=self.path,
-            types=tuple(types),
-            physical_lines=self.data.count(b"\n"),
-            diagnostics=tuple(self.diagnostics),
-        )
+        return ast.SourceUnit((
+            self.path, tuple(types), self.data.count(b"\n"), tuple(self.diagnostics),
+        ))
 
     def _parse_type_decl_hard(self, start=None, annotations=None) -> ast.TypeDecl:
         # a broken type header, top-level or nested, is a hard error
@@ -213,17 +210,10 @@ class _Parser:
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             self._parse_member(fields, methods, nested)
         self.expect("}")
-        return ast.TypeDecl(
-            name=name,
-            kind=kind,
-            annotations=annotations or (),
-            fields=tuple(fields),
-            methods=tuple(methods),
-            nested=tuple(nested),
-            span=self.span_from(start),
-            header_start=self.starts[header_tok],
-            enum_constants=enum_constants,
-        )
+        return ast.TypeDecl((
+            name, kind, annotations or (), tuple(fields), tuple(methods), tuple(nested),
+            self.span_from(start), self.starts[header_tok], enum_constants,
+        ))
 
     def _parse_enum_constants(self) -> tuple[ast.EnumConstant, ...]:
         constants: list[ast.EnumConstant] = []
@@ -239,7 +229,7 @@ class _Parser:
             if self.texts[self.pos] == "{":
                 self.diag("enum constant body is not analyzed", self.tok_span(self.pos))
                 self._skip_balanced("{", "}")
-            constants.append(ast.EnumConstant(name, args, self.span_from(start)))
+            constants.append(ast.EnumConstant((name, args, self.span_from(start))))
             if self.texts[self.pos] == ",":
                 self.advance()
             else:
@@ -296,7 +286,7 @@ class _Parser:
                 names = self._parse_declarators(self.texts[name_tok], "field name")
                 span = self.span_from(start)
                 fields.extend(
-                    ast.FieldDecl(nm, return_type, annotations if i == 0 else (), iv, span)
+                    ast.FieldDecl((nm, return_type, annotations if i == 0 else (), iv, span))
                     for i, (nm, iv) in enumerate(names)
                 )
         except _Fail as exc:
@@ -325,15 +315,10 @@ class _Parser:
         body_lines = 0
         if body is not None:
             body_lines = body.span.line_end - body.span.line_start + 1
-        return ast.MethodDecl(
-            name=self.texts[name_tok],
-            params=params,
-            return_type=return_type,
-            annotations=annotations,
-            body=body,
-            span=self.span_from(start),
-            body_line_count=body_lines,
-        )
+        return ast.MethodDecl((
+            self.texts[name_tok], params, return_type, annotations, body,
+            self.span_from(start), body_lines,
+        ))
 
     def _parse_params(self) -> tuple[ast.Param, ...]:
         self.expect("(")
@@ -346,7 +331,7 @@ class _Parser:
                 self.advance()  # varargs behave like the element type
             name = self.texts[self.expect_ident("parameter name")]
             self._skip_array_suffix()
-            params.append(ast.Param(name, ptype, anns, self.span_from(start)))
+            params.append(ast.Param((name, ptype, anns, self.span_from(start))))
             if self.texts[self.pos] == ",":
                 self.advance()
             else:
@@ -390,7 +375,7 @@ class _Parser:
             else:
                 break
         self.expect("}")
-        return ast.InitializerList(tuple(items), self.span_from(start))
+        return ast.InitializerList((tuple(items), self.span_from(start)))
 
     # ── annotations and types ───────────────────────────────────────────
 
@@ -410,7 +395,7 @@ class _Parser:
                 self.pos = i + 3
             elif texts[i] == "(":
                 self._skip_balanced("(", ")")
-            uses.append(ast.AnnotationUse(name, numeric, self.span_from(start)))
+            uses.append(ast.AnnotationUse((name, numeric, self.span_from(start))))
         return tuple(uses)
 
     def _parse_variable_modifiers(self) -> tuple[ast.AnnotationUse, ...]:
@@ -440,7 +425,7 @@ class _Parser:
         if self.texts[self.pos] == "<":
             args = self._parse_type_args()
         self._skip_array_suffix()
-        return ast.TypeRef(name, args, self.span_from(start))
+        return ast.TypeRef((name, args, self.span_from(start)))
 
     def _parse_type_args(self) -> tuple[ast.TypeRef, ...]:
         self.expect("<")
@@ -506,7 +491,7 @@ class _Parser:
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             stmts.extend(self._parse_statement_recovering())
         self.expect("}")
-        return ast.Block(tuple(stmts), self.span_from(start))
+        return ast.Block((tuple(stmts), self.span_from(start), (), ()))
 
     def _parse_statement_recovering(self) -> list[ast.Stmt]:
         start = self.pos
@@ -521,7 +506,7 @@ class _Parser:
         self.diag(exc.message, exc.span)
         self._recover_statement()
         span = self.span_from(start) if self.pos > start else self.tok_span(start)
-        return ast.ExprStmt(ast.Opaque((), span), span)
+        return ast.ExprStmt((ast.Opaque(((), span)), span, (), ()))
 
     def _parse_statement(self) -> list[ast.Stmt]:
         start = self.pos
@@ -530,10 +515,10 @@ class _Parser:
 
         if self.texts[self.pos] == ";":
             self.advance()
-            return [ast.Block((), self.span_from(start), annotations, markers)]
+            return [ast.Block(((), self.span_from(start), annotations, markers))]
         if self.texts[self.pos] == "{":
             block = self._parse_block()
-            return [ast.Block(block.stmts, self.span_from(start), annotations, markers)]
+            return [ast.Block((block.stmts, self.span_from(start), annotations, markers))]
 
         if self.kinds[self.pos] == _IDENT:
             word = self.texts[self.pos]
@@ -546,18 +531,18 @@ class _Parser:
                 if self.texts[self.pos] != ";":
                     expr = self._parse_expr()
                 self.expect(";")
-                return [ast.Return(expr, self.span_from(start), annotations, markers)]
+                return [ast.Return((expr, self.span_from(start), annotations, markers))]
             if word == "throw":
                 self.advance()
                 expr = self._parse_expr()
                 self.expect(";")
-                return [ast.Throw(expr, self.span_from(start), annotations, markers)]
+                return [ast.Throw((expr, self.span_from(start), annotations, markers))]
             if word in ("break", "continue"):
                 self.advance()
                 if self.kinds[self.pos] == _IDENT:  # label
                     self.advance()
                 self.expect(";")
-                return [ast.Jump(word, self.span_from(start), annotations, markers)]
+                return [ast.Jump((word, self.span_from(start), annotations, markers))]
             if word == "synchronized" and self.texts[self.pos + 1] == "(":
                 self.diag("synchronized statement is analyzed as a plain block",
                           self.tok_span(self.pos))
@@ -566,12 +551,12 @@ class _Parser:
                 self._parse_expr()
                 self.expect(")")
                 block = self._parse_block()
-                return [ast.Block(block.stmts, self.span_from(start), annotations, markers)]
+                return [ast.Block((block.stmts, self.span_from(start), annotations, markers))]
             if word in ("assert", "yield"):
                 self.diag(f"{word} statement is not analyzed", self.tok_span(self.pos))
                 self._skip_to_semi()
                 span = self.span_from(start)
-                return [ast.ExprStmt(ast.Opaque((), span), span, annotations, markers)]
+                return [ast.ExprStmt((ast.Opaque(((), span)), span, annotations, markers))]
             if self.texts[self.pos + 1] == ":" and word not in ("case", "default"):
                 self.diag("labeled statement: label ignored", self.tok_span(self.pos))
                 self.pos += 2
@@ -583,7 +568,7 @@ class _Parser:
 
         expr = self._parse_expr()
         self.expect(";")
-        return [ast.ExprStmt(expr, self.span_from(start), annotations, markers)]
+        return [ast.ExprStmt((expr, self.span_from(start), annotations, markers))]
 
     def _parse_if(self, start, annotations, markers) -> ast.If:
         # an `else if` chain is read link by link in this loop, not by
@@ -619,8 +604,8 @@ class _Parser:
                 break
             markers = self.markers_before(start)
         for start, annotations, markers, if_kw, cond, then, else_kw in reversed(links):
-            else_branch = ast.If(cond, then, else_branch, if_kw, else_kw,
-                                 self.span_from(start), annotations, markers)
+            else_branch = ast.If((cond, then, else_branch, if_kw, else_kw,
+                                  self.span_from(start), annotations, markers))
         return else_branch
 
     def _parse_substatement(self) -> ast.Stmt:
@@ -628,9 +613,9 @@ class _Parser:
         if len(stmts) == 1:
             return stmts[0]
         # multi-declarator local statement as a loop/if body: wrap
-        span = Span(stmts[0].span.byte_start, stmts[-1].span.byte_end,
-                    stmts[0].span.line_start, stmts[-1].span.line_end)
-        return ast.Block(tuple(stmts), span)
+        span = Span((stmts[0].span.byte_start, stmts[-1].span.byte_end,
+                     stmts[0].span.line_start, stmts[-1].span.line_end))
+        return ast.Block((tuple(stmts), span, (), ()))
 
     def _parse_while(self, start, annotations, markers) -> ast.Loop:
         kw = self.tok_span(self.expect("while"))
@@ -638,8 +623,8 @@ class _Parser:
         cond = self._parse_expr()
         self.expect(")")
         body = self._parse_substatement()
-        return ast.Loop("while", cond, body, kw, self.span_from(start),
-                        annotations=annotations, markers=markers)
+        return ast.Loop(("while", cond, body, kw, self.span_from(start), (), (), None, None,
+                         annotations, markers))
 
     def _parse_do_while(self, start, annotations, markers) -> ast.Loop:
         kw = self.tok_span(self.expect("do"))
@@ -649,8 +634,8 @@ class _Parser:
         cond = self._parse_expr()
         self.expect(")")
         self.expect(";")
-        return ast.Loop("do_while", cond, body, kw, self.span_from(start),
-                        annotations=annotations, markers=markers)
+        return ast.Loop(("do_while", cond, body, kw, self.span_from(start), (), (), None,
+                         None, annotations, markers))
 
     def _parse_for(self, start, annotations, markers) -> ast.Loop:
         kw = self.tok_span(self.expect("for"))
@@ -661,9 +646,8 @@ class _Parser:
             var, iterable = enhanced
             self.expect(")")
             body = self._parse_substatement()
-            return ast.Loop("for_each", None, body, kw, self.span_from(start),
-                            var=var, iterable=iterable,
-                            annotations=annotations, markers=markers)
+            return ast.Loop(("for_each", None, body, kw, self.span_from(start), (), (), var,
+                             iterable, annotations, markers))
 
         init: list[ast.Stmt] = []
         if self.texts[self.pos] != ";":
@@ -687,9 +671,8 @@ class _Parser:
                 update.append(self._parse_expr())
         self.expect(")")
         body = self._parse_substatement()
-        return ast.Loop("for", cond, body, kw, self.span_from(start),
-                        init=tuple(init), update=tuple(update),
-                        annotations=annotations, markers=markers)
+        return ast.Loop(("for", cond, body, kw, self.span_from(start), tuple(init),
+                         tuple(update), None, None, annotations, markers))
 
     def _parse_expr_list_stmt(self) -> ast.Stmt:
         start = self.pos
@@ -699,8 +682,8 @@ class _Parser:
             exprs.append(self._parse_expr())
         span = self.span_from(start)
         if len(exprs) == 1:
-            return ast.ExprStmt(exprs[0], span)
-        return ast.Block(tuple(ast.ExprStmt(e, e.span) for e in exprs), span)
+            return ast.ExprStmt((exprs[0], span, (), ()))
+        return ast.Block((tuple(ast.ExprStmt((e, e.span, (), ())) for e in exprs), span, (), ()))
 
     def _try_parse_for_each_header(self) -> Optional[tuple[ast.LocalDecl, ast.Expr]]:
         start = self.pos
@@ -712,7 +695,7 @@ class _Parser:
                 raise _Fail("not an enhanced for", self.tok_span(self.pos))
             self.advance()
             iterable = self._parse_expr()
-            var = ast.LocalDecl(name, declared, None, self.span_from(start), anns, ())
+            var = ast.LocalDecl((name, declared, None, self.span_from(start), anns, ()))
             return var, iterable
         except _Fail:
             self.pos = start
@@ -735,8 +718,8 @@ class _Parser:
             names = self._parse_declarators(self.texts[self.advance()], "variable name")
             span = self.span_from(start)
             return [
-                ast.LocalDecl(nm, declared, iv, span,
-                              annotations if i == 0 else (), markers if i == 0 else ())
+                ast.LocalDecl((nm, declared, iv, span,
+                               annotations if i == 0 else (), markers if i == 0 else ()))
                 for i, (nm, iv) in enumerate(names)
             ]
         except _Fail:
@@ -767,16 +750,16 @@ class _Parser:
                 lbl_start = self.pos
                 if self.texts[self.pos] == "default":
                     self.advance()
-                    labels.append(ast.CaseLabel(None, self.span_from(lbl_start)))
+                    labels.append(ast.CaseLabel((None, self.span_from(lbl_start))))
                 else:
                     self.advance()
                     expr = self._parse_binary()  # no ternary: ':' ends the label
                     while self.texts[self.pos] == ",":  # case A, B:
                         self.advance()
-                        labels.append(ast.CaseLabel(expr, self.span_from(lbl_start)))
+                        labels.append(ast.CaseLabel((expr, self.span_from(lbl_start))))
                         lbl_start = self.pos
                         expr = self._parse_binary()
-                    labels.append(ast.CaseLabel(expr, self.span_from(lbl_start)))
+                    labels.append(ast.CaseLabel((expr, self.span_from(lbl_start))))
                 if self.texts[self.pos] == "->":
                     self.diag("arrow switch case analyzed as labeled case",
                               self.tok_span(self.pos))
@@ -789,11 +772,11 @@ class _Parser:
             while (self.texts[self.pos] not in ("}", "case", "default")
                    and self.kinds[self.pos] != _EOF):
                 stmts.extend(self._parse_statement_recovering())
-            cases.append(ast.SwitchCase(tuple(labels), tuple(stmts),
-                                        self.span_from(case_start)))
+            cases.append(ast.SwitchCase((tuple(labels), tuple(stmts),
+                                         self.span_from(case_start))))
         self.expect("}")
-        return ast.Switch(scrutinee, tuple(cases), kw, self.span_from(start),
-                          annotations, markers)
+        return ast.Switch((scrutinee, tuple(cases), kw, self.span_from(start),
+                           annotations, markers))
 
     def _parse_try(self, start, annotations, markers) -> ast.Try:
         kw = self.tok_span(self.expect("try"))
@@ -808,7 +791,7 @@ class _Parser:
                 self.expect("=")
                 init = self._parse_expr()
                 resources.append(
-                    ast.LocalDecl(name, declared, init, self.span_from(res_start), anns, ())
+                    ast.LocalDecl((name, declared, init, self.span_from(res_start), anns, ()))
                 )
                 if self.texts[self.pos] == ";":
                     self.advance()
@@ -829,15 +812,15 @@ class _Parser:
             pname = self.texts[self.expect_ident("catch parameter")]
             self.expect(")")
             c_body = self._parse_block()
-            catches.append(ast.CatchClause(pname, tuple(types), c_body, c_kw,
-                                           self.span_from(c_start)))
+            catches.append(ast.CatchClause((pname, tuple(types), c_body, c_kw,
+                                            self.span_from(c_start))))
         finally_block = None
         finally_kw = None
         if self.texts[self.pos] == "finally":
             finally_kw = self.tok_span(self.advance())
             finally_block = self._parse_block()
-        return ast.Try(tuple(resources), body, tuple(catches), finally_block,
-                       kw, finally_kw, self.span_from(start), annotations, markers)
+        return ast.Try((tuple(resources), body, tuple(catches), finally_block,
+                        kw, finally_kw, self.span_from(start), annotations, markers))
 
     # ── expressions ─────────────────────────────────────────────────────
 
@@ -848,7 +831,7 @@ class _Parser:
         if self.texts[self.pos] in _ASSIGN_OPS:
             op = self.texts[self.advance()]
             value = self._parse_expr()
-            return ast.Assign(op, lhs, value, self.span_from(start))
+            return ast.Assign((op, lhs, value, self.span_from(start)))
         return lhs
 
     def _parse_ternary(self) -> ast.Expr:
@@ -859,7 +842,7 @@ class _Parser:
             then_expr = self._parse_ternary()
             self.expect(":")
             else_expr = self._parse_ternary()
-            return ast.Ternary(cond, then_expr, else_expr, q_span, self.span_from(start))
+            return ast.Ternary((cond, then_expr, else_expr, q_span, self.span_from(start)))
         return cond
 
     def _parse_binary(self, min_prec: int = 1) -> ast.Expr:
@@ -885,10 +868,10 @@ class _Parser:
                 ty = self._parse_type()
                 if self.kinds[self.pos] == _IDENT:  # pattern variable (accepted, unused)
                     self.advance()
-                rhs = ast.NameRef(ty.qualified_name, ty.span)
+                rhs = ast.NameRef((ty.qualified_name, ty.span))
             else:
                 rhs = self._parse_binary(prec + 1)
-            lhs = ast.Binary(op, lhs, rhs, op_span, self.span_from(start))
+            lhs = ast.Binary((op, lhs, rhs, op_span, self.span_from(start)))
 
     def _binary_op(self) -> tuple[str, int]:
         """The binary operator at the cursor and its level (0 if none); a
@@ -905,7 +888,7 @@ class _Parser:
         text = self.texts[start]
         if text in _PREFIX_OPS:
             self.advance()
-            return ast.Unary(text, self._parse_unary(), self.span_from(start))
+            return ast.Unary((text, self._parse_unary(), self.span_from(start)))
         if text == "(":
             cast = self._try_parse_cast(start)
             if cast is not None:
@@ -922,7 +905,7 @@ class _Parser:
             castable = kind == _IDENT or kind in _LITERALS or text in ("(", "!", "~")
             if castable and text != "instanceof":
                 inner = self._parse_unary()
-                return ast.Cast(ty, inner, self.span_from(start))
+                return ast.Cast((ty, inner, self.span_from(start)))
             raise _Fail("not a cast", self.tok_span(self.pos))
         except _Fail:
             self.pos = start
@@ -942,27 +925,27 @@ class _Parser:
                 name_tok = self.expect_ident("member name")
                 if self.texts[self.pos] == "(":
                     args = self._parse_call_args()
-                    expr = ast.Call(expr, self.texts[name_tok], args, self.span_from(start))
+                    expr = ast.Call((expr, self.texts[name_tok], args, self.span_from(start)))
                 else:
-                    expr = ast.FieldAccess(expr, self.texts[name_tok], self.span_from(start))
+                    expr = ast.FieldAccess((expr, self.texts[name_tok], self.span_from(start)))
             elif k == "(" and isinstance(expr, ast.NameRef):
                 args = self._parse_call_args()
-                expr = ast.Call(None, expr.name, args, self.span_from(start))
+                expr = ast.Call((None, expr.name, args, self.span_from(start)))
             elif k == "[":
                 self.advance()
                 idx = self._parse_expr()
                 self.expect("]")
-                expr = ast.IndexAccess(expr, idx, self.span_from(start))
+                expr = ast.IndexAccess((expr, idx, self.span_from(start)))
             elif k == "::":
                 self.advance()
                 if self.kinds[self.pos] == _IDENT:  # a method name or `new`
                     name = self.texts[self.advance()]
                 else:
                     raise _Fail("expected method reference name", self.tok_span(self.pos))
-                expr = ast.MethodRef(expr, name, self.span_from(start))
+                expr = ast.MethodRef((expr, name, self.span_from(start)))
             elif k in ("++", "--"):
                 op = self.texts[self.advance()]
-                expr = ast.Unary(op, expr, self.span_from(start))
+                expr = ast.Unary((op, expr, self.span_from(start)))
             else:
                 return expr
 
@@ -983,7 +966,7 @@ class _Parser:
         kind, word = self.kinds[start], self.texts[start]
         if kind in _LITERALS or word in ("true", "false", "null"):
             self.advance()
-            return ast.Literal(word, self.tok_span(start))
+            return ast.Literal((word, self.tok_span(start)))
 
         if kind == _IDENT:
             if word == "new":
@@ -995,13 +978,13 @@ class _Parser:
                 scrutinee = self._parse_expr()
                 self.expect(")")
                 self._skip_balanced("{", "}")
-                return ast.Opaque((scrutinee,), self.span_from(start))
+                return ast.Opaque(((scrutinee,), self.span_from(start)))
             if self.texts[start + 1] == "->":  # single-param lambda
                 self.pos = start + 2
                 body = self._parse_lambda_body()
-                return ast.Lambda((word,), body, self.span_from(start))
+                return ast.Lambda(((word,), body, self.span_from(start)))
             self.advance()
-            return ast.NameRef(word, self.tok_span(start))
+            return ast.NameRef((word, self.tok_span(start)))
 
         if word == "(":
             if self._lparen_starts_lambda():
@@ -1030,15 +1013,15 @@ class _Parser:
             init = None
             if self.texts[self.pos] == "{":
                 init = self._parse_initializer_list()
-            return ast.ArrayNew(ty, tuple(dims), init, self.span_from(start))
+            return ast.ArrayNew((ty, tuple(dims), init, self.span_from(start)))
         args: tuple[ast.Expr, ...] = ()
         if self.texts[self.pos] == "(":
             args = self._parse_call_args()
         if self.texts[self.pos] == "{":
             self.diag("anonymous class body is not analyzed", self.tok_span(self.pos))
             self._skip_balanced("{", "}")
-            return ast.Opaque(args, self.span_from(start))
-        return ast.New(ty, args, self.span_from(start))
+            return ast.Opaque((args, self.span_from(start)))
+        return ast.New((ty, args, self.span_from(start)))
 
     def _lparen_starts_lambda(self) -> bool:
         # scan to the matching ')' and check for '->'; the lists end in EOF
@@ -1077,7 +1060,7 @@ class _Parser:
         self.expect(")")
         self.expect("->")
         body = self._parse_lambda_body()
-        return ast.Lambda(tuple(params), body, self.span_from(start))
+        return ast.Lambda((tuple(params), body, self.span_from(start)))
 
     def _parse_lambda_body(self):
         if self.texts[self.pos] == "{":
@@ -1146,4 +1129,3 @@ def _parse_decimal(text: str) -> Optional[Fraction]:
     if not re.fullmatch(r"\d+(?:\.\d+)?", t):
         return None
     return Fraction(t)
-

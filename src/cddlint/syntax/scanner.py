@@ -1,5 +1,12 @@
 """Tokenizer: one compiled bytes regex walked with ``finditer``.
 
+The matches are taken in batches of at most ``_BATCH``. Each batch is
+filled in by passes that run in C, not by an interpreted step per token:
+``map`` over ``lastindex``, ``Match.start``, ``Match.end`` and
+``Match.group``, ``accumulate`` over ``bytes.count`` for the lines, and
+``compress`` to take the ``//`` comments out; only the comments of a batch
+are visited one by one.
+
 Lexical contract:
   - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
   - a line ends at LF, at CR LF or at a lone CR (JLS SE 17 §3.4)
@@ -27,12 +34,16 @@ Lexical contract:
     backslash (JLS SE 17 §3.10.5): such a literal is unterminated at its line
   - a catch-all alternative comes before END, so no byte is ever skipped:
     an invalid byte, or an unterminated block comment, string or char
-    literal, raises InvalidCharacter
+    literal, raises InvalidCharacter; the first one in the input does,
+    wherever the batches end, once the tokens before it are decoded
+  - token texts are interned, so each spelling is stored once
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import attrgetter
 from sys import intern
 from typing import NoReturn
 
@@ -43,6 +54,13 @@ _LINE, _BAD_BLOCK, _IDENT, _NUMBER, _STRING, _CHAR, _PUNCTUATION, \
     _BAD_STRING, _BAD_CHAR, _BAD_BYTE, _END = range(1, 12)
 _KIND = {_IDENT: TokenKind.IDENT, _NUMBER: TokenKind.NUMBER, _STRING: TokenKind.STRING,
          _CHAR: TokenKind.CHAR, _PUNCTUATION: TokenKind.PUNCT}
+_ERRORS = frozenset({_BAD_BLOCK, _BAD_STRING, _BAD_CHAR, _BAD_BYTE})
+_lastindex = attrgetter("lastindex")
+
+# Matches are taken this many at a time: each batch is filled in by passes
+# that run in C, and holding every match of a large file at once would cost
+# more than twice the memory of the token stream.
+_BATCH = 4096
 
 # The leading gap is greedy and the catch-all `.` or END always matches after
 # the longest gap, so the gap is never given back: no possessive quantifier,
@@ -88,8 +106,6 @@ def tokenize_bytes(data: bytes) -> TokenStream:
     starts: list[int] = []
     ends: list[int] = []
     lines: list[int] = []
-    add_kind, add_text, add_start, add_end, add_line = (
-        kinds.append, texts.append, starts.append, ends.append, lines.append)
     comments: dict[int, list[tuple[str, int, int, int]]] = {}
     # the line counter counts LFs: in a file that holds a CR it counts them in
     # a copy of the same length in which each CR LF is a space and an LF and
@@ -99,27 +115,46 @@ def tokenize_bytes(data: bytes) -> TokenStream:
         breaks = data.replace(b"\r\n", b" \n").replace(b"\r", b"\n")
     line = 1
     last = 0  # where the previous match ended
-    for m in _TOKEN_RE.finditer(data):
-        group = m.lastindex
-        start = m.start(group)
-        line += breaks.count(b"\n", last, start)
-        last = end = m.end()
-        if _IDENT <= group <= _PUNCTUATION:
-            text = data[start:end].decode("utf-8")
-            if group == _IDENT or group == _PUNCTUATION:
-                text = intern(text)
-            add_kind(_KIND[group])
-            add_text(text)
-            add_start(start)
-            add_end(end)
-            add_line(line)
-        elif group == _LINE:
-            comment = (data[start:end].decode("utf-8"), start, end, line)
-            comments.setdefault(len(kinds), []).append(comment)
-        elif group == _END:
+    matches = _TOKEN_RE.finditer(data)
+    while batch := list(islice(matches, _BATCH)):
+        groups = list(map(_lastindex, batch))
+        # the first match that is no token or comment ends the stream: END,
+        # or an error, raised once the tokens before it are in
+        stop = groups.index(_END) if _END in groups else None
+        if not _ERRORS.isdisjoint(groups[:stop]):
+            stop = next(i for i, group in enumerate(groups) if group in _ERRORS)
+        if stop is not None:
+            del batch[stop + 1:], groups[stop + 1:]
+        batch_starts = list(map(re.Match.start, batch, groups))
+        batch_ends = list(map(re.Match.end, batch))
+        steps = list(map(breaks.count, repeat(b"\n"), chain((last,), batch_ends),
+                         batch_starts))
+        steps[0] += line
+        batch_lines = list(accumulate(steps))
+        line, last = batch_lines[-1], batch_ends[-1]
+        if stop is not None:
+            batch.pop()
+            stopped = (groups.pop(), batch_starts.pop(), batch_ends.pop(), batch_lines.pop())
+        batch_texts = list(map(bytes.decode, map(re.Match.group, batch, groups)))
+        if _LINE in groups:
+            # the k-th comment of the batch, at j, comes before its j - k-th token
+            base = len(kinds)
+            for k, j in enumerate(compress(range(len(groups)), map(_LINE.__eq__, groups))):
+                comments.setdefault(base + j - k, []).append(
+                    (batch_texts[j], batch_starts[j], batch_ends[j], batch_lines[j]))
+            is_token = list(map(_LINE.__ne__, groups))
+            groups, batch_texts, batch_starts, batch_ends, batch_lines = (
+                list(compress(entries, is_token))
+                for entries in (groups, batch_texts, batch_starts, batch_ends, batch_lines))
+        kinds += map(_KIND.__getitem__, groups)
+        texts += map(intern, batch_texts)
+        starts += batch_starts
+        ends += batch_ends
+        lines += batch_lines
+        if stop is not None:
+            if stopped[0] != _END:
+                _raise(data, *stopped)
             break
-        else:
-            _raise(data, group, start, end, line)
     n = len(data)
     count = len(kinds) + (n > 0 and (not kinds or ends[-1] < n))
     eofs = count - len(kinds) + 2  # the final EOF token, if any, and two more

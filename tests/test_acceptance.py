@@ -64,7 +64,7 @@ def test_c1_listing_golden(listing_source):
 def test_c2_rule_micro_goldens():
     with criterion("C2 rule micro-goldens, exact"):
         branch_only = default_rules(categories={
-            cat: CategoryRule(cat is B, rule.cost)
+            cat: CategoryRule((cat is B, rule.cost))
             for cat, rule in default_rules().categories.items()
         })
         wrap = "class T {{ void m(int a, int b, int c, int d, boolean x) {{ {0} }} }}"
@@ -116,7 +116,7 @@ def test_c4_verdict_boundary():
         probe = analyze_single("class T {}", rules)
 
         def with_total(total, path="src/T.java", name="T") -> UnitAnalysis:
-            return UnitAnalysis(path, name, probe.span, (), total, probe.subtotals)
+            return UnitAnalysis((path, name, probe.span, (), total, probe.subtotals))
 
         for total in (Fraction(19, 2), Fraction(10)):
             assert not verdict(with_total(total), rules).over_limit
@@ -125,7 +125,7 @@ def test_c4_verdict_boundary():
 
         dto_rules = default_rules(
             internal_types=("Internal*",),
-            limit_overrides=(LimitOverride("**/dto/**", Fraction(20)),),
+            limit_overrides=(LimitOverride(("**/dto/**", Fraction(20))),),
         )
         text = (ORACLE_DIR / "dto" / "BigDto.java").read_text()
         [dto] = analyze_unit(parse_unit(text, "dto/BigDto.java"), dto_rules)

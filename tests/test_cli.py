@@ -359,6 +359,25 @@ class TestReconcile:
             "D.java,D,0.5,0,-0.5,drifted",
         ]
 
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_fix_keeps_line_endings(self, tmp_path, capsys, monkeypatch, ending):
+        # a stale class-level @ICP is rewritten and a nested class gets one;
+        # every other byte, each line terminator included, stays as it was
+        monkeypatch.chdir(tmp_path)
+        source = ("@ICP(9)\npublic class Outer {\n  void f(boolean x) { if (x) {} }\n\n"
+                  "  static class Inner {\n    void g(int y) { while (y > 0) { y--; } }\n"
+                  "  }\n}\n")
+        fixed = ("@ICP(2)\npublic class Outer {\n  void f(boolean x) { if (x) {} }\n\n"
+                 "  @ICP(2)\n  static class Inner {\n"
+                 "    void g(int y) { while (y > 0) { y--; } }\n  }\n}\n")
+        target = tmp_path / "Outer.java"
+        target.write_bytes(source.replace("\n", ending).encode("utf-8"))
+        code, out, _ = run(capsys, "reconcile", ".", "--fix")
+        assert (code, out) == (0, "fixed Outer.java\n1 files changed\n")
+        assert target.read_bytes() == fixed.replace("\n", ending).encode("utf-8")
+        code, out, _ = run(capsys, "reconcile", ".", "--fail-on", "drift")
+        assert code == 0 and "0 drifted, 0 unannotated" in out
+
     def test_rewrite_conflict_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "A.java").write_text(

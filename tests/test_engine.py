@@ -46,7 +46,7 @@ def analyze_one(source: str, rules=DEFAULTS):
 def only(*categories: IcpCategory):
     """Rules with just the given categories enabled (isolates one rule)."""
     cats = {
-        cat: CategoryRule(cat in categories, rule.cost)
+        cat: CategoryRule((cat in categories, rule.cost))
         for cat, rule in DEFAULTS.categories.items()
     }
     return default_rules(categories=cats)
@@ -290,23 +290,23 @@ class TestVerdicts:
     def test_strict_inequality(self, total, expected):
         source = "class T {%s}" % (" private Dep d;" * 0)
         a = analyze_one(source)
-        forced = type(a)(a.path, a.type_name, a.span, a.sites, total, a.subtotals)
+        forced = type(a)((a.path, a.type_name, a.span, a.sites, total, a.subtotals))
         assert verdict(forced, DEFAULTS).over_limit is expected
 
     def test_override_first_match_wins(self):
         rules = default_rules(limit_overrides=(
-            LimitOverride("**/dto/**", Fraction(20)),
-            LimitOverride("**/dto/**", Fraction(5)),
+            LimitOverride(("**/dto/**", Fraction(20))),
+            LimitOverride(("**/dto/**", Fraction(5))),
         ))
         a = analyze_one("class T {}")
-        forced = type(a)("src/dto/X.java", "X", a.span, (), Fraction(12), a.subtotals)
+        forced = type(a)(("src/dto/X.java", "X", a.span, (), Fraction(12), a.subtotals))
         v = verdict(forced, rules)
         assert v.applicable_limit == 20 and not v.over_limit
 
     def test_override_matches_type_name_too(self):
-        rules = default_rules(limit_overrides=(LimitOverride("*Dto", Fraction(20)),))
+        rules = default_rules(limit_overrides=(LimitOverride(("*Dto", Fraction(20))),))
         a = analyze_one("class T {}")
-        forced = type(a)("src/X.java", "BigDto", a.span, (), Fraction(12), a.subtotals)
+        forced = type(a)(("src/X.java", "BigDto", a.span, (), Fraction(12), a.subtotals))
         assert not verdict(forced, rules).over_limit
 
 

@@ -155,9 +155,9 @@ class TestDetectCddCommit:
 def _n_if_class(name: str, n: int) -> SnapshotFile:
     body = "\n".join(f"    if (x{i} > 0) {{}}" for i in range(n))
     params = ", ".join(f"int x{i}" for i in range(n))
-    return SnapshotFile(f"{name}.java",
-                        f"class {name} {{\n  void f({params}) {{\n{body}\n  }}\n}}\n",
-                        False)
+    return SnapshotFile((f"{name}.java",
+                         f"class {name} {{\n  void f({params}) {{\n{body}\n  }}\n}}\n",
+                         False, ""))
 
 
 class TestAnalyzeSnapshot:
@@ -181,20 +181,20 @@ class TestAnalyzeSnapshot:
             "CertificateResponse", "Training",
         ))
         stats = analyze_snapshot(
-            [SnapshotFile("CertificateDetailsController.java", listing_source, False)],
+            [SnapshotFile(("CertificateDetailsController.java", listing_source, False, ""))],
             rules,
         )
         assert stats.class_count == 1
         assert stats.mean_icp == 8
 
     def test_parse_failure_tallied_not_fatal(self):
-        broken = SnapshotFile("Broken.java", "not java at all", False)
+        broken = SnapshotFile(("Broken.java", "not java at all", False, ""))
         stats = analyze_snapshot([broken, _n_if_class("Ok", 1)], RULES)
         assert stats.parse_failures == 1
         assert stats.class_count == 1
 
     def test_too_deep_nesting_keeps_the_other_classes(self):
-        deep = SnapshotFile("Deep.java", DEEP_SOURCE, False)
+        deep = SnapshotFile(("Deep.java", DEEP_SOURCE, False, ""))
         stats = analyze_snapshot([deep, _n_if_class("Ok", 1)], RULES)
         assert stats.parse_failures == 1
         assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
@@ -204,24 +204,24 @@ class TestAnalyzeSnapshot:
     def test_class_loc_attribution(self):
         # two top-level classes: each class, the nested one too, counts its
         # declaration's lines: A 1-6 is 6, A.N 3-5 is 3, B 8-10 is 3
-        two = SnapshotFile("Two.java", (
+        two = SnapshotFile(("Two.java", (
             "class A {\n  void f() {}\n  static class N {\n    int x;\n  }\n}\n"
-            "\nclass B {\n  int y;\n}\n"), False)
+            "\nclass B {\n  int y;\n}\n"), False, ""))
         # one top-level class counts the file's 6 lines; S.M 4-5 is 2
-        one = SnapshotFile("One.java", (
-            "package p;\n\nclass S {\n  class M {\n  }\n}\n"), False)
+        one = SnapshotFile(("One.java", (
+            "package p;\n\nclass S {\n  class M {\n  }\n}\n"), False, ""))
         stats = analyze_snapshot([two, one], RULES)
         assert stats.class_count == 5
         assert stats.mean_physical_loc == Fraction(6 + 3 + 3 + 6 + 2, 5)
 
     def test_exclusion_correctness(self):
         files = [
-            SnapshotFile("A.java", "class A {}", False),
-            SnapshotFile("src/test/T.java", "class T {}", True),
+            SnapshotFile(("A.java", "class A {}", False, "")),
+            SnapshotFile(("src/test/T.java", "class T {}", True, "")),
         ]
         stats = analyze_snapshot(files, RULES)
         assert stats.class_count == 1
-        as_plain = [SnapshotFile(f.path, f.text, False) for f in files]
+        as_plain = [f._replace(is_test=False) for f in files]
         stats2 = analyze_snapshot(as_plain, RULES)
         assert stats2.class_count == 2
 
@@ -289,7 +289,7 @@ class TestSeriesGolden:
 # over the limit everywhere but at Same2.java, so the path matters.
 MEMO_RULES = default_rules(
     internal_types=("Internal*",),
-    limit_overrides=(LimitOverride("Same2.java", Fraction(20)),),
+    limit_overrides=(LimitOverride(("Same2.java", Fraction(20))),),
 )
 MEMO_COMMITS = [
     {"A.java": A_V1, "Same1.java": BIG, "Broken.java": "not java at all",

@@ -155,15 +155,9 @@ class TestExactness:
             assert variance == sum((Fraction(x) - mean) ** 2 for x in lengths) / n
             small = sum(1 for x in lengths if x <= SLOC_THRESHOLD)
             stats = stats_from_lengths(lengths, 3)
-            assert stats == MethodStats(
-                counted_methods=n,
-                excluded_methods=3,
-                min_loc=ordered[0],
-                mean_loc=mean,
-                median_loc=Fraction(sum(middle), len(middle)),
-                max_loc=ordered[-1],
-                stddev_loc=math.sqrt(float(variance)),
-                percent_at_or_under_24=Fraction(100 * small) / n,
-            ), lengths
+            assert stats == MethodStats((
+                n, 3, ordered[0], mean, Fraction(sum(middle), len(middle)), ordered[-1],
+                math.sqrt(float(variance)), Fraction(100 * small) / n,
+            )), lengths
             exact = (stats.mean_loc, stats.median_loc, stats.percent_at_or_under_24)
             assert {type(v) for v in exact} == {Fraction}

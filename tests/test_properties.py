@@ -173,7 +173,7 @@ def test_additivity(bodies):
     assert sum(full.subtotals.values()) == full.total
     for disabled in IcpCategory:
         cats = {
-            cat: CategoryRule(cat is not disabled and rule.enabled, rule.cost)
+            cat: CategoryRule((cat is not disabled and rule.enabled, rule.cost))
             for cat, rule in RULES.categories.items()
         }
         [partial] = analyze_unit(unit, RULES._replace(categories=cats))
@@ -192,7 +192,7 @@ def test_cost_linearity_with_limit_coscaling(bodies, k):
     analyses = analyze_unit(unit, RULES)
     scaled_rules = default_rules(
         categories={
-            cat: CategoryRule(rule.enabled, rule.cost * k)
+            cat: CategoryRule((rule.enabled, rule.cost * k))
             for cat, rule in RULES.categories.items()
         },
         internal_types=RULES.internal_types,
@@ -261,12 +261,12 @@ def _rule_variants(base):
     and with each category disabled in turn."""
     yield base
     yield base._replace(categories={
-        cat: CategoryRule(rule.enabled, Fraction(1 + 2 * (i % 2), 2))
+        cat: CategoryRule((rule.enabled, Fraction(1 + 2 * (i % 2), 2)))
         for i, (cat, rule) in enumerate(base.categories.items())
     })
     for off in IcpCategory:
         yield base._replace(categories={
-            cat: CategoryRule(rule.enabled and cat is not off, rule.cost)
+            cat: CategoryRule((rule.enabled and cat is not off, rule.cost))
             for cat, rule in base.categories.items()
         })
 
@@ -403,7 +403,8 @@ def test_too_deep_nesting_fails_its_file_alone(form, tmp_path, monkeypatch, caps
     ]
     assert [(u["path"], u["total"]) for u in doc["units"]] == [("Ok.java", 2)]
 
-    files = [SnapshotFile("Deep.java", deep, False), SnapshotFile("Ok.java", ok, False)]
+    files = [SnapshotFile(("Deep.java", deep, False, "")),
+             SnapshotFile(("Ok.java", ok, False, ""))]
     stats = analyze_snapshot(files, RULES)
     assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
     assert (stats.class_count, stats.mean_icp) == (1, 2)

@@ -1,26 +1,51 @@
-"""The record contract: syntax nodes and result records are immutable
-`NamedTuple`s, importing the CLI generates no dataclass code, and a node's
-fields are what `ast.iter_children` walks."""
+"""The record contract: syntax nodes and result records are immutable tuples
+built by `tuple.__new__` from one tuple of all their fields, importing the
+CLI generates no dataclass code, and a node's fields are what
+`ast.iter_children` walks."""
 
 from __future__ import annotations
 
+import importlib
+import json
 import os
+import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cddlint
+from cddlint import records
 from cddlint.engine import analyze_unit
 from cddlint.rules import default_rules
 from cddlint.syntax import ast, parse_unit
 
-from conftest import FIXTURES, LISTING_PATH
+from conftest import FIXTURES, LISTING_PATH, ORACLE_DIR
 
 SYNTAX_TYPES = [cls for cls in vars(ast).values()
-                if isinstance(cls, type) and hasattr(cls, "_fields")]
+                if isinstance(cls, type) and issubclass(cls, records.Record)
+                and cls is not records.Record]
 NODE_TYPES = tuple(cls for cls in SYNTAX_TYPES if "span" in cls._fields)
+
+
+def _record_classes() -> list[type]:
+    """Every class of a cddlint module that is a tuple with named fields, the
+    base class `Record` aside."""
+    found = []
+    for info in pkgutil.walk_packages(cddlint.__path__, "cddlint."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        found += [cls for cls in vars(module).values()
+                  if isinstance(cls, type) and issubclass(cls, tuple)
+                  and cls.__module__ == module.__name__ and hasattr(cls, "_fields")
+                  and cls is not records.Record]
+    return found
+
+
+RECORD_CLASSES = _record_classes()
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -34,10 +59,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_record_class_is_found():
+    # the 40 syntax records and the 20 per-file and per-run results
+    assert len(RECORD_CLASSES) >= 60
+    assert set(SYNTAX_TYPES) <= set(RECORD_CLASSES)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_record_is_built_by_tuple_new(cls):
+    assert cls.__new__ is tuple.__new__
+    assert cls.__slots__ == ()
+    values = tuple(range(len(cls._fields)))
+    record = cls(values)
+    assert record == values
+    assert [getattr(record, name) for name in cls._fields] == list(values)
+
+
 class TestImmutable:
     @pytest.mark.parametrize("cls", SYNTAX_TYPES, ids=lambda cls: cls.__name__)
     def test_syntax_node(self, cls):
-        node = cls(*[None] * len(cls._fields))
+        node = cls((None,) * len(cls._fields))
         with pytest.raises(AttributeError):
             setattr(node, cls._fields[0], 0)
 
@@ -51,6 +92,91 @@ class TestImmutable:
         rules = default_rules()
         with pytest.raises(AttributeError):
             rules.internal_types = ("Repo",)
+
+    def test_no_attribute_outside_the_fields(self):
+        span = ast.Span((0, 1, 1, 1))
+        with pytest.raises(AttributeError):
+            span.extra = 0
+
+
+def _records_in(value) -> list[records.Record]:
+    """Every record inside `value`, at any depth."""
+    found, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, records.Record):
+            found.append(item)
+        if isinstance(item, (tuple, list)):
+            stack += item
+        elif isinstance(item, dict):
+            stack += item.values()
+    return found
+
+
+def _short(found: list[records.Record]) -> list[records.Record]:
+    return [record for record in found if len(record) != len(type(record)._fields)]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
+                         ids=lambda path: path.name)
+def test_every_node_of_a_fixture_has_all_its_fields(path):
+    unit = parse_unit(path.read_text(encoding="utf-8"), path.name)
+    found = _records_in(unit)
+    assert len(found) > len(unit.types)
+    assert _short(found) == []
+
+
+def test_every_analysis_of_the_oracle_corpus_has_all_its_fields():
+    manifest = json.loads((ORACLE_DIR / "manifest.json").read_text(encoding="utf-8"))
+    rules = default_rules(internal_types=tuple(manifest["config"]["internal_types"]),
+                          external_types=tuple(manifest["config"]["external_types"]))
+    found = []
+    for rel in manifest["files"]:
+        text = (ORACLE_DIR / rel).read_text(encoding="utf-8")
+        found += _records_in(analyze_unit(parse_unit(text, rel), rules))
+    kinds = {type(record).__name__ for record in found}
+    assert {"UnitAnalysis", "IcpSite", "Span"} <= kinds
+    assert _short(found) == []
+
+
+def test_repr_names_the_fields():
+    marker = ast.Marker((Fraction(3, 2), ast.Span((4, 9, 2, 2))))
+    assert repr(marker) == ("Marker(value=Fraction(3, 2), span=Span(byte_start=4, "
+                            "byte_end=9, line_start=2, line_end=2))")
+    assert repr(ast.Block(((), ast.Span((0, 2, 1, 1)), (), ()))).startswith(
+        "Block(stmts=(), span=Span(")
+
+
+def test_replace_changes_only_the_named_fields():
+    span = ast.Span((0, 5, 1, 2))
+    moved = span._replace(byte_end=7, line_end=3)
+    assert type(moved) is ast.Span and moved == (0, 7, 1, 3)
+    assert span == (0, 5, 1, 2)
+    with pytest.raises(ValueError):
+        span._replace(width=3)
+
+
+def test_property_fallback_behaves_as_the_c_accessor(monkeypatch):
+    class Fast(records.Record):
+        _fields = ("a", "b")
+
+    monkeypatch.setattr(records, "_field", records._property_field)
+
+    class Slow(records.Record):
+        _fields = ("a", "b")
+
+    assert isinstance(vars(Slow)["a"], property)
+    assert not isinstance(vars(Fast)["a"], property)
+    fast, slow = Fast(("x", 2)), Slow(("x", 2))
+    assert (slow.a, slow.b) == (fast.a, fast.b) == ("x", 2)
+    assert Slow.__new__ is tuple.__new__
+    assert repr(slow) == "Slow(a='x', b=2)"
+    for record in (fast, slow):
+        with pytest.raises(AttributeError):
+            record.a = "y"
+        with pytest.raises(AttributeError):
+            del record.b
+        assert record == ("x", 2)
 
 
 def _reflected_children(node: tuple) -> list[tuple]:

@@ -1,15 +1,18 @@
 """Tokenizer contract: spans, line-comment attachment, line accounting,
-and that no input byte is ever skipped."""
+that no input byte is ever skipped, and that batch boundaries change
+nothing."""
 
 from __future__ import annotations
 
 import re
 import subprocess
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cddlint.syntax import InvalidCharacter, TokenKind, physical_loc, tokenize
+from cddlint.syntax.scanner import _BATCH, tokenize_bytes
 
 from conftest import ORACLE_DIR
 
@@ -191,3 +194,75 @@ class TestNoSilentSkip:
             assert _SKIPPABLE.fullmatch(data, pos, start)
             pos = end
         assert _SKIPPABLE.fullmatch(data, pos, len(data))
+
+
+def _generated(matches: int, error_at: int = -1):
+    """An input of `matches` tokens and `//` comments, with what the scanner
+    must make of it. Next to each batch boundary: a `//` comment as the last
+    match of one batch and as the first of the next, a CR LF, a lone CR, and
+    a multi-line `/* */` holding all three terminators. At `error_at` an
+    invalid byte stands in for the match."""
+    out = bytearray()
+    kinds, texts, starts, lines, comments = [], [], [], [], {}
+    line, after_comment, error = 1, False, None
+    edges = {b + d: d for b in range(_BATCH, matches, _BATCH) for d in (-1, 0, 1)}
+    for i in range(matches):
+        gap = {-1: "\r\n", 0: "\n/* a\r\nb\rc\nd */ ", 1: "\r"}.get(edges.get(i), " ")
+        if after_comment and gap[0] not in "\r\n":
+            gap = "\n" + gap
+        out += gap.encode()
+        line += len(re.findall(r"\r\n|\r|\n", gap))
+        if i == error_at:
+            error = (len(out), line)
+            out += b"#"
+            continue
+        after_comment = (i in edges and edges[i] <= 0) or i % 97 == 5
+        if after_comment:
+            text = f"// c{i}"
+            comment = (text, len(out), len(out) + len(text), line)
+            comments.setdefault(len(kinds), []).append(comment)
+        else:
+            kind, text = [(K.IDENT, f"a{i}"), (K.NUMBER, str(i)), (K.PUNCT, "+=")][i % 3]
+            kinds.append(kind)
+            texts.append(text)
+            starts.append(len(out))
+            lines.append(line)
+        out += text.encode()
+    return bytes(out), (kinds, texts, starts, lines, comments), error
+
+
+class TestBatches:
+    """The scanner fills its lists batch by batch; no token, comment or line
+    may be lost or shifted where one batch ends and the next begins."""
+
+    def test_input_of_three_batches(self):
+        data, expected, _ = _generated(2 * _BATCH + 300)
+        ts = tokenize_bytes(data)
+        assert data.count(b"//") > 60 and data.count(b"\r\n") == 4
+        n = len(expected[0])
+        assert len(ts) == n  # the input ends in a token: no EOF token
+        assert (ts.kinds[:n], ts.texts[:n], ts.starts[:n], ts.lines[:n], ts.comments) \
+            == expected
+        assert ts.ends[:n] == [s + len(t) for s, t in zip(ts.starts[:n], ts.texts[:n])]
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_invalid_byte_past_a_boundary(self, offset):
+        data, _, (start, line) = _generated(_BATCH + 50, error_at=_BATCH + offset)
+        with pytest.raises(InvalidCharacter) as info:
+            tokenize_bytes(data)
+        assert (info.value.message, info.value.byte_start, info.value.byte_end,
+                info.value.line) == ("invalid character 0x23", start, start + 1, line)
+
+    def test_peak_memory_stays_near_the_stream(self):
+        # every match of the input held at once costs more than twice the
+        # stream; a batch of them stays within a few MB of it
+        text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(ORACLE_DIR.glob("*.java")))
+        data = (text * (300_000 // len(text) + 1)).encode("utf-8")
+        tracemalloc.start()
+        try:
+            ts = tokenize_bytes(data)
+            stream, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ts) > 40_000
+        assert peak - stream < 4 * 2**20, (stream, peak)
