@@ -71,14 +71,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
+    # each subcommand takes only the options it reads
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH",
                         help=f"config file (default: ${CONFIG_ENV_VAR} or ./{CONFIG_FILE_NAME})")
-    common.add_argument("--format", choices=["text", "json", "csv"], default="text",
+    report = argparse.ArgumentParser(add_help=False, parents=[config])
+    report.add_argument("--format", choices=["text", "json", "csv"], default="text",
                         help="report format (default: text)")
-    common.add_argument("--fail-on", choices=["over-limit", "drift", "never"],
-                        default="over-limit", dest="fail_on",
-                        help="condition that makes the exit code 1 (default: over-limit)")
 
     parser = argparse.ArgumentParser(
         prog="cddlint",
@@ -87,28 +86,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_init = sub.add_parser("init", parents=[common],
-                            help="write a default cdd.json")
+    p_init = sub.add_parser("init", help="write a default cdd.json")
     p_init.add_argument("target", nargs="?", default=".",
                         help="directory to write the config into")
     p_init.add_argument("--force", action="store_true",
                         help="overwrite an existing config")
     p_init.set_defaults(handler=cmd_init)
 
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[report],
                              help="analyze units and enforce the limit")
     p_check.add_argument("paths", nargs="*", default=None,
                          help="files or directories (default: .)")
+    p_check.add_argument("--fail-on", choices=["over-limit", "drift", "never"],
+                         default="over-limit", dest="fail_on",
+                         help="condition that makes the exit code 1 (default: over-limit)")
     p_check.set_defaults(handler=cmd_check)
 
-    p_rec = sub.add_parser("reconcile", parents=[common],
+    p_rec = sub.add_parser("reconcile", parents=[report],
                            help="compare declared @ICP values with computed totals")
     p_rec.add_argument("paths", nargs="*", default=None)
     p_rec.add_argument("--fix", action="store_true",
                        help="rewrite class-level @ICP annotations in place")
+    p_rec.add_argument("--fail-on", choices=["drift", "never"], default="never",
+                       dest="fail_on",
+                       help="condition that makes the exit code 1 (default: never)")
     p_rec.set_defaults(handler=cmd_reconcile)
 
-    p_hist = sub.add_parser("history", parents=[common],
+    p_hist = sub.add_parser("history", parents=[config],
                             help="per-commit evolution metrics (CSV + JSON)")
     p_hist.add_argument("repo", nargs="?", default=".",
                         help="git repository path (default: .)")
@@ -273,7 +277,7 @@ def cmd_reconcile(args) -> int:
         sys.stdout.write(render_drift_csv(report))
     else:
         sys.stdout.write(render_drift_text(report))
-    return 1 if args.fail_on == "drift" and _should_fail(args, report) else 0
+    return 1 if _should_fail(args, report) else 0
 
 
 def _fix_files(files: list[tuple[Path, str]], rules: RuleSet) -> int:

@@ -27,6 +27,12 @@ rules:
 With lambda counting off (the default) nothing inside a lambda body is
 counted and the lambda itself costs nothing.
 
+Expressions are walked by one descent: `_TypeWalker._walk_expr` scores a
+node, then walks the children `ast.iter_children` yields, less any TypeRef.
+Only a lambda, a ternary, a call (its receiver's root), `new` and a binary
+operator (its left spine walked in a loop) have a branch; any other kind,
+one the parser adds included, is walked with no edit here.
+
 Every site of a category costs that category's `cost`, so a subtotal is the
 exact product of the cost and an integer count of sites, and the total is the
 integer sum of the subtotals over their common denominator: no Fraction is
@@ -35,7 +41,6 @@ built per site.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .records import Record
@@ -114,19 +119,10 @@ class _Scope:
         return None
 
 
-class _Region:
-    """One expression-bearing statement region; deduplicates coupling uses."""
-
-    __slots__ = ("uses",)
-
-    def __init__(self):
-        # name -> (span, reason, direct); direct uses (constructor calls of a
-        # matching type) need no scope lookup
-        self.uses: dict[str, tuple[Span, str, bool]] = {}
-
-    def add(self, name: str, span: Span, reason: str, direct: bool = False) -> None:
-        if name not in self.uses:
-            self.uses[name] = (span, reason, direct)
+# The coupling uses of one expression-bearing statement region, the first of
+# each name kept: name -> (span, reason, direct); a direct use (a constructor
+# call of a matching type) needs no scope lookup.
+_Uses = dict[str, tuple[Span, str, bool]]
 
 
 class _TypeWalker:
@@ -151,7 +147,7 @@ class _TypeWalker:
             self.type_scope.bind(f.name, f.declared_type)
 
         for constant in decl.enum_constants:
-            region = _Region()
+            region: _Uses = {}
             for arg in constant.args:
                 self._walk_expr(arg, self.type_scope, region)
             self._flush_region(region, self.type_scope)
@@ -164,9 +160,7 @@ class _TypeWalker:
                 self._emit(IcpCategory.EXTERNAL_COUPLING, f.declared_type.span,
                            f"external coupling: {f.declared_type.simple_name} declaration")
             if f.initializer is not None:
-                region = _Region()
-                self._walk_initializer(f.initializer, self.type_scope, region)
-                self._flush_region(region, self.type_scope)
+                self._walk_initializer(f.initializer, self.type_scope)
 
         for m in decl.methods:
             self._walk_method(m)
@@ -202,15 +196,9 @@ class _TypeWalker:
         elif isinstance(stmt, ast.LocalDecl):
             self._walk_local_decl(stmt, scope)
 
-        elif isinstance(stmt, ast.ExprStmt):
-            self._expr_region(stmt.expr, scope)
-
-        elif isinstance(stmt, ast.Return):
-            if stmt.expr is not None:
+        elif isinstance(stmt, (ast.ExprStmt, ast.Return, ast.Throw)):
+            if stmt.expr is not None:  # a bare `return`
                 self._expr_region(stmt.expr, scope)
-
-        elif isinstance(stmt, ast.Throw):
-            self._expr_region(stmt.expr, scope)
 
         elif isinstance(stmt, ast.If):
             while True:  # an `else if` chain is walked here, not by recursion
@@ -286,26 +274,26 @@ class _TypeWalker:
             self._emit(IcpCategory.EXTERNAL_COUPLING, stmt.declared_type.span,
                        f"external coupling: {stmt.declared_type.simple_name} {what}")
         if stmt.initializer is not None:
-            region = _Region()
-            self._walk_initializer(stmt.initializer, scope, region)
-            self._flush_region(region, scope)
+            self._walk_initializer(stmt.initializer, scope)
         scope.bind(stmt.name, stmt.declared_type)
 
     # ── expressions ─────────────────────────────────────────────────────
 
     def _expr_region(self, expr: ast.Expr, scope: _Scope) -> None:
-        region = _Region()
+        region: _Uses = {}
         self._walk_expr(expr, scope, region)
         self._flush_region(region, scope)
 
-    def _walk_initializer(self, expr: ast.Expr, scope: _Scope, region: _Region) -> None:
+    def _walk_initializer(self, expr: ast.Expr, scope: _Scope) -> None:
+        region: _Uses = {}
         # a bare name used as the whole initializer is a coupling use
         if isinstance(expr, ast.NameRef):
-            region.add(expr.name, expr.span, f"internal coupling: use of {expr.name}")
+            region[expr.name] = (expr.span, f"internal coupling: use of {expr.name}", False)
         self._walk_expr(expr, scope, region)
+        self._flush_region(region, scope)
 
-    def _flush_region(self, region: _Region, scope: _Scope) -> None:
-        for name, (span, reason, direct) in region.uses.items():
+    def _flush_region(self, region: _Uses, scope: _Scope) -> None:
+        for name, (span, reason, direct) in region.items():
             if direct:
                 self._emit(IcpCategory.INTERNAL_COUPLING, span, reason)
                 continue
@@ -329,48 +317,9 @@ class _TypeWalker:
         for i, span in enumerate(op_spans, start=2):
             self._emit(IcpCategory.CONDITION, span, f"boolean condition {i} of {n}")
 
-    def _walk_expr(self, expr: ast.Expr, scope: _Scope, region: _Region) -> None:
-        if isinstance(expr, ast.Lambda):
-            if not self.rules.count_lambdas:
-                return  # nothing inside a lambda is counted
-            self._emit(IcpCategory.BRANCH, expr.span, "lambda expression")
-            if isinstance(expr.body, ast.Block):
-                lam_scope = _Scope(scope)
-                for p in expr.params:
-                    lam_scope.bind(p, None)
-                self._walk_stmt(expr.body, lam_scope)
-            else:
-                self._walk_expr(expr.body, scope, region)
-            return
-
-        if isinstance(expr, ast.Ternary):
-            self._emit(IcpCategory.BRANCH, expr.question_span, "ternary operator")
-            self._condition_sites(expr.cond)
-            self._walk_expr(expr.cond, scope, region)
-            self._walk_expr(expr.then_expr, scope, region)
-            self._walk_expr(expr.else_expr, scope, region)
-            return
-
-        if isinstance(expr, ast.Call):
-            if expr.receiver is not None:
-                root = _receiver_root(expr.receiver)
-                if root is not None:
-                    name, span = root
-                    region.add(name, span, f"internal coupling: use of {name}")
-                self._walk_expr(expr.receiver, scope, region)
-            for arg in expr.args:
-                self._walk_expr(arg, scope, region)
-            return
-
-        if isinstance(expr, ast.New):
-            if self._internal(expr.type.qualified_name):
-                region.add(expr.type.qualified_name, expr.type.span,
-                           f"internal coupling: new {expr.type.simple_name}",
-                           direct=True)
-            for arg in expr.args:
-                self._walk_expr(arg, scope, region)
-            return
-
+    def _walk_expr(self, expr: ast.Expr, scope: _Scope, region: _Uses) -> None:
+        """Score the node itself, then walk its children; a kind that scores
+        nothing has no branch here."""
         if isinstance(expr, ast.Binary):
             # down the left spine in a loop, so a long left-associative chain
             # costs no recursion; operands are still walked left to right
@@ -381,34 +330,37 @@ class _TypeWalker:
             self._walk_expr(expr, scope, region)
             for rhs in reversed(rights):
                 self._walk_expr(rhs, scope, region)
-        elif isinstance(expr, ast.Unary):
-            self._walk_expr(expr.inner, scope, region)
-        elif isinstance(expr, ast.Assign):
-            self._walk_expr(expr.target, scope, region)
-            self._walk_expr(expr.value, scope, region)
-        elif isinstance(expr, ast.FieldAccess):
-            self._walk_expr(expr.receiver, scope, region)
-        elif isinstance(expr, ast.IndexAccess):
-            self._walk_expr(expr.receiver, scope, region)
-            self._walk_expr(expr.index, scope, region)
-        elif isinstance(expr, ast.Cast):
-            self._walk_expr(expr.inner, scope, region)
-        elif isinstance(expr, ast.ArrayNew):
-            for d in expr.dims:
-                self._walk_expr(d, scope, region)
-            if expr.init is not None:
-                self._walk_expr(expr.init, scope, region)
-        elif isinstance(expr, ast.MethodRef):
-            self._walk_expr(expr.receiver, scope, region)
-        elif isinstance(expr, (ast.InitializerList, ast.Opaque)):
-            children = expr.items if isinstance(expr, ast.InitializerList) else expr.children
-            for child in children:
+            return
+        if isinstance(expr, ast.Lambda):
+            if not self.rules.count_lambdas:
+                return  # nothing inside a lambda is counted
+            self._emit(IcpCategory.BRANCH, expr.span, "lambda expression")
+            if isinstance(expr.body, ast.Block):
+                lam_scope = _Scope(scope)
+                for p in expr.params:
+                    lam_scope.bind(p, None)
+                self._walk_stmt(expr.body, lam_scope)
+                return
+        elif isinstance(expr, ast.Ternary):
+            self._emit(IcpCategory.BRANCH, expr.question_span, "ternary operator")
+            self._condition_sites(expr.cond)
+        elif isinstance(expr, ast.Call):
+            root = _receiver_root(expr.receiver)
+            if root is not None:
+                name, span = root
+                region.setdefault(name, (span, f"internal coupling: use of {name}", False))
+        elif isinstance(expr, ast.New):
+            if self._internal(expr.type.qualified_name):
+                region.setdefault(expr.type.qualified_name, (
+                    expr.type.span, f"internal coupling: new {expr.type.simple_name}", True))
+        for child in ast.iter_children(expr):
+            if not isinstance(child, ast.TypeRef):
                 self._walk_expr(child, scope, region)
-        # NameRef / Literal: leaves
 
 
-def _receiver_root(expr: ast.Expr) -> Optional[tuple[str, Span]]:
-    """The name a method call is invoked on: `x.f()` and `this.x.f()` give x."""
+def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
+    """The name a method call is invoked on: `x.f()` and `this.x.f()` give x;
+    None for an unqualified call."""
     if isinstance(expr, ast.NameRef):
         if expr.name in ("this", "super"):
             return None

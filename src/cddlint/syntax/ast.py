@@ -9,7 +9,8 @@ Nodes are records (see `cddlint.records`): tuples whose fields are listed in
 tuple equality, so nodes of two types with equal fields compare equal; no
 reader compares nodes, it tests their type with `isinstance`.
 `iter_children` walks a node's fields in order and yields those that are
-nodes or hold nodes in a tuple.
+nodes or hold nodes in a tuple; it is the one statement of a node's shape
+that the engine reads.
 
 The comments give a field's type where its name does not: an `Expr`, a
 `Stmt` and the like are nodes, `(X, ...)` is a tuple of them, and `| None`
@@ -270,7 +271,7 @@ class TypeDecl(Record):
         "annotations", "fields", "methods",
         "nested",  # (TypeDecl, ...)
         "span",
-        "header_start",  # byte offset of the first header token after annotations
+        "header_start",  # byte offset of the first modifier, else of the keyword
         "enum_constants",  # (EnumConstant, ...), () unless an enum
     )
 
@@ -295,7 +296,13 @@ def iter_type_decls(unit: SourceUnit) -> Iterator[tuple[str, TypeDecl]]:
 
 
 def iter_children(node: tuple) -> Iterator[tuple]:
-    """Yield the direct child nodes of a node, in field order."""
+    """Yield the direct child nodes of a node, in field order.
+
+    This is the one statement of which fields hold nodes: a field holds a
+    node, or a tuple of them, when its value carries a `span`. Its readers
+    are the engine's expression walk (`_TypeWalker._walk_expr`) and its
+    `&&`/`||` search (`_collect_bool_ops`); an expression kind added here is
+    walked by both with no edit there."""
     for value in node:
         if hasattr(value, "span"):  # a node; a Span has no `span`
             yield value

@@ -171,10 +171,11 @@ class _Parser:
             self.path, tuple(types), self.data.count(b"\n"), tuple(self.diagnostics),
         ))
 
-    def _parse_type_decl_hard(self, start=None, annotations=None) -> ast.TypeDecl:
+    def _parse_type_decl_hard(self, start=None, annotations=None,
+                              header_tok=None) -> ast.TypeDecl:
         # a broken type header, top-level or nested, is a hard error
         try:
-            return self._parse_type_decl(start, annotations)
+            return self._parse_type_decl(start, annotations, header_tok)
         except _Fail as exc:
             self.diag(exc.message, exc.span)
             raise ParseError(self.diagnostics) from exc
@@ -183,13 +184,13 @@ class _Parser:
         self,
         start: Optional[int] = None,
         annotations: Optional[tuple[ast.AnnotationUse, ...]] = None,
+        header_tok: Optional[int] = None,
     ) -> ast.TypeDecl:
+        """A type whose modifiers start at `start`; a top-level type reads
+        them here, a nested one is given what `_parse_member` read."""
         if start is None:
             start = self.pos
-            annotations = self._parse_annotations()
-        header_tok = self.pos
-        while self.texts[self.pos] in MODIFIERS:
-            self.advance()
+            annotations, header_tok = self._parse_modifiers()
         if self.texts[self.pos] not in _TYPE_KEYWORDS:
             raise _Fail("expected class, interface or enum", self.tok_span(self.pos))
         kind = self.texts[self.advance()]
@@ -211,7 +212,7 @@ class _Parser:
             self._parse_member(fields, methods, nested)
         self.expect("}")
         return ast.TypeDecl((
-            name, kind, annotations or (), tuple(fields), tuple(methods), tuple(nested),
+            name, kind, annotations, tuple(fields), tuple(methods), tuple(nested),
             self.span_from(start), self.starts[header_tok], enum_constants,
         ))
 
@@ -251,15 +252,9 @@ class _Parser:
             return
         start = self.pos
         try:
-            annotations = self._parse_annotations()
+            annotations, header_tok = self._parse_modifiers()
             if self.texts[self.pos] in _TYPE_KEYWORDS:
-                nested.append(self._parse_type_decl_hard(start, annotations))
-                return
-            while self.texts[self.pos] in MODIFIERS:
-                self.advance()
-                annotations += self._parse_annotations()  # interleaved @Anno
-            if self.texts[self.pos] in _TYPE_KEYWORDS:
-                nested.append(self._parse_type_decl_hard(start, annotations))
+                nested.append(self._parse_type_decl_hard(start, annotations, header_tok))
                 return
             if self.texts[self.pos] == "{":
                 self.diag("initializer block is not analyzed", self.tok_span(self.pos))
@@ -397,6 +392,17 @@ class _Parser:
                 self._skip_balanced("(", ")")
             uses.append(ast.AnnotationUse((name, numeric, self.span_from(start))))
         return tuple(uses)
+
+    def _parse_modifiers(self) -> tuple[tuple[ast.AnnotationUse, ...], int]:
+        """The annotations and modifiers before a member or a type, in any
+        order; the annotations, and the header's first token: the first
+        modifier, or the token after the annotations when there is none."""
+        anns = self._parse_annotations()
+        header_tok = self.pos
+        while self.texts[self.pos] in MODIFIERS:
+            self.advance()
+            anns += self._parse_annotations()
+        return anns, header_tok
 
     def _parse_variable_modifiers(self) -> tuple[ast.AnnotationUse, ...]:
         """The annotations and `final` before a variable, in any order

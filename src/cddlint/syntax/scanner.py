@@ -36,6 +36,9 @@ Lexical contract:
     an invalid byte, or an unterminated block comment, string or char
     literal, raises InvalidCharacter; the first one in the input does,
     wherever the batches end, once the tokens before it are decoded
+  - a byte that is not UTF-8 inside a literal or a ``//`` comment raises
+    InvalidCharacter too, with its own offset and line; a batch is decoded
+    in one pass, and only one that fails is decoded again match by match
   - token texts are interned, so each spelling is stored once
 """
 
@@ -135,7 +138,11 @@ def tokenize_bytes(data: bytes) -> TokenStream:
         if stop is not None:
             batch.pop()
             stopped = (groups.pop(), batch_starts.pop(), batch_ends.pop(), batch_lines.pop())
-        batch_texts = list(map(bytes.decode, map(re.Match.group, batch, groups)))
+        try:
+            batch_texts = list(map(bytes.decode, map(re.Match.group, batch, groups)))
+        except UnicodeDecodeError:
+            _raise_undecodable(batch, groups, batch_starts, batch_lines)
+            raise
         if _LINE in groups:
             # the k-th comment of the batch, at j, comes before its j - k-th token
             base = len(kinds)
@@ -172,6 +179,17 @@ def _raise(data: bytes, group: int, start: int, end: int, line: int) -> NoReturn
     if group == _BAD_CHAR:
         raise InvalidCharacter("unterminated char literal", start, end, line)
     raise InvalidCharacter(f"invalid character 0x{data[start]:02x}", start, end, line)
+
+
+def _raise_undecodable(batch, groups, starts, lines) -> None:
+    """Raise InvalidCharacter at the first byte of a batch's tokens and
+    comments that is not UTF-8, with its offset in the file and its line."""
+    for match, group, start, line in zip(batch, groups, starts, lines):
+        try:
+            match.group(group).decode()
+        except UnicodeDecodeError as exc:
+            raise InvalidCharacter(f"invalid character 0x{exc.object[exc.start]:02x}",
+                                   start + exc.start, start + exc.end, line) from None
 
 
 def physical_loc(text: str) -> int:

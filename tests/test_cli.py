@@ -19,7 +19,7 @@ import jsonschema
 import pytest
 
 import cddlint
-from cddlint.cli import main
+from cddlint.cli import _build_parser, main
 from cddlint.rules import load_rules
 
 from conftest import (
@@ -378,6 +378,21 @@ class TestReconcile:
         code, out, _ = run(capsys, "reconcile", ".", "--fail-on", "drift")
         assert code == 0 and "0 drifted, 0 unannotated" in out
 
+    def test_fix_puts_a_nested_icp_above_its_modifiers(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # modifiers on a line of their own stay together below the @ICP, for
+        # a nested type as for a top-level one
+        monkeypatch.chdir(tmp_path)
+        source = ("public\nclass Outer {\n  private static\n    class Inner {\n"
+                  "    void g(int y) { while (y > 0) { y--; } }\n  }\n}\n")
+        fixed = ("@ICP(0)\npublic\nclass Outer {\n  @ICP(2)\n  private static\n"
+                 "    class Inner {\n    void g(int y) { while (y > 0) { y--; } }\n  }\n}\n")
+        target = tmp_path / "Outer.java"
+        target.write_text(source)
+        code, out, _ = run(capsys, "reconcile", ".", "--fix")
+        assert (code, out) == (0, "fixed Outer.java\n1 files changed\n")
+        assert target.read_text() == fixed
+
     def test_rewrite_conflict_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "A.java").write_text(
@@ -461,6 +476,46 @@ def fresh_interpreter_env() -> dict:
     package_root = str(Path(cddlint.__file__).resolve().parent.parent)
     pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+
+class TestOptions:
+    """Each subcommand accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["init", ".", "--config", "cdd.json"],
+        ["init", ".", "--format", "json"],
+        ["init", ".", "--fail-on", "never"],
+        ["history", ".", "--format", "json"],
+        ["history", ".", "--fail-on", "never"],
+        ["reconcile", ".", "--fail-on", "over-limit"],
+    ])
+    def test_an_option_the_subcommand_ignores_exits_two(self, argv, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert argv[2] in capsys.readouterr().err  # the option is named
+        assert not list(tmp_path.iterdir())  # nothing was written
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["init", ".", "--force"], "force", True),
+        *((["check", ".", "--fail-on", v], "fail_on", v) for v in ("over-limit", "drift", "never")),
+        *((["check", ".", "--format", v], "format", v) for v in ("text", "json", "csv")),
+        (["check", ".", "--config", "c.json"], "config", "c.json"),
+        (["check", "."], "fail_on", "over-limit"),
+        *((["reconcile", ".", "--fail-on", v], "fail_on", v) for v in ("drift", "never")),
+        *((["reconcile", ".", "--format", v], "format", v) for v in ("text", "json", "csv")),
+        (["reconcile", ".", "--config", "c.json"], "config", "c.json"),
+        (["reconcile", ".", "--fix"], "fix", True),
+        (["reconcile", "."], "fail_on", "never"),
+        (["history", ".", "--config", "c.json"], "config", "c.json"),
+        (["history", ".", "--range", "3"], "range", "3"),
+        (["history", ".", "--snapshots", "s"], "snapshots", "s"),
+        (["history", ".", "--output-dir", "o"], "output_dir", "o"),
+    ])
+    def test_every_option_a_subcommand_reads_is_accepted(self, argv, option, value):
+        assert getattr(_build_parser().parse_args(argv), option) == value
 
 
 class TestInstalledScript:

@@ -233,7 +233,57 @@ class TestLambdas:
         assert a.subtotals[B] == 2 and a.subtotals[C] == 1
 
 
+# `new InternalX()` in each position an expression can hold another; the
+# engine reaches every one of them by the same descent
+USE_POSITIONS = {
+    "unary-operand": "-new InternalX()",
+    "assignment-target": "new InternalX().f = 1",
+    "assignment-value": "a = new InternalX()",
+    "field-access-receiver": "new InternalX().f",
+    "index-receiver": "(new InternalX())[0]",
+    "index": "arr[new InternalX()]",
+    "cast-operand": "(Object) new InternalX()",
+    "array-dimension": "new int[new InternalX().n]",
+    # `new T[] {` is read as an anonymous class body, so a dimension leads
+    # the initializer that the parser keeps
+    "array-initializer": "new Object[1] { new InternalX() }",
+    "method-reference-receiver": "new InternalX()::run",
+    "initializer-list": "{ new InternalX() }",
+    "switch-expression-scrutinee": "switch (new InternalX()) { default -> 0; }",
+    "anonymous-class-arguments": "new Object(new InternalX()) { }",
+    "ternary-condition": "new InternalX().ok() ? 1 : 2",
+    "ternary-then": "x ? new InternalX() : null",
+    "ternary-else": "x ? null : new InternalX()",
+    "call-receiver": "new InternalX().run()",
+    "call-arguments": "sink(1, new InternalX())",
+    "constructor-arguments": "new Object(1, new InternalX())",
+    "binary-left": "new InternalX() + 1",
+    "binary-right": "1 + new InternalX()",
+}
+LAMBDA_BODIES = {
+    "expression-body": "() -> new InternalX()",
+    "block-body": "() -> { new InternalX(); }",
+}
+
+
 class TestExpressionPositions:
+    RULES = default_rules(internal_types=("InternalX",))
+
+    def uses(self, expr: str, rules=RULES):
+        return analyze_one(in_method(f"Object v = {expr};"), rules).subtotals[I]
+
+    @pytest.mark.parametrize("expr", USE_POSITIONS.values(), ids=USE_POSITIONS.keys())
+    def test_a_use_in_any_position_counts_once(self, expr):
+        assert self.uses(expr) == 1
+
+    @pytest.mark.parametrize("expr", LAMBDA_BODIES.values(), ids=LAMBDA_BODIES.keys())
+    def test_a_use_in_a_lambda_body_counts_with_lambda_counting_alone(self, expr):
+        assert self.uses(expr, self.RULES._replace(count_lambdas=True)) == 1
+        assert self.uses(expr) == 0
+
+    def test_the_type_of_a_cast_is_no_use(self):
+        assert self.uses("(InternalX) o") == 0
+
     def test_field_initializer_ternary_counts(self):
         a = analyze_one("class T { int x = 1 > 0 ? 1 : 2; }")
         assert a.subtotals[B] == 1 and a.subtotals[C] == 1

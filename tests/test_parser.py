@@ -4,6 +4,7 @@ completeness, error tolerance, and determinism."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,20 @@ class TestBasics:
         unit = parse_unit("class A { static class B { class C {} } }")
         names = [name for name, _ in ast.iter_type_decls(unit)]
         assert names == ["A", "A.B", "A.B.C"]
+
+    @pytest.mark.parametrize("header", [
+        "class", "public class", "@A class", "public @Deprecated class",
+        "@A public @B final class", "@A\nprivate static\n    class",
+    ])
+    def test_one_header_reader_for_top_level_and_nested_types(self, header):
+        # a type's annotations may sit between its modifiers, at top level as
+        # when nested, and its header starts at its first modifier
+        top = parse_unit(f"{header} X {{}}").types[0]
+        nested = parse_unit(f"class O {{\n{header} X {{}} }}").types[0].nested[0]
+        expected = re.search(r"\b(public|private|class)\b", header).start()
+        for decl in (top, nested):
+            assert [a.name for a in decl.annotations] == re.findall(r"@(\w+)", header)
+            assert decl.header_start - decl.span.byte_start == expected
 
     def test_multi_declarator_locals_split(self):
         unit = parse_unit("class A { void f() { int a = 1, b = 2; } }")

@@ -139,6 +139,21 @@ class TestErrors:
             tokenize(text)
         assert (info.value.message, info.value.line) == (message, 2)
 
+    @pytest.mark.parametrize("data, line", [
+        (b'x = "\xff";', 1),
+        (b"int x;\n// \xff\nint y;", 2),
+        (b"int x;\r\nchar c = '\xe2\x28';", 2),
+        (b"a " * (2 * _BATCH) + b'\n"ok" "\xc3";', 2),
+    ], ids=["string", "line-comment", "char-crlf", "past-two-batches"])
+    def test_invalid_utf8_inside_a_token_or_comment(self, data, line):
+        # the bad byte is placed in the file, not in its token, as a bare
+        # invalid byte is; no UnicodeDecodeError escapes
+        bad = max(data.find(b"\xff"), data.find(b"\xe2"), data.find(b"\xc3"))
+        with pytest.raises(InvalidCharacter) as info:
+            tokenize_bytes(data)
+        assert (info.value.message, info.value.byte_start, info.value.line) == (
+            f"invalid character 0x{data[bad]:02x}", bad, line)
+
 
 class TestPhysicalLoc:
     def test_two_newlines(self):
