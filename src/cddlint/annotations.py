@@ -2,16 +2,18 @@
 
 The class-level @ICP annotation is the single source of declared truth.
 Site-level annotations (and `// @ICP(n)` marker comments) are advisory: legal
-annotation positions cannot express every counted site, so mismatches at that
-level are reported but never drive a verdict, and fix mode rewrites only the
-class level.
+annotation positions cannot express every counted site, so `reconcile`
+compares them with the sites in their span only as `site_mismatches`, which
+no renderer shows yet; they never drive a verdict, and fix mode rewrites
+only the class level. The parser records the site-level ones as it reads
+them (`SourceUnit.site_icp`), lambda bodies included, so extraction walks
+no statements.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterator
 
 from .engine import UnitAnalysis
 from .records import Record
@@ -45,18 +47,10 @@ class DriftStatus(enum.Enum):
     UNANNOTATED = "unannotated"
 
 
-class SiteAnnotation(Record):
-    _fields = (
-        "owner",  # dotted type name the annotated element belongs to
-        "span",  # span of the annotated element
-        "value",  # Fraction
-    )
-
-
 class DeclaredIcp(Record):
     _fields = (
         "class_level",  # dict[str, Fraction] by dotted type name
-        "site_level",  # (SiteAnnotation, ...)
+        "site_level",  # (ast.SiteIcp, ...), as the parser recorded them
     )
 
     def is_empty(self) -> bool:
@@ -76,76 +70,20 @@ class DriftReport(Record):
     )
 
 
-def _icp_value(anno: ast.AnnotationUse) -> Fraction:
-    if anno.numeric_arg is None:
-        raise MalformedIcp(anno.span)
-    return anno.numeric_arg
-
-
 def extract_declared(unit: ast.SourceUnit) -> DeclaredIcp:
-    """Collect @ICP values from types, members, locals and marker comments."""
+    """The class-level @ICP of each type, and the site-level ones the parser
+    recorded; raises MalformedIcp for an @ICP with no decimal argument."""
     class_level: dict[str, Fraction] = {}
-    site_level: list[SiteAnnotation] = []
-
     for dotted, decl in iter_type_decls(unit):
         for anno in decl.annotations:
             if anno.simple_name() == "ICP":
-                class_level.setdefault(dotted, _icp_value(anno))
-
-        def site(span: Span, value: Fraction) -> None:
-            site_level.append(SiteAnnotation((dotted, span, value)))
-
-        for f in decl.fields:
-            for anno in f.annotations:
-                if anno.simple_name() == "ICP":
-                    site(f.span, _icp_value(anno))
-        for m in decl.methods:
-            for anno in m.annotations:
-                if anno.simple_name() == "ICP":
-                    site(m.span, _icp_value(anno))
-            if m.body is not None:
-                for stmt in _iter_stmts(m.body):
-                    for anno in stmt.annotations:
-                        if anno.simple_name() == "ICP":
-                            site(stmt.span, _icp_value(anno))
-                    for marker in stmt.markers:
-                        site(stmt.span, marker.value)
-
-    return DeclaredIcp((class_level, tuple(site_level)))
-
-
-def _iter_stmts(stmt: ast.Stmt) -> Iterator[ast.Stmt]:
-    yield stmt
-    if isinstance(stmt, ast.Block):
-        for s in stmt.stmts:
-            yield from _iter_stmts(s)
-    elif isinstance(stmt, ast.If):
-        while True:  # an `else if` chain is walked here, not by recursion
-            yield from _iter_stmts(stmt.then)
-            if not isinstance(stmt.else_branch, ast.If):
-                break
-            stmt = stmt.else_branch
-            yield stmt
-        if stmt.else_branch is not None:
-            yield from _iter_stmts(stmt.else_branch)
-    elif isinstance(stmt, ast.Loop):
-        for s in stmt.init:
-            yield from _iter_stmts(s)
-        if stmt.var is not None:
-            yield from _iter_stmts(stmt.var)
-        yield from _iter_stmts(stmt.body)
-    elif isinstance(stmt, ast.Switch):
-        for case in stmt.cases:
-            for s in case.stmts:
-                yield from _iter_stmts(s)
-    elif isinstance(stmt, ast.Try):
-        for res in stmt.resources:
-            yield from _iter_stmts(res)
-        yield from _iter_stmts(stmt.body)
-        for clause in stmt.catches:
-            yield from _iter_stmts(clause.body)
-        if stmt.finally_block is not None:
-            yield from _iter_stmts(stmt.finally_block)
+                if anno.numeric_arg is None:
+                    raise MalformedIcp(anno.span)
+                class_level.setdefault(dotted, anno.numeric_arg)
+    for site in unit.site_icp:
+        if site.value is None:
+            raise MalformedIcp(site.use_span)
+    return DeclaredIcp((class_level, unit.site_icp))
 
 
 def reconcile(analysis: UnitAnalysis, declared: DeclaredIcp) -> DriftReport:

@@ -53,6 +53,15 @@ CONFIG_FILE_NAME = "cdd.json"
 CONFIG_ENV_VAR = "CDD_CONFIG"
 
 
+class _StoreGiven(argparse.Action):
+    """Store an option's value and note that it was given, so that a run
+    that does not read it can refuse it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
+
+
 class _ExitWith(Exception):
     def __init__(self, code: int, message: str):
         self.code = code
@@ -77,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"config file (default: ${CONFIG_ENV_VAR} or ./{CONFIG_FILE_NAME})")
     report = argparse.ArgumentParser(add_help=False, parents=[config])
     report.add_argument("--format", choices=["text", "json", "csv"], default="text",
-                        help="report format (default: text)")
+                        action=_StoreGiven, help="report format (default: text)")
+    report.set_defaults(given=())
 
     parser = argparse.ArgumentParser(
         prog="cddlint",
@@ -106,9 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="compare declared @ICP values with computed totals")
     p_rec.add_argument("paths", nargs="*", default=None)
     p_rec.add_argument("--fix", action="store_true",
-                       help="rewrite class-level @ICP annotations in place")
+                       help="rewrite class-level @ICP annotations in place; "
+                            "takes neither --format nor --fail-on")
     p_rec.add_argument("--fail-on", choices=["drift", "never"], default="never",
-                       dest="fail_on",
+                       dest="fail_on", action=_StoreGiven,
                        help="condition that makes the exit code 1 (default: never)")
     p_rec.set_defaults(handler=cmd_reconcile)
 
@@ -266,6 +277,8 @@ def cmd_check(args) -> int:
 
 def cmd_reconcile(args) -> int:
     rules = _load_config(args)
+    if args.fix and args.given:
+        raise _ExitWith(2, f"{args.given[0]} cannot be used with --fix")
     files = _discover(args.paths, rules)
     if args.fix:
         return _fix_files(files, rules)

@@ -113,10 +113,12 @@ def render_json_mapping(report: CheckReport) -> dict:
             "unannotated_count": report.unannotated_count,
             "parse_failures": report.parse_failures,
         },
-        "diagnostics": [
-            {"path": issue.path, "message": issue.message} for issue in report.issues
-        ],
+        "diagnostics": _json_diagnostics(report),
     }
+
+
+def _json_diagnostics(report: CheckReport) -> list[dict]:
+    return [{"path": issue.path, "message": issue.message} for issue in report.issues]
 
 
 def render_csv(report: CheckReport) -> str:
@@ -182,6 +184,7 @@ def render_drift_json_mapping(report: CheckReport) -> dict:
             "unannotated_count": report.unannotated_count,
             "parse_failures": report.parse_failures,
         },
+        "diagnostics": _json_diagnostics(report),
     }
 
 

@@ -46,10 +46,17 @@ class AnnotationUse(Record):
         return self.name.rpartition(".")[2]
 
 
-class Marker(Record):
-    """A `// @ICP(<decimal>)` line comment preceding a statement."""
+class SiteIcp(Record):
+    """A site-level `@ICP(n)`: an annotation on a field, a method, a
+    statement or a local variable, or a `// @ICP(n)` marker comment before a
+    statement."""
 
-    _fields = ("value", "span")  # value: Fraction
+    _fields = (
+        "owner",  # dotted name of the type the element belongs to
+        "span",  # span of the element
+        "value",  # Fraction | None: None for an annotation with no decimal argument
+        "use_span",  # span of the annotation or of the marker comment
+    )
 
 
 class TypeRef(Record):
@@ -65,7 +72,7 @@ class TypeRef(Record):
 
 
 class Param(Record):
-    _fields = ("name", "type", "annotations", "span")  # type: TypeRef
+    _fields = ("name", "type", "span")  # type: TypeRef
 
 
 # ── Expressions ──────────────────────────────────────────────────────────
@@ -148,11 +155,9 @@ Expr = Union[
 
 
 # ── Statements ───────────────────────────────────────────────────────────
-# Every statement ends in `annotations` (AnnotationUse, ...) and `markers`
-# (Marker, ...), () when it has none.
 
 class Block(Record):
-    _fields = ("stmts", "span", "annotations", "markers")
+    _fields = ("stmts", "span")
 
 
 class If(Record):
@@ -161,7 +166,7 @@ class If(Record):
         "else_branch",  # Stmt | None
         "if_kw",
         "else_kw",  # Span | None
-        "span", "annotations", "markers",
+        "span",
     )
 
 
@@ -172,7 +177,6 @@ class Loop(Record):
         "body", "kw", "span",
         "init", "update",  # classic for: (Stmt, ...), (Expr, ...); else ()
         "var", "iterable",  # enhanced for: LocalDecl, Expr; else None
-        "annotations", "markers",
     )
 
 
@@ -185,7 +189,7 @@ class SwitchCase(Record):
 
 
 class Switch(Record):
-    _fields = ("scrutinee", "cases", "kw", "span", "annotations", "markers")
+    _fields = ("scrutinee", "cases", "kw", "span")
 
 
 class CatchClause(Record):
@@ -203,7 +207,7 @@ class Try(Record):
         "finally_block",  # Block | None
         "kw",
         "finally_kw",  # Span | None
-        "span", "annotations", "markers",
+        "span",
     )
 
 
@@ -212,24 +216,24 @@ class LocalDecl(Record):
         "name",
         "declared_type",  # None for `var` (no inference is done)
         "initializer",  # Expr | None
-        "span", "annotations", "markers",
+        "span",
     )
 
 
 class ExprStmt(Record):
-    _fields = ("expr", "span", "annotations", "markers")
+    _fields = ("expr", "span")
 
 
 class Return(Record):
-    _fields = ("expr", "span", "annotations", "markers")  # expr: Expr | None
+    _fields = ("expr", "span")  # expr: Expr | None
 
 
 class Throw(Record):
-    _fields = ("expr", "span", "annotations", "markers")
+    _fields = ("expr", "span")
 
 
 class Jump(Record):
-    _fields = ("kind", "span", "annotations", "markers")  # break | continue; a label is skipped
+    _fields = ("kind", "span")  # break | continue; a label is skipped
 
 
 Stmt = Union[
@@ -243,7 +247,6 @@ class FieldDecl(Record):
     _fields = (
         "name",
         "declared_type",  # fields always carry an explicit type
-        "annotations",
         "initializer",  # Expr | None
         "span",
     )
@@ -253,7 +256,6 @@ class MethodDecl(Record):
     _fields = (
         "name", "params",
         "return_type",  # None for void and constructors
-        "annotations",
         "body",  # None for abstract / interface methods
         "span",
         "body_line_count",  # body brace span height; 0 when body is absent
@@ -281,6 +283,7 @@ class SourceUnit(Record):
         "path", "types",
         "physical_lines",  # LF count, as `wc -l` gives; a lone CR is not counted
         "diagnostics",
+        "site_icp",  # (SiteIcp, ...), in the order their elements end
     )
 
 

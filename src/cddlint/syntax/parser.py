@@ -6,6 +6,12 @@ unparseable statement becomes an Opaque expression, an unparseable member is
 skipped, both with a recorded Diagnostic; an unparseable type header raises
 ParseError.
 
+Site-level ICPs are recorded as they are read: one ``SiteIcp`` per `@ICP` on
+a field, a method, a statement or a local variable, and per `// @ICP(n)`
+marker comment before a statement, lambda bodies included. Each is appended
+when its element ends, so it has the element's span, and the type being read
+is its owner. A parse that is thrown away drops what it recorded.
+
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists.
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import ast
 from .ast import Span
@@ -113,6 +119,8 @@ class _Parser:
         self.data = data
         self.path = path
         self.diagnostics: list[ast.Diagnostic] = []
+        self.site_icp: list[ast.SiteIcp] = []
+        self.owner = ""  # dotted name of the type being read
 
     # ── token access ────────────────────────────────────────────────────
 
@@ -141,14 +149,23 @@ class _Parser:
         end = self.pos - 1 if self.pos else 0
         return Span((self.starts[start], self.ends[end], self.lines[start], self.lines[end]))
 
-    def markers_before(self, i: int) -> tuple[ast.Marker, ...]:
-        """The `// @ICP(n)` marker comments before token i."""
-        markers: list[ast.Marker] = []
-        for text, start, end, line in self.comments.get(i, ()):
+    def record_icp(self, start: int, uses: tuple[ast.AnnotationUse, ...],
+                   comments: Sequence[tuple[str, int, int, int]] = ()) -> None:
+        """Record as sites of the element from token `start` through the last
+        token consumed: each `@ICP` among the annotations `uses`, and each
+        `// @ICP(n)` marker among the line comments `comments`."""
+        if not uses and not comments:
+            return
+        span = self.span_from(start)
+        for use in uses:
+            if use.simple_name() == "ICP":
+                self.site_icp.append(ast.SiteIcp((self.owner, span, use.numeric_arg, use.span)))
+        for text, c_start, c_end, line in comments:
             m = MARKER_COMMENT_RE.match(text)
             if m:
-                markers.append(ast.Marker((Fraction(m.group(1)), Span((start, end, line, line)))))
-        return tuple(markers)
+                self.site_icp.append(ast.SiteIcp((
+                    self.owner, span, Fraction(m.group(1)), Span((c_start, c_end, line, line)),
+                )))
 
     def diag(self, message: str, span: Span) -> None:
         self.diagnostics.append(ast.Diagnostic((message, span)))
@@ -169,6 +186,7 @@ class _Parser:
             types.append(decl)
         return ast.SourceUnit((
             self.path, tuple(types), self.data.count(b"\n"), tuple(self.diagnostics),
+            tuple(self.site_icp),
         ))
 
     def _parse_type_decl_hard(self, start=None, annotations=None,
@@ -195,6 +213,8 @@ class _Parser:
             raise _Fail("expected class, interface or enum", self.tok_span(self.pos))
         kind = self.texts[self.advance()]
         name = self.texts[self.expect_ident("type name")]
+        outer = self.owner
+        self.owner = f"{outer}.{name}" if outer else name
         if self.texts[self.pos] == "<":
             self._skip_generics()
         while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
@@ -211,6 +231,7 @@ class _Parser:
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             self._parse_member(fields, methods, nested)
         self.expect("}")
+        self.owner = outer
         return ast.TypeDecl((
             name, kind, annotations, tuple(fields), tuple(methods), tuple(nested),
             self.span_from(start), self.starts[header_tok], enum_constants,
@@ -250,7 +271,7 @@ class _Parser:
         if self.texts[self.pos] == ";":
             self.advance()
             return
-        start = self.pos
+        start, recorded = self.pos, len(self.site_icp)
         try:
             annotations, header_tok = self._parse_modifiers()
             if self.texts[self.pos] in _TYPE_KEYWORDS:
@@ -265,7 +286,8 @@ class _Parser:
             i = self.pos
             if (self.kinds[i] == _IDENT and self.texts[i + 1] == "("
                     and self.texts[i] not in _NON_TYPE_WORDS):
-                methods.append(self._parse_method(start, annotations, None))
+                methods.append(self._parse_method(start, None))
+                self.record_icp(start, annotations)
                 return
             return_type: Optional[ast.TypeRef] = None
             if self.texts[self.pos] == "void":
@@ -274,24 +296,22 @@ class _Parser:
                 return_type = self._parse_type()
             name_tok = self.expect_ident("member name")
             if self.texts[self.pos] == "(":
-                methods.append(self._parse_method(start, annotations, return_type, name_tok))
+                methods.append(self._parse_method(start, return_type, name_tok))
             else:
                 if return_type is None:
                     raise _Fail("field cannot be void", self.tok_span(name_tok))
                 names = self._parse_declarators(self.texts[name_tok], "field name")
                 span = self.span_from(start)
-                fields.extend(
-                    ast.FieldDecl((nm, return_type, annotations if i == 0 else (), iv, span))
-                    for i, (nm, iv) in enumerate(names)
-                )
+                fields.extend(ast.FieldDecl((nm, return_type, iv, span)) for nm, iv in names)
+            self.record_icp(start, annotations)
         except _Fail as exc:
+            del self.site_icp[recorded:]
             self.diag(exc.message, exc.span)
             self._recover_member()
 
     def _parse_method(
         self,
         start: int,
-        annotations: tuple[ast.AnnotationUse, ...],
         return_type: Optional[ast.TypeRef],
         name_tok: Optional[int] = None,
     ) -> ast.MethodDecl:
@@ -311,7 +331,7 @@ class _Parser:
         if body is not None:
             body_lines = body.span.line_end - body.span.line_start + 1
         return ast.MethodDecl((
-            self.texts[name_tok], params, return_type, annotations, body,
+            self.texts[name_tok], params, return_type, body,
             self.span_from(start), body_lines,
         ))
 
@@ -320,13 +340,13 @@ class _Parser:
         params: list[ast.Param] = []
         while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
             start = self.pos
-            anns = self._parse_variable_modifiers()
+            self._parse_variable_modifiers()
             ptype = self._parse_type()
             if self._at_annotated("..."):
                 self.advance()  # varargs behave like the element type
             name = self.texts[self.expect_ident("parameter name")]
             self._skip_array_suffix()
-            params.append(ast.Param((name, ptype, anns, self.span_from(start))))
+            params.append(ast.Param((name, ptype, self.span_from(start))))
             if self.texts[self.pos] == ",":
                 self.advance()
             else:
@@ -497,92 +517,91 @@ class _Parser:
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             stmts.extend(self._parse_statement_recovering())
         self.expect("}")
-        return ast.Block((tuple(stmts), self.span_from(start), (), ()))
+        return ast.Block((tuple(stmts), self.span_from(start)))
 
     def _parse_statement_recovering(self) -> list[ast.Stmt]:
-        start = self.pos
+        start, recorded = self.pos, len(self.site_icp)
         try:
             return self._parse_statement()
         except _Fail as exc:
-            return [self._failed_statement(exc, start)]
+            return [self._failed_statement(exc, start, recorded)]
 
-    def _failed_statement(self, exc: _Fail, start: int) -> ast.Stmt:
-        """Record the failure, skip the rest of the statement and stand an
-        Opaque statement in its place."""
+    def _failed_statement(self, exc: _Fail, start: int, recorded: int) -> ast.Stmt:
+        """Record the failure, drop the sites recorded since the statement
+        began, skip the rest of the statement and stand an Opaque statement
+        in its place."""
+        del self.site_icp[recorded:]
         self.diag(exc.message, exc.span)
         self._recover_statement()
         span = self.span_from(start) if self.pos > start else self.tok_span(start)
-        return ast.ExprStmt((ast.Opaque(((), span)), span, (), ()))
+        return ast.ExprStmt((ast.Opaque(((), span)), span))
 
     def _parse_statement(self) -> list[ast.Stmt]:
+        """A statement; once it has ended, its `@ICP` annotations and the
+        marker comments before it are recorded as its sites."""
         start = self.pos
-        markers = self.markers_before(start)
-        annotations = self._parse_annotations()
-
-        if self.texts[self.pos] == ";":
+        uses = self._parse_annotations()
+        texts, i = self.texts, self.pos
+        word = texts[i] if self.kinds[i] == _IDENT else ""
+        parse_compound = self._COMPOUND_STATEMENTS.get(word)
+        if texts[i] == ";":
             self.advance()
-            return [ast.Block(((), self.span_from(start), annotations, markers))]
-        if self.texts[self.pos] == "{":
-            block = self._parse_block()
-            return [ast.Block((block.stmts, self.span_from(start), annotations, markers))]
-
-        if self.kinds[self.pos] == _IDENT:
-            word = self.texts[self.pos]
-            parse_compound = self._COMPOUND_STATEMENTS.get(word)
-            if parse_compound is not None:
-                return [parse_compound(self, start, annotations, markers)]
-            if word == "return":
+            stmts = [ast.Block(((), self.span_from(start)))]
+        elif texts[i] == "{":
+            stmts = [ast.Block((self._parse_block().stmts, self.span_from(start)))]
+        elif parse_compound is not None:
+            stmts = [parse_compound(self, start)]
+        elif word == "return":
+            self.advance()
+            expr = None if texts[self.pos] == ";" else self._parse_expr()
+            self.expect(";")
+            stmts = [ast.Return((expr, self.span_from(start)))]
+        elif word == "throw":
+            self.advance()
+            expr = self._parse_expr()
+            self.expect(";")
+            stmts = [ast.Throw((expr, self.span_from(start)))]
+        elif word in ("break", "continue"):
+            self.advance()
+            if self.kinds[self.pos] == _IDENT:  # label
                 self.advance()
-                expr = None
-                if self.texts[self.pos] != ";":
-                    expr = self._parse_expr()
-                self.expect(";")
-                return [ast.Return((expr, self.span_from(start), annotations, markers))]
-            if word == "throw":
-                self.advance()
+            self.expect(";")
+            stmts = [ast.Jump((word, self.span_from(start)))]
+        elif word == "synchronized" and texts[i + 1] == "(":
+            self.diag("synchronized statement is analyzed as a plain block", self.tok_span(i))
+            self.advance()
+            self.expect("(")
+            self._parse_expr()
+            self.expect(")")
+            stmts = [ast.Block((self._parse_block().stmts, self.span_from(start)))]
+        elif word in ("assert", "yield"):
+            self.diag(f"{word} statement is not analyzed", self.tok_span(i))
+            self._skip_to_semi()
+            span = self.span_from(start)
+            stmts = [ast.ExprStmt((ast.Opaque(((), span)), span))]
+        elif word and texts[i + 1] == ":" and word not in ("case", "default"):
+            self.diag("labeled statement: label ignored", self.tok_span(i))
+            self.pos += 2
+            stmts = self._parse_statement()
+        else:
+            stmts = self._try_parse_local_decl(start)
+            if stmts is None:
                 expr = self._parse_expr()
                 self.expect(";")
-                return [ast.Throw((expr, self.span_from(start), annotations, markers))]
-            if word in ("break", "continue"):
-                self.advance()
-                if self.kinds[self.pos] == _IDENT:  # label
-                    self.advance()
-                self.expect(";")
-                return [ast.Jump((word, self.span_from(start), annotations, markers))]
-            if word == "synchronized" and self.texts[self.pos + 1] == "(":
-                self.diag("synchronized statement is analyzed as a plain block",
-                          self.tok_span(self.pos))
-                self.advance()
-                self.expect("(")
-                self._parse_expr()
-                self.expect(")")
-                block = self._parse_block()
-                return [ast.Block((block.stmts, self.span_from(start), annotations, markers))]
-            if word in ("assert", "yield"):
-                self.diag(f"{word} statement is not analyzed", self.tok_span(self.pos))
-                self._skip_to_semi()
-                span = self.span_from(start)
-                return [ast.ExprStmt((ast.Opaque(((), span)), span, annotations, markers))]
-            if self.texts[self.pos + 1] == ":" and word not in ("case", "default"):
-                self.diag("labeled statement: label ignored", self.tok_span(self.pos))
-                self.pos += 2
-                return self._parse_statement()
+                stmts = [ast.ExprStmt((expr, self.span_from(start)))]
+        self.record_icp(start, uses, self.comments.get(start, ()))
+        return stmts
 
-        decls = self._try_parse_local_decl(start, annotations, markers)
-        if decls is not None:
-            return decls
-
-        expr = self._parse_expr()
-        self.expect(";")
-        return [ast.ExprStmt((expr, self.span_from(start), annotations, markers))]
-
-    def _parse_if(self, start, annotations, markers) -> ast.If:
+    def _parse_if(self, start: int) -> ast.If:
         # an `else if` chain is read link by link in this loop, not by
         # recursion, so no chain length exhausts the stack; the nested If
-        # nodes are built innermost first once the chain has ended
+        # nodes are built innermost first once the chain has ended, and the
+        # sites of each link after the first are recorded then
         links = []
+        uses: Optional[tuple[ast.AnnotationUse, ...]] = ()
         else_branch: Optional[ast.Stmt] = None
         while True:
+            recorded = len(self.site_icp)
             try:
                 if_kw = self.tok_span(self.expect("if"))
                 self.expect("(")
@@ -592,26 +611,26 @@ class _Parser:
                 if not links:
                     raise
                 # a broken link is the failed statement of the else before it
-                else_branch = self._failed_statement(exc, start)
+                else_branch = self._failed_statement(exc, start, recorded)
                 break
             then = self._parse_substatement()
             else_kw = self.tok_span(self.advance()) if self.texts[self.pos] == "else" else None
-            links.append((start, annotations, markers, if_kw, cond, then, else_kw))
+            links.append((start, uses, if_kw, cond, then, else_kw))
             if else_kw is None:
                 break
             start = self.pos
             try:
-                annotations = self._parse_annotations()
+                uses = self._parse_annotations()
             except _Fail:
-                annotations = None
-            if annotations is None or self.texts[self.pos] != "if":
+                uses = None
+            if uses is None or self.texts[self.pos] != "if":
                 self.pos = start  # not a link: the else branch is parsed whole
                 else_branch = self._parse_substatement()
                 break
-            markers = self.markers_before(start)
-        for start, annotations, markers, if_kw, cond, then, else_kw in reversed(links):
-            else_branch = ast.If((cond, then, else_branch, if_kw, else_kw,
-                                  self.span_from(start), annotations, markers))
+        for start, uses, *_ in links[1:]:
+            self.record_icp(start, uses, self.comments.get(start, ()))
+        for start, _, if_kw, cond, then, else_kw in reversed(links):
+            else_branch = ast.If((cond, then, else_branch, if_kw, else_kw, self.span_from(start)))
         return else_branch
 
     def _parse_substatement(self) -> ast.Stmt:
@@ -621,18 +640,17 @@ class _Parser:
         # multi-declarator local statement as a loop/if body: wrap
         span = Span((stmts[0].span.byte_start, stmts[-1].span.byte_end,
                      stmts[0].span.line_start, stmts[-1].span.line_end))
-        return ast.Block((tuple(stmts), span, (), ()))
+        return ast.Block((tuple(stmts), span))
 
-    def _parse_while(self, start, annotations, markers) -> ast.Loop:
+    def _parse_while(self, start: int) -> ast.Loop:
         kw = self.tok_span(self.expect("while"))
         self.expect("(")
         cond = self._parse_expr()
         self.expect(")")
         body = self._parse_substatement()
-        return ast.Loop(("while", cond, body, kw, self.span_from(start), (), (), None, None,
-                         annotations, markers))
+        return ast.Loop(("while", cond, body, kw, self.span_from(start), (), (), None, None))
 
-    def _parse_do_while(self, start, annotations, markers) -> ast.Loop:
+    def _parse_do_while(self, start: int) -> ast.Loop:
         kw = self.tok_span(self.expect("do"))
         body = self._parse_substatement()
         self.expect("while")
@@ -640,10 +658,9 @@ class _Parser:
         cond = self._parse_expr()
         self.expect(")")
         self.expect(";")
-        return ast.Loop(("do_while", cond, body, kw, self.span_from(start), (), (), None,
-                         None, annotations, markers))
+        return ast.Loop(("do_while", cond, body, kw, self.span_from(start), (), (), None, None))
 
-    def _parse_for(self, start, annotations, markers) -> ast.Loop:
+    def _parse_for(self, start: int) -> ast.Loop:
         kw = self.tok_span(self.expect("for"))
         self.expect("(")
 
@@ -653,11 +670,11 @@ class _Parser:
             self.expect(")")
             body = self._parse_substatement()
             return ast.Loop(("for_each", None, body, kw, self.span_from(start), (), (), var,
-                             iterable, annotations, markers))
+                             iterable))
 
         init: list[ast.Stmt] = []
         if self.texts[self.pos] != ";":
-            decls = self._try_parse_local_decl(self.pos, (), ())
+            decls = self._try_parse_local_decl(self.pos)
             if decls is not None:
                 init.extend(decls)
             else:
@@ -678,7 +695,7 @@ class _Parser:
         self.expect(")")
         body = self._parse_substatement()
         return ast.Loop(("for", cond, body, kw, self.span_from(start), tuple(init),
-                         tuple(update), None, None, annotations, markers))
+                         tuple(update), None, None))
 
     def _parse_expr_list_stmt(self) -> ast.Stmt:
         start = self.pos
@@ -688,50 +705,47 @@ class _Parser:
             exprs.append(self._parse_expr())
         span = self.span_from(start)
         if len(exprs) == 1:
-            return ast.ExprStmt((exprs[0], span, (), ()))
-        return ast.Block((tuple(ast.ExprStmt((e, e.span, (), ())) for e in exprs), span, (), ()))
+            return ast.ExprStmt((exprs[0], span))
+        return ast.Block((tuple(ast.ExprStmt((e, e.span)) for e in exprs), span))
 
     def _try_parse_for_each_header(self) -> Optional[tuple[ast.LocalDecl, ast.Expr]]:
+        # only the iterable records sites, and a header that reached its ':'
+        # fails the statement, which drops them
         start = self.pos
         try:
-            anns = self._parse_variable_modifiers()
+            uses = self._parse_variable_modifiers()
             declared = self._parse_local_type()
             name = self.texts[self.expect_ident("loop variable")]
             if self.texts[self.pos] != ":":
                 raise _Fail("not an enhanced for", self.tok_span(self.pos))
             self.advance()
             iterable = self._parse_expr()
-            var = ast.LocalDecl((name, declared, None, self.span_from(start), anns, ()))
-            return var, iterable
         except _Fail:
             self.pos = start
             return None
+        self.record_icp(start, uses)
+        return ast.LocalDecl((name, declared, None, self.span_from(start))), iterable
 
-    def _try_parse_local_decl(
-        self,
-        start: int,
-        annotations: tuple[ast.AnnotationUse, ...],
-        markers: tuple[ast.Marker, ...],
-    ) -> Optional[list[ast.Stmt]]:
-        saved = self.pos
+    def _try_parse_local_decl(self, start: int) -> Optional[list[ast.Stmt]]:
+        """A local declaration whose first token is `start`, read from the
+        cursor on; None, with nothing consumed or recorded, if there is none."""
+        saved, recorded = self.pos, len(self.site_icp)
         saved_diags = len(self.diagnostics)
         try:
-            annotations += self._parse_variable_modifiers()
+            uses = self._parse_variable_modifiers()
             declared = self._parse_local_type()
             i = self.pos  # the name, if this is a declaration
             if self.kinds[i] != _IDENT or self.texts[i + 1] not in ("=", ";", ",", "[", "@"):
                 raise _Fail("not a declaration", self.tok_span(i))
             names = self._parse_declarators(self.texts[self.advance()], "variable name")
-            span = self.span_from(start)
-            return [
-                ast.LocalDecl((nm, declared, iv, span,
-                               annotations if i == 0 else (), markers if i == 0 else ()))
-                for i, (nm, iv) in enumerate(names)
-            ]
         except _Fail:
             self.pos = saved
             del self.diagnostics[saved_diags:]
+            del self.site_icp[recorded:]
             return None
+        self.record_icp(start, uses)
+        span = self.span_from(start)
+        return [ast.LocalDecl((nm, declared, iv, span)) for nm, iv in names]
 
     def _parse_local_type(self) -> Optional[ast.TypeRef]:
         """The type of a local variable, loop variable or try resource, after
@@ -742,7 +756,7 @@ class _Parser:
             return None
         return self._parse_type()
 
-    def _parse_switch(self, start, annotations, markers) -> ast.Switch:
+    def _parse_switch(self, start: int) -> ast.Switch:
         kw = self.tok_span(self.expect("switch"))
         self.expect("(")
         scrutinee = self._parse_expr()
@@ -781,24 +795,22 @@ class _Parser:
             cases.append(ast.SwitchCase((tuple(labels), tuple(stmts),
                                          self.span_from(case_start))))
         self.expect("}")
-        return ast.Switch((scrutinee, tuple(cases), kw, self.span_from(start),
-                           annotations, markers))
+        return ast.Switch((scrutinee, tuple(cases), kw, self.span_from(start)))
 
-    def _parse_try(self, start, annotations, markers) -> ast.Try:
+    def _parse_try(self, start: int) -> ast.Try:
         kw = self.tok_span(self.expect("try"))
         resources: list[ast.LocalDecl] = []
         if self.texts[self.pos] == "(":
             self.advance()
             while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
                 res_start = self.pos
-                anns = self._parse_variable_modifiers()
+                uses = self._parse_variable_modifiers()
                 declared = self._parse_local_type()
                 name = self.texts[self.expect_ident("resource name")]
                 self.expect("=")
                 init = self._parse_expr()
-                resources.append(
-                    ast.LocalDecl((name, declared, init, self.span_from(res_start), anns, ()))
-                )
+                self.record_icp(res_start, uses)
+                resources.append(ast.LocalDecl((name, declared, init, self.span_from(res_start))))
                 if self.texts[self.pos] == ";":
                     self.advance()
                 else:
@@ -826,7 +838,7 @@ class _Parser:
             finally_kw = self.tok_span(self.advance())
             finally_block = self._parse_block()
         return ast.Try((tuple(resources), body, tuple(catches), finally_block,
-                        kw, finally_kw, self.span_from(start), annotations, markers))
+                        kw, finally_kw, self.span_from(start)))
 
     # ── expressions ─────────────────────────────────────────────────────
 
@@ -902,6 +914,7 @@ class _Parser:
         return self._parse_postfix()
 
     def _try_parse_cast(self, start: int) -> Optional[ast.Expr]:
+        recorded = len(self.site_icp)
         try:
             self.expect("(")
             self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
@@ -915,6 +928,7 @@ class _Parser:
             raise _Fail("not a cast", self.tok_span(self.pos))
         except _Fail:
             self.pos = start
+            del self.site_icp[recorded:]
             return None
 
     def _parse_postfix(self) -> ast.Expr:
@@ -1009,7 +1023,8 @@ class _Parser:
         self.expect("new")
         self._parse_annotations()  # type-use annotations, read and dropped
         ty = self._parse_type()
-        if self.texts[self.pos] == "[":
+        # `new T[n]`, or `new T[] {...}`, whose `[]` the type has taken
+        if self.texts[self.pos] == "[" or self.texts[self.pos - 1] == "]":
             dims: list[ast.Expr] = []
             while self.texts[self.pos] == "[":
                 self.advance()

@@ -65,6 +65,64 @@ class TestExtract:
         assert declared.is_empty()
 
 
+# Each source's site-level @ICP values, as (owner, the source text of the
+# element that carries the value, value).
+LAMBDA_BODY = "{\n    // @ICP(1)\n    @ICP(2) if (c) g();\n  }"
+MARKED_BODY = "{\n    // @ICP(1)\n    g();\n  }"
+SITE_CASES = {
+    # lambda bodies (their sites went unread before the parser recorded them)
+    "lambda-in-a-method": (
+        f"class A {{ void f() {{ run(() -> {LAMBDA_BODY}); }} }}",
+        [("A", "@ICP(2) if (c) g();", 1), ("A", "@ICP(2) if (c) g();", 2)]),
+    "lambda-in-a-field-initializer": (
+        f"class A {{ Runnable r = () -> {LAMBDA_BODY}; }}",
+        [("A", "@ICP(2) if (c) g();", 1), ("A", "@ICP(2) if (c) g();", 2)]),
+    # the marker and the annotation before a label belong to the labeled statement
+    "labeled-statement": (
+        "class A { void f() {\n    // @ICP(1)\n    @ICP(2) lbl: for (;;) {}\n  } }",
+        [("A", "@ICP(2) lbl: for (;;) {}", 1), ("A", "@ICP(2) lbl: for (;;) {}", 2)]),
+    "for-each-variable": (
+        "class A { void f(int[] xs) { for (@ICP(1) int x : xs) {} } }",
+        [("A", "@ICP(1) int x : xs", 1)]),
+    "try-resource": (
+        "class A { void f() { try (@ICP(1) var r = open()) {} } }",
+        [("A", "@ICP(1) var r = open()", 1)]),
+    "final-local-with-two-declarators": (
+        "class A { void f() { final @ICP(1) int x = 1, y = 2; } }",
+        [("A", "final @ICP(1) int x = 1, y = 2;", 1)]),
+    "nested-type-and-a-member-after-it": (
+        "class A { static class B { @ICP(1) int n; } @ICP(2) int m; }",
+        [("A.B", "@ICP(1) int n;", 1), ("A", "@ICP(2) int m;", 2)]),
+    # a parse that is thrown away drops what it recorded
+    "local-initializer-that-fails-then-fails-as-an-expression": (
+        f"class A {{ void f() {{ Runnable r = () -> {MARKED_BODY} oops; }} }}",
+        []),
+    "for-init-that-fails-as-a-declaration-and-parses-as-expressions": (
+        f"class A {{ void f() {{ for (a < b > c = () -> {MARKED_BODY}, 5;;) {{}} }} }}",
+        [("A", "g();", 1)]),
+    "cast-that-fails-and-parses-as-a-call": (
+        f"class A {{ void f() {{ (a)(() -> {MARKED_BODY}, b); }} }}",
+        [("A", "g();", 1)]),
+    "else-if-link-that-fails": (
+        f"class A {{ void f() {{ if (c) g(); else if (h(() -> {MARKED_BODY}) ==) g(); }} }}",
+        []),
+    "do-while-that-fails": (
+        f"class A {{ void f() {{ do {MARKED_BODY} while (x; }} }}",
+        []),
+    "field-that-fails": (
+        f"class A {{ Runnable r = () -> {MARKED_BODY} oops; }}",
+        []),
+}
+
+
+@pytest.mark.parametrize("source, expected", SITE_CASES.values(), ids=SITE_CASES)
+def test_each_site_level_icp_is_recorded_once_with_its_element(source, expected):
+    data = source.encode()
+    sites = extract_declared(parse_unit(source)).site_level
+    assert sorted((s.owner, data[s.span.byte_start:s.span.byte_end].decode(), s.value)
+                  for s in sites) == sorted(expected)
+
+
 class TestReconcile:
     def test_in_sync(self, listing_source):
         unit = parse_unit(listing_source)

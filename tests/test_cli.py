@@ -325,6 +325,23 @@ class TestReconcile:
         validate(doc, "drift_report.schema.json")
         assert doc["units"][0]["status"] == "unannotated"
 
+    def test_drift_json_keeps_the_file_diagnostics(self, tmp_path, capsys, monkeypatch):
+        # a malformed @ICP and a parse failure show in every rendering
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "Bad.java").write_text("@ICP(two) class Bad {}\n")
+        (tmp_path / "E.java").write_text("class E {\n")
+        diagnostics = [
+            {"path": "Bad.java", "message": "@ICP needs a decimal argument (line 1)"},
+            {"path": "E.java", "message": "parse failed: expected '}'"},
+        ]
+        code, out, _ = run(capsys, "reconcile", ".", "--format", "json")
+        doc = json.loads(out)
+        validate(doc, "drift_report.schema.json")
+        assert doc["diagnostics"] == diagnostics
+        assert doc["summary"]["parse_failures"] == 1
+        code, out, _ = run(capsys, "reconcile", ".")
+        assert [f"{d['path']}: {d['message']}" for d in diagnostics] == out.splitlines()[1:3]
+
     @pytest.fixture()
     def drift_tree(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -497,6 +514,22 @@ class TestOptions:
         assert info.value.code == 2
         assert argv[2] in capsys.readouterr().err  # the option is named
         assert not list(tmp_path.iterdir())  # nothing was written
+
+    @pytest.mark.parametrize("given", [
+        ["--format", "json"], ["--format", "text"],
+        ["--fail-on", "drift"], ["--fail-on", "never"],
+        ["--fail-on", "drift", "--format", "json"],
+    ])
+    def test_fix_takes_no_report_option(self, given, tmp_path, capsys, monkeypatch):
+        # --fix writes files and reports what it wrote, so it reads neither
+        monkeypatch.chdir(tmp_path)
+        source = "@ICP(9)\nclass A { void f(boolean x) { if (x) {} } }\n"
+        (tmp_path / "A.java").write_text(source)
+        code, out, err = run(capsys, "reconcile", ".", "--fix", *given)
+        assert (code, out) == (2, "")
+        assert f"{given[0]} cannot be used with --fix" in err
+        assert (tmp_path / "A.java").read_text() == source
+        assert [p.name for p in tmp_path.iterdir()] == ["A.java"]
 
     @pytest.mark.parametrize("argv, option, value", [
         (["init", ".", "--force"], "force", True),

@@ -244,9 +244,7 @@ USE_POSITIONS = {
     "index": "arr[new InternalX()]",
     "cast-operand": "(Object) new InternalX()",
     "array-dimension": "new int[new InternalX().n]",
-    # `new T[] {` is read as an anonymous class body, so a dimension leads
-    # the initializer that the parser keeps
-    "array-initializer": "new Object[1] { new InternalX() }",
+    "array-initializer": "new Object[] { new InternalX() }",
     "method-reference-receiver": "new InternalX()::run",
     "initializer-list": "{ new InternalX() }",
     "switch-expression-scrutinee": "switch (new InternalX()) { default -> 0; }",
@@ -283,6 +281,19 @@ class TestExpressionPositions:
 
     def test_the_type_of_a_cast_is_no_use(self):
         assert self.uses("(InternalX) o") == 0
+
+    def test_an_array_initializer_scores_as_a_bare_one(self):
+        # `new T[] {` opens the elements, not an anonymous class body
+        for stmt in ("Object[] v = new Object[] { x ? 1 : 2 };",
+                     "Object[] v = { x ? 1 : 2 };"):
+            unit = parse_unit(in_method(stmt), "T.java")
+            [analysis] = analyze_unit(unit, DEFAULTS)
+            assert (analysis.total, analysis.subtotals[B], analysis.subtotals[C]) == (2, 1, 1)
+            assert unit.diagnostics == ()
+
+    def test_an_anonymous_class_body_keeps_its_diagnostic(self):
+        unit = parse_unit(in_method("Runnable r = new Runnable() { public void run() {} };"))
+        assert [d.message for d in unit.diagnostics] == ["anonymous class body is not analyzed"]
 
     def test_field_initializer_ternary_counts(self):
         a = analyze_one("class T { int x = 1 > 0 ? 1 : 2; }")

@@ -53,8 +53,10 @@ class TestListingGolden:
         unit = parse_unit(listing_source)
         body = unit.types[0].methods[0].body
         if_stmt = next(s for s in body.stmts if isinstance(s, ast.If))
-        assert [a.simple_name() for a in if_stmt.annotations] == ["ICP"]
-        assert if_stmt.annotations[0].numeric_arg == 2
+        [site] = [s for s in unit.site_icp if s.span == if_stmt.span]
+        assert (site.owner, site.value) == ("CertificateDetailsController", 2)
+        src = listing_source.encode()
+        assert src[site.use_span.byte_start:site.use_span.byte_end] == b"@ICP(2)"
 
 
 class TestBasics:
@@ -117,15 +119,15 @@ class TestBasics:
             "class A { void f(boolean x) {\n    // @ICP(2)\n    if (x) {}\n  } }"
         )
         if_stmt = unit.types[0].methods[0].body.stmts[0]
-        assert len(if_stmt.markers) == 1
-        assert if_stmt.markers[0].value == 2
+        [site] = unit.site_icp
+        assert (site.owner, site.span, site.value) == ("A", if_stmt.span, 2)
+        assert (site.use_span.line_start, site.use_span.line_end) == (2, 2)
 
     def test_non_marker_comment_ignored(self):
         unit = parse_unit("class A { void f() {\n    // plain note\n    g();\n  } }")
-        stmt = unit.types[0].methods[0].body.stmts[0]
-        assert stmt.markers == ()
+        assert unit.site_icp == ()
 
-    def test_physical_lines_and_hash_recorded(self):
+    def test_physical_lines_recorded(self):
         unit = parse_unit("class A {}\n")
         assert unit.physical_lines == 1
 
@@ -216,8 +218,9 @@ class TestElseIfChain:
         assert inner.span.byte_start == src.index(b"@ICP(2) if (x == 1)")
         chain_end = src.index(b"return 2;") + len(b"return 2;")
         assert inner.span.byte_end == outer.span.byte_end == chain_end
-        assert (outer.markers, [m.value for m in inner.markers]) == ((), [1])
-        assert [a.numeric_arg for a in inner.annotations] == [2]
+        # the second link's annotation and the marker before it are its sites
+        assert sorted((s.span, s.value) for s in unit.site_icp) == [
+            (inner.span, 1), (inner.span, 2)]
         assert (outer.else_kw.line_start, inner.else_kw.line_start) == (3, 5)
 
     def test_a_broken_link_is_the_failed_else_branch(self):
