@@ -31,7 +31,9 @@ Expressions are walked by one descent: `_TypeWalker._walk_expr` scores a
 node, then walks the children `ast.iter_children` yields, less any TypeRef.
 Only a lambda, a ternary, a call (its receiver's root), `new` and a binary
 operator (its left spine walked in a loop) have a branch; any other kind,
-one the parser adds included, is walked with no edit here.
+one the parser adds included, is walked with no edit here. Every walk
+branches on a node's exact type (`type(node) is ast.Call`): node classes
+have no subclasses, so this is `isinstance` without a call per test.
 
 Every site of a category costs that category's `cost`, so a subtotal is the
 exact product of the cost and an integer count of sites, and the total is the
@@ -46,7 +48,10 @@ from typing import Optional
 from .records import Record
 from .rules import IcpCategory, RuleSet, type_matcher
 from .syntax import ast
-from .syntax.ast import Span, iter_type_decls
+from .syntax.ast import (
+    Binary, Block, Call, ExprStmt, FieldAccess, If, Lambda, LocalDecl, Loop, NameRef, New,
+    Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children, iter_type_decls,
+)
 from .values import exact_sum
 
 
@@ -188,19 +193,20 @@ class _TypeWalker:
     # ── statements ──────────────────────────────────────────────────────
 
     def _walk_stmt(self, stmt: ast.Stmt, scope: _Scope) -> None:
-        if isinstance(stmt, ast.Block):
+        kind = type(stmt)
+        if kind is Block:
             inner = _Scope(scope)
             for s in stmt.stmts:
                 self._walk_stmt(s, inner)
 
-        elif isinstance(stmt, ast.LocalDecl):
+        elif kind is LocalDecl:
             self._walk_local_decl(stmt, scope)
 
-        elif isinstance(stmt, (ast.ExprStmt, ast.Return, ast.Throw)):
+        elif kind is ExprStmt or kind is Return or kind is Throw:
             if stmt.expr is not None:  # a bare `return`
                 self._expr_region(stmt.expr, scope)
 
-        elif isinstance(stmt, ast.If):
+        elif kind is If:
             while True:  # an `else if` chain is walked here, not by recursion
                 self._emit(IcpCategory.BRANCH, stmt.if_kw, "if statement")
                 self._guard(stmt.condition, scope)
@@ -209,12 +215,12 @@ class _TypeWalker:
                     break
                 assert stmt.else_kw is not None
                 self._emit(IcpCategory.BRANCH, stmt.else_kw, "else branch")
-                if not isinstance(stmt.else_branch, ast.If):
+                if type(stmt.else_branch) is not If:
                     self._walk_stmt(stmt.else_branch, scope)
                     break
                 stmt = stmt.else_branch
 
-        elif isinstance(stmt, ast.Loop):
+        elif kind is Loop:
             reason = {
                 "for": "for loop",
                 "for_each": "enhanced-for loop",
@@ -235,7 +241,7 @@ class _TypeWalker:
                 self._expr_region(upd, loop_scope)
             self._walk_stmt(stmt.body, loop_scope)
 
-        elif isinstance(stmt, ast.Switch):
+        elif kind is Switch:
             self._emit(IcpCategory.BRANCH, stmt.kw, "switch statement")
             self._expr_region(stmt.scrutinee, scope)
             for case in stmt.cases:
@@ -248,7 +254,7 @@ class _TypeWalker:
                 for s in case.stmts:
                     self._walk_stmt(s, case_scope)
 
-        elif isinstance(stmt, ast.Try):
+        elif kind is Try:
             self._emit(IcpCategory.EXCEPTION, stmt.kw, "try block")
             try_scope = _Scope(scope)
             for res in stmt.resources:
@@ -287,7 +293,7 @@ class _TypeWalker:
     def _walk_initializer(self, expr: ast.Expr, scope: _Scope) -> None:
         region: _Uses = {}
         # a bare name used as the whole initializer is a coupling use
-        if isinstance(expr, ast.NameRef):
+        if type(expr) is NameRef:
             region[expr.name] = (expr.span, f"internal coupling: use of {expr.name}", False)
         self._walk_expr(expr, scope, region)
         self._flush_region(region, scope)
@@ -320,53 +326,55 @@ class _TypeWalker:
     def _walk_expr(self, expr: ast.Expr, scope: _Scope, region: _Uses) -> None:
         """Score the node itself, then walk its children; a kind that scores
         nothing has no branch here."""
-        if isinstance(expr, ast.Binary):
+        kind = type(expr)
+        if kind is Binary:
             # down the left spine in a loop, so a long left-associative chain
             # costs no recursion; operands are still walked left to right
             rights: list[ast.Expr] = []
-            while isinstance(expr, ast.Binary):
+            while type(expr) is Binary:
                 rights.append(expr.rhs)
                 expr = expr.lhs
             self._walk_expr(expr, scope, region)
             for rhs in reversed(rights):
                 self._walk_expr(rhs, scope, region)
             return
-        if isinstance(expr, ast.Lambda):
+        if kind is Call:
+            root = _receiver_root(expr.receiver)
+            if root is not None:
+                name, span = root
+                region.setdefault(name, (span, f"internal coupling: use of {name}", False))
+        elif kind is Lambda:
             if not self.rules.count_lambdas:
                 return  # nothing inside a lambda is counted
             self._emit(IcpCategory.BRANCH, expr.span, "lambda expression")
-            if isinstance(expr.body, ast.Block):
+            if type(expr.body) is Block:
                 lam_scope = _Scope(scope)
                 for p in expr.params:
                     lam_scope.bind(p, None)
                 self._walk_stmt(expr.body, lam_scope)
                 return
-        elif isinstance(expr, ast.Ternary):
+        elif kind is Ternary:
             self._emit(IcpCategory.BRANCH, expr.question_span, "ternary operator")
             self._condition_sites(expr.cond)
-        elif isinstance(expr, ast.Call):
-            root = _receiver_root(expr.receiver)
-            if root is not None:
-                name, span = root
-                region.setdefault(name, (span, f"internal coupling: use of {name}", False))
-        elif isinstance(expr, ast.New):
+        elif kind is New:
             if self._internal(expr.type.qualified_name):
                 region.setdefault(expr.type.qualified_name, (
                     expr.type.span, f"internal coupling: new {expr.type.simple_name}", True))
-        for child in ast.iter_children(expr):
-            if not isinstance(child, ast.TypeRef):
+        for child in iter_children(expr):
+            if type(child) is not TypeRef:
                 self._walk_expr(child, scope, region)
 
 
 def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
     """The name a method call is invoked on: `x.f()` and `this.x.f()` give x;
     None for an unqualified call."""
-    if isinstance(expr, ast.NameRef):
+    kind = type(expr)
+    if kind is NameRef:
         if expr.name in ("this", "super"):
             return None
         return expr.name, expr.span
-    if isinstance(expr, ast.FieldAccess):
-        if isinstance(expr.receiver, ast.NameRef) and expr.receiver.name == "this":
+    if kind is FieldAccess:
+        if type(expr.receiver) is NameRef and expr.receiver.name == "this":
             return expr.name, expr.span
     return None
 
@@ -382,9 +390,10 @@ def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
     stack: list[object] = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Lambda, ast.TypeRef)):
+        kind = type(node)
+        if kind is Lambda or kind is TypeRef:
             continue
-        if isinstance(node, ast.Binary) and node.op in ("&&", "||"):
+        if kind is Binary and node.op in ("&&", "||"):
             out.append(node.op_span)
-        stack.extend(ast.iter_children(node))
+        stack.extend(iter_children(node))
     return out

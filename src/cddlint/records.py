@@ -9,6 +9,10 @@ A record inherits ``tuple.__new__``: it is built from one tuple of all its
 fields, in order, with no Python frame and no defaults, as
 ``Span((start, end, line, line))``. ``==`` is tuple equality, ``repr`` names
 the fields, and ``_replace`` returns a copy with some fields changed.
+
+A record class may also name, in ``_children``, the fields that hold other
+records (or tuples of them); the metaclass turns the names into indices, so
+a walk over a tree of records reads no field by name.
 """
 
 from __future__ import annotations
@@ -28,17 +32,23 @@ except ImportError:  # an interpreter whose collections module lacks it
 
 
 class RecordType(type):
-    """Metaclass of records: adds ``__slots__ = ()`` and the accessors."""
+    """Metaclass of records: adds ``__slots__ = ()``, the accessors, and
+    ``_child_indices``, the positions of the fields ``_children`` names, in
+    field order; naming a field the record lacks is a ValueError."""
 
     def __new__(mcls, name, bases, namespace):
         namespace["__slots__"] = ()
-        for index, field in enumerate(namespace.get("_fields", ())):
+        fields = namespace.get("_fields", ())
+        for index, field in enumerate(fields):
             namespace[field] = _field(index, f"Alias for field number {index}")
+        namespace["_child_indices"] = tuple(sorted(map(fields.index,
+                                                       namespace.get("_children", ()))))
         return super().__new__(mcls, name, bases, namespace)
 
 
 class Record(tuple, metaclass=RecordType):
     _fields: tuple[str, ...] = ()
+    _children: tuple[str, ...] = ()  # the fields that hold records, or tuples of them
 
     def __repr__(self) -> str:
         pairs = ", ".join(map("{}={!r}".format, self._fields, self))

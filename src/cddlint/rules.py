@@ -30,6 +30,10 @@ class IcpCategory(enum.Enum):
     INTERNAL_COUPLING = "internal_coupling"
     EXTERNAL_COUPLING = "external_coupling"
 
+    # Enum hashes a member by its name in Python; members are singletons, so
+    # identity is the same equality, and a lookup by category stays in C
+    __hash__ = object.__hash__
+
 
 DEFAULT_CONFIG_DOCUMENT = """\
 {

@@ -7,10 +7,13 @@ Nodes are records (see `cddlint.records`): tuples whose fields are listed in
 `_fields`, built from one tuple of all their fields in that order, as
 `Binary((op, lhs, rhs, op_span, span))`; no field has a default. `==` is
 tuple equality, so nodes of two types with equal fields compare equal; no
-reader compares nodes, it tests their type with `isinstance`.
-`iter_children` walks a node's fields in order and yields those that are
-nodes or hold nodes in a tuple; it is the one statement of a node's shape
-that the engine reads.
+reader compares nodes, it tests their type.
+
+Each class names in `_children` its fields that hold nodes, or tuples of
+them, and `iter_children` yields those nodes in field order, by the indices
+the record metaclass made of the names: it reads no field by name and tests
+no attribute, and it is the one statement of a node's shape that the engine
+reads. A field that holds a node and is not named there is walked by no one.
 
 The comments give a field's type where its name does not: an `Expr`, a
 `Stmt` and the like are nodes, `(X, ...)` is a tuple of them, and `| None`
@@ -65,6 +68,7 @@ class TypeRef(Record):
         "type_args",  # (TypeRef, ...)
         "span",
     )
+    _children = ("type_args",)
 
     @property
     def simple_name(self) -> str:
@@ -73,6 +77,7 @@ class TypeRef(Record):
 
 class Param(Record):
     _fields = ("name", "type", "span")  # type: TypeRef
+    _children = ("type",)
 
 
 # ── Expressions ──────────────────────────────────────────────────────────
@@ -83,22 +88,27 @@ class Binary(Record):
         "lhs", "rhs",  # Expr
         "op_span", "span",
     )
+    _children = ("lhs", "rhs")
 
 
 class Unary(Record):
     _fields = ("op", "inner", "span")  # op: prefix ! ~ + - ++ --, or postfix ++ --
+    _children = ("inner",)
 
 
 class Assign(Record):
     _fields = ("op", "target", "value", "span")  # op: = += -= ...
+    _children = ("target", "value")
 
 
 class Ternary(Record):
     _fields = ("cond", "then_expr", "else_expr", "question_span", "span")
+    _children = ("cond", "then_expr", "else_expr")
 
 
 class Call(Record):
     _fields = ("receiver", "name", "args", "span")  # receiver: Expr | None
+    _children = ("receiver", "args")
 
 
 class NameRef(Record):
@@ -107,26 +117,32 @@ class NameRef(Record):
 
 class FieldAccess(Record):
     _fields = ("receiver", "name", "span")
+    _children = ("receiver",)
 
 
 class IndexAccess(Record):
     _fields = ("receiver", "index", "span")
+    _children = ("receiver", "index")
 
 
 class Lambda(Record):
     _fields = ("params", "body", "span")  # params: (str, ...); body: Expr | Block
+    _children = ("body",)
 
 
 class New(Record):
     _fields = ("type", "args", "span")
+    _children = ("type", "args")
 
 
 class ArrayNew(Record):
     _fields = ("type", "dims", "init", "span")  # init: Expr | None
+    _children = ("type", "dims", "init")
 
 
 class Cast(Record):
     _fields = ("type", "inner", "span")
+    _children = ("type", "inner")
 
 
 class Literal(Record):
@@ -135,10 +151,12 @@ class Literal(Record):
 
 class MethodRef(Record):
     _fields = ("receiver", "name", "span")
+    _children = ("receiver",)
 
 
 class InitializerList(Record):
     _fields = ("items", "span")
+    _children = ("items",)
 
 
 class Opaque(Record):
@@ -146,6 +164,7 @@ class Opaque(Record):
     constructs that could be recovered from inside it visible to the engine."""
 
     _fields = ("children", "span")
+    _children = ("children",)
 
 
 Expr = Union[
@@ -158,6 +177,7 @@ Expr = Union[
 
 class Block(Record):
     _fields = ("stmts", "span")
+    _children = ("stmts",)
 
 
 class If(Record):
@@ -168,6 +188,7 @@ class If(Record):
         "else_kw",  # Span | None
         "span",
     )
+    _children = ("condition", "then", "else_branch")
 
 
 class Loop(Record):
@@ -178,18 +199,22 @@ class Loop(Record):
         "init", "update",  # classic for: (Stmt, ...), (Expr, ...); else ()
         "var", "iterable",  # enhanced for: LocalDecl, Expr; else None
     )
+    _children = ("condition", "body", "init", "update", "var", "iterable")
 
 
 class CaseLabel(Record):
     _fields = ("expr", "span")  # expr: None for `default`
+    _children = ("expr",)
 
 
 class SwitchCase(Record):
     _fields = ("labels", "stmts", "span")
+    _children = ("labels", "stmts")
 
 
 class Switch(Record):
     _fields = ("scrutinee", "cases", "kw", "span")
+    _children = ("scrutinee", "cases")
 
 
 class CatchClause(Record):
@@ -198,6 +223,7 @@ class CatchClause(Record):
         "types",  # (TypeRef, ...): multi-catch keeps one clause, many types
         "body", "kw", "span",
     )
+    _children = ("types", "body")
 
 
 class Try(Record):
@@ -209,6 +235,7 @@ class Try(Record):
         "finally_kw",  # Span | None
         "span",
     )
+    _children = ("resources", "body", "catches", "finally_block")
 
 
 class LocalDecl(Record):
@@ -218,18 +245,22 @@ class LocalDecl(Record):
         "initializer",  # Expr | None
         "span",
     )
+    _children = ("declared_type", "initializer")
 
 
 class ExprStmt(Record):
     _fields = ("expr", "span")
+    _children = ("expr",)
 
 
 class Return(Record):
     _fields = ("expr", "span")  # expr: Expr | None
+    _children = ("expr",)
 
 
 class Throw(Record):
     _fields = ("expr", "span")
+    _children = ("expr",)
 
 
 class Jump(Record):
@@ -250,6 +281,7 @@ class FieldDecl(Record):
         "initializer",  # Expr | None
         "span",
     )
+    _children = ("declared_type", "initializer")
 
 
 class MethodDecl(Record):
@@ -260,10 +292,12 @@ class MethodDecl(Record):
         "span",
         "body_line_count",  # body brace span height; 0 when body is absent
     )
+    _children = ("params", "return_type", "body")
 
 
 class EnumConstant(Record):
     _fields = ("name", "args", "span")
+    _children = ("args",)
 
 
 class TypeDecl(Record):
@@ -276,6 +310,7 @@ class TypeDecl(Record):
         "header_start",  # byte offset of the first modifier, else of the keyword
         "enum_constants",  # (EnumConstant, ...), () unless an enum
     )
+    _children = ("annotations", "fields", "methods", "nested", "enum_constants")
 
 
 class SourceUnit(Record):
@@ -285,6 +320,7 @@ class SourceUnit(Record):
         "diagnostics",
         "site_icp",  # (SiteIcp, ...), in the order their elements end
     )
+    _children = ("types", "diagnostics", "site_icp")
 
 
 def iter_type_decls(unit: SourceUnit) -> Iterator[tuple[str, TypeDecl]]:
@@ -299,17 +335,15 @@ def iter_type_decls(unit: SourceUnit) -> Iterator[tuple[str, TypeDecl]]:
 
 
 def iter_children(node: tuple) -> Iterator[tuple]:
-    """Yield the direct child nodes of a node, in field order.
-
-    This is the one statement of which fields hold nodes: a field holds a
-    node, or a tuple of them, when its value carries a `span`. Its readers
-    are the engine's expression walk (`_TypeWalker._walk_expr`) and its
-    `&&`/`||` search (`_collect_bool_ops`); an expression kind added here is
-    walked by both with no edit there."""
-    for value in node:
-        if hasattr(value, "span"):  # a node; a Span has no `span`
+    """Yield the direct child nodes of a node, in field order: the value of
+    each field its class names in `_children`, or the items of a tuple there;
+    a field holding None yields nothing. Its readers are the engine's
+    expression walk (`_TypeWalker._walk_expr`) and its `&&`/`||` search
+    (`_collect_bool_ops`); an expression kind added here is walked by both
+    with no edit there."""
+    for index in node._child_indices:
+        value = node[index]
+        if type(value) is tuple:  # a node is a tuple subclass, never a tuple
+            yield from value
+        elif value is not None:
             yield value
-        elif isinstance(value, tuple):
-            for item in value:
-                if hasattr(item, "span"):
-                    yield item

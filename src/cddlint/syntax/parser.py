@@ -46,6 +46,9 @@ PRIMITIVES = frozenset({
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
+# what may follow the words a local declaration starts with, a name aside
+_DECLARATION_NEXT = frozenset({"<", "[", "@", "."})
+
 # words that can never start a type reference in a local declaration
 _NON_TYPE_WORDS = frozenset({
     "if", "else", "for", "while", "do", "switch", "case", "default", "try",
@@ -728,7 +731,19 @@ class _Parser:
 
     def _try_parse_local_decl(self, start: int) -> Optional[list[ast.Stmt]]:
         """A local declaration whose first token is `start`, read from the
-        cursor on; None, with nothing consumed or recorded, if there is none."""
+        cursor on; None, with nothing consumed or recorded, if there is none.
+
+        A declaration is an `@`, or an `IDENT(.IDENT)*` (its modifiers, or
+        `var`, and its type) followed by a name, `<`, `[`, `@` or `.`, so a
+        statement such as `x = 1;` or `a.f();` is not tried at all."""
+        kinds, texts, i = self.kinds, self.texts, self.pos
+        while kinds[i] == _IDENT:
+            i += 1
+            if texts[i] != "." or kinds[i + 1] != _IDENT:
+                break
+            i += 1
+        if kinds[i] != _IDENT and texts[i] not in _DECLARATION_NEXT:
+            return None
         saved, recorded = self.pos, len(self.site_icp)
         saved_diags = len(self.diagnostics)
         try:
@@ -914,7 +929,9 @@ class _Parser:
         return self._parse_postfix()
 
     def _try_parse_cast(self, start: int) -> Optional[ast.Expr]:
-        recorded = len(self.site_icp)
+        """A cast from the `(` at `start`; None, with nothing consumed or
+        recorded, if there is none."""
+        recorded, saved_diags = len(self.site_icp), len(self.diagnostics)
         try:
             self.expect("(")
             self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
@@ -928,6 +945,7 @@ class _Parser:
             raise _Fail("not a cast", self.tok_span(self.pos))
         except _Fail:
             self.pos = start
+            del self.diagnostics[saved_diags:]
             del self.site_icp[recorded:]
             return None
 

@@ -1,11 +1,29 @@
-"""Tokenizer: one compiled bytes regex walked with ``finditer``.
+"""Tokenizer: one compiled bytes regex read by ``findall``, a window at a time.
 
-The matches are taken in batches of at most ``_BATCH``. Each batch is
-filled in by passes that run in C, not by an interpreted step per token:
-``map`` over ``lastindex``, ``Match.start``, ``Match.end`` and
-``Match.group``, ``accumulate`` over ``bytes.count`` for the lines, and
-``compress`` to take the ``//`` comments out; only the comments of a batch
-are visited one by one.
+Each match of the pattern is a pair of groups: the gap of whitespace and
+``/* */`` comments before a token, and the token (or ``//`` comment)
+itself. ``findall`` returns the pairs as bytes, with no ``re.Match`` object
+per token, and each list of a window is filled by passes that run in C, not
+by an interpreted step per token:
+  - a token's kind comes from a 256-entry table indexed by its first byte;
+    only a token that starts with ``/``, ``.``, ``"``, ``'`` or a byte the
+    table does not list is looked at one by one: a ``//`` comment, a number
+    such as ``.5``, a literal that may be unterminated, an invalid byte
+  - starts and ends are ``accumulate`` over the gap and token lengths, and
+    lines ``accumulate`` over the LFs in the gaps: a file that holds a CR is
+    read from a copy in which each lone CR is an LF, which changes no token,
+    as none holds a line terminator
+  - ``compress`` takes the ``//`` comments out; only they are visited one by
+    one
+
+A window runs from where the last one stopped to the first line terminator
+at least ``_WINDOW`` bytes on, or to the end of the input; it ends right
+after an LF or after a CR with no LF next, never between CR and LF, so no
+token is cut. What the cut does make is the empty END match at the window's
+end, and a ``/*`` whose comment closes past it: before the true end of the
+input either one is dropped, with every pair after it, and the next window
+starts at its gap. A window whose first pair is dropped so grows until the
+comment closes or the input ends; only then is an open ``/*`` an error.
 
 Lexical contract:
   - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
@@ -18,11 +36,10 @@ Lexical contract:
     ``texts[i]`` is "{", "->", "+=", ... as in JLS SE 17 §3.11-3.12
   - ``comments[i]`` lists the ``//`` line comments before token i; trailing
     ones, with no token after them, are listed under a final EOF token
-  - whitespace and ``/* */`` block comments make no entry: one match takes
-    the gap of them before a token (or ``//`` comment) and the token itself,
-    and the line counter moves by the line terminators from the previous
-    match's end to the token's start; the gap after the last token ends in
-    the empty END alternative at the end of the input
+  - whitespace and ``/* */`` block comments make no entry: they are the gap
+    before a token (or ``//`` comment), and the line counter moves by the
+    line terminators in it; the gap after the last token ends in the empty
+    END alternative at the end of the input
   - an EOF token ends the stream whenever anything follows the last token,
     so len(tokenize("")) == 0 but tokenize("  ") is one EOF token
   - ``len()`` counts the tokens, that EOF included; every list holds two
@@ -35,61 +52,67 @@ Lexical contract:
   - a catch-all alternative comes before END, so no byte is ever skipped:
     an invalid byte, or an unterminated block comment, string or char
     literal, raises InvalidCharacter; the first one in the input does,
-    wherever the batches end, once the tokens before it are decoded
+    wherever the windows end, once the tokens before it are decoded
   - a byte that is not UTF-8 inside a literal or a ``//`` comment raises
-    InvalidCharacter too, with its own offset and line; a batch is decoded
-    in one pass, and only one that fails is decoded again match by match
+    InvalidCharacter too, with its own offset and line, unless an error
+    comes first; a window is decoded in one pass, and only one that fails
+    is decoded again token by token
   - token texts are interned, so each spelling is stored once
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import attrgetter
+from itertools import accumulate, chain, compress, repeat
+from operator import is_, is_not, itemgetter
 from sys import intern
-from typing import NoReturn
 
 from .tokens import InvalidCharacter, TokenKind, TokenStream
 
-# Group numbers, in pattern order; m.lastindex names the alternative matched.
-_LINE, _BAD_BLOCK, _IDENT, _NUMBER, _STRING, _CHAR, _PUNCTUATION, \
-    _BAD_STRING, _BAD_CHAR, _BAD_BYTE, _END = range(1, 12)
-_KIND = {_IDENT: TokenKind.IDENT, _NUMBER: TokenKind.NUMBER, _STRING: TokenKind.STRING,
-         _CHAR: TokenKind.CHAR, _PUNCTUATION: TokenKind.PUNCT}
-_ERRORS = frozenset({_BAD_BLOCK, _BAD_STRING, _BAD_CHAR, _BAD_BYTE})
-_lastindex = attrgetter("lastindex")
+# A window ends at the first line terminator this many bytes on: all the
+# pairs of a large file held at once would cost more than twice the memory
+# of the token stream.
+_WINDOW = 1 << 15
 
-# Matches are taken this many at a time: each batch is filled in by passes
-# that run in C, and holding every match of a large file at once would cost
-# more than twice the memory of the token stream.
-_BATCH = 4096
-
-# The leading gap is greedy and the catch-all `.` or END always matches after
-# the longest gap, so the gap is never given back: no possessive quantifier,
+# The gap is greedy and the catch-all `.` or END always matches after the
+# longest gap, so the gap is never given back: no possessive quantifier,
 # which Python 3.10 lacks, is needed to keep the match from backtracking.
+# Identifiers, and the separators that start no longer token, come first as
+# they are the most common; a string or char literal ends at its closing
+# quote or, left open, before the line terminator.
 _TOKEN_RE = re.compile(
     rb"""
-    (?: [ \t\r\n\f]+ | /\*.*?\*/ )*                   # whitespace, block comments
-    (?: ( //[^\r\n]* )                                # line comment
-      | ( /\* )                                       # unterminated comment
-      | ( [A-Za-z_$][A-Za-z0-9_$]* )                  # identifier
-      | ( 0[xX][0-9a-fA-F_]*[lLfFdD]?
-        | 0[bB][01_]*[lLfFdD]?
-        | (?: [0-9][0-9_]*(?:\.[0-9_]*)? | \.[0-9][0-9_]* )
-          (?: [eE][+-]?[0-9]+ )? [lLfFdD]? )          # number
-      | ( "(?:[^"\\\r\n]|\\[^\r\n])*" )               # string literal
-      | ( '(?:[^'\\\r\n]|\\[^\r\n])*' )               # char literal
-      | ( >>>= | >>= | <<= | \.\.\. | -- | \+\+ | && | \|\| | << | :: | ->
-        | [-=!<>+*/%&|^]= | [-(){}\[\];,@?~.:=<>!&|^+*/%] ) # punctuation
-      | ( "(?:[^"\\\r\n]|\\[^\r\n])*\\? )             # unterminated string
-      | ( '(?:[^'\\\r\n]|\\[^\r\n])*\\? )             # unterminated char
-      | ( . )                                         # any other byte
-      | ( \Z )                                        # end of input
+    ( [ \t\r\n\f]* (?: /\*.*?\*/ [ \t\r\n\f]* )* )   # whitespace, block comments
+    ( [A-Za-z_$][A-Za-z0-9_$]*                        # identifier
+    | [(){}\[\];,@?~]                                 # separator
+    | //[^\r\n]*                                      # line comment
+    | /\*                                             # unterminated comment
+    | 0[xX][0-9a-fA-F_]*[lLfFdD]?
+    | 0[bB][01_]*[lLfFdD]?
+    | (?: [0-9][0-9_]*(?:\.[0-9_]*)? | \.[0-9][0-9_]* )
+      (?: [eE][+-]?[0-9]+ )? [lLfFdD]?                # number
+    | "(?:[^"\\\r\n]|\\[^\r\n])*["\\]?                # string literal
+    | '(?:[^'\\\r\n]|\\[^\r\n])*['\\]?                # char literal
+    | >>>= | >>= | <<= | \.\.\. | -- | \+\+ | && | \|\| | << | :: | ->
+    | [-=!<>+*/%&|^]= | [-.:=<>!&|^+*/%]              # operator
+    | .                                               # any other byte
+    | \Z                                              # end of input: empty
     )
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# The kind of a token by its first byte; None for a token that needs a
+# second look (`/`, `.`, `"`, `'` and every byte outside the grammar).
+_KIND_BY_HEAD: list = [None] * 256
+for _kind, _heads in (
+    (TokenKind.IDENT, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$"),
+    (TokenKind.NUMBER, b"0123456789"),
+    (TokenKind.PUNCT, b"(){}[];,@?~:=<>!&|^+-*%"),
+):
+    for _head in _heads:
+        _KIND_BY_HEAD[_head] = _kind
+del _kind, _heads, _head
 
 
 def active_backend() -> str:
@@ -110,59 +133,90 @@ def tokenize_bytes(data: bytes) -> TokenStream:
     ends: list[int] = []
     lines: list[int] = []
     comments: dict[int, list[tuple[str, int, int, int]]] = {}
-    # the line counter counts LFs: in a file that holds a CR it counts them in
-    # a copy of the same length in which each CR LF is a space and an LF and
-    # each lone CR is an LF, so a file without a CR pays nothing per token
-    breaks = data
+    # a lone CR ends a line as an LF does; in a copy with an LF for each one,
+    # every line terminator ends in an LF and every token reads the same
     if b"\r" in data:
-        breaks = data.replace(b"\r\n", b" \n").replace(b"\r", b"\n")
-    line = 1
-    last = 0  # where the previous match ended
-    matches = _TOKEN_RE.finditer(data)
-    while batch := list(islice(matches, _BATCH)):
-        groups = list(map(_lastindex, batch))
-        # the first match that is no token or comment ends the stream: END,
-        # or an error, raised once the tokens before it are in
-        stop = groups.index(_END) if _END in groups else None
-        if not _ERRORS.isdisjoint(groups[:stop]):
-            stop = next(i for i, group in enumerate(groups) if group in _ERRORS)
-        if stop is not None:
-            del batch[stop + 1:], groups[stop + 1:]
-        batch_starts = list(map(re.Match.start, batch, groups))
-        batch_ends = list(map(re.Match.end, batch))
-        steps = list(map(breaks.count, repeat(b"\n"), chain((last,), batch_ends),
-                         batch_starts))
-        steps[0] += line
-        batch_lines = list(accumulate(steps))
-        line, last = batch_lines[-1], batch_ends[-1]
-        if stop is not None:
-            batch.pop()
-            stopped = (groups.pop(), batch_starts.pop(), batch_ends.pop(), batch_lines.pop())
-        try:
-            batch_texts = list(map(bytes.decode, map(re.Match.group, batch, groups)))
-        except UnicodeDecodeError:
-            _raise_undecodable(batch, groups, batch_starts, batch_lines)
-            raise
-        if _LINE in groups:
-            # the k-th comment of the batch, at j, comes before its j - k-th token
-            base = len(kinds)
-            for k, j in enumerate(compress(range(len(groups)), map(_LINE.__eq__, groups))):
-                comments.setdefault(base + j - k, []).append(
-                    (batch_texts[j], batch_starts[j], batch_ends[j], batch_lines[j]))
-            is_token = list(map(_LINE.__ne__, groups))
-            groups, batch_texts, batch_starts, batch_ends, batch_lines = (
-                list(compress(entries, is_token))
-                for entries in (groups, batch_texts, batch_starts, batch_ends, batch_lines))
-        kinds += map(_KIND.__getitem__, groups)
-        texts += map(intern, batch_texts)
-        starts += batch_starts
-        ends += batch_ends
-        lines += batch_lines
-        if stop is not None:
-            if stopped[0] != _END:
-                _raise(data, *stopped)
-            break
+        data = re.sub(rb"\r(?!\n)", b"\n", data)
     n = len(data)
+    line, pos, size = 1, 0, _WINDOW
+    while True:
+        end = data.find(b"\n", pos + size - 1) + 1 or n
+        flat = list(chain.from_iterable(_TOKEN_RE.findall(data, pos, end)))
+        toks = flat[1::2]
+        stop = toks.index(b"")  # END: the window's end always matches it
+        if end < n:
+            # END, or a block comment left open, is where the window was cut
+            if b"/*" in toks:
+                stop = min(stop, toks.index(b"/*"))
+            if stop == 0:  # so the window grows past its end
+                size = 2 * (end - pos)
+                continue
+            size = _WINDOW
+        del toks[stop:], flat[2 * stop + 1:]  # the gap of the pair at `stop` stays
+        # bounds[2k] is where the gap of pair k starts, bounds[2k + 1] its token
+        bounds = list(accumulate(map(len, flat), initial=pos))
+        w_starts = bounds[1::2]
+        w_ends = bounds[2::2]
+        steps = list(map(bytes.count, flat[0::2], repeat(b"\n")))
+        steps[0] += line
+        w_lines = list(accumulate(steps))
+        w_kinds = list(map(_KIND_BY_HEAD.__getitem__, map(itemgetter(0), toks)))
+        error = None
+        for i in compress(range(stop), map(is_, w_kinds, repeat(None))):
+            tok = toks[i]
+            if tok.startswith(b"."):
+                w_kinds[i] = TokenKind.NUMBER if tok[1:2].isdigit() else TokenKind.PUNCT
+            elif tok.startswith(b'"'):
+                if not _closed(tok):
+                    error = "unterminated string literal"
+                    break
+                w_kinds[i] = TokenKind.STRING
+            elif tok.startswith(b"/"):
+                if tok == b"/*":  # left open, the comment runs to the end
+                    error = "unterminated block comment"
+                    w_ends[i] = n
+                    break
+                if not tok.startswith(b"//"):  # a comment keeps its None
+                    w_kinds[i] = TokenKind.PUNCT
+            elif tok.startswith(b"'"):
+                if not _closed(tok):
+                    error = "unterminated char literal"
+                    break
+                w_kinds[i] = TokenKind.CHAR
+            else:
+                error = f"invalid character 0x{tok[0]:02x}"
+                break
+        if error is not None:
+            del toks[i:]
+        try:
+            w_texts = list(map(intern, map(bytes.decode, toks)))
+        except UnicodeDecodeError:
+            _raise_undecodable(toks, w_starts, w_lines)
+            raise
+        if error is not None:
+            raise InvalidCharacter(error, w_starts[i], w_ends[i], w_lines[i])
+        if end == n:
+            line = w_lines[stop]
+        else:
+            line, pos = w_lines[stop - 1], bounds[2 * stop]
+        del w_starts[stop:], w_lines[stop:]
+        if None in w_kinds:
+            # the k-th comment of the window, at j, comes before its j - k-th token
+            base = len(kinds)
+            is_token = list(map(is_not, w_kinds, repeat(None)))
+            for k, j in enumerate(compress(range(stop), map(is_, w_kinds, repeat(None)))):
+                comments.setdefault(base + j - k, []).append(
+                    (w_texts[j], w_starts[j], w_ends[j], w_lines[j]))
+            w_kinds, w_texts, w_starts, w_ends, w_lines = (
+                list(compress(entries, is_token))
+                for entries in (w_kinds, w_texts, w_starts, w_ends, w_lines))
+        kinds += w_kinds
+        texts += w_texts
+        starts += w_starts
+        ends += w_ends
+        lines += w_lines
+        if end == n:
+            break
     count = len(kinds) + (n > 0 and (not kinds or ends[-1] < n))
     eofs = count - len(kinds) + 2  # the final EOF token, if any, and two more
     for entries, eof in ((kinds, TokenKind.EOF), (texts, ""), (starts, n), (ends, n),
@@ -171,22 +225,20 @@ def tokenize_bytes(data: bytes) -> TokenStream:
     return TokenStream(kinds, texts, starts, ends, lines, comments, count)
 
 
-def _raise(data: bytes, group: int, start: int, end: int, line: int) -> NoReturn:
-    if group == _BAD_BLOCK:
-        raise InvalidCharacter("unterminated block comment", start, len(data), line)
-    if group == _BAD_STRING:
-        raise InvalidCharacter("unterminated string literal", start, end, line)
-    if group == _BAD_CHAR:
-        raise InvalidCharacter("unterminated char literal", start, end, line)
-    raise InvalidCharacter(f"invalid character 0x{data[start]:02x}", start, end, line)
+def _closed(literal: bytes) -> bool:
+    """Whether a string or char literal ends in its closing quote: in one left
+    open, a last quote is escaped by an odd run of backslashes."""
+    body = literal[1:-1]
+    return (len(literal) > 1 and literal[-1] == literal[0]
+            and (len(body) - len(body.rstrip(b"\\"))) % 2 == 0)
 
 
-def _raise_undecodable(batch, groups, starts, lines) -> None:
-    """Raise InvalidCharacter at the first byte of a batch's tokens and
+def _raise_undecodable(toks, starts, lines) -> None:
+    """Raise InvalidCharacter at the first byte of a window's tokens and
     comments that is not UTF-8, with its offset in the file and its line."""
-    for match, group, start, line in zip(batch, groups, starts, lines):
+    for tok, start, line in zip(toks, starts, lines):
         try:
-            match.group(group).decode()
+            tok.decode()
         except UnicodeDecodeError as exc:
             raise InvalidCharacter(f"invalid character 0x{exc.object[exc.start]:02x}",
                                    start + exc.start, start + exc.end, line) from None

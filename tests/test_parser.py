@@ -96,6 +96,31 @@ class TestBasics:
         body = unit.types[0].methods[0].body
         assert [s.name for s in body.stmts] == ["a", "b"]
 
+    @pytest.mark.parametrize("stmt, kind", [
+        ("int x;", ast.LocalDecl),
+        ("final @A int x = 1;", ast.LocalDecl),
+        ("@A var x = 1;", ast.LocalDecl),
+        ("var x = 1;", ast.LocalDecl),
+        ("java.util.List<String> x;", ast.LocalDecl),
+        ("java.util.@A List x;", ast.LocalDecl),
+        ("int[] x;", ast.LocalDecl),
+        ("String @A [] x;", ast.LocalDecl),
+        ("a.b.C x, y;", ast.LocalDecl),
+        ("x = 1;", ast.ExprStmt),
+        ("a.f(x);", ast.ExprStmt),
+        ("a[i] = 2;", ast.ExprStmt),
+        ("i++;", ast.ExprStmt),
+        ("(a).f();", ast.ExprStmt),
+        ("this.x = y;", ast.ExprStmt),
+        ("a < b;", ast.ExprStmt),
+    ])
+    def test_local_declarations_and_expression_statements(self, stmt, kind):
+        # a statement whose first words no declaration starts with is not
+        # tried as one; every other statement still is
+        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
+        assert unit.diagnostics == ()
+        assert {type(s) for s in unit.types[0].methods[0].body.stmts} == {kind}
+
     def test_generics_parse_into_type_args(self):
         unit = parse_unit("class A { Map<String, List<Integer>> m; }")
         field = unit.types[0].fields[0]
@@ -299,6 +324,13 @@ class TestErrorTolerance:
         unit = parse_unit(src)
         assert unit.diagnostics
         assert [m.name for m in unit.types[0].methods] == ["f", "g"]
+
+    def test_a_failed_cast_attempt_keeps_no_diagnostic(self):
+        # `(a)(...)` is tried as a cast first; the lambda's `assert` read by
+        # that attempt must not stay recorded beside the one the call records
+        unit = parse_unit("class A { void f() { (a)(() -> { assert x; }, b); } }")
+        assert unit.diagnostics == (ast.Diagnostic((
+            "assert statement is not analyzed", ast.Span((33, 39, 1, 1)))),)
 
     def test_broken_class_header_is_hard_error(self):
         with pytest.raises(ParseError):

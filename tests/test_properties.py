@@ -12,6 +12,7 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from cddlint.engine import analyze_unit, verdict
 from cddlint.history import analyze_snapshot
 from cddlint.history.series import SnapshotFile
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
-from cddlint.syntax import InvalidCharacter, TokenKind, parse_unit, tokenize
+from cddlint.syntax import InvalidCharacter, TokenKind, parse_unit, scanner, tokenize
 
 from conftest import FIXTURES
 
@@ -304,11 +305,11 @@ def test_subtotals_add_up_on_generated_classes(bodies):
 
 # ── the token stream ─────────────────────────────────────────────────────
 
-# every character of the fixtures, each kind of whitespace, quotes, a
+# every character of the fixtures, each kind of whitespace, quotes, a `$`, a
 # backslash and a non-ASCII letter, and the comment delimiters
 _SCAN_PIECES = sorted(set("".join(
     p.read_text(encoding="utf-8") for p in FIXTURES.rglob("*.java")
-)) | set("\n\r\t\f\"'\\é")) + ["//", "/*", "*/", "\n", "\r\n"]
+)) | set("\n\r\t\f\"'\\é$")) + ["//", "/*", "*/", "\n", "\r\n"]
 
 # a line ends at LF, CR LF or a lone CR (JLS SE 17 §3.4)
 _LINE_TERMINATOR = re.compile(rb"\r\n|\r|\n")
@@ -318,14 +319,25 @@ def _line_at(data: bytes, offset: int) -> int:
     return 1 + len(_LINE_TERMINATOR.findall(data, 0, offset))
 
 
-@given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=60).map("".join))
-@settings(max_examples=1000, derandomize=True, deadline=None)
-def test_token_stream_invariants(text):
-    """Every token is the bytes it spans, on the line its offset gives, in
-    order; line comments sit under token numbers; an EOF token ends the stream
-    exactly when something follows the last token; len() counts no sentinel;
-    an error is reported on the line of its offset; no token or comment holds
-    a line terminator."""
+# a token's kind by its text: the first byte names it, and a `.` is a number
+# only before a digit
+_KIND_BY_TEXT = (
+    (re.compile(r"[A-Za-z_$]"), TokenKind.IDENT),
+    (re.compile(r"[0-9]|\.[0-9]"), TokenKind.NUMBER),
+    (re.compile('"'), TokenKind.STRING),
+    (re.compile("'"), TokenKind.CHAR),
+    (re.compile(""), TokenKind.PUNCT),
+)
+
+_scan_texts = st.lists(st.sampled_from(_SCAN_PIECES), max_size=60).map("".join)
+
+
+def _assert_token_stream_invariants(text):
+    """Every token is the bytes it spans, of the kind its text gives, on the
+    line its offset gives, in order; line comments sit under token numbers;
+    an EOF token ends the stream exactly when something follows the last
+    token; len() counts no sentinel; an error is reported on the line of its
+    offset; no token or comment holds a line terminator."""
     data = text.encode("utf-8")
     try:
         ts = tokenize(text)
@@ -337,6 +349,9 @@ def test_token_stream_invariants(text):
         assert ts.texts[i] == data[ts.starts[i]:ts.ends[i]].decode("utf-8")
         assert ts.lines[i] == _line_at(data, ts.starts[i])
         assert not _LINE_TERMINATOR.search(data, ts.starts[i], ts.ends[i])
+        if ts.kinds[i] != TokenKind.EOF:
+            assert ts.kinds[i] == next(kind for head, kind in _KIND_BY_TEXT
+                                       if head.match(ts.texts[i]))
         if i + 1 < n:
             assert ts.ends[i] <= ts.starts[i + 1]
     for i, comments in ts.comments.items():
@@ -356,6 +371,22 @@ def test_token_stream_invariants(text):
     tail = list(zip(*(lst[n - ends_in_eof:] for lst in lists)))
     last_line = _line_at(data, len(data))
     assert set(tail) == {(TokenKind.EOF, "", len(data), len(data), last_line)}
+
+
+@given(_scan_texts)
+@settings(max_examples=1000, derandomize=True, deadline=None)
+def test_token_stream_invariants(text):
+    _assert_token_stream_invariants(text)
+
+
+@given(_scan_texts)
+@settings(max_examples=1000, derandomize=True, deadline=None)
+def test_token_stream_invariants_in_windows_of_a_few_bytes(text):
+    """The same invariants when the input is read a few bytes at a time, so
+    windows are cut at every kind of line end, inside block comments and in
+    trailing whitespace."""
+    with mock.patch.object(scanner, "_WINDOW", 3):
+        _assert_token_stream_invariants(text)
 
 
 # ── nesting depth ────────────────────────────────────────────────────────

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import cddlint
 from cddlint import records
@@ -23,6 +24,7 @@ from cddlint.rules import default_rules
 from cddlint.syntax import ast, parse_unit
 
 from conftest import FIXTURES, LISTING_PATH, ORACLE_DIR
+from test_properties import class_bodies, render_class
 
 SYNTAX_TYPES = [cls for cls in vars(ast).values()
                 if isinstance(cls, type) and issubclass(cls, records.Record)
@@ -179,28 +181,75 @@ def test_property_fallback_behaves_as_the_c_accessor(monkeypatch):
         assert record == ("x", 2)
 
 
+def _nodes_in(value) -> list[tuple]:
+    """`value` if it is a node of `ast`, the nodes it holds if it is a tuple."""
+    if isinstance(value, NODE_TYPES):
+        return [value]
+    if isinstance(value, tuple):
+        return [item for item in value if isinstance(item, NODE_TYPES)]
+    return []
+
+
 def _reflected_children(node: tuple) -> list[tuple]:
     """The reference walk: each field read by name, kept when it is a node of
     `ast` or a tuple holding nodes."""
-    children = []
-    for name in type(node)._fields:
-        value = getattr(node, name)
-        if isinstance(value, NODE_TYPES):
-            children.append(value)
-        elif isinstance(value, tuple):
-            children += [item for item in value if isinstance(item, NODE_TYPES)]
-    return children
+    return [child for name in type(node)._fields for child in _nodes_in(getattr(node, name))]
 
 
-@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
-                         ids=lambda path: path.name)
-def test_iter_children_matches_the_reflection_walk(path):
-    unit = parse_unit(path.read_text(encoding="utf-8"), path.name)
+def _assert_children_match(unit: ast.SourceUnit) -> dict[type, set[str]]:
+    """Walk `unit` by `ast.iter_children`, checking each node's children
+    against the reflection walk; the fields seen to hold nodes, by class."""
+    holding: dict[type, set[str]] = {}
     stack, count = [unit], 0
     while stack:
         node = stack.pop()
         count += 1
         children = list(ast.iter_children(node))
         assert [id(c) for c in children] == [id(c) for c in _reflected_children(node)]
+        names = {name for name in type(node)._fields if _nodes_in(getattr(node, name))}
+        holding.setdefault(type(node), set()).update(names)
         stack += children
     assert count > len(unit.types)
+    return holding
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
+                         ids=lambda path: path.name)
+def test_iter_children_matches_the_reflection_walk(path):
+    _assert_children_match(parse_unit(path.read_text(encoding="utf-8"), path.name))
+
+
+@given(class_bodies)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_iter_children_matches_the_reflection_walk_on_generated_classes(bodies):
+    _assert_children_match(parse_unit(render_class(bodies), "G.java"))
+
+
+# the node kinds, and the fields holding nodes, that no fixture has
+_RARE_KINDS = """class A {
+  Object f(int[] a) {
+    int[] b = new int[] {1, 2};
+    Object o = (Object) a[0];
+    Runnable r = A::g;
+    Thread t = new Thread(r) {};
+    return o;
+  }
+}
+"""
+
+
+def test_every_class_that_holds_nodes_names_those_fields():
+    for cls in SYNTAX_TYPES:
+        assert set(cls._children) <= set(cls._fields), cls.__name__
+        assert cls._child_indices == tuple(sorted(map(cls._fields.index, cls._children)))
+    holding: dict[type, set[str]] = {}
+    sources = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.rglob("*.java"))]
+    for text in [*sources, _RARE_KINDS]:
+        for cls, names in _assert_children_match(parse_unit(text)).items():
+            holding.setdefault(cls, set()).update(names)
+    # each class that names fields was seen holding nodes, and each that was
+    # names every field seen holding one
+    assert {cls for cls in SYNTAX_TYPES if cls._children} == {
+        cls for cls, names in holding.items() if names}
+    for cls, names in holding.items():
+        assert names <= set(cls._children), cls.__name__

@@ -1,6 +1,6 @@
 """Tokenizer contract: spans, line-comment attachment, line accounting,
-that no input byte is ever skipped, and that batch boundaries change
-nothing."""
+that no input byte is ever skipped, and that where the windows of the
+input end changes nothing."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cddlint.syntax import InvalidCharacter, TokenKind, physical_loc, tokenize
-from cddlint.syntax.scanner import _BATCH, tokenize_bytes
+from cddlint.syntax import InvalidCharacter, TokenKind, physical_loc, scanner, tokenize
+from cddlint.syntax.scanner import _WINDOW, tokenize_bytes
 
 from conftest import ORACLE_DIR
 
@@ -143,7 +143,7 @@ class TestErrors:
         (b'x = "\xff";', 1),
         (b"int x;\n// \xff\nint y;", 2),
         (b"int x;\r\nchar c = '\xe2\x28';", 2),
-        (b"a " * (2 * _BATCH) + b'\n"ok" "\xc3";', 2),
+        (b"a \n" * _WINDOW + b'"ok" "\xc3";', _WINDOW + 1),
     ], ids=["string", "line-comment", "char-crlf", "past-two-batches"])
     def test_invalid_utf8_inside_a_token_or_comment(self, data, line):
         # the bad byte is placed in the file, not in its token, as a bare
@@ -169,8 +169,9 @@ class TestPhysicalLoc:
     @pytest.mark.parametrize("name", sorted(p.name for p in ORACLE_DIR.glob("*.java")))
     def test_matches_wc_on_fixtures(self, name):
         path = ORACLE_DIR / name
-        out = subprocess.run(["wc", "-l"], stdin=path.open("rb"),
-                             capture_output=True, text=True, check=True)
+        with path.open("rb") as stdin:
+            out = subprocess.run(["wc", "-l"], stdin=stdin,
+                                 capture_output=True, text=True, check=True)
         assert physical_loc(path.read_text()) == int(out.stdout.split()[0])
 
 
@@ -211,16 +212,16 @@ class TestNoSilentSkip:
         assert _SKIPPABLE.fullmatch(data, pos, len(data))
 
 
-def _generated(matches: int, error_at: int = -1):
+def _generated(matches: int, error_at: int = -1, period: int = 10):
     """An input of `matches` tokens and `//` comments, with what the scanner
-    must make of it. Next to each batch boundary: a `//` comment as the last
-    match of one batch and as the first of the next, a CR LF, a lone CR, and
-    a multi-line `/* */` holding all three terminators. At `error_at` an
-    invalid byte stands in for the match."""
+    must make of it. Around every `period`-th match: a `//` comment before a
+    line end and after one, a CR LF, a lone CR, and a multi-line `/* */`
+    holding all three terminators. At `error_at` an invalid byte stands in
+    for the match."""
     out = bytearray()
     kinds, texts, starts, lines, comments = [], [], [], [], {}
     line, after_comment, error = 1, False, None
-    edges = {b + d: d for b in range(_BATCH, matches, _BATCH) for d in (-1, 0, 1)}
+    edges = {b + d: d for b in range(period, matches, period) for d in (-1, 0, 1)}
     for i in range(matches):
         gap = {-1: "\r\n", 0: "\n/* a\r\nb\rc\nd */ ", 1: "\r"}.get(edges.get(i), " ")
         if after_comment and gap[0] not in "\r\n":
@@ -246,31 +247,158 @@ def _generated(matches: int, error_at: int = -1):
     return bytes(out), (kinds, texts, starts, lines, comments), error
 
 
+def _scan(data: bytes):
+    """The stream's lists and length, or the error's message, span and line."""
+    try:
+        ts = tokenize_bytes(data)
+    except InvalidCharacter as exc:
+        return exc.message, exc.byte_start, exc.byte_end, exc.line
+    return ts.kinds, ts.texts, ts.starts, ts.ends, ts.lines, ts.comments, len(ts)
+
+
+class _Windows:
+    """Stands in for the scanner's pattern and records each window read."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.read: list[tuple[int, int]] = []
+
+    def findall(self, data, pos, end):
+        self.read.append((pos, end))
+        return self.pattern.findall(data, pos, end)
+
+
+def _windowed(monkeypatch, data: bytes, window: int):
+    """`_scan` of `data` in windows of `window` bytes, and the windows read;
+    every window ends at the end of the input or right after a line
+    terminator, and never between CR and LF."""
+    windows = _Windows(scanner._TOKEN_RE)
+    monkeypatch.setattr(scanner, "_TOKEN_RE", windows)
+    monkeypatch.setattr(scanner, "_WINDOW", window)
+    result = _scan(data)
+    assert windows.read[0][0] == 0
+    for _, end in windows.read:
+        assert end == len(data) or (data[end - 1:end] in (b"\n", b"\r")
+                                    and data[end - 1:end + 1] != b"\r\n")
+    return result, windows.read
+
+
+def _grown(read: list[tuple[int, int]]) -> int:
+    """How many windows were read again from where the last one started."""
+    return sum(a[0] == b[0] for a, b in zip(read, read[1:]))
+
+
 class TestBatches:
-    """The scanner fills its lists batch by batch; no token, comment or line
-    may be lost or shifted where one batch ends and the next begins."""
+    """The scanner fills its lists window by window, a batch of pairs at a
+    time; no token, comment or line may be lost or shifted where one window
+    ends and the next begins, nor an error put in another place."""
 
     def test_input_of_three_batches(self):
-        data, expected, _ = _generated(2 * _BATCH + 300)
+        data, expected, _ = _generated(_WINDOW // 2, period=_WINDOW // 64)
         ts = tokenize_bytes(data)
-        assert data.count(b"//") > 60 and data.count(b"\r\n") == 4
+        assert len(data) > 2 * _WINDOW
+        assert data.count(b"//") > 60 and data.count(b"\r\n") == 62
         n = len(expected[0])
         assert len(ts) == n  # the input ends in a token: no EOF token
         assert (ts.kinds[:n], ts.texts[:n], ts.starts[:n], ts.lines[:n], ts.comments) \
             == expected
         assert ts.ends[:n] == [s + len(t) for s, t in zip(ts.starts[:n], ts.texts[:n])]
 
+    @pytest.mark.parametrize("window", [1, 4, 16, 64])
+    def test_small_windows_change_nothing(self, monkeypatch, window):
+        data, expected, _ = _generated(400)
+        (kinds, texts, starts, ends, lines, comments, n), read = \
+            _windowed(monkeypatch, data, window)
+        assert len(read) > 30
+        assert n == len(expected[0])
+        assert (kinds[:n], texts[:n], starts[:n], lines[:n], comments) == expected
+
+    def test_cut_inside_a_block_comment(self, monkeypatch):
+        data = b"a /* one\ntwo */ b\nc\n"
+        expected = _scan(data)
+        result, read = _windowed(monkeypatch, data, 4)
+        assert result == expected
+        assert read[:2] == [(0, 9), (1, 9)]  # cut after "one"; read again from the gap
+        assert _grown(read) == 1
+
+    def test_block_comment_longer_than_the_window(self, monkeypatch):
+        data = b"a\n/*" + b" x\n" * 50 + b"*/ b\n"
+        expected = _scan(data)
+        assert expected[1][:3] == ["a", "b", ""]
+        result, read = _windowed(monkeypatch, data, 8)
+        assert result == expected
+        assert _grown(read) >= 4
+
+    def test_block_comment_left_open_across_windows(self, monkeypatch):
+        data = b"a\n /*" + b" x\n" * 50
+        expected = ("unterminated block comment", 3, len(data), 2)
+        assert _scan(data) == expected
+        result, read = _windowed(monkeypatch, data, 8)
+        assert result == expected
+        assert read[-1][1] == len(data)
+
+    def test_cut_in_the_trailing_whitespace(self, monkeypatch):
+        data = b"a b\n   \n\t\n  \n"
+        expected = _scan(data)
+        kinds, texts, starts, ends, lines, comments, n = expected
+        assert (texts[:n], lines[:n]) == (["a", "b", ""], [1, 1, 5])
+        result, read = _windowed(monkeypatch, data, 2)
+        assert result == expected
+        assert _grown(read) >= 1
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_crlf_straddling_the_cut(self, monkeypatch, window):
+        # a window of 3 would end between the first CR and LF
+        data = b"ab\r\ncd\r\n\r\nef\r\n"
+        expected = _scan(data)
+        assert expected[4][:4] == [1, 2, 4, 5]
+        result, read = _windowed(monkeypatch, data, window)
+        assert result == expected
+        assert all(data[end - 1:end] == b"\n" for _, end in read)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_lone_cr_file(self, monkeypatch, window):
+        data = b"ab\rcd\r\ref // x\r"
+        expected = _scan(data)
+        assert expected[4][:4] == [1, 2, 4, 5]
+        result, read = _windowed(monkeypatch, data, window)
+        assert result == expected
+        assert len(read) > 1
+
+    def test_line_longer_than_the_window(self, monkeypatch):
+        data = b"x" * 100 + b" y\nz"
+        expected = _scan(data)
+        result, read = _windowed(monkeypatch, data, 8)
+        assert result == expected
+        assert read == [(0, 103), (102, 104)]
+
     @pytest.mark.parametrize("offset", [0, 1])
-    def test_invalid_byte_past_a_boundary(self, offset):
-        data, _, (start, line) = _generated(_BATCH + 50, error_at=_BATCH + offset)
-        with pytest.raises(InvalidCharacter) as info:
-            tokenize_bytes(data)
-        assert (info.value.message, info.value.byte_start, info.value.byte_end,
-                info.value.line) == ("invalid character 0x23", start, start + 1, line)
+    def test_invalid_byte_past_a_boundary(self, monkeypatch, offset):
+        data, _, (start, line) = _generated(400, error_at=200 + offset)
+        result, read = _windowed(monkeypatch, data, 16)
+        assert result == ("invalid character 0x23", start, start + 1, line)
+        assert read[-1][0] > 0
+
+    @pytest.mark.parametrize("tail, bad", [
+        (b'"\xff" #\n', b"\xff"),
+        (b'# "\xff"\n', b"#"),
+        (b'"\xff"\n' + b"ok\n" * 8 + b"#\n", b"\xff"),
+        (b"#\n" + b"ok\n" * 8 + b'"\xff"\n', b"#"),
+    ], ids=["undecodable-first", "invalid-first", "undecodable-windows-before",
+            "invalid-windows-before"])
+    def test_invalid_and_undecodable_bytes_in_a_later_window(self, monkeypatch, tail, bad):
+        # whichever comes first in the input is the error, in one window or two
+        data = b"ok\n" * 20 + tail
+        at = data.index(bad)
+        expected = (f"invalid character 0x{bad[0]:02x}", at, at + 1, 21 + data.count(b"\n", 60, at))
+        assert _scan(data) == expected
+        result, read = _windowed(monkeypatch, data, 4)
+        assert result == expected
+        assert read[-1][0] > 20
 
     def test_peak_memory_stays_near_the_stream(self):
-        # every match of the input held at once costs more than twice the
-        # stream; a batch of them stays within a few MB of it
+        # every pair of the input held at once costs more than twice the
+        # stream; a window of them stays within a few MB of it
         text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(ORACLE_DIR.glob("*.java")))
         data = (text * (300_000 // len(text) + 1)).encode("utf-8")
         tracemalloc.start()
