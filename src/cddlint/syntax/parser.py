@@ -13,7 +13,10 @@ when its element ends, so it has the element's span, and the type being read
 is its owner. A parse that is thrown away drops what it recorded.
 
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
-the number of the current token, and spans are built from its lists.
+the number of the current token, and spans are built from its lists. A skip
+over a `(…)` or `{…}` jumps to the partner the stream's ``partners`` list
+gives; no loop here counts bracket depth but ``_skip_generics``, as `<` and
+`>` are not paired.
 
 Binary operators are parsed by one precedence-climbing loop,
 ``_Parser._parse_binary``, driven by ``_BINARY_LEVELS``: that table is the one
@@ -118,6 +121,7 @@ class _Parser:
         self.ends = tokens.ends
         self.lines = tokens.lines
         self.comments = tokens.comments
+        self.partners = tokens.partners
         self.pos = 0
         self.data = data
         self.path = path
@@ -178,9 +182,9 @@ class _Parser:
     def parse(self) -> ast.SourceUnit:
         types: list[ast.TypeDecl] = []
         if self.texts[self.pos] == "package":
-            self._skip_to_semi()
+            self._skip_statement()
         while self.texts[self.pos] == "import":
-            self._skip_to_semi()
+            self._skip_statement()
         while self.kinds[self.pos] != _EOF:
             if self.texts[self.pos] == ";":
                 self.advance()
@@ -253,7 +257,7 @@ class _Parser:
                 args = self._parse_call_args()
             if self.texts[self.pos] == "{":
                 self.diag("enum constant body is not analyzed", self.tok_span(self.pos))
-                self._skip_balanced("{", "}")
+                self._skip_balanced()
             constants.append(ast.EnumConstant((name, args, self.span_from(start))))
             if self.texts[self.pos] == ",":
                 self.advance()
@@ -282,7 +286,7 @@ class _Parser:
                 return
             if self.texts[self.pos] == "{":
                 self.diag("initializer block is not analyzed", self.tok_span(self.pos))
-                self._skip_balanced("{", "}")
+                self._skip_balanced()
                 return
             if self.texts[self.pos] == "<":
                 self._skip_generics()  # generic method type parameters
@@ -310,7 +314,7 @@ class _Parser:
         except _Fail as exc:
             del self.site_icp[recorded:]
             self.diag(exc.message, exc.span)
-            self._recover_member()
+            self._skip_statement(block_ends=True)
 
     def _parse_method(
         self,
@@ -406,13 +410,12 @@ class _Parser:
                 self.advance()
                 name += "." + self.texts[self.advance()]
             numeric: Optional[Fraction] = None
-            texts, i = self.texts, self.pos
-            if texts[i] == "(" and self.kinds[i + 1] == _NUMBER and texts[i + 2] == ")":
-                # stays None for non-decimal literals such as hex
-                numeric = _parse_decimal(texts[i + 1])
-                self.pos = i + 3
-            elif texts[i] == "(":
-                self._skip_balanced("(", ")")
+            i = self.pos
+            if self.texts[i] == "(":
+                if self.kinds[i + 1] == _NUMBER and self.partners[i] == i + 2:
+                    # stays None for non-decimal literals such as hex
+                    numeric = _parse_decimal(self.texts[i + 1])
+                self._skip_balanced()
             uses.append(ast.AnnotationUse((name, numeric, self.span_from(start))))
         return tuple(uses)
 
@@ -535,7 +538,7 @@ class _Parser:
         in its place."""
         del self.site_icp[recorded:]
         self.diag(exc.message, exc.span)
-        self._recover_statement()
+        self._skip_statement(block_ends=True)
         span = self.span_from(start) if self.pos > start else self.tok_span(start)
         return ast.ExprStmt((ast.Opaque(((), span)), span))
 
@@ -579,7 +582,7 @@ class _Parser:
             stmts = [ast.Block((self._parse_block().stmts, self.span_from(start)))]
         elif word in ("assert", "yield"):
             self.diag(f"{word} statement is not analyzed", self.tok_span(i))
-            self._skip_to_semi()
+            self._skip_statement()
             span = self.span_from(start)
             stmts = [ast.ExprStmt((ast.Opaque(((), span)), span))]
         elif word and texts[i + 1] == ":" and word not in ("case", "default"):
@@ -712,8 +715,10 @@ class _Parser:
         return ast.Block((tuple(ast.ExprStmt((e, e.span)) for e in exprs), span))
 
     def _try_parse_for_each_header(self) -> Optional[tuple[ast.LocalDecl, ast.Expr]]:
-        # only the iterable records sites, and a header that reached its ':'
-        # fails the statement, which drops them
+        """The loop variable and iterable of an enhanced `for`; None, with
+        nothing consumed, if no variable and `:` start the header. The
+        attempt records nothing; once the `:` is read, a fault in the
+        iterable fails the statement."""
         start = self.pos
         try:
             uses = self._parse_variable_modifiers()
@@ -721,11 +726,11 @@ class _Parser:
             name = self.texts[self.expect_ident("loop variable")]
             if self.texts[self.pos] != ":":
                 raise _Fail("not an enhanced for", self.tok_span(self.pos))
-            self.advance()
-            iterable = self._parse_expr()
         except _Fail:
             self.pos = start
             return None
+        self.advance()
+        iterable = self._parse_expr()
         self.record_icp(start, uses)
         return ast.LocalDecl((name, declared, None, self.span_from(start))), iterable
 
@@ -930,19 +935,22 @@ class _Parser:
 
     def _try_parse_cast(self, start: int) -> Optional[ast.Expr]:
         """A cast from the `(` at `start`; None, with nothing consumed or
-        recorded, if there is none."""
+        recorded, if there is none. It is tried only when the `(` has a
+        partner and a token a cast applies to follows it; the `)` after the
+        type is that partner, as a type holds no unpaired `(`."""
+        close = self.partners[start]
+        kind, text = self.kinds[close + 1], self.texts[close + 1]
+        castable = kind == _IDENT or kind in _LITERALS or text in ("(", "!", "~")
+        if close < 0 or not castable or text == "instanceof":
+            return None
         recorded, saved_diags = len(self.site_icp), len(self.diagnostics)
         try:
-            self.expect("(")
+            self.advance()
             self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
             ty = self._parse_type()
             self.expect(")")
-            kind, text = self.kinds[self.pos], self.texts[self.pos]
-            castable = kind == _IDENT or kind in _LITERALS or text in ("(", "!", "~")
-            if castable and text != "instanceof":
-                inner = self._parse_unary()
-                return ast.Cast((ty, inner, self.span_from(start)))
-            raise _Fail("not a cast", self.tok_span(self.pos))
+            inner = self._parse_unary()
+            return ast.Cast((ty, inner, self.span_from(start)))
         except _Fail:
             self.pos = start
             del self.diagnostics[saved_diags:]
@@ -1015,7 +1023,9 @@ class _Parser:
                 self.expect("(")
                 scrutinee = self._parse_expr()
                 self.expect(")")
-                self._skip_balanced("{", "}")
+                if self.texts[self.pos] != "{":
+                    raise _Fail("expected '{'", self.tok_span(self.pos))
+                self._skip_balanced()
                 return ast.Opaque(((scrutinee,), self.span_from(start)))
             if self.texts[start + 1] == "->":  # single-param lambda
                 self.pos = start + 2
@@ -1025,7 +1035,9 @@ class _Parser:
             return ast.NameRef((word, self.tok_span(start)))
 
         if word == "(":
-            if self._lparen_starts_lambda():
+            # a `(` with no partner reads token 0, never a `->` in a file
+            # whose parse reached an expression
+            if self.texts[self.partners[start] + 1] == "->":
                 return self._parse_paren_lambda(start)
             self.advance()
             inner = self._parse_expr()
@@ -1058,26 +1070,9 @@ class _Parser:
             args = self._parse_call_args()
         if self.texts[self.pos] == "{":
             self.diag("anonymous class body is not analyzed", self.tok_span(self.pos))
-            self._skip_balanced("{", "}")
+            self._skip_balanced()
             return ast.Opaque((args, self.span_from(start)))
         return ast.New((ty, args, self.span_from(start)))
-
-    def _lparen_starts_lambda(self) -> bool:
-        # scan to the matching ')' and check for '->'; the lists end in EOF
-        # entries, so a ')' always has a next token
-        texts = self.texts
-        depth = 0
-        for i in range(self.pos, len(texts)):
-            k = texts[i]
-            if k == "(":
-                depth += 1
-            elif k == ")":
-                depth -= 1
-                if depth == 0:
-                    return texts[i + 1] == "->"
-            elif k in (";", "{"):
-                return False
-        return False
 
     def _parse_paren_lambda(self, start: int) -> ast.Expr:
         self.expect("(")
@@ -1108,53 +1103,23 @@ class _Parser:
 
     # ── recovery and skipping ───────────────────────────────────────────
 
-    def _skip_to_semi(self) -> None:
-        depth = 0
-        while self.kinds[self.pos] != _EOF:
-            k = self.texts[self.pos]
-            if k == ";" and depth == 0:
-                self.advance()
+    def _skip_statement(self, block_ends: bool = False) -> None:
+        """Skip through the next `;`, or to the `}` that closes the enclosing
+        block, jumping over each `{…}`; with `block_ends`, a `{…}` ends the
+        skip too (a method body, or a statement's last block)."""
+        while self.kinds[self.pos] != _EOF and self.texts[self.pos] != "}":
+            if self.texts[self.pos] == "{":
+                self._skip_balanced()
+                if block_ends:
+                    return
+            elif self.texts[self.advance()] == ";":
                 return
-            if k == "{":
-                depth += 1
-            elif k == "}":
-                if depth == 0:
-                    return
-                depth -= 1
-            self.advance()
 
-    def _skip_balanced(self, open_text: str, close_text: str) -> None:
-        depth = 0
-        while self.kinds[self.pos] != _EOF:
-            k = self.texts[self.pos]
-            if k == open_text:
-                depth += 1
-            elif k == close_text:
-                depth -= 1
-                if depth == 0:
-                    self.advance()
-                    return
-            self.advance()
-
-    def _recover_member(self) -> None:
-        depth = 0
-        while self.kinds[self.pos] != _EOF:
-            k = self.texts[self.pos]
-            if k == ";" and depth == 0:
-                self.advance()
-                return
-            if k == "{":
-                depth += 1
-            elif k == "}":
-                if depth == 0:
-                    return
-                depth -= 1
-                if depth == 0:
-                    self.advance()
-                    return
-            self.advance()
-
-    _recover_statement = _recover_member
+    def _skip_balanced(self) -> None:
+        """Past the `(` or `{` at the cursor and its partner; from one with no
+        partner, to EOF."""
+        partner = self.partners[self.pos]
+        self.pos = partner + 1 if partner >= 0 else self.kinds.index(_EOF)
 
     # statements that start with a keyword and hold other statements or blocks
     _COMPOUND_STATEMENTS = {

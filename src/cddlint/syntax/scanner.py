@@ -36,6 +36,12 @@ Lexical contract:
     ``texts[i]`` is "{", "->", "+=", ... as in JLS SE 17 §3.11-3.12
   - ``comments[i]`` lists the ``//`` line comments before token i; trailing
     ones, with no token after them, are listed under a final EOF token
+  - ``partners[i]`` is the index of the bracket token i pairs with, or -1:
+    a ``(`` pairs with the first ``)`` after it at which the parentheses
+    between them balance, a ``{`` with a ``}`` alike, each kind apart from
+    the other; a token that is no such bracket, one with no partner and
+    every entry past ``len()`` have -1. ``[``/``]`` are not paired, as no
+    reader needs them, nor ``<``/``>``, which are ambiguous
   - whitespace and ``/* */`` block comments make no entry: they are the gap
     before a token (or ``//`` comment), and the line counter moves by the
     line terminators in it; the gap after the last token ends in the empty
@@ -113,6 +119,8 @@ for _kind, _heads in (
     for _head in _heads:
         _KIND_BY_HEAD[_head] = _kind
 del _kind, _heads, _head
+
+_OPENER_OF = {"(": "(", ")": "(", "{": "{", "}": "{"}
 
 
 def active_backend() -> str:
@@ -222,7 +230,23 @@ def tokenize_bytes(data: bytes) -> TokenStream:
     for entries, eof in ((kinds, TokenKind.EOF), (texts, ""), (starts, n), (ends, n),
                          (lines, line)):
         entries += [eof] * eofs
-    return TokenStream(kinds, texts, starts, ends, lines, comments, count)
+    return TokenStream(kinds, texts, starts, ends, lines, comments, _pair_brackets(texts),
+                       count)
+
+
+def _pair_brackets(texts: list[str]) -> list[int]:
+    """The ``partners`` list: a closer pairs with the last unpaired opener of
+    its kind, kept on one stack per kind."""
+    partners = [-1] * len(texts)
+    stacks: dict[str, list[int]] = {"(": [], "{": []}
+    for i in compress(range(len(texts)), map(_OPENER_OF.__contains__, texts)):
+        stack = stacks[_OPENER_OF[texts[i]]]
+        if texts[i] in stacks:
+            stack.append(i)
+        elif stack:
+            j = stack.pop()
+            partners[i], partners[j] = j, i
+    return partners
 
 
 def _closed(literal: bytes) -> bool:

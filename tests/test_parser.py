@@ -8,6 +8,8 @@ import re
 
 import pytest
 
+from cddlint.engine import analyze_unit
+from cddlint.rules import default_rules
 from cddlint.syntax import ParseError, TokenKind, parse_unit, tokenize
 from cddlint.syntax import ast
 
@@ -307,7 +309,9 @@ class TestMutationFuzz:
                 assert 1 <= span.line_start <= span.line_end <= lines, (text, node)
                 if not isinstance(node, ast.Diagnostic):
                     stack.extend(ast.iter_children(node))
-        assert 0 < failed < 2000  # the mutations reach both outcomes
+        # the mutations reach both outcomes; no more of them fail whole
+        # than the 696 that did when brackets were first paired by the scanner
+        assert 0 < failed <= 696
 
 
 class TestErrorTolerance:
@@ -331,6 +335,36 @@ class TestErrorTolerance:
         unit = parse_unit("class A { void f() { (a)(() -> { assert x; }, b); } }")
         assert unit.diagnostics == (ast.Diagnostic((
             "assert statement is not analyzed", ast.Span((33, 39, 1, 1)))),)
+
+    def test_a_fault_in_a_for_each_iterable_fails_the_statement(self):
+        # once the header has read its ':', it is not retried as a classic
+        # `for`, whose fault would be placed at the loop variable
+        unit = parse_unit("class A { void f() { for (String s : xs +) { if (c) g(); } } }")
+        assert unit.diagnostics == (ast.Diagnostic((
+            "expected expression", ast.Span((41, 42, 1, 1)))),)
+
+    def test_an_unmatched_parenthesis_fails_its_statement_alone(self):
+        unit = parse_unit("class A { void f() { g(; } void h(boolean c) { if (c) x(); } }")
+        assert [m.name for m in unit.types[0].methods] == ["f", "h"]
+        assert unit.diagnostics == (ast.Diagnostic((
+            "expected expression", ast.Span((23, 24, 1, 1)))),)
+        [analysis] = analyze_unit(unit, default_rules())
+        assert analysis.total == 2
+
+    def test_an_unpaired_bracket_is_skipped_to_the_end_of_the_file(self):
+        # `@B(` has no `)`: its arguments run to EOF, where the class then
+        # misses its `}`, rather than being read on from inside them
+        with pytest.raises(ParseError) as exc:
+            parse_unit("class A { @B(x void f() {} } class C { }")
+        assert exc.value.diagnostics == [
+            ast.Diagnostic((message, ast.Span((40, 40, 1, 1))))
+            for message in ("expected type", "expected '}'")]
+
+    def test_a_switch_expression_with_no_body_fails_its_statement_alone(self):
+        unit = parse_unit(
+            "class A { void f(int x) { g(switch (x) y); } void h() { if (c) return; } }")
+        assert [m.name for m in unit.types[0].methods] == ["f", "h"]
+        assert unit.diagnostics[-1] == ast.Diagnostic(("expected '{'", ast.Span((39, 40, 1, 1))))
 
     def test_broken_class_header_is_hard_error(self):
         with pytest.raises(ParseError):

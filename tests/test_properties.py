@@ -332,12 +332,30 @@ _KIND_BY_TEXT = (
 _scan_texts = st.lists(st.sampled_from(_SCAN_PIECES), max_size=60).map("".join)
 
 
+def _reference_partners(texts, n):
+    """Each `(` or `{` of the first n tokens paired with the closer at which
+    the depth of its own kind, counted from it, returns to 0; -1 elsewhere."""
+    partners = [-1] * len(texts)
+    for i in range(n):
+        closer = {"(": ")", "{": "}"}.get(texts[i])
+        if closer is None:
+            continue
+        depth = 0
+        for j in range(i, n):
+            depth += (texts[j] == texts[i]) - (texts[j] == closer)
+            if depth == 0:
+                partners[i], partners[j] = j, i
+                break
+    return partners
+
+
 def _assert_token_stream_invariants(text):
     """Every token is the bytes it spans, of the kind its text gives, on the
     line its offset gives, in order; line comments sit under token numbers;
     an EOF token ends the stream exactly when something follows the last
     token; len() counts no sentinel; an error is reported on the line of its
-    offset; no token or comment holds a line terminator."""
+    offset; no token or comment holds a line terminator; brackets are paired
+    as depth counting pairs them."""
     data = text.encode("utf-8")
     try:
         ts = tokenize(text)
@@ -364,13 +382,14 @@ def _assert_token_stream_invariants(text):
     tokens = [i for i in range(n) if ts.kinds[i] != TokenKind.EOF]
     ends_in_eof = bool(data) and (not tokens or ts.ends[tokens[-1]] < len(data))
     assert tokens == list(range(n - ends_in_eof))
+    assert ts.partners == _reference_partners(ts.texts, n)
     # past len(), the lists hold only EOF entries, at least the two the
     # parser may look ahead
-    lists = (ts.kinds, ts.texts, ts.starts, ts.ends, ts.lines)
+    lists = (ts.kinds, ts.texts, ts.starts, ts.ends, ts.lines, ts.partners)
     assert len({len(lst) for lst in lists}) == 1 and len(ts.kinds) >= n + 2
     tail = list(zip(*(lst[n - ends_in_eof:] for lst in lists)))
     last_line = _line_at(data, len(data))
-    assert set(tail) == {(TokenKind.EOF, "", len(data), len(data), last_line)}
+    assert set(tail) == {(TokenKind.EOF, "", len(data), len(data), last_line, -1)}
 
 
 @given(_scan_texts)
@@ -385,6 +404,17 @@ def test_token_stream_invariants_in_windows_of_a_few_bytes(text):
     """The same invariants when the input is read a few bytes at a time, so
     windows are cut at every kind of line end, inside block comments and in
     trailing whitespace."""
+    with mock.patch.object(scanner, "_WINDOW", 3):
+        _assert_token_stream_invariants(text)
+
+
+@given(st.lists(st.sampled_from(["(", ")", "{", "}", "[", "]", "x", " ", "\n"]),
+                max_size=40).map("".join))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_brackets_pair_as_depth_counting_pairs_them(text):
+    """Texts of brackets alone, which most texts of `_scan_texts` are not:
+    every kind nested in and crossing the others, unpaired openers and
+    closers, and windows cut between a pair."""
     with mock.patch.object(scanner, "_WINDOW", 3):
         _assert_token_stream_invariants(text)
 
