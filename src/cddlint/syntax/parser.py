@@ -12,6 +12,12 @@ marker comment before a statement, lambda bodies included. Each is appended
 when its element ends, so it has the element's span, and the type being read
 is its owner. A parse that is thrown away drops what it recorded.
 
+One head reader, ``_try_parse_local_head``, reads the modifiers and type of a
+local declaration and of both kinds of `for` header, so a header is read
+once; one list reader, ``_parse_list``, reads every bracketed, separated
+list. A parse attempt that is rolled back when it fails (a variable's head,
+its declarators, a cast) fails only on input that is not Java.
+
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists. A skip
 over a `(…)` or `{…}` jumps to the partner the stream's ``partners`` list
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import ast
 from .ast import Span
@@ -51,6 +57,13 @@ _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 # what may follow the words a local declaration starts with, a name aside
 _DECLARATION_NEXT = frozenset({"<", "[", "@", "."})
+
+# what may follow the name of a local variable, and of a `for` header's one
+_DECLARATOR_NEXT = frozenset({"=", ";", ",", "[", "@"})
+_FOR_HEAD_NEXT = _DECLARATOR_NEXT | {":"}
+
+# a variable's head: its first token, its annotations, and its type (None: `var`)
+_Head = tuple[int, tuple[ast.AnnotationUse, ...], Optional[ast.TypeRef]]
 
 # words that can never start a type reference in a local declaration
 _NON_TYPE_WORDS = frozenset({
@@ -254,7 +267,7 @@ class _Parser:
             name = self.texts[self.advance()]
             args: tuple[ast.Expr, ...] = ()
             if self.texts[self.pos] == "(":
-                args = self._parse_call_args()
+                args = self._parse_list(self._parse_expr)
             if self.texts[self.pos] == "{":
                 self.diag("enum constant body is not analyzed", self.tok_span(self.pos))
                 self._skip_balanced()
@@ -324,7 +337,7 @@ class _Parser:
     ) -> ast.MethodDecl:
         if name_tok is None:
             name_tok = self.expect_ident("constructor name")
-        params = self._parse_params()
+        params = self._parse_list(self._parse_param)
         if self.texts[self.pos] == "throws":
             self.advance()
             while self.texts[self.pos] not in ("{", ";") and self.kinds[self.pos] != _EOF:
@@ -342,24 +355,15 @@ class _Parser:
             self.span_from(start), body_lines,
         ))
 
-    def _parse_params(self) -> tuple[ast.Param, ...]:
-        self.expect("(")
-        params: list[ast.Param] = []
-        while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
-            start = self.pos
-            self._parse_variable_modifiers()
-            ptype = self._parse_type()
-            if self._at_annotated("..."):
-                self.advance()  # varargs behave like the element type
-            name = self.texts[self.expect_ident("parameter name")]
-            self._skip_array_suffix()
-            params.append(ast.Param((name, ptype, self.span_from(start))))
-            if self.texts[self.pos] == ",":
-                self.advance()
-            else:
-                break
-        self.expect(")")
-        return tuple(params)
+    def _parse_param(self) -> ast.Param:
+        start = self.pos
+        self._parse_variable_modifiers()
+        ptype = self._parse_type()
+        if self._at_annotated("..."):
+            self.advance()  # varargs behave like the element type
+        name = self.texts[self.expect_ident("parameter name")]
+        self._skip_array_suffix()
+        return ast.Param((name, ptype, self.span_from(start)))
 
     def _parse_declarators(
         self, name: str, what: str
@@ -388,16 +392,27 @@ class _Parser:
 
     def _parse_initializer_list(self) -> ast.Expr:
         start = self.pos
-        self.expect("{")
-        items: list[ast.Expr] = []
-        while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
-            items.append(self._parse_initializer_value())
-            if self.texts[self.pos] == ",":
-                self.advance()
-            else:
+        items = self._parse_list(self._parse_initializer_value, "}")
+        return ast.InitializerList((items, self.span_from(start)))
+
+    def _parse_list(self, parse_item: Callable[[], Any], close: str = ")",
+                    sep: str = ",") -> tuple:
+        """The items of the bracketed list whose opener is at the cursor,
+        through its `close`: each read by `parse_item` and left out if that
+        gives None, with a `sep` after each but the last, and allowed after
+        the last too."""
+        texts = self.texts
+        self.advance()
+        items = []
+        while texts[self.pos] != close and self.kinds[self.pos] != _EOF:
+            item = parse_item()
+            if item is not None:
+                items.append(item)
+            if texts[self.pos] != sep:
                 break
-        self.expect("}")
-        return ast.InitializerList((tuple(items), self.span_from(start)))
+            self.advance()
+        self.expect(close)
+        return tuple(items)
 
     # ── annotations and types ───────────────────────────────────────────
 
@@ -454,33 +469,24 @@ class _Parser:
                     break
                 name += "." + self.texts[self.advance()]
         args: tuple[ast.TypeRef, ...] = ()
-        if self.texts[self.pos] == "<":
-            args = self._parse_type_args()
+        if self.texts[self.pos] == "<":  # `<>`, a diamond, holds none
+            args = self._parse_list(self._parse_type_arg, ">")
         self._skip_array_suffix()
         return ast.TypeRef((name, args, self.span_from(start)))
 
-    def _parse_type_args(self) -> tuple[ast.TypeRef, ...]:
-        self.expect("<")
-        args: list[ast.TypeRef] = []
-        if self.texts[self.pos] == ">":  # diamond
-            self.advance()
-            return ()
-        while True:
-            # type-use annotations (JLS SE 17 §4.11) are read and dropped
-            self._parse_annotations()
-            if self.texts[self.pos] == "?":  # wildcard, accepted and ignored
-                self.advance()
-                if self.texts[self.pos] in ("extends", "super"):
-                    self.advance()
-                    self._parse_annotations()
-                    args.append(self._parse_type())
-            else:
-                args.append(self._parse_type())
-            if self.texts[self.pos] == ",":
-                self.advance()
-                continue
-            self.expect(">")
-            return tuple(args)
+    def _parse_type_arg(self) -> Optional[ast.TypeRef]:
+        """A type argument: a type, or the bound of a wildcard; None for a
+        wildcard with no bound."""
+        # type-use annotations (JLS SE 17 §4.11) are read and dropped
+        self._parse_annotations()
+        if self.texts[self.pos] != "?":
+            return self._parse_type()
+        self.advance()
+        if self.texts[self.pos] not in ("extends", "super"):
+            return None
+        self.advance()
+        self._parse_annotations()
+        return self._parse_type()
 
     def _at_annotated(self, text: str) -> bool:
         """Whether `text` follows the type-use annotations, if any, at the
@@ -498,6 +504,15 @@ class _Parser:
         the annotations before a `[` that opens no `[]` are read too."""
         while self._at_annotated("[") and self.texts[self.pos + 1] == "]":
             self.pos += 2
+
+    def _past_name(self, i: int) -> int:
+        """The index past the `IDENT(.IDENT)*` from token `i`; `i` if none."""
+        kinds, texts = self.kinds, self.texts
+        if kinds[i] == _IDENT:
+            i += 1
+            while texts[i] == "." and kinds[i + 1] == _IDENT:
+                i += 2
+        return i
 
     def _skip_generics(self) -> None:
         depth = 0
@@ -590,7 +605,8 @@ class _Parser:
             self.pos += 2
             stmts = self._parse_statement()
         else:
-            stmts = self._try_parse_local_decl(start)
+            head = self._try_parse_local_head(_DECLARATOR_NEXT)
+            stmts = None if head is None else self._try_parse_local_decl(start, head)
             if stmts is None:
                 expr = self._parse_expr()
                 self.expect(";")
@@ -669,25 +685,29 @@ class _Parser:
     def _parse_for(self, start: int) -> ast.Loop:
         kw = self.tok_span(self.expect("for"))
         self.expect("(")
-
-        enhanced = self._try_parse_for_each_header()
-        if enhanced is not None:
-            var, iterable = enhanced
+        head = self._try_parse_local_head(_FOR_HEAD_NEXT)
+        if head is not None and self.texts[self.pos + 1] == ":":
+            # an enhanced `for`: a fault in its iterable fails the statement
+            var_start, uses, declared = head
+            name = self.texts[self.advance()]
+            self.advance()
+            iterable = self._parse_expr()
+            self.record_icp(var_start, uses)
+            var = ast.LocalDecl((name, declared, None, self.span_from(var_start)))
             self.expect(")")
             body = self._parse_substatement()
             return ast.Loop(("for_each", None, body, kw, self.span_from(start), (), (), var,
                              iterable))
 
         init: list[ast.Stmt] = []
-        if self.texts[self.pos] != ";":
-            decls = self._try_parse_local_decl(self.pos)
-            if decls is not None:
-                init.extend(decls)
-            else:
-                init.append(self._parse_expr_list_stmt())
-                self.expect(";")
-        else:
+        decls = None if head is None else self._try_parse_local_decl(head[0], head)
+        if decls is not None:
+            init.extend(decls)
+        elif self.texts[self.pos] == ";":
             self.advance()
+        else:
+            init.append(self._parse_expr_list_stmt())
+            self.expect(";")
         cond = None
         if self.texts[self.pos] != ";":
             cond = self._parse_expr()
@@ -714,67 +734,57 @@ class _Parser:
             return ast.ExprStmt((exprs[0], span))
         return ast.Block((tuple(ast.ExprStmt((e, e.span)) for e in exprs), span))
 
-    def _try_parse_for_each_header(self) -> Optional[tuple[ast.LocalDecl, ast.Expr]]:
-        """The loop variable and iterable of an enhanced `for`; None, with
-        nothing consumed, if no variable and `:` start the header. The
-        attempt records nothing; once the `:` is read, a fault in the
-        iterable fails the statement."""
-        start = self.pos
-        try:
-            uses = self._parse_variable_modifiers()
-            declared = self._parse_local_type()
-            name = self.texts[self.expect_ident("loop variable")]
-            if self.texts[self.pos] != ":":
-                raise _Fail("not an enhanced for", self.tok_span(self.pos))
-        except _Fail:
-            self.pos = start
+    def _try_parse_local_head(self, follow: frozenset[str]) -> Optional[_Head]:
+        """The head of a local or loop variable from the cursor, which is left
+        at its name; None, with nothing consumed, unless a name with a token
+        in `follow` after it follows the head. Only an `@`, or an
+        `IDENT(.IDENT)*` whose first word may start a type and which a name,
+        `<`, `[`, `@` or `.` follows, is tried, so `x = 1;`, `a.f();` and
+        `new X().f();` are not."""
+        kinds, texts, start = self.kinds, self.texts, self.pos
+        if texts[start] in _NON_TYPE_WORDS:
             return None
-        self.advance()
-        iterable = self._parse_expr()
-        self.record_icp(start, uses)
-        return ast.LocalDecl((name, declared, None, self.span_from(start))), iterable
-
-    def _try_parse_local_decl(self, start: int) -> Optional[list[ast.Stmt]]:
-        """A local declaration whose first token is `start`, read from the
-        cursor on; None, with nothing consumed or recorded, if there is none.
-
-        A declaration is an `@`, or an `IDENT(.IDENT)*` (its modifiers, or
-        `var`, and its type) followed by a name, `<`, `[`, `@` or `.`, so a
-        statement such as `x = 1;` or `a.f();` is not tried at all."""
-        kinds, texts, i = self.kinds, self.texts, self.pos
-        while kinds[i] == _IDENT:
-            i += 1
-            if texts[i] != "." or kinds[i + 1] != _IDENT:
-                break
-            i += 1
+        i = self._past_name(start)
         if kinds[i] != _IDENT and texts[i] not in _DECLARATION_NEXT:
             return None
-        saved, recorded = self.pos, len(self.site_icp)
-        saved_diags = len(self.diagnostics)
         try:
-            uses = self._parse_variable_modifiers()
-            declared = self._parse_local_type()
-            i = self.pos  # the name, if this is a declaration
-            if self.kinds[i] != _IDENT or self.texts[i + 1] not in ("=", ";", ",", "[", "@"):
-                raise _Fail("not a declaration", self.tok_span(i))
+            uses, declared = self._parse_local_head()
+        except _Fail:  # input that is not Java
+            self.pos = start
+            return None
+        i = self.pos
+        if kinds[i] != _IDENT or texts[i + 1] not in follow:
+            self.pos = start
+            return None
+        return start, uses, declared
+
+    def _parse_local_head(self) -> tuple[tuple[ast.AnnotationUse, ...], Optional[ast.TypeRef]]:
+        """The modifiers of a local variable, loop variable or try resource,
+        and its type: `var` before a name (None: no type is inferred) or a
+        type."""
+        uses = self._parse_variable_modifiers()
+        if self.texts[self.pos] == "var" and self.kinds[self.pos + 1] == _IDENT:
+            self.advance()
+            return uses, None
+        return uses, self._parse_type()
+
+    def _try_parse_local_decl(self, start: int, head: _Head) -> Optional[list[ast.Stmt]]:
+        """The declarators of a local declaration whose first token is
+        `start` and whose head has been read, through the `;`; None, with
+        the cursor back at the head and nothing recorded, if they fail, and
+        the statement is then read as expressions."""
+        recorded, saved_diags = len(self.site_icp), len(self.diagnostics)
+        head_start, uses, declared = head
+        try:
             names = self._parse_declarators(self.texts[self.advance()], "variable name")
         except _Fail:
-            self.pos = saved
+            self.pos = head_start
             del self.diagnostics[saved_diags:]
             del self.site_icp[recorded:]
             return None
         self.record_icp(start, uses)
         span = self.span_from(start)
         return [ast.LocalDecl((nm, declared, iv, span)) for nm, iv in names]
-
-    def _parse_local_type(self) -> Optional[ast.TypeRef]:
-        """The type of a local variable, loop variable or try resource, after
-        its modifiers: `var` before a name (None: no type is inferred) or a
-        type."""
-        if self.texts[self.pos] == "var" and self.kinds[self.pos + 1] == _IDENT:
-            self.advance()
-            return None
-        return self._parse_type()
 
     def _parse_switch(self, start: int) -> ast.Switch:
         kw = self.tok_span(self.expect("switch"))
@@ -819,23 +829,9 @@ class _Parser:
 
     def _parse_try(self, start: int) -> ast.Try:
         kw = self.tok_span(self.expect("try"))
-        resources: list[ast.LocalDecl] = []
+        resources: tuple[ast.LocalDecl, ...] = ()
         if self.texts[self.pos] == "(":
-            self.advance()
-            while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
-                res_start = self.pos
-                uses = self._parse_variable_modifiers()
-                declared = self._parse_local_type()
-                name = self.texts[self.expect_ident("resource name")]
-                self.expect("=")
-                init = self._parse_expr()
-                self.record_icp(res_start, uses)
-                resources.append(ast.LocalDecl((name, declared, init, self.span_from(res_start))))
-                if self.texts[self.pos] == ";":
-                    self.advance()
-                else:
-                    break
-            self.expect(")")
+            resources = self._parse_list(self._parse_resource, sep=";")
         body = self._parse_block()
         catches: list[ast.CatchClause] = []
         while self.texts[self.pos] == "catch":
@@ -857,8 +853,23 @@ class _Parser:
         if self.texts[self.pos] == "finally":
             finally_kw = self.tok_span(self.advance())
             finally_block = self._parse_block()
-        return ast.Try((tuple(resources), body, tuple(catches), finally_block,
+        return ast.Try((resources, body, tuple(catches), finally_block,
                         kw, finally_kw, self.span_from(start)))
+
+    def _parse_resource(self) -> Optional[ast.LocalDecl]:
+        """A try resource: a variable declared with its initializer, or None
+        for an `IDENT(.IDENT)*` that names one (JLS SE 17 §14.20.3)."""
+        start = self.pos
+        i = self._past_name(start)
+        if i > start and self.texts[i] in (";", ")"):
+            self.pos = i
+            return None
+        uses, declared = self._parse_local_head()
+        name = self.texts[self.expect_ident("resource name")]
+        self.expect("=")
+        init = self._parse_expr()
+        self.record_icp(start, uses)
+        return ast.LocalDecl((name, declared, init, self.span_from(start)))
 
     # ── expressions ─────────────────────────────────────────────────────
 
@@ -902,7 +913,8 @@ class _Parser:
             self.pos += len(op) if self.texts[op_tok] == ">" else 1
             op_span = self.span_from(op_tok)
             if op == "instanceof":
-                self._parse_annotations()  # `x instanceof @A T`, JLS SE 17 §4.11
+                # `x instanceof final @A T t`, JLS SE 17 §4.11 and §14.30.1
+                self._parse_variable_modifiers()
                 ty = self._parse_type()
                 if self.kinds[self.pos] == _IDENT:  # pattern variable (accepted, unused)
                     self.advance()
@@ -970,12 +982,12 @@ class _Parser:
                     raise _Fail("expected member name after '.'", self.tok_span(self.pos))
                 name_tok = self.expect_ident("member name")
                 if self.texts[self.pos] == "(":
-                    args = self._parse_call_args()
+                    args = self._parse_list(self._parse_expr)
                     expr = ast.Call((expr, self.texts[name_tok], args, self.span_from(start)))
                 else:
                     expr = ast.FieldAccess((expr, self.texts[name_tok], self.span_from(start)))
             elif k == "(" and isinstance(expr, ast.NameRef):
-                args = self._parse_call_args()
+                args = self._parse_list(self._parse_expr)
                 expr = ast.Call((None, expr.name, args, self.span_from(start)))
             elif k == "[":
                 self.advance()
@@ -994,18 +1006,6 @@ class _Parser:
                 expr = ast.Unary((op, expr, self.span_from(start)))
             else:
                 return expr
-
-    def _parse_call_args(self) -> tuple[ast.Expr, ...]:
-        self.expect("(")
-        args: list[ast.Expr] = []
-        while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
-            args.append(self._parse_expr())
-            if self.texts[self.pos] == ",":
-                self.advance()
-            else:
-                break
-        self.expect(")")
-        return tuple(args)
 
     def _parse_primary(self) -> ast.Expr:
         start = self.pos
@@ -1067,7 +1067,7 @@ class _Parser:
             return ast.ArrayNew((ty, tuple(dims), init, self.span_from(start)))
         args: tuple[ast.Expr, ...] = ()
         if self.texts[self.pos] == "(":
-            args = self._parse_call_args()
+            args = self._parse_list(self._parse_expr)
         if self.texts[self.pos] == "{":
             self.diag("anonymous class body is not analyzed", self.tok_span(self.pos))
             self._skip_balanced()
@@ -1075,26 +1075,17 @@ class _Parser:
         return ast.New((ty, args, self.span_from(start)))
 
     def _parse_paren_lambda(self, start: int) -> ast.Expr:
-        self.expect("(")
-        params: list[str] = []
-        while self.texts[self.pos] != ")" and self.kinds[self.pos] != _EOF:
-            self._parse_variable_modifiers()
-            last_name = None
-            while self.texts[self.pos] not in (",", ")") and self.kinds[self.pos] != _EOF:
-                if self.kinds[self.pos] == _IDENT:
-                    last_name = self.texts[self.pos]
-                if self.texts[self.pos] == "<":
-                    self._skip_generics()
-                else:
-                    self.advance()
-            if last_name:
-                params.append(last_name)
-            if self.texts[self.pos] == ",":
-                self.advance()
-        self.expect(")")
+        params = self._parse_list(self._parse_lambda_param)
         self.expect("->")
         body = self._parse_lambda_body()
-        return ast.Lambda((tuple(params), body, self.span_from(start)))
+        return ast.Lambda((params, body, self.span_from(start)))
+
+    def _parse_lambda_param(self) -> str:
+        """A lambda parameter's name: a name alone, or a parameter as a
+        method declares it, whose type may be `var`."""
+        if self.kinds[self.pos] == _IDENT and self.texts[self.pos + 1] in (",", ")"):
+            return self.texts[self.advance()]
+        return self._parse_param().name
 
     def _parse_lambda_body(self):
         if self.texts[self.pos] == "{":

@@ -11,7 +11,7 @@ import pytest
 from cddlint.engine import analyze_unit
 from cddlint.rules import default_rules
 from cddlint.syntax import ParseError, TokenKind, parse_unit, tokenize
-from cddlint.syntax import ast
+from cddlint.syntax import ast, parser
 
 from conftest import ELSE_IF_SOURCE, FIXTURES, ORACLE_DIR
 
@@ -157,6 +157,147 @@ class TestBasics:
     def test_physical_lines_recorded(self):
         unit = parse_unit("class A {}\n")
         assert unit.physical_lines == 1
+
+    @pytest.mark.parametrize("resources", ["r", "this.r; R s = open()"])
+    def test_a_try_resource_may_name_a_variable(self, resources):
+        # JLS SE 17 §14.20.3: a resource that names a variable declares none
+        unit = parse_unit(
+            f"class A {{ void f(R r) {{ try ({resources}) {{ if (c) g(); }} finally {{ h(); }} }} }}")
+        assert unit.diagnostics == ()
+        [stmt] = unit.types[0].methods[0].body.stmts
+        assert [r.name for r in stmt.resources] == re.findall(r"R (\w+) =", resources)
+        [analysis] = analyze_unit(unit, default_rules())
+        assert analysis.total == 4
+
+    def test_a_type_pattern_may_be_final(self):
+        # JLS SE 17 §14.30.1
+        unit = parse_unit(
+            "class A { void f(Object x) { if (x instanceof final String s) { g(); } } }")
+        assert unit.diagnostics == ()
+        [analysis] = analyze_unit(unit, default_rules())
+        assert analysis.total == 2
+
+
+class TestLists:
+    """Every bracketed, separated list is read by one reader."""
+
+    @pytest.mark.parametrize("params, names", [
+        ("()", ()),
+        ("(a, b)", ("a", "b")),
+        ("(int a, String b)", ("a", "b")),
+        ("(var a)", ("a",)),
+        ("(@A var a, final @B String b)", ("a", "b")),
+        ("(int... xs)", ("xs",)),
+        ("(String @A ... xs)", ("xs",)),
+        ("(int a[], int[] b)", ("a", "b")),
+        ("(Map<K, List<V>> m)", ("m",)),
+    ])
+    def test_lambda_parameter_names(self, params, names):
+        unit = parse_unit(f"class A {{ Object f() {{ return {params} -> 0; }} }}")
+        assert unit.diagnostics == ()
+        assert unit.types[0].methods[0].body.stmts[0].expr.params == names
+
+    @pytest.mark.parametrize("type_text, args", [
+        ("List<?>", []),
+        ("Map<? extends A, ? super B>", ["A", "B"]),
+        ("X<@A T>", ["T"]),
+        ("X<?, ?>", []),
+    ])
+    def test_type_arguments(self, type_text, args):
+        # a wildcard with no bound gives no argument
+        unit = parse_unit(f"class A {{ {type_text} x; }}")
+        assert unit.diagnostics == ()
+        declared = unit.types[0].fields[0].declared_type
+        assert [a.qualified_name for a in declared.type_args] == args
+
+    def test_a_diamond_holds_no_type_argument(self):
+        unit = parse_unit("class A { Object f() { return new Y<>(); } }")
+        assert unit.diagnostics == ()
+        created = unit.types[0].methods[0].body.stmts[0].expr
+        assert (created.type.qualified_name, created.type.type_args) == ("Y", ())
+
+    def test_an_initializer_list_may_end_in_a_comma(self):
+        unit = parse_unit("class A { int[] xs = {1, 2,}; }")
+        assert unit.diagnostics == ()
+        items = unit.types[0].fields[0].initializer.items
+        assert [item.text for item in items] == ["1", "2"]
+
+    def test_try_resources_may_end_in_a_semicolon(self):
+        unit = parse_unit("class A { void f() { try (A a = x;) { g(); } } }")
+        assert unit.diagnostics == ()
+        [stmt] = unit.types[0].methods[0].body.stmts
+        assert [r.name for r in stmt.resources] == ["a"]
+
+
+# One of each statement form, `for` header, try resource and list; the
+# parser reads it with no attempt that fails. It is kept here, not under
+# tests/fixtures, where it would change the texts `_mutants` draws from.
+EVERY_FORM_SOURCE = """\
+class Forms {
+  int n;
+  void f(int[] xs, R r, Map<K, V> m) {
+    ;
+    { g(); }
+    int a = 1, b[] = {1, 2,};
+    final @A var c = new int[] {1};
+    List<String> d = new ArrayList<>();
+    java.util.@A Map<? extends K, ? super V> e = null;
+    x = 1;
+    a.f(x);
+    xs[0] = 2;
+    i++;
+    ++i;
+    new X().f();
+    this.n = a;
+    this.<T>g();
+    super.f();
+    label: g();
+    if (a > 0) g(); else if (a < 0) h(); else k();
+    while (a < n) a++;
+    do { a--; } while (a > 0);
+    for (;;) break;
+    for (int i = 0, j = 1; i < j; i++, j--) continue;
+    for (i = 0, j = 1; i < j; i++) g();
+    for (g(); ; ) break;
+    for (int x : xs) g(x);
+    for (final @A var x : xs) g(x);
+    for (Map.Entry<K, V> en : m.entrySet()) g(en);
+    switch (a) { case 1, 2: g(); break; default: h(); }
+    try (r; this.r; R s = open(); var t = open();) { g(); }
+    catch (IOException | RuntimeException ex) { h(); } finally { k(); }
+    synchronized (this) { g(); }
+    assert a > 0;
+    throw new IllegalStateException("x");
+  }
+  Object h(List<? extends T> ys, String... zs) {
+    Runnable q = () -> {};
+    Function<int[], String> fn = (int... ws) -> "";
+    BiFunction<A, B, C> bf = (var p, final B u) -> x instanceof final String s ? s : (String) x;
+    return (p, u) -> p + u;
+  }
+}
+"""
+
+
+class TestAttempts:
+    def test_valid_java_raises_no_failed_attempt(self, monkeypatch):
+        # an attempt (a local declaration, a `for` header, a cast) may fail
+        # only on input that is not Java
+        raised = []
+        init = parser._Fail.__init__
+
+        def counting_init(self, *args):
+            raised.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(parser._Fail, "__init__", counting_init)
+        for path in sorted(FIXTURES.rglob("*.java")):
+            parse_unit(path.read_text("utf-8"), str(path))
+        unit = parse_unit(EVERY_FORM_SOURCE)
+        assert [m.name for m in unit.types[0].methods] == ["f", "h"]
+        assert [d.message.split()[0] for d in unit.diagnostics] == [
+            "labeled", "synchronized", "assert"]
+        assert raised == []
 
 
 def shape(expr) -> str:

@@ -1,0 +1,115 @@
+"""Compare two versions of the parser on the same 4,126 inputs.
+
+    python3 tools/parse_parity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are `src` directories, each holding a `cddlint`
+package. The inputs are made once, by this process:
+
+* every `.java` file under `tests/fixtures` (26);
+* `Corpus(seed).tree(700)` for seeds 5, 11 and 29, annotated as the
+  `reconcile_fix` workload of `cddbench/run.py` annotates it (a seeded half of
+  the files stale);
+* `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture texts with
+  tokens deleted or copied in.
+
+Each side parses all of them in one child process of its own. An input's
+result is `repr(parse_unit(text))`, or the diagnostics of the `ParseError`
+it raises. The tool prints the number of inputs, the name of each input whose
+result differs, and per group the whole-file failures and the `_Fail`
+exceptions each side raised (`_Fail` is the parser's internal signal that an
+attempt failed). It exits 1 if any result differs, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TREE_SEEDS = (5, 11, 29)
+TREE_FILES = 700  # FIX_FILES of cddbench/run.py
+STALE_SHARE = 0.5
+
+# Run in each side's child: reads [group, name, text] triples on stdin, writes
+# {"results": {name: [failed, digest]}, "fails": {group: count}} on stdout.
+CHILD = r"""
+import hashlib, json, sys
+from collections import Counter
+from cddlint.syntax import ParseError, parse_unit
+from cddlint.syntax import parser
+
+fails, group = Counter(), None
+init = parser._Fail.__init__
+def counting_init(self, *args):
+    fails[group] += 1
+    init(self, *args)
+parser._Fail.__init__ = counting_init
+
+results = {}
+for group, name, text in json.load(sys.stdin):
+    try:
+        out, failed = repr(parse_unit(text)), False
+    except ParseError as exc:
+        out, failed = "ParseError " + repr(exc.diagnostics), True
+    results[name] = [failed, hashlib.sha256(out.encode()).hexdigest()]
+json.dump({"results": results, "fails": fails}, sys.stdout)
+"""
+
+
+def make_inputs(change_src: Path) -> list[tuple[str, str, str]]:
+    """(group, name, text) for every input, in a fixed order."""
+    sys.path[:0] = [str(change_src), str(ROOT), str(ROOT / "tests")]
+    from cddbench.corpus import Corpus
+    from test_parser import _mutants
+
+    fixtures = ROOT / "tests" / "fixtures"
+    inputs = [("fixtures", f"fixtures/{p.relative_to(fixtures)}", p.read_text("utf-8"))
+              for p in sorted(fixtures.rglob("*.java"))]
+    for seed in TREE_SEEDS:
+        corpus = Corpus(seed)
+        stale = set(corpus.rng.sample(range(TREE_FILES), round(STALE_SHARE * TREE_FILES)))
+        for i, f in enumerate(corpus.tree(TREE_FILES)):
+            inputs.append((f"tree{seed}", f"tree{seed}/{f.path}",
+                           corpus.annotate(f, i in stale).text))
+    inputs += [("mutants", f"mutant/{n}", text)
+               for n, text in enumerate(_mutants(2000, seed=7))]
+    return inputs
+
+
+def run_side(src: Path, payload: bytes) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", CHILD], input=payload, env=env,
+                          capture_output=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"{src}: the parse failed:\n{proc.stderr.decode()[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__.strip().split("\n\n")[1])
+    parent_src, change_src = (Path(a).resolve() for a in argv)
+    inputs = make_inputs(change_src)
+    payload = json.dumps(inputs).encode()
+    parent, change = run_side(parent_src, payload), run_side(change_src, payload)
+    differ = [name for _, name, _ in inputs
+              if parent["results"][name] != change["results"][name]]
+    print(f"inputs: {len(inputs)}")
+    print(f"differ: {len(differ)}")
+    for name in differ:
+        print(f"  {name}")
+    groups = list(dict.fromkeys(group for group, _, _ in inputs))
+    print(f"{'group':10} {'failures: parent':>17} {'change':>7} {'_Fail: parent':>14} {'change':>7}")
+    for group in groups:
+        names = [name for g, name, _ in inputs if g == group]
+        failed = [sum(side["results"][n][0] for n in names) for side in (parent, change)]
+        raised = [side["fails"].get(group, 0) for side in (parent, change)]
+        print(f"{group:10} {failed[0]:>17} {failed[1]:>7} {raised[0]:>14} {raised[1]:>7}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
