@@ -160,24 +160,29 @@ def _load_config(args) -> RuleSet:
 
 # ── file discovery ───────────────────────────────────────────────────────
 
-def _discover(paths: Optional[list[str]], rules: RuleSet) -> list[tuple[Path, str]]:
+def _discover(paths: Optional[list[str]], rules: RuleSet) -> list[tuple[str, str]]:
     """Resolve (file, recorded_path) pairs; recorded paths drive glob matching,
-    ordering and report output."""
-    found: dict[str, Path] = {}
+    ordering and report output. A directory is walked as `Path.rglob` walks
+    it: a link to a file is listed under its own name, a link to a directory
+    is not entered and a broken link is skipped."""
+    found: dict[str, str] = {}
     for raw in paths or ["."]:
         p = Path(raw)
         if p.is_file():
             rec = p.as_posix().removeprefix("./")
-            found.setdefault(rec, p)
+            found.setdefault(rec, os.fspath(p))
         elif p.is_dir():
-            for child in p.rglob("*"):
-                if not child.is_file():
-                    continue
-                rel = child.relative_to(p).as_posix()
-                rec = rel if raw in (".", "./") else f"{p.as_posix().rstrip('/')}/{rel}"
-                rec = rec.removeprefix("./")
-                if rules.is_wanted_path(_rule_path(rec)):
-                    found.setdefault(rec, child)
+            top = os.fspath(p)
+            base = p.as_posix().rstrip("/")
+            for dirpath, _, names in os.walk(top):
+                rel = dirpath[len(top):].lstrip(os.sep).replace(os.sep, "/")
+                prefix = (f"{base}/{rel}/" if rel else f"{base}/").removeprefix("./")
+                for name in names:
+                    rec = prefix + name
+                    if rules.is_wanted_path(_rule_path(rec)):
+                        file = os.path.join(dirpath, name)
+                        if os.path.isfile(file):
+                            found.setdefault(rec, file)
         else:
             raise _ExitWith(2, f"no such file or directory: {raw}")
     return [(found[rec], rec) for rec in sorted(found)]
@@ -187,7 +192,7 @@ def _rule_path(rec: str) -> str:
     """The path that path rules (include/exclude globs, limit overrides) see:
     an absolute path is the same file named relative to the working
     directory, as if its directory had been given so."""
-    return Path(os.path.relpath(rec)).as_posix() if os.path.isabs(rec) else rec
+    return os.path.relpath(rec).replace(os.sep, "/") if os.path.isabs(rec) else rec
 
 
 # ── commands ─────────────────────────────────────────────────────────────
@@ -207,7 +212,7 @@ def cmd_init(args) -> int:
     return 0
 
 
-def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet, on_file=None):
+def _analyze_files(files: list[tuple[str, str]], rules: RuleSet, on_file=None):
     """Shared check/reconcile pipeline: analyses + drift per unit, issues.
 
     ``on_file(rec, file, text, unit, file_rows)``, if given, sees each parsed
@@ -218,9 +223,10 @@ def _analyze_files(files: list[tuple[Path, str]], rules: RuleSet, on_file=None):
     parse_failures = 0
     for file, rec in files:
         try:
-            # line endings as written: a fixed file keeps its CR LF or CR
-            with file.open(encoding="utf-8", newline="") as handle:
-                text = handle.read()
+            # bytes decoded whole keep line endings as written: a fixed file
+            # keeps its CR LF or CR
+            with open(file, "rb") as handle:
+                text = handle.read().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             issues.append(FileIssue((rec, f"unreadable: {exc}")))
             parse_failures += 1
@@ -293,10 +299,10 @@ def cmd_reconcile(args) -> int:
     return 1 if _should_fail(args, report) else 0
 
 
-def _fix_files(files: list[tuple[Path, str]], rules: RuleSet) -> int:
+def _fix_files(files: list[tuple[str, str]], rules: RuleSet) -> int:
     """reconcile --fix: each file's fix is made from the unit parsed for its
     analysis; nothing is written until every file has been read."""
-    fixes: list[tuple[str, Path, str]] = []
+    fixes: list[tuple[str, str, str]] = []
     conflicts = 0
 
     def fix(rec, file, text, unit, file_rows) -> None:
@@ -314,7 +320,8 @@ def _fix_files(files: list[tuple[Path, str]], rules: RuleSet) -> int:
 
     _analyze_files(files, rules, fix)
     for rec, file, fixed in fixes:
-        file.write_text(fixed, encoding="utf-8", newline="")
+        with open(file, "w", encoding="utf-8", newline="") as out:
+            out.write(fixed)
         print(f"fixed {rec}")
     print(f"{len(fixes)} files changed")
     return 1 if conflicts else 0

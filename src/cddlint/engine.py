@@ -36,13 +36,17 @@ branches on a node's exact type (`type(node) is ast.Call`): node classes
 have no subclasses, so this is `isinstance` without a call per test.
 
 Every site of a category costs that category's `cost`, so a subtotal is the
-exact product of the cost and an integer count of sites, and the total is the
-integer sum of the subtotals over their common denominator: no Fraction is
-built per site.
+cost times an integer count of sites. `analyze_unit` writes each cost as an
+integer over the costs' common denominator, whatever denominators the rule
+set holds, and multiplies the counts by those integers; the total is their
+sum over the same denominator. Each subtotal and the total is made by
+`values.exact_value`, whose memo returns a value made before as the same
+Fraction: no Fraction is built per site, and none for a value seen before.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .records import Record
@@ -52,7 +56,12 @@ from .syntax.ast import (
     Binary, Block, Call, ExprStmt, FieldAccess, If, Lambda, LocalDecl, Loop, NameRef, New,
     Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children, iter_type_decls,
 )
-from .values import exact_sum
+from .values import exact_value
+
+
+_CATEGORIES = tuple(IcpCategory)
+# a category's value by category: `Enum.value` is a Python call per read
+_CATEGORY_VALUES = {cat: cat.value for cat in IcpCategory}
 
 
 class IcpSite(Record):
@@ -76,18 +85,21 @@ class Verdict(Record):
 
 def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     """Analyze every top-level and nested type declaration of a unit."""
+    costs = [rules.categories[cat].cost.as_integer_ratio() for cat in _CATEGORIES]
+    den = math.lcm(*[d for _, d in costs])
+    scales = [n * (den // d) for n, d in costs]  # each cost is scale / den
     analyses: list[UnitAnalysis] = []
     scopes: dict[str, _Scope] = {}  # by dotted name; an outer type comes first
     for dotted, decl in iter_type_decls(unit):
         walker = _TypeWalker(rules, scopes.get(dotted.rpartition(".")[0]))
         scopes[dotted] = walker.type_scope
         sites = walker.analyze(decl)
-        counts = dict.fromkeys(IcpCategory, 0)
+        counts = dict.fromkeys(_CATEGORIES, 0)
         for site in sites:
             counts[site.category] += 1
-        subtotals = {cat: rules.categories[cat].cost * count
-                     for cat, count in counts.items()}
-        total = exact_sum(subtotals.values())
+        scaled = [scale * count for scale, count in zip(scales, counts.values())]
+        subtotals = {cat: exact_value(n, den) for cat, n in zip(_CATEGORIES, scaled)}
+        total = exact_value(sum(scaled), den)
         analyses.append(
             UnitAnalysis((unit.path, dotted, decl.span, tuple(sites), total, subtotals))
         )
@@ -171,7 +183,7 @@ class _TypeWalker:
             self._walk_method(m)
 
         self.sites.sort(key=lambda s: (s.span.byte_start, s.span.byte_end,
-                                       s.category.value))
+                                       _CATEGORY_VALUES[s.category]))
         return self.sites
 
     def _walk_method(self, m: ast.MethodDecl) -> None:
@@ -288,7 +300,8 @@ class _TypeWalker:
     def _expr_region(self, expr: ast.Expr, scope: _Scope) -> None:
         region: _Uses = {}
         self._walk_expr(expr, scope, region)
-        self._flush_region(region, scope)
+        if region:
+            self._flush_region(region, scope)
 
     def _walk_initializer(self, expr: ast.Expr, scope: _Scope) -> None:
         region: _Uses = {}

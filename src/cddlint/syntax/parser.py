@@ -27,12 +27,20 @@ gives; no loop here counts bracket depth but ``_skip_generics``, as `<` and
 Binary operators are parsed by one precedence-climbing loop,
 ``_Parser._parse_binary``, driven by ``_BINARY_LEVELS``: that table is the one
 place operator precedence lives.
+
+A helper that reads an optional part is called only when the token at the
+cursor can start what it reads: ``_parse_annotations`` at an `@`,
+``_skip_array_suffix`` at a `[` or `@`, an operand with no prefix operator
+and no `(` goes straight to ``_parse_postfix``, which reads a plain name
+itself, and ``record_icp`` is called only when there is a use or a comment
+to record.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Optional, Sequence
 
 from . import ast
@@ -54,6 +62,10 @@ PRIMITIVES = frozenset({
 })
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+
+# the tokens each optional part of a declaration can start with
+_VARIABLE_MODIFIER_STARTS = frozenset({"@", "final"})
+_ARRAY_SUFFIX_STARTS = frozenset({"[", "@"})
 
 # what may follow the words a local declaration starts with, a name aside
 _DECLARATION_NEXT = frozenset({"<", "[", "@", "."})
@@ -87,6 +99,10 @@ _ASSIGN_OPS = frozenset({
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=",
 })
 _PREFIX_OPS = frozenset({"!", "+", "-", "~", "++", "--"})
+# the tokens an operand `_parse_unary` reads, and not `_parse_postfix`, starts with
+_UNARY_STARTS = _PREFIX_OPS | {"("}
+# the words `_parse_primary` reads; `_parse_postfix` reads any other name
+_PRIMARY_WORDS = frozenset({"true", "false", "null", "new", "switch"})
 
 MARKER_COMMENT_RE = re.compile(r"^//\s*@ICP\(\s*(\d+(?:\.\d+)?)\s*\)\s*$")
 
@@ -151,14 +167,18 @@ class _Parser:
 
     def expect(self, text: str, what: str = "") -> int:
         """Consume the token spelled `text`, a word or a punctuation mark."""
-        if self.texts[self.pos] != text:
-            raise _Fail(f"expected {what or repr(text)}", self.tok_span(self.pos))
-        return self.advance()
+        i = self.pos
+        if self.texts[i] != text:
+            raise _Fail(f"expected {what or repr(text)}", self.tok_span(i))
+        self.pos = i + 1
+        return i
 
     def expect_ident(self, what: str) -> int:
-        if self.kinds[self.pos] != _IDENT:
-            raise _Fail(f"expected {what}", self.tok_span(self.pos))
-        return self.advance()
+        i = self.pos
+        if self.kinds[i] != _IDENT:
+            raise _Fail(f"expected {what}", self.tok_span(i))
+        self.pos = i + 1
+        return i
 
     def tok_span(self, i: int) -> Span:
         line = self.lines[i]
@@ -173,9 +193,8 @@ class _Parser:
                    comments: Sequence[tuple[str, int, int, int]] = ()) -> None:
         """Record as sites of the element from token `start` through the last
         token consumed: each `@ICP` among the annotations `uses`, and each
-        `// @ICP(n)` marker among the line comments `comments`."""
-        if not uses and not comments:
-            return
+        `// @ICP(n)` marker among the line comments `comments`; called only
+        when there is one or the other."""
         span = self.span_from(start)
         for use in uses:
             if use.simple_name() == "ICP":
@@ -200,7 +219,7 @@ class _Parser:
             self._skip_statement()
         while self.kinds[self.pos] != _EOF:
             if self.texts[self.pos] == ";":
-                self.advance()
+                self.pos += 1
                 continue
             decl = self._parse_type_decl_hard()
             types.append(decl)
@@ -238,7 +257,7 @@ class _Parser:
         if self.texts[self.pos] == "<":
             self._skip_generics()
         while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
-            self.advance()  # extends / implements clauses are not analyzed
+            self.pos += 1  # extends / implements clauses are not analyzed
         self.expect("{")
 
         enum_constants: tuple[ast.EnumConstant, ...] = ()
@@ -260,7 +279,8 @@ class _Parser:
     def _parse_enum_constants(self) -> tuple[ast.EnumConstant, ...]:
         constants: list[ast.EnumConstant] = []
         while self.texts[self.pos] not in (";", "}") and self.kinds[self.pos] != _EOF:
-            self._parse_annotations()
+            if self.texts[self.pos] == "@":
+                self._parse_annotations()
             start = self.pos
             if self.kinds[self.pos] != _IDENT:
                 break
@@ -273,11 +293,11 @@ class _Parser:
                 self._skip_balanced()
             constants.append(ast.EnumConstant((name, args, self.span_from(start))))
             if self.texts[self.pos] == ",":
-                self.advance()
+                self.pos += 1
             else:
                 break
         if self.texts[self.pos] == ";":
-            self.advance()
+            self.pos += 1
         return tuple(constants)
 
     # ── members ─────────────────────────────────────────────────────────
@@ -289,7 +309,7 @@ class _Parser:
         nested: list[ast.TypeDecl],
     ) -> None:
         if self.texts[self.pos] == ";":
-            self.advance()
+            self.pos += 1
             return
         start, recorded = self.pos, len(self.site_icp)
         try:
@@ -307,11 +327,12 @@ class _Parser:
             if (self.kinds[i] == _IDENT and self.texts[i + 1] == "("
                     and self.texts[i] not in _NON_TYPE_WORDS):
                 methods.append(self._parse_method(start, None))
-                self.record_icp(start, annotations)
+                if annotations:
+                    self.record_icp(start, annotations)
                 return
             return_type: Optional[ast.TypeRef] = None
             if self.texts[self.pos] == "void":
-                self.advance()
+                self.pos += 1
             else:
                 return_type = self._parse_type()
             name_tok = self.expect_ident("member name")
@@ -323,7 +344,8 @@ class _Parser:
                 names = self._parse_declarators(self.texts[name_tok], "field name")
                 span = self.span_from(start)
                 fields.extend(ast.FieldDecl((nm, return_type, iv, span)) for nm, iv in names)
-            self.record_icp(start, annotations)
+            if annotations:
+                self.record_icp(start, annotations)
         except _Fail as exc:
             del self.site_icp[recorded:]
             self.diag(exc.message, exc.span)
@@ -339,9 +361,9 @@ class _Parser:
             name_tok = self.expect_ident("constructor name")
         params = self._parse_list(self._parse_param)
         if self.texts[self.pos] == "throws":
-            self.advance()
+            self.pos += 1
             while self.texts[self.pos] not in ("{", ";") and self.kinds[self.pos] != _EOF:
-                self.advance()
+                self.pos += 1
         body: Optional[ast.Block] = None
         if self.texts[self.pos] == "{":
             body = self._parse_block()
@@ -357,12 +379,14 @@ class _Parser:
 
     def _parse_param(self) -> ast.Param:
         start = self.pos
-        self._parse_variable_modifiers()
+        if self.texts[start] in _VARIABLE_MODIFIER_STARTS:
+            self._parse_variable_modifiers()
         ptype = self._parse_type()
-        if self._at_annotated("..."):
-            self.advance()  # varargs behave like the element type
+        if self.texts[self.pos] in ("...", "@") and self._at_annotated("..."):
+            self.pos += 1  # varargs behave like the element type
         name = self.texts[self.expect_ident("parameter name")]
-        self._skip_array_suffix()
+        if self.texts[self.pos] in _ARRAY_SUFFIX_STARTS:
+            self._skip_array_suffix()
         return ast.Param((name, ptype, self.span_from(start)))
 
     def _parse_declarators(
@@ -372,15 +396,16 @@ class _Parser:
         through the ';': one (name, initializer) pair per declarator."""
         names: list[tuple[str, Optional[ast.Expr]]] = []
         while True:
-            self._skip_array_suffix()
+            if self.texts[self.pos] in _ARRAY_SUFFIX_STARTS:
+                self._skip_array_suffix()
             init = None
             if self.texts[self.pos] == "=":
-                self.advance()
+                self.pos += 1
                 init = self._parse_initializer_value()
             names.append((name, init))
             if self.texts[self.pos] != ",":
                 break
-            self.advance()
+            self.pos += 1
             name = self.texts[self.expect_ident(what)]
         self.expect(";")
         return names
@@ -402,7 +427,7 @@ class _Parser:
         gives None, with a `sep` after each but the last, and allowed after
         the last too."""
         texts = self.texts
-        self.advance()
+        self.pos += 1
         items = []
         while texts[self.pos] != close and self.kinds[self.pos] != _EOF:
             item = parse_item()
@@ -410,7 +435,7 @@ class _Parser:
                 items.append(item)
             if texts[self.pos] != sep:
                 break
-            self.advance()
+            self.pos += 1
         self.expect(close)
         return tuple(items)
 
@@ -422,7 +447,7 @@ class _Parser:
             start = self.advance()
             name = self.texts[self.expect_ident("annotation name")]
             while self.texts[self.pos] == "." and self.kinds[self.pos + 1] == _IDENT:
-                self.advance()
+                self.pos += 1
                 name += "." + self.texts[self.advance()]
             numeric: Optional[Fraction] = None
             i = self.pos
@@ -438,54 +463,68 @@ class _Parser:
         """The annotations and modifiers before a member or a type, in any
         order; the annotations, and the header's first token: the first
         modifier, or the token after the annotations when there is none."""
-        anns = self._parse_annotations()
+        texts = self.texts
+        anns = self._parse_annotations() if texts[self.pos] == "@" else ()
         header_tok = self.pos
-        while self.texts[self.pos] in MODIFIERS:
-            self.advance()
-            anns += self._parse_annotations()
+        while texts[self.pos] in MODIFIERS:
+            self.pos += 1
+            if texts[self.pos] == "@":
+                anns += self._parse_annotations()
         return anns, header_tok
 
     def _parse_variable_modifiers(self) -> tuple[ast.AnnotationUse, ...]:
         """The annotations and `final` before a variable, in any order
         (JLS SE 17 §4.12.4); the annotations."""
-        anns = self._parse_annotations()
-        while self.texts[self.pos] == "final":
-            self.advance()
-            anns += self._parse_annotations()
+        texts = self.texts
+        anns = self._parse_annotations() if texts[self.pos] == "@" else ()
+        while texts[self.pos] == "final":
+            self.pos += 1
+            if texts[self.pos] == "@":
+                anns += self._parse_annotations()
         return anns
 
     def _parse_type(self) -> ast.TypeRef:
-        start = self.pos
-        if self.kinds[self.pos] != _IDENT or self.texts[self.pos] in _NON_TYPE_WORDS:
-            raise _Fail("expected type", self.tok_span(self.pos))
-        name = self.texts[self.advance()]
-        if name not in PRIMITIVES:
-            while self.texts[self.pos] == ".":
-                dot = self.advance()
-                if self.texts[self.pos] == "@":
-                    self._parse_annotations()  # java.util.@A List
-                if self.kinds[self.pos] != _IDENT or self.texts[self.pos] in _NON_TYPE_WORDS:
-                    self.pos = dot
-                    break
-                name += "." + self.texts[self.advance()]
+        """A type: its names joined by dots, and the type arguments of each
+        (`Map<K, V>.Entry<K, V>` is `Map.Entry` with four, JLS SE 17 §4.3)."""
+        kinds, texts, start = self.kinds, self.texts, self.pos
+        name = texts[start]
+        if kinds[start] != _IDENT or name in _NON_TYPE_WORDS:
+            raise _Fail("expected type", self.tok_span(start))
+        self.pos = start + 1
         args: tuple[ast.TypeRef, ...] = ()
-        if self.texts[self.pos] == "<":  # `<>`, a diamond, holds none
-            args = self._parse_list(self._parse_type_arg, ">")
-        self._skip_array_suffix()
+        while True:
+            if texts[self.pos] == "<":  # `<>`, a diamond, holds none
+                args += self._parse_list(self._parse_type_arg, ">")
+            dot = self.pos
+            if texts[dot] != "." or name in PRIMITIVES:
+                break
+            self.pos = i = dot + 1
+            if texts[i] == "@":
+                self._parse_annotations()  # java.util.@A List
+                i = self.pos
+            if kinds[i] != _IDENT or texts[i] in _NON_TYPE_WORDS:
+                self.pos = dot  # the `.` is not the type's
+                break
+            name += "." + texts[i]
+            self.pos = i + 1
+        if texts[self.pos] in _ARRAY_SUFFIX_STARTS:
+            self._skip_array_suffix()
         return ast.TypeRef((name, args, self.span_from(start)))
 
     def _parse_type_arg(self) -> Optional[ast.TypeRef]:
         """A type argument: a type, or the bound of a wildcard; None for a
         wildcard with no bound."""
         # type-use annotations (JLS SE 17 §4.11) are read and dropped
-        self._parse_annotations()
+        if self.texts[self.pos] == "@":
+            self._parse_annotations()
         if self.texts[self.pos] != "?":
             return self._parse_type()
-        self.advance()
+        self.pos += 1
         if self.texts[self.pos] not in ("extends", "super"):
             return None
-        self.advance()
-        self._parse_annotations()
+        self.pos += 1
+        if self.texts[self.pos] == "@":
+            self._parse_annotations()
         return self._parse_type()
 
     def _at_annotated(self, text: str) -> bool:
@@ -523,11 +562,11 @@ class _Parser:
             elif k == ">":
                 depth -= 1
                 if depth == 0:
-                    self.advance()
+                    self.pos += 1
                     return
             elif k in ("{", "}", ";"):
                 return  # malformed; bail without consuming
-            self.advance()
+            self.pos += 1
 
     # ── statements ──────────────────────────────────────────────────────
 
@@ -560,37 +599,37 @@ class _Parser:
     def _parse_statement(self) -> list[ast.Stmt]:
         """A statement; once it has ended, its `@ICP` annotations and the
         marker comments before it are recorded as its sites."""
-        start = self.pos
-        uses = self._parse_annotations()
-        texts, i = self.texts, self.pos
+        texts, start = self.texts, self.pos
+        uses = self._parse_annotations() if texts[start] == "@" else ()
+        i = self.pos
         word = texts[i] if self.kinds[i] == _IDENT else ""
         parse_compound = self._COMPOUND_STATEMENTS.get(word)
         if texts[i] == ";":
-            self.advance()
+            self.pos += 1
             stmts = [ast.Block(((), self.span_from(start)))]
         elif texts[i] == "{":
             stmts = [ast.Block((self._parse_block().stmts, self.span_from(start)))]
         elif parse_compound is not None:
             stmts = [parse_compound(self, start)]
         elif word == "return":
-            self.advance()
+            self.pos += 1
             expr = None if texts[self.pos] == ";" else self._parse_expr()
             self.expect(";")
             stmts = [ast.Return((expr, self.span_from(start)))]
         elif word == "throw":
-            self.advance()
+            self.pos += 1
             expr = self._parse_expr()
             self.expect(";")
             stmts = [ast.Throw((expr, self.span_from(start)))]
         elif word in ("break", "continue"):
-            self.advance()
+            self.pos += 1
             if self.kinds[self.pos] == _IDENT:  # label
-                self.advance()
+                self.pos += 1
             self.expect(";")
             stmts = [ast.Jump((word, self.span_from(start)))]
         elif word == "synchronized" and texts[i + 1] == "(":
             self.diag("synchronized statement is analyzed as a plain block", self.tok_span(i))
-            self.advance()
+            self.pos += 1
             self.expect("(")
             self._parse_expr()
             self.expect(")")
@@ -611,7 +650,8 @@ class _Parser:
                 expr = self._parse_expr()
                 self.expect(";")
                 stmts = [ast.ExprStmt((expr, self.span_from(start)))]
-        self.record_icp(start, uses, self.comments.get(start, ()))
+        if uses or start in self.comments:
+            self.record_icp(start, uses, self.comments.get(start, ()))
         return stmts
 
     def _parse_if(self, start: int) -> ast.If:
@@ -642,7 +682,7 @@ class _Parser:
                 break
             start = self.pos
             try:
-                uses = self._parse_annotations()
+                uses = self._parse_annotations() if self.texts[start] == "@" else ()
             except _Fail:
                 uses = None
             if uses is None or self.texts[self.pos] != "if":
@@ -650,7 +690,8 @@ class _Parser:
                 else_branch = self._parse_substatement()
                 break
         for start, uses, *_ in links[1:]:
-            self.record_icp(start, uses, self.comments.get(start, ()))
+            if uses or start in self.comments:
+                self.record_icp(start, uses, self.comments.get(start, ()))
         for start, _, if_kw, cond, then, else_kw in reversed(links):
             else_branch = ast.If((cond, then, else_branch, if_kw, else_kw, self.span_from(start)))
         return else_branch
@@ -690,9 +731,10 @@ class _Parser:
             # an enhanced `for`: a fault in its iterable fails the statement
             var_start, uses, declared = head
             name = self.texts[self.advance()]
-            self.advance()
+            self.pos += 1
             iterable = self._parse_expr()
-            self.record_icp(var_start, uses)
+            if uses:
+                self.record_icp(var_start, uses)
             var = ast.LocalDecl((name, declared, None, self.span_from(var_start)))
             self.expect(")")
             body = self._parse_substatement()
@@ -704,7 +746,7 @@ class _Parser:
         if decls is not None:
             init.extend(decls)
         elif self.texts[self.pos] == ";":
-            self.advance()
+            self.pos += 1
         else:
             init.append(self._parse_expr_list_stmt())
             self.expect(";")
@@ -716,7 +758,7 @@ class _Parser:
         if self.texts[self.pos] != ")":
             update.append(self._parse_expr())
             while self.texts[self.pos] == ",":
-                self.advance()
+                self.pos += 1
                 update.append(self._parse_expr())
         self.expect(")")
         body = self._parse_substatement()
@@ -727,7 +769,7 @@ class _Parser:
         start = self.pos
         exprs = [self._parse_expr()]
         while self.texts[self.pos] == ",":
-            self.advance()
+            self.pos += 1
             exprs.append(self._parse_expr())
         span = self.span_from(start)
         if len(exprs) == 1:
@@ -762,9 +804,11 @@ class _Parser:
         """The modifiers of a local variable, loop variable or try resource,
         and its type: `var` before a name (None: no type is inferred) or a
         type."""
-        uses = self._parse_variable_modifiers()
-        if self.texts[self.pos] == "var" and self.kinds[self.pos + 1] == _IDENT:
-            self.advance()
+        texts, uses = self.texts, ()
+        if texts[self.pos] in _VARIABLE_MODIFIER_STARTS:
+            uses = self._parse_variable_modifiers()
+        if texts[self.pos] == "var" and self.kinds[self.pos + 1] == _IDENT:
+            self.pos += 1
             return uses, None
         return uses, self._parse_type()
 
@@ -782,7 +826,8 @@ class _Parser:
             del self.diagnostics[saved_diags:]
             del self.site_icp[recorded:]
             return None
-        self.record_icp(start, uses)
+        if uses:
+            self.record_icp(start, uses)
         span = self.span_from(start)
         return [ast.LocalDecl((nm, declared, iv, span)) for nm, iv in names]
 
@@ -799,13 +844,13 @@ class _Parser:
             while self.texts[self.pos] in ("case", "default"):
                 lbl_start = self.pos
                 if self.texts[self.pos] == "default":
-                    self.advance()
+                    self.pos += 1
                     labels.append(ast.CaseLabel((None, self.span_from(lbl_start))))
                 else:
-                    self.advance()
+                    self.pos += 1
                     expr = self._parse_binary()  # no ternary: ':' ends the label
                     while self.texts[self.pos] == ",":  # case A, B:
-                        self.advance()
+                        self.pos += 1
                         labels.append(ast.CaseLabel((expr, self.span_from(lbl_start))))
                         lbl_start = self.pos
                         expr = self._parse_binary()
@@ -813,7 +858,7 @@ class _Parser:
                 if self.texts[self.pos] == "->":
                     self.diag("arrow switch case analyzed as labeled case",
                               self.tok_span(self.pos))
-                    self.advance()
+                    self.pos += 1
                     break
                 self.expect(":")
             if not labels:
@@ -841,7 +886,7 @@ class _Parser:
             self._parse_variable_modifiers()
             types = [self._parse_type()]
             while self.texts[self.pos] == "|":  # multi-catch: one clause
-                self.advance()
+                self.pos += 1
                 types.append(self._parse_type())
             pname = self.texts[self.expect_ident("catch parameter")]
             self.expect(")")
@@ -868,7 +913,8 @@ class _Parser:
         name = self.texts[self.expect_ident("resource name")]
         self.expect("=")
         init = self._parse_expr()
-        self.record_icp(start, uses)
+        if uses:
+            self.record_icp(start, uses)
         return ast.LocalDecl((name, declared, init, self.span_from(start)))
 
     # ── expressions ─────────────────────────────────────────────────────
@@ -876,9 +922,12 @@ class _Parser:
     def _parse_expr(self) -> ast.Expr:
         """An expression: an assignment, a ternary or a binary chain."""
         start = self.pos
-        lhs = self._parse_ternary()
+        lhs = self._parse_binary()
+        if self.texts[self.pos] == "?":
+            lhs = self._ternary_rest(start, lhs)
         if self.texts[self.pos] in _ASSIGN_OPS:
-            op = self.texts[self.advance()]
+            op = self.texts[self.pos]
+            self.pos += 1
             value = self._parse_expr()
             return ast.Assign((op, lhs, value, self.span_from(start)))
         return lhs
@@ -887,57 +936,69 @@ class _Parser:
         start = self.pos
         cond = self._parse_binary()
         if self.texts[self.pos] == "?":
-            q_span = self.tok_span(self.advance())
-            then_expr = self._parse_ternary()
-            self.expect(":")
-            else_expr = self._parse_ternary()
-            return ast.Ternary((cond, then_expr, else_expr, q_span, self.span_from(start)))
+            return self._ternary_rest(start, cond)
         return cond
+
+    def _ternary_rest(self, start: int, cond: ast.Expr) -> ast.Ternary:
+        """The ternary whose condition `cond`, from token `start`, has been
+        read: its `?` is at the cursor."""
+        q_span = self.tok_span(self.pos)
+        self.pos += 1
+        then_expr = self._parse_ternary()
+        self.expect(":")
+        else_expr = self._parse_ternary()
+        return ast.Ternary((cond, then_expr, else_expr, q_span, self.span_from(start)))
 
     def _parse_binary(self, min_prec: int = 1) -> ast.Expr:
         """Precedence climbing: a chain of binary operators of level min_prec
         or tighter, left-associative; each node spans from the chain's start."""
-        start = self.pos
-        lhs = self._parse_unary()
+        texts, start = self.texts, self.pos
+        if texts[start] in _UNARY_STARTS:
+            lhs = self._parse_unary()
+        else:
+            lhs = self._parse_postfix()
         # after combining at level p only level p or looser may follow, so
         # `x instanceof T - b`, whose type operand is no shift expression,
         # stops at the '-' as the level-by-level grammar does
         ceiling = _TIGHTEST
         while True:
-            op, prec = self._binary_op()
+            op_tok = self.pos
+            op = texts[op_tok]
+            if op == ">":
+                op = self._binary_op()
+            prec = _BINARY_PREC.get(op, 0)
             if not min_prec <= prec <= ceiling:
                 return lhs
             ceiling = prec
-            op_tok = self.pos
             # a '>>' or '>>>' is that many adjacent ">" tokens
-            self.pos += len(op) if self.texts[op_tok] == ">" else 1
+            self.pos += len(op) if texts[op_tok] == ">" else 1
             op_span = self.span_from(op_tok)
             if op == "instanceof":
                 # `x instanceof final @A T t`, JLS SE 17 §4.11 and §14.30.1
-                self._parse_variable_modifiers()
+                if texts[self.pos] in _VARIABLE_MODIFIER_STARTS:
+                    self._parse_variable_modifiers()
                 ty = self._parse_type()
                 if self.kinds[self.pos] == _IDENT:  # pattern variable (accepted, unused)
-                    self.advance()
+                    self.pos += 1
                 rhs = ast.NameRef((ty.qualified_name, ty.span))
             else:
                 rhs = self._parse_binary(prec + 1)
             lhs = ast.Binary((op, lhs, rhs, op_span, self.span_from(start)))
 
-    def _binary_op(self) -> tuple[str, int]:
-        """The binary operator at the cursor and its level (0 if none); a
-        '>' followed by an adjacent '>' is a shift."""
+    def _binary_op(self) -> str:
+        """The operator from the '>' at the cursor: with an adjacent '>'
+        after it, a shift."""
         i, texts = self.pos, self.texts
-        op = texts[i]
-        if op == ">" and texts[i + 1] == ">" and self.ends[i] == self.starts[i + 1]:
+        if texts[i + 1] == ">" and self.ends[i] == self.starts[i + 1]:
             adjacent = texts[i + 2] == ">" and self.ends[i + 1] == self.starts[i + 2]
-            op = ">>>" if adjacent else ">>"
-        return op, _BINARY_PREC.get(op, 0)
+            return ">>>" if adjacent else ">>"
+        return ">"
 
     def _parse_unary(self) -> ast.Expr:
         start = self.pos
         text = self.texts[start]
         if text in _PREFIX_OPS:
-            self.advance()
+            self.pos += 1
             return ast.Unary((text, self._parse_unary(), self.span_from(start)))
         if text == "(":
             cast = self._try_parse_cast(start)
@@ -957,9 +1018,13 @@ class _Parser:
             return None
         recorded, saved_diags = len(self.site_icp), len(self.diagnostics)
         try:
-            self.advance()
-            self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
+            self.pos += 1
+            if self.texts[self.pos] == "@":
+                self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
             ty = self._parse_type()
+            while self.texts[self.pos] == "&":  # `(A & B) x`, JLS SE 17 §15.16
+                self.pos += 1
+                self._parse_type()
             self.expect(")")
             inner = self._parse_unary()
             return ast.Cast((ty, inner, self.span_from(start)))
@@ -970,12 +1035,17 @@ class _Parser:
             return None
 
     def _parse_postfix(self) -> ast.Expr:
-        start = self.pos
-        expr = self._parse_primary()
+        kinds, texts, start = self.kinds, self.texts, self.pos
+        word = texts[start]
+        if kinds[start] == _IDENT and word not in _PRIMARY_WORDS and texts[start + 1] != "->":
+            self.pos = start + 1
+            expr = ast.NameRef((word, self.tok_span(start)))
+        else:
+            expr = self._parse_primary()
         while True:
-            k = self.texts[self.pos]
+            k = texts[self.pos]
             if k == ".":
-                self.advance()
+                self.pos += 1
                 if self.texts[self.pos] == "<":  # obj.<T>call()
                     self._skip_generics()
                 elif self.kinds[self.pos] != _IDENT:
@@ -986,16 +1056,25 @@ class _Parser:
                     expr = ast.Call((expr, self.texts[name_tok], args, self.span_from(start)))
                 else:
                     expr = ast.FieldAccess((expr, self.texts[name_tok], self.span_from(start)))
-            elif k == "(" and isinstance(expr, ast.NameRef):
+            elif k == "(" and type(expr) is ast.NameRef:
                 args = self._parse_list(self._parse_expr)
                 expr = ast.Call((None, expr.name, args, self.span_from(start)))
+            elif k == "[" and texts[self.pos + 1] == "]":
+                # an array type's constructor reference, `int[][]::new`
+                # (JLS SE 17 §15.13): its dimensions, then the `::`
+                i = self.pos + 2
+                while texts[i] == "[" and texts[i + 1] == "]":
+                    i += 2
+                if texts[i] != "::":
+                    raise _Fail("expected expression", self.tok_span(self.pos + 1))
+                self.pos = i
             elif k == "[":
-                self.advance()
+                self.pos += 1
                 idx = self._parse_expr()
                 self.expect("]")
                 expr = ast.IndexAccess((expr, idx, self.span_from(start)))
             elif k == "::":
-                self.advance()
+                self.pos += 1
                 if self.kinds[self.pos] == _IDENT:  # a method name or `new`
                     name = self.texts[self.advance()]
                 else:
@@ -1011,7 +1090,7 @@ class _Parser:
         start = self.pos
         kind, word = self.kinds[start], self.texts[start]
         if kind in _LITERALS or word in ("true", "false", "null"):
-            self.advance()
+            self.pos += 1
             return ast.Literal((word, self.tok_span(start)))
 
         if kind == _IDENT:
@@ -1019,7 +1098,7 @@ class _Parser:
                 return self._parse_new(start)
             if word == "switch":
                 self.diag("switch expression is not analyzed", self.tok_span(self.pos))
-                self.advance()
+                self.pos += 1
                 self.expect("(")
                 scrutinee = self._parse_expr()
                 self.expect(")")
@@ -1027,19 +1106,17 @@ class _Parser:
                     raise _Fail("expected '{'", self.tok_span(self.pos))
                 self._skip_balanced()
                 return ast.Opaque(((scrutinee,), self.span_from(start)))
-            if self.texts[start + 1] == "->":  # single-param lambda
-                self.pos = start + 2
-                body = self._parse_lambda_body()
-                return ast.Lambda(((word,), body, self.span_from(start)))
-            self.advance()
-            return ast.NameRef((word, self.tok_span(start)))
+            # a single-param lambda: `_parse_postfix` reads any other name
+            self.pos = start + 2
+            body = self._parse_lambda_body()
+            return ast.Lambda(((word,), body, self.span_from(start)))
 
         if word == "(":
             # a `(` with no partner reads token 0, never a `->` in a file
             # whose parse reached an expression
             if self.texts[self.partners[start] + 1] == "->":
                 return self._parse_paren_lambda(start)
-            self.advance()
+            self.pos += 1
             inner = self._parse_expr()
             self.expect(")")
             return inner
@@ -1057,7 +1134,7 @@ class _Parser:
         if self.texts[self.pos] == "[" or self.texts[self.pos - 1] == "]":
             dims: list[ast.Expr] = []
             while self.texts[self.pos] == "[":
-                self.advance()
+                self.pos += 1
                 if self.texts[self.pos] != "]":
                     dims.append(self._parse_expr())
                 self.expect("]")
@@ -1119,7 +1196,9 @@ class _Parser:
     }
 
 
+@cache
 def _parse_decimal(text: str) -> Optional[Fraction]:
+    """The value of a decimal literal's text, made once per text."""
     t = text.rstrip(_NUMBER_SUFFIXES)
     if not re.fullmatch(r"\d+(?:\.\d+)?", t):
         return None

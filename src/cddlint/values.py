@@ -1,18 +1,28 @@
 """Exact ICP arithmetic helpers.
 
 ICP costs and totals are Fractions so the 0.5-point external-coupling cost
-never accumulates binary floating-point error.
+never accumulates binary floating-point error. `exact_value` is the memoised
+constructor of the values the engine computes: a value made before is the same
+Fraction object, which is safe as Fractions are immutable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Collection, Union
 
 
 def is_half_step(value: Fraction) -> bool:
     return (value * 2).denominator == 1
+
+
+@cache
+def exact_value(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator), built once per distinct pair; the
+    memo is unbounded, as a run sees few distinct totals and subtotals."""
+    return Fraction(numerator, denominator)
 
 
 def exact_sum(values: Collection[Fraction]) -> Fraction:

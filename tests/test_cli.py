@@ -263,6 +263,36 @@ class TestCheck:
         assert outcome(".") == (0, 0)  # dto/BigDto.java: 20 ICPs, limit 20
         assert outcome(corpus_dir.as_posix()) == outcome(".")
 
+    @pytest.mark.parametrize("args", [
+        ["."], ["./"], ["src"], ["src/"], ["absolute"], ["src", "src/a/A.java"],
+    ], ids=["dot", "dot-slash", "src", "src-slash", "absolute", "dir-then-file"])
+    def test_discovery_keeps_rglob_rules(self, tmp_path, capsys, monkeypatch, args):
+        """Hidden directories are walked and a link to a file is listed under
+        its own name; a link to a directory is not entered, a broken link is
+        skipped, and the first path given names a file."""
+        monkeypatch.chdir(tmp_path)
+        src = tmp_path / "src"
+        (src / "a").mkdir(parents=True)
+        (src / ".hidden").mkdir()
+        (src / "a" / "A.java").write_text("class A { }")
+        (src / ".hidden" / "H.java").write_text("class H { }")
+        (src / "notes.txt").write_text("class N { }")
+        expected = [".hidden/H.java", "a/A.java"]
+        try:
+            os.symlink(src / "a", src / "link", target_is_directory=True)
+            os.symlink(src / "a" / "A.java", src / "L.java")
+            os.symlink(src / "absent.java", src / "broken.java")
+        except (OSError, NotImplementedError):
+            pass  # no links on this file system
+        else:
+            expected.insert(1, "L.java")
+        args = [src.as_posix() if arg == "absolute" else arg for arg in args]
+        code, out, _ = run(capsys, "check", *args, "--format", "json")
+        prefix = "src/" if args[0] in (".", "./", "src", "src/") else args[0] + "/"
+        assert code == 0
+        assert [u["path"] for u in json.loads(out)["units"]] == [
+            prefix + path for path in expected]
+
     def test_missing_path_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, "check", "nope/")

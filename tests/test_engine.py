@@ -18,7 +18,7 @@ from cddlint.rules import (
 )
 from cddlint.syntax import iter_type_decls, parse_unit
 
-from conftest import LISTING_INTERNAL_TYPES, LONG_GUARD_SOURCE, LONG_SUM_SOURCE
+from conftest import LISTING_INTERNAL_TYPES, LONG_GUARD_SOURCE, LONG_SUM_SOURCE, ORACLE_DIR
 
 B = IcpCategory.BRANCH
 C = IcpCategory.CONDITION
@@ -408,6 +408,41 @@ class TestStructure:
             gc.enable()
         assert [a.type_name for a in analyses] == declared == [
             "T", "T.In", "T.In.Deep", "T.In2", "U"]
+
+
+class TestExactTotals:
+    def test_totals_stay_exact_for_any_cost_denominators(self):
+        costs = {B: Fraction(1, 3), C: Fraction(1, 2), E: Fraction(0),
+                 I: Fraction(5, 2), X: Fraction(5, 2)}
+        rules = default_rules(
+            categories={cat: CategoryRule((cat is not X, cost)) for cat, cost in costs.items()},
+            internal_types=("Repo",), external_types=("Lib",))
+        a = analyze_one(
+            "class T { Repo repo; Lib lib;\n"
+            "  void m(boolean x) { if (x && !x) { repo.save(); }"
+            " try { g(); } catch (E e) { } } }", rules)
+        counts = {cat: sum(s.category is cat for s in a.sites) for cat in IcpCategory}
+        assert counts == {B: 1, C: 2, E: 2, I: 2, X: 0}  # X is disabled
+        assert list(a.subtotals) == list(IcpCategory)
+        assert all(type(v) is Fraction for v in (a.total, *a.subtotals.values()))
+        assert a.subtotals == {cat: costs[cat] * counts[cat] for cat in IcpCategory}
+        assert a.total == sum(a.subtotals.values()) == Fraction(1, 3) + 1 + 5
+
+    def test_a_second_analysis_builds_no_fraction(self, monkeypatch):
+        units = [parse_unit(path.read_text("utf-8"), str(path))
+                 for path in sorted(ORACLE_DIR.rglob("*.java"))]
+        first = [analyze_unit(unit, DEFAULTS) for unit in units]
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        second = [analyze_unit(unit, DEFAULTS) for unit in units]
+        assert built == []
+        assert second == first
 
 
 class TestVariableModifiers:

@@ -177,6 +177,33 @@ class TestBasics:
         [analysis] = analyze_unit(unit, default_rules())
         assert analysis.total == 2
 
+    @pytest.mark.parametrize("stmt", [
+        # array constructor references, JLS SE 17 §15.13
+        "g(String[]::new, c ? 1 : 2);",
+        "IntFunction<int[]> s = c ? int[]::new : int[][]::new;",
+        # member types after type arguments, JLS SE 17 §4.3
+        "Outer<A>.Inner x = c ? a : b;",
+        "Map<K, V>.Entry<K, V> e = c ? a : b;",
+        # an intersection cast, JLS SE 17 §15.16
+        "var f = (Function<A, B> & Serializable) (c ? x : y);",
+    ], ids=["array-ref", "array-refs", "member-type", "member-type-args", "intersection-cast"])
+    def test_type_forms_in_statements(self, stmt):
+        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
+        assert unit.diagnostics == ()
+        [analysis] = analyze_unit(unit, default_rules())
+        assert analysis.total == 2  # the ternary and its condition
+
+    def test_a_member_type_keeps_every_type_argument(self):
+        unit = parse_unit("class A { Map<K, V>.Entry<K, V> e; }")
+        declared = unit.types[0].fields[0].declared_type
+        assert declared.qualified_name == "Map.Entry"
+        assert [a.qualified_name for a in declared.type_args] == ["K", "V", "K", "V"]
+
+    def test_an_intersection_cast_has_its_first_type(self):
+        unit = parse_unit("class A { Object f() { return (Runnable & Serializable) x; } }")
+        cast = unit.types[0].methods[0].body.stmts[0].expr
+        assert (type(cast), cast.type.qualified_name) == (ast.Cast, "Runnable")
+
 
 class TestLists:
     """Every bracketed, separated list is read by one reader."""
@@ -267,6 +294,8 @@ class Forms {
     catch (IOException | RuntimeException ex) { h(); } finally { k(); }
     synchronized (this) { g(); }
     assert a > 0;
+    g(String[]::new);
+    Outer<A>.Inner oi = (Function<A, B> & Serializable) x;
     throw new IllegalStateException("x");
   }
   Object h(List<? extends T> ys, String... zs) {

@@ -1,4 +1,4 @@
-"""Compare two versions of the parser on the same 4,126 inputs.
+"""Compare two versions of the parser and the engine on the same 4,126 inputs.
 
     python3 tools/parse_parity.py PARENT_SRC CHANGE_SRC
 
@@ -14,10 +14,14 @@ package. The inputs are made once, by this process:
 
 Each side parses all of them in one child process of its own. An input's
 result is `repr(parse_unit(text))`, or the diagnostics of the `ParseError`
-it raises. The tool prints the number of inputs, the name of each input whose
-result differs, and per group the whole-file failures and the `_Fail`
-exceptions each side raised (`_Fail` is the parser's internal signal that an
-attempt failed). It exits 1 if any result differs, else 0.
+it raises. An input that parses is also analysed under four rule sets: the
+default rules and the corpus' `config_document()`, each with `count_lambdas`
+off and on; its analysis is the `repr` of the four `analyze_unit` results.
+The tool prints the number of inputs, the name of each input whose result
+differs and of each whose analysis differs, and per group the whole-file
+failures, the `_Fail` exceptions each side raised (`_Fail` is the parser's
+internal signal that an attempt failed) and the analyses that differ. It
+exits 1 if any result or analysis differs, else 0.
 """
 
 from __future__ import annotations
@@ -33,13 +37,19 @@ TREE_SEEDS = (5, 11, 29)
 TREE_FILES = 700  # FIX_FILES of cddbench/run.py
 STALE_SHARE = 0.5
 
-# Run in each side's child: reads [group, name, text] triples on stdin, writes
-# {"results": {name: [failed, digest]}, "fails": {group: count}} on stdout.
+# Run in each side's child: reads {"config": document, "inputs": [[group,
+# name, text], ...]} on stdin, writes {"results": {name: [failed, digest,
+# analysis digest or None]}, "fails": {group: count}} on stdout.
 CHILD = r"""
 import hashlib, json, sys
 from collections import Counter
+from cddlint.engine import analyze_unit
+from cddlint.rules import default_rules, load_rules
 from cddlint.syntax import ParseError, parse_unit
 from cddlint.syntax import parser
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 fails, group = Counter(), None
 init = parser._Fail.__init__
@@ -48,13 +58,19 @@ def counting_init(self, *args):
     init(self, *args)
 parser._Fail.__init__ = counting_init
 
+request = json.load(sys.stdin)
+rule_sets = [rules._replace(count_lambdas=lambdas)
+             for rules in (default_rules(), load_rules(request["config"]))
+             for lambdas in (False, True)]
 results = {}
-for group, name, text in json.load(sys.stdin):
+for group, name, text in request["inputs"]:
     try:
-        out, failed = repr(parse_unit(text)), False
+        unit = parse_unit(text)
     except ParseError as exc:
-        out, failed = "ParseError " + repr(exc.diagnostics), True
-    results[name] = [failed, hashlib.sha256(out.encode()).hexdigest()]
+        results[name] = [True, digest("ParseError " + repr(exc.diagnostics)), None]
+        continue
+    analyses = "\n".join(repr(analyze_unit(unit, rules)) for rules in rule_sets)
+    results[name] = [False, digest(repr(unit)), digest(analyses)]
 json.dump({"results": results, "fails": fails}, sys.stdout)
 """
 
@@ -93,22 +109,32 @@ def main(argv: list[str]) -> int:
         sys.exit(__doc__.strip().split("\n\n")[1])
     parent_src, change_src = (Path(a).resolve() for a in argv)
     inputs = make_inputs(change_src)
-    payload = json.dumps(inputs).encode()
+    from cddbench.corpus import config_document
+
+    payload = json.dumps({"config": config_document(), "inputs": inputs}).encode()
     parent, change = run_side(parent_src, payload), run_side(change_src, payload)
     differ = [name for _, name, _ in inputs
-              if parent["results"][name] != change["results"][name]]
+              if parent["results"][name][:2] != change["results"][name][:2]]
+    analyses_differ = [name for _, name, _ in inputs
+                       if parent["results"][name][2] != change["results"][name][2]]
     print(f"inputs: {len(inputs)}")
     print(f"differ: {len(differ)}")
     for name in differ:
         print(f"  {name}")
+    print(f"analyses differ: {len(analyses_differ)}")
+    for name in analyses_differ:
+        print(f"  {name}")
     groups = list(dict.fromkeys(group for group, _, _ in inputs))
-    print(f"{'group':10} {'failures: parent':>17} {'change':>7} {'_Fail: parent':>14} {'change':>7}")
+    print(f"{'group':10} {'failures: parent':>17} {'change':>7} {'_Fail: parent':>14} "
+          f"{'change':>7} {'analyses differ':>16}")
     for group in groups:
         names = [name for g, name, _ in inputs if g == group]
         failed = [sum(side["results"][n][0] for n in names) for side in (parent, change)]
         raised = [side["fails"].get(group, 0) for side in (parent, change)]
-        print(f"{group:10} {failed[0]:>17} {failed[1]:>7} {raised[0]:>14} {raised[1]:>7}")
-    return 1 if differ else 0
+        changed = len(set(names).intersection(analyses_differ))
+        print(f"{group:10} {failed[0]:>17} {failed[1]:>7} {raised[0]:>14} {raised[1]:>7} "
+              f"{changed:>16}")
+    return 1 if differ or analyses_differ else 0
 
 
 if __name__ == "__main__":
