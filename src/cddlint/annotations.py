@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from typing import Iterable, Optional
 
 from .engine import UnitAnalysis
 from .records import Record
@@ -86,14 +87,20 @@ def extract_declared(unit: ast.SourceUnit) -> DeclaredIcp:
     return DeclaredIcp((class_level, unit.site_icp))
 
 
+def drift(total: Fraction, declared_total: Optional[Fraction]
+          ) -> tuple[Optional[Fraction], DriftStatus]:
+    """The class-level rule: (computed - declared, status), with no delta
+    when the type has no class-level @ICP."""
+    if declared_total is None:
+        return None, DriftStatus.UNANNOTATED
+    delta = total - declared_total
+    return delta, DriftStatus.DRIFTED if delta else DriftStatus.IN_SYNC
+
+
 def reconcile(analysis: UnitAnalysis, declared: DeclaredIcp) -> DriftReport:
     """Class-level comparison decides the status; site-level is advisory."""
     declared_total = declared.class_level.get(analysis.type_name)
-    if declared_total is None:
-        delta, status = None, DriftStatus.UNANNOTATED
-    else:
-        delta = analysis.total - declared_total
-        status = DriftStatus.DRIFTED if delta else DriftStatus.IN_SYNC
+    delta, status = drift(analysis.total, declared_total)
 
     mismatches: list[SiteMismatch] = []
     for entry in declared.site_level:
@@ -109,37 +116,48 @@ def reconcile(analysis: UnitAnalysis, declared: DeclaredIcp) -> DriftReport:
     return DriftReport((declared_total, delta, status, tuple(mismatches)))
 
 
+def class_icp_spans(decl: ast.TypeDecl) -> tuple[Span, ...]:
+    """The spans of a type's class-level @ICP annotations, a malformed one
+    included: fix mode rewrites them, and refuses more than one."""
+    return tuple(a.span for a in decl.annotations if a.simple_name() == "ICP")
+
+
+class _FixTarget(Record):
+    """What fix mode reads of one type, as `series.UnitResult` holds it."""
+
+    _fields = ("type_name", "total", "icp_spans", "header_start")
+
+
 def apply_fix(text: str, analysis: UnitAnalysis) -> str:
     """Rewrite (or insert) the class-level @ICP so declared equals computed.
 
     Only the class-level annotation line changes; every other byte of the
     file is preserved. Idempotent: a second run returns identical text.
     """
-    return apply_fixes(text, [analysis], parse_unit(text))
+    decl = dict(iter_type_decls(parse_unit(text))).get(analysis.type_name)
+    if decl is None:
+        return text
+    return apply_fixes(text, [_FixTarget((
+        analysis.type_name, analysis.total, class_icp_spans(decl), decl.header_start))])
 
 
-def apply_fixes(text: str, analyses: list[UnitAnalysis], unit: ast.SourceUnit) -> str:
-    """apply_fix for several units of one file; ``unit`` is ``text`` parsed."""
+def apply_fixes(text: str, units: Iterable) -> str:
+    """apply_fix for several types of one file, with no parse: each unit is
+    read for `type_name`, `total`, `icp_spans` (its `class_icp_spans`) and
+    `header_start`, as a `series.UnitResult` holds them."""
     data = text.encode("utf-8")
-    decls = dict(iter_type_decls(unit))
     edits: list[tuple[int, int, bytes]] = []  # (start, end, replacement)
 
-    for analysis in analyses:
-        decl = decls.get(analysis.type_name)
-        if decl is None:
-            continue
-        icp_spans = [
-            a.span for a in decl.annotations if a.simple_name() == "ICP"
-        ]
-        if len(icp_spans) > 1:
-            raise RewriteConflict(analysis.type_name, tuple(icp_spans))
-        rendered = f"@ICP({format_icp(analysis.total)})".encode("utf-8")
-        if icp_spans:
-            span = icp_spans[0]
+    for unit in units:
+        if len(unit.icp_spans) > 1:
+            raise RewriteConflict(unit.type_name, unit.icp_spans)
+        rendered = f"@ICP({format_icp(unit.total)})".encode("utf-8")
+        if unit.icp_spans:
+            span = unit.icp_spans[0]
             if data[span.byte_start:span.byte_end] != rendered:
                 edits.append((span.byte_start, span.byte_end, rendered))
         else:
-            header = decl.header_start
+            header = unit.header_start
             line_start = max(data.rfind(b"\n", 0, header), data.rfind(b"\r", 0, header)) + 1
             indent_end = line_start
             while indent_end < len(data) and data[indent_end] in (0x20, 0x09):

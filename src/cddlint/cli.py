@@ -3,6 +3,10 @@
 Subcommands: init, check, reconcile [--fix], history. Exit codes: 0 success,
 1 when the configured fail-on condition triggers (or a fix conflict), 2 for
 configuration, I/O, or repository/tool errors.
+
+check and reconcile read each file and hand it to `series.analyze_file`,
+the one per-file path that history shares; they render its `FileResult`s,
+and reconcile --fix rewrites files from them.
 """
 
 from __future__ import annotations
@@ -12,18 +16,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
-from .annotations import (
-    DeclaredIcp,
-    DriftStatus,
-    MalformedIcp,
-    RewriteConflict,
-    apply_fixes,
-    extract_declared,
-    reconcile,
-)
-from .engine import analyze_unit, verdict
+# cddbench/tracer.py hooks these names here; this module calls none of them
+from . import analyze_unit, extract_declared, parse_unit, reconcile, verdict  # noqa: F401
+from .annotations import DriftStatus, RewriteConflict, apply_fixes, drift
 from .history import (
     GitProvider,
     RangeEmpty,
@@ -33,12 +30,12 @@ from .history import (
     render_json_mapping as render_series_json,
     series,
 )
+from .history.series import FileResult, analyze_file
 from .history.series import render_csv as render_series_csv
 from .report import (
     CheckReport,
     FileIssue,
     UnitRow,
-    make_row,
     render_csv,
     render_drift_csv,
     render_drift_json_mapping,
@@ -47,7 +44,6 @@ from .report import (
     render_text,
 )
 from .rules import DEFAULT_CONFIG_DOCUMENT, ConfigError, RuleSet, default_rules, load_rules
-from .syntax import ParseError, parse_unit
 
 CONFIG_FILE_NAME = "cdd.json"
 CONFIG_ENV_VAR = "CDD_CONFIG"
@@ -212,15 +208,10 @@ def cmd_init(args) -> int:
     return 0
 
 
-def _analyze_files(files: list[tuple[str, str]], rules: RuleSet, on_file=None):
-    """Shared check/reconcile pipeline: analyses + drift per unit, issues.
-
-    ``on_file(rec, file, text, unit, file_rows)``, if given, sees each parsed
-    file while its unit is alive; no unit outlives its file's turn.
-    """
-    rows: list[UnitRow] = []
-    issues: list[FileIssue] = []
-    parse_failures = 0
+def _analyze_files(files: list[tuple[str, str]], rules: RuleSet
+                   ) -> Iterator[tuple[str, str, str, FileResult]]:
+    """(recorded path, file, text, result) per file, in turn; a file that
+    cannot be read fails as a whole."""
     for file, rec in files:
         try:
             # bytes decoded whole keep line endings as written: a fixed file
@@ -228,57 +219,48 @@ def _analyze_files(files: list[tuple[str, str]], rules: RuleSet, on_file=None):
             with open(file, "rb") as handle:
                 text = handle.read().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            issues.append(FileIssue((rec, f"unreadable: {exc}")))
-            parse_failures += 1
-            continue
-        try:
-            unit = parse_unit(text, rec)
-            analyses = analyze_unit(unit, rules)
-        except ParseError as exc:
-            issues.append(FileIssue((rec, f"parse failed: {exc}")))
-            parse_failures += 1
-            continue
-        except RecursionError:
-            issues.append(FileIssue((rec, "parse failed: nesting too deep")))
-            parse_failures += 1
-            continue
-        try:
-            declared = extract_declared(unit)
-        except MalformedIcp as exc:  # the file's units count as unannotated
-            issues.append(FileIssue((rec, str(exc))))
-            declared = DeclaredIcp(({}, ()))
-        file_rows = []
-        for analysis in analyses:
-            v = verdict(analysis, rules, _rule_path(rec))
-            row = make_row(analysis, v, reconcile(analysis, declared))
-            rows.append(row)
-            file_rows.append((analysis, row))
-        if on_file is not None:
-            on_file(rec, file, text, unit, file_rows)
+            yield rec, file, "", FileResult.failed(f"unreadable: {exc}")
+        else:
+            yield rec, file, text, analyze_file(_rule_path(rec), text, rules)
+
+
+def _check_report(files: list[tuple[str, str]], rules: RuleSet) -> CheckReport:
+    """One row per unit, by path and type; each file's diagnostics, then its
+    malformed-@ICP note or failure, in path order."""
+    rows: list[UnitRow] = []
+    issues: list[FileIssue] = []
+    parse_failures = 0
+    for rec, _, _, result in _analyze_files(files, rules):
+        issues += (FileIssue((rec, d.span.line_start, d.message))
+                   for d in result.diagnostics)
+        note = result.malformed or result.failure  # never both
+        if note:
+            issues.append(FileIssue((rec, None, note)))
+        parse_failures += result.failure is not None
+        rows += (UnitRow((rec, u.type_name, u.total, u.subtotals, u.limit, u.over_limit,
+                          u.declared, *drift(u.total, u.declared)))
+                 for u in result.units)
     rows.sort(key=lambda r: (r.path, r.type_name))
-    return rows, issues, parse_failures
+    return CheckReport((tuple(rows), tuple(issues), parse_failures))
 
 
-def _should_fail(args, report: CheckReport) -> bool:
+def _render(args, report: CheckReport, as_json, as_csv, as_text) -> int:
+    """Print the report in the format asked for; the exit code --fail-on gives."""
+    if args.format == "json":
+        print(json.dumps(as_json(report), indent=2))
+    else:
+        sys.stdout.write((as_csv if args.format == "csv" else as_text)(report))
     if args.fail_on == "over-limit":
-        return report.over_limit_count > 0
+        return int(report.over_limit_count > 0)
     if args.fail_on == "drift":
-        return report.drifted_count + report.unannotated_count > 0
-    return False
+        return int(report.drifted_count + report.unannotated_count > 0)
+    return 0
 
 
 def cmd_check(args) -> int:
     rules = _load_config(args)
-    files = _discover(args.paths, rules)
-    rows, issues, parse_failures = _analyze_files(files, rules)
-    report = CheckReport((tuple(rows), tuple(issues), parse_failures))
-    if args.format == "json":
-        print(json.dumps(render_json_mapping(report), indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(report))
-    else:
-        sys.stdout.write(render_text(report))
-    return 1 if _should_fail(args, report) else 0
+    report = _check_report(_discover(args.paths, rules), rules)
+    return _render(args, report, render_json_mapping, render_csv, render_text)
 
 
 def cmd_reconcile(args) -> int:
@@ -288,37 +270,26 @@ def cmd_reconcile(args) -> int:
     files = _discover(args.paths, rules)
     if args.fix:
         return _fix_files(files, rules)
-    rows, issues, parse_failures = _analyze_files(files, rules)
-    report = CheckReport((tuple(rows), tuple(issues), parse_failures))
-    if args.format == "json":
-        print(json.dumps(render_drift_json_mapping(report), indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(render_drift_csv(report))
-    else:
-        sys.stdout.write(render_drift_text(report))
-    return 1 if _should_fail(args, report) else 0
+    return _render(args, _check_report(files, rules),
+                   render_drift_json_mapping, render_drift_csv, render_drift_text)
 
 
 def _fix_files(files: list[tuple[str, str]], rules: RuleSet) -> int:
-    """reconcile --fix: each file's fix is made from the unit parsed for its
-    analysis; nothing is written until every file has been read."""
+    """reconcile --fix: each file is rewritten from its `FileResult`, with no
+    second parse; nothing is written until every file has been read."""
     fixes: list[tuple[str, str, str]] = []
     conflicts = 0
-
-    def fix(rec, file, text, unit, file_rows) -> None:
-        nonlocal conflicts
-        if all(row.drift_status is DriftStatus.IN_SYNC for _, row in file_rows):
-            return
+    for rec, file, text, result in _analyze_files(files, rules):
+        if all(drift(u.total, u.declared)[1] is DriftStatus.IN_SYNC for u in result.units):
+            continue
         try:
-            fixed = apply_fixes(text, [a for a, _ in file_rows], unit)
+            fixed = apply_fixes(text, result.units)
         except RewriteConflict as exc:
             print(f"{rec}: {exc}", file=sys.stderr)
             conflicts += 1
-            return
+            continue
         if fixed != text:
             fixes.append((rec, file, fixed))
-
-    _analyze_files(files, rules, fix)
     for rec, file, fixed in fixes:
         with open(file, "w", encoding="utf-8", newline="") as out:
             out.write(fixed)

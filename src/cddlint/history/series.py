@@ -1,7 +1,13 @@
-"""Per-commit evolution metrics: class counts, mean LOC, mean ICP, percent of
-classes over the limit, method-length stats and budget-commit detection.
+"""The per-file result every command reads, and per-commit evolution
+metrics: class counts, mean LOC, mean ICP, percent of classes over the
+limit, method-length stats and budget-commit detection.
 
-A snapshot's metrics are aggregated from one `FileResult` per non-test file.
+`analyze_file` is the one place a file is parsed, analysed, judged against
+its limit and read for class-level @ICP. `check` and `reconcile` render its
+`FileResult`s, `reconcile --fix` rewrites files from them with no second
+parse, and a snapshot's metrics aggregate one per non-test file; a snapshot
+shows whole-file failures only, not diagnostics or malformed-@ICP notes.
+
 `series()` walks the range once: the provider yields each snapshot's wanted
 files as (path, key) pairs, where the key is the git blob id, or the sha256
 of the bytes for snapshot folders. A `FileMemo` keeps what the previous
@@ -9,9 +15,9 @@ snapshot's pairs came to: the decoded file with its test flag, or its "not
 UTF-8" note, and each non-test file's `FileResult`. Only pairs new since
 that snapshot are fetched, decoded, matched against the test globs, parsed
 and analysed. The key covers every input of a result: the bytes, and the
-path that test globs, limit overrides and diagnostics depend on; the rules
-are fixed for the call. The memo is replaced by each snapshot's entries, so
-it never holds more than one snapshot, and nothing outlives the call.
+path that test globs and limit overrides depend on; the rules are fixed for
+the call. The memo is replaced by each snapshot's entries, so it never holds
+more than one snapshot, and nothing outlives the call.
 
 `read_snapshot_files` followed by `analyze_snapshot` without a memo is the
 independent full read of one commit that a series snapshot must equal.
@@ -19,15 +25,17 @@ independent full read of one commit that a series snapshot must equal.
 
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from ..annotations import MalformedIcp, class_icp_spans, extract_declared
 from ..engine import analyze_unit, verdict
 from ..methods import method_lengths, method_stats, stats_from_lengths
 from ..records import Record
+from ..report import csv_document
 from ..rules import RuleSet
 from ..syntax import ParseError, parse_unit
+from ..syntax.ast import iter_type_decls
 from ..values import exact_sum, format_fixed2
 from .providers import (
     CommitMeta, GitProvider, Listing, RangeSpec, SnapshotDirProvider,
@@ -116,48 +124,75 @@ def detect_cdd_commit(message: str, rules: RuleSet) -> Optional[tuple[str, str]]
     return unit or "", description or ""
 
 
-class FileResult(Record):
-    """What one non-test file adds to its snapshot: per-class LOC and totals,
-    how many classes are over their limit, the counted method lengths, and
-    the excluded method count; or, when it did not parse, only `failure`."""
+class UnitResult(Record):
+    """One type of a file, as `analyze_file` judged it. Each field names
+    who reads it: check, reconcile, fix (reconcile --fix) and history."""
 
     _fields = (
-        "class_locs",  # (int, ...)
-        "totals",  # (Fraction, ...)
-        "over_limit",  # int
-        "method_lengths",  # (int, ...)
-        "excluded_methods",  # int
-        "failure",  # the diagnostic, or None when the file parsed
+        "type_name",  # dotted for a nested type; check, reconcile, fix
+        "total",  # Fraction; all
+        "subtotals",  # dict[IcpCategory, Fraction]; check
+        "limit", "over_limit",  # the verdict, Fraction and bool; check, history
+        "declared",  # the class-level @ICP value, Fraction | None; check, reconcile, fix
+        "loc",  # int; history
+        "icp_spans",  # `annotations.class_icp_spans`; fix rewrites them
+        "header_start",  # byte offset; fix inserts a missing @ICP above it
     )
 
 
-def analyze_file(f: SnapshotFile, rules: RuleSet) -> FileResult:
-    """Parse and analyse one file; a parse failure, or nesting too deep for
-    the parser or the engine, becomes the file's diagnostic.
+class FileResult(Record):
+    """One file: its units, or, when it did not parse, only `failure`."""
+
+    _fields = (
+        "units",  # (UnitResult, ...), outer types before their nested ones
+        "method_lengths", "excluded_methods",  # (int, ...), int; history
+        "diagnostics",  # (ast.Diagnostic, ...), the parser's; check, reconcile
+        "malformed",  # the note of a malformed @ICP, or None; check, reconcile
+        "failure",  # "parse failed: ...", or None when the file parsed; all
+    )
+
+    @classmethod
+    def failed(cls, failure: str) -> FileResult:
+        return cls(((), (), 0, (), None, failure))
+
+
+def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
+    """Parse, analyse and judge one file, and read its class-level @ICP: the
+    one per-file path, whose result check, reconcile, reconcile --fix and
+    history all read (`UnitResult` names who reads each field). A
+    `ParseError` or `RecursionError` becomes its `failure`; a malformed @ICP
+    leaves every unit of the file unannotated, with a note. Limit overrides
+    and test globs match `path`.
 
     LOC attribution: a file with a single top-level class contributes its
     whole-file physical line count to that class; any other class gets its own
     declaration span height.
     """
     try:
-        unit = parse_unit(f.text, f.path)
+        unit = parse_unit(text, path)
         analyses = analyze_unit(unit, rules)
     except ParseError as exc:
-        return FileResult(((), (), 0, (), 0, f"{f.path}: parse failed: {exc}"))
+        return FileResult.failed(f"parse failed: {exc}")
     except RecursionError:
-        return FileResult(((), (), 0, (), 0, f"{f.path}: parse failed: nesting too deep"))
-    class_locs = [a.span.line_end - a.span.line_start + 1 for a in analyses]
-    if len(unit.types) == 1:  # the first analysis is the top-level class's
-        class_locs[0] = unit.physical_lines
+        return FileResult.failed("parse failed: nesting too deep")
+    malformed = None
+    try:
+        declared = extract_declared(unit).class_level
+    except MalformedIcp as exc:
+        declared, malformed = {}, str(exc)
+    units = []
+    for a, (_, decl) in zip(analyses, iter_type_decls(unit)):
+        v = verdict(a, rules)
+        units.append(UnitResult((
+            a.type_name, a.total, a.subtotals, v.applicable_limit, v.over_limit,
+            declared.get(a.type_name), a.span.line_end - a.span.line_start + 1,
+            class_icp_spans(decl), decl.header_start,
+        )))
+    if len(unit.types) == 1:  # the first unit is the top-level class
+        units[0] = units[0]._replace(loc=unit.physical_lines)
     lengths, excluded = method_lengths(unit, rules)
-    return FileResult((
-        tuple(class_locs),
-        tuple(a.total for a in analyses),
-        sum(verdict(a, rules).over_limit for a in analyses),
-        tuple(lengths),
-        excluded,
-        None,
-    ))
+    return FileResult((tuple(units), tuple(lengths), excluded,
+                       unit.diagnostics, malformed, None))
 
 
 class FileMemo:
@@ -186,7 +221,7 @@ class FileMemo:
         results = []
         for f in files:
             key = (f.path, f.key)
-            result = self._results.get(key) or analyze_file(f, rules)
+            result = self._results.get(key) or analyze_file(f.path, f.text, rules)
             current[key] = result
             results.append(result)
         self._results = current
@@ -201,27 +236,28 @@ def analyze_snapshot(
     held reuse that snapshot's results; the metrics are the same either way."""
     if memo is None:
         memo = FileMemo()
-    results = memo.analyze([f for f in files if not f.is_test], rules)
+    files = [f for f in files if not f.is_test]
+    results = memo.analyze(files, rules)
 
-    class_locs: list[int] = []
     totals: list[Fraction] = []
     lengths: list[int] = []
-    over = excluded = 0
+    loc = over = excluded = 0
     diagnostics: list[str] = []
-    for r in results:
+    for f, r in zip(files, results):
         if r.failure is not None:
-            diagnostics.append(r.failure)
+            diagnostics.append(f"{f.path}: {r.failure}")
             continue
-        class_locs += r.class_locs
-        totals += r.totals
-        over += r.over_limit
+        for u in r.units:
+            totals.append(u.total)
+            loc += u.loc
+            over += u.over_limit
         lengths += r.method_lengths
         excluded += r.excluded_methods
 
     count = len(totals)
     return SnapshotStats((
         count,
-        Fraction(sum(class_locs), count) if count else None,
+        Fraction(loc, count) if count else None,
         exact_sum(totals) / count if count else None,
         Fraction(100 * over, count) if count else None,
         stats_from_lengths(lengths, excluded),
@@ -266,14 +302,10 @@ def _fmt(value: Optional[Fraction]) -> str:
 
 
 def render_csv(report: SeriesReport) -> str:
-    import csv  # here: check and reconcile import this module too
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    rows = []
     for snap in report.snapshots:
         m = snap.stats.methods
-        writer.writerow([
+        rows.append([
             snap.commit.ordinal,
             snap.commit.id,
             snap.commit.timestamp,
@@ -288,7 +320,7 @@ def render_csv(report: SeriesReport) -> str:
             m.max_loc if m.max_loc is not None else "",
             _fmt(m.percent_at_or_under_24),
         ])
-    return buf.getvalue()
+    return csv_document(CSV_COLUMNS, rows)
 
 
 def _json_2dp(value: Optional[Fraction]) -> Optional[float]:

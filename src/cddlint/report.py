@@ -4,16 +4,15 @@ either as the check report or as the drift report of ``reconcile``.
 All three renderings of each show the same numbers; JSON documents carry a
 schema_version and validate against the shipped schema files.
 
-The CSV renderers import `csv` where they run, so a text or JSON run does
-not load it.
+`csv_document` imports `csv` where it runs, so a text or JSON run does not
+load it; history's CSV is written by it too.
 """
 
 from __future__ import annotations
 
 import io
 
-from .annotations import DriftReport, DriftStatus
-from .engine import UnitAnalysis, Verdict
+from .annotations import DriftStatus
 from .records import Record
 from .rules import IcpCategory
 from .values import format_icp, json_number
@@ -29,7 +28,11 @@ class UnitRow(Record):
 
 
 class FileIssue(Record):
-    _fields = ("path", "message")
+    _fields = ("path", "line", "message")  # line: int, or None for the whole file
+
+    def __str__(self) -> str:
+        where = self.path if self.line is None else f"{self.path}:{self.line}"
+        return f"{where}: {self.message}"
 
 
 class CheckReport(Record):
@@ -46,14 +49,6 @@ class CheckReport(Record):
     @property
     def unannotated_count(self) -> int:
         return sum(1 for r in self.rows if r.drift_status is DriftStatus.UNANNOTATED)
-
-
-def make_row(analysis: UnitAnalysis, unit_verdict: Verdict, drift: DriftReport) -> UnitRow:
-    return UnitRow((
-        analysis.path, analysis.type_name, analysis.total, analysis.subtotals,
-        unit_verdict.applicable_limit, unit_verdict.over_limit,
-        drift.declared_total, drift.delta, drift.status,
-    ))
 
 
 def _top_categories(row: UnitRow, n: int = 3) -> str:
@@ -75,8 +70,7 @@ def render_text(report: CheckReport) -> str:
             f"{row.path}:{row.type_name}: {format_icp(row.total)} ICPs "
             f"(limit {format_icp(row.limit)}){suffix}"
         )
-    for issue in report.issues:
-        lines.append(f"{issue.path}: {issue.message}")
+    lines += map(str, report.issues)
     lines.append(
         f"{len(report.rows)} units, {report.over_limit_count} over limit, "
         f"{report.drifted_count} drifted, {report.unannotated_count} unannotated, "
@@ -118,30 +112,36 @@ def render_json_mapping(report: CheckReport) -> dict:
 
 
 def _json_diagnostics(report: CheckReport) -> list[dict]:
-    return [{"path": issue.path, "message": issue.message} for issue in report.issues]
+    return [{"path": issue.path,
+             "message": issue.message if issue.line is None
+             else f"line {issue.line}: {issue.message}"} for issue in report.issues]
 
 
-def render_csv(report: CheckReport) -> str:
+def csv_document(header: list[str], rows) -> str:
+    """A header row and rows as CSV text, LF-terminated."""
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def render_csv(report: CheckReport) -> str:
+    return csv_document([
         "path", "type", "total", "limit", "over_limit", "declared", "drift_status",
         *(cat.value for cat in IcpCategory),
-    ])
-    for row in report.rows:
-        writer.writerow([
-            row.path,
-            row.type_name,
-            format_icp(row.total),
-            format_icp(row.limit),
-            "true" if row.over_limit else "false",
-            format_icp(row.declared_total) if row.declared_total is not None else "",
-            row.drift_status.value,
-            *(format_icp(row.subtotals[cat]) for cat in IcpCategory),
-        ])
-    return buf.getvalue()
+    ], ([
+        row.path,
+        row.type_name,
+        format_icp(row.total),
+        format_icp(row.limit),
+        "true" if row.over_limit else "false",
+        format_icp(row.declared_total) if row.declared_total is not None else "",
+        row.drift_status.value,
+        *(format_icp(row.subtotals[cat]) for cat in IcpCategory),
+    ] for row in report.rows))
 
 
 def render_drift_text(report: CheckReport) -> str:
@@ -156,8 +156,7 @@ def render_drift_text(report: CheckReport) -> str:
             delta = f" (delta {'+' if row.delta > 0 else ''}{format_icp(row.delta)})"
         lines.append(f"{row.path}:{row.type_name}: {row.drift_status.value}: "
                      f"declared {declared}, computed {format_icp(row.total)}{delta}")
-    for issue in report.issues:
-        lines.append(f"{issue.path}: {issue.message}")
+    lines += map(str, report.issues)
     lines.append(f"{len(report.rows)} units, {report.drifted_count} drifted, "
                  f"{report.unannotated_count} unannotated")
     return "\n".join(lines) + "\n"
@@ -189,18 +188,11 @@ def render_drift_json_mapping(report: CheckReport) -> dict:
 
 
 def render_drift_csv(report: CheckReport) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "type", "declared", "computed", "delta", "status"])
-    for row in report.rows:
-        writer.writerow([
-            row.path,
-            row.type_name,
-            format_icp(row.declared_total) if row.declared_total is not None else "",
-            format_icp(row.total),
-            format_icp(row.delta) if row.delta is not None else "",
-            row.drift_status.value,
-        ])
-    return buf.getvalue()
+    return csv_document(["path", "type", "declared", "computed", "delta", "status"], ([
+        row.path,
+        row.type_name,
+        format_icp(row.declared_total) if row.declared_total is not None else "",
+        format_icp(row.total),
+        format_icp(row.delta) if row.delta is not None else "",
+        row.drift_status.value,
+    ] for row in report.rows))

@@ -17,6 +17,7 @@ from cddlint.annotations import (
     reconcile,
 )
 from cddlint.engine import analyze_unit
+from cddlint.history.series import analyze_file
 from cddlint.rules import default_rules
 from cddlint.syntax import parse_unit
 
@@ -232,8 +233,7 @@ class TestApplyFix:
             "@ICP(9)\nclass A { void f(boolean x) { if (x) {} } }\n"
             "class B { void g() { try {} finally {} } }\n"
         )
-        unit = parse_unit(text, "T.java")
-        fixed = apply_fixes(text, analyze_unit(unit, default_rules()), unit)
+        fixed = apply_fixes(text, analyze_file("T.java", text, default_rules()).units)
         assert fixed == (
             "@ICP(2)\nclass A { void f(boolean x) { if (x) {} } }\n"
             "@ICP(2)\nclass B { void g() { try {} finally {} } }\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import jsonschema
 import pytest
 
 import cddlint
+import cddlint.annotations
 from cddlint.cli import _build_parser, main
 from cddlint.rules import load_rules
 
@@ -26,6 +28,9 @@ from conftest import (
     DEEP_SOURCE, ELSE_IF_SOURCE, FIXTURES, LISTING_PATH, LONG_GUARD_SOURCE, LONG_SUM_SOURCE,
     ORACLE_DIR,
 )
+
+# `cddlint.history.series` the attribute is the series() function
+series_module = importlib.import_module("cddlint.history.series")
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "cddlint" / "schemas"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -450,6 +455,88 @@ class TestReconcile:
         assert "duplicate @ICP" in err
 
 
+# an initializer block and a switch expression: each parses, scores
+# nothing and carries a parser diagnostic
+UNANALYZED_SOURCE = """\
+class Probe {
+    static int count;
+
+    static {
+        count = 1;
+    }
+
+    int size(int day) {
+        int n = switch (day) {
+            case 1 -> 3;
+            default -> 0;
+        };
+        return n;
+    }
+}
+"""
+
+
+class TestPerFileResult:
+    """check, reconcile and reconcile --fix read `series.analyze_file`."""
+
+    @pytest.mark.parametrize("command, schema", [
+        ("check", "check_report.schema.json"),
+        ("reconcile", "drift_report.schema.json"),
+    ])
+    def test_parser_diagnostics_are_shown(self, tmp_path, capsys, monkeypatch,
+                                          command, schema):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "Probe.java").write_text(UNANALYZED_SOURCE)
+        (tmp_path / "Ok.java").write_text("class Ok {}\n")
+        code, out, _ = run(capsys, command, ".")
+        assert code == 0
+        assert out.splitlines()[-3:-1] == [
+            "Probe.java:4: initializer block is not analyzed",
+            "Probe.java:9: switch expression is not analyzed",
+        ]
+        code, out, _ = run(capsys, command, ".", "--format", "json")
+        doc = json.loads(out)
+        validate(doc, schema)
+        assert doc["diagnostics"] == [
+            {"path": "Probe.java", "message": "line 4: initializer block is not analyzed"},
+            {"path": "Probe.java", "message": "line 9: switch expression is not analyzed"},
+        ]
+        assert doc["summary"]["parse_failures"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "."], ["reconcile", "."], ["reconcile", "--fix", "."],
+    ], ids=["check", "reconcile", "fix"])
+    def test_each_file_is_parsed_once(self, tmp_path, capsys, monkeypatch, argv):
+        # three stale files, one in sync and one that fails: --fix rewrites
+        # from the results, with no second parse
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(LISTING_PATH, tmp_path / "C.java")
+        (tmp_path / "cdd.json").write_text(LISTING_CONFIG)
+        sources = {
+            "A.java": "@ICP(5)\nclass A { void f(boolean x) { if (x) {} } }\n",
+            "B.java": "class B {\n  static class In { int k; }\n}\n",
+            "D.java": "@ICP(0.5)\nclass D { int k; }\n",
+            "E.java": "class E {\n",
+        }
+        for name, text in sources.items():
+            (tmp_path / name).write_text(text)
+        parsed = []
+        real = series_module.parse_unit
+
+        def counting(text, path="<memory>"):
+            parsed.append(path)
+            return real(text, path)
+
+        monkeypatch.setattr(series_module, "parse_unit", counting)
+        monkeypatch.setattr(cddlint.annotations, "parse_unit", counting)
+        code, out, _ = run(capsys, *argv)
+        assert sorted(parsed) == ["A.java", "B.java", "C.java", "D.java", "E.java"]
+        if "--fix" in argv:
+            assert (code, out.splitlines()[-1]) == (0, "3 files changed")
+            assert (tmp_path / "B.java").read_text() == (
+                "@ICP(0)\nclass B {\n  @ICP(0)\n  static class In { int k; }\n}\n")
+
+
 class TestHistory:
     def test_repo_mode_writes_golden_csv(self, history_repo, tmp_path, capsys,
                                          monkeypatch):
@@ -662,3 +749,24 @@ class TestFootprint:
         added = self.added_modules(
             tmp_path, ["check", "--fail-on", "never", "--format", "csv", str(ORACLE_DIR)])
         assert added & HISTORY_AND_CSV_MODULES == {"csv"}
+
+
+TRACER_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+print(json.dumps(tracer.install()))
+"""
+
+
+class TestTracerHooks:
+    def test_every_hook_resolves(self, tmp_path):
+        # a name that cddbench/tracer.py hooks and the program renamed
+        # would leave its layer's counters silently at zero
+        bench = Path(__file__).parent.parent / "cddbench"
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACER_PROBE, str(bench)],
+            capture_output=True, text=True, cwd=tmp_path, env=fresh_interpreter_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []

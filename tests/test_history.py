@@ -214,6 +214,21 @@ class TestAnalyzeSnapshot:
         assert stats.class_count == 5
         assert stats.mean_physical_loc == Fraction(6 + 3 + 3 + 6 + 2, 5)
 
+    def test_a_malformed_icp_changes_no_metric(self):
+        # check and reconcile note it; a snapshot adds no diagnostic, and the
+        # annotation line only counts towards LOC: the file's 6 lines and
+        # Bad.In's 2-5 give 5, and In's `if` is 2.0 (1 branch, 1 condition)
+        source = ("class Bad {\n  @ICP(2)\n  static class In {\n"
+                  "    void f(boolean x) { if (x) {} }\n  }\n}\n")
+        well, malformed = (
+            analyze_snapshot([SnapshotFile(("Bad.java", text, False, ""))], RULES)
+            for text in (source, source.replace("@ICP(2)", "@ICP(x)")))
+        assert malformed == well
+        assert (malformed.parse_failures, malformed.diagnostics) == (0, ())
+        assert malformed.class_count == 2
+        assert malformed.mean_physical_loc == Fraction(6 + 4, 2)
+        assert malformed.mean_icp == Fraction(0 + 2, 2)
+
     def test_exclusion_correctness(self):
         files = [
             SnapshotFile(("A.java", "class A {}", False, "")),

@@ -21,7 +21,7 @@ from cddlint.annotations import DriftStatus, apply_fixes, extract_declared, reco
 from cddlint.cli import main
 from cddlint.engine import analyze_unit, verdict
 from cddlint.history import analyze_snapshot
-from cddlint.history.series import SnapshotFile
+from cddlint.history.series import SnapshotFile, analyze_file
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
 from cddlint.syntax import InvalidCharacter, TokenKind, parse_unit, scanner, tokenize
 
@@ -244,17 +244,14 @@ def test_fix_idempotence_and_soundness(bodies, declared):
     text = render_class(bodies)
     if declared is not None:
         text = f"@ICP({declared})\n{text}"
-    unit = parse_unit(text, "G.java")
-    analyses = analyze_unit(unit, RULES)
-    fixed = apply_fixes(text, analyses, unit)
+    fixed = apply_fixes(text, analyze_file("G.java", text, RULES).units)
 
     unit2 = parse_unit(fixed, "G.java")
     declared2 = extract_declared(unit2)
-    analyses2 = analyze_unit(unit2, RULES)
-    for analysis in analyses2:
+    for analysis in analyze_unit(unit2, RULES):
         assert reconcile(analysis, declared2).status is DriftStatus.IN_SYNC
 
-    assert apply_fixes(fixed, analyses2, unit2) == fixed
+    assert apply_fixes(fixed, analyze_file("G.java", fixed, RULES).units) == fixed
 
 
 def _rule_variants(base):
