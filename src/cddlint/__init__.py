@@ -2,16 +2,7 @@
 for Java sources, with @ICP annotation reconciliation and repository-history
 evolution metrics."""
 
-from .annotations import (
-    DeclaredIcp,
-    DriftReport,
-    DriftStatus,
-    MalformedIcp,
-    RewriteConflict,
-    apply_fix,
-    extract_declared,
-    reconcile,
-)
+from .annotations import DriftStatus, RewriteConflict, extract_declared, reconcile
 from .engine import IcpSite, UnitAnalysis, Verdict, analyze_unit, verdict
 from .methods import MethodStats, method_stats
 from .rules import ConfigError, IcpCategory, RuleSet, default_rules, load_rules
@@ -21,12 +12,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DeclaredIcp",
-    "DriftReport",
     "DriftStatus",
     "IcpCategory",
     "IcpSite",
-    "MalformedIcp",
     "MethodStats",
     "ParseError",
     "RewriteConflict",
@@ -35,7 +23,6 @@ __all__ = [
     "UnitAnalysis",
     "Verdict",
     "analyze_unit",
-    "apply_fix",
     "default_rules",
     "extract_declared",
     "load_rules",

@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 # cddbench/tracer.py hooks these names here; this module calls none of them
 from . import analyze_unit, extract_declared, parse_unit, reconcile, verdict  # noqa: F401
-from .annotations import DriftStatus, RewriteConflict, apply_fixes, drift
+from .annotations import DriftStatus, RewriteConflict, apply_fixes
 from .history import (
     GitProvider,
     RangeEmpty,
@@ -30,12 +30,11 @@ from .history import (
     render_json_mapping as render_series_json,
     series,
 )
-from .history.series import FileResult, analyze_file
+from .history.series import FileResult, UnitResult, analyze_file
 from .history.series import render_csv as render_series_csv
 from .report import (
     CheckReport,
     FileIssue,
-    UnitRow,
     render_csv,
     render_drift_csv,
     render_drift_json_mapping,
@@ -224,23 +223,26 @@ def _analyze_files(files: list[tuple[str, str]], rules: RuleSet
             yield rec, file, text, analyze_file(_rule_path(rec), text, rules)
 
 
+def _file_issues(rec: str, result: FileResult) -> list[FileIssue]:
+    """A file's diagnostics, then its malformed-@ICP note or failure."""
+    issues = [FileIssue((rec, d.span.line_start, d.message)) for d in result.diagnostics]
+    note = result.malformed or result.failure  # never both
+    if note:
+        issues.append(FileIssue((rec, None, note)))
+    return issues
+
+
 def _check_report(files: list[tuple[str, str]], rules: RuleSet) -> CheckReport:
-    """One row per unit, by path and type; each file's diagnostics, then its
-    malformed-@ICP note or failure, in path order."""
-    rows: list[UnitRow] = []
+    """One (recorded path, unit) row per unit, by path and type; each file's
+    issues, in path order."""
+    rows: list[tuple[str, UnitResult]] = []
     issues: list[FileIssue] = []
     parse_failures = 0
     for rec, _, _, result in _analyze_files(files, rules):
-        issues += (FileIssue((rec, d.span.line_start, d.message))
-                   for d in result.diagnostics)
-        note = result.malformed or result.failure  # never both
-        if note:
-            issues.append(FileIssue((rec, None, note)))
+        issues += _file_issues(rec, result)
         parse_failures += result.failure is not None
-        rows += (UnitRow((rec, u.type_name, u.total, u.subtotals, u.limit, u.over_limit,
-                          u.declared, *drift(u.total, u.declared)))
-                 for u in result.units)
-    rows.sort(key=lambda r: (r.path, r.type_name))
+        rows += ((rec, u) for u in result.units)
+    rows.sort(key=lambda row: (row[0], row[1].type_name))
     return CheckReport((tuple(rows), tuple(issues), parse_failures))
 
 
@@ -276,11 +278,14 @@ def cmd_reconcile(args) -> int:
 
 def _fix_files(files: list[tuple[str, str]], rules: RuleSet) -> int:
     """reconcile --fix: each file is rewritten from its `FileResult`, with no
-    second parse; nothing is written until every file has been read."""
+    second parse; nothing is written until every file has been read. A
+    file's issues go to stderr, as check's text shows them."""
     fixes: list[tuple[str, str, str]] = []
     conflicts = 0
     for rec, file, text, result in _analyze_files(files, rules):
-        if all(drift(u.total, u.declared)[1] is DriftStatus.IN_SYNC for u in result.units):
+        for issue in _file_issues(rec, result):
+            print(issue, file=sys.stderr)
+        if all(u.status is DriftStatus.IN_SYNC for u in result.units):
             continue
         try:
             fixed = apply_fixes(text, result.units)

@@ -106,11 +106,9 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     return analyses
 
 
-def verdict(
-    analysis: UnitAnalysis, rules: RuleSet, rule_path: Optional[str] = None
-) -> Verdict:
-    """Limit check; limit overrides match `rule_path`, by default the unit's path."""
-    limit = rules.limit_for(rule_path or analysis.path, analysis.type_name)
+def verdict(analysis: UnitAnalysis, rules: RuleSet) -> Verdict:
+    """Limit check; limit overrides match the unit's path and type name."""
+    limit = rules.limit_for(analysis.path, analysis.type_name)
     # strictly greater: a unit at the limit does not need refactoring
     return Verdict((limit, analysis.total > limit))
 

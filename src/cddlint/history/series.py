@@ -3,10 +3,11 @@ metrics: class counts, mean LOC, mean ICP, percent of classes over the
 limit, method-length stats and budget-commit detection.
 
 `analyze_file` is the one place a file is parsed, analysed, judged against
-its limit and read for class-level @ICP. `check` and `reconcile` render its
-`FileResult`s, `reconcile --fix` rewrites files from them with no second
-parse, and a snapshot's metrics aggregate one per non-test file; a snapshot
-shows whole-file failures only, not diagnostics or malformed-@ICP notes.
+its limit and reconciled with its class-level @ICP. `check` and `reconcile`
+render its `FileResult`s, `reconcile --fix` rewrites files from them with no
+second parse, and a snapshot's metrics aggregate one per non-test file; a
+snapshot shows whole-file failures only, not diagnostics or malformed-@ICP
+notes.
 
 `series()` walks the range once: the provider yields each snapshot's wanted
 files as (path, key) pairs, where the key is the git blob id, or the sha256
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from ..annotations import MalformedIcp, class_icp_spans, extract_declared
+from ..annotations import extract_declared, reconcile
 from ..engine import analyze_unit, verdict
 from ..methods import method_lengths, method_stats, stats_from_lengths
 from ..records import Record
@@ -133,9 +134,12 @@ class UnitResult(Record):
         "total",  # Fraction; all
         "subtotals",  # dict[IcpCategory, Fraction]; check
         "limit", "over_limit",  # the verdict, Fraction and bool; check, history
-        "declared",  # the class-level @ICP value, Fraction | None; check, reconcile, fix
+        "declared",  # the class-level @ICP value, Fraction | None; check, reconcile
+        # `annotations.reconcile`: computed - declared (None when unannotated),
+        # and the DriftStatus; check, reconcile, fix
+        "delta", "status",
         "loc",  # int; history
-        "icp_spans",  # `annotations.class_icp_spans`; fix rewrites them
+        "icp_spans",  # the class-level @ICP spans; fix rewrites them
         "header_start",  # byte offset; fix inserts a missing @ICP above it
     )
 
@@ -146,8 +150,8 @@ class FileResult(Record):
     _fields = (
         "units",  # (UnitResult, ...), outer types before their nested ones
         "method_lengths", "excluded_methods",  # (int, ...), int; history
-        "diagnostics",  # (ast.Diagnostic, ...), the parser's; check, reconcile
-        "malformed",  # the note of a malformed @ICP, or None; check, reconcile
+        "diagnostics",  # (ast.Diagnostic, ...), the parser's; check, reconcile, fix
+        "malformed",  # the note of a malformed @ICP, or None; check, reconcile, fix
         "failure",  # "parse failed: ...", or None when the file parsed; all
     )
 
@@ -157,8 +161,8 @@ class FileResult(Record):
 
 
 def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
-    """Parse, analyse and judge one file, and read its class-level @ICP: the
-    one per-file path, whose result check, reconcile, reconcile --fix and
+    """Parse, analyse and judge one file, and reconcile its class-level @ICP:
+    the one per-file path, whose result check, reconcile, reconcile --fix and
     history all read (`UnitResult` names who reads each field). A
     `ParseError` or `RecursionError` becomes its `failure`; a malformed @ICP
     leaves every unit of the file unannotated, with a note. Limit overrides
@@ -175,21 +179,17 @@ def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
         return FileResult.failed(f"parse failed: {exc}")
     except RecursionError:
         return FileResult.failed("parse failed: nesting too deep")
-    malformed = None
-    try:
-        declared = extract_declared(unit).class_level
-    except MalformedIcp as exc:
-        declared, malformed = {}, str(exc)
+    declared, malformed = extract_declared(unit)
+    whole_file = len(unit.types) == 1  # its first unit is the top-level class
     units = []
-    for a, (_, decl) in zip(analyses, iter_type_decls(unit)):
+    for a, (_, decl), (value, spans) in zip(analyses, iter_type_decls(unit), declared):
         v = verdict(a, rules)
+        loc = (unit.physical_lines if whole_file and not units
+               else a.span.line_end - a.span.line_start + 1)
         units.append(UnitResult((
             a.type_name, a.total, a.subtotals, v.applicable_limit, v.over_limit,
-            declared.get(a.type_name), a.span.line_end - a.span.line_start + 1,
-            class_icp_spans(decl), decl.header_start,
+            value, *reconcile(a.total, value), loc, spans, decl.header_start,
         )))
-    if len(unit.types) == 1:  # the first unit is the top-level class
-        units[0] = units[0]._replace(loc=unit.physical_lines)
     lengths, excluded = method_lengths(unit, rules)
     return FileResult((tuple(units), tuple(lengths), excluded,
                        unit.diagnostics, malformed, None))

@@ -18,15 +18,6 @@ from .rules import IcpCategory
 from .values import format_icp, json_number
 
 
-class UnitRow(Record):
-    _fields = (
-        "path", "type_name", "total", "subtotals", "limit", "over_limit",
-        "declared_total",  # Fraction | None
-        "delta",  # computed - declared; None when unannotated
-        "drift_status",
-    )
-
-
 class FileIssue(Record):
     _fields = ("path", "line", "message")  # line: int, or None for the whole file
 
@@ -36,24 +27,25 @@ class FileIssue(Record):
 
 
 class CheckReport(Record):
-    _fields = ("rows", "issues", "parse_failures")  # (UnitRow, ...), (FileIssue, ...), int
+    # ((recorded path, series.UnitResult), ...), (FileIssue, ...), int
+    _fields = ("rows", "issues", "parse_failures")
 
     @property
     def over_limit_count(self) -> int:
-        return sum(1 for r in self.rows if r.over_limit)
+        return sum(1 for _, u in self.rows if u.over_limit)
 
     @property
     def drifted_count(self) -> int:
-        return sum(1 for r in self.rows if r.drift_status is DriftStatus.DRIFTED)
+        return sum(1 for _, u in self.rows if u.status is DriftStatus.DRIFTED)
 
     @property
     def unannotated_count(self) -> int:
-        return sum(1 for r in self.rows if r.drift_status is DriftStatus.UNANNOTATED)
+        return sum(1 for _, u in self.rows if u.status is DriftStatus.UNANNOTATED)
 
 
-def _top_categories(row: UnitRow, n: int = 3) -> str:
+def _top_categories(subtotals: dict, n: int = 3) -> str:
     ranked = sorted(
-        ((cat, sub) for cat, sub in row.subtotals.items() if sub > 0),
+        ((cat, sub) for cat, sub in subtotals.items() if sub > 0),
         key=lambda item: (-item[1], item[0].value),
     )
     return ", ".join(f"{cat.value} {format_icp(sub)}" for cat, sub in ranked[:n])
@@ -61,14 +53,14 @@ def _top_categories(row: UnitRow, n: int = 3) -> str:
 
 def render_text(report: CheckReport) -> str:
     lines: list[str] = []
-    for row in report.rows:
-        if not row.over_limit:
+    for path, u in report.rows:
+        if not u.over_limit:
             continue
-        top = _top_categories(row)
+        top = _top_categories(u.subtotals)
         suffix = f" - {top}" if top else ""
         lines.append(
-            f"{row.path}:{row.type_name}: {format_icp(row.total)} ICPs "
-            f"(limit {format_icp(row.limit)}){suffix}"
+            f"{path}:{u.type_name}: {format_icp(u.total)} ICPs "
+            f"(limit {format_icp(u.limit)}){suffix}"
         )
     lines += map(str, report.issues)
     lines.append(
@@ -84,21 +76,20 @@ def render_json_mapping(report: CheckReport) -> dict:
         "schema_version": 1,
         "units": [
             {
-                "path": row.path,
-                "type": row.type_name,
-                "total": json_number(row.total),
+                "path": path,
+                "type": u.type_name,
+                "total": json_number(u.total),
                 "subtotals": {
-                    cat.value: json_number(sub) for cat, sub in row.subtotals.items()
+                    cat.value: json_number(sub) for cat, sub in u.subtotals.items()
                 },
-                "limit": json_number(row.limit),
-                "over_limit": row.over_limit,
+                "limit": json_number(u.limit),
+                "over_limit": u.over_limit,
                 "declared_total": (
-                    json_number(row.declared_total)
-                    if row.declared_total is not None else None
+                    json_number(u.declared) if u.declared is not None else None
                 ),
-                "drift_status": row.drift_status.value,
+                "drift_status": u.status.value,
             }
-            for row in report.rows
+            for path, u in report.rows
         ],
         "summary": {
             "units": len(report.rows),
@@ -133,29 +124,28 @@ def render_csv(report: CheckReport) -> str:
         "path", "type", "total", "limit", "over_limit", "declared", "drift_status",
         *(cat.value for cat in IcpCategory),
     ], ([
-        row.path,
-        row.type_name,
-        format_icp(row.total),
-        format_icp(row.limit),
-        "true" if row.over_limit else "false",
-        format_icp(row.declared_total) if row.declared_total is not None else "",
-        row.drift_status.value,
-        *(format_icp(row.subtotals[cat]) for cat in IcpCategory),
-    ] for row in report.rows))
+        path,
+        u.type_name,
+        format_icp(u.total),
+        format_icp(u.limit),
+        "true" if u.over_limit else "false",
+        format_icp(u.declared) if u.declared is not None else "",
+        u.status.value,
+        *(format_icp(u.subtotals[cat]) for cat in IcpCategory),
+    ] for path, u in report.rows))
 
 
 def render_drift_text(report: CheckReport) -> str:
     lines: list[str] = []
-    for row in report.rows:
-        if row.drift_status is DriftStatus.IN_SYNC:
+    for path, u in report.rows:
+        if u.status is DriftStatus.IN_SYNC:
             continue
-        declared = (format_icp(row.declared_total)
-                    if row.declared_total is not None else "-")
+        declared = format_icp(u.declared) if u.declared is not None else "-"
         delta = ""
-        if row.delta is not None:
-            delta = f" (delta {'+' if row.delta > 0 else ''}{format_icp(row.delta)})"
-        lines.append(f"{row.path}:{row.type_name}: {row.drift_status.value}: "
-                     f"declared {declared}, computed {format_icp(row.total)}{delta}")
+        if u.delta is not None:
+            delta = f" (delta {'+' if u.delta > 0 else ''}{format_icp(u.delta)})"
+        lines.append(f"{path}:{u.type_name}: {u.status.value}: "
+                     f"declared {declared}, computed {format_icp(u.total)}{delta}")
     lines += map(str, report.issues)
     lines.append(f"{len(report.rows)} units, {report.drifted_count} drifted, "
                  f"{report.unannotated_count} unannotated")
@@ -167,15 +157,14 @@ def render_drift_json_mapping(report: CheckReport) -> dict:
         "schema_version": 1,
         "units": [
             {
-                "path": row.path,
-                "type": row.type_name,
-                "declared_total": (json_number(row.declared_total)
-                                   if row.declared_total is not None else None),
-                "computed_total": json_number(row.total),
-                "delta": json_number(row.delta) if row.delta is not None else None,
-                "status": row.drift_status.value,
+                "path": path,
+                "type": u.type_name,
+                "declared_total": json_number(u.declared) if u.declared is not None else None,
+                "computed_total": json_number(u.total),
+                "delta": json_number(u.delta) if u.delta is not None else None,
+                "status": u.status.value,
             }
-            for row in report.rows
+            for path, u in report.rows
         ],
         "summary": {
             "units": len(report.rows),
@@ -189,10 +178,10 @@ def render_drift_json_mapping(report: CheckReport) -> dict:
 
 def render_drift_csv(report: CheckReport) -> str:
     return csv_document(["path", "type", "declared", "computed", "delta", "status"], ([
-        row.path,
-        row.type_name,
-        format_icp(row.declared_total) if row.declared_total is not None else "",
-        format_icp(row.total),
-        format_icp(row.delta) if row.delta is not None else "",
-        row.drift_status.value,
-    ] for row in report.rows))
+        path,
+        u.type_name,
+        format_icp(u.declared) if u.declared is not None else "",
+        format_icp(u.total),
+        format_icp(u.delta) if u.delta is not None else "",
+        u.status.value,
+    ] for path, u in report.rows))

@@ -85,6 +85,19 @@ _NON_TYPE_WORDS = frozenset({
     "void", "assert", "synchronized",
 }) | _TYPE_KEYWORDS
 
+# the keywords (JLS SE 17 §3.9) and literals that never name a variable;
+# `var`, `yield` and `record` are contextual and do, and so, since Java 22
+# (JLS SE 22 §6.1), does `_`, which names an unnamed one
+_RESERVED = frozenset({
+    "abstract", "assert", "boolean", "break", "byte", "case", "catch", "char",
+    "class", "const", "continue", "default", "do", "double", "else", "enum",
+    "extends", "final", "finally", "float", "for", "goto", "if", "implements",
+    "import", "instanceof", "int", "interface", "long", "native", "new",
+    "package", "private", "protected", "public", "return", "short", "static",
+    "strictfp", "super", "switch", "synchronized", "this", "throw", "throws",
+    "transient", "try", "void", "volatile", "while", "true", "false", "null",
+})
+
 # Binary operators by precedence level, loosest first (JLS SE 17 §15.17-15.24).
 # ">>" and ">>>" are written as adjacent ">" tokens.
 _BINARY_LEVELS = (
@@ -778,11 +791,11 @@ class _Parser:
 
     def _try_parse_local_head(self, follow: frozenset[str]) -> Optional[_Head]:
         """The head of a local or loop variable from the cursor, which is left
-        at its name; None, with nothing consumed, unless a name with a token
-        in `follow` after it follows the head. Only an `@`, or an
-        `IDENT(.IDENT)*` whose first word may start a type and which a name,
-        `<`, `[`, `@` or `.` follows, is tried, so `x = 1;`, `a.f();` and
-        `new X().f();` are not."""
+        at its name; None, with nothing consumed, unless a name that is not a
+        reserved word, with a token in `follow` after it, follows the head.
+        Only an `@`, or an `IDENT(.IDENT)*` whose first word may start a type
+        and which a name, `<`, `[`, `@` or `.` follows, is tried, so `x = 1;`,
+        `a.f();` and `new X().f();` are not."""
         kinds, texts, start = self.kinds, self.texts, self.pos
         if texts[start] in _NON_TYPE_WORDS:
             return None
@@ -795,7 +808,7 @@ class _Parser:
             self.pos = start
             return None
         i = self.pos
-        if kinds[i] != _IDENT or texts[i + 1] not in follow:
+        if kinds[i] != _IDENT or texts[i + 1] not in follow or texts[i] in _RESERVED:
             self.pos = start
             return None
         return start, uses, declared

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from cddlint.annotations import DriftStatus, apply_fix, extract_declared, reconcile
 from cddlint.cli import main as cli_main
 from cddlint.engine import UnitAnalysis, analyze_unit, verdict
 from cddlint.history import GitProvider, SnapshotDirProvider, render_csv, series

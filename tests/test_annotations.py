@@ -1,4 +1,4 @@
-"""Declared-value extraction, drift reconciliation, and fix-mode rewriting."""
+"""Declared-value extraction, the drift rule, and fix-mode rewriting."""
 
 from __future__ import annotations
 
@@ -9,14 +9,11 @@ import pytest
 
 from cddlint.annotations import (
     DriftStatus,
-    MalformedIcp,
     RewriteConflict,
-    apply_fix,
     apply_fixes,
     extract_declared,
     reconcile,
 )
-from cddlint.engine import analyze_unit
 from cddlint.history.series import analyze_file
 from cddlint.rules import default_rules
 from cddlint.syntax import parse_unit
@@ -26,44 +23,60 @@ from conftest import LISTING_INTERNAL_TYPES
 LISTING_RULES = default_rules(internal_types=LISTING_INTERNAL_TYPES)
 
 
-def analyses_of(text: str, rules=LISTING_RULES):
-    return analyze_unit(parse_unit(text, "T.java"), rules)
+def units_of(text: str, rules=LISTING_RULES):
+    return analyze_file("T.java", text, rules).units
+
+
+def fix(text: str, rules=LISTING_RULES) -> str:
+    return apply_fixes(text, units_of(text, rules))
 
 
 class TestExtract:
     def test_listing_declarations(self, listing_source):
-        declared = extract_declared(parse_unit(listing_source))
-        assert declared.class_level == {"CertificateDetailsController": Fraction(8)}
-        assert len(declared.site_level) == 6
-        assert sum(e.value for e in declared.site_level) == 8
+        unit = parse_unit(listing_source)
+        [(value, spans)], malformed = extract_declared(unit)
+        assert (value, len(spans), malformed) == (Fraction(8), 1, None)
+        assert len(unit.site_icp) == 6
+        assert sum(e.value for e in unit.site_icp) == 8
 
     def test_no_annotations_is_empty(self):
-        declared = extract_declared(parse_unit("class A { void f() {} }"))
-        assert declared.is_empty()
+        unit = parse_unit("class A { void f() {} }")
+        assert extract_declared(unit) == ([(None, ())], None)
+        assert unit.site_icp == ()
 
     def test_marker_comments_collected(self):
-        declared = extract_declared(parse_unit(
+        unit = parse_unit(
             "class A { void f(boolean x) {\n  // @ICP(2)\n  if (x) {}\n} }"
-        ))
-        assert [e.value for e in declared.site_level] == [2]
+        )
+        assert [e.value for e in unit.site_icp] == [2]
 
     def test_non_decimal_argument_is_malformed(self):
-        with pytest.raises(MalformedIcp):
-            extract_declared(parse_unit("@ICP(two) class A {}"))
+        [(value, spans)], malformed = extract_declared(parse_unit("@ICP(two) class A {}"))
+        assert (value, len(spans)) == (None, 1)
+        assert malformed == "@ICP needs a decimal argument (line 1)"
 
     def test_missing_argument_is_malformed(self):
-        with pytest.raises(MalformedIcp):
-            extract_declared(parse_unit("@ICP class A {}"))
+        [(value, spans)], malformed = extract_declared(parse_unit("@ICP class A {}"))
+        assert (value, len(spans)) == (None, 1)
+        assert malformed == "@ICP needs a decimal argument (line 1)"
+
+    def test_malformed_site_icp_leaves_every_type_unannotated(self):
+        unit = parse_unit("@ICP(3) class A {\n  @ICP(x) int n;\n}\n@ICP(4) class B {}\n")
+        declared, malformed = extract_declared(unit)
+        assert [value for value, _ in declared] == [None, None]
+        assert [len(spans) for _, spans in declared] == [1, 1]
+        assert malformed == "@ICP needs a decimal argument (line 2)"
 
     def test_site_annotation_after_final(self):
-        declared = extract_declared(parse_unit(
+        unit = parse_unit(
             "class A { void f(boolean c) { final @ICP(2) int x = c ? 1 : 2; } }"
-        ))
-        assert [(e.owner, e.value) for e in declared.site_level] == [("A", 2)]
+        )
+        assert [(e.owner, e.value) for e in unit.site_icp] == [("A", 2)]
 
     def test_other_annotations_ignored(self):
-        declared = extract_declared(parse_unit("@Entity class A { @Id int x; }"))
-        assert declared.is_empty()
+        unit = parse_unit("@Entity class A { @Id int x; }")
+        assert extract_declared(unit) == ([(None, ())], None)
+        assert unit.site_icp == ()
 
 
 # Each source's site-level @ICP values, as (owner, the source text of the
@@ -119,84 +132,66 @@ SITE_CASES = {
 @pytest.mark.parametrize("source, expected", SITE_CASES.values(), ids=SITE_CASES)
 def test_each_site_level_icp_is_recorded_once_with_its_element(source, expected):
     data = source.encode()
-    sites = extract_declared(parse_unit(source)).site_level
+    sites = parse_unit(source).site_icp
     assert sorted((s.owner, data[s.span.byte_start:s.span.byte_end].decode(), s.value)
                   for s in sites) == sorted(expected)
 
 
 class TestReconcile:
+    @pytest.mark.parametrize("total, declared, expected", [
+        (Fraction(8), Fraction(8), (0, DriftStatus.IN_SYNC)),
+        (Fraction(8), Fraction(7), (1, DriftStatus.DRIFTED)),
+        (Fraction(1, 2), Fraction(2), (Fraction(-3, 2), DriftStatus.DRIFTED)),
+        (Fraction(3), None, (None, DriftStatus.UNANNOTATED)),
+    ])
+    def test_rule(self, total, declared, expected):
+        assert reconcile(total, declared) == expected
+
     def test_in_sync(self, listing_source):
-        unit = parse_unit(listing_source)
-        [analysis] = analyze_unit(unit, LISTING_RULES)
-        report = reconcile(analysis, extract_declared(unit))
-        assert report.status is DriftStatus.IN_SYNC
-        assert report.delta == 0
+        [unit] = units_of(listing_source)
+        assert unit.status is DriftStatus.IN_SYNC
+        assert unit.delta == 0
 
     def test_unannotated(self):
         text = "class A { void f() { try {} catch (Exception e) {} finally {} } }"
-        unit = parse_unit(text)
-        [analysis] = analyze_unit(unit, default_rules())
-        report = reconcile(analysis, extract_declared(unit))
-        assert report.status is DriftStatus.UNANNOTATED
-        assert report.declared_total is None
-        assert report.delta is None
-        assert analysis.total == 3
+        [unit] = units_of(text, default_rules())
+        assert unit.status is DriftStatus.UNANNOTATED
+        assert unit.declared is None
+        assert unit.delta is None
+        assert unit.total == 3
 
     def test_drifted_by_one(self, listing_source):
-        text = listing_source.replace("@ICP(8)", "@ICP(7)")
-        unit = parse_unit(text)
-        [analysis] = analyze_unit(unit, LISTING_RULES)
-        report = reconcile(analysis, extract_declared(unit))
-        assert report.status is DriftStatus.DRIFTED
-        assert report.delta == 1
-
-    def test_site_mismatches_are_informational(self, listing_source):
-        unit = parse_unit(listing_source)
-        [analysis] = analyze_unit(unit, LISTING_RULES)
-        report = reconcile(analysis, extract_declared(unit))
-        assert report.status is DriftStatus.IN_SYNC
-        # the method-level @ICP(2) understates its 6 in-span sites, and the
-        # training declaration claims 1 where nothing is counted
-        pairs = sorted((m.declared, m.computed) for m in report.site_mismatches)
-        assert pairs == [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(6))]
+        [unit] = units_of(listing_source.replace("@ICP(8)", "@ICP(7)"))
+        assert unit.status is DriftStatus.DRIFTED
+        assert unit.delta == 1
 
 
 class TestApplyFix:
     def test_rewrites_drifted_class_annotation(self, listing_source):
         text = listing_source.replace("@ICP(8)", "@ICP(7)")
-        [analysis] = analyses_of(text)
-        fixed = apply_fix(text, analysis)
-        assert fixed == listing_source
+        assert fix(text) == listing_source
 
     def test_in_sync_text_is_byte_identical(self, listing_source):
-        [analysis] = analyses_of(listing_source)
-        assert apply_fix(listing_source, analysis) == listing_source
+        assert fix(listing_source) == listing_source
 
     def test_idempotent(self, listing_source):
-        text = listing_source.replace("@ICP(8)", "@ICP(3)")
-        [analysis] = analyses_of(text)
-        once = apply_fix(text, analysis)
-        [analysis2] = analyses_of(once)
-        assert apply_fix(once, analysis2) == once
+        once = fix(listing_source.replace("@ICP(8)", "@ICP(3)"))
+        assert fix(once) == once
 
     def test_inserts_annotation_when_missing(self):
         text = "class A {\n  private InternalDep dep;\n}\n"
-        rules = default_rules(internal_types=("Internal*",))
-        [analysis] = analyses_of(text, rules)
-        fixed = apply_fix(text, analysis)
+        fixed = fix(text, default_rules(internal_types=("Internal*",)))
         assert fixed == "@ICP(1)\nclass A {\n  private InternalDep dep;\n}\n"
 
     def test_insert_respects_indentation(self):
         text = "class Out {\n  static class In {\n    void f(boolean x) { if (x) {} }\n  }\n}\n"
-        analyses = analyses_of(text, default_rules())
-        inner = next(a for a in analyses if a.type_name == "Out.In")
-        fixed = apply_fix(text, inner)
+        inner = [u for u in units_of(text, default_rules()) if u.type_name == "Out.In"]
+        fixed = apply_fixes(text, inner)
         assert "\n  @ICP(2)\n  static class In {" in fixed
 
     def test_locality_only_one_line_changes(self, listing_source):
         text = listing_source.replace("@ICP(8)", "@ICP(7)")
-        [analysis] = analyses_of(text)
-        fixed = apply_fix(text, analysis)
+        fixed = fix(text)
         changed = [
             line for line in difflib.unified_diff(
                 text.splitlines(), fixed.splitlines(), lineterm="", n=0
@@ -208,33 +203,26 @@ class TestApplyFix:
     def test_half_point_rendering(self):
         text = "class A { void f(ExternalFoo e, ExternalBar b, ExternalBaz z) {} }"
         rules = default_rules(external_types=("External*",))
-        [analysis] = analyses_of(text, rules)
-        assert analysis.total == Fraction(3, 2)
-        fixed = apply_fix(text, analysis)
-        assert fixed.startswith("@ICP(1.5)\n")
+        [unit] = units_of(text, rules)
+        assert unit.total == Fraction(3, 2)
+        assert fix(text, rules).startswith("@ICP(1.5)\n")
 
     def test_fix_soundness_reparse_in_sync(self, listing_source):
-        text = listing_source.replace("@ICP(8)", "@ICP(7)")
-        [analysis] = analyses_of(text)
-        fixed = apply_fix(text, analysis)
-        unit = parse_unit(fixed)
-        [analysis2] = analyze_unit(unit, LISTING_RULES)
-        report = reconcile(analysis2, extract_declared(unit))
-        assert report.status is DriftStatus.IN_SYNC
+        fixed = fix(listing_source.replace("@ICP(8)", "@ICP(7)"))
+        [unit] = units_of(fixed)
+        assert unit.status is DriftStatus.IN_SYNC
 
     def test_duplicate_class_annotation_conflicts(self):
         text = "@ICP(1)\n@ICP(2)\nclass A { void f(boolean x) { if (x) {} } }\n"
-        [analysis] = analyses_of(text, default_rules())
         with pytest.raises(RewriteConflict):
-            apply_fix(text, analysis)
+            fix(text, default_rules())
 
     def test_multi_type_file_fixed_in_one_pass(self):
         text = (
             "@ICP(9)\nclass A { void f(boolean x) { if (x) {} } }\n"
             "class B { void g() { try {} finally {} } }\n"
         )
-        fixed = apply_fixes(text, analyze_file("T.java", text, default_rules()).units)
-        assert fixed == (
+        assert fix(text, default_rules()) == (
             "@ICP(2)\nclass A { void f(boolean x) { if (x) {} } }\n"
             "@ICP(2)\nclass B { void g() { try {} finally {} } }\n"
         )

@@ -503,6 +503,39 @@ class TestPerFileResult:
         ]
         assert doc["summary"]["parse_failures"] == 0
 
+    def test_fix_names_what_it_could_not_analyse(self, tmp_path, capsys, monkeypatch):
+        # a file that fails to parse is left as it is, and one with parser
+        # diagnostics is rewritten; stderr names both, as check's text does
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "E.java").write_text("class E {\n")
+        (tmp_path / "Probe.java").write_text("@ICP(5)\n" + UNANALYZED_SOURCE)
+        code, out, err = run(capsys, "reconcile", "--fix", ".")
+        assert (code, out) == (0, "fixed Probe.java\n1 files changed\n")
+        assert err.splitlines() == [
+            "E.java: parse failed: expected '}'",
+            "Probe.java:5: initializer block is not analyzed",
+            "Probe.java:10: switch expression is not analyzed",
+        ]
+        assert (tmp_path / "Probe.java").read_text() == "@ICP(0)\n" + UNANALYZED_SOURCE
+        assert (tmp_path / "E.java").read_text() == "class E {\n"
+
+    def test_fix_on_a_malformed_icp(self, tmp_path, capsys, monkeypatch):
+        # a malformed class-level @ICP is rewritten in place; a malformed
+        # site-level one leaves its class unannotated, so one is inserted
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "M.java").write_text("@ICP(x)\nclass M { void f(boolean b) { if (b) {} } }\n")
+        site = "class N {\n  void f(boolean b) {\n    @ICP(y) int k = b ? 1 : 2;\n  }\n}\n"
+        (tmp_path / "N.java").write_text(site)
+        code, out, err = run(capsys, "reconcile", "--fix", ".")
+        assert (code, out) == (0, "fixed M.java\nfixed N.java\n2 files changed\n")
+        assert err.splitlines() == [
+            "M.java: @ICP needs a decimal argument (line 1)",
+            "N.java: @ICP needs a decimal argument (line 3)",
+        ]
+        assert (tmp_path / "M.java").read_text() == (
+            "@ICP(2)\nclass M { void f(boolean b) { if (b) {} } }\n")
+        assert (tmp_path / "N.java").read_text() == "@ICP(2)\n" + site
+
     @pytest.mark.parametrize("argv", [
         ["check", "."], ["reconcile", "."], ["reconcile", "--fix", "."],
     ], ids=["check", "reconcile", "fix"])

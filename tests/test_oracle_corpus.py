@@ -79,11 +79,12 @@ def _line_shape(unit, rules):
           for s in a.sites])
         for a in analyze_unit(unit, rules)
     ]
-    declared = extract_declared(unit)
+    declared, malformed = extract_declared(unit)
+    class_level = [(value, [s.line_start for s in spans]) for value, spans in declared]
     sites = [(s.owner, s.value, s.span.line_start, s.span.line_end)
-             for s in declared.site_level]
+             for s in unit.site_icp]
     diagnostics = [(d.message, d.span.line_start) for d in unit.diagnostics]
-    return units, declared.class_level, sites, diagnostics
+    return units, class_level, malformed, sites, diagnostics
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])

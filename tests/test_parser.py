@@ -108,6 +108,11 @@ class TestBasics:
         ("int[] x;", ast.LocalDecl),
         ("String @A [] x;", ast.LocalDecl),
         ("a.b.C x, y;", ast.LocalDecl),
+        # contextual keywords, and `_` since Java 22, name variables
+        ("int var = 1;", ast.LocalDecl),
+        ("int yield = 2;", ast.LocalDecl),
+        ("int record = 3;", ast.LocalDecl),
+        ("int _ = 4;", ast.LocalDecl),
         ("x = 1;", ast.ExprStmt),
         ("a.f(x);", ast.ExprStmt),
         ("a[i] = 2;", ast.ExprStmt),
@@ -122,6 +127,17 @@ class TestBasics:
         unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
         assert unit.diagnostics == ()
         assert {type(s) for s in unit.types[0].methods[0].body.stmts} == {kind}
+
+    @pytest.mark.parametrize("stmt", [
+        "x if = 2;", "int true = 1;", "String null;", "x goto = 1;",
+        "for (x if : xs) {}",
+    ])
+    def test_a_reserved_word_never_names_a_local(self, stmt):
+        # JLS SE 17 §3.9: the statement is not a declaration, so it fails
+        # with a diagnostic
+        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
+        assert unit.diagnostics
+        assert not any(isinstance(node, ast.LocalDecl) for node in walk_nodes(unit.types[0]))
 
     def test_generics_parse_into_type_args(self):
         unit = parse_unit("class A { Map<String, List<Integer>> m; }")

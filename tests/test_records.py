@@ -62,8 +62,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_every_record_class_is_found():
-    # the 40 syntax records and the 19 per-file and per-run results
-    assert len(RECORD_CLASSES) >= 59
+    # the 40 syntax records and the 16 per-file and per-run results
+    assert len(RECORD_CLASSES) >= 56
     assert set(SYNTAX_TYPES) <= set(RECORD_CLASSES)
 
 
