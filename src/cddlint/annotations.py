@@ -7,8 +7,9 @@ annotations, `reconcile` compares it with the computed total, and
 comments) are advisory, as legal annotation positions cannot express every
 counted site: they never drive a verdict, and fix mode rewrites only the
 class level. The parser records them as it reads them
-(`SourceUnit.site_icp`), lambda bodies included; a malformed one leaves its
-file unannotated, as a malformed class-level one does.
+(`SourceUnit.site_icp`), lambda bodies included. A malformed @ICP, one with
+no decimal argument, gets a note; it leaves unannotated only the type whose
+class-level @ICP it is, so a malformed site-level one changes no value.
 """
 
 from __future__ import annotations
@@ -44,20 +45,21 @@ def extract_declared(unit: ast.SourceUnit
     """Per type, in `iter_type_decls` order, the value of its first
     class-level @ICP (None when it has none) and the spans of all of them, a
     malformed one included: fix mode rewrites them, and refuses more than
-    one. Then the note of the first @ICP with no decimal argument, class
-    level first, or None; with a note, every value is None."""
+    one; the value is None too when one of them has no decimal argument.
+    Then the note of the first @ICP with no decimal argument, class level
+    first, or None."""
     declared = []
     malformed: list[Span] = []  # of each @ICP with no decimal argument
     for _, decl in iter_type_decls(unit):
         annos = [a for a in decl.annotations if a.simple_name() == "ICP"]
-        malformed += (a.span for a in annos if a.numeric_arg is None)
-        declared.append((annos[0].numeric_arg if annos else None,
+        bad = [a.span for a in annos if a.numeric_arg is None]
+        malformed += bad
+        declared.append((annos[0].numeric_arg if annos and not bad else None,
                          tuple(a.span for a in annos)))
     malformed += (s.use_span for s in unit.site_icp if s.value is None)
     if not malformed:
         return declared, None
-    return ([(None, spans) for _, spans in declared],
-            f"@ICP needs a decimal argument (line {malformed[0].line_start})")
+    return declared, f"@ICP needs a decimal argument (line {malformed[0].line_start})"
 
 
 def reconcile(total: Fraction, declared: Optional[Fraction]

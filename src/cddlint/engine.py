@@ -135,9 +135,9 @@ class _Scope:
 
 
 # The coupling uses of one expression-bearing statement region, the first of
-# each name kept: name -> (span, reason, direct); a direct use (a constructor
-# call of a matching type) needs no scope lookup.
-_Uses = dict[str, tuple[Span, str, bool]]
+# each name kept: name -> (span, the type of a `new` or None); a `new` of a
+# matching type is a use by itself, any other name needs a scope lookup.
+_Uses = dict[str, tuple[Span, Optional[TypeRef]]]
 
 
 class _TypeWalker:
@@ -155,6 +155,19 @@ class _TypeWalker:
         if rule.enabled:
             self.sites.append(IcpSite((category, rule.cost, span, reason)))
 
+    def _couple(self, declared: ast.TypeRef, internal_kind: Optional[str],
+                external_kind: Optional[str]) -> None:
+        """The coupling sites of a declaration's written type: internal, given
+        an `internal_kind`, for a project class, and external, given an
+        `external_kind`, for a library class. The one statement of that rule."""
+        name = declared.qualified_name
+        if internal_kind is not None and self._internal(name):
+            self._emit(IcpCategory.INTERNAL_COUPLING, declared.span,
+                       f"internal coupling: {declared.simple_name} {internal_kind}")
+        if external_kind is not None and self._external(name):
+            self._emit(IcpCategory.EXTERNAL_COUPLING, declared.span,
+                       f"external coupling: {declared.simple_name} {external_kind}")
+
     # ── type body ───────────────────────────────────────────────────────
 
     def analyze(self, decl: ast.TypeDecl) -> list[IcpSite]:
@@ -168,12 +181,7 @@ class _TypeWalker:
             self._flush_region(region, self.type_scope)
 
         for f in decl.fields:
-            if self._internal(f.declared_type.qualified_name):
-                self._emit(IcpCategory.INTERNAL_COUPLING, f.declared_type.span,
-                           f"internal coupling: {f.declared_type.simple_name} field")
-            if self._external(f.declared_type.qualified_name):
-                self._emit(IcpCategory.EXTERNAL_COUPLING, f.declared_type.span,
-                           f"external coupling: {f.declared_type.simple_name} declaration")
+            self._couple(f.declared_type, "field", "declaration")
             if f.initializer is not None:
                 self._walk_initializer(f.initializer, self.type_scope)
 
@@ -188,15 +196,9 @@ class _TypeWalker:
         scope = _Scope(self.type_scope)
         for p in m.params:
             scope.bind(p.name, p.type)
-            if self._internal(p.type.qualified_name):
-                self._emit(IcpCategory.INTERNAL_COUPLING, p.type.span,
-                           f"internal coupling: {p.type.simple_name} parameter")
-            if self._external(p.type.qualified_name):
-                self._emit(IcpCategory.EXTERNAL_COUPLING, p.type.span,
-                           f"external coupling: {p.type.simple_name} declaration")
-        if m.return_type is not None and self._internal(m.return_type.qualified_name):
-            self._emit(IcpCategory.INTERNAL_COUPLING, m.return_type.span,
-                       f"internal coupling: {m.return_type.simple_name} return type")
+            self._couple(p.type, "parameter", "declaration")
+        if m.return_type is not None:
+            self._couple(m.return_type, "return type", None)
         if m.body is not None:
             self._walk_stmt(m.body, scope)
 
@@ -285,10 +287,8 @@ class _TypeWalker:
 
     def _walk_local_decl(self, stmt: ast.LocalDecl, scope: _Scope,
                          what: str = "declaration") -> None:
-        if stmt.declared_type is not None and self._external(
-                stmt.declared_type.qualified_name):
-            self._emit(IcpCategory.EXTERNAL_COUPLING, stmt.declared_type.span,
-                       f"external coupling: {stmt.declared_type.simple_name} {what}")
+        if stmt.declared_type is not None:
+            self._couple(stmt.declared_type, None, what)
         if stmt.initializer is not None:
             self._walk_initializer(stmt.initializer, scope)
         scope.bind(stmt.name, stmt.declared_type)
@@ -305,14 +305,15 @@ class _TypeWalker:
         region: _Uses = {}
         # a bare name used as the whole initializer is a coupling use
         if type(expr) is NameRef:
-            region[expr.name] = (expr.span, f"internal coupling: use of {expr.name}", False)
+            region[expr.name] = (expr.span, None)
         self._walk_expr(expr, scope, region)
         self._flush_region(region, scope)
 
     def _flush_region(self, region: _Uses, scope: _Scope) -> None:
-        for name, (span, reason, direct) in region.items():
-            if direct:
-                self._emit(IcpCategory.INTERNAL_COUPLING, span, reason)
+        for name, (span, new_type) in region.items():
+            if new_type is not None:
+                self._emit(IcpCategory.INTERNAL_COUPLING, span,
+                           f"internal coupling: new {new_type.simple_name}")
                 continue
             declared = scope.lookup(name)
             if declared is not None and self._internal(declared.qualified_name):
@@ -353,7 +354,7 @@ class _TypeWalker:
             root = _receiver_root(expr.receiver)
             if root is not None:
                 name, span = root
-                region.setdefault(name, (span, f"internal coupling: use of {name}", False))
+                region.setdefault(name, (span, None))
         elif kind is Lambda:
             if not self.rules.count_lambdas:
                 return  # nothing inside a lambda is counted
@@ -369,11 +370,11 @@ class _TypeWalker:
             self._condition_sites(expr.cond)
         elif kind is New:
             if self._internal(expr.type.qualified_name):
-                region.setdefault(expr.type.qualified_name, (
-                    expr.type.span, f"internal coupling: new {expr.type.simple_name}", True))
-        for child in iter_children(expr):
-            if type(child) is not TypeRef:
-                self._walk_expr(child, scope, region)
+                region.setdefault(expr.type.qualified_name, (expr.type.span, expr.type))
+        if expr._child_indices:  # a NameRef or Literal has none
+            for child in iter_children(expr):
+                if type(child) is not TypeRef:
+                    self._walk_expr(child, scope, region)
 
 
 def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
@@ -406,5 +407,6 @@ def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
             continue
         if kind is Binary and node.op in ("&&", "||"):
             out.append(node.op_span)
-        stack.extend(iter_children(node))
+        if node._child_indices:
+            stack.extend(iter_children(node))
     return out

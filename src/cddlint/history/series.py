@@ -165,8 +165,8 @@ def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
     the one per-file path, whose result check, reconcile, reconcile --fix and
     history all read (`UnitResult` names who reads each field). A
     `ParseError` or `RecursionError` becomes its `failure`; a malformed @ICP
-    leaves every unit of the file unannotated, with a note. Limit overrides
-    and test globs match `path`.
+    gives the file a note, and leaves unannotated only the unit whose
+    class-level @ICP it is. Limit overrides and test globs match `path`.
 
     LOC attribution: a file with a single top-level class contributes its
     whole-file physical line count to that class; any other class gets its own

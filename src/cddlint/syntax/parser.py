@@ -12,11 +12,15 @@ marker comment before a statement, lambda bodies included. Each is appended
 when its element ends, so it has the element's span, and the type being read
 is its owner. A parse that is thrown away drops what it recorded.
 
-One head reader, ``_try_parse_local_head``, reads the modifiers and type of a
-local declaration and of both kinds of `for` header, so a header is read
-once; one list reader, ``_parse_list``, reads every bracketed, separated
-list. A parse attempt that is rolled back when it fails (a variable's head,
-its declarators, a cast) fails only on input that is not Java.
+One reader per rule: ``_parse_modifiers`` reads the annotations and
+modifiers of a type, a member and, given ``_VARIABLE_MODIFIERS``, a variable;
+``_parse_par_expr`` reads each `( Expression )` after a keyword; one head
+reader, ``_try_parse_local_head``, reads the modifiers and type of a local
+declaration and of both kinds of `for` header, so a header is read once; one
+list reader, ``_parse_list``, reads every bracketed, separated list. A parse
+attempt that is rolled back when it fails (a variable's head, its
+declarators, a cast, an else-link's annotations) runs in ``_attempt``, the one
+undo, and fails only on input that is not Java.
 
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists. A skip
@@ -63,8 +67,10 @@ PRIMITIVES = frozenset({
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
-# the tokens each optional part of a declaration can start with
-_VARIABLE_MODIFIER_STARTS = frozenset({"@", "final"})
+# the one modifier a variable may have (JLS SE 17 §4.12.4), and the tokens
+# each optional part of a declaration can start with
+_VARIABLE_MODIFIERS = frozenset({"final"})
+_VARIABLE_MODIFIER_STARTS = _VARIABLE_MODIFIERS | {"@"}
 _ARRAY_SUFFIX_STARTS = frozenset({"[", "@"})
 
 # what may follow the words a local declaration starts with, a name aside
@@ -221,6 +227,18 @@ class _Parser:
 
     def diag(self, message: str, span: Span) -> None:
         self.diagnostics.append(ast.Diagnostic((message, span)))
+
+    def _attempt(self, parse: Callable[..., Any], *args: Any) -> Any:
+        """`parse(*args)`, which is never None; None if it fails, with the
+        cursor back and the diagnostics and site-level @ICP it recorded dropped."""
+        start, diagnostics, recorded = self.pos, len(self.diagnostics), len(self.site_icp)
+        try:
+            return parse(*args)
+        except _Fail:
+            self.pos = start
+            del self.diagnostics[diagnostics:]
+            del self.site_icp[recorded:]
+            return None
 
     # ── compilation unit ────────────────────────────────────────────────
 
@@ -393,7 +411,7 @@ class _Parser:
     def _parse_param(self) -> ast.Param:
         start = self.pos
         if self.texts[start] in _VARIABLE_MODIFIER_STARTS:
-            self._parse_variable_modifiers()
+            self._parse_modifiers(_VARIABLE_MODIFIERS)
         ptype = self._parse_type()
         if self.texts[self.pos] in ("...", "@") and self._at_annotated("..."):
             self.pos += 1  # varargs behave like the element type
@@ -420,6 +438,8 @@ class _Parser:
                 break
             self.pos += 1
             name = self.texts[self.expect_ident(what)]
+            if name in _RESERVED:  # JLS SE 17 §3.9
+                raise _Fail(f"expected {what}", self.tok_span(self.pos - 1))
         self.expect(";")
         return names
 
@@ -472,29 +492,20 @@ class _Parser:
             uses.append(ast.AnnotationUse((name, numeric, self.span_from(start))))
         return tuple(uses)
 
-    def _parse_modifiers(self) -> tuple[tuple[ast.AnnotationUse, ...], int]:
-        """The annotations and modifiers before a member or a type, in any
-        order; the annotations, and the header's first token: the first
-        modifier, or the token after the annotations when there is none."""
+    def _parse_modifiers(self, words: frozenset[str] = MODIFIERS
+                         ) -> tuple[tuple[ast.AnnotationUse, ...], int]:
+        """The annotations and modifier `words` before a member, a type or,
+        with `_VARIABLE_MODIFIERS`, a variable, in any order; the
+        annotations, and the header's first token: the first modifier, or
+        the token after the annotations when there is none."""
         texts = self.texts
         anns = self._parse_annotations() if texts[self.pos] == "@" else ()
         header_tok = self.pos
-        while texts[self.pos] in MODIFIERS:
+        while texts[self.pos] in words:
             self.pos += 1
             if texts[self.pos] == "@":
                 anns += self._parse_annotations()
         return anns, header_tok
-
-    def _parse_variable_modifiers(self) -> tuple[ast.AnnotationUse, ...]:
-        """The annotations and `final` before a variable, in any order
-        (JLS SE 17 §4.12.4); the annotations."""
-        texts = self.texts
-        anns = self._parse_annotations() if texts[self.pos] == "@" else ()
-        while texts[self.pos] == "final":
-            self.pos += 1
-            if texts[self.pos] == "@":
-                anns += self._parse_annotations()
-        return anns
 
     def _parse_type(self) -> ast.TypeRef:
         """A type: its names joined by dots, and the type arguments of each
@@ -643,9 +654,7 @@ class _Parser:
         elif word == "synchronized" and texts[i + 1] == "(":
             self.diag("synchronized statement is analyzed as a plain block", self.tok_span(i))
             self.pos += 1
-            self.expect("(")
-            self._parse_expr()
-            self.expect(")")
+            self._parse_par_expr()
             stmts = [ast.Block((self._parse_block().stmts, self.span_from(start)))]
         elif word in ("assert", "yield"):
             self.diag(f"{word} statement is not analyzed", self.tok_span(i))
@@ -679,9 +688,7 @@ class _Parser:
             recorded = len(self.site_icp)
             try:
                 if_kw = self.tok_span(self.expect("if"))
-                self.expect("(")
-                cond = self._parse_expr()
-                self.expect(")")
+                cond = self._parse_par_expr()
             except _Fail as exc:
                 if not links:
                     raise
@@ -694,10 +701,7 @@ class _Parser:
             if else_kw is None:
                 break
             start = self.pos
-            try:
-                uses = self._parse_annotations() if self.texts[start] == "@" else ()
-            except _Fail:
-                uses = None
+            uses = self._attempt(self._parse_annotations) if self.texts[start] == "@" else ()
             if uses is None or self.texts[self.pos] != "if":
                 self.pos = start  # not a link: the else branch is parsed whole
                 else_branch = self._parse_substatement()
@@ -720,9 +724,7 @@ class _Parser:
 
     def _parse_while(self, start: int) -> ast.Loop:
         kw = self.tok_span(self.expect("while"))
-        self.expect("(")
-        cond = self._parse_expr()
-        self.expect(")")
+        cond = self._parse_par_expr()
         body = self._parse_substatement()
         return ast.Loop(("while", cond, body, kw, self.span_from(start), (), (), None, None))
 
@@ -730,9 +732,7 @@ class _Parser:
         kw = self.tok_span(self.expect("do"))
         body = self._parse_substatement()
         self.expect("while")
-        self.expect("(")
-        cond = self._parse_expr()
-        self.expect(")")
+        cond = self._parse_par_expr()
         self.expect(";")
         return ast.Loop(("do_while", cond, body, kw, self.span_from(start), (), (), None, None))
 
@@ -767,23 +767,23 @@ class _Parser:
         if self.texts[self.pos] != ";":
             cond = self._parse_expr()
         self.expect(";")
-        update: list[ast.Expr] = []
-        if self.texts[self.pos] != ")":
-            update.append(self._parse_expr())
-            while self.texts[self.pos] == ",":
-                self.pos += 1
-                update.append(self._parse_expr())
+        update = self._parse_exprs() if self.texts[self.pos] != ")" else ()
         self.expect(")")
         body = self._parse_substatement()
         return ast.Loop(("for", cond, body, kw, self.span_from(start), tuple(init),
                          tuple(update), None, None))
 
-    def _parse_expr_list_stmt(self) -> ast.Stmt:
-        start = self.pos
+    def _parse_exprs(self) -> list[ast.Expr]:
+        """Expressions separated by `,`, as a `for` header's init or update."""
         exprs = [self._parse_expr()]
         while self.texts[self.pos] == ",":
             self.pos += 1
             exprs.append(self._parse_expr())
+        return exprs
+
+    def _parse_expr_list_stmt(self) -> ast.Stmt:
+        start = self.pos
+        exprs = self._parse_exprs()
         span = self.span_from(start)
         if len(exprs) == 1:
             return ast.ExprStmt((exprs[0], span))
@@ -802,16 +802,14 @@ class _Parser:
         i = self._past_name(start)
         if kinds[i] != _IDENT and texts[i] not in _DECLARATION_NEXT:
             return None
-        try:
-            uses, declared = self._parse_local_head()
-        except _Fail:  # input that is not Java
-            self.pos = start
+        head = self._attempt(self._parse_local_head)
+        if head is None:  # input that is not Java
             return None
         i = self.pos
         if kinds[i] != _IDENT or texts[i + 1] not in follow or texts[i] in _RESERVED:
             self.pos = start
             return None
-        return start, uses, declared
+        return start, *head
 
     def _parse_local_head(self) -> tuple[tuple[ast.AnnotationUse, ...], Optional[ast.TypeRef]]:
         """The modifiers of a local variable, loop variable or try resource,
@@ -819,7 +817,7 @@ class _Parser:
         type."""
         texts, uses = self.texts, ()
         if texts[self.pos] in _VARIABLE_MODIFIER_STARTS:
-            uses = self._parse_variable_modifiers()
+            uses = self._parse_modifiers(_VARIABLE_MODIFIERS)[0]
         if texts[self.pos] == "var" and self.kinds[self.pos + 1] == _IDENT:
             self.pos += 1
             return uses, None
@@ -830,14 +828,11 @@ class _Parser:
         `start` and whose head has been read, through the `;`; None, with
         the cursor back at the head and nothing recorded, if they fail, and
         the statement is then read as expressions."""
-        recorded, saved_diags = len(self.site_icp), len(self.diagnostics)
         head_start, uses, declared = head
-        try:
-            names = self._parse_declarators(self.texts[self.advance()], "variable name")
-        except _Fail:
+        name = self.texts[self.advance()]
+        names = self._attempt(self._parse_declarators, name, "variable name")
+        if names is None:
             self.pos = head_start
-            del self.diagnostics[saved_diags:]
-            del self.site_icp[recorded:]
             return None
         if uses:
             self.record_icp(start, uses)
@@ -846,9 +841,7 @@ class _Parser:
 
     def _parse_switch(self, start: int) -> ast.Switch:
         kw = self.tok_span(self.expect("switch"))
-        self.expect("(")
-        scrutinee = self._parse_expr()
-        self.expect(")")
+        scrutinee = self._parse_par_expr()
         self.expect("{")
         cases: list[ast.SwitchCase] = []
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
@@ -896,7 +889,7 @@ class _Parser:
             c_start = self.pos
             c_kw = self.tok_span(self.advance())
             self.expect("(")
-            self._parse_variable_modifiers()
+            self._parse_modifiers(_VARIABLE_MODIFIERS)
             types = [self._parse_type()]
             while self.texts[self.pos] == "|":  # multi-catch: one clause
                 self.pos += 1
@@ -945,6 +938,14 @@ class _Parser:
             return ast.Assign((op, lhs, value, self.span_from(start)))
         return lhs
 
+    def _parse_par_expr(self) -> ast.Expr:
+        """`( Expression )`: the condition or operand of `if`, `while`, `do`,
+        `switch` and `synchronized`, and a switch expression's operand."""
+        self.expect("(")
+        expr = self._parse_expr()
+        self.expect(")")
+        return expr
+
     def _parse_ternary(self) -> ast.Expr:
         start = self.pos
         cond = self._parse_binary()
@@ -989,7 +990,7 @@ class _Parser:
             if op == "instanceof":
                 # `x instanceof final @A T t`, JLS SE 17 §4.11 and §14.30.1
                 if texts[self.pos] in _VARIABLE_MODIFIER_STARTS:
-                    self._parse_variable_modifiers()
+                    self._parse_modifiers(_VARIABLE_MODIFIERS)
                 ty = self._parse_type()
                 if self.kinds[self.pos] == _IDENT:  # pattern variable (accepted, unused)
                     self.pos += 1
@@ -1029,23 +1030,19 @@ class _Parser:
         castable = kind == _IDENT or kind in _LITERALS or text in ("(", "!", "~")
         if close < 0 or not castable or text == "instanceof":
             return None
-        recorded, saved_diags = len(self.site_icp), len(self.diagnostics)
-        try:
+        return self._attempt(self._parse_cast)
+
+    def _parse_cast(self) -> ast.Cast:
+        start = self.advance()
+        if self.texts[self.pos] == "@":
+            self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
+        ty = self._parse_type()
+        while self.texts[self.pos] == "&":  # `(A & B) x`, JLS SE 17 §15.16
             self.pos += 1
-            if self.texts[self.pos] == "@":
-                self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
-            ty = self._parse_type()
-            while self.texts[self.pos] == "&":  # `(A & B) x`, JLS SE 17 §15.16
-                self.pos += 1
-                self._parse_type()
-            self.expect(")")
-            inner = self._parse_unary()
-            return ast.Cast((ty, inner, self.span_from(start)))
-        except _Fail:
-            self.pos = start
-            del self.diagnostics[saved_diags:]
-            del self.site_icp[recorded:]
-            return None
+            self._parse_type()
+        self.expect(")")
+        inner = self._parse_unary()
+        return ast.Cast((ty, inner, self.span_from(start)))
 
     def _parse_postfix(self) -> ast.Expr:
         kinds, texts, start = self.kinds, self.texts, self.pos
@@ -1112,9 +1109,7 @@ class _Parser:
             if word == "switch":
                 self.diag("switch expression is not analyzed", self.tok_span(self.pos))
                 self.pos += 1
-                self.expect("(")
-                scrutinee = self._parse_expr()
-                self.expect(")")
+                scrutinee = self._parse_par_expr()
                 if self.texts[self.pos] != "{":
                     raise _Fail("expected '{'", self.tok_span(self.pos))
                 self._skip_balanced()

@@ -60,11 +60,21 @@ class TestExtract:
         assert (value, len(spans)) == (None, 1)
         assert malformed == "@ICP needs a decimal argument (line 1)"
 
-    def test_malformed_site_icp_leaves_every_type_unannotated(self):
-        unit = parse_unit("@ICP(3) class A {\n  @ICP(x) int n;\n}\n@ICP(4) class B {}\n")
-        declared, malformed = extract_declared(unit)
-        assert [value for value, _ in declared] == [None, None]
-        assert [len(spans) for _, spans in declared] == [1, 1]
+    @pytest.mark.parametrize("source, values, span_counts", [
+        # a malformed site-level @ICP changes no type's value
+        ("@ICP(3) class A {\n  @ICP(x) int n;\n}\n@ICP(4) class B {}\n",
+         [3, 4], [1, 1]),
+        # a malformed class-level one leaves its own type unannotated
+        ("@ICP(3) class A {\n  @ICP(x) static class In {}\n}\n@ICP(4) class B {}\n",
+         [3, None, 4], [1, 1, 1]),
+        ("@ICP(3) class A {\n  @ICP(1) @ICP(x) static class In {}\n}\n",
+         [3, None], [1, 2]),
+    ], ids=["site-level", "class-level", "one-of-two-class-level"])
+    def test_a_malformed_icp_leaves_only_its_own_type_unannotated(
+            self, source, values, span_counts):
+        declared, malformed = extract_declared(parse_unit(source))
+        assert [value for value, _ in declared] == values
+        assert [len(spans) for _, spans in declared] == span_counts
         assert malformed == "@ICP needs a decimal argument (line 2)"
 
     def test_site_annotation_after_final(self):

@@ -521,7 +521,8 @@ class TestPerFileResult:
 
     def test_fix_on_a_malformed_icp(self, tmp_path, capsys, monkeypatch):
         # a malformed class-level @ICP is rewritten in place; a malformed
-        # site-level one leaves its class unannotated, so one is inserted
+        # site-level one changes no class's value, so the @ICP inserted in
+        # the unannotated class brings it in sync, and a second fix is a no-op
         monkeypatch.chdir(tmp_path)
         (tmp_path / "M.java").write_text("@ICP(x)\nclass M { void f(boolean b) { if (b) {} } }\n")
         site = "class N {\n  void f(boolean b) {\n    @ICP(y) int k = b ? 1 : 2;\n  }\n}\n"
@@ -535,6 +536,11 @@ class TestPerFileResult:
         assert (tmp_path / "M.java").read_text() == (
             "@ICP(2)\nclass M { void f(boolean b) { if (b) {} } }\n")
         assert (tmp_path / "N.java").read_text() == "@ICP(2)\n" + site
+        code, out, _ = run(capsys, "reconcile", "--fail-on", "drift", ".")
+        assert code == 0
+        assert "N.java: @ICP needs a decimal argument (line 4)" in out.splitlines()
+        code, out, _ = run(capsys, "reconcile", "--fix", ".")
+        assert (code, out) == (0, "0 files changed\n")
 
     @pytest.mark.parametrize("argv", [
         ["check", "."], ["reconcile", "."], ["reconcile", "--fix", "."],

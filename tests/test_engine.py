@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from cddlint import engine
 from cddlint.engine import analyze_unit, verdict
 from cddlint.rules import (
     CategoryRule,
@@ -16,7 +17,7 @@ from cddlint.rules import (
     LimitOverride,
     default_rules,
 )
-from cddlint.syntax import iter_type_decls, parse_unit
+from cddlint.syntax import ast, iter_type_decls, parse_unit
 
 from conftest import LISTING_INTERNAL_TYPES, LONG_GUARD_SOURCE, LONG_SUM_SOURCE, ORACLE_DIR
 
@@ -443,6 +444,27 @@ class TestExactTotals:
         second = [analyze_unit(unit, DEFAULTS) for unit in units]
         assert built == []
         assert second == first
+
+
+class TestLeaves:
+    def test_no_child_walk_on_a_leaf(self, monkeypatch):
+        # a NameRef or a Literal has no children, so the expression walk and
+        # the `&&`/`||` search make no generator for one
+        units = [parse_unit(path.read_text("utf-8"), str(path))
+                 for path in sorted(ORACLE_DIR.rglob("*.java"))]
+        walked = []
+        real = engine.iter_children
+
+        def counting(node):
+            walked.append(type(node))
+            return real(node)
+
+        monkeypatch.setattr(engine, "iter_children", counting)
+        rules = DEFAULTS._replace(count_lambdas=True)
+        for unit in units:
+            analyze_unit(unit, rules)
+        assert walked and not {ast.NameRef, ast.Literal} & set(walked)
+        assert all(kind._child_indices for kind in walked)
 
 
 class TestVariableModifiers:

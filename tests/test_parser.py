@@ -131,6 +131,8 @@ class TestBasics:
     @pytest.mark.parametrize("stmt", [
         "x if = 2;", "int true = 1;", "String null;", "x goto = 1;",
         "for (x if : xs) {}",
+        # nor a later declarator
+        "int a, if = 2;", "final String s = t, null;", "for (int a, if = 2; ;) {}",
     ])
     def test_a_reserved_word_never_names_a_local(self, stmt):
         # JLS SE 17 §3.9: the statement is not a declaration, so it fails
@@ -138,6 +140,13 @@ class TestBasics:
         unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
         assert unit.diagnostics
         assert not any(isinstance(node, ast.LocalDecl) for node in walk_nodes(unit.types[0]))
+
+    def test_a_reserved_word_never_names_a_field(self):
+        # the member fails with a diagnostic; the members after it parse
+        unit = parse_unit("class A { int a, if = 2; void f(boolean c) { if (c) g(); } }")
+        assert [d.message for d in unit.diagnostics] == ["expected field name"]
+        assert unit.types[0].fields == ()
+        assert [m.name for m in unit.types[0].methods] == ["f"]
 
     def test_generics_parse_into_type_args(self):
         unit = parse_unit("class A { Map<String, List<Integer>> m; }")

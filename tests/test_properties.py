@@ -1,6 +1,7 @@
 """Property suites over generated sources: additivity, cost linearity,
 monotonicity, parallel determinism, fix idempotence/soundness, subtotals
-that add up, the token stream's invariants, and nesting depth.
+that add up, the keyword audit, the token stream's invariants, and nesting
+depth.
 
 The generated-class suites run 200 examples with hypothesis derandomization
 (fixed seed).
@@ -298,6 +299,95 @@ def test_subtotals_add_up_on_the_oracle_corpus():
 @SUITE
 def test_subtotals_add_up_on_generated_classes(bodies):
     _assert_subtotals_add_up(parse_unit(render_class(bodies), "G.java"), RULES)
+
+
+# ── the keyword audit ────────────────────────────────────────────────────
+
+# the keywords that each make one branch or exception site; a `do` loop's
+# one site is its `while`, so `do` is left out (the audit's "minus one per do")
+_SITE_KEYWORDS = frozenset({
+    "if", "else", "for", "while", "switch", "try", "catch", "finally",
+})
+
+# every form the audit counts, in one class: a multi-label case, `default`
+# before `:` and `->`, a do-while, wildcards, ternaries and a lambda body
+KEYWORD_FORMS_SOURCE = """\
+class K {
+  java.util.Map<String, ? extends Number> m;
+  java.util.List<?> xs;
+  int f(int x, boolean c) {
+    do { x--; } while (x > 0 && c);
+    switch (x) { case 1, 2: x = c ? 1 : 2; break; default: break; }
+    switch (x) { case 3 -> g(); default -> g(); }
+    if (c) { run(() -> { if (c) g(); }); } else if (!c) { g(); } else { g(); }
+    try { g(); } catch (IllegalStateException | IllegalArgumentException e) {
+    } finally { g(); }
+    for (int i : new int[] {1}) { while (c) { c = i > 0 ? false : c; } }
+    return c ? 1 : 0;
+  }
+}
+"""
+
+
+def _keyword_sites(text: str) -> int:
+    """The branch and exception sites a class's tokens promise, counted with
+    no parse: one per site keyword, per case label (`case A, B:` has two),
+    per `default` that ends in `:` or `->`, and per `?` that is no wildcard
+    (one after a `<` or `,` is)."""
+    tokens = tokenize(text)
+    kinds, texts = tokens.kinds, tokens.texts
+    count = 0
+    for i in range(len(tokens)):
+        word = texts[i]
+        if kinds[i] == TokenKind.IDENT:
+            if word in _SITE_KEYWORDS:
+                count += 1
+            elif word == "case":  # a case constant holds no `,`, `:` or `->`
+                j = i + 1
+                while texts[j] not in (":", "->"):
+                    count += texts[j] == ","
+                    j += 1
+                count += 1
+            elif word == "default" and texts[i + 1] in (":", "->"):
+                count += 1
+        elif word == "?" and texts[i - 1] not in ("<", ","):
+            count += 1
+    return count
+
+
+LAMBDA_RULES = RULES._replace(count_lambdas=True)
+
+
+def _engine_keyword_sites(text: str) -> int:
+    """The engine's branch and exception sites, lambdas counted, less the
+    lambda sites themselves, which no keyword makes."""
+    unit = parse_unit(text, "K.java")
+    return sum(site.category in (IcpCategory.BRANCH, IcpCategory.EXCEPTION)
+               and site.reason != "lambda expression"
+               for analysis in analyze_unit(unit, LAMBDA_RULES) for site in analysis.sites)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
+                         ids=lambda p: p.name)
+def test_keyword_audit_on_the_fixtures(path):
+    """A second witness, independent of parser parity, that no branch or
+    exception keyword is lost: each is one site of the engine's."""
+    text = path.read_text("utf-8")
+    assert _engine_keyword_sites(text) == _keyword_sites(text)
+
+
+def test_keyword_audit_on_every_form():
+    # do-while 1, the two switches 4 and 3, the if chain 5 (one in the
+    # lambda), try 3, for and while 2, and the ternaries 3
+    assert _keyword_sites(KEYWORD_FORMS_SOURCE) == 21
+    assert _engine_keyword_sites(KEYWORD_FORMS_SOURCE) == 21
+
+
+@given(class_bodies)
+@SUITE
+def test_keyword_audit_on_generated_classes(bodies):
+    text = render_class(bodies)
+    assert _engine_keyword_sites(text) == _keyword_sites(text)
 
 
 # ── the token stream ─────────────────────────────────────────────────────

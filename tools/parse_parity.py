@@ -12,9 +12,10 @@ package. The inputs are made once, by this process:
 * `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture texts with
   tokens deleted or copied in.
 
-Each side parses all of them in one child process of its own. An input's
-result is `repr(parse_unit(text))`, or the diagnostics of the `ParseError`
-it raises. An input that parses is also analysed under four rule sets: the
+Each side parses all of them in one child process of its own, with a hash
+seed of its own, so `parse_parity.py src src` checks that a parse and an
+analysis depend on no hash order. An input's result is
+`repr(parse_unit(text))`, or the diagnostics of the `ParseError` it raises. An input that parses is also analysed under four rule sets: the
 default rules and the corpus' `config_document()`, each with `count_lambdas`
 off and on; its analysis is the `repr` of the four `analyze_unit` results.
 The tool prints the number of inputs, the name of each input whose result
@@ -95,8 +96,8 @@ def make_inputs(change_src: Path) -> list[tuple[str, str, str]]:
     return inputs
 
 
-def run_side(src: Path, payload: bytes) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def run_side(src: Path, payload: bytes, hash_seed: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
     proc = subprocess.run([sys.executable, "-c", CHILD], input=payload, env=env,
                           capture_output=True, check=False)
     if proc.returncode != 0:
@@ -112,7 +113,7 @@ def main(argv: list[str]) -> int:
     from cddbench.corpus import config_document
 
     payload = json.dumps({"config": config_document(), "inputs": inputs}).encode()
-    parent, change = run_side(parent_src, payload), run_side(change_src, payload)
+    parent, change = run_side(parent_src, payload, "1"), run_side(change_src, payload, "2")
     differ = [name for _, name, _ in inputs
               if parent["results"][name][:2] != change["results"][name][:2]]
     analyses_differ = [name for _, name, _ in inputs
