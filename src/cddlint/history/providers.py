@@ -1,10 +1,12 @@
 """Snapshot providers: git repositories and directory-of-snapshots trees.
 
 Both providers serve a series through the same calls: `list_commits`, then
-`listings`, which yields each selected commit's wanted files as (path, key)
-pairs, then `read_files` for the pairs a caller has not seen, and `close`.
-The key stands for a file's bytes, so an unchanged file keeps its key from
-one snapshot to the next.
+`changes`, then `read_files` for the pairs a caller has not read, and
+`close`. `changes` yields a dict per selected commit from a raw path (bytes)
+to a wanted file's (path, key) pair, or to None once the path is gone: the
+first commit's whole tree, then what each later commit changed. The path is
+text (from git, with replacement characters where it is not UTF-8); the key
+stands for the file's bytes.
 
 Git access goes through the `git` executable using object reads only; the
 working tree is never touched. A series costs a fixed number of git
@@ -17,7 +19,8 @@ is not UTF-8, or that holds a newline, is read like any other.
 
 The directory provider reads plain `NNNN_<id>/` folders, so the pipeline
 can be exercised without git. It reads and hashes every file of each
-snapshot it lists; its key is the sha256 of the bytes.
+snapshot, keeping the last one's bytes for `read_files`; its key is the
+sha256 of the bytes.
 
 `subprocess` and `hashlib` are imported inside the calls that use them, and
 timestamps are formatted with `time`, not `datetime`: `cddlint.cli` imports
@@ -41,7 +44,8 @@ if TYPE_CHECKING:
     import subprocess
 
 RangeSpec = Union[None, int, str]  # None=all, int=last N, "A..B"=id range
-Listing = list[tuple[str, str]]  # a snapshot's (path, key) pairs
+Pair = tuple[str, str]  # a file's (path, key)
+Changes = dict[bytes, Optional[Pair]]  # raw path -> pair, or None when gone
 PathFilter = Callable[[str], bool]
 
 
@@ -94,10 +98,16 @@ def apply_range(commits: list[CommitMeta], range_spec: RangeSpec) -> list[Commit
 
 
 def _find_commit(commits: list[CommitMeta], commit_id: str) -> int:
-    for i, c in enumerate(commits):
-        if c.id == commit_id or c.id.startswith(commit_id):
-            return i
-    raise RangeEmpty(f"commit {commit_id!r} not found in first-parent history")
+    """The commit whose id is `commit_id`, or else the one whose id starts
+    with it: like git, refuse a prefix that several share."""
+    found = ([i for i, c in enumerate(commits) if c.id == commit_id]
+             or [i for i, c in enumerate(commits) if c.id.startswith(commit_id)])
+    if len(found) > 1:
+        raise RangeEmpty(f"commit prefix {commit_id!r} is ambiguous: "
+                         f"{len(found)} commits in first-parent history start with it")
+    if not found:
+        raise RangeEmpty(f"commit {commit_id!r} not found in first-parent history")
+    return found[0]
 
 
 class GitProvider:
@@ -126,44 +136,39 @@ class GitProvider:
         return proc.stdout
 
     def list_commits(self, range_spec: RangeSpec = None) -> list[CommitMeta]:
+        # -z: each field ends with a NUL, which no commit message can hold
         out = self._git(
-            "log", "--first-parent", "--reverse", "--format=%H%x1f%ct%x1f%B%x1e"
+            "log", "--first-parent", "--reverse", "-z", "--format=%H%x00%ct%x00%B"
         )
+        fields = iter(out.decode("utf-8", "replace").split("\0")[:-1])
         commits: list[CommitMeta] = []
-        for i, record in enumerate(out.decode("utf-8", "replace").split("\x1e")):
-            record = record.strip("\n")
-            if not record.strip():
-                continue
-            commit_id, epoch, message = record.split("\x1f", 2)
-            commits.append(
-                CommitMeta((commit_id.strip(), _iso_utc(int(epoch)),
-                            message.rstrip("\n"), len(commits)))
-            )
+        for commit_id, epoch, message in zip(fields, fields, fields):
+            commits.append(CommitMeta((commit_id, _iso_utc(int(epoch)),
+                                       message.rstrip("\n"), len(commits))))
         if not commits:
             raise RangeEmpty("repository has no commits")
         return apply_range(commits, range_spec)
 
-    def listings(
+    def changes(
         self, commits: list[CommitMeta], path_filter: PathFilter
-    ) -> Iterator[Listing]:
-        """Yield, for each of `commits` (consecutive in the first-parent
-        walk, oldest first), the (path, blob id) pairs of the blobs whose
-        path `path_filter` accepts, in `ls-tree` order: bytewise by path.
-        A path that is not UTF-8 is shown with replacement characters."""
-        tree: dict[bytes, tuple[str, str]] = {}  # raw path -> pair
+    ) -> Iterator[Changes]:
+        """Yield the changes to the (path, blob id) pairs of the blobs whose
+        path `path_filter` accepts at each of `commits` (consecutive in the
+        first-parent walk, oldest first): `ls-tree`, then each diff."""
 
-        def put(raw: bytes, blob_id: bytes) -> None:
+        def put(changed: Changes, raw: bytes, blob_id: bytes) -> None:
             path = raw.decode("utf-8", "replace")
             if path_filter(path):
-                tree[raw] = (path, blob_id.decode("ascii"))
+                changed[raw] = (path, blob_id.decode("ascii"))
 
+        tree: Changes = {}
         for record in self._git("ls-tree", "-r", "-z", commits[0].id).split(b"\0"):
             if record:
                 meta, _, raw = record.partition(b"\t")
                 _, kind, blob_id = meta.split(b" ")
                 if kind == b"blob":
-                    put(raw, blob_id)
-        yield [tree[raw] for raw in sorted(tree)]
+                    put(tree, raw, blob_id)
+        yield tree
         if len(commits) == 1:
             return
 
@@ -175,29 +180,26 @@ class GitProvider:
         # -z output: a commit id, then per changed path a
         # ":mode mode id id status" record and the path, all NUL-separated
         walked: list[str] = []
-        diffs: list[list[tuple[bytes, bytes]]] = []
+        diffs: list[Changes] = []
         tokens = iter(out.split(b"\0"))
         for token in tokens:
             token = token.lstrip(b"\n")
             if token.startswith(b":"):
                 _, new_mode, _, blob_id, status = token.split(b" ")
+                raw = next(tokens)
                 # deleted, or replaced by a submodule
-                gone = status == b"D" or new_mode == b"160000"
-                diffs[-1].append((next(tokens), b"" if gone else blob_id))
+                if status == b"D" or new_mode == b"160000":
+                    diffs[-1][raw] = None
+                else:
+                    put(diffs[-1], raw, blob_id)
             elif token:
                 walked.append(token.decode("ascii"))
-                diffs.append([])
+                diffs.append({})
         if walked != [c.id for c in commits[1:]]:
             raise VcsToolError("git log walked other commits than the range holds")
-        for diff in diffs:
-            for raw, blob_id in diff:
-                if blob_id:
-                    put(raw, blob_id)
-                else:
-                    tree.pop(raw, None)
-            yield [tree[raw] for raw in sorted(tree)]
+        yield from diffs
 
-    def read_files(self, pairs: Listing) -> list[tuple[str, bytes]]:
+    def read_files(self, pairs: list[Pair]) -> list[tuple[str, bytes]]:
         """Fetch the blobs of (path, blob id) pairs by id. A missing object
         raises `VcsToolError` naming its path."""
         files: list[tuple[str, bytes]] = []
@@ -280,7 +282,7 @@ class SnapshotDirProvider:
                 ordered.append((int(m.group(1)), m.group(2)))
                 self._dirs[m.group(2)] = child
         self._order = [cid for _, cid in sorted(ordered)]
-        self._blobs: dict[tuple[str, str], bytes] = {}  # of the last listing
+        self._blobs: dict[Pair, bytes] = {}  # of the last snapshot listed
 
     def list_commits(self, range_spec: RangeSpec = None) -> list[CommitMeta]:
         commits: list[CommitMeta] = []
@@ -297,28 +299,30 @@ class SnapshotDirProvider:
             raise RangeEmpty("snapshot directory has no snapshots")
         return apply_range(commits, range_spec)
 
-    def listings(
+    def changes(
         self, commits: list[CommitMeta], path_filter: PathFilter
-    ) -> Iterator[Listing]:
-        """Yield each commit's (path, sha256) pairs of the files whose path
-        `path_filter` accepts, bytewise by path as git lists them; the bytes
-        of the last listing are kept for `read_files`."""
+    ) -> Iterator[Changes]:
+        """Yield, per commit, the (path, sha256) pairs of the files whose
+        path `path_filter` accepts that changed, and None for one gone."""
         import hashlib
 
+        previous: dict[bytes, Pair] = {}
         for commit in commits:
             base = self._dirs.get(commit.id)
             if base is None:
                 raise VcsToolError(f"no snapshot directory for {commit.id}")
             self._blobs = {}
-            files = {child.relative_to(base).as_posix(): child
-                     for child in base.rglob("*") if child.is_file()}
-            for rel in sorted(files, key=os.fsencode):
-                if path_filter(rel):
-                    blob = files[rel].read_bytes()
+            for child in base.rglob("*"):
+                rel = child.relative_to(base).as_posix()
+                if child.is_file() and path_filter(rel):
+                    blob = child.read_bytes()
                     self._blobs[rel, hashlib.sha256(blob).hexdigest()] = blob
-            yield list(self._blobs)
+            tree = {os.fsencode(path): (path, key) for path, key in self._blobs}
+            yield {raw: None for raw in previous if raw not in tree} | {
+                raw: pair for raw, pair in tree.items() if previous.get(raw) != pair}
+            previous = tree
 
-    def read_files(self, pairs: Listing) -> list[tuple[str, bytes]]:
+    def read_files(self, pairs: list[Pair]) -> list[tuple[str, bytes]]:
         return [(path, self._blobs[path, key]) for path, key in pairs]
 
     def close(self) -> None:

@@ -9,25 +9,27 @@ second parse, and a snapshot's metrics aggregate one per non-test file; a
 snapshot shows whole-file failures only, not diagnostics or malformed-@ICP
 notes.
 
-`series()` walks the range once: the provider yields each snapshot's wanted
-files as (path, key) pairs, where the key is the git blob id, or the sha256
-of the bytes for snapshot folders. A `FileMemo` keeps what the previous
-snapshot's pairs came to: the decoded file with its test flag, or its "not
-UTF-8" note, and each non-test file's `FileResult`. Only pairs new since
-that snapshot are fetched, decoded, matched against the test globs, parsed
-and analysed. The key covers every input of a result: the bytes, and the
-path that test globs and limit overrides depend on; the rules are fixed for
-the call. The memo is replaced by each snapshot's entries, so it never holds
-more than one snapshot, and nothing outlives the call.
+`series()` walks the range once, from the changes the provider yields per
+commit: a raw path's (path, key) pair, where the key is the git blob id, or
+the sha256 of the bytes for snapshot folders, or None when the path is gone.
+One tree, keyed by raw path, holds what each current pair came to: the
+decoded file with its test flag, or its "not UTF-8" note, and each non-test
+file's `FileResult`. Only pairs that differ from the tree's are fetched,
+decoded, matched against the test globs, parsed and analysed. The pair
+covers every input of a result: the bytes, and the path that test globs and
+limit overrides depend on; the rules are fixed for the call. Changes wait in
+`pending`, so a snapshot whose fetch fails leaves the tree as it was and
+hands its changes to the next. Ordinals count from the oldest commit walked,
+which in a shallow clone is its boundary commit.
 
-`read_snapshot_files` followed by `analyze_snapshot` without a memo is the
+`read_snapshot_files` followed by `analyze_snapshot` without results is the
 independent full read of one commit that a series snapshot must equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..annotations import extract_declared, reconcile
 from ..engine import analyze_unit, verdict
@@ -39,7 +41,7 @@ from ..syntax import ParseError, parse_unit
 from ..syntax.ast import iter_type_decls
 from ..values import exact_sum, format_fixed2
 from .providers import (
-    CommitMeta, GitProvider, Listing, RangeSpec, SnapshotDirProvider,
+    Changes, CommitMeta, GitProvider, Pair, RangeSpec, SnapshotDirProvider,
 )
 
 Provider = Union[GitProvider, SnapshotDirProvider]
@@ -55,7 +57,6 @@ class SnapshotFile(Record):
     _fields = (
         "path", "text",
         "is_test",  # bool
-        "key",  # the provider's key for the bytes; a memo needs it
     )
 
 
@@ -86,16 +87,16 @@ class SeriesReport(Record):
     )
 
 
-def _decode(path: str, key: str, blob: bytes, rules: RuleSet) -> Union[SnapshotFile, str]:
+def _decode(path: str, blob: bytes, rules: RuleSet) -> Union[SnapshotFile, str]:
     """A fetched file, or the note that skips it when it is not UTF-8."""
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError:
         return f"{path}: skipped (not valid UTF-8)"
-    return SnapshotFile((path, text, rules.is_test_path(path), key))
+    return SnapshotFile((path, text, rules.is_test_path(path)))
 
 
-def _split(entries) -> tuple[list[SnapshotFile], list[str]]:
+def _split(entries: list) -> tuple[list[SnapshotFile], list[str]]:
     files = [e for e in entries if isinstance(e, SnapshotFile)]
     return files, [e for e in entries if isinstance(e, str)]
 
@@ -103,15 +104,14 @@ def _split(entries) -> tuple[list[SnapshotFile], list[str]]:
 def read_snapshot_files(
     provider: Provider, commit: CommitMeta, rules: RuleSet
 ) -> tuple[list[SnapshotFile], list[str]]:
-    """Fetch every matching file at one commit, with no memo; files that are
-    not UTF-8 are skipped with a note."""
-    [listing] = provider.listings([commit], rules.is_wanted_path)
+    """Fetch every matching file at one commit, in git's path order; files
+    that are not UTF-8 are skipped with a note."""
+    [tree] = provider.changes([commit], rules.is_wanted_path)
     try:
-        blobs = provider.read_files(listing)
+        blobs = provider.read_files([tree[raw] for raw in sorted(tree)])
     finally:
         provider.close()
-    return _split([_decode(path, key, blob, rules)
-                   for (path, key), (_, blob) in zip(listing, blobs)])
+    return _split([_decode(path, blob, rules) for path, blob in blobs])
 
 
 def detect_cdd_commit(message: str, rules: RuleSet) -> Optional[tuple[str, str]]:
@@ -195,49 +195,17 @@ def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
                        unit.diagnostics, malformed, None))
 
 
-class FileMemo:
-    """What the last snapshot's (path, key) pairs came to: the decoded file
-    or its "not UTF-8" note, and the `FileResult` of each non-test file. One
-    memo serves one provider and one `RuleSet`."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], Union[SnapshotFile, str]] = {}
-        self._results: dict[tuple[str, str], FileResult] = {}
-
-    def read(
-        self, listing: Listing,
-        read_files: Callable[[Listing], list[tuple[str, bytes]]], rules: RuleSet,
-    ) -> tuple[list[SnapshotFile], list[str]]:
-        """A snapshot's files and notes, as `read_snapshot_files` gives them;
-        only the pairs the last snapshot did not list are read."""
-        unseen = [pair for pair in listing if pair not in self._entries]
-        blobs = dict(zip(unseen, (blob for _, blob in read_files(unseen))))
-        self._entries = {pair: self._entries.get(pair)
-                         or _decode(*pair, blobs[pair], rules) for pair in listing}
-        return _split([self._entries[pair] for pair in listing])
-
-    def analyze(self, files: list[SnapshotFile], rules: RuleSet) -> list[FileResult]:
-        current: dict[tuple[str, str], FileResult] = {}
-        results = []
-        for f in files:
-            key = (f.path, f.key)
-            result = self._results.get(key) or analyze_file(f.path, f.text, rules)
-            current[key] = result
-            results.append(result)
-        self._results = current
-        return results
-
-
 def analyze_snapshot(
-    files: list[SnapshotFile], rules: RuleSet, memo: Optional[FileMemo] = None
+    files: list[SnapshotFile], rules: RuleSet,
+    results: Optional[list[FileResult]] = None,
 ) -> SnapshotStats:
     """Class metrics over non-test units; parse failures are tallied, not
-    fatal. With a memo, files whose (path, key) the memo's last snapshot
-    held reuse that snapshot's results; the metrics are the same either way."""
-    if memo is None:
-        memo = FileMemo()
+    fatal. `results`, when given, holds the `FileResult` of each non-test
+    file of `files`, in order; without it each file is analysed here. The
+    metrics are the same either way."""
     files = [f for f in files if not f.is_test]
-    results = memo.analyze(files, rules)
+    if results is None:
+        results = [analyze_file(f.path, f.text, rules) for f in files]
 
     totals: list[Fraction] = []
     lengths: list[int] = []
@@ -266,6 +234,27 @@ def analyze_snapshot(
     ))
 
 
+# a pair, the decoded file or its note, and a non-test file's `FileResult`
+Entry = tuple[Pair, Union[SnapshotFile, str], Optional[FileResult]]
+
+
+def _apply(tree: dict[bytes, Entry], pending: Changes, provider: Provider,
+           rules: RuleSet) -> None:
+    """Bring `tree` up to date with `pending`, reading only the pairs that
+    differ from the tree's; a read or an analysis that raises changes none."""
+    new = [(raw, pair) for raw, pair in pending.items()
+           if pair is not None and (raw not in tree or tree[raw][0] != pair)]
+    entries: dict[bytes, Entry] = {}
+    for (raw, pair), (path, blob) in zip(new, provider.read_files([p for _, p in new])):
+        entry = _decode(path, blob, rules)
+        entries[raw] = (pair, entry, None if isinstance(entry, str) or entry.is_test
+                        else analyze_file(path, entry.text, rules))
+    for raw, pair in pending.items():
+        if pair is None:
+            tree.pop(raw, None)
+    tree.update(entries)
+
+
 def series(
     provider: Provider, range_spec: RangeSpec, rules: RuleSet,
     parameters: Optional[dict] = None,
@@ -273,12 +262,18 @@ def series(
     snapshots: list[SnapshotMetrics] = []
     failures: list[str] = []
     commits = provider.list_commits(range_spec)
-    memo = FileMemo()
+    tree: dict[bytes, Entry] = {}
+    pending: Changes = {}
     try:
-        for commit, listing in zip(commits, provider.listings(commits, rules.is_wanted_path)):
+        for commit, changed in zip(commits, provider.changes(commits, rules.is_wanted_path)):
+            pending.update(changed)
             try:
-                files, notes = memo.read(listing, provider.read_files, rules)
-                stats = analyze_snapshot(files, rules, memo)
+                _apply(tree, pending, provider, rules)
+                pending = {}
+                ordered = [tree[raw] for raw in sorted(tree)]
+                files, notes = _split([entry for _, entry, _ in ordered])
+                stats = analyze_snapshot(
+                    files, rules, [r for _, _, r in ordered if r is not None])
                 if notes:
                     stats = stats._replace(diagnostics=tuple(notes) + stats.diagnostics)
             except Exception as exc:  # per-snapshot isolation

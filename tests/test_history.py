@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import json
 import os
+import random
 import subprocess
+import tarfile
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -27,7 +30,8 @@ from cddlint.history import (
     render_json_mapping,
     series,
 )
-from cddlint.history.providers import _iso_utc
+from cddlint import cli
+from cddlint.history.providers import CommitMeta, _iso_utc, apply_range
 from cddlint.history.series import SnapshotFile
 from cddlint.rules import LimitOverride, default_rules
 
@@ -99,6 +103,49 @@ class TestListSnapshots:
         with pytest.raises(RangeEmpty):
             GitProvider(repo).list_commits(0)
 
+    def test_a_message_may_hold_any_separator(self, tmp_path):
+        repo = tmp_path / "separators"
+        messages = ["first", "second\x1ethird", "fourth\x1ffifth\n\nbody\x1e"]
+        for i, message in enumerate(messages):
+            commit_tree(repo, {"A.java": (A_V1, A_V2)[i % 2]}, message,
+                        f"2021-12-0{i + 1}T00:00:00Z")
+        provider = GitProvider(repo)
+        assert [c.message for c in provider.list_commits()] == messages
+        report = series(provider, None, RULES)
+        assert [s.stats.class_count for s in report.snapshots] == [1, 1, 1]
+        assert [s.commit.ordinal for s in report.snapshots] == [0, 1, 2]
+
+    def test_an_ambiguous_prefix_is_refused(self, walk_repos, tmp_path, capsys):
+        repo = walk_repos[0]
+        ids = run_git(repo, "rev-list", "--first-parent", "--reverse", "HEAD").split()
+        assert len(ids) > 16  # so two of them share their first hex digit
+        digit = next(d for d in "0123456789abcdef"
+                     if sum(i.startswith(d) for i in ids) > 1)
+        provider = GitProvider(repo)
+        for range_spec in (f"{digit}..", f"..{digit}"):
+            with pytest.raises(RangeEmpty, match=f"prefix '{digit}' is ambiguous"):
+                provider.list_commits(range_spec)
+        out = tmp_path / "series"
+        assert cli.main(["history", str(repo), "--range", f"{digit}..",
+                         "--output-dir", str(out)]) == 2
+        assert f"commit prefix '{digit}' is ambiguous" in capsys.readouterr().err
+        assert not out.exists()
+        # a full id, or a prefix no other id has, still selects its commit
+        shared = [i for i in ids if i.startswith(digit)]
+        unique = next(i[:12] for i in ids if sum(j.startswith(i[:12]) for j in ids) == 1)
+        for end in (shared[0], unique):
+            whole = next(i for i in ids if i.startswith(end))
+            commits = provider.list_commits(f"..{end}")
+            assert [c.id for c in commits] == ids[:ids.index(whole) + 1]
+
+    def test_a_whole_id_wins_over_a_longer_one_it_starts(self):
+        # snapshot folders name commits freely: `c1` is whole, and starts `c10`
+        commits = [CommitMeta((cid, "", "", n)) for n, cid in enumerate(["c10", "c1"])]
+        assert apply_range(commits, "..c1") == commits
+        assert apply_range(commits, "c10..c1") == commits[1:]
+        with pytest.raises(RangeEmpty, match="prefix 'c' is ambiguous"):
+            apply_range(commits, "c..")
+
 
 class TestReadSnapshotFiles:
     def test_test_files_flagged_and_docs_filtered(self, history_repo):
@@ -157,7 +204,7 @@ def _n_if_class(name: str, n: int) -> SnapshotFile:
     params = ", ".join(f"int x{i}" for i in range(n))
     return SnapshotFile((f"{name}.java",
                          f"class {name} {{\n  void f({params}) {{\n{body}\n  }}\n}}\n",
-                         False, ""))
+                         False))
 
 
 class TestAnalyzeSnapshot:
@@ -181,20 +228,20 @@ class TestAnalyzeSnapshot:
             "CertificateResponse", "Training",
         ))
         stats = analyze_snapshot(
-            [SnapshotFile(("CertificateDetailsController.java", listing_source, False, ""))],
+            [SnapshotFile(("CertificateDetailsController.java", listing_source, False))],
             rules,
         )
         assert stats.class_count == 1
         assert stats.mean_icp == 8
 
     def test_parse_failure_tallied_not_fatal(self):
-        broken = SnapshotFile(("Broken.java", "not java at all", False, ""))
+        broken = SnapshotFile(("Broken.java", "not java at all", False))
         stats = analyze_snapshot([broken, _n_if_class("Ok", 1)], RULES)
         assert stats.parse_failures == 1
         assert stats.class_count == 1
 
     def test_too_deep_nesting_keeps_the_other_classes(self):
-        deep = SnapshotFile(("Deep.java", DEEP_SOURCE, False, ""))
+        deep = SnapshotFile(("Deep.java", DEEP_SOURCE, False))
         stats = analyze_snapshot([deep, _n_if_class("Ok", 1)], RULES)
         assert stats.parse_failures == 1
         assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
@@ -206,10 +253,10 @@ class TestAnalyzeSnapshot:
         # declaration's lines: A 1-6 is 6, A.N 3-5 is 3, B 8-10 is 3
         two = SnapshotFile(("Two.java", (
             "class A {\n  void f() {}\n  static class N {\n    int x;\n  }\n}\n"
-            "\nclass B {\n  int y;\n}\n"), False, ""))
+            "\nclass B {\n  int y;\n}\n"), False))
         # one top-level class counts the file's 6 lines; S.M 4-5 is 2
         one = SnapshotFile(("One.java", (
-            "package p;\n\nclass S {\n  class M {\n  }\n}\n"), False, ""))
+            "package p;\n\nclass S {\n  class M {\n  }\n}\n"), False))
         stats = analyze_snapshot([two, one], RULES)
         assert stats.class_count == 5
         assert stats.mean_physical_loc == Fraction(6 + 3 + 3 + 6 + 2, 5)
@@ -221,7 +268,7 @@ class TestAnalyzeSnapshot:
         source = ("class Bad {\n  @ICP(2)\n  static class In {\n"
                   "    void f(boolean x) { if (x) {} }\n  }\n}\n")
         well, malformed = (
-            analyze_snapshot([SnapshotFile(("Bad.java", text, False, ""))], RULES)
+            analyze_snapshot([SnapshotFile(("Bad.java", text, False))], RULES)
             for text in (source, source.replace("@ICP(2)", "@ICP(x)")))
         assert malformed == well
         assert (malformed.parse_failures, malformed.diagnostics) == (0, ())
@@ -231,8 +278,8 @@ class TestAnalyzeSnapshot:
 
     def test_exclusion_correctness(self):
         files = [
-            SnapshotFile(("A.java", "class A {}", False, "")),
-            SnapshotFile(("src/test/T.java", "class T {}", True, "")),
+            SnapshotFile(("A.java", "class A {}", False)),
+            SnapshotFile(("src/test/T.java", "class T {}", True)),
         ]
         stats = analyze_snapshot(files, RULES)
         assert stats.class_count == 1
@@ -444,6 +491,137 @@ class TestGitWalk:
             "src/a-b.java", "src/a/X.java", "src/a0.java"]
 
 
+# The kinds of change a seeded walk history mixes. A re-add brings a deleted
+# path back with the first blob it had; a move is a `git mv`, which the raw
+# diff shows as a delete and an add.
+WALK_KINDS = ("add", "edit", "delete", "re-add", "move", "test", "not-utf8", "broken")
+
+
+def _walk_source(rng: random.Random, serial: int) -> str:
+    n = rng.randrange(1, 7)
+    ifs = "\n".join(f"    if (x > {k}) {{ x--; }}" for k in range(n))
+    generated = f"class W{serial} {{\n  int f(int x) {{\n{ifs}\n    return x;\n  }}\n}}\n"
+    return rng.choice([A_V1, A_V2, BIG, generated, generated])
+
+
+def build_walk_history(repo: Path, seed: int, n_commits: int = 20) -> list[str]:
+    """Commit `n_commits` seeded changes to `repo`: three files, then one
+    change of each kind per round of WALK_KINDS, in a seeded order where a
+    delete comes before the re-add. Returns each commit's kind."""
+    rng = random.Random(seed)
+    tree: dict[str, object] = {}
+    first: dict[str, object] = {}  # path -> the first content it had
+    gone: list[str] = []
+    kinds = ["add"]
+    while len(kinds) < n_commits:
+        order = rng.sample(WALK_KINDS, len(WALK_KINDS))
+        i, j = order.index("re-add"), order.index("delete")
+        if i < j:
+            order[i], order[j] = order[j], order[i]
+        kinds += order
+    kinds = kinds[:n_commits]
+    for i, kind in enumerate(kinds):
+        files = sorted(p for p in tree if not p.startswith("src/test/"))
+        changes: dict[str, object] = {}
+        if i == 0:
+            changes = {f"src/p{k}/F{k}.java": _walk_source(rng, k) for k in range(3)}
+        elif kind == "add":
+            changes = {f"src/p{rng.randrange(3)}/F{i}.java": _walk_source(rng, i)}
+        elif kind == "edit":
+            changes = {rng.choice(files): _walk_source(rng, i) + f"// edit {i}\n"}
+        elif kind == "delete":
+            path = rng.choice(files)
+            gone.append(path)
+            changes = {path: None}
+        elif kind == "re-add":
+            path = gone.pop()
+            changes = {path: first[path]}
+        elif kind == "move":
+            path, moved = rng.choice(files), f"src/moved/M{i}.java"
+            (repo / "src/moved").mkdir(exist_ok=True)
+            run_git(repo, "mv", path, moved)
+            tree[moved] = first[moved] = tree.pop(path)
+        elif kind == "test":
+            changes = {f"src/test/T{rng.randrange(2)}.java": TEST_FILE + f"// {i}\n"}
+        elif kind == "not-utf8":
+            changes = {f"Bin{rng.randrange(2)}.java": b"\xff\xfe" + bytes([i]) + b"junk"}
+        else:
+            changes = {f"Broken{rng.randrange(2)}.java": f"{BROKEN} {i}"}
+        for path, content in changes.items():
+            if content is None:
+                del tree[path]
+            else:
+                tree[path] = content
+                first.setdefault(path, content)
+        commit_tree(repo, changes, f"{kind} {i}", f"2022-01-{i + 1:02d}T00:00:00Z")
+    return kinds
+
+
+@pytest.fixture(scope="module")
+def walk_repos(tmp_path_factory) -> list[Path]:
+    """Three seeded walk histories of 20 commits each."""
+    repos = []
+    for seed in (1, 2, 3):
+        repo = tmp_path_factory.mktemp("walk") / f"seed{seed}"
+        assert set(build_walk_history(repo, seed)) == set(WALK_KINDS)
+        repos.append(repo)
+    return repos
+
+
+def export_snapshots(repo: Path, root: Path) -> Path:
+    """Write each first-parent commit of `repo` as a `NNNN_<id>/` folder,
+    with the commits.jsonl that describes them."""
+    lines = []
+    for commit in GitProvider(repo).list_commits():
+        archive = subprocess.run(["git", "-C", str(repo), "archive", commit.id],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            for member in tar.getmembers():
+                if member.isfile():
+                    target = root / f"{commit.ordinal:04d}_{commit.id}" / member.name
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    target.write_bytes(tar.extractfile(member).read())
+        lines.append(json.dumps({"id": commit.id, "timestamp": commit.timestamp,
+                                 "message": commit.message}))
+    (root / "commits.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return root
+
+
+def without_ordinals(snapshots) -> list:
+    return [s._replace(commit=s.commit._replace(ordinal=None)) for s in snapshots]
+
+
+class TestChangeDrivenWalk:
+    @pytest.mark.parametrize("span", ["all", "last 5", "A..B"])
+    def test_every_snapshot_equals_a_fresh_read(self, walk_repos, span):
+        for repo in walk_repos:
+            ids = run_git(repo, "rev-list", "--first-parent", "--reverse", "HEAD").split()
+            range_spec, count = {"all": (None, 20), "last 5": (5, 5),
+                                 "A..B": (f"{ids[3]}..{ids[15]}", 12)}[span]
+            provider = GitProvider(repo)
+            report = series(provider, range_spec, RULES)
+            assert len(report.snapshots) == count
+            for snap in report.snapshots:
+                assert snap.stats == fresh_stats(provider, snap.commit, RULES)
+
+    def test_a_shallow_clone_counts_from_its_boundary_commit(self, walk_repos, tmp_path):
+        for n, repo in enumerate(walk_repos):
+            clone = tmp_path / f"shallow{n}"
+            run_git(tmp_path, "clone", "-q", "--depth", "3", f"file://{repo}", str(clone))
+            assert run_git(clone, "rev-parse", "--is-shallow-repository") == "true"
+            full = series(GitProvider(repo), None, RULES).snapshots
+            shallow = series(GitProvider(clone), None, RULES).snapshots
+            assert [s.commit.ordinal for s in shallow] == [0, 1, 2]
+            assert without_ordinals(shallow) == without_ordinals(full[-3:])
+
+    def test_snapshot_folders_give_the_same_series(self, walk_repos, tmp_path):
+        for n, repo in enumerate(walk_repos):
+            folders = export_snapshots(repo, tmp_path / f"snapshots{n}")
+            in_git = series(GitProvider(repo), None, RULES)
+            in_dirs = series(SnapshotDirProvider(folders), None, RULES)
+            assert in_dirs.snapshots == in_git.snapshots
+
+
 class TestListingOrder:
     def test_snapshot_dirs_list_files_as_git_does(self, tmp_path):
         # part by part `src/a/X.java` would sort first; bytewise '-' < '/' < '0'
@@ -479,9 +657,15 @@ class TestLazilyLoadedOutputs:
     def test_snapshot_keys_are_sha256_of_the_bytes(self, history_snapshot_dir):
         provider = SnapshotDirProvider(history_snapshot_dir)
         commits = provider.list_commits()
-        listings = list(provider.listings(commits, lambda path: True))
-        assert len(listings) == len(commits)
-        for commit, listing in zip(commits, listings):
+        every_change = list(provider.changes(commits, lambda path: True))
+        assert len(every_change) == len(commits)
+        # after the first commit's whole tree, only what each commit changed
+        assert [sorted(changed) for changed in every_change[1:]] == [
+            [b"A.java"], [b"src/test/TA.java"], [b"Big.java"], [b"README.md"]]
+        tree: dict = {}
+        for commit, changed in zip(commits, every_change):
+            tree.update(changed)
+            listing = [pair for pair in tree.values() if pair is not None]
             base = next(history_snapshot_dir.glob(f"*_{commit.id}"))
             assert listing == [
                 (path, hashlib.sha256((base / path).read_bytes()).hexdigest())

@@ -551,8 +551,8 @@ def test_too_deep_nesting_fails_its_file_alone(form, tmp_path, monkeypatch, caps
     ]
     assert [(u["path"], u["total"]) for u in doc["units"]] == [("Ok.java", 2)]
 
-    files = [SnapshotFile(("Deep.java", deep, False, "")),
-             SnapshotFile(("Ok.java", ok, False, ""))]
+    files = [SnapshotFile(("Deep.java", deep, False)),
+             SnapshotFile(("Ok.java", ok, False))]
     stats = analyze_snapshot(files, RULES)
     assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
     assert (stats.class_count, stats.mean_icp) == (1, 2)
