@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 from .syntax import ast
 # cddbench/tracer.py hooks this name here; this module does not call it
 from .syntax import parse_unit  # noqa: F401
-from .syntax.ast import Span, iter_type_decls
+from .syntax.ast import Span
 from .values import format_icp
 
 
@@ -42,7 +42,7 @@ class DriftStatus(enum.Enum):
 
 def extract_declared(unit: ast.SourceUnit
                      ) -> tuple[list[tuple[Optional[Fraction], tuple[Span, ...]]], Optional[str]]:
-    """Per type, in `iter_type_decls` order, the value of its first
+    """Per type, in `SourceUnit.types` order, the value of its first
     class-level @ICP (None when it has none) and the spans of all of them, a
     malformed one included: fix mode rewrites them, and refuses more than
     one; the value is None too when one of them has no decimal argument.
@@ -50,7 +50,7 @@ def extract_declared(unit: ast.SourceUnit
     first, or None."""
     declared = []
     malformed: list[Span] = []  # of each @ICP with no decimal argument
-    for _, decl in iter_type_decls(unit):
+    for decl in unit.types:
         annos = [a for a in decl.annotations if a.simple_name() == "ICP"]
         bad = [a.span for a in annos if a.numeric_arg is None]
         malformed += bad

@@ -1,8 +1,8 @@
 """ICP counting engine.
 
 Walks a parsed SourceUnit and produces one analysis per type declaration,
-in the pre-order of `ast.iter_type_decls` (nested types are independent
-units; their sites never roll up into the enclosing class). Each analysis
+in the pre-order of `SourceUnit.types` (nested types are independent units;
+their sites never roll up into the enclosing class). Each analysis
 carries its declaration's span, so what is known per declaration, such as
 its line count, is read from the analyses without a second walk. Counting
 rules:
@@ -28,7 +28,8 @@ With lambda counting off (the default) nothing inside a lambda body is
 counted and the lambda itself costs nothing.
 
 Expressions are walked by one descent: `_TypeWalker._walk_expr` scores a
-node, then walks the children `ast.iter_children` yields, less any TypeRef.
+node, then walks the children `ast.iter_children` yields; a TypeRef has
+none, as the parser keeps no type argument.
 Only a lambda, a ternary, a call (its receiver's root), `new` and a binary
 operator (its left spine walked in a loop) have a branch; any other kind,
 one the parser adds included, is walked with no edit here. Every walk
@@ -54,7 +55,7 @@ from .rules import IcpCategory, RuleSet, type_matcher
 from .syntax import ast
 from .syntax.ast import (
     Binary, Block, Call, ExprStmt, FieldAccess, If, Lambda, LocalDecl, Loop, NameRef, New,
-    Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children, iter_type_decls,
+    Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children,
 )
 from .values import exact_value
 
@@ -90,9 +91,9 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     scales = [n * (den // d) for n, d in costs]  # each cost is scale / den
     analyses: list[UnitAnalysis] = []
     scopes: dict[str, _Scope] = {}  # by dotted name; an outer type comes first
-    for dotted, decl in iter_type_decls(unit):
-        walker = _TypeWalker(rules, scopes.get(dotted.rpartition(".")[0]))
-        scopes[dotted] = walker.type_scope
+    for decl in unit.types:
+        walker = _TypeWalker(rules, scopes.get(decl.name.rpartition(".")[0]))
+        scopes[decl.name] = walker.type_scope
         sites = walker.analyze(decl)
         counts = dict.fromkeys(_CATEGORIES, 0)
         for site in sites:
@@ -101,7 +102,7 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
         subtotals = {cat: exact_value(n, den) for cat, n in zip(_CATEGORIES, scaled)}
         total = exact_value(sum(scaled), den)
         analyses.append(
-            UnitAnalysis((unit.path, dotted, decl.span, tuple(sites), total, subtotals))
+            UnitAnalysis((unit.path, decl.name, decl.span, tuple(sites), total, subtotals))
         )
     return analyses
 
@@ -371,10 +372,9 @@ class _TypeWalker:
         elif kind is New:
             if self._internal(expr.type.qualified_name):
                 region.setdefault(expr.type.qualified_name, (expr.type.span, expr.type))
-        if expr._child_indices:  # a NameRef or Literal has none
+        if expr._child_indices:  # a NameRef, Literal or TypeRef has none
             for child in iter_children(expr):
-                if type(child) is not TypeRef:
-                    self._walk_expr(child, scope, region)
+                self._walk_expr(child, scope, region)
 
 
 def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
@@ -403,7 +403,7 @@ def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Lambda or kind is TypeRef:
+        if kind is Lambda:
             continue
         if kind is Binary and node.op in ("&&", "||"):
             out.append(node.op_span)

@@ -5,8 +5,10 @@ Both providers serve a series through the same calls: `list_commits`, then
 `close`. `changes` yields a dict per selected commit from a raw path (bytes)
 to a wanted file's (path, key) pair, or to None once the path is gone: the
 first commit's whole tree, then what each later commit changed. The path is
-text (from git, with replacement characters where it is not UTF-8); the key
-stands for the file's bytes.
+text, decoded from the raw path with replacement characters where it is not
+UTF-8; the key stands for the file's bytes. A snapshot holds no symbolic
+link: git stores a link's target path as its blob, and a snapshot folder's
+link would read the file it points to, so both providers skip links.
 
 Git access goes through the `git` executable using object reads only; the
 working tree is never touched. A series costs a fixed number of git
@@ -47,6 +49,8 @@ RangeSpec = Union[None, int, str]  # None=all, int=last N, "A..B"=id range
 Pair = tuple[str, str]  # a file's (path, key)
 Changes = dict[bytes, Optional[Pair]]  # raw path -> pair, or None when gone
 PathFilter = Callable[[str], bool]
+
+_NOT_FILES = (b"120000", b"160000")  # git modes of a symbolic link and a submodule
 
 
 class RepoNotFound(Exception):
@@ -165,8 +169,8 @@ class GitProvider:
         for record in self._git("ls-tree", "-r", "-z", commits[0].id).split(b"\0"):
             if record:
                 meta, _, raw = record.partition(b"\t")
-                _, kind, blob_id = meta.split(b" ")
-                if kind == b"blob":
+                mode, kind, blob_id = meta.split(b" ")
+                if kind == b"blob" and mode not in _NOT_FILES:
                     put(tree, raw, blob_id)
         yield tree
         if len(commits) == 1:
@@ -187,8 +191,8 @@ class GitProvider:
             if token.startswith(b":"):
                 _, new_mode, _, blob_id, status = token.split(b" ")
                 raw = next(tokens)
-                # deleted, or replaced by a submodule
-                if status == b"D" or new_mode == b"160000":
+                # deleted, or replaced by a link or a submodule
+                if status == b"D" or new_mode in _NOT_FILES:
                     diffs[-1][raw] = None
                 else:
                     put(diffs[-1], raw, blob_id)
@@ -303,7 +307,8 @@ class SnapshotDirProvider:
         self, commits: list[CommitMeta], path_filter: PathFilter
     ) -> Iterator[Changes]:
         """Yield, per commit, the (path, sha256) pairs of the files whose
-        path `path_filter` accepts that changed, and None for one gone."""
+        path `path_filter` accepts that changed, and None for one gone; a
+        symbolic link is skipped."""
         import hashlib
 
         previous: dict[bytes, Pair] = {}
@@ -312,12 +317,14 @@ class SnapshotDirProvider:
             if base is None:
                 raise VcsToolError(f"no snapshot directory for {commit.id}")
             self._blobs = {}
+            tree: dict[bytes, Pair] = {}
             for child in base.rglob("*"):
-                rel = child.relative_to(base).as_posix()
-                if child.is_file() and path_filter(rel):
+                raw = os.fsencode(child.relative_to(base).as_posix())
+                path = raw.decode("utf-8", "replace")  # as git's paths are
+                if child.is_file() and not child.is_symlink() and path_filter(path):
                     blob = child.read_bytes()
-                    self._blobs[rel, hashlib.sha256(blob).hexdigest()] = blob
-            tree = {os.fsencode(path): (path, key) for path, key in self._blobs}
+                    pair = tree[raw] = (path, hashlib.sha256(blob).hexdigest())
+                    self._blobs[pair] = blob
             yield {raw: None for raw in previous if raw not in tree} | {
                 raw: pair for raw, pair in tree.items() if previous.get(raw) != pair}
             previous = tree

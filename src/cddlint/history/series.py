@@ -37,8 +37,7 @@ from ..methods import method_lengths, method_stats, stats_from_lengths
 from ..records import Record
 from ..report import csv_document
 from ..rules import RuleSet
-from ..syntax import ParseError, parse_unit
-from ..syntax.ast import iter_type_decls
+from ..syntax import ParseError, parse_unit, physical_loc
 from ..values import exact_sum, format_fixed2
 from .providers import (
     Changes, CommitMeta, GitProvider, Pair, RangeSpec, SnapshotDirProvider,
@@ -168,8 +167,8 @@ def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
     gives the file a note, and leaves unannotated only the unit whose
     class-level @ICP it is. Limit overrides and test globs match `path`.
 
-    LOC attribution: a file with a single top-level class contributes its
-    whole-file physical line count to that class; any other class gets its own
+    LOC attribution: a file with a single top-level class, its first unit,
+    gives that class `physical_loc(text)`; any other class gets its own
     declaration span height.
     """
     try:
@@ -180,11 +179,11 @@ def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
     except RecursionError:
         return FileResult.failed("parse failed: nesting too deep")
     declared, malformed = extract_declared(unit)
-    whole_file = len(unit.types) == 1  # its first unit is the top-level class
+    whole_file = sum("." not in decl.name for decl in unit.types) == 1
     units = []
-    for a, (_, decl), (value, spans) in zip(analyses, iter_type_decls(unit), declared):
+    for a, decl, (value, spans) in zip(analyses, unit.types, declared):
         v = verdict(a, rules)
-        loc = (unit.physical_lines if whole_file and not units
+        loc = (physical_loc(text) if whole_file and not units
                else a.span.line_end - a.span.line_start + 1)
         units.append(UnitResult((
             a.type_name, a.total, a.subtotals, v.applicable_limit, v.over_limit,

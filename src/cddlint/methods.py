@@ -14,7 +14,6 @@ from typing import Iterable
 from .records import Record
 from .rules import RuleSet
 from .syntax import ast
-from .syntax.ast import iter_type_decls
 
 SLOC_THRESHOLD = 24  # methods at or under this body length are "small"
 
@@ -46,7 +45,7 @@ def method_lengths(unit: ast.SourceUnit, rules: RuleSet) -> tuple[list[int], int
     counted: list[int] = []
     excluded = 0
     in_test_file = rules.is_test_path(unit.path)
-    for _, decl in iter_type_decls(unit):
+    for decl in unit.types:
         for method in decl.methods:
             if (
                 in_test_file
@@ -56,7 +55,8 @@ def method_lengths(unit: ast.SourceUnit, rules: RuleSet) -> tuple[list[int], int
             ):
                 excluded += 1
             else:
-                counted.append(method.body_line_count)
+                span = method.body.span  # the body's braces included
+                counted.append(span.line_end - span.line_start + 1)
     return counted, excluded
 
 

@@ -15,6 +15,11 @@ the record metaclass made of the names: it reads no field by name and tests
 no attribute, and it is the one statement of a node's shape that the engine
 reads. A field that holds a node and is not named there is walked by no one.
 
+`SourceUnit.types` lists every type of a file once, top-level and nested, in
+pre-order: an outer type before the types declared in it, siblings in
+source order. A type's `name` is dotted (`Outer.Inner`), and a nested type
+is held by no field of its outer type.
+
 The comments give a field's type where its name does not: an `Expr`, a
 `Stmt` and the like are nodes, `(X, ...)` is a tuple of them, and `| None`
 marks a field that may be absent.
@@ -63,12 +68,7 @@ class SiteIcp(Record):
 
 
 class TypeRef(Record):
-    _fields = (
-        "qualified_name",  # array suffixes already normalized away
-        "type_args",  # (TypeRef, ...)
-        "span",
-    )
-    _children = ("type_args",)
+    _fields = ("qualified_name", "span")  # name: no type arguments, no []; span: both
 
     @property
     def simple_name(self) -> str:
@@ -290,7 +290,6 @@ class MethodDecl(Record):
         "return_type",  # None for void and constructors
         "body",  # None for abstract / interface methods
         "span",
-        "body_line_count",  # body brace span height; 0 when body is absent
     )
     _children = ("params", "return_type", "body")
 
@@ -302,36 +301,24 @@ class EnumConstant(Record):
 
 class TypeDecl(Record):
     _fields = (
-        "name",
+        "name",  # dotted for a nested type: `Outer.Inner`
         "kind",  # class | interface | enum
         "annotations", "fields", "methods",
-        "nested",  # (TypeDecl, ...)
-        "span",
+        "span",  # a nested type's lies inside its outer type's
         "header_start",  # byte offset of the first modifier, else of the keyword
         "enum_constants",  # (EnumConstant, ...), () unless an enum
     )
-    _children = ("annotations", "fields", "methods", "nested", "enum_constants")
+    _children = ("annotations", "fields", "methods", "enum_constants")
 
 
 class SourceUnit(Record):
     _fields = (
-        "path", "types",
-        "physical_lines",  # LF count, as `wc -l` gives; a lone CR is not counted
+        "path",
+        "types",  # (TypeDecl, ...): every type, top-level and nested, outer first
         "diagnostics",
         "site_icp",  # (SiteIcp, ...), in the order their elements end
     )
     _children = ("types", "diagnostics", "site_icp")
-
-
-def iter_type_decls(unit: SourceUnit) -> Iterator[tuple[str, TypeDecl]]:
-    """Yield (dotted_name, decl) for every top-level and nested type, in
-    pre-order; a stack, as a recursive closure would be a reference cycle."""
-    stack = [("", top) for top in reversed(unit.types)]
-    while stack:
-        prefix, decl = stack.pop()
-        dotted = f"{prefix}.{decl.name}" if prefix else decl.name
-        yield dotted, decl
-        stack += ((dotted, inner) for inner in reversed(decl.nested))
 
 
 def iter_children(node: tuple) -> Iterator[tuple]:

@@ -1,10 +1,12 @@
 """Recursive-descent parser for the analyzed Java subset.
 
-Produces a spanned SourceUnit suitable for ICP counting, annotation
-extraction and line accounting. Error tolerance is member-level: an
-unparseable statement becomes an Opaque expression, an unparseable member is
-skipped, both with a recorded Diagnostic; an unparseable type header raises
-ParseError.
+Produces a spanned SourceUnit suitable for ICP counting and annotation
+extraction. Every type, nested ones included, is listed once in
+``SourceUnit.types``, in the order its name is read (pre-order), under its
+dotted name, which ``_Parser.owner`` tracks. Error tolerance is
+member-level: an unparseable statement becomes an Opaque expression, an
+unparseable member is skipped, both with a recorded Diagnostic; an
+unparseable type header raises ParseError.
 
 Site-level ICPs are recorded as they are read: one ``SiteIcp`` per `@ICP` on
 a field, a method, a statement or a local variable, and per `// @ICP(n)`
@@ -17,7 +19,9 @@ modifiers of a type, a member and, given ``_VARIABLE_MODIFIERS``, a variable;
 ``_parse_par_expr`` reads each `( Expression )` after a keyword; one head
 reader, ``_try_parse_local_head``, reads the modifiers and type of a local
 declaration and of both kinds of `for` header, so a header is read once; one
-list reader, ``_parse_list``, reads every bracketed, separated list. A parse
+list reader, ``_parse_list``, reads every bracketed, separated list;
+``_skip_generics`` reads every `<…>`: type parameters, and the type
+arguments of a type and of a call, none of which is kept. A parse
 attempt that is rolled back when it fails (a variable's head, its
 declarators, a cast, an else-link's annotations) runs in ``_attempt``, the one
 undo, and fails only on input that is not Java.
@@ -154,7 +158,7 @@ def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
     except InvalidCharacter as exc:
         span = Span((exc.byte_start, exc.byte_end, exc.line, exc.line))
         raise ParseError([ast.Diagnostic((exc.message, span))]) from exc
-    return _Parser(tokens, data, path).parse()
+    return _Parser(tokens, path).parse()
 
 
 class _Parser:
@@ -162,7 +166,7 @@ class _Parser:
     entries past its last token; ``advance`` is only called on a token its
     caller has tested, so never on EOF."""
 
-    def __init__(self, tokens: TokenStream, data: bytes, path: str):
+    def __init__(self, tokens: TokenStream, path: str):
         self.kinds = tokens.kinds
         self.texts = tokens.texts
         self.starts = tokens.starts
@@ -171,10 +175,11 @@ class _Parser:
         self.comments = tokens.comments
         self.partners = tokens.partners
         self.pos = 0
-        self.data = data
         self.path = path
         self.diagnostics: list[ast.Diagnostic] = []
         self.site_icp: list[ast.SiteIcp] = []
+        # every type in pre-order; a type's place is None until its `}` is read
+        self.types: list[Optional[ast.TypeDecl]] = []
         self.owner = ""  # dotted name of the type being read
 
     # ── token access ────────────────────────────────────────────────────
@@ -243,7 +248,6 @@ class _Parser:
     # ── compilation unit ────────────────────────────────────────────────
 
     def parse(self) -> ast.SourceUnit:
-        types: list[ast.TypeDecl] = []
         if self.texts[self.pos] == "package":
             self._skip_statement()
         while self.texts[self.pos] == "import":
@@ -252,18 +256,16 @@ class _Parser:
             if self.texts[self.pos] == ";":
                 self.pos += 1
                 continue
-            decl = self._parse_type_decl_hard()
-            types.append(decl)
+            self._parse_type_decl_hard()
         return ast.SourceUnit((
-            self.path, tuple(types), self.data.count(b"\n"), tuple(self.diagnostics),
-            tuple(self.site_icp),
+            self.path, tuple(self.types), tuple(self.diagnostics), tuple(self.site_icp),
         ))
 
-    def _parse_type_decl_hard(self, start=None, annotations=None,
-                              header_tok=None) -> ast.TypeDecl:
-        # a broken type header, top-level or nested, is a hard error
+    def _parse_type_decl_hard(self, start=None, annotations=None, header_tok=None) -> None:
+        # a broken type header, top-level or nested, is a hard error, so no
+        # type's place is left empty in a unit that parses
         try:
-            return self._parse_type_decl(start, annotations, header_tok)
+            self._parse_type_decl(start, annotations, header_tok)
         except _Fail as exc:
             self.diag(exc.message, exc.span)
             raise ParseError(self.diagnostics) from exc
@@ -273,9 +275,11 @@ class _Parser:
         start: Optional[int] = None,
         annotations: Optional[tuple[ast.AnnotationUse, ...]] = None,
         header_tok: Optional[int] = None,
-    ) -> ast.TypeDecl:
+    ) -> None:
         """A type whose modifiers start at `start`; a top-level type reads
-        them here, a nested one is given what `_parse_member` read."""
+        them here, a nested one is given what `_parse_member` read. Its place
+        in `types` is taken when its name is read, so it comes before the
+        types declared in it, and filled at its closing `}`."""
         if start is None:
             start = self.pos
             annotations, header_tok = self._parse_modifiers()
@@ -285,6 +289,8 @@ class _Parser:
         name = self.texts[self.expect_ident("type name")]
         outer = self.owner
         self.owner = f"{outer}.{name}" if outer else name
+        place = len(self.types)
+        self.types.append(None)
         if self.texts[self.pos] == "<":
             self._skip_generics()
         while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
@@ -297,15 +303,14 @@ class _Parser:
 
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
-        nested: list[ast.TypeDecl] = []
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
-            self._parse_member(fields, methods, nested)
+            self._parse_member(fields, methods)
         self.expect("}")
-        self.owner = outer
-        return ast.TypeDecl((
-            name, kind, annotations, tuple(fields), tuple(methods), tuple(nested),
+        self.types[place] = ast.TypeDecl((
+            self.owner, kind, annotations, tuple(fields), tuple(methods),
             self.span_from(start), self.starts[header_tok], enum_constants,
         ))
+        self.owner = outer
 
     def _parse_enum_constants(self) -> tuple[ast.EnumConstant, ...]:
         constants: list[ast.EnumConstant] = []
@@ -333,12 +338,7 @@ class _Parser:
 
     # ── members ─────────────────────────────────────────────────────────
 
-    def _parse_member(
-        self,
-        fields: list[ast.FieldDecl],
-        methods: list[ast.MethodDecl],
-        nested: list[ast.TypeDecl],
-    ) -> None:
+    def _parse_member(self, fields: list[ast.FieldDecl], methods: list[ast.MethodDecl]) -> None:
         if self.texts[self.pos] == ";":
             self.pos += 1
             return
@@ -346,7 +346,7 @@ class _Parser:
         try:
             annotations, header_tok = self._parse_modifiers()
             if self.texts[self.pos] in _TYPE_KEYWORDS:
-                nested.append(self._parse_type_decl_hard(start, annotations, header_tok))
+                self._parse_type_decl_hard(start, annotations, header_tok)
                 return
             if self.texts[self.pos] == "{":
                 self.diag("initializer block is not analyzed", self.tok_span(self.pos))
@@ -400,12 +400,8 @@ class _Parser:
             body = self._parse_block()
         else:
             self.expect(";", "method body or ';'")
-        body_lines = 0
-        if body is not None:
-            body_lines = body.span.line_end - body.span.line_start + 1
         return ast.MethodDecl((
-            self.texts[name_tok], params, return_type, body,
-            self.span_from(start), body_lines,
+            self.texts[name_tok], params, return_type, body, self.span_from(start),
         ))
 
     def _parse_param(self) -> ast.Param:
@@ -508,17 +504,16 @@ class _Parser:
         return anns, header_tok
 
     def _parse_type(self) -> ast.TypeRef:
-        """A type: its names joined by dots, and the type arguments of each
-        (`Map<K, V>.Entry<K, V>` is `Map.Entry` with four, JLS SE 17 §4.3)."""
+        """A type: its names joined by dots, each name's type arguments
+        skipped (`Map<K, V>.Entry<K, V>` is `Map.Entry`, JLS SE 17 §4.3)."""
         kinds, texts, start = self.kinds, self.texts, self.pos
         name = texts[start]
         if kinds[start] != _IDENT or name in _NON_TYPE_WORDS:
             raise _Fail("expected type", self.tok_span(start))
         self.pos = start + 1
-        args: tuple[ast.TypeRef, ...] = ()
         while True:
-            if texts[self.pos] == "<":  # `<>`, a diamond, holds none
-                args += self._parse_list(self._parse_type_arg, ">")
+            if texts[self.pos] == "<":
+                self._skip_generics()
             dot = self.pos
             if texts[dot] != "." or name in PRIMITIVES:
                 break
@@ -533,23 +528,7 @@ class _Parser:
             self.pos = i + 1
         if texts[self.pos] in _ARRAY_SUFFIX_STARTS:
             self._skip_array_suffix()
-        return ast.TypeRef((name, args, self.span_from(start)))
-
-    def _parse_type_arg(self) -> Optional[ast.TypeRef]:
-        """A type argument: a type, or the bound of a wildcard; None for a
-        wildcard with no bound."""
-        # type-use annotations (JLS SE 17 §4.11) are read and dropped
-        if self.texts[self.pos] == "@":
-            self._parse_annotations()
-        if self.texts[self.pos] != "?":
-            return self._parse_type()
-        self.pos += 1
-        if self.texts[self.pos] not in ("extends", "super"):
-            return None
-        self.pos += 1
-        if self.texts[self.pos] == "@":
-            self._parse_annotations()
-        return self._parse_type()
+        return ast.TypeRef((name, self.span_from(start)))
 
     def _at_annotated(self, text: str) -> bool:
         """Whether `text` follows the type-use annotations, if any, at the
@@ -578,6 +557,9 @@ class _Parser:
         return i
 
     def _skip_generics(self) -> None:
+        """The `<…>` at the cursor, the one reader of type parameters and
+        type arguments, which are skipped, as no site is counted from them;
+        stops without consuming at a `{`, `}` or `;` inside it."""
         depth = 0
         while self.kinds[self.pos] != _EOF:
             k = self.texts[self.pos]

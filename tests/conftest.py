@@ -143,8 +143,9 @@ def run_git(repo: Path, *args: str, env: dict | None = None) -> str:
 
 
 def commit_tree(repo: Path, changes: dict, message: str, timestamp: str) -> None:
-    """Write `changes` (path -> str or bytes, None deletes) and commit them at
-    `timestamp`; the repository is created on first use."""
+    """Write `changes` (path -> str or bytes, a Path for a symbolic link to
+    it, None deletes) and commit them at `timestamp`; the repository is
+    created on first use."""
     if not repo.exists():
         repo.mkdir()
         run_git(repo, "init", "-q")
@@ -152,11 +153,14 @@ def commit_tree(repo: Path, changes: dict, message: str, timestamp: str) -> None
         run_git(repo, "config", "user.email", "fixture@example.com")
     for path, content in changes.items():
         target = repo / path
-        if content is None:
+        if content is None or target.is_symlink():
             target.unlink()
+        if content is None:
             continue
         target.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(content, bytes):
+        if isinstance(content, Path):
+            target.symlink_to(content)
+        elif isinstance(content, bytes):
             target.write_bytes(content)
         else:
             target.write_text(content, encoding="utf-8")

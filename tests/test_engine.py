@@ -17,7 +17,7 @@ from cddlint.rules import (
     LimitOverride,
     default_rules,
 )
-from cddlint.syntax import ast, iter_type_decls, parse_unit
+from cddlint.syntax import ast, parse_unit
 
 from conftest import LISTING_INTERNAL_TYPES, LONG_GUARD_SOURCE, LONG_SUM_SOURCE, ORACLE_DIR
 
@@ -403,7 +403,7 @@ class TestStructure:
         gc.disable()
         try:
             analyses = analyze_unit(unit, DEFAULTS)
-            declared = [name for name, _ in iter_type_decls(unit)]
+            declared = [decl.name for decl in unit.types]
             assert gc.collect() == 0
         finally:
             gc.enable()

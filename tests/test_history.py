@@ -570,16 +570,20 @@ def walk_repos(tmp_path_factory) -> list[Path]:
 
 def export_snapshots(repo: Path, root: Path) -> Path:
     """Write each first-parent commit of `repo` as a `NNNN_<id>/` folder,
-    with the commits.jsonl that describes them."""
+    with the commits.jsonl that describes them; a link stays a link."""
     lines = []
     for commit in GitProvider(repo).list_commits():
         archive = subprocess.run(["git", "-C", str(repo), "archive", commit.id],
                                  capture_output=True, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             for member in tar.getmembers():
-                if member.isfile():
-                    target = root / f"{commit.ordinal:04d}_{commit.id}" / member.name
-                    target.parent.mkdir(parents=True, exist_ok=True)
+                if not (member.isfile() or member.issym()):
+                    continue
+                target = root / f"{commit.ordinal:04d}_{commit.id}" / member.name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                if member.issym():
+                    target.symlink_to(member.linkname)
+                else:
                     target.write_bytes(tar.extractfile(member).read())
         lines.append(json.dumps({"id": commit.id, "timestamp": commit.timestamp,
                                  "message": commit.message}))
@@ -620,6 +624,59 @@ class TestChangeDrivenWalk:
             in_git = series(GitProvider(repo), None, RULES)
             in_dirs = series(SnapshotDirProvider(folders), None, RULES)
             assert in_dirs.snapshots == in_git.snapshots
+
+
+def series_documents(repo: Path, tmp_path: Path) -> tuple[dict, dict]:
+    """The `history` JSON of `repo` and of its snapshot folders, less the
+    `parameters` that name the mode."""
+    folders = export_snapshots(repo, tmp_path / "snapshots")
+    documents = []
+    for mode in ([str(repo)], ["--snapshots", str(folders)]):
+        out = tmp_path / f"out{len(documents)}"
+        assert cli.main(["history", *mode, "--output-dir", str(out)]) == 0
+        document = json.loads((out / "cdd_series.json").read_text("utf-8"))
+        del document["parameters"]
+        documents.append(document)
+    return documents[0], documents[1]
+
+
+class TestLinksAndNames:
+    """A snapshot holds no symbolic link, and shows a file name that is not
+    UTF-8 as git does, whichever provider reads it."""
+
+    @pytest.fixture()
+    def link_repo(self, tmp_path) -> Path:
+        # a link in the first commit's tree, a link added by a diff, and a
+        # link replaced by a file
+        repo = tmp_path / "links"
+        commit_tree(repo, {"src/real/A.java": A_V1, "src/Link.java": Path("real/A.java")},
+                    "c0", "2021-12-01T00:00:00Z")
+        commit_tree(repo, {"src/Big.java": BIG, "src/BigLink.java": Path("Big.java")},
+                    "c1", "2021-12-02T00:00:00Z")
+        commit_tree(repo, {"src/Link.java": A_V2}, "c2", "2021-12-03T00:00:00Z")
+        return repo
+
+    def test_a_link_is_no_file_of_a_git_snapshot(self, link_repo):
+        provider = GitProvider(link_repo)
+        report = series(provider, None, RULES)
+        assert [s.stats.class_count for s in report.snapshots] == [1, 2, 3]
+        assert [s.stats.diagnostics for s in report.snapshots] == [(), (), ()]
+        for snap in report.snapshots:
+            assert snap.stats == fresh_stats(provider, snap.commit, RULES)
+
+    def test_a_link_is_no_file_of_a_snapshot_folder(self, link_repo, tmp_path):
+        in_git, in_dirs = series_documents(link_repo, tmp_path)
+        assert [s["class_count"] for s in in_dirs["snapshots"]] == [1, 2, 3]
+        assert in_dirs == in_git
+
+    def test_a_name_that_is_not_utf8_reads_as_in_git(self, tmp_path):
+        repo = tmp_path / "names"
+        commit_tree(repo, {os.fsdecode(b"caf\xe9.java"): BROKEN, "A.java": A_V1},
+                    "c0", "2021-12-01T00:00:00Z")
+        in_git, in_dirs = series_documents(repo, tmp_path)
+        [failure] = in_git["snapshots"][0]["diagnostics"]
+        assert failure.startswith("caf\ufffd.java: parse failed")
+        assert in_dirs == in_git
 
 
 class TestListingOrder:

@@ -47,7 +47,7 @@ class TestDistribution:
     def test_seventy_line_method_dominates_max(self):
         units = [unit_of(FOUR_LINE), unit_of(big_method_source(70), "Big.java")]
         big = units[1].types[0].methods[0]
-        assert big.body_line_count == 70  # fixture self-check
+        assert big.body.span.line_end - big.body.span.line_start + 1 == 70  # fixture self-check
         stats = method_stats(units, RULES)
         assert stats.counted_methods == 2
         assert stats.max_loc == 70

@@ -9,13 +9,18 @@ import re
 import pytest
 
 from cddlint.engine import analyze_unit
+from cddlint.history.series import analyze_file
 from cddlint.rules import default_rules
-from cddlint.syntax import ParseError, TokenKind, parse_unit, tokenize
+from cddlint.syntax import ParseError, TokenKind, parse_unit, physical_loc, tokenize
 from cddlint.syntax import ast, parser
 
 from conftest import ELSE_IF_SOURCE, FIXTURES, ORACLE_DIR
 
 ORACLE_FILES = sorted(ORACLE_DIR.rglob("*.java"))
+
+
+def span_text(text: str, span: ast.Span) -> str:
+    return text.encode()[span.byte_start:span.byte_end].decode()
 
 
 def walk_nodes(node):
@@ -66,7 +71,7 @@ class TestBasics:
         unit = parse_unit("class A {}")
         assert len(unit.types) == 1
         decl = unit.types[0]
-        assert (decl.fields, decl.methods, decl.nested) == ((), (), ())
+        assert (decl.name, decl.fields, decl.methods) == ("A", (), ())
 
     def test_package_and_imports_are_skipped(self):
         unit = parse_unit(
@@ -76,8 +81,7 @@ class TestBasics:
 
     def test_nested_types_and_dotted_names(self):
         unit = parse_unit("class A { static class B { class C {} } }")
-        names = [name for name, _ in ast.iter_type_decls(unit)]
-        assert names == ["A", "A.B", "A.B.C"]
+        assert [t.name for t in unit.types] == ["A", "A.B", "A.B.C"]
 
     @pytest.mark.parametrize("header", [
         "class", "public class", "@A class", "public @Deprecated class",
@@ -87,7 +91,8 @@ class TestBasics:
         # a type's annotations may sit between its modifiers, at top level as
         # when nested, and its header starts at its first modifier
         top = parse_unit(f"{header} X {{}}").types[0]
-        nested = parse_unit(f"class O {{\n{header} X {{}} }}").types[0].nested[0]
+        outer, nested = parse_unit(f"class O {{\n{header} X {{}} }}").types
+        assert nested.name == "O.X" and outer.span.contains(nested.span)
         expected = re.search(r"\b(public|private|class)\b", header).start()
         for decl in (top, nested):
             assert [a.name for a in decl.annotations] == re.findall(r"@(\w+)", header)
@@ -149,12 +154,13 @@ class TestBasics:
         assert [m.name for m in unit.types[0].methods] == ["f"]
 
     def test_generics_parse_into_type_args(self):
-        unit = parse_unit("class A { Map<String, List<Integer>> m; }")
-        field = unit.types[0].fields[0]
-        assert field.declared_type.qualified_name == "Map"
-        assert [a.qualified_name for a in field.declared_type.type_args] == [
-            "String", "List",
-        ]
+        # the type arguments are read, and kept only in the type's span
+        text = "class A { Map<String, List<Integer>> m; }"
+        unit = parse_unit(text)
+        assert unit.diagnostics == ()
+        declared = unit.types[0].fields[0].declared_type
+        assert declared.qualified_name == "Map"
+        assert span_text(text, declared.span) == "Map<String, List<Integer>>"
 
     def test_array_suffix_normalized(self):
         unit = parse_unit("class A { String[] xs; void f(int[] ys) {} }")
@@ -180,8 +186,9 @@ class TestBasics:
         assert unit.site_icp == ()
 
     def test_physical_lines_recorded(self):
-        unit = parse_unit("class A {}\n")
-        assert unit.physical_lines == 1
+        # a file's only top-level type is given its physical line count
+        [unit] = analyze_file("A.java", "class A {}\n", default_rules()).units
+        assert unit.loc == physical_loc("class A {}\n") == 1
 
     @pytest.mark.parametrize("resources", ["r", "this.r; R s = open()"])
     def test_a_try_resource_may_name_a_variable(self, resources):
@@ -219,10 +226,12 @@ class TestBasics:
         assert analysis.total == 2  # the ternary and its condition
 
     def test_a_member_type_keeps_every_type_argument(self):
-        unit = parse_unit("class A { Map<K, V>.Entry<K, V> e; }")
+        text = "class A { Map<K, V>.Entry<K, V> e; }"
+        unit = parse_unit(text)
+        assert unit.diagnostics == ()
         declared = unit.types[0].fields[0].declared_type
         assert declared.qualified_name == "Map.Entry"
-        assert [a.qualified_name for a in declared.type_args] == ["K", "V", "K", "V"]
+        assert span_text(text, declared.span) == "Map<K, V>.Entry<K, V>"
 
     def test_an_intersection_cast_has_its_first_type(self):
         unit = parse_unit("class A { Object f() { return (Runnable & Serializable) x; } }")
@@ -254,19 +263,27 @@ class TestLists:
         ("Map<? extends A, ? super B>", ["A", "B"]),
         ("X<@A T>", ["T"]),
         ("X<?, ?>", []),
+        ("List<String> @A []", ["String"]),
     ])
     def test_type_arguments(self, type_text, args):
-        # a wildcard with no bound gives no argument
-        unit = parse_unit(f"class A {{ {type_text} x; }}")
+        # the type's span ends at its `>` or after its array suffix; a
+        # project class named only in a type argument is no coupling
+        text = f"class A {{ {type_text} x; }}"
+        unit = parse_unit(text)
         assert unit.diagnostics == ()
         declared = unit.types[0].fields[0].declared_type
-        assert [a.qualified_name for a in declared.type_args] == args
+        assert declared.qualified_name == type_text.partition("<")[0]
+        assert span_text(text, declared.span) == type_text
+        [analysis] = analyze_unit(unit, default_rules(internal_types=tuple(args)))
+        assert analysis.sites == ()
 
     def test_a_diamond_holds_no_type_argument(self):
-        unit = parse_unit("class A { Object f() { return new Y<>(); } }")
+        text = "class A { Object f() { return new Y<>(); } }"
+        unit = parse_unit(text)
         assert unit.diagnostics == ()
         created = unit.types[0].methods[0].body.stmts[0].expr
-        assert (created.type.qualified_name, created.type.type_args) == ("Y", ())
+        assert created.type.qualified_name == "Y"
+        assert span_text(text, created.type.span) == "Y<>"
 
     def test_an_initializer_list_may_end_in_a_comma(self):
         unit = parse_unit("class A { int[] xs = {1, 2,}; }")
@@ -495,7 +512,7 @@ class TestMutationFuzz:
                 assert exc.diagnostics
                 continue
             size = len(text.encode())
-            lines = unit.physical_lines + 1
+            lines = physical_loc(text) + 1
             stack = list(unit.types) + list(unit.diagnostics)
             while stack:
                 node = stack.pop()

@@ -24,7 +24,7 @@ from cddlint.engine import analyze_unit, verdict
 from cddlint.history import analyze_snapshot
 from cddlint.history.series import SnapshotFile, analyze_file
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
-from cddlint.syntax import InvalidCharacter, TokenKind, parse_unit, scanner, tokenize
+from cddlint.syntax import InvalidCharacter, TokenKind, ast, parse_unit, scanner, tokenize
 
 from conftest import FIXTURES
 
@@ -388,6 +388,89 @@ def test_keyword_audit_on_every_form():
 def test_keyword_audit_on_generated_classes(bodies):
     text = render_class(bodies)
     assert _engine_keyword_sites(text) == _keyword_sites(text)
+
+
+# ── the type list ────────────────────────────────────────────────────────
+
+# a type: its method bodies and the types declared in it
+type_shape = st.recursive(
+    st.tuples(class_bodies, st.just([])),
+    lambda inner: st.tuples(class_bodies, st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=5,
+)
+
+_TYPE_NAME_RE = re.compile(rb"\b(?:class|interface|enum)\s+(\w+)")
+
+
+def render_types(shapes) -> tuple[str, list[str]]:
+    """A file declaring the `type_shape`s, each nested type between its
+    outer type's methods, and the dotted names of its types in a recursive
+    pre-order walk."""
+    r = _Renderer()
+    lines: list[str] = []
+    names: list[str] = []
+
+    def declare(shape, outer: str, indent: str) -> None:
+        bodies, nested = shape
+        simple = f"T{r.fresh()}"
+        name = f"{outer}.{simple}" if outer else simple
+        names.append(name)
+        lines.append(f"{indent}static class {simple} {{")
+        lines.append(f"{indent}  private InternalRepo fld;")
+        for i in range(max(len(bodies), len(nested))):
+            if i < len(bodies):
+                lines.append(f"{indent}  void m{i}(int x, int y, boolean flag) {{")
+                lines.extend(r.stmts(bodies[i], indent + "    "))
+                lines.append(f"{indent}  }}")
+            if i < len(nested):
+                declare(nested[i], name, indent + "  ")
+        lines.append(indent + "}")
+
+    for shape in shapes:
+        declare(shape, "", "")
+    return "\n".join(lines) + "\n", names
+
+
+def _pre_order(text: str, decls: list) -> list[tuple[str, tuple]]:
+    """(dotted name, span) of each type in a recursive pre-order walk of
+    `decls` by span: the types inside a type, and inside no other of them,
+    are the ones declared in it. A simple name is read from the text."""
+    data = text.encode()
+    walked = []
+
+    def walk(decls: list, outer: str) -> None:
+        while decls:
+            decl, decls = decls[0], decls[1:]
+            inner = [d for d in decls if decl.span.contains(d.span)]
+            decls = [d for d in decls if not decl.span.contains(d.span)]
+            simple = _TYPE_NAME_RE.search(data, decl.header_start).group(1).decode()
+            name = f"{outer}.{simple}" if outer else simple
+            walked.append((name, decl.span))
+            walk(inner, name)
+
+    walk(sorted(decls, key=lambda d: d.span.byte_start), "")
+    return walked
+
+
+def _assert_types_in_pre_order(text: str, names: list[str] | None = None) -> None:
+    unit = parse_unit(text, "T.java")
+    assert all(type(decl) is ast.TypeDecl for decl in unit.types)  # no placeholder
+    assert [(d.name, d.span) for d in unit.types] == _pre_order(text, list(unit.types))
+    if names is not None:
+        assert [d.name for d in unit.types] == names
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
+                         ids=lambda p: p.name)
+def test_types_are_listed_in_pre_order_in_the_fixtures(path):
+    _assert_types_in_pre_order(path.read_text("utf-8"))
+
+
+@given(st.lists(type_shape, min_size=1, max_size=2))
+@SUITE
+def test_types_are_listed_in_pre_order_in_generated_files(shapes):
+    text, names = render_types(shapes)
+    _assert_types_in_pre_order(text, names)
 
 
 # ── the token stream ─────────────────────────────────────────────────────

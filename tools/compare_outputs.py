@@ -1,0 +1,125 @@
+"""Compare the command-line outputs of two versions of cddlint, byte for byte.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are `src` directories, each holding a `cddlint`
+package. Every case runs `python -m cddlint` once per side, in a fresh
+interpreter with that side on PYTHONPATH (hash seeds 1 and 2), and compares
+the exit code, the standard output and the standard error:
+
+* `check` and `reconcile`, each in text, JSON and CSV, under the default
+  rules and under the corpus' `config_document()` (`--config`), on the
+  oracle and listing fixtures and on `Corpus(seed).tree(1000)` for seeds 5,
+  11 and 29 (48 cases);
+* `reconcile --fix` on the seed-29 `reconcile_fix` tree of
+  `cddbench/run.py`, also comparing every file of the tree it leaves;
+* `history` on the seed-29 `history_git` repository of `cddbench/run.py`,
+  also comparing the CSV and JSON it writes.
+
+The inputs are built once, with `cddbench/corpus.py` and the workload
+classes of `cddbench/run.py`, in a temporary folder that is removed at the
+end. The tool prints each case that differs and what differs in it, then
+the number of cases; it exits 1 if any case differs, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "cddbench"))
+from corpus import Corpus, config_document  # noqa: E402
+from run import HistoryGit, ReconcileFix, write_tree  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
+TREE_SEEDS = (5, 11, 29)
+TREE_FILES = 1000  # CHECK_FILES of cddbench/run.py
+WORKLOAD_SEED = 29
+HASH_SEEDS = ("1", "2")
+
+
+def run_cli(src: Path, hash_seed: str, argv: list[str], cwd: Path) -> dict[str, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+    env.pop("CDD_CONFIG", None)  # a config named outside would apply to both
+    proc = subprocess.run([sys.executable, "-m", "cddlint", *argv], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, check=False)
+    return {"exit": str(proc.returncode).encode(), "stdout": proc.stdout,
+            "stderr": proc.stderr}
+
+
+def read_tree(base: Path) -> dict[str, bytes]:
+    return {p.relative_to(base).as_posix(): p.read_bytes()
+            for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+def report_cases(work: Path) -> list[tuple[str, list[str], Path]]:
+    """(name, argv, cwd) of each check and reconcile report case."""
+    config = work / "corpus-cdd.json"
+    config.write_text(config_document(), encoding="utf-8")
+    inputs = [("fixtures", FIXTURES, ["oracle", "listing"])]
+    for seed in TREE_SEEDS:
+        tree = work / f"tree{seed}"
+        write_tree(tree, Corpus(seed).tree(TREE_FILES), config_document())
+        (tree / "cdd.json").unlink()  # the default rules apply with no --config
+        inputs.append((f"tree{seed}", tree, ["."]))
+    cases = []
+    for name, cwd, paths in inputs:
+        for rules, options in (("default", []), ("corpus", ["--config", str(config)])):
+            for command in ("check", "reconcile"):
+                for fmt in ("text", "json", "csv"):
+                    cases.append((f"{name} {command} --format {fmt} ({rules} rules)",
+                                  [command, "--format", fmt, *options, *paths], cwd))
+    return cases
+
+
+def compare(name: str, sides: list[dict[str, bytes]]) -> bool:
+    """Print what differs between the two sides' outputs; True if nothing."""
+    parent, change = sides
+    differ = sorted(key for key in parent.keys() | change.keys()
+                    if parent.get(key) != change.get(key))
+    if differ:
+        print(f"DIFFER {name}: {', '.join(differ[:10])}"
+              + (f" and {len(differ) - 10} more" if len(differ) > 10 else ""))
+    return not differ
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__.strip().split("\n\n")[1])
+    srcs = [Path(a).resolve() for a in argv]
+    same = []
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        work = Path(tmp)
+        for name, cli_argv, cwd in report_cases(work):
+            same.append(compare(name, [run_cli(src, seed, cli_argv, cwd)
+                                       for src, seed in zip(srcs, HASH_SEEDS)]))
+
+        fix = ReconcileFix(Corpus(WORKLOAD_SEED), work / "fix")
+        sides = []
+        for src, seed in zip(srcs, HASH_SEEDS):
+            fix.prepare()  # a fresh copy of the stale tree
+            outputs = run_cli(src, seed, fix.args, fix.cwd)
+            outputs.update(("tree " + path, data) for path, data in read_tree(fix.cwd).items())
+            sides.append(outputs)
+        same.append(compare(f"reconcile_fix seed {WORKLOAD_SEED}: reconcile --fix", sides))
+
+        (work / "history").mkdir()
+        history = HistoryGit(Corpus(WORKLOAD_SEED), work / "history")
+        sides = []
+        for src, seed in zip(srcs, HASH_SEEDS):
+            history.prepare()  # no series output left from the other side
+            outputs = run_cli(src, seed, history.args, history.cwd)
+            outputs.update(read_tree(history.out))
+            sides.append(outputs)
+        same.append(compare(f"history_git seed {WORKLOAD_SEED}: history", sides))
+
+    print(f"cases: {len(same)}, differ: {same.count(False)}")
+    return 0 if all(same) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
