@@ -72,16 +72,15 @@ def reconcile(total: Fraction, declared: Optional[Fraction]
     return delta, DriftStatus.DRIFTED if delta else DriftStatus.IN_SYNC
 
 
-def apply_fixes(text: str, units: Iterable) -> str:
-    """Rewrite (or insert) the class-level @ICP of each unit of one file so
-    that declared equals computed, with no parse: each unit is read for
-    `type_name`, `total`, `icp_spans` and `header_start`, as a
-    `series.UnitResult` holds them.
+def apply_fixes(data: bytes, units: Iterable) -> bytes:
+    """Rewrite (or insert) the class-level @ICP of each unit of one file's
+    bytes so that declared equals computed, with no parse: each unit is read
+    for `type_name`, `total`, `icp_spans` and `header_start`, as a
+    `series.UnitResult` holds them, and spans are byte offsets into `data`.
 
     Only class-level annotation lines change; every other byte of the file
-    is preserved. Idempotent: a second run returns identical text.
+    is preserved. Idempotent: a second run returns identical bytes.
     """
-    data = text.encode("utf-8")
     edits: list[tuple[int, int, bytes]] = []  # (start, end, replacement)
 
     for unit in units:
@@ -102,12 +101,10 @@ def apply_fixes(text: str, units: Iterable) -> str:
             edits.append((line_start, line_start,
                           indent + rendered + _line_terminator(data, header)))
 
-    if not edits:
-        return text
     edits.sort(key=lambda e: e[0], reverse=True)
     for start, end, replacement in edits:
         data = data[:start] + replacement + data[end:]
-    return data.decode("utf-8")
+    return data
 
 
 def _line_terminator(data: bytes, pos: int) -> bytes:

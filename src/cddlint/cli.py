@@ -4,9 +4,9 @@ Subcommands: init, check, reconcile [--fix], history. Exit codes: 0 success,
 1 when the configured fail-on condition triggers (or a fix conflict), 2 for
 configuration, I/O, or repository/tool errors.
 
-check and reconcile read each file and hand it to `series.analyze_file`,
-the one per-file path that history shares; they render its `FileResult`s,
-and reconcile --fix rewrites files from them.
+check and reconcile read each file as bytes and hand it to
+`series.analyze_file`, the one per-file path that history shares; they
+render its `FileResult`s, and reconcile --fix rewrites files from them.
 """
 
 from __future__ import annotations
@@ -208,19 +208,17 @@ def cmd_init(args) -> int:
 
 
 def _analyze_files(files: list[tuple[str, str]], rules: RuleSet
-                   ) -> Iterator[tuple[str, str, str, FileResult]]:
-    """(recorded path, file, text, result) per file, in turn; a file that
+                   ) -> Iterator[tuple[str, str, bytes, FileResult]]:
+    """(recorded path, file, bytes, result) per file, in turn; a file that
     cannot be read fails as a whole."""
     for file, rec in files:
         try:
-            # bytes decoded whole keep line endings as written: a fixed file
-            # keeps its CR LF or CR
             with open(file, "rb") as handle:
-                text = handle.read().decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            yield rec, file, "", FileResult.failed(f"unreadable: {exc}")
+                data = handle.read()
+        except OSError as exc:
+            yield rec, file, b"", FileResult.failed(f"unreadable: {exc}")
         else:
-            yield rec, file, text, analyze_file(_rule_path(rec), text, rules)
+            yield rec, file, data, analyze_file(_rule_path(rec), data, rules)
 
 
 def _file_issues(rec: str, result: FileResult) -> list[FileIssue]:
@@ -280,23 +278,23 @@ def _fix_files(files: list[tuple[str, str]], rules: RuleSet) -> int:
     """reconcile --fix: each file is rewritten from its `FileResult`, with no
     second parse; nothing is written until every file has been read. A
     file's issues go to stderr, as check's text shows them."""
-    fixes: list[tuple[str, str, str]] = []
+    fixes: list[tuple[str, str, bytes]] = []
     conflicts = 0
-    for rec, file, text, result in _analyze_files(files, rules):
+    for rec, file, data, result in _analyze_files(files, rules):
         for issue in _file_issues(rec, result):
             print(issue, file=sys.stderr)
         if all(u.status is DriftStatus.IN_SYNC for u in result.units):
             continue
         try:
-            fixed = apply_fixes(text, result.units)
+            fixed = apply_fixes(data, result.units)
         except RewriteConflict as exc:
             print(f"{rec}: {exc}", file=sys.stderr)
             conflicts += 1
             continue
-        if fixed != text:
+        if fixed != data:
             fixes.append((rec, file, fixed))
     for rec, file, fixed in fixes:
-        with open(file, "w", encoding="utf-8", newline="") as out:
+        with open(file, "wb") as out:
             out.write(fixed)
         print(f"fixed {rec}")
     print(f"{len(fixes)} files changed")

@@ -20,15 +20,12 @@ snapshot is the tree of its commit. The key is the blob id, so a path that
 is not UTF-8, or that holds a newline, is read like any other.
 
 The directory provider reads plain `NNNN_<id>/` folders, so the pipeline
-can be exercised without git. It reads and hashes every file of each
-snapshot, keeping the last one's bytes for `read_files`; its key is the
-sha256 of the bytes.
+can be exercised without git. It reads every file of each snapshot, and its
+key is the file's bytes, so `read_files` returns the pairs it is given.
 
-`subprocess` and `hashlib` are imported inside the calls that use them, and
-timestamps are formatted with `time`, not `datetime`: `cddlint.cli` imports
-this module for every command, and `check`, `reconcile` and `init` start no
-process and hash nothing, so they do not pay for loading these modules
-(`hashlib` loads OpenSSL).
+`subprocess` is imported inside the calls that use it, and timestamps are
+formatted with `time`, not `datetime`: `cddlint.cli` imports this module for
+every command, and `check`, `reconcile` and `init` load neither.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ if TYPE_CHECKING:
     import subprocess
 
 RangeSpec = Union[None, int, str]  # None=all, int=last N, "A..B"=id range
-Pair = tuple[str, str]  # a file's (path, key)
+Pair = tuple[str, Union[str, bytes]]  # a file's (path, key)
 Changes = dict[bytes, Optional[Pair]]  # raw path -> pair, or None when gone
 PathFilter = Callable[[str], bool]
 
@@ -286,7 +283,6 @@ class SnapshotDirProvider:
                 ordered.append((int(m.group(1)), m.group(2)))
                 self._dirs[m.group(2)] = child
         self._order = [cid for _, cid in sorted(ordered)]
-        self._blobs: dict[Pair, bytes] = {}  # of the last snapshot listed
 
     def list_commits(self, range_spec: RangeSpec = None) -> list[CommitMeta]:
         commits: list[CommitMeta] = []
@@ -306,31 +302,26 @@ class SnapshotDirProvider:
     def changes(
         self, commits: list[CommitMeta], path_filter: PathFilter
     ) -> Iterator[Changes]:
-        """Yield, per commit, the (path, sha256) pairs of the files whose
+        """Yield, per commit, the (path, bytes) pairs of the files whose
         path `path_filter` accepts that changed, and None for one gone; a
         symbolic link is skipped."""
-        import hashlib
-
         previous: dict[bytes, Pair] = {}
         for commit in commits:
             base = self._dirs.get(commit.id)
             if base is None:
                 raise VcsToolError(f"no snapshot directory for {commit.id}")
-            self._blobs = {}
             tree: dict[bytes, Pair] = {}
             for child in base.rglob("*"):
                 raw = os.fsencode(child.relative_to(base).as_posix())
                 path = raw.decode("utf-8", "replace")  # as git's paths are
                 if child.is_file() and not child.is_symlink() and path_filter(path):
-                    blob = child.read_bytes()
-                    pair = tree[raw] = (path, hashlib.sha256(blob).hexdigest())
-                    self._blobs[pair] = blob
+                    tree[raw] = (path, child.read_bytes())
             yield {raw: None for raw in previous if raw not in tree} | {
                 raw: pair for raw, pair in tree.items() if previous.get(raw) != pair}
             previous = tree
 
-    def read_files(self, pairs: list[Pair]) -> list[tuple[str, bytes]]:
-        return [(path, self._blobs[path, key]) for path, key in pairs]
+    def read_files(self, pairs: list[Pair]) -> list[Pair]:
+        return pairs
 
     def close(self) -> None:
-        self._blobs = {}
+        pass

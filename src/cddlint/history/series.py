@@ -2,28 +2,28 @@
 metrics: class counts, mean LOC, mean ICP, percent of classes over the
 limit, method-length stats and budget-commit detection.
 
-`analyze_file` is the one place a file is parsed, analysed, judged against
-its limit and reconciled with its class-level @ICP. `check` and `reconcile`
-render its `FileResult`s, `reconcile --fix` rewrites files from them with no
-second parse, and a snapshot's metrics aggregate one per non-test file; a
-snapshot shows whole-file failures only, not diagnostics or malformed-@ICP
-notes.
+`analyze_file` is the one place a file's bytes are decoded, parsed,
+analysed, judged against its limit and reconciled with its class-level
+@ICP. `check` and `reconcile` render its `FileResult`s, `reconcile --fix`
+rewrites files from them with no second parse, and a snapshot's metrics
+aggregate one per non-test file; a snapshot shows whole-file failures only,
+not diagnostics or malformed-@ICP notes.
 
 `series()` walks the range once, from the changes the provider yields per
-commit: a raw path's (path, key) pair, where the key is the git blob id, or
-the sha256 of the bytes for snapshot folders, or None when the path is gone.
-One tree, keyed by raw path, holds what each current pair came to: the
-decoded file with its test flag, or its "not UTF-8" note, and each non-test
-file's `FileResult`. Only pairs that differ from the tree's are fetched,
-decoded, matched against the test globs, parsed and analysed. The pair
-covers every input of a result: the bytes, and the path that test globs and
-limit overrides depend on; the rules are fixed for the call. Changes wait in
-`pending`, so a snapshot whose fetch fails leaves the tree as it was and
-hands its changes to the next. Ordinals count from the oldest commit walked,
-which in a shallow clone is its boundary commit.
+commit for the wanted paths that are not test paths, so no test file is
+fetched: a raw path's (path, key) pair, where the key is the git blob id,
+or the bytes for snapshot folders, or None when the path is gone. One tree,
+keyed by raw path, holds each current pair and its `FileResult`; only pairs
+that differ from the tree's are fetched and analysed. The pair covers every
+input of a result: the bytes, and the path that limit overrides depend on;
+the rules are fixed for the call. Changes wait in `pending`, so a snapshot
+whose fetch fails leaves the tree as it was and hands its changes to the
+next. Ordinals count from the oldest commit walked, which in a shallow
+clone is its boundary commit.
 
-`read_snapshot_files` followed by `analyze_snapshot` without results is the
-independent full read of one commit that a series snapshot must equal.
+`read_snapshot_files`, `analyze_file` on each non-test file, and
+`analyze_snapshot` are the independent full read of one commit that a
+series snapshot must equal.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ CSV_COLUMNS = [
 
 class SnapshotFile(Record):
     _fields = (
-        "path", "text",
+        "path", "data",  # str, bytes
         "is_test",  # bool
     )
 
@@ -86,31 +86,17 @@ class SeriesReport(Record):
     )
 
 
-def _decode(path: str, blob: bytes, rules: RuleSet) -> Union[SnapshotFile, str]:
-    """A fetched file, or the note that skips it when it is not UTF-8."""
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError:
-        return f"{path}: skipped (not valid UTF-8)"
-    return SnapshotFile((path, text, rules.is_test_path(path)))
-
-
-def _split(entries: list) -> tuple[list[SnapshotFile], list[str]]:
-    files = [e for e in entries if isinstance(e, SnapshotFile)]
-    return files, [e for e in entries if isinstance(e, str)]
-
-
 def read_snapshot_files(
     provider: Provider, commit: CommitMeta, rules: RuleSet
-) -> tuple[list[SnapshotFile], list[str]]:
-    """Fetch every matching file at one commit, in git's path order; files
-    that are not UTF-8 are skipped with a note."""
+) -> list[SnapshotFile]:
+    """Fetch every matching file at one commit, test files included, in
+    git's path order."""
     [tree] = provider.changes([commit], rules.is_wanted_path)
     try:
         blobs = provider.read_files([tree[raw] for raw in sorted(tree)])
     finally:
         provider.close()
-    return _split([_decode(path, blob, rules) for path, blob in blobs])
+    return [SnapshotFile((path, data, rules.is_test_path(path))) for path, data in blobs]
 
 
 def detect_cdd_commit(message: str, rules: RuleSet) -> Optional[tuple[str, str]]:
@@ -159,23 +145,34 @@ class FileResult(Record):
         return cls(((), (), 0, (), None, failure))
 
 
-def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
-    """Parse, analyse and judge one file, and reconcile its class-level @ICP:
-    the one per-file path, whose result check, reconcile, reconcile --fix and
-    history all read (`UnitResult` names who reads each field). A
-    `ParseError` or `RecursionError` becomes its `failure`; a malformed @ICP
-    gives the file a note, and leaves unannotated only the unit whose
-    class-level @ICP it is. Limit overrides and test globs match `path`.
+def analyze_file(path: str, data: bytes, rules: RuleSet) -> FileResult:
+    """Decode, parse, analyse and judge one file, and reconcile its
+    class-level @ICP: the one per-file path, whose result check, reconcile,
+    reconcile --fix and history all read (`UnitResult` names who reads each
+    field). Bytes that are not UTF-8, a `ParseError` or a `RecursionError`
+    become its `failure`, the first two as `parse failed: line N: message`;
+    a malformed @ICP gives the file a note, and leaves unannotated only the
+    unit whose class-level @ICP it is. Limit overrides and test globs match
+    `path`.
 
     LOC attribution: a file with a single top-level class, its first unit,
     gives that class `physical_loc(text)`; any other class gets its own
     declaration span height.
     """
     try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # LF, CR LF and a lone CR each end a line, as the scanner counts them
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return FileResult.failed(
+            f"parse failed: line {line}: invalid character 0x{data[exc.start]:02x}")
+    try:
         unit = parse_unit(text, path)
         analyses = analyze_unit(unit, rules)
     except ParseError as exc:
-        return FileResult.failed(f"parse failed: {exc}")
+        line = exc.diagnostics[-1].span.line_start
+        return FileResult.failed(f"parse failed: line {line}: {exc}")
     except RecursionError:
         return FileResult.failed("parse failed: nesting too deep")
     declared, malformed = extract_declared(unit)
@@ -194,25 +191,17 @@ def analyze_file(path: str, text: str, rules: RuleSet) -> FileResult:
                        unit.diagnostics, malformed, None))
 
 
-def analyze_snapshot(
-    files: list[SnapshotFile], rules: RuleSet,
-    results: Optional[list[FileResult]] = None,
-) -> SnapshotStats:
-    """Class metrics over non-test units; parse failures are tallied, not
-    fatal. `results`, when given, holds the `FileResult` of each non-test
-    file of `files`, in order; without it each file is analysed here. The
-    metrics are the same either way."""
-    files = [f for f in files if not f.is_test]
-    if results is None:
-        results = [analyze_file(f.path, f.text, rules) for f in files]
-
+def analyze_snapshot(results: list[tuple[str, FileResult]]) -> SnapshotStats:
+    """Class metrics over the (path, `FileResult`) rows of a snapshot's
+    non-test files, in path order; whole-file failures are tallied, not
+    fatal."""
     totals: list[Fraction] = []
     lengths: list[int] = []
     loc = over = excluded = 0
     diagnostics: list[str] = []
-    for f, r in zip(files, results):
+    for path, r in results:
         if r.failure is not None:
-            diagnostics.append(f"{f.path}: {r.failure}")
+            diagnostics.append(f"{path}: {r.failure}")
             continue
         for u in r.units:
             totals.append(u.total)
@@ -233,25 +222,18 @@ def analyze_snapshot(
     ))
 
 
-# a pair, the decoded file or its note, and a non-test file's `FileResult`
-Entry = tuple[Pair, Union[SnapshotFile, str], Optional[FileResult]]
-
-
-def _apply(tree: dict[bytes, Entry], pending: Changes, provider: Provider,
-           rules: RuleSet) -> None:
+def _apply(tree: dict[bytes, tuple[Pair, FileResult]], pending: Changes,
+           provider: Provider, rules: RuleSet) -> None:
     """Bring `tree` up to date with `pending`, reading only the pairs that
     differ from the tree's; a read or an analysis that raises changes none."""
     new = [(raw, pair) for raw, pair in pending.items()
            if pair is not None and (raw not in tree or tree[raw][0] != pair)]
-    entries: dict[bytes, Entry] = {}
-    for (raw, pair), (path, blob) in zip(new, provider.read_files([p for _, p in new])):
-        entry = _decode(path, blob, rules)
-        entries[raw] = (pair, entry, None if isinstance(entry, str) or entry.is_test
-                        else analyze_file(path, entry.text, rules))
+    results = {raw: (pair, analyze_file(path, data, rules)) for (raw, pair), (path, data)
+               in zip(new, provider.read_files([pair for _, pair in new]))}
     for raw, pair in pending.items():
         if pair is None:
             tree.pop(raw, None)
-    tree.update(entries)
+    tree.update(results)
 
 
 def series(
@@ -261,20 +243,20 @@ def series(
     snapshots: list[SnapshotMetrics] = []
     failures: list[str] = []
     commits = provider.list_commits(range_spec)
-    tree: dict[bytes, Entry] = {}
+    tree: dict[bytes, tuple[Pair, FileResult]] = {}
     pending: Changes = {}
+
+    def analyzed(path: str) -> bool:
+        return rules.is_wanted_path(path) and not rules.is_test_path(path)
+
     try:
-        for commit, changed in zip(commits, provider.changes(commits, rules.is_wanted_path)):
+        for commit, changed in zip(commits, provider.changes(commits, analyzed)):
             pending.update(changed)
             try:
                 _apply(tree, pending, provider, rules)
                 pending = {}
-                ordered = [tree[raw] for raw in sorted(tree)]
-                files, notes = _split([entry for _, entry, _ in ordered])
                 stats = analyze_snapshot(
-                    files, rules, [r for _, _, r in ordered if r is not None])
-                if notes:
-                    stats = stats._replace(diagnostics=tuple(notes) + stats.diagnostics)
+                    [(pair[0], result) for _, (pair, result) in sorted(tree.items())])
             except Exception as exc:  # per-snapshot isolation
                 failures.append(f"{commit.id}: {exc}")
                 stats = SnapshotStats((0, None, None, None,

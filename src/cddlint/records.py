@@ -1,8 +1,9 @@
 """Records: immutable tuples with named fields, for syntax nodes and results.
 
 A record class names its fields in ``_fields``; its metaclass gives it empty
-``__slots__`` and one read-only accessor per field, the C descriptor that
-``collections.namedtuple`` uses. No code is generated, evaluated or read from
+``__slots__`` and one read-only accessor per field, the one
+``collections.namedtuple`` uses: a C descriptor, or a property where the C
+one is missing. No code is generated, evaluated or read from
 annotations per class, so defining one is cheap at import.
 
 A record inherits ``tuple.__new__``: it is built from one tuple of all its
@@ -17,18 +18,7 @@ a walk over a tree of records reads no field by name.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
-
-def _property_field(index: int, doc: str) -> property:
-    """The accessor ``namedtuple`` falls back to without the C one."""
-    return property(itemgetter(index), doc=doc)
-
-
-try:
-    from collections import _tuplegetter as _field
-except ImportError:  # an interpreter whose collections module lacks it
-    _field = _property_field
+from collections import _tuplegetter as _field
 
 
 class RecordType(type):

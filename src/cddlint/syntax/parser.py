@@ -21,7 +21,8 @@ reader, ``_try_parse_local_head``, reads the modifiers and type of a local
 declaration and of both kinds of `for` header, so a header is read once; one
 list reader, ``_parse_list``, reads every bracketed, separated list;
 ``_skip_generics`` reads every `<…>`: type parameters, and the type
-arguments of a type and of a call, none of which is kept. A parse
+arguments of a type and of a call, none of which is kept; each item is
+read with ``_parse_type``, so a `<…>` that holds anything else fails. A parse
 attempt that is rolled back when it fails (a variable's head, its
 declarators, a cast, an else-link's annotations) runs in ``_attempt``, the one
 undo, and fails only on input that is not Java.
@@ -29,8 +30,8 @@ undo, and fails only on input that is not Java.
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists. A skip
 over a `(…)` or `{…}` jumps to the partner the stream's ``partners`` list
-gives; no loop here counts bracket depth but ``_skip_generics``, as `<` and
-`>` are not paired.
+gives; no loop here counts bracket depth, and a `<…>`, whose `<` and `>`
+are not paired, is read item by item.
 
 Binary operators are parsed by one precedence-climbing loop,
 ``_Parser._parse_binary``, driven by ``_BINARY_LEVELS``: that table is the one
@@ -133,12 +134,12 @@ _NUMBER_SUFFIXES = "lLfFdD"
 
 
 class ParseError(Exception):
-    """Raised when type or member structure cannot be recovered."""
+    """Raised when type or member structure cannot be recovered; its
+    message is that of its last diagnostic, the fault that raised it."""
 
     def __init__(self, diagnostics: list[ast.Diagnostic]):
         self.diagnostics = list(diagnostics)
-        first = self.diagnostics[0].message if self.diagnostics else "parse failed"
-        super().__init__(first)
+        super().__init__(self.diagnostics[-1].message)
 
 
 class _Fail(Exception):
@@ -558,21 +559,23 @@ class _Parser:
 
     def _skip_generics(self) -> None:
         """The `<…>` at the cursor, the one reader of type parameters and
-        type arguments, which are skipped, as no site is counted from them;
-        stops without consuming at a `{`, `}` or `;` inside it."""
-        depth = 0
-        while self.kinds[self.pos] != _EOF:
-            k = self.texts[self.pos]
-            if k == "<":
-                depth += 1
-            elif k == ">":
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return
-            elif k in ("{", "}", ";"):
-                return  # malformed; bail without consuming
+        type arguments, which are read and dropped, as no site is counted
+        from them; anything else between the brackets fails, with "expected
+        '>'" or, where a type should start, "expected type"."""
+        self._parse_list(self._skip_type_arg, ">")
+
+    def _skip_type_arg(self) -> None:
+        """One item of a `<…>`: a type argument (`@A T`, `?`, `? extends T`,
+        `? super T`) or a type parameter (`@A T extends B & C`)."""
+        if self.texts[self.pos] == "@":
+            self._parse_annotations()
+        if self.texts[self.pos] == "?":
             self.pos += 1
+        else:
+            self._parse_type()
+        if self.texts[self.pos] in ("extends", "super", "&"):
+            self.pos += 1
+            self._skip_type_arg()  # a bound, or the next type of an `&` list
 
     # ── statements ──────────────────────────────────────────────────────
 

@@ -24,11 +24,11 @@ LISTING_RULES = default_rules(internal_types=LISTING_INTERNAL_TYPES)
 
 
 def units_of(text: str, rules=LISTING_RULES):
-    return analyze_file("T.java", text, rules).units
+    return analyze_file("T.java", text.encode(), rules).units
 
 
 def fix(text: str, rules=LISTING_RULES) -> str:
-    return apply_fixes(text, units_of(text, rules))
+    return apply_fixes(text.encode(), units_of(text, rules)).decode()
 
 
 class TestExtract:
@@ -196,7 +196,7 @@ class TestApplyFix:
     def test_insert_respects_indentation(self):
         text = "class Out {\n  static class In {\n    void f(boolean x) { if (x) {} }\n  }\n}\n"
         inner = [u for u in units_of(text, default_rules()) if u.type_name == "Out.In"]
-        fixed = apply_fixes(text, inner)
+        fixed = apply_fixes(text.encode(), inner).decode()
         assert "\n  @ICP(2)\n  static class In {" in fixed
 
     def test_locality_only_one_line_changes(self, listing_source):

@@ -26,7 +26,7 @@ from cddlint.rules import load_rules
 
 from conftest import (
     DEEP_SOURCE, ELSE_IF_SOURCE, FIXTURES, LISTING_PATH, LONG_GUARD_SOURCE, LONG_SUM_SOURCE,
-    ORACLE_DIR,
+    ORACLE_DIR, commit_tree,
 )
 
 # `cddlint.history.series` the attribute is the series() function
@@ -367,7 +367,7 @@ class TestReconcile:
         (tmp_path / "E.java").write_text("class E {\n")
         diagnostics = [
             {"path": "Bad.java", "message": "@ICP needs a decimal argument (line 1)"},
-            {"path": "E.java", "message": "parse failed: expected '}'"},
+            {"path": "E.java", "message": "parse failed: line 2: expected '}'"},
         ]
         code, out, _ = run(capsys, "reconcile", ".", "--format", "json")
         doc = json.loads(out)
@@ -396,7 +396,7 @@ class TestReconcile:
             "B.java:B: drifted: declared 5, computed 2 (delta -3)",
             "C.java:C: unannotated: declared -, computed 2",
             "D.java:D: drifted: declared 0.5, computed 0 (delta -0.5)",
-            "E.java: parse failed: expected '}'",
+            "E.java: parse failed: line 2: expected '}'",
             "4 units, 2 drifted, 1 unannotated",
         ]
 
@@ -503,6 +503,19 @@ class TestPerFileResult:
         ]
         assert doc["summary"]["parse_failures"] == 0
 
+    def test_a_failure_names_its_fatal_cause_and_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the bad member on line 2 is skipped; the bad type header on line 5
+        # is what fails the file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F.java").write_text(
+            "class A {\n  int x y;\n  void f() {}\n}\nclass {\n}\n")
+        code, out, _ = run(capsys, "check", ".", "--format", "json")
+        doc = json.loads(out)
+        assert doc["diagnostics"] == [
+            {"path": "F.java", "message": "parse failed: line 5: expected type name"}]
+        assert doc["summary"]["parse_failures"] == 1
+
     def test_fix_names_what_it_could_not_analyse(self, tmp_path, capsys, monkeypatch):
         # a file that fails to parse is left as it is, and one with parser
         # diagnostics is rewritten; stderr names both, as check's text does
@@ -512,7 +525,7 @@ class TestPerFileResult:
         code, out, err = run(capsys, "reconcile", "--fix", ".")
         assert (code, out) == (0, "fixed Probe.java\n1 files changed\n")
         assert err.splitlines() == [
-            "E.java: parse failed: expected '}'",
+            "E.java: parse failed: line 2: expected '}'",
             "Probe.java:5: initializer block is not analyzed",
             "Probe.java:10: switch expression is not analyzed",
         ]
@@ -574,6 +587,58 @@ class TestPerFileResult:
             assert (code, out.splitlines()[-1]) == (0, "3 files changed")
             assert (tmp_path / "B.java").read_text() == (
                 "@ICP(0)\nclass B {\n  @ICP(0)\n  static class In { int k; }\n}\n")
+
+
+class TestUndecodableFile:
+    """A file that is not UTF-8 fails as a whole, with the same message and
+    count in check, reconcile --fix and history, git and snapshot folders
+    alike; its byte 0xff is on line 3."""
+
+    FAILURE = "A.java: parse failed: line 3: invalid character 0xff"
+
+    @pytest.fixture(params=[
+        b"class A {\n  int x;\n  int \xffy;\n}\n",
+        b"class A {\n  /* one\n  two \xff */\n  int x;\n}\n",
+        b"class A {\r  int x;\r  int \xffy;\r}\r",
+    ], ids=["token", "block-comment", "lone-cr"])
+    def tree(self, request, tmp_path, monkeypatch) -> Path:
+        monkeypatch.chdir(tmp_path)
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "A.java").write_bytes(request.param)
+        (tree / "Ok.java").write_text("@ICP(1)\nclass Ok {}\n")
+        return tree
+
+    def test_check_and_fix(self, tree, capsys):
+        code, out, _ = run(capsys, "check", "tree")
+        assert code == 0
+        assert f"tree/{self.FAILURE}" in out.splitlines()
+        assert "1 parse failures" in out
+        code, out, _ = run(capsys, "check", "tree", "--format", "json")
+        doc = json.loads(out)
+        assert [f"{d['path']}: {d['message']}" for d in doc["diagnostics"]] == [
+            f"tree/{self.FAILURE}"]
+        assert doc["summary"]["parse_failures"] == 1
+        before = (tree / "A.java").read_bytes()
+        code, out, err = run(capsys, "reconcile", "--fix", "tree")
+        assert (code, out) == (0, "fixed tree/Ok.java\n1 files changed\n")
+        assert err.splitlines() == [f"tree/{self.FAILURE}"]
+        assert (tree / "A.java").read_bytes() == before
+
+    def test_history(self, tree, tmp_path, capsys):
+        from test_history import export_snapshots
+
+        repo = tmp_path / "repo"
+        commit_tree(repo, {path.name: path.read_bytes() for path in tree.iterdir()},
+                    "c0", "2021-12-01T00:00:00Z")
+        folders = export_snapshots(repo, tmp_path / "snapshots")
+        for mode in ([str(repo)], ["--snapshots", str(folders)]):
+            code, _, err = run(capsys, "history", *mode, "--output-dir", "out")
+            assert code == 0, err
+            [snap] = json.loads((tmp_path / "out" / "cdd_series.json").read_text())[
+                "snapshots"]
+            assert (snap["parse_failures"], snap["diagnostics"]) == (1, [self.FAILURE])
+            assert snap["class_count"] == 1
 
 
 class TestHistory:

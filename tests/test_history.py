@@ -3,7 +3,6 @@ hand-computed 5-commit golden CSV in both provider modes."""
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import io
 import json
@@ -32,7 +31,7 @@ from cddlint.history import (
 )
 from cddlint import cli
 from cddlint.history.providers import CommitMeta, _iso_utc, apply_range
-from cddlint.history.series import SnapshotFile
+from cddlint.history.series import SnapshotFile, SnapshotStats, analyze_file
 from cddlint.rules import LimitOverride, default_rules
 
 from conftest import (
@@ -152,8 +151,7 @@ class TestReadSnapshotFiles:
         repo, ids = history_repo
         provider = GitProvider(repo)
         commits = provider.list_commits()
-        files, diags = read_snapshot_files(provider, commits[2], RULES)
-        assert diags == []
+        files = read_snapshot_files(provider, commits[2], RULES)
         by_path = {f.path: f for f in files}
         assert set(by_path) == {"A.java", "src/test/TA.java"}
         assert not by_path["A.java"].is_test
@@ -163,7 +161,7 @@ class TestReadSnapshotFiles:
         repo, ids = history_repo
         provider = GitProvider(repo)
         commits = provider.list_commits()
-        files, _ = read_snapshot_files(provider, commits[4], RULES)
+        files = read_snapshot_files(provider, commits[4], RULES)
         assert all(f.path.endswith(".java") for f in files)
 
     def test_binary_file_skipped_with_diagnostic(self, tmp_path):
@@ -177,9 +175,14 @@ class TestReadSnapshotFiles:
         )
         provider = SnapshotDirProvider(root)
         [commit] = provider.list_commits()
-        files, diags = read_snapshot_files(provider, commit, RULES)
-        assert [f.path for f in files] == ["Ok.java"]
-        assert diags and "Bin.java" in diags[0]
+        files = read_snapshot_files(provider, commit, RULES)
+        assert [f.path for f in files] == ["Bin.java", "Ok.java"]
+        # the bytes are read as they are, and fail the file as a whole
+        assert files[0].data == b"\xff\xfe\x00junk"
+        stats = full_read(files, RULES)
+        assert stats.diagnostics == (
+            "Bin.java: parse failed: line 1: invalid character 0xff",)
+        assert (stats.parse_failures, stats.class_count) == (1, 1)
 
 
 class TestDetectCddCommit:
@@ -199,25 +202,34 @@ class TestDetectCddCommit:
         assert detect_cdd_commit("refactor\ncdd(Foo): x", RULES) is None
 
 
+def _file(path: str, text: str) -> SnapshotFile:
+    return SnapshotFile((path, text.encode(), False))
+
+
 def _n_if_class(name: str, n: int) -> SnapshotFile:
     body = "\n".join(f"    if (x{i} > 0) {{}}" for i in range(n))
     params = ", ".join(f"int x{i}" for i in range(n))
-    return SnapshotFile((f"{name}.java",
-                         f"class {name} {{\n  void f({params}) {{\n{body}\n  }}\n}}\n",
-                         False))
+    return _file(f"{name}.java",
+                 f"class {name} {{\n  void f({params}) {{\n{body}\n  }}\n}}\n")
+
+
+def full_read(files: list[SnapshotFile], rules) -> SnapshotStats:
+    """The metrics of a snapshot's files: each non-test one analysed alone,
+    in the order given."""
+    return analyze_snapshot([(f.path, analyze_file(f.path, f.data, rules))
+                             for f in files if not f.is_test])
 
 
 class TestAnalyzeSnapshot:
     def test_half_over_limit(self):
         # 4 ifs = 8.0, 6 ifs = 12.0 under default costs
-        stats = analyze_snapshot([_n_if_class("Under", 4), _n_if_class("Over", 6)],
-                                 RULES)
+        stats = full_read([_n_if_class("Under", 4), _n_if_class("Over", 6)], RULES)
         assert stats.class_count == 2
         assert stats.percent_over_limit == 50
         assert stats.mean_icp == 10
 
     def test_empty_snapshot(self):
-        stats = analyze_snapshot([], RULES)
+        stats = analyze_snapshot([])
         assert stats.class_count == 0
         assert stats.mean_icp is None
         assert stats.percent_over_limit is None
@@ -227,22 +239,20 @@ class TestAnalyzeSnapshot:
             "CertificateRepository", "TrainingCompleted", "Student",
             "CertificateResponse", "Training",
         ))
-        stats = analyze_snapshot(
-            [SnapshotFile(("CertificateDetailsController.java", listing_source, False))],
-            rules,
-        )
+        stats = full_read([_file("CertificateDetailsController.java", listing_source)],
+                          rules)
         assert stats.class_count == 1
         assert stats.mean_icp == 8
 
     def test_parse_failure_tallied_not_fatal(self):
-        broken = SnapshotFile(("Broken.java", "not java at all", False))
-        stats = analyze_snapshot([broken, _n_if_class("Ok", 1)], RULES)
+        broken = _file("Broken.java", "not java at all")
+        stats = full_read([broken, _n_if_class("Ok", 1)], RULES)
         assert stats.parse_failures == 1
         assert stats.class_count == 1
 
     def test_too_deep_nesting_keeps_the_other_classes(self):
-        deep = SnapshotFile(("Deep.java", DEEP_SOURCE, False))
-        stats = analyze_snapshot([deep, _n_if_class("Ok", 1)], RULES)
+        deep = _file("Deep.java", DEEP_SOURCE)
+        stats = full_read([deep, _n_if_class("Ok", 1)], RULES)
         assert stats.parse_failures == 1
         assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
         assert stats.class_count == 1
@@ -251,13 +261,12 @@ class TestAnalyzeSnapshot:
     def test_class_loc_attribution(self):
         # two top-level classes: each class, the nested one too, counts its
         # declaration's lines: A 1-6 is 6, A.N 3-5 is 3, B 8-10 is 3
-        two = SnapshotFile(("Two.java", (
+        two = _file("Two.java", (
             "class A {\n  void f() {}\n  static class N {\n    int x;\n  }\n}\n"
-            "\nclass B {\n  int y;\n}\n"), False))
+            "\nclass B {\n  int y;\n}\n"))
         # one top-level class counts the file's 6 lines; S.M 4-5 is 2
-        one = SnapshotFile(("One.java", (
-            "package p;\n\nclass S {\n  class M {\n  }\n}\n"), False))
-        stats = analyze_snapshot([two, one], RULES)
+        one = _file("One.java", "package p;\n\nclass S {\n  class M {\n  }\n}\n")
+        stats = full_read([two, one], RULES)
         assert stats.class_count == 5
         assert stats.mean_physical_loc == Fraction(6 + 3 + 3 + 6 + 2, 5)
 
@@ -268,7 +277,7 @@ class TestAnalyzeSnapshot:
         source = ("class Bad {\n  @ICP(2)\n  static class In {\n"
                   "    void f(boolean x) { if (x) {} }\n  }\n}\n")
         well, malformed = (
-            analyze_snapshot([SnapshotFile(("Bad.java", text, False))], RULES)
+            full_read([_file("Bad.java", text)], RULES)
             for text in (source, source.replace("@ICP(2)", "@ICP(x)")))
         assert malformed == well
         assert (malformed.parse_failures, malformed.diagnostics) == (0, ())
@@ -276,16 +285,13 @@ class TestAnalyzeSnapshot:
         assert malformed.mean_physical_loc == Fraction(6 + 4, 2)
         assert malformed.mean_icp == Fraction(0 + 2, 2)
 
-    def test_exclusion_correctness(self):
-        files = [
-            SnapshotFile(("A.java", "class A {}", False)),
-            SnapshotFile(("src/test/T.java", "class T {}", True)),
-        ]
-        stats = analyze_snapshot(files, RULES)
-        assert stats.class_count == 1
-        as_plain = [f._replace(is_test=False) for f in files]
-        stats2 = analyze_snapshot(as_plain, RULES)
-        assert stats2.class_count == 2
+    def test_exclusion_correctness(self, tmp_path):
+        repo = tmp_path / "repo"
+        commit_tree(repo, {"A.java": "class A {}", "src/test/T.java": "class T {}"},
+                    "c0", "2021-12-01T00:00:00Z")
+        for rules, count in ((RULES, 1), (RULES._replace(test_globs=()), 2)):
+            [snap] = series(GitProvider(repo), None, rules).snapshots
+            assert snap.stats.class_count == count
 
 
 class TestSeriesGolden:
@@ -331,10 +337,10 @@ class TestSeriesGolden:
         repo, ids = history_repo
         provider = GitProvider(repo)
         commits = provider.list_commits()
-        snapshots = [read_snapshot_files(provider, c, RULES)[0] for c in commits]
-        sequential = [analyze_snapshot(files, RULES) for files in snapshots]
+        snapshots = [read_snapshot_files(provider, c, RULES) for c in commits]
+        sequential = [full_read(files, RULES) for files in snapshots]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = list(pool.map(lambda fs: analyze_snapshot(fs, RULES), snapshots))
+            parallel = list(pool.map(lambda fs: full_read(fs, RULES), snapshots))
         assert parallel == sequential
 
     def test_rules_digest_is_stable(self, history_repo):
@@ -374,9 +380,7 @@ def memo_repo(tmp_path) -> Path:
 def fresh_stats(provider, commit, rules):
     """One commit read in full and analysed without a memo: the reference
     each series snapshot must equal, diagnostics included."""
-    files, notes = read_snapshot_files(provider, commit, rules)
-    alone = analyze_snapshot(files, rules)
-    return alone._replace(diagnostics=tuple(notes) + alone.diagnostics)
+    return full_read(read_snapshot_files(provider, commit, rules), rules)
 
 
 class TestSeriesMemo:
@@ -387,7 +391,7 @@ class TestSeriesMemo:
             assert snap.stats == fresh_stats(provider, snap.commit, MEMO_RULES)
         # the fixture reaches every case it is meant to
         stats = [s.stats for s in report.snapshots]
-        assert [s.parse_failures for s in stats] == [1, 2, 2, 2, 1]
+        assert [s.parse_failures for s in stats] == [2, 3, 3, 3, 2]
         assert all(any("Bin.java" in d for d in s.diagnostics) for s in stats)
         assert [s.class_count for s in stats] == [2, 3, 3, 3, 3]
         third = Fraction(100, 3)
@@ -399,30 +403,31 @@ class TestSeriesMemo:
         expected = 0
         previous: set = set()
         for commit in provider.list_commits():
-            files, _ = read_snapshot_files(provider, commit, MEMO_RULES)
-            current = {(f.path, f.text) for f in files if not f.is_test}
+            files = read_snapshot_files(provider, commit, MEMO_RULES)
+            current = {(f.path, f.data) for f in files if not f.is_test}
             expected += len(current - previous)
             previous = current
-        assert expected == 8  # 3, then A2, Same2 and Deep, A1 again, Big, none
+        assert expected == 10  # 4, then A2, Same2 and Deep, A1 again, Big and Bin, none
 
-        # every matching pair is read, test files and non-UTF-8 ones too
+        # each such pair is read once, a non-UTF-8 one too; a test file never
         expected_reads = 0
         tree: dict = {}
         previous = set()
         for changes in MEMO_COMMITS:
             tree.update(changes)
             current = {(path, content) for path, content in tree.items()
-                       if content is not None and path.endswith(".java")}
+                       if content is not None and path.endswith(".java")
+                       and not path.startswith("src/test/")}
             expected_reads += len(current - previous)
             previous = current
-        assert expected_reads == 12  # 5, 3, A1 and TA, Big and Bin, none
+        assert expected_reads == 10
 
         parsed = []
-        real = series_module.parse_unit
+        real = series_module.analyze_file
 
-        def counting(text, path):
+        def counting(path, data, rules):
             parsed.append(path)
-            return real(text, path)
+            return real(path, data, rules)
 
         read = []
         real_read = GitProvider.read_files
@@ -431,11 +436,30 @@ class TestSeriesMemo:
             read.extend(pairs)
             return real_read(self, pairs)
 
-        monkeypatch.setattr(series_module, "parse_unit", counting)
+        monkeypatch.setattr(series_module, "analyze_file", counting)
         monkeypatch.setattr(GitProvider, "read_files", counting_read)
         series(provider, None, MEMO_RULES)
         assert len(parsed) == expected
         assert len(read) == expected_reads
+
+    def test_a_change_to_a_test_file_alone_fetches_no_blob(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        commit_tree(repo, {"A.java": A_V1, "src/test/TA.java": TEST_FILE},
+                    "c0", "2021-12-01T00:00:00Z")
+        for i in (1, 2):
+            commit_tree(repo, {"src/test/TA.java": TEST_FILE + f"// {i}\n"},
+                        f"c{i}", f"2021-12-0{i + 1}T00:00:00Z")
+        read = []
+        real_read = GitProvider.read_files
+
+        def recording_read(self, pairs):
+            read.append([path for path, _ in pairs])
+            return real_read(self, pairs)
+
+        monkeypatch.setattr(GitProvider, "read_files", recording_read)
+        report = series(GitProvider(repo), None, RULES)
+        assert read == [["A.java"], [], []]
+        assert [s.stats.class_count for s in report.snapshots] == [1, 1, 1]
 
 
 BROKEN = "not java at all"
@@ -625,6 +649,25 @@ class TestChangeDrivenWalk:
             in_dirs = series(SnapshotDirProvider(folders), None, RULES)
             assert in_dirs.snapshots == in_git.snapshots
 
+    def test_snapshot_folder_keys_are_the_bytes(self, history_snapshot_dir):
+        provider = SnapshotDirProvider(history_snapshot_dir)
+        commits = provider.list_commits()
+        every_change = list(provider.changes(commits, lambda path: True))
+        assert len(every_change) == len(commits)
+        # after the first commit's whole tree, only what each commit changed
+        assert [sorted(changed) for changed in every_change[1:]] == [
+            [b"A.java"], [b"src/test/TA.java"], [b"Big.java"], [b"README.md"]]
+        tree: dict = {}
+        for commit, changed in zip(commits, every_change):
+            tree.update(changed)
+            listing = [pair for pair in tree.values() if pair is not None]
+            base = next(history_snapshot_dir.glob(f"*_{commit.id}"))
+            assert listing == [(path, (base / path).read_bytes()) for path, _ in listing]
+            assert provider.read_files(listing) == listing
+            assert {path for path, _ in listing} == {
+                child.relative_to(base).as_posix()
+                for child in base.rglob("*") if child.is_file()}
+
 
 def series_documents(repo: Path, tmp_path: Path) -> tuple[dict, dict]:
     """The `history` JSON of `repo` and of its snapshot folders, less the
@@ -702,35 +745,14 @@ class TestListingOrder:
 
 
 class TestLazilyLoadedOutputs:
-    """`datetime` and `hashlib` are not imported where these outputs are
-    made; the outputs are the ones those modules gave."""
+    """`datetime` is not imported where these outputs are made; the outputs
+    are the ones it gave."""
 
     @pytest.mark.parametrize("epoch", [0, -86_400, 1_600_000_000, 2**31, 4_102_444_800])
     def test_timestamps_match_datetime(self, epoch):
         expected = datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ")
         assert _iso_utc(epoch) == expected
-
-    def test_snapshot_keys_are_sha256_of_the_bytes(self, history_snapshot_dir):
-        provider = SnapshotDirProvider(history_snapshot_dir)
-        commits = provider.list_commits()
-        every_change = list(provider.changes(commits, lambda path: True))
-        assert len(every_change) == len(commits)
-        # after the first commit's whole tree, only what each commit changed
-        assert [sorted(changed) for changed in every_change[1:]] == [
-            [b"A.java"], [b"src/test/TA.java"], [b"Big.java"], [b"README.md"]]
-        tree: dict = {}
-        for commit, changed in zip(commits, every_change):
-            tree.update(changed)
-            listing = [pair for pair in tree.values() if pair is not None]
-            base = next(history_snapshot_dir.glob(f"*_{commit.id}"))
-            assert listing == [
-                (path, hashlib.sha256((base / path).read_bytes()).hexdigest())
-                for path, _ in listing
-            ]
-            assert {path for path, _ in listing} == {
-                child.relative_to(base).as_posix()
-                for child in base.rglob("*") if child.is_file()}
 
 
 class TestReadByBlobId:

@@ -187,7 +187,7 @@ class TestBasics:
 
     def test_physical_lines_recorded(self):
         # a file's only top-level type is given its physical line count
-        [unit] = analyze_file("A.java", "class A {}\n", default_rules()).units
+        [unit] = analyze_file("A.java", b"class A {}\n", default_rules()).units
         assert unit.loc == physical_loc("class A {}\n") == 1
 
     @pytest.mark.parametrize("resources", ["r", "this.r; R s = open()"])
@@ -276,6 +276,20 @@ class TestLists:
         assert span_text(text, declared.span) == type_text
         [analysis] = analyze_unit(unit, default_rules(internal_types=tuple(args)))
         assert analysis.sites == ()
+
+    @pytest.mark.parametrize("member, at", [
+        ("Optional< Optional InternalFoo> find() { return null; }", "InternalFoo"),
+        ("<T T> void f() {}", "T>"),
+        ("List<a + b> xs;", "+"),
+        ("List<String; int y;", ";"),
+    ])
+    def test_a_malformed_type_argument_list_fails_its_member(self, member, at):
+        text = f"class A {{ {member} void g() {{}} }}"
+        unit = parse_unit(text)
+        [diagnostic] = unit.diagnostics
+        assert diagnostic.message == "expected '>'"
+        assert text[diagnostic.span.byte_start:].startswith(at)
+        assert [m.name for m in unit.types[0].methods] == ["g"]
 
     def test_a_diamond_holds_no_type_argument(self):
         text = "class A { Object f() { return new Y<>(); } }"

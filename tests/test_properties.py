@@ -22,7 +22,7 @@ from cddlint.annotations import DriftStatus, apply_fixes
 from cddlint.cli import main
 from cddlint.engine import analyze_unit, verdict
 from cddlint.history import analyze_snapshot
-from cddlint.history.series import SnapshotFile, analyze_file
+from cddlint.history.series import analyze_file
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
 from cddlint.syntax import InvalidCharacter, TokenKind, ast, parse_unit, scanner, tokenize
 
@@ -245,7 +245,8 @@ def test_fix_idempotence_and_soundness(bodies, declared):
     text = render_class(bodies)
     if declared is not None:
         text = f"@ICP({declared})\n{text}"
-    fixed = apply_fixes(text, analyze_file("G.java", text, RULES).units)
+    data = text.encode()
+    fixed = apply_fixes(data, analyze_file("G.java", data, RULES).units)
 
     units = analyze_file("G.java", fixed, RULES).units
     assert units
@@ -634,8 +635,7 @@ def test_too_deep_nesting_fails_its_file_alone(form, tmp_path, monkeypatch, caps
     ]
     assert [(u["path"], u["total"]) for u in doc["units"]] == [("Ok.java", 2)]
 
-    files = [SnapshotFile(("Deep.java", deep, False)),
-             SnapshotFile(("Ok.java", ok, False))]
-    stats = analyze_snapshot(files, RULES)
+    stats = analyze_snapshot([(path, analyze_file(path, text.encode(), RULES))
+                              for path, text in (("Deep.java", deep), ("Ok.java", ok))])
     assert stats.diagnostics == ("Deep.java: parse failed: nesting too deep",)
     assert (stats.class_count, stats.mean_icp) == (1, 2)

@@ -158,29 +158,6 @@ def test_replace_changes_only_the_named_fields():
         span._replace(width=3)
 
 
-def test_property_fallback_behaves_as_the_c_accessor(monkeypatch):
-    class Fast(records.Record):
-        _fields = ("a", "b")
-
-    monkeypatch.setattr(records, "_field", records._property_field)
-
-    class Slow(records.Record):
-        _fields = ("a", "b")
-
-    assert isinstance(vars(Slow)["a"], property)
-    assert not isinstance(vars(Fast)["a"], property)
-    fast, slow = Fast(("x", 2)), Slow(("x", 2))
-    assert (slow.a, slow.b) == (fast.a, fast.b) == ("x", 2)
-    assert Slow.__new__ is tuple.__new__
-    assert repr(slow) == "Slow(a='x', b=2)"
-    for record in (fast, slow):
-        with pytest.raises(AttributeError):
-            record.a = "y"
-        with pytest.raises(AttributeError):
-            del record.b
-        assert record == ("x", 2)
-
-
 def _nodes_in(value) -> list[tuple]:
     """`value` if it is a node of `ast`, the nodes it holds if it is a tuple."""
     if isinstance(value, NODE_TYPES):
