@@ -6,7 +6,7 @@ from .annotations import DriftStatus, RewriteConflict, extract_declared, reconci
 from .engine import IcpSite, UnitAnalysis, Verdict, analyze_unit, verdict
 from .methods import MethodStats, method_stats
 from .rules import ConfigError, IcpCategory, RuleSet, default_rules, load_rules
-from .syntax import ParseError, SourceUnit, parse_unit, physical_loc, tokenize
+from .syntax import ParseError, SourceUnit, parse_unit, physical_loc
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,5 @@ __all__ = [
     "parse_unit",
     "physical_loc",
     "reconcile",
-    "tokenize",
     "verdict",
 ]

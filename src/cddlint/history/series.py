@@ -2,12 +2,12 @@
 metrics: class counts, mean LOC, mean ICP, percent of classes over the
 limit, method-length stats and budget-commit detection.
 
-`analyze_file` is the one place a file's bytes are decoded, parsed,
-analysed, judged against its limit and reconciled with its class-level
-@ICP. `check` and `reconcile` render its `FileResult`s, `reconcile --fix`
-rewrites files from them with no second parse, and a snapshot's metrics
-aggregate one per non-test file; a snapshot shows whole-file failures only,
-not diagnostics or malformed-@ICP notes.
+`analyze_file` is the one place a file's bytes are parsed, analysed,
+judged against its limit and reconciled with its class-level @ICP. `check`
+and `reconcile` render its `FileResult`s, `reconcile --fix` rewrites files
+from them with no second parse, and a snapshot's metrics aggregate one per
+non-test file; a snapshot shows whole-file failures only, not diagnostics
+or malformed-@ICP notes.
 
 `series()` walks the range once, from the changes the provider yields per
 commit for the wanted paths that are not test paths, so no test file is
@@ -146,29 +146,21 @@ class FileResult(Record):
 
 
 def analyze_file(path: str, data: bytes, rules: RuleSet) -> FileResult:
-    """Decode, parse, analyse and judge one file, and reconcile its
+    """Parse, analyse and judge one file's bytes, and reconcile its
     class-level @ICP: the one per-file path, whose result check, reconcile,
     reconcile --fix and history all read (`UnitResult` names who reads each
-    field). Bytes that are not UTF-8, a `ParseError` or a `RecursionError`
-    become its `failure`, the first two as `parse failed: line N: message`;
-    a malformed @ICP gives the file a note, and leaves unannotated only the
-    unit whose class-level @ICP it is. Limit overrides and test globs match
-    `path`.
+    field). A `ParseError`, which a byte that is not UTF-8 raises too, or a
+    `RecursionError` becomes its `failure`, the first as `parse failed: line
+    N: message`; a malformed @ICP gives the file a note, and leaves
+    unannotated only the unit whose class-level @ICP it is. Limit overrides
+    and test globs match `path`.
 
     LOC attribution: a file with a single top-level class, its first unit,
-    gives that class `physical_loc(text)`; any other class gets its own
-    declaration span height.
+    gives that class `physical_loc(data)`, which counts a lone CR as a line
+    end; any other class gets its own declaration span height.
     """
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # LF, CR LF and a lone CR each end a line, as the scanner counts them
-        head = data[:exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return FileResult.failed(
-            f"parse failed: line {line}: invalid character 0x{data[exc.start]:02x}")
-    try:
-        unit = parse_unit(text, path)
+        unit = parse_unit(data, path)
         analyses = analyze_unit(unit, rules)
     except ParseError as exc:
         line = exc.diagnostics[-1].span.line_start
@@ -180,7 +172,7 @@ def analyze_file(path: str, data: bytes, rules: RuleSet) -> FileResult:
     units = []
     for a, decl, (value, spans) in zip(analyses, unit.types, declared):
         v = verdict(a, rules)
-        loc = (physical_loc(text) if whole_file and not units
+        loc = (physical_loc(data) if whole_file and not units
                else a.span.line_end - a.span.line_start + 1)
         units.append(UnitResult((
             a.type_name, a.total, a.subtotals, v.applicable_limit, v.over_limit,

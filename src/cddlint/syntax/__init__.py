@@ -2,7 +2,7 @@
 
 from .ast import Diagnostic, SourceUnit, Span
 from .parser import ParseError, parse_unit
-from .scanner import active_backend, physical_loc, tokenize
+from .scanner import active_backend, physical_loc
 from .tokens import InvalidCharacter, TokenKind, TokenStream
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "active_backend",
     "parse_unit",
     "physical_loc",
-    "tokenize",
 ]

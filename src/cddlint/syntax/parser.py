@@ -151,9 +151,8 @@ class _Fail(Exception):
         super().__init__(message)
 
 
-def parse_unit(text: str, path: str = "<memory>") -> ast.SourceUnit:
-    """Parse source text into a SourceUnit; pure function of the input."""
-    data = text.encode("utf-8")
+def parse_unit(data: bytes, path: str = "<memory>") -> ast.SourceUnit:
+    """Parse a file's bytes into a SourceUnit; pure function of the input."""
     try:
         tokens = tokenize_bytes(data)
     except InvalidCharacter as exc:

@@ -26,8 +26,11 @@ starts at its gap. A window whose first pair is dropped so grows until the
 comment closes or the input ends; only then is an open ``/*`` an error.
 
 Lexical contract:
-  - input is UTF-8 encoded bytes; spans are byte offsets, lines are 1-based
+  - input is bytes; spans are byte offsets, lines are 1-based
   - a line ends at LF, at CR LF or at a lone CR (JLS SE 17 §3.4)
+  - the input is checked as UTF-8 once, before it is lexed: its first byte
+    that is not UTF-8, in a token, a comment or a gap, raises
+    InvalidCharacter with its offset and line before any other error
   - the result is a TokenStream of parallel lists: token i is ``kinds[i]``,
     ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``lines[i]``; a kind is
     IDENT (keywords included), NUMBER, STRING, CHAR, PUNCT or EOF, and no
@@ -47,7 +50,8 @@ Lexical contract:
     line terminators in it; the gap after the last token ends in the empty
     END alternative at the end of the input
   - an EOF token ends the stream whenever anything follows the last token,
-    so len(tokenize("")) == 0 but tokenize("  ") is one EOF token
+    so len(tokenize_bytes(b"")) == 0 but tokenize_bytes(b"  ") is one EOF
+    token
   - ``len()`` counts the tokens, that EOF included; every list holds two
     more EOF entries past them
   - ``>>`` and ``>>>`` are emitted as adjacent ">" tokens (the parser
@@ -58,11 +62,7 @@ Lexical contract:
   - a catch-all alternative comes before END, so no byte is ever skipped:
     an invalid byte, or an unterminated block comment, string or char
     literal, raises InvalidCharacter; the first one in the input does,
-    wherever the windows end, once the tokens before it are decoded
-  - a byte that is not UTF-8 inside a literal or a ``//`` comment raises
-    InvalidCharacter too, with its own offset and line, unless an error
-    comes first; a window is decoded in one pass, and only one that fails
-    is decoded again token by token
+    wherever the windows end
   - token texts are interned, so each spelling is stored once
 """
 
@@ -128,13 +128,9 @@ def active_backend() -> str:
     return "pure-python"
 
 
-def tokenize(text: str) -> TokenStream:
-    """Lex source text into a token stream with byte spans and line comments."""
-    return tokenize_bytes(text.encode("utf-8"))
-
-
 def tokenize_bytes(data: bytes) -> TokenStream:
-    """Lex UTF-8 bytes; spans index directly into ``data``."""
+    """Lex UTF-8 bytes into a token stream with byte spans and line comments;
+    spans index directly into ``data``."""
     kinds: list[int] = []
     texts: list[str] = []
     starts: list[int] = []
@@ -145,6 +141,13 @@ def tokenize_bytes(data: bytes) -> TokenStream:
     # every line terminator ends in an LF and every token reads the same
     if b"\r" in data:
         data = re.sub(rb"\r(?!\n)", b"\n", data)
+    # the one UTF-8 check: after it, no token's decode can fail
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            raise InvalidCharacter(f"invalid character 0x{data[exc.start]:02x}", exc.start,
+                                   exc.end, data.count(b"\n", 0, exc.start) + 1) from None
     n = len(data)
     line, pos, size = 1, 0, _WINDOW
     while True:
@@ -196,11 +199,7 @@ def tokenize_bytes(data: bytes) -> TokenStream:
                 break
         if error is not None:
             del toks[i:]
-        try:
-            w_texts = list(map(intern, map(bytes.decode, toks)))
-        except UnicodeDecodeError:
-            _raise_undecodable(toks, w_starts, w_lines)
-            raise
+        w_texts = list(map(intern, map(bytes.decode, toks)))
         if error is not None:
             raise InvalidCharacter(error, w_starts[i], w_ends[i], w_lines[i])
         if end == n:
@@ -257,18 +256,8 @@ def _closed(literal: bytes) -> bool:
             and (len(body) - len(body.rstrip(b"\\"))) % 2 == 0)
 
 
-def _raise_undecodable(toks, starts, lines) -> None:
-    """Raise InvalidCharacter at the first byte of a window's tokens and
-    comments that is not UTF-8, with its offset in the file and its line."""
-    for tok, start, line in zip(toks, starts, lines):
-        try:
-            tok.decode()
-        except UnicodeDecodeError as exc:
-            raise InvalidCharacter(f"invalid character 0x{exc.object[exc.start]:02x}",
-                                   start + exc.start, start + exc.end, line) from None
-
-
-def physical_loc(text: str) -> int:
-    """Physical line count: the number of newline characters (wc -l). A lone
-    CR ends a token's line but is not counted here."""
-    return text.count("\n")
+def physical_loc(data: bytes) -> int:
+    """Physical line count: the line terminators in ``data``, where LF, CR LF
+    and a lone CR each end a line, as for a token; of a file with no lone CR,
+    that is ``wc -l``."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")

@@ -42,14 +42,14 @@ def criterion(name: str):
 
 
 def analyze_single(source: str, rules):
-    [analysis] = analyze_unit(parse_unit(source, "T.java"), rules)
+    [analysis] = analyze_unit(parse_unit(source.encode(), "T.java"), rules)
     return analysis
 
 
 def test_c1_listing_golden(listing_source):
     with criterion("C1 annotated-controller golden (total 8.0, exact, <1s)"):
         started = time.perf_counter()
-        unit = parse_unit(listing_source, "CertificateDetailsController.java")
+        unit = parse_unit(listing_source.encode(), "CertificateDetailsController.java")
         [analysis] = analyze_unit(unit, LISTING_RULES)
         elapsed = time.perf_counter() - started
         assert analysis.total == Fraction(8)
@@ -99,7 +99,7 @@ def test_c3_oracle_corpus(oracle_manifest):
             external_types=tuple(oracle_manifest["config"]["external_types"]),
         )
         for rel, entry in files.items():
-            unit = parse_unit((ORACLE_DIR / rel).read_text(), rel)
+            unit = parse_unit((ORACLE_DIR / rel).read_bytes(), rel)
             analyses = {a.type_name: a for a in analyze_unit(unit, rules)}
             assert set(analyses) == set(entry["units"]), rel
             for type_name, expected in entry["units"].items():
@@ -126,8 +126,8 @@ def test_c4_verdict_boundary():
             internal_types=("Internal*",),
             limit_overrides=(LimitOverride(("**/dto/**", Fraction(20))),),
         )
-        text = (ORACLE_DIR / "dto" / "BigDto.java").read_text()
-        [dto] = analyze_unit(parse_unit(text, "dto/BigDto.java"), dto_rules)
+        data = (ORACLE_DIR / "dto" / "BigDto.java").read_bytes()
+        [dto] = analyze_unit(parse_unit(data, "dto/BigDto.java"), dto_rules)
         assert dto.total == 20
         assert verdict(dto, default_rules(internal_types=("Internal*",))).over_limit
         assert not verdict(dto, dto_rules).over_limit  # the override flips it
@@ -169,10 +169,10 @@ def test_c7_method_stats_fixture():
 
         rules = default_rules()
         units = [
-            parse_unit(FOUR_LINE, "M.java"),
-            parse_unit(big_method_source(70), "Big.java"),
-            parse_unit(ACCESSORS, "A.java"),
-            parse_unit(FOUR_LINE, "src/test/MTest.java"),
+            parse_unit(FOUR_LINE.encode(), "M.java"),
+            parse_unit(big_method_source(70).encode(), "Big.java"),
+            parse_unit(ACCESSORS.encode(), "A.java"),
+            parse_unit(FOUR_LINE.encode(), "src/test/MTest.java"),
         ]
         stats = method_stats(units, rules)
         # counted: M.f (4 lines), Big.run (70), A.getComputed (8)
@@ -190,7 +190,7 @@ def test_c7_method_stats_fixture():
             out = subprocess.run(
                 ["wc", "-l", str(path)], capture_output=True, text=True, check=True
             )
-            assert physical_loc(path.read_text()) == int(out.stdout.split()[0]), path
+            assert physical_loc(path.read_bytes()) == int(out.stdout.split()[0]), path
 
 
 def test_c8_cli_contract(tmp_path, monkeypatch, capsys, history_repo):

@@ -33,30 +33,30 @@ def fix(text: str, rules=LISTING_RULES) -> str:
 
 class TestExtract:
     def test_listing_declarations(self, listing_source):
-        unit = parse_unit(listing_source)
+        unit = parse_unit(listing_source.encode())
         [(value, spans)], malformed = extract_declared(unit)
         assert (value, len(spans), malformed) == (Fraction(8), 1, None)
         assert len(unit.site_icp) == 6
         assert sum(e.value for e in unit.site_icp) == 8
 
     def test_no_annotations_is_empty(self):
-        unit = parse_unit("class A { void f() {} }")
+        unit = parse_unit(b"class A { void f() {} }")
         assert extract_declared(unit) == ([(None, ())], None)
         assert unit.site_icp == ()
 
     def test_marker_comments_collected(self):
         unit = parse_unit(
-            "class A { void f(boolean x) {\n  // @ICP(2)\n  if (x) {}\n} }"
+            b"class A { void f(boolean x) {\n  // @ICP(2)\n  if (x) {}\n} }"
         )
         assert [e.value for e in unit.site_icp] == [2]
 
     def test_non_decimal_argument_is_malformed(self):
-        [(value, spans)], malformed = extract_declared(parse_unit("@ICP(two) class A {}"))
+        [(value, spans)], malformed = extract_declared(parse_unit(b"@ICP(two) class A {}"))
         assert (value, len(spans)) == (None, 1)
         assert malformed == "@ICP needs a decimal argument (line 1)"
 
     def test_missing_argument_is_malformed(self):
-        [(value, spans)], malformed = extract_declared(parse_unit("@ICP class A {}"))
+        [(value, spans)], malformed = extract_declared(parse_unit(b"@ICP class A {}"))
         assert (value, len(spans)) == (None, 1)
         assert malformed == "@ICP needs a decimal argument (line 1)"
 
@@ -72,19 +72,19 @@ class TestExtract:
     ], ids=["site-level", "class-level", "one-of-two-class-level"])
     def test_a_malformed_icp_leaves_only_its_own_type_unannotated(
             self, source, values, span_counts):
-        declared, malformed = extract_declared(parse_unit(source))
+        declared, malformed = extract_declared(parse_unit(source.encode()))
         assert [value for value, _ in declared] == values
         assert [len(spans) for _, spans in declared] == span_counts
         assert malformed == "@ICP needs a decimal argument (line 2)"
 
     def test_site_annotation_after_final(self):
         unit = parse_unit(
-            "class A { void f(boolean c) { final @ICP(2) int x = c ? 1 : 2; } }"
+            b"class A { void f(boolean c) { final @ICP(2) int x = c ? 1 : 2; } }"
         )
         assert [(e.owner, e.value) for e in unit.site_icp] == [("A", 2)]
 
     def test_other_annotations_ignored(self):
-        unit = parse_unit("@Entity class A { @Id int x; }")
+        unit = parse_unit(b"@Entity class A { @Id int x; }")
         assert extract_declared(unit) == ([(None, ())], None)
         assert unit.site_icp == ()
 
@@ -142,7 +142,7 @@ SITE_CASES = {
 @pytest.mark.parametrize("source, expected", SITE_CASES.values(), ids=SITE_CASES)
 def test_each_site_level_icp_is_recorded_once_with_its_element(source, expected):
     data = source.encode()
-    sites = parse_unit(source).site_icp
+    sites = parse_unit(data).site_icp
     assert sorted((s.owner, data[s.span.byte_start:s.span.byte_end].decode(), s.value)
                   for s in sites) == sorted(expected)
 

@@ -38,7 +38,7 @@ def in_method(stmts: str) -> str:
 
 
 def analyze_one(source: str, rules=DEFAULTS):
-    unit = parse_unit(source, "T.java")
+    unit = parse_unit(source.encode(), "T.java")
     analyses = analyze_unit(unit, rules)
     assert len(analyses) == 1
     return analyses[0]
@@ -287,13 +287,14 @@ class TestExpressionPositions:
         # `new T[] {` opens the elements, not an anonymous class body
         for stmt in ("Object[] v = new Object[] { x ? 1 : 2 };",
                      "Object[] v = { x ? 1 : 2 };"):
-            unit = parse_unit(in_method(stmt), "T.java")
+            unit = parse_unit(in_method(stmt).encode(), "T.java")
             [analysis] = analyze_unit(unit, DEFAULTS)
             assert (analysis.total, analysis.subtotals[B], analysis.subtotals[C]) == (2, 1, 1)
             assert unit.diagnostics == ()
 
     def test_an_anonymous_class_body_keeps_its_diagnostic(self):
-        unit = parse_unit(in_method("Runnable r = new Runnable() { public void run() {} };"))
+        unit = parse_unit(
+            in_method("Runnable r = new Runnable() { public void run() {} };").encode())
         assert [d.message for d in unit.diagnostics] == ["anonymous class body is not analyzed"]
 
     def test_field_initializer_ternary_counts(self):
@@ -332,7 +333,7 @@ class TestLongChains:
 class TestGolden:
     def test_annotated_controller_totals_eight(self, listing_source):
         rules = default_rules(internal_types=LISTING_INTERNAL_TYPES)
-        unit = parse_unit(listing_source, "CertificateDetailsController.java")
+        unit = parse_unit(listing_source.encode(), "CertificateDetailsController.java")
         [a] = analyze_unit(unit, rules)
         assert a.total == 8
         assert a.subtotals[B] == 1
@@ -379,7 +380,7 @@ class TestStructure:
 
     def test_sites_in_document_order(self, listing_source):
         rules = default_rules(internal_types=LISTING_INTERNAL_TYPES)
-        unit = parse_unit(listing_source)
+        unit = parse_unit(listing_source.encode())
         [a] = analyze_unit(unit, rules)
         starts = [s.span.byte_start for s in a.sites]
         assert starts == sorted(starts)
@@ -387,8 +388,8 @@ class TestStructure:
     def test_nested_types_are_independent_units(self):
         rules = DEFAULTS
         unit = parse_unit(
-            "class Outer { void f(int x) { if (x > 0) {} }"
-            " static class In { void g(int y) { while (y > 0) {} } } }"
+            b"class Outer { void f(int x) { if (x > 0) {} }"
+            b" static class In { void g(int y) { while (y > 0) {} } } }"
         )
         by_name = {a.type_name: a for a in analyze_unit(unit, rules)}
         assert by_name["Outer"].total == 2  # only its own if
@@ -398,7 +399,7 @@ class TestStructure:
         """Nested types are walked in pre-order, and walking them leaves no
         cycle, so a unit's tree is freed with its last reference instead of
         waiting for the cyclic garbage collector."""
-        unit = parse_unit("class T { class In { class Deep {} } class In2 {} } class U {}")
+        unit = parse_unit(b"class T { class In { class Deep {} } class In2 {} } class U {}")
         gc.collect()
         gc.disable()
         try:
@@ -430,7 +431,7 @@ class TestExactTotals:
         assert a.total == sum(a.subtotals.values()) == Fraction(1, 3) + 1 + 5
 
     def test_a_second_analysis_builds_no_fraction(self, monkeypatch):
-        units = [parse_unit(path.read_text("utf-8"), str(path))
+        units = [parse_unit(path.read_bytes(), str(path))
                  for path in sorted(ORACLE_DIR.rglob("*.java"))]
         first = [analyze_unit(unit, DEFAULTS) for unit in units]
         built = []
@@ -450,7 +451,7 @@ class TestLeaves:
     def test_no_child_walk_on_a_leaf(self, monkeypatch):
         # a NameRef or a Literal has no children, so the expression walk and
         # the `&&`/`||` search make no generator for one
-        units = [parse_unit(path.read_text("utf-8"), str(path))
+        units = [parse_unit(path.read_bytes(), str(path))
                  for path in sorted(ORACLE_DIR.rglob("*.java"))]
         walked = []
         real = engine.iter_children
@@ -487,7 +488,7 @@ class TestVariableModifiers:
     ])
     def test_final_before_an_annotation(self, body, total):
         unit = parse_unit(
-            f"class T {{ void m(boolean c, List<String> xs) {{ {body} }} }}", "T.java")
+            f"class T {{ void m(boolean c, List<String> xs) {{ {body} }} }}".encode(), "T.java")
         assert unit.diagnostics == ()
         [a] = analyze_unit(unit, DEFAULTS)
         assert a.total == total
@@ -519,7 +520,7 @@ class TestTypeUseAnnotations:
     ])
     def test_annotation_inside_a_type(self, member, total):
         for source in (member, re.sub(r'@\w+(\("x"\))? ', "", member)):
-            unit = parse_unit(f"class T {{ {source} }}", "T.java")
+            unit = parse_unit(f"class T {{ {source} }}".encode(), "T.java")
             assert unit.diagnostics == ()
             [a] = analyze_unit(unit, DEFAULTS)
             assert a.total == total

@@ -15,7 +15,7 @@ RULES = default_rules()
 
 
 def unit_of(source: str, path: str = "M.java"):
-    return parse_unit(source, path)
+    return parse_unit(source.encode(), path)
 
 
 FOUR_LINE = """\

@@ -10,6 +10,7 @@ import pytest
 
 from cddlint.annotations import extract_declared
 from cddlint.engine import analyze_unit
+from cddlint.history.series import analyze_file
 from cddlint.rules import IcpCategory, default_rules
 from cddlint.syntax import parse_unit
 
@@ -56,7 +57,7 @@ def pytest_generate_tests(metafunc):
 def test_exact_match(rel_path, manifest):
     entry = manifest["files"][rel_path]
     rules = corpus_rules(manifest)
-    unit = parse_unit((ORACLE_DIR / rel_path).read_text(), rel_path)
+    unit = parse_unit((ORACLE_DIR / rel_path).read_bytes(), rel_path)
     analyses = {a.type_name: a for a in analyze_unit(unit, rules)}
     assert set(analyses) == set(entry["units"])
     for type_name, expected in entry["units"].items():
@@ -90,10 +91,13 @@ def _line_shape(unit, rules):
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_line_endings_agree(rel_path, ending, manifest):
     """A lone CR and a CR LF each end a line (JLS SE 17 §3.4): the CR and
-    CR LF forms of a fixture score and place everything as its LF form."""
+    CR LF forms of a fixture score, place everything and count each unit's
+    lines as its LF form."""
     rules = corpus_rules(manifest)
-    text = (ORACLE_DIR / rel_path).read_bytes().decode("utf-8")
-    assert "\r" not in text
-    lf = _line_shape(parse_unit(text, rel_path), rules)
-    other = _line_shape(parse_unit(text.replace("\n", ending), rel_path), rules)
-    assert other == lf
+    lf = (ORACLE_DIR / rel_path).read_bytes()
+    assert b"\r" not in lf
+    other = lf.replace(b"\n", ending.encode())
+    assert _line_shape(parse_unit(other, rel_path), rules) == \
+        _line_shape(parse_unit(lf, rel_path), rules)
+    assert [u.loc for u in analyze_file(rel_path, other, rules).units] == \
+        [u.loc for u in analyze_file(rel_path, lf, rules).units]

@@ -11,16 +11,17 @@ import pytest
 from cddlint.engine import analyze_unit
 from cddlint.history.series import analyze_file
 from cddlint.rules import default_rules
-from cddlint.syntax import ParseError, TokenKind, parse_unit, physical_loc, tokenize
+from cddlint.syntax import ParseError, TokenKind, parse_unit, physical_loc
 from cddlint.syntax import ast, parser
+from cddlint.syntax.scanner import tokenize_bytes
 
 from conftest import ELSE_IF_SOURCE, FIXTURES, ORACLE_DIR
 
 ORACLE_FILES = sorted(ORACLE_DIR.rglob("*.java"))
 
 
-def span_text(text: str, span: ast.Span) -> str:
-    return text.encode()[span.byte_start:span.byte_end].decode()
+def span_text(data: bytes, span: ast.Span) -> str:
+    return data[span.byte_start:span.byte_end].decode()
 
 
 def walk_nodes(node):
@@ -36,7 +37,7 @@ def all_nodes(unit: ast.SourceUnit):
 
 class TestListingGolden:
     def test_structure(self, listing_source):
-        unit = parse_unit(listing_source, "CertificateDetailsController.java")
+        unit = parse_unit(listing_source.encode(), "CertificateDetailsController.java")
         assert unit.diagnostics == ()
         assert len(unit.types) == 1
         decl = unit.types[0]
@@ -50,14 +51,14 @@ class TestListingGolden:
         ]
 
     def test_var_locals_carry_no_type(self, listing_source):
-        unit = parse_unit(listing_source)
+        unit = parse_unit(listing_source.encode())
         body = unit.types[0].methods[0].body
         locals_ = [s for s in body.stmts if isinstance(s, ast.LocalDecl)]
         assert len(locals_) == 3
         assert all(s.declared_type is None for s in locals_)
 
     def test_statement_annotations_are_recorded(self, listing_source):
-        unit = parse_unit(listing_source)
+        unit = parse_unit(listing_source.encode())
         body = unit.types[0].methods[0].body
         if_stmt = next(s for s in body.stmts if isinstance(s, ast.If))
         [site] = [s for s in unit.site_icp if s.span == if_stmt.span]
@@ -68,19 +69,19 @@ class TestListingGolden:
 
 class TestBasics:
     def test_minimal_class(self):
-        unit = parse_unit("class A {}")
+        unit = parse_unit(b"class A {}")
         assert len(unit.types) == 1
         decl = unit.types[0]
         assert (decl.name, decl.fields, decl.methods) == ("A", (), ())
 
     def test_package_and_imports_are_skipped(self):
         unit = parse_unit(
-            "package com.x.y;\nimport java.util.List;\nimport static a.B.*;\nclass A {}"
+            b"package com.x.y;\nimport java.util.List;\nimport static a.B.*;\nclass A {}"
         )
         assert [t.name for t in unit.types] == ["A"]
 
     def test_nested_types_and_dotted_names(self):
-        unit = parse_unit("class A { static class B { class C {} } }")
+        unit = parse_unit(b"class A { static class B { class C {} } }")
         assert [t.name for t in unit.types] == ["A", "A.B", "A.B.C"]
 
     @pytest.mark.parametrize("header", [
@@ -90,8 +91,8 @@ class TestBasics:
     def test_one_header_reader_for_top_level_and_nested_types(self, header):
         # a type's annotations may sit between its modifiers, at top level as
         # when nested, and its header starts at its first modifier
-        top = parse_unit(f"{header} X {{}}").types[0]
-        outer, nested = parse_unit(f"class O {{\n{header} X {{}} }}").types
+        top = parse_unit(f"{header} X {{}}".encode()).types[0]
+        outer, nested = parse_unit(f"class O {{\n{header} X {{}} }}".encode()).types
         assert nested.name == "O.X" and outer.span.contains(nested.span)
         expected = re.search(r"\b(public|private|class)\b", header).start()
         for decl in (top, nested):
@@ -99,7 +100,7 @@ class TestBasics:
             assert decl.header_start - decl.span.byte_start == expected
 
     def test_multi_declarator_locals_split(self):
-        unit = parse_unit("class A { void f() { int a = 1, b = 2; } }")
+        unit = parse_unit(b"class A { void f() { int a = 1, b = 2; } }")
         body = unit.types[0].methods[0].body
         assert [s.name for s in body.stmts] == ["a", "b"]
 
@@ -129,7 +130,7 @@ class TestBasics:
     def test_local_declarations_and_expression_statements(self, stmt, kind):
         # a statement whose first words no declaration starts with is not
         # tried as one; every other statement still is
-        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
+        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}".encode())
         assert unit.diagnostics == ()
         assert {type(s) for s in unit.types[0].methods[0].body.stmts} == {kind}
 
@@ -142,20 +143,20 @@ class TestBasics:
     def test_a_reserved_word_never_names_a_local(self, stmt):
         # JLS SE 17 §3.9: the statement is not a declaration, so it fails
         # with a diagnostic
-        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
+        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}".encode())
         assert unit.diagnostics
         assert not any(isinstance(node, ast.LocalDecl) for node in walk_nodes(unit.types[0]))
 
     def test_a_reserved_word_never_names_a_field(self):
         # the member fails with a diagnostic; the members after it parse
-        unit = parse_unit("class A { int a, if = 2; void f(boolean c) { if (c) g(); } }")
+        unit = parse_unit(b"class A { int a, if = 2; void f(boolean c) { if (c) g(); } }")
         assert [d.message for d in unit.diagnostics] == ["expected field name"]
         assert unit.types[0].fields == ()
         assert [m.name for m in unit.types[0].methods] == ["f"]
 
     def test_generics_parse_into_type_args(self):
         # the type arguments are read, and kept only in the type's span
-        text = "class A { Map<String, List<Integer>> m; }"
+        text = b"class A { Map<String, List<Integer>> m; }"
         unit = parse_unit(text)
         assert unit.diagnostics == ()
         declared = unit.types[0].fields[0].declared_type
@@ -163,18 +164,18 @@ class TestBasics:
         assert span_text(text, declared.span) == "Map<String, List<Integer>>"
 
     def test_array_suffix_normalized(self):
-        unit = parse_unit("class A { String[] xs; void f(int[] ys) {} }")
+        unit = parse_unit(b"class A { String[] xs; void f(int[] ys) {} }")
         assert unit.types[0].fields[0].declared_type.qualified_name == "String"
         assert unit.types[0].methods[0].params[0].type.qualified_name == "int"
 
     def test_shift_expression_merges_adjacent_gt(self):
-        unit = parse_unit("class A { int f(int a) { return a >> 2; } }")
+        unit = parse_unit(b"class A { int f(int a) { return a >> 2; } }")
         ret = unit.types[0].methods[0].body.stmts[0]
         assert isinstance(ret.expr, ast.Binary) and ret.expr.op == ">>"
 
     def test_marker_comment_recorded(self):
         unit = parse_unit(
-            "class A { void f(boolean x) {\n    // @ICP(2)\n    if (x) {}\n  } }"
+            b"class A { void f(boolean x) {\n    // @ICP(2)\n    if (x) {}\n  } }"
         )
         if_stmt = unit.types[0].methods[0].body.stmts[0]
         [site] = unit.site_icp
@@ -182,19 +183,20 @@ class TestBasics:
         assert (site.use_span.line_start, site.use_span.line_end) == (2, 2)
 
     def test_non_marker_comment_ignored(self):
-        unit = parse_unit("class A { void f() {\n    // plain note\n    g();\n  } }")
+        unit = parse_unit(b"class A { void f() {\n    // plain note\n    g();\n  } }")
         assert unit.site_icp == ()
 
     def test_physical_lines_recorded(self):
         # a file's only top-level type is given its physical line count
         [unit] = analyze_file("A.java", b"class A {}\n", default_rules()).units
-        assert unit.loc == physical_loc("class A {}\n") == 1
+        assert unit.loc == physical_loc(b"class A {}\n") == 1
 
     @pytest.mark.parametrize("resources", ["r", "this.r; R s = open()"])
     def test_a_try_resource_may_name_a_variable(self, resources):
         # JLS SE 17 §14.20.3: a resource that names a variable declares none
         unit = parse_unit(
-            f"class A {{ void f(R r) {{ try ({resources}) {{ if (c) g(); }} finally {{ h(); }} }} }}")
+            f"class A {{ void f(R r) {{ try ({resources}) {{ if (c) g(); }} finally {{ h(); }} }} }}"
+            .encode())
         assert unit.diagnostics == ()
         [stmt] = unit.types[0].methods[0].body.stmts
         assert [r.name for r in stmt.resources] == re.findall(r"R (\w+) =", resources)
@@ -204,7 +206,7 @@ class TestBasics:
     def test_a_type_pattern_may_be_final(self):
         # JLS SE 17 §14.30.1
         unit = parse_unit(
-            "class A { void f(Object x) { if (x instanceof final String s) { g(); } } }")
+            b"class A { void f(Object x) { if (x instanceof final String s) { g(); } } }")
         assert unit.diagnostics == ()
         [analysis] = analyze_unit(unit, default_rules())
         assert analysis.total == 2
@@ -220,13 +222,13 @@ class TestBasics:
         "var f = (Function<A, B> & Serializable) (c ? x : y);",
     ], ids=["array-ref", "array-refs", "member-type", "member-type-args", "intersection-cast"])
     def test_type_forms_in_statements(self, stmt):
-        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}")
+        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}".encode())
         assert unit.diagnostics == ()
         [analysis] = analyze_unit(unit, default_rules())
         assert analysis.total == 2  # the ternary and its condition
 
     def test_a_member_type_keeps_every_type_argument(self):
-        text = "class A { Map<K, V>.Entry<K, V> e; }"
+        text = b"class A { Map<K, V>.Entry<K, V> e; }"
         unit = parse_unit(text)
         assert unit.diagnostics == ()
         declared = unit.types[0].fields[0].declared_type
@@ -234,7 +236,7 @@ class TestBasics:
         assert span_text(text, declared.span) == "Map<K, V>.Entry<K, V>"
 
     def test_an_intersection_cast_has_its_first_type(self):
-        unit = parse_unit("class A { Object f() { return (Runnable & Serializable) x; } }")
+        unit = parse_unit(b"class A { Object f() { return (Runnable & Serializable) x; } }")
         cast = unit.types[0].methods[0].body.stmts[0].expr
         assert (type(cast), cast.type.qualified_name) == (ast.Cast, "Runnable")
 
@@ -254,7 +256,7 @@ class TestLists:
         ("(Map<K, List<V>> m)", ("m",)),
     ])
     def test_lambda_parameter_names(self, params, names):
-        unit = parse_unit(f"class A {{ Object f() {{ return {params} -> 0; }} }}")
+        unit = parse_unit(f"class A {{ Object f() {{ return {params} -> 0; }} }}".encode())
         assert unit.diagnostics == ()
         assert unit.types[0].methods[0].body.stmts[0].expr.params == names
 
@@ -268,7 +270,7 @@ class TestLists:
     def test_type_arguments(self, type_text, args):
         # the type's span ends at its `>` or after its array suffix; a
         # project class named only in a type argument is no coupling
-        text = f"class A {{ {type_text} x; }}"
+        text = f"class A {{ {type_text} x; }}".encode()
         unit = parse_unit(text)
         assert unit.diagnostics == ()
         declared = unit.types[0].fields[0].declared_type
@@ -284,15 +286,15 @@ class TestLists:
         ("List<String; int y;", ";"),
     ])
     def test_a_malformed_type_argument_list_fails_its_member(self, member, at):
-        text = f"class A {{ {member} void g() {{}} }}"
+        text = f"class A {{ {member} void g() {{}} }}".encode()
         unit = parse_unit(text)
         [diagnostic] = unit.diagnostics
         assert diagnostic.message == "expected '>'"
-        assert text[diagnostic.span.byte_start:].startswith(at)
+        assert text[diagnostic.span.byte_start:].startswith(at.encode())
         assert [m.name for m in unit.types[0].methods] == ["g"]
 
     def test_a_diamond_holds_no_type_argument(self):
-        text = "class A { Object f() { return new Y<>(); } }"
+        text = b"class A { Object f() { return new Y<>(); } }"
         unit = parse_unit(text)
         assert unit.diagnostics == ()
         created = unit.types[0].methods[0].body.stmts[0].expr
@@ -300,13 +302,13 @@ class TestLists:
         assert span_text(text, created.type.span) == "Y<>"
 
     def test_an_initializer_list_may_end_in_a_comma(self):
-        unit = parse_unit("class A { int[] xs = {1, 2,}; }")
+        unit = parse_unit(b"class A { int[] xs = {1, 2,}; }")
         assert unit.diagnostics == ()
         items = unit.types[0].fields[0].initializer.items
         assert [item.text for item in items] == ["1", "2"]
 
     def test_try_resources_may_end_in_a_semicolon(self):
-        unit = parse_unit("class A { void f() { try (A a = x;) { g(); } } }")
+        unit = parse_unit(b"class A { void f() { try (A a = x;) { g(); } } }")
         assert unit.diagnostics == ()
         [stmt] = unit.types[0].methods[0].body.stmts
         assert [r.name for r in stmt.resources] == ["a"]
@@ -377,8 +379,8 @@ class TestAttempts:
 
         monkeypatch.setattr(parser._Fail, "__init__", counting_init)
         for path in sorted(FIXTURES.rglob("*.java")):
-            parse_unit(path.read_text("utf-8"), str(path))
-        unit = parse_unit(EVERY_FORM_SOURCE)
+            parse_unit(path.read_bytes(), str(path))
+        unit = parse_unit(EVERY_FORM_SOURCE.encode())
         assert [m.name for m in unit.types[0].methods] == ["f", "h"]
         assert [d.message.split()[0] for d in unit.diagnostics] == [
             "labeled", "synchronized", "assert"]
@@ -394,7 +396,7 @@ def shape(expr) -> str:
 
 
 def returned(src: str):
-    unit = parse_unit(f"class A {{ Object f() {{ return {src}; }} }}")
+    unit = parse_unit(f"class A {{ Object f() {{ return {src}; }} }}".encode())
     assert unit.diagnostics == ()
     return unit.types[0].methods[0].body.stmts[0].expr
 
@@ -445,7 +447,7 @@ class TestPrecedence:
 
     def test_instanceof_operand_takes_no_tighter_operator(self):
         # the type operand of instanceof is not a shift expression
-        unit = parse_unit("class A { void f() { x instanceof String - b; } }")
+        unit = parse_unit(b"class A { void f() { x instanceof String - b; } }")
         [stmt] = unit.types[0].methods[0].body.stmts
         assert isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Opaque)
         assert [d.message for d in unit.diagnostics] == ["expected ';'"]
@@ -463,7 +465,7 @@ class TestElseIfChain:
            "  return 3; } }")
 
     def test_links_nest_with_their_spans_and_markers(self):
-        unit = parse_unit(self.SRC)
+        unit = parse_unit(self.SRC.encode())
         outer, ret = unit.types[0].methods[0].body.stmts
         inner = outer.else_branch
         assert isinstance(inner, ast.If) and isinstance(ret, ast.Return)
@@ -477,7 +479,7 @@ class TestElseIfChain:
         assert (outer.else_kw.line_start, inner.else_kw.line_start) == (3, 5)
 
     def test_a_broken_link_is_the_failed_else_branch(self):
-        unit = parse_unit(self.SRC)
+        unit = parse_unit(self.SRC.encode())
         failed = unit.types[0].methods[0].body.stmts[0].else_branch.else_branch
         assert isinstance(failed, ast.ExprStmt) and isinstance(failed.expr, ast.Opaque)
         assert self.SRC.encode()[failed.span.byte_start:failed.span.byte_end] == (
@@ -485,7 +487,7 @@ class TestElseIfChain:
         assert [d.message for d in unit.diagnostics] == ["expected expression"]
 
     def test_long_chain_parses_without_recursion(self):
-        stmt = parse_unit(ELSE_IF_SOURCE).types[0].methods[0].body.stmts[0]
+        stmt = parse_unit(ELSE_IF_SOURCE.encode()).types[0].methods[0].body.stmts[0]
         links = 0
         while isinstance(stmt, ast.If):
             links += 1
@@ -499,7 +501,7 @@ def _mutants(count: int, seed: int):
     sources = [p.read_bytes() for p in sorted(FIXTURES.rglob("*.java"))]
     spans = []
     for source in sources:
-        ts = tokenize(source.decode())
+        ts = tokenize_bytes(source)
         spans.append([(ts.starts[i], ts.ends[i]) for i in range(len(ts))])
     for _ in range(count):
         i = rng.randrange(len(sources))
@@ -512,27 +514,27 @@ def _mutants(count: int, seed: int):
                 a, b = toks[rng.randrange(len(toks))]
                 data = data[:start] + b" " + sources[i][a:b] + b" " + data[start:]
             toks = [(a, b) for a, b in toks if b <= len(data)]
-        yield data.decode()
+        yield data
 
 
 class TestMutationFuzz:
     def test_mutated_fixtures_parse_in_bounds_or_fail_cleanly(self):
         failed = 0
-        for text in _mutants(2000, seed=7):
+        for data in _mutants(2000, seed=7):
             try:
-                unit = parse_unit(text)
+                unit = parse_unit(data)
             except ParseError as exc:
                 failed += 1
                 assert exc.diagnostics
                 continue
-            size = len(text.encode())
-            lines = physical_loc(text) + 1
+            size = len(data)
+            lines = physical_loc(data) + 1
             stack = list(unit.types) + list(unit.diagnostics)
             while stack:
                 node = stack.pop()
                 span = node.span
-                assert 0 <= span.byte_start <= span.byte_end <= size, (text, node)
-                assert 1 <= span.line_start <= span.line_end <= lines, (text, node)
+                assert 0 <= span.byte_start <= span.byte_end <= size, (data, node)
+                assert 1 <= span.line_start <= span.line_end <= lines, (data, node)
                 if not isinstance(node, ast.Diagnostic):
                     stack.extend(ast.iter_children(node))
         # the mutations reach both outcomes; no more of them fail whole
@@ -542,7 +544,7 @@ class TestMutationFuzz:
 
 class TestErrorTolerance:
     def test_anonymous_class_becomes_opaque_with_diagnostic(self):
-        src = "class A { void f() { Runnable r = new Runnable() { }; } }"
+        src = b"class A { void f() { Runnable r = new Runnable() { }; } }"
         unit = parse_unit(src)
         assert len(unit.diagnostics) == 1
         decl = unit.types[0].methods[0].body.stmts[0]
@@ -550,7 +552,7 @@ class TestErrorTolerance:
         assert isinstance(decl.initializer, ast.Opaque)
 
     def test_broken_statement_recovers_at_member_level(self):
-        src = "class A { void f() { int x = ; } void g() { h(); } }"
+        src = b"class A { void f() { int x = ; } void g() { h(); } }"
         unit = parse_unit(src)
         assert unit.diagnostics
         assert [m.name for m in unit.types[0].methods] == ["f", "g"]
@@ -558,19 +560,19 @@ class TestErrorTolerance:
     def test_a_failed_cast_attempt_keeps_no_diagnostic(self):
         # `(a)(...)` is tried as a cast first; the lambda's `assert` read by
         # that attempt must not stay recorded beside the one the call records
-        unit = parse_unit("class A { void f() { (a)(() -> { assert x; }, b); } }")
+        unit = parse_unit(b"class A { void f() { (a)(() -> { assert x; }, b); } }")
         assert unit.diagnostics == (ast.Diagnostic((
             "assert statement is not analyzed", ast.Span((33, 39, 1, 1)))),)
 
     def test_a_fault_in_a_for_each_iterable_fails_the_statement(self):
         # once the header has read its ':', it is not retried as a classic
         # `for`, whose fault would be placed at the loop variable
-        unit = parse_unit("class A { void f() { for (String s : xs +) { if (c) g(); } } }")
+        unit = parse_unit(b"class A { void f() { for (String s : xs +) { if (c) g(); } } }")
         assert unit.diagnostics == (ast.Diagnostic((
             "expected expression", ast.Span((41, 42, 1, 1)))),)
 
     def test_an_unmatched_parenthesis_fails_its_statement_alone(self):
-        unit = parse_unit("class A { void f() { g(; } void h(boolean c) { if (c) x(); } }")
+        unit = parse_unit(b"class A { void f() { g(; } void h(boolean c) { if (c) x(); } }")
         assert [m.name for m in unit.types[0].methods] == ["f", "h"]
         assert unit.diagnostics == (ast.Diagnostic((
             "expected expression", ast.Span((23, 24, 1, 1)))),)
@@ -581,30 +583,30 @@ class TestErrorTolerance:
         # `@B(` has no `)`: its arguments run to EOF, where the class then
         # misses its `}`, rather than being read on from inside them
         with pytest.raises(ParseError) as exc:
-            parse_unit("class A { @B(x void f() {} } class C { }")
+            parse_unit(b"class A { @B(x void f() {} } class C { }")
         assert exc.value.diagnostics == [
             ast.Diagnostic((message, ast.Span((40, 40, 1, 1))))
             for message in ("expected type", "expected '}'")]
 
     def test_a_switch_expression_with_no_body_fails_its_statement_alone(self):
         unit = parse_unit(
-            "class A { void f(int x) { g(switch (x) y); } void h() { if (c) return; } }")
+            b"class A { void f(int x) { g(switch (x) y); } void h() { if (c) return; } }")
         assert [m.name for m in unit.types[0].methods] == ["f", "h"]
         assert unit.diagnostics[-1] == ast.Diagnostic(("expected '{'", ast.Span((39, 40, 1, 1))))
 
     def test_broken_class_header_is_hard_error(self):
         with pytest.raises(ParseError):
-            parse_unit("klass A {}")
+            parse_unit(b"klass A {}")
 
     def test_invalid_character_is_parse_error(self):
         with pytest.raises(ParseError):
-            parse_unit("class A { int x = #1; }")
+            parse_unit(b"class A { int x = #1; }")
 
 
 class TestTreeInvariants:
     @pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.name)
     def test_span_nesting(self, path):
-        unit = parse_unit(path.read_text(), path.name)
+        unit = parse_unit(path.read_bytes(), path.name)
         size = len(path.read_bytes())
         for parent in all_nodes(unit):
             assert 0 <= parent.span.byte_start <= parent.span.byte_end <= size
@@ -613,18 +615,18 @@ class TestTreeInvariants:
 
     @pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.name)
     def test_parse_determinism(self, path):
-        text = path.read_text()
-        first = parse_unit(text, path.name)
-        second = parse_unit(text, path.name)
+        data = path.read_bytes()
+        first = parse_unit(data, path.name)
+        second = parse_unit(data, path.name)
         assert first == second
 
     @pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.name)
     def test_recognition_completeness(self, path):
         """k occurrences of a construct keyword produce exactly k nodes."""
-        text = path.read_text()
-        unit = parse_unit(text, path.name)
+        data = path.read_bytes()
+        unit = parse_unit(data, path.name)
         assert unit.diagnostics == (), "oracle corpus must parse cleanly"
-        ts = tokenize(text)
+        ts = tokenize_bytes(data)
         words = [w for k, w in zip(ts.kinds, ts.texts) if k == TokenKind.IDENT]
         nodes = list(all_nodes(unit))
         assert words.count("if") == sum(isinstance(n, ast.If) for n in nodes)

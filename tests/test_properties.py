@@ -24,7 +24,8 @@ from cddlint.engine import analyze_unit, verdict
 from cddlint.history import analyze_snapshot
 from cddlint.history.series import analyze_file
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
-from cddlint.syntax import InvalidCharacter, TokenKind, ast, parse_unit, scanner, tokenize
+from cddlint.syntax import InvalidCharacter, TokenKind, ast, parse_unit, scanner
+from cddlint.syntax.scanner import tokenize_bytes
 
 from conftest import FIXTURES
 
@@ -170,7 +171,7 @@ class_bodies = st.lists(method_body, min_size=1, max_size=2)
 def test_additivity(bodies):
     """Disabling one category removes exactly its subtotal and leaves every
     other site identical."""
-    unit = parse_unit(render_class(bodies), "G.java")
+    unit = parse_unit(render_class(bodies).encode(), "G.java")
     [full] = analyze_unit(unit, RULES)
     assert sum(full.subtotals.values()) == full.total
     for disabled in IcpCategory:
@@ -189,8 +190,7 @@ def test_additivity(bodies):
 def test_cost_linearity_with_limit_coscaling(bodies, k):
     """Scaling every cost by k scales totals by k; co-scaling the limit keeps
     the over-limit set unchanged."""
-    text = render_class(bodies)
-    unit = parse_unit(text, "G.java")
+    unit = parse_unit(render_class(bodies).encode(), "G.java")
     analyses = analyze_unit(unit, RULES)
     scaled_rules = default_rules(
         categories={
@@ -213,8 +213,8 @@ def test_cost_linearity_with_limit_coscaling(bodies, k):
 def test_monotonicity_appended_if(bodies):
     """Appending `if (true) {}` to each method adds at least 2.0 (1 branch +
     1 condition) and never decreases any category."""
-    base = parse_unit(render_class(bodies), "G.java")
-    grown = parse_unit(render_class(bodies, extra_stmt="if (true) {}"), "G.java")
+    base = parse_unit(render_class(bodies).encode(), "G.java")
+    grown = parse_unit(render_class(bodies, extra_stmt="if (true) {}").encode(), "G.java")
     [before] = analyze_unit(base, RULES)
     [after] = analyze_unit(grown, RULES)
     n_methods = len(base.types[0].methods)
@@ -228,7 +228,7 @@ def test_monotonicity_appended_if(bodies):
 def test_parallel_determinism(all_bodies):
     """Thread-pool analysis equals sequential analysis, result for result."""
     units = [
-        parse_unit(render_class(bodies), f"G{i}.java")
+        parse_unit(render_class(bodies).encode(), f"G{i}.java")
         for i, bodies in enumerate(all_bodies)
     ]
     sequential = [analyze_unit(u, RULES) for u in units]
@@ -292,14 +292,14 @@ def test_subtotals_add_up_on_the_oracle_corpus():
     base = default_rules(internal_types=tuple(manifest["config"]["internal_types"]),
                          external_types=tuple(manifest["config"]["external_types"]))
     for rel in manifest["files"]:
-        text = (FIXTURES / "oracle" / rel).read_text("utf-8")
-        _assert_subtotals_add_up(parse_unit(text, rel), base)
+        data = (FIXTURES / "oracle" / rel).read_bytes()
+        _assert_subtotals_add_up(parse_unit(data, rel), base)
 
 
 @given(class_bodies)
 @SUITE
 def test_subtotals_add_up_on_generated_classes(bodies):
-    _assert_subtotals_add_up(parse_unit(render_class(bodies), "G.java"), RULES)
+    _assert_subtotals_add_up(parse_unit(render_class(bodies).encode(), "G.java"), RULES)
 
 
 # ── the keyword audit ────────────────────────────────────────────────────
@@ -312,7 +312,7 @@ _SITE_KEYWORDS = frozenset({
 
 # every form the audit counts, in one class: a multi-label case, `default`
 # before `:` and `->`, a do-while, wildcards, ternaries and a lambda body
-KEYWORD_FORMS_SOURCE = """\
+KEYWORD_FORMS_SOURCE = b"""\
 class K {
   java.util.Map<String, ? extends Number> m;
   java.util.List<?> xs;
@@ -330,12 +330,12 @@ class K {
 """
 
 
-def _keyword_sites(text: str) -> int:
+def _keyword_sites(data: bytes) -> int:
     """The branch and exception sites a class's tokens promise, counted with
     no parse: one per site keyword, per case label (`case A, B:` has two),
     per `default` that ends in `:` or `->`, and per `?` that is no wildcard
     (one after a `<` or `,` is)."""
-    tokens = tokenize(text)
+    tokens = tokenize_bytes(data)
     kinds, texts = tokens.kinds, tokens.texts
     count = 0
     for i in range(len(tokens)):
@@ -359,10 +359,10 @@ def _keyword_sites(text: str) -> int:
 LAMBDA_RULES = RULES._replace(count_lambdas=True)
 
 
-def _engine_keyword_sites(text: str) -> int:
+def _engine_keyword_sites(data: bytes) -> int:
     """The engine's branch and exception sites, lambdas counted, less the
     lambda sites themselves, which no keyword makes."""
-    unit = parse_unit(text, "K.java")
+    unit = parse_unit(data, "K.java")
     return sum(site.category in (IcpCategory.BRANCH, IcpCategory.EXCEPTION)
                and site.reason != "lambda expression"
                for analysis in analyze_unit(unit, LAMBDA_RULES) for site in analysis.sites)
@@ -373,8 +373,8 @@ def _engine_keyword_sites(text: str) -> int:
 def test_keyword_audit_on_the_fixtures(path):
     """A second witness, independent of parser parity, that no branch or
     exception keyword is lost: each is one site of the engine's."""
-    text = path.read_text("utf-8")
-    assert _engine_keyword_sites(text) == _keyword_sites(text)
+    data = path.read_bytes()
+    assert _engine_keyword_sites(data) == _keyword_sites(data)
 
 
 def test_keyword_audit_on_every_form():
@@ -387,8 +387,8 @@ def test_keyword_audit_on_every_form():
 @given(class_bodies)
 @SUITE
 def test_keyword_audit_on_generated_classes(bodies):
-    text = render_class(bodies)
-    assert _engine_keyword_sites(text) == _keyword_sites(text)
+    data = render_class(bodies).encode()
+    assert _engine_keyword_sites(data) == _keyword_sites(data)
 
 
 # ── the type list ────────────────────────────────────────────────────────
@@ -432,11 +432,10 @@ def render_types(shapes) -> tuple[str, list[str]]:
     return "\n".join(lines) + "\n", names
 
 
-def _pre_order(text: str, decls: list) -> list[tuple[str, tuple]]:
+def _pre_order(data: bytes, decls: list) -> list[tuple[str, tuple]]:
     """(dotted name, span) of each type in a recursive pre-order walk of
     `decls` by span: the types inside a type, and inside no other of them,
-    are the ones declared in it. A simple name is read from the text."""
-    data = text.encode()
+    are the ones declared in it. A simple name is read from the bytes."""
     walked = []
 
     def walk(decls: list, outer: str) -> None:
@@ -453,10 +452,10 @@ def _pre_order(text: str, decls: list) -> list[tuple[str, tuple]]:
     return walked
 
 
-def _assert_types_in_pre_order(text: str, names: list[str] | None = None) -> None:
-    unit = parse_unit(text, "T.java")
+def _assert_types_in_pre_order(data: bytes, names: list[str] | None = None) -> None:
+    unit = parse_unit(data, "T.java")
     assert all(type(decl) is ast.TypeDecl for decl in unit.types)  # no placeholder
-    assert [(d.name, d.span) for d in unit.types] == _pre_order(text, list(unit.types))
+    assert [(d.name, d.span) for d in unit.types] == _pre_order(data, list(unit.types))
     if names is not None:
         assert [d.name for d in unit.types] == names
 
@@ -464,14 +463,14 @@ def _assert_types_in_pre_order(text: str, names: list[str] | None = None) -> Non
 @pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
                          ids=lambda p: p.name)
 def test_types_are_listed_in_pre_order_in_the_fixtures(path):
-    _assert_types_in_pre_order(path.read_text("utf-8"))
+    _assert_types_in_pre_order(path.read_bytes())
 
 
 @given(st.lists(type_shape, min_size=1, max_size=2))
 @SUITE
 def test_types_are_listed_in_pre_order_in_generated_files(shapes):
     text, names = render_types(shapes)
-    _assert_types_in_pre_order(text, names)
+    _assert_types_in_pre_order(text.encode(), names)
 
 
 # ── the token stream ─────────────────────────────────────────────────────
@@ -529,7 +528,7 @@ def _assert_token_stream_invariants(text):
     as depth counting pairs them."""
     data = text.encode("utf-8")
     try:
-        ts = tokenize(text)
+        ts = tokenize_bytes(data)
     except InvalidCharacter as exc:
         assert exc.line == _line_at(data, exc.byte_start)
         return
@@ -613,7 +612,7 @@ def nested_class(form: str, depth: int) -> str:
 
 @pytest.mark.parametrize("form", NESTED_FORMS)
 def test_recursive_forms_parse_to_depth_100(form):
-    unit = parse_unit(nested_class(form, 100), "Deep.java")
+    unit = parse_unit(nested_class(form, 100).encode(), "Deep.java")
     assert unit.diagnostics == ()
     [analysis] = analyze_unit(unit, RULES)
     assert analysis.total == NESTED_FORMS[form][1]

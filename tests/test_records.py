@@ -85,7 +85,7 @@ class TestImmutable:
             setattr(node, cls._fields[0], 0)
 
     def test_unit_analysis(self):
-        unit = parse_unit(LISTING_PATH.read_text(encoding="utf-8"), "L.java")
+        unit = parse_unit(LISTING_PATH.read_bytes(), "L.java")
         [analysis] = analyze_unit(unit, default_rules())
         with pytest.raises(AttributeError):
             analysis.total = 0
@@ -122,7 +122,7 @@ def _short(found: list[records.Record]) -> list[records.Record]:
 @pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
                          ids=lambda path: path.name)
 def test_every_node_of_a_fixture_has_all_its_fields(path):
-    unit = parse_unit(path.read_text(encoding="utf-8"), path.name)
+    unit = parse_unit(path.read_bytes(), path.name)
     found = _records_in(unit)
     assert len(found) > len(unit.types)
     assert _short(found) == []
@@ -134,8 +134,8 @@ def test_every_analysis_of_the_oracle_corpus_has_all_its_fields():
                           external_types=tuple(manifest["config"]["external_types"]))
     found = []
     for rel in manifest["files"]:
-        text = (ORACLE_DIR / rel).read_text(encoding="utf-8")
-        found += _records_in(analyze_unit(parse_unit(text, rel), rules))
+        data = (ORACLE_DIR / rel).read_bytes()
+        found += _records_in(analyze_unit(parse_unit(data, rel), rules))
     kinds = {type(record).__name__ for record in found}
     assert {"UnitAnalysis", "IcpSite", "Span"} <= kinds
     assert _short(found) == []
@@ -193,17 +193,17 @@ def _assert_children_match(unit: ast.SourceUnit) -> dict[type, set[str]]:
 @pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),
                          ids=lambda path: path.name)
 def test_iter_children_matches_the_reflection_walk(path):
-    _assert_children_match(parse_unit(path.read_text(encoding="utf-8"), path.name))
+    _assert_children_match(parse_unit(path.read_bytes(), path.name))
 
 
 @given(class_bodies)
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_iter_children_matches_the_reflection_walk_on_generated_classes(bodies):
-    _assert_children_match(parse_unit(render_class(bodies), "G.java"))
+    _assert_children_match(parse_unit(render_class(bodies).encode(), "G.java"))
 
 
 # the node kinds, and the fields holding nodes, that no fixture has
-_RARE_KINDS = """class A {
+_RARE_KINDS = b"""class A {
   Object f(int[] a) {
     int[] b = new int[] {1, 2};
     Object o = (Object) a[0];
@@ -220,9 +220,9 @@ def test_every_class_that_holds_nodes_names_those_fields():
         assert set(cls._children) <= set(cls._fields), cls.__name__
         assert cls._child_indices == tuple(sorted(map(cls._fields.index, cls._children)))
     holding: dict[type, set[str]] = {}
-    sources = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.rglob("*.java"))]
-    for text in [*sources, _RARE_KINDS]:
-        for cls, names in _assert_children_match(parse_unit(text)).items():
+    sources = [path.read_bytes() for path in sorted(FIXTURES.rglob("*.java"))]
+    for data in [*sources, _RARE_KINDS]:
+        for cls, names in _assert_children_match(parse_unit(data)).items():
             holding.setdefault(cls, set()).update(names)
     # each class that names fields was seen holding nodes, and each that was
     # names every field seen holding one

@@ -11,7 +11,9 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cddlint.syntax import InvalidCharacter, TokenKind, physical_loc, scanner, tokenize
+from cddlint.syntax import (
+    InvalidCharacter, ParseError, TokenKind, parse_unit, physical_loc, scanner,
+)
 from cddlint.syntax.scanner import _WINDOW, tokenize_bytes
 
 from conftest import ORACLE_DIR
@@ -20,7 +22,7 @@ K = TokenKind
 
 
 def pairs(text: str) -> list[tuple[int, str]]:
-    ts = tokenize(text)
+    ts = tokenize_bytes(text.encode())
     return list(zip(ts.kinds, ts.texts))[:len(ts)]
 
 
@@ -36,7 +38,7 @@ OPERATORS = [
 
 class TestTokenGoldens:
     def test_empty_input_is_empty_sequence(self):
-        assert len(tokenize("")) == 0
+        assert len(tokenize_bytes(b"")) == 0
 
     def test_icp_annotation_tokens(self):
         assert pairs("@ICP(0.5)") == [
@@ -46,14 +48,14 @@ class TestTokenGoldens:
 
     def test_condition_example_has_ten_tokens(self):
         # hand trace: if ( a > b && c < d )
-        ts = tokenize("if (a > b && c < d)")
+        ts = tokenize_bytes(b"if (a > b && c < d)")
         assert len(ts) == 10
         assert ts.texts[:len(ts)] == [
             "if", "(", "a", ">", "b", "&&", "c", "<", "d", ")",
         ]
 
     def test_spans_are_byte_offsets(self):
-        ts = tokenize("a  bb")
+        ts = tokenize_bytes(b"a  bb")
         assert (ts.starts[0], ts.ends[0]) == (0, 1)
         assert (ts.starts[1], ts.ends[1]) == (3, 5)
 
@@ -70,7 +72,7 @@ class TestTokenGoldens:
     def test_punctuation_is_named_by_its_spelling(self, spelling):
         if spelling in (">>", ">>>"):  # adjacent '>'s; the parser merges them
             assert pairs(spelling) == [(K.PUNCT, ">")] * len(spelling)
-            ts = tokenize(spelling)
+            ts = tokenize_bytes(spelling.encode())
             assert ts.starts[:len(ts)] == list(range(len(spelling)))
         else:
             assert pairs(spelling) == [(K.PUNCT, spelling)]
@@ -82,24 +84,24 @@ class TestTokenGoldens:
 
 class TestTrivia:
     def test_comment_attaches_to_following_token(self):
-        ts = tokenize("// note\nfoo")
+        ts = tokenize_bytes(b"// note\nfoo")
         assert len(ts) == 1
         assert [text for text, *_ in ts.comments[0]] == ["// note"]
 
     def test_trailing_trivia_rides_an_eof_token(self):
-        ts = tokenize("foo // tail")
+        ts = tokenize_bytes(b"foo // tail")
         assert ts.kinds[:len(ts)] == [K.IDENT, K.EOF]
         assert ts.comments[1][-1][0] == "// tail"
 
     def test_block_comment_line_span(self):
-        ts = tokenize("/* a\n b */ x")
+        ts = tokenize_bytes(b"/* a\n b */ x")
         assert ts.comments == {}
         assert ts.lines[0] == 2
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_each_line_terminator_ends_a_line(self, ending):
         # JLS SE 17 §3.4: a lone CR ends a line, and CR LF is one terminator
-        ts = tokenize(ending.join(["// note", "/* a", "b */ x", "", "y // tail"]))
+        ts = tokenize_bytes(ending.join(["// note", "/* a", "b */ x", "", "y // tail"]).encode())
         assert ts.texts[:len(ts)] == ["x", "y", ""]
         assert ts.lines[:len(ts)] == [3, 5, 5]
         assert ts.comments == {0: [("// note", 0, 7, 1)],
@@ -109,15 +111,15 @@ class TestTrivia:
 class TestErrors:
     def test_invalid_character(self):
         with pytest.raises(InvalidCharacter):
-            tokenize("int a = #;")
+            tokenize_bytes(b"int a = #;")
 
     def test_unterminated_string(self):
         with pytest.raises(InvalidCharacter):
-            tokenize('String s = "abc')
+            tokenize_bytes(b'String s = "abc')
 
     def test_unterminated_block_comment(self):
         with pytest.raises(InvalidCharacter):
-            tokenize("/* never closed")
+            tokenize_bytes(b"/* never closed")
 
     @pytest.mark.parametrize("text, message", [
         ('int x;\nString s = "a\\\nb";\nint y;', "unterminated string literal"),
@@ -127,7 +129,7 @@ class TestErrors:
         # Java forbids a line terminator in these literals, even escaped;
         # accepting one would count every later line of the file one low
         with pytest.raises(InvalidCharacter) as info:
-            tokenize(text)
+            tokenize_bytes(text.encode())
         assert (info.value.message, info.value.line) == (message, 2)
 
     @pytest.mark.parametrize("text, message", [
@@ -136,7 +138,7 @@ class TestErrors:
     ])
     def test_carriage_return_ends_a_literal_at_its_line(self, text, message):
         with pytest.raises(InvalidCharacter) as info:
-            tokenize(text)
+            tokenize_bytes(text.encode())
         assert (info.value.message, info.value.line) == (message, 2)
 
     @pytest.mark.parametrize("data, line", [
@@ -144,27 +146,40 @@ class TestErrors:
         (b"int x;\n// \xff\nint y;", 2),
         (b"int x;\r\nchar c = '\xe2\x28';", 2),
         (b"a \n" * _WINDOW + b'"ok" "\xc3";', _WINDOW + 1),
-    ], ids=["string", "line-comment", "char-crlf", "past-two-batches"])
+        (b"class A {\n  /* note\n  \xff */ int x;\n}", 3),
+        (b"class A {\r\n  /* note\r\n  \xff */ int x;\r\n}", 3),
+        (b"class A {\r  /* note\r  \xff */ int x;\r}", 3),
+    ], ids=["string", "line-comment", "char-crlf", "past-two-batches",
+            "block-comment-lf", "block-comment-crlf", "block-comment-cr"])
     def test_invalid_utf8_inside_a_token_or_comment(self, data, line):
         # the bad byte is placed in the file, not in its token, as a bare
-        # invalid byte is; no UnicodeDecodeError escapes
+        # invalid byte is, also inside a /* */ gap; no UnicodeDecodeError
+        # escapes, from the scanner or through parse_unit
         bad = max(data.find(b"\xff"), data.find(b"\xe2"), data.find(b"\xc3"))
+        expected = (f"invalid character 0x{data[bad]:02x}", bad, line)
         with pytest.raises(InvalidCharacter) as info:
             tokenize_bytes(data)
-        assert (info.value.message, info.value.byte_start, info.value.line) == (
-            f"invalid character 0x{data[bad]:02x}", bad, line)
+        assert (info.value.message, info.value.byte_start, info.value.line) == expected
+        with pytest.raises(ParseError) as info:
+            parse_unit(data)
+        [(message, span)] = info.value.diagnostics
+        assert (message, span.byte_start, span.line_start) == expected
 
 
 class TestPhysicalLoc:
     def test_two_newlines(self):
-        assert physical_loc("a\nb\n") == 2
+        assert physical_loc(b"a\nb\n") == 2
 
     def test_empty(self):
-        assert physical_loc("") == 0
+        assert physical_loc(b"") == 0
 
     def test_no_trailing_newline(self):
         # printf 'a\nb' | wc -l == 1
-        assert physical_loc("a\nb") == 1
+        assert physical_loc(b"a\nb") == 1
+
+    def test_each_line_terminator_counts_once(self):
+        # LF, CR LF and a lone CR each end a line, as they do for a token
+        assert physical_loc(b"a\rb\r\nc\n\r\rd") == 5
 
     @pytest.mark.parametrize("name", sorted(p.name for p in ORACLE_DIR.glob("*.java")))
     def test_matches_wc_on_fixtures(self, name):
@@ -172,7 +187,7 @@ class TestPhysicalLoc:
         with path.open("rb") as stdin:
             out = subprocess.run(["wc", "-l"], stdin=stdin,
                                  capture_output=True, text=True, check=True)
-        assert physical_loc(path.read_text()) == int(out.stdout.split()[0])
+        assert physical_loc(path.read_bytes()) == int(out.stdout.split()[0])
 
 
 _java_ish = st.text(
@@ -195,7 +210,7 @@ class TestNoSilentSkip:
         order with only whitespace and block comments between them."""
         data = text.encode("utf-8")
         try:
-            ts = tokenize(text)
+            ts = tokenize_bytes(data)
         except InvalidCharacter as exc:
             assert 0 <= exc.byte_start < exc.byte_end <= len(data)
             return
@@ -379,22 +394,24 @@ class TestBatches:
         assert result == ("invalid character 0x23", start, start + 1, line)
         assert read[-1][0] > 0
 
-    @pytest.mark.parametrize("tail, bad", [
-        (b'"\xff" #\n', b"\xff"),
-        (b'# "\xff"\n', b"#"),
-        (b'"\xff"\n' + b"ok\n" * 8 + b"#\n", b"\xff"),
-        (b"#\n" + b"ok\n" * 8 + b'"\xff"\n', b"#"),
+    @pytest.mark.parametrize("tail", [
+        b'"\xff" #\n',
+        b'# "\xff"\n',
+        b'"\xff"\n' + b"ok\n" * 8 + b"#\n",
+        b"#\n" + b"ok\n" * 8 + b'"\xff"\n',
     ], ids=["undecodable-first", "invalid-first", "undecodable-windows-before",
             "invalid-windows-before"])
-    def test_invalid_and_undecodable_bytes_in_a_later_window(self, monkeypatch, tail, bad):
-        # whichever comes first in the input is the error, in one window or two
+    def test_invalid_and_undecodable_bytes_in_a_later_window(self, monkeypatch, tail):
+        # the input is checked as UTF-8 before any window is read, so a byte
+        # that is not UTF-8 is the error even after an invalid one
         data = b"ok\n" * 20 + tail
-        at = data.index(bad)
-        expected = (f"invalid character 0x{bad[0]:02x}", at, at + 1, 21 + data.count(b"\n", 60, at))
+        at = data.index(b"\xff")
+        expected = ("invalid character 0xff", at, at + 1, 21 + data.count(b"\n", 60, at))
+        windows = _Windows(scanner._TOKEN_RE)
+        monkeypatch.setattr(scanner, "_TOKEN_RE", windows)
+        monkeypatch.setattr(scanner, "_WINDOW", 4)
         assert _scan(data) == expected
-        result, read = _windowed(monkeypatch, data, 4)
-        assert result == expected
-        assert read[-1][0] > 20
+        assert windows.read == []
 
     def test_peak_memory_stays_near_the_stream(self):
         # every pair of the input held at once costs more than twice the

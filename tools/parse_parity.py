@@ -9,13 +9,15 @@ package. The inputs are made once, by this process:
 * `Corpus(seed).tree(700)` for seeds 5, 11 and 29, annotated as the
   `reconcile_fix` workload of `cddbench/run.py` annotates it (a seeded half of
   the files stale);
-* `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture texts with
+* `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture files with
   tokens deleted or copied in.
 
 Each side parses all of them in one child process of its own, with a hash
 seed of its own, so `parse_parity.py src src` checks that a parse and an
 analysis depend on no hash order. An input's result is
-`repr(parse_unit(text))`, or the diagnostics of the `ParseError` it raises. An input that parses is also analysed under four rule sets: the
+`repr(parse_unit(text))`, or the diagnostics of the `ParseError` it raises;
+a side whose `parse_unit` takes bytes is given the text's UTF-8 bytes. An
+input that parses is also analysed under four rule sets: the
 default rules and the corpus' `config_document()`, each with `count_lambdas`
 off and on; its analysis is the `repr` of the four `analyze_unit` results.
 The tool prints the number of inputs, the name of each input whose result
@@ -42,7 +44,7 @@ STALE_SHARE = 0.5
 # name, text], ...]} on stdin, writes {"results": {name: [failed, digest,
 # analysis digest or None]}, "fails": {group: count}} on stdout.
 CHILD = r"""
-import hashlib, json, sys
+import hashlib, inspect, json, sys
 from collections import Counter
 from cddlint.engine import analyze_unit
 from cddlint.rules import default_rules, load_rules
@@ -58,6 +60,8 @@ def counting_init(self, *args):
     fails[group] += 1
     init(self, *args)
 parser._Fail.__init__ = counting_init
+[param, *_] = inspect.signature(parse_unit).parameters.values()
+takes_bytes = param.annotation in ("bytes", bytes)
 
 request = json.load(sys.stdin)
 rule_sets = [rules._replace(count_lambdas=lambdas)
@@ -66,7 +70,7 @@ rule_sets = [rules._replace(count_lambdas=lambdas)
 results = {}
 for group, name, text in request["inputs"]:
     try:
-        unit = parse_unit(text)
+        unit = parse_unit(text.encode() if takes_bytes else text)
     except ParseError as exc:
         results[name] = [True, digest("ParseError " + repr(exc.diagnostics)), None]
         continue
@@ -91,8 +95,8 @@ def make_inputs(change_src: Path) -> list[tuple[str, str, str]]:
         for i, f in enumerate(corpus.tree(TREE_FILES)):
             inputs.append((f"tree{seed}", f"tree{seed}/{f.path}",
                            corpus.annotate(f, i in stale).text))
-    inputs += [("mutants", f"mutant/{n}", text)
-               for n, text in enumerate(_mutants(2000, seed=7))]
+    inputs += [("mutants", f"mutant/{n}", data.decode())
+               for n, data in enumerate(_mutants(2000, seed=7))]
     return inputs
 
 
