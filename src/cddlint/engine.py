@@ -17,15 +17,34 @@ rules:
               clause), per finally block
   internal    fields, method parameters and non-void return types whose type
               matches the configured project classes, plus statement-level
-              uses (method-call receiver, `new`, or bare initializer) of
-              names whose statically visible declared type matches; at most
-              one site per name per statement
+              uses: a `new` of a matching type, and a method-call receiver or
+              bare initializer naming a variable whose statically visible
+              declared type matches; at most one site per variable name and
+              one per `new`'d type per statement
   external    explicit variable declarations (fields, params, typed locals,
               try resources) of configured library types; `var` and java.lang
               simple names never match
 
 With lambda counting off (the default) nothing inside a lambda body is
-counted and the lambda itself costs nothing.
+counted and the lambda itself costs nothing. With it on, a lambda is a
+branch, and its body is walked under a scope that binds its parameters with
+no declared type; an expression body `x -> e` is walked as its own
+statement, just as `x -> { return e; }` is.
+
+The walk records and `analyze_unit` judges. `_TypeWalker` reads no rule
+but `count_lambdas`. It records each branch, condition and exception site
+as (category, span, reason), each declaration's written type with the
+kinds its coupling reasons name, and each use: a `new`'s type, or a
+variable's declared type. `analyze_unit` then applies the rules once: the
+internal and external type matchers, each category's `enabled` and `cost`,
+and one sort into document order.
+
+A scope is a dict from each visible variable to its declared type (None
+where none is written: `var`, a lambda parameter). A type's scope copies
+its outer type's and binds its fields; a method, block, loop, switch case,
+catch clause and lambda each copy the scope they open in. So a name bound
+in one is not seen after it, an inner binding shadows an outer one, and a
+local is seen from its declaration on.
 
 Expressions are walked by one descent: `_TypeWalker._walk_expr` scores a
 node, then walks the children `ast.iter_children` yields; a TypeRef has
@@ -63,6 +82,8 @@ from .values import exact_value
 _CATEGORIES = tuple(IcpCategory)
 # a category's value by category: `Enum.value` is a Python call per read
 _CATEGORY_VALUES = {cat: cat.value for cat in IcpCategory}
+_LOOP_REASONS = {"for": "for loop", "for_each": "enhanced-for loop",
+                 "while": "while loop", "do_while": "do-while loop"}
 
 
 class IcpSite(Record):
@@ -85,19 +106,42 @@ class Verdict(Record):
 
 
 def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
-    """Analyze every top-level and nested type declaration of a unit."""
+    """Analyze every top-level and nested type declaration of a unit: walk
+    each, then apply the rules to what the walk recorded."""
+    internal = type_matcher(rules.internal_types).matches
+    external = type_matcher(rules.external_types, exclude_java_lang=True).matches
+    enabled_costs = {cat: rule.cost for cat, rule in rules.categories.items() if rule.enabled}
     costs = [rules.categories[cat].cost.as_integer_ratio() for cat in _CATEGORIES]
     den = math.lcm(*[d for _, d in costs])
     scales = [n * (den // d) for n, d in costs]  # each cost is scale / den
     analyses: list[UnitAnalysis] = []
-    scopes: dict[str, _Scope] = {}  # by dotted name; an outer type comes first
+    scopes: dict[str, _Bindings] = {}  # by dotted name; an outer type comes first
     for decl in unit.types:
-        walker = _TypeWalker(rules, scopes.get(decl.name.rpartition(".")[0]))
-        scopes[decl.name] = walker.type_scope
-        sites = walker.analyze(decl)
+        walker = _TypeWalker(rules.count_lambdas, scopes.get(decl.name.rpartition(".")[0], {}))
+        scopes[decl.name] = walker.scope
+        walker.walk(decl)
+        found = walker.sites
+        for declared, internal_kind, external_kind in walker.declarations:
+            name = declared.qualified_name
+            if internal_kind is not None and internal(name):
+                found.append((IcpCategory.INTERNAL_COUPLING, declared.span,
+                              f"internal coupling: {declared.simple_name} {internal_kind}"))
+            if external_kind is not None and external(name):
+                found.append((IcpCategory.EXTERNAL_COUPLING, declared.span,
+                              f"external coupling: {declared.simple_name} {external_kind}"))
+        for span, variable, declared in walker.uses:
+            if internal(declared.qualified_name):
+                what = (f"new {declared.simple_name}" if variable is None
+                        else f"use of {variable} ({declared.simple_name})")
+                found.append((IcpCategory.INTERNAL_COUPLING, span,
+                              f"internal coupling: {what}"))
+        found.sort(key=lambda s: (s[1].byte_start, s[1].byte_end, _CATEGORY_VALUES[s[0]]))
+        sites: list[IcpSite] = []
         counts = dict.fromkeys(_CATEGORIES, 0)
-        for site in sites:
-            counts[site.category] += 1
+        for category, span, reason in found:
+            if category in enabled_costs:
+                sites.append(IcpSite((category, enabled_costs[category], span, reason)))
+                counts[category] += 1
         scaled = [scale * count for scale, count in zip(scales, counts.values())]
         subtotals = {cat: exact_value(n, den) for cat, n in zip(_CATEGORIES, scaled)}
         total = exact_value(sum(scaled), den)
@@ -114,101 +158,65 @@ def verdict(analysis: UnitAnalysis, rules: RuleSet) -> Verdict:
     return Verdict((limit, analysis.total > limit))
 
 
-class _Scope:
-    """Statically visible declared types: fields, params, then locals."""
-
-    __slots__ = ("parent", "table")
-
-    def __init__(self, parent: Optional["_Scope"] = None):
-        self.parent = parent
-        self.table: dict[str, Optional[ast.TypeRef]] = {}
-
-    def bind(self, name: str, declared: Optional[ast.TypeRef]) -> None:
-        self.table[name] = declared
-
-    def lookup(self, name: str) -> Optional[ast.TypeRef]:
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            if name in scope.table:
-                return scope.table[name]
-            scope = scope.parent
-        return None
-
-
+# a scope: each statically visible variable's declared type, by name
+_Bindings = dict[str, Optional[TypeRef]]
 # The coupling uses of one expression-bearing statement region, the first of
-# each name kept: name -> (span, the type of a `new` or None); a `new` of a
-# matching type is a use by itself, any other name needs a scope lookup.
+# each key kept: a variable's name -> (span, None), to be looked up in the
+# scope; a `new`'s key, which no name equals, -> (span, its type)
 _Uses = dict[str, tuple[Span, Optional[TypeRef]]]
 
 
 class _TypeWalker:
-    def __init__(self, rules: RuleSet, outer_scope: Optional[_Scope]):
-        self.rules = rules
-        self._internal = type_matcher(rules.internal_types).matches
-        self._external = type_matcher(rules.external_types, exclude_java_lang=True).matches
-        self.sites: list[IcpSite] = []
-        self.type_scope = _Scope(outer_scope)
+    """Records one type's sites and coupling candidates; applies no rule."""
 
-    # ── site emission ───────────────────────────────────────────────────
-
-    def _emit(self, category: IcpCategory, span: Span, reason: str) -> None:
-        rule = self.rules.categories[category]
-        if rule.enabled:
-            self.sites.append(IcpSite((category, rule.cost, span, reason)))
-
-    def _couple(self, declared: ast.TypeRef, internal_kind: Optional[str],
-                external_kind: Optional[str]) -> None:
-        """The coupling sites of a declaration's written type: internal, given
-        an `internal_kind`, for a project class, and external, given an
-        `external_kind`, for a library class. The one statement of that rule."""
-        name = declared.qualified_name
-        if internal_kind is not None and self._internal(name):
-            self._emit(IcpCategory.INTERNAL_COUPLING, declared.span,
-                       f"internal coupling: {declared.simple_name} {internal_kind}")
-        if external_kind is not None and self._external(name):
-            self._emit(IcpCategory.EXTERNAL_COUPLING, declared.span,
-                       f"external coupling: {declared.simple_name} {external_kind}")
+    def __init__(self, count_lambdas: bool, outer_scope: _Bindings):
+        self.count_lambdas = count_lambdas
+        self.scope = dict(outer_scope)  # the type's, its fields bound by `walk`
+        self.sites: list[tuple[IcpCategory, Span, str]] = []  # (category, span, reason)
+        # a declaration's written type, with the kind its internal and its
+        # external coupling reason names (None: that coupling is not counted)
+        self.declarations: list[tuple[TypeRef, Optional[str], Optional[str]]] = []
+        # (span, the variable's name, its declared type), or for a `new`
+        # (its type's span, None, its type)
+        self.uses: list[tuple[Span, Optional[str], TypeRef]] = []
 
     # ── type body ───────────────────────────────────────────────────────
 
-    def analyze(self, decl: ast.TypeDecl) -> list[IcpSite]:
+    def walk(self, decl: ast.TypeDecl) -> None:
         for f in decl.fields:
-            self.type_scope.bind(f.name, f.declared_type)
+            self.scope[f.name] = f.declared_type
 
         for constant in decl.enum_constants:
             region: _Uses = {}
             for arg in constant.args:
-                self._walk_expr(arg, self.type_scope, region)
-            self._flush_region(region, self.type_scope)
+                self._walk_expr(arg, self.scope, region)
+            self._flush_region(region, self.scope)
 
         for f in decl.fields:
-            self._couple(f.declared_type, "field", "declaration")
+            self.declarations.append((f.declared_type, "field", "declaration"))
             if f.initializer is not None:
-                self._walk_initializer(f.initializer, self.type_scope)
+                self._walk_initializer(f.initializer, self.scope)
 
         for m in decl.methods:
             self._walk_method(m)
 
-        self.sites.sort(key=lambda s: (s.span.byte_start, s.span.byte_end,
-                                       _CATEGORY_VALUES[s.category]))
-        return self.sites
-
     def _walk_method(self, m: ast.MethodDecl) -> None:
-        scope = _Scope(self.type_scope)
+        scope = dict(self.scope)
         for p in m.params:
-            scope.bind(p.name, p.type)
-            self._couple(p.type, "parameter", "declaration")
+            scope[p.name] = p.type
+            self.declarations.append((p.type, "parameter", "declaration"))
         if m.return_type is not None:
-            self._couple(m.return_type, "return type", None)
+            self.declarations.append((m.return_type, "return type", None))
         if m.body is not None:
             self._walk_stmt(m.body, scope)
 
     # ── statements ──────────────────────────────────────────────────────
 
-    def _walk_stmt(self, stmt: ast.Stmt, scope: _Scope) -> None:
+    def _walk_stmt(self, stmt: ast.Stmt, scope: _Bindings) -> None:
         kind = type(stmt)
+        sites = self.sites
         if kind is Block:
-            inner = _Scope(scope)
+            inner = dict(scope)
             for s in stmt.stmts:
                 self._walk_stmt(s, inner)
 
@@ -221,27 +229,21 @@ class _TypeWalker:
 
         elif kind is If:
             while True:  # an `else if` chain is walked here, not by recursion
-                self._emit(IcpCategory.BRANCH, stmt.if_kw, "if statement")
+                sites.append((IcpCategory.BRANCH, stmt.if_kw, "if statement"))
                 self._guard(stmt.condition, scope)
                 self._walk_stmt(stmt.then, scope)
                 if stmt.else_branch is None:
                     break
                 assert stmt.else_kw is not None
-                self._emit(IcpCategory.BRANCH, stmt.else_kw, "else branch")
+                sites.append((IcpCategory.BRANCH, stmt.else_kw, "else branch"))
                 if type(stmt.else_branch) is not If:
                     self._walk_stmt(stmt.else_branch, scope)
                     break
                 stmt = stmt.else_branch
 
         elif kind is Loop:
-            reason = {
-                "for": "for loop",
-                "for_each": "enhanced-for loop",
-                "while": "while loop",
-                "do_while": "do-while loop",
-            }[stmt.kind]
-            self._emit(IcpCategory.BRANCH, stmt.kw, reason)
-            loop_scope = _Scope(scope)
+            sites.append((IcpCategory.BRANCH, stmt.kw, _LOOP_REASONS[stmt.kind]))
+            loop_scope = dict(scope)
             for init in stmt.init:
                 self._walk_stmt(init, loop_scope)
             if stmt.var is not None:
@@ -255,54 +257,54 @@ class _TypeWalker:
             self._walk_stmt(stmt.body, loop_scope)
 
         elif kind is Switch:
-            self._emit(IcpCategory.BRANCH, stmt.kw, "switch statement")
+            sites.append((IcpCategory.BRANCH, stmt.kw, "switch statement"))
             self._expr_region(stmt.scrutinee, scope)
             for case in stmt.cases:
-                case_scope = _Scope(scope)
+                case_scope = dict(scope)
                 for label in case.labels:
-                    name = "case label" if label.expr is not None else "default label"
-                    self._emit(IcpCategory.BRANCH, label.span, name)
-                    if label.expr is not None:
+                    if label.expr is None:
+                        sites.append((IcpCategory.BRANCH, label.span, "default label"))
+                    else:
+                        sites.append((IcpCategory.BRANCH, label.span, "case label"))
                         self._expr_region(label.expr, case_scope)
                 for s in case.stmts:
                     self._walk_stmt(s, case_scope)
 
         elif kind is Try:
-            self._emit(IcpCategory.EXCEPTION, stmt.kw, "try block")
-            try_scope = _Scope(scope)
+            sites.append((IcpCategory.EXCEPTION, stmt.kw, "try block"))
+            try_scope = dict(scope)
             for res in stmt.resources:
                 self._walk_local_decl(res, try_scope, what="resource")
             self._walk_stmt(stmt.body, try_scope)
             for clause in stmt.catches:
-                self._emit(IcpCategory.EXCEPTION, clause.kw, "catch block")
-                catch_scope = _Scope(scope)
-                catch_scope.bind(clause.param_name,
-                                 clause.types[0] if clause.types else None)
+                sites.append((IcpCategory.EXCEPTION, clause.kw, "catch block"))
+                catch_scope = dict(scope)
+                catch_scope[clause.param_name] = clause.types[0] if clause.types else None
                 self._walk_stmt(clause.body, catch_scope)
             if stmt.finally_block is not None:
                 assert stmt.finally_kw is not None
-                self._emit(IcpCategory.EXCEPTION, stmt.finally_kw, "finally block")
+                sites.append((IcpCategory.EXCEPTION, stmt.finally_kw, "finally block"))
                 self._walk_stmt(stmt.finally_block, scope)
 
         # Jump (break / continue) contributes nothing
 
-    def _walk_local_decl(self, stmt: ast.LocalDecl, scope: _Scope,
+    def _walk_local_decl(self, stmt: ast.LocalDecl, scope: _Bindings,
                          what: str = "declaration") -> None:
         if stmt.declared_type is not None:
-            self._couple(stmt.declared_type, None, what)
+            self.declarations.append((stmt.declared_type, None, what))
         if stmt.initializer is not None:
             self._walk_initializer(stmt.initializer, scope)
-        scope.bind(stmt.name, stmt.declared_type)
+        scope[stmt.name] = stmt.declared_type
 
     # ── expressions ─────────────────────────────────────────────────────
 
-    def _expr_region(self, expr: ast.Expr, scope: _Scope) -> None:
+    def _expr_region(self, expr: ast.Expr, scope: _Bindings) -> None:
         region: _Uses = {}
         self._walk_expr(expr, scope, region)
         if region:
             self._flush_region(region, scope)
 
-    def _walk_initializer(self, expr: ast.Expr, scope: _Scope) -> None:
+    def _walk_initializer(self, expr: ast.Expr, scope: _Bindings) -> None:
         region: _Uses = {}
         # a bare name used as the whole initializer is a coupling use
         if type(expr) is NameRef:
@@ -310,20 +312,16 @@ class _TypeWalker:
         self._walk_expr(expr, scope, region)
         self._flush_region(region, scope)
 
-    def _flush_region(self, region: _Uses, scope: _Scope) -> None:
-        for name, (span, new_type) in region.items():
+    def _flush_region(self, region: _Uses, scope: _Bindings) -> None:
+        for key, (span, new_type) in region.items():
             if new_type is not None:
-                self._emit(IcpCategory.INTERNAL_COUPLING, span,
-                           f"internal coupling: new {new_type.simple_name}")
+                self.uses.append((span, None, new_type))
                 continue
-            declared = scope.lookup(name)
-            if declared is not None and self._internal(declared.qualified_name):
-                self._emit(
-                    IcpCategory.INTERNAL_COUPLING, span,
-                    f"internal coupling: use of {name} ({declared.simple_name})",
-                )
+            declared = scope.get(key)
+            if declared is not None:
+                self.uses.append((span, key, declared))
 
-    def _guard(self, condition: ast.Expr, scope: _Scope) -> None:
+    def _guard(self, condition: ast.Expr, scope: _Bindings) -> None:
         """Condition sites for a guard, then the guard's own expression walk."""
         self._condition_sites(condition)
         self._expr_region(condition, scope)
@@ -331,12 +329,12 @@ class _TypeWalker:
     def _condition_sites(self, condition: ast.Expr) -> None:
         op_spans = sorted(_collect_bool_ops(condition), key=lambda s: s.byte_start)
         n = 1 + len(op_spans)
-        self._emit(IcpCategory.CONDITION, condition.span,
-                   f"boolean condition 1 of {n}")
+        self.sites.append((IcpCategory.CONDITION, condition.span,
+                           f"boolean condition 1 of {n}"))
         for i, span in enumerate(op_spans, start=2):
-            self._emit(IcpCategory.CONDITION, span, f"boolean condition {i} of {n}")
+            self.sites.append((IcpCategory.CONDITION, span, f"boolean condition {i} of {n}"))
 
-    def _walk_expr(self, expr: ast.Expr, scope: _Scope, region: _Uses) -> None:
+    def _walk_expr(self, expr: ast.Expr, scope: _Bindings, region: _Uses) -> None:
         """Score the node itself, then walk its children; a kind that scores
         nothing has no branch here."""
         kind = type(expr)
@@ -357,21 +355,21 @@ class _TypeWalker:
                 name, span = root
                 region.setdefault(name, (span, None))
         elif kind is Lambda:
-            if not self.rules.count_lambdas:
+            if not self.count_lambdas:
                 return  # nothing inside a lambda is counted
-            self._emit(IcpCategory.BRANCH, expr.span, "lambda expression")
+            self.sites.append((IcpCategory.BRANCH, expr.span, "lambda expression"))
+            lam_scope = {**scope, **dict.fromkeys(expr.params)}
             if type(expr.body) is Block:
-                lam_scope = _Scope(scope)
-                for p in expr.params:
-                    lam_scope.bind(p, None)
                 self._walk_stmt(expr.body, lam_scope)
-                return
+            else:  # as its own statement, as `{ return body; }` is
+                self._expr_region(expr.body, lam_scope)
+            return
         elif kind is Ternary:
-            self._emit(IcpCategory.BRANCH, expr.question_span, "ternary operator")
+            self.sites.append((IcpCategory.BRANCH, expr.question_span, "ternary operator"))
             self._condition_sites(expr.cond)
         elif kind is New:
-            if self._internal(expr.type.qualified_name):
-                region.setdefault(expr.type.qualified_name, (expr.type.span, expr.type))
+            # keyed by `new T`, with a space no variable name holds
+            region.setdefault("new " + expr.type.qualified_name, (expr.type.span, expr.type))
         if expr._child_indices:  # a NameRef, Literal or TypeRef has none
             for child in iter_children(expr):
                 self._walk_expr(child, scope, region)

@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Any
 
 from .records import Record
+from .syntax.parser import PRIMITIVES
 from .values import is_half_step, json_number
 
 
@@ -70,8 +71,8 @@ DEFAULT_CONFIG_DOCUMENT = """\
 """
 
 
-# simple names that never match a coupling pattern: implicitly imported
-# java.lang types (e.g. Long in a method signature) and primitives
+# simple names that never match an external pattern: implicitly imported
+# java.lang types (e.g. Long in a method signature); nor do the primitives
 JAVA_LANG_SIMPLE_NAMES = frozenset({
     "Object", "String", "CharSequence", "Boolean", "Byte", "Character",
     "Short", "Integer", "Long", "Float", "Double", "Number", "Void", "Math",
@@ -83,10 +84,6 @@ JAVA_LANG_SIMPLE_NAMES = frozenset({
     "NumberFormatException", "InterruptedException", "CloneNotSupportedException",
     "Override", "Deprecated", "SuppressWarnings", "FunctionalInterface",
     "SafeVarargs", "AutoCloseable", "Record",
-})
-
-PRIMITIVE_NAMES = frozenset({
-    "boolean", "byte", "short", "int", "long", "char", "float", "double", "void",
 })
 
 
@@ -166,7 +163,7 @@ class TypeMatcher:
     def _match(self, qualified_name: str) -> bool:
         simple = qualified_name.rpartition(".")[2]
         if self._exclude_java_lang:
-            if simple in PRIMITIVE_NAMES:
+            if simple in PRIMITIVES:
                 return False
             if qualified_name == simple and simple in JAVA_LANG_SIMPLE_NAMES:
                 return False

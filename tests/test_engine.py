@@ -219,6 +219,13 @@ class TestCouplingRules:
             "external coupling: Repo declaration", "internal coupling: Lib field"]
         assert [s.reason for s in analyze_one(source, rules).sites] == as_given
 
+    def test_a_receiver_named_as_a_new_type_hides_no_new(self):
+        # the receiver `InternalRepo` names no variable; the `new` still counts
+        rules = default_rules(internal_types=("Internal*",))
+        a = analyze_one("class T { void f() { InternalRepo.find(new InternalRepo()); } }",
+                        rules)
+        assert [s.reason for s in a.sites] == ["internal coupling: new InternalRepo"]
+
 
 class TestLambdas:
     WRAPPED = "class T { void m(Runner r) { r.accept(() -> pick(x ? 1 : 2)); } }"
@@ -232,6 +239,31 @@ class TestLambdas:
         a = analyze_one(self.WRAPPED, rules)
         # 1 lambda (branch) + 1 ternary (branch) + 1 condition
         assert a.subtotals[B] == 2 and a.subtotals[C] == 1
+
+    @pytest.mark.parametrize("body", ["r -> r.go()", "r -> { r.go(); }"])
+    def test_a_lambda_parameter_shadows_a_field(self, body):
+        rules = default_rules(internal_types=("Internal*",), count_lambdas=True)
+        a = analyze_one(f"class T {{ InternalRepo r; void f() {{ xs.forEach({body}); }} }}",
+                        rules)
+        assert [s.reason for s in a.sites] == [
+            "internal coupling: InternalRepo field", "lambda expression"]
+
+    @pytest.mark.parametrize("expr", [
+        "x ? new InternalX() : null",
+        "new InternalX().run(new InternalX())",
+        "repo.get()",  # a use of the field, counted apart from the outer one
+        "x && repo.ok() ? 1 : 2",
+        "y -> y ? 1 : 2",
+    ])
+    def test_an_expression_body_scores_as_its_block_form(self, expr):
+        rules = default_rules(internal_types=("Internal*",))
+        source = "class T {{ InternalX repo; void f() {{ repo.find(x -> {}); }} }}"
+        for lambdas in (False, True):
+            as_expr, as_block = (
+                analyze_one(source.format(body), rules._replace(count_lambdas=lambdas))
+                for body in (expr, f"{{ return {expr}; }}"))
+            assert as_expr.total == as_block.total
+            assert [s.reason for s in as_expr.sites] == [s.reason for s in as_block.sites]
 
 
 # `new InternalX()` in each position an expression can hold another; the
@@ -410,6 +442,42 @@ class TestStructure:
             gc.enable()
         assert [a.type_name for a in analyses] == declared == [
             "T", "T.In", "T.In.Deep", "T.In2", "U"]
+
+
+class TestScopes:
+    """A use resolves a name in the scope it is in: a method, block, loop,
+    case, catch clause or lambda opens one, a binding in it shadows an outer
+    one and ends with it, and a local is visible from its declaration on."""
+
+    RULES = default_rules(internal_types=("Internal*",))
+
+    def uses(self, source: str) -> dict[str, list[int]]:
+        """Each unit's counted uses, by the offset of each."""
+        unit = parse_unit(source.encode(), "T.java")
+        return {a.type_name: [s.span.byte_start for s in a.sites if "use of" in s.reason]
+                for a in analyze_unit(unit, self.RULES)}
+
+    def test_a_parameter_shadows_a_field(self):
+        source = "class T { InternalRepo r; void f(String r) { r.go(); } }"
+        assert self.uses(source) == {"T": []}
+
+    def test_a_block_local_ends_with_its_block(self):
+        source = "class T { void f() { { InternalRepo r = null; r.go(); } r.go(); } }"
+        assert self.uses(source) == {"T": [source.index("r.go()")]}
+
+    def test_a_nested_type_sees_its_outer_field_unless_it_shadows_it(self):
+        source = ("class T { InternalRepo r; class In { void f() { r.go(); } }"
+                  " class Own { String r; void f() { r.go(); } } }")
+        assert self.uses(source) == {"T": [], "T.In": [source.index("r.go()")], "T.Own": []}
+
+    def test_a_catch_parameter_and_a_for_each_variable_shadow_a_field(self):
+        source = ("class T { InternalRepo r; void f() { try {} catch (Exception r) { r.go(); }"
+                  " for (String r : xs) { r.go(); } r.go(); } }")
+        assert self.uses(source) == {"T": [source.rindex("r.go()")]}
+
+    def test_a_local_is_visible_from_its_declaration_on(self):
+        source = "class T { void f() { r.go(); InternalRepo r = null; r.go(); } }"
+        assert self.uses(source) == {"T": [source.rindex("r.go()")]}
 
 
 class TestExactTotals:

@@ -17,14 +17,16 @@ seed of its own, so `parse_parity.py src src` checks that a parse and an
 analysis depend on no hash order. An input's result is
 `repr(parse_unit(text))`, or the diagnostics of the `ParseError` it raises;
 a side whose `parse_unit` takes bytes is given the text's UTF-8 bytes. An
-input that parses is also analysed under four rule sets: the
-default rules and the corpus' `config_document()`, each with `count_lambdas`
-off and on; its analysis is the `repr` of the four `analyze_unit` results.
-The tool prints the number of inputs, the name of each input whose result
-differs and of each whose analysis differs, and per group the whole-file
-failures, the `_Fail` exceptions each side raised (`_Fail` is the parser's
-internal signal that an attempt failed) and the analyses that differ. It
-exits 1 if any result or analysis differs, else 0.
+input that parses is also analysed under eight rule sets: the default
+rules, the corpus' `config_document()`, and two variants of it that turn a
+category off and change costs (`CATEGORY_VARIANTS`), each with
+`count_lambdas` off and on; its analysis under a rule set is the `repr` of
+the `analyze_unit` result. The tool prints the number of inputs, the name
+of each input whose result differs and of each whose analysis differs, the
+analyses that differ per rule set, and per group the whole-file failures,
+the `_Fail` exceptions each side raised (`_Fail` is the parser's internal
+signal that an attempt failed) and the analyses that differ. It exits 1 if
+any result or analysis differs, else 0.
 """
 
 from __future__ import annotations
@@ -39,10 +41,19 @@ ROOT = Path(__file__).resolve().parent.parent
 TREE_SEEDS = (5, 11, 29)
 TREE_FILES = 700  # FIX_FILES of cddbench/run.py
 STALE_SHARE = 0.5
+# `categories` of the corpus config in two more rule sets, so that what the
+# engine applies per category (`enabled`, `cost`) is compared too
+CATEGORY_VARIANTS = {
+    "corpus, costs": {"exception": {"enabled": False}, "branch": {"cost": 2},
+                      "external_coupling": {"cost": 1}},
+    "corpus, no internal": {"internal_coupling": {"enabled": False},
+                            "condition": {"cost": 0.5}},
+}
 
-# Run in each side's child: reads {"config": document, "inputs": [[group,
-# name, text], ...]} on stdin, writes {"results": {name: [failed, digest,
-# analysis digest or None]}, "fails": {group: count}} on stdout.
+# Run in each side's child: reads {"configs": {label: document or None for
+# the default rules}, "inputs": [[group, name, text], ...]} on stdin, writes
+# {"results": {name: [failed, digest, {rule set: analysis digest} or None]},
+# "fails": {group: count}} on stdout.
 CHILD = r"""
 import hashlib, inspect, json, sys
 from collections import Counter
@@ -64,9 +75,10 @@ parser._Fail.__init__ = counting_init
 takes_bytes = param.annotation in ("bytes", bytes)
 
 request = json.load(sys.stdin)
-rule_sets = [rules._replace(count_lambdas=lambdas)
-             for rules in (default_rules(), load_rules(request["config"]))
-             for lambdas in (False, True)]
+rule_sets = {label + (", lambdas" if lambdas else ""): rules._replace(count_lambdas=lambdas)
+             for label, document in request["configs"].items()
+             for rules in [default_rules() if document is None else load_rules(document)]
+             for lambdas in (False, True)}
 results = {}
 for group, name, text in request["inputs"]:
     try:
@@ -74,8 +86,9 @@ for group, name, text in request["inputs"]:
     except ParseError as exc:
         results[name] = [True, digest("ParseError " + repr(exc.diagnostics)), None]
         continue
-    analyses = "\n".join(repr(analyze_unit(unit, rules)) for rules in rule_sets)
-    results[name] = [False, digest(repr(unit)), digest(analyses)]
+    analyses = {label: digest(repr(analyze_unit(unit, rules)))
+                for label, rules in rule_sets.items()}
+    results[name] = [False, digest(repr(unit)), analyses]
 json.dump({"results": results, "fails": fails}, sys.stdout)
 """
 
@@ -116,7 +129,11 @@ def main(argv: list[str]) -> int:
     inputs = make_inputs(change_src)
     from cddbench.corpus import config_document
 
-    payload = json.dumps({"config": config_document(), "inputs": inputs}).encode()
+    configs = {"default": None, "corpus": config_document()}
+    for label, categories in CATEGORY_VARIANTS.items():
+        configs[label] = json.dumps({**json.loads(config_document()),
+                                     "categories": categories})
+    payload = json.dumps({"configs": configs, "inputs": inputs}).encode()
     parent, change = run_side(parent_src, payload, "1"), run_side(change_src, payload, "2")
     differ = [name for _, name, _ in inputs
               if parent["results"][name][:2] != change["results"][name][:2]]
@@ -129,6 +146,13 @@ def main(argv: list[str]) -> int:
     print(f"analyses differ: {len(analyses_differ)}")
     for name in analyses_differ:
         print(f"  {name}")
+    labels = list(next(r[2] for r in change["results"].values() if r[2] is not None))
+    print(f"{'rule set':28} {'analyses differ':>16}")
+    for label in labels:
+        changed = sum(parent["results"][name][2][label] != change["results"][name][2][label]
+                      for name in analyses_differ
+                      if parent["results"][name][2] and change["results"][name][2])
+        print(f"{label:28} {changed:>16}")
     groups = list(dict.fromkeys(group for group, _, _ in inputs))
     print(f"{'group':10} {'failures: parent':>17} {'change':>7} {'_Fail: parent':>14} "
           f"{'change':>7} {'analyses differ':>16}")
