@@ -78,8 +78,11 @@ def apply_fixes(data: bytes, units: Iterable) -> bytes:
     for `type_name`, `total`, `icp_spans` and `header_start`, as a
     `series.UnitResult` holds them, and spans are byte offsets into `data`.
 
-    Only class-level annotation lines change; every other byte of the file
-    is preserved. Idempotent: a second run returns identical bytes.
+    A missing @ICP goes on a line of its own above a header that starts its
+    line, with the header's indent, and right before a header that follows
+    other code on its line. Only a class-level @ICP, or the line of a header
+    it is inserted on or above, changes; every other byte of the file is
+    preserved. Idempotent: a second run returns identical bytes.
     """
     edits: list[tuple[int, int, bytes]] = []  # (start, end, replacement)
 
@@ -94,12 +97,12 @@ def apply_fixes(data: bytes, units: Iterable) -> bytes:
         else:
             header = unit.header_start
             line_start = max(data.rfind(b"\n", 0, header), data.rfind(b"\r", 0, header)) + 1
-            indent_end = line_start
-            while indent_end < len(data) and data[indent_end] in (0x20, 0x09):
-                indent_end += 1
-            indent = data[line_start:indent_end]
-            edits.append((line_start, line_start,
-                          indent + rendered + _line_terminator(data, header)))
+            indent = data[line_start:header]
+            if indent.strip(b" \t"):  # code before the header: insert on its line
+                edits.append((header, header, rendered + b" "))
+            else:
+                edits.append((line_start, line_start,
+                              indent + rendered + _line_terminator(data, header)))
 
     edits.sort(key=lambda e: e[0], reverse=True)
     for start, end, replacement in edits:

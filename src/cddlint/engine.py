@@ -44,7 +44,10 @@ where none is written: `var`, a lambda parameter). A type's scope copies
 its outer type's and binds its fields; a method, block, loop, switch case,
 catch clause and lambda each copy the scope they open in. So a name bound
 in one is not seen after it, an inner binding shadows an outer one, and a
-local is seen from its declaration on.
+local is seen from its declaration on. A receiver qualified by `this.`
+(`this.x.f()`) is looked up in the type's scope alone, so no parameter or
+local shadows it; it is keyed apart from the bare name, and where the bare
+name in the same statement is that field too, the two count once.
 
 Expressions are walked by one descent: `_TypeWalker._walk_expr` scores a
 node, then walks the children `ast.iter_children` yields; a TypeRef has
@@ -161,8 +164,9 @@ def verdict(analysis: UnitAnalysis, rules: RuleSet) -> Verdict:
 # a scope: each statically visible variable's declared type, by name
 _Bindings = dict[str, Optional[TypeRef]]
 # The coupling uses of one expression-bearing statement region, the first of
-# each key kept: a variable's name -> (span, None), to be looked up in the
-# scope; a `new`'s key, which no name equals, -> (span, its type)
+# each key kept: a variable's name, or `this.` and a field's name, -> (span,
+# None), to be looked up in the scope; a `new`'s key, which no name equals,
+# -> (span, its type)
 _Uses = dict[str, tuple[Span, Optional[TypeRef]]]
 
 
@@ -317,7 +321,13 @@ class _TypeWalker:
             if new_type is not None:
                 self.uses.append((span, None, new_type))
                 continue
-            declared = scope.get(key)
+            if key.startswith("this."):
+                key = key[5:]
+                declared = self.scope.get(key)
+                if key in region and scope.get(key) is declared:
+                    continue  # the bare name is the same field
+            else:
+                declared = scope.get(key)
             if declared is not None:
                 self.uses.append((span, key, declared))
 
@@ -376,8 +386,8 @@ class _TypeWalker:
 
 
 def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
-    """The name a method call is invoked on: `x.f()` and `this.x.f()` give x;
-    None for an unqualified call."""
+    """The region key of the name a method call is invoked on: `x.f()` gives
+    x and `this.x.f()` gives this.x; None for an unqualified call."""
     kind = type(expr)
     if kind is NameRef:
         if expr.name in ("this", "super"):
@@ -385,7 +395,7 @@ def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
         return expr.name, expr.span
     if kind is FieldAccess:
         if type(expr.receiver) is NameRef and expr.receiver.name == "this":
-            return expr.name, expr.span
+            return "this." + expr.name, expr.span
     return None
 
 

@@ -125,7 +125,7 @@ class UnitResult(Record):
         "delta", "status",
         "loc",  # int; history
         "icp_spans",  # the class-level @ICP spans; fix rewrites them
-        "header_start",  # byte offset; fix inserts a missing @ICP above it
+        "header_start",  # byte offset; fix inserts a missing @ICP at or above it
     )
 
 

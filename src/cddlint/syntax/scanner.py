@@ -1,29 +1,26 @@
-"""Tokenizer: one compiled bytes regex read by ``findall``, a window at a time.
+"""Tokenizer: one compiled bytes regex, read by one ``split`` of the input.
 
 Each match of the pattern is a pair of groups: the gap of whitespace and
 ``/* */`` comments before a token, and the token (or ``//`` comment)
-itself. ``findall`` returns the pairs as bytes, with no ``re.Match`` object
-per token, and each list of a window is filled by passes that run in C, not
-by an interpreted step per token:
+itself. The pattern matches wherever the last match ended, so ``split``
+returns the input in threes: the empty text before a match, its gap and its
+token, all bytes, with no ``re.Match`` object per token. Each list of the
+stream is filled by passes that run in C, not by an interpreted step per
+token:
   - a token's kind comes from a 256-entry table indexed by its first byte;
     only a token that starts with ``/``, ``.``, ``"``, ``'`` or a byte the
     table does not list is looked at one by one: a ``//`` comment, a number
     such as ``.5``, a literal that may be unterminated, an invalid byte
-  - starts and ends are ``accumulate`` over the gap and token lengths, and
-    lines ``accumulate`` over the LFs in the gaps: a file that holds a CR is
-    read from a copy in which each lone CR is an LF, which changes no token,
-    as none holds a line terminator
+  - ends are ``accumulate`` over the gap and token lengths, starts are ends
+    less token lengths, and lines ``accumulate`` over the LFs in the gaps: a
+    file that holds a CR is read from a copy in which each lone CR is an LF,
+    which changes no token, as none holds a line terminator
   - ``compress`` takes the ``//`` comments out; only they are visited one by
     one
 
-A window runs from where the last one stopped to the first line terminator
-at least ``_WINDOW`` bytes on, or to the end of the input; it ends right
-after an LF or after a CR with no LF next, never between CR and LF, so no
-token is cut. What the cut does make is the empty END match at the window's
-end, and a ``/*`` whose comment closes past it: before the true end of the
-input either one is dropped, with every pair after it, and the next window
-starts at its gap. A window whose first pair is dropped so grows until the
-comment closes or the input ends; only then is an open ``/*`` an error.
+Memory is O(n) in the input. The pieces of the split are dropped as soon as
+they are read; on Java source, the scanner's peak exceeds the stream it
+returns by at most about a quarter of the stream's own size.
 
 Lexical contract:
   - input is bytes; spans are byte offsets, lines are 1-based
@@ -61,24 +58,18 @@ Lexical contract:
     backslash (JLS SE 17 §3.10.5): such a literal is unterminated at its line
   - a catch-all alternative comes before END, so no byte is ever skipped:
     an invalid byte, or an unterminated block comment, string or char
-    literal, raises InvalidCharacter; the first one in the input does,
-    wherever the windows end
+    literal, raises InvalidCharacter; the first one in the input does
   - token texts are interned, so each spelling is stored once
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate, chain, compress, repeat
-from operator import is_, is_not, itemgetter
+from itertools import accumulate, compress, repeat
+from operator import add, is_, is_not, itemgetter, sub
 from sys import intern
 
 from .tokens import InvalidCharacter, TokenKind, TokenStream
-
-# A window ends at the first line terminator this many bytes on: all the
-# pairs of a large file held at once would cost more than twice the memory
-# of the token stream.
-_WINDOW = 1 << 15
 
 # The gap is greedy and the catch-all `.` or END always matches after the
 # longest gap, so the gap is never given back: no possessive quantifier,
@@ -131,12 +122,6 @@ def active_backend() -> str:
 def tokenize_bytes(data: bytes) -> TokenStream:
     """Lex UTF-8 bytes into a token stream with byte spans and line comments;
     spans index directly into ``data``."""
-    kinds: list[int] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    lines: list[int] = []
-    comments: dict[int, list[tuple[str, int, int, int]]] = {}
     # a lone CR ends a line as an LF does; in a copy with an LF for each one,
     # every line terminator ends in an LF and every token reads the same
     if b"\r" in data:
@@ -149,81 +134,59 @@ def tokenize_bytes(data: bytes) -> TokenStream:
             raise InvalidCharacter(f"invalid character 0x{data[exc.start]:02x}", exc.start,
                                    exc.end, data.count(b"\n", 0, exc.start) + 1) from None
     n = len(data)
-    line, pos, size = 1, 0, _WINDOW
-    while True:
-        end = data.find(b"\n", pos + size - 1) + 1 or n
-        flat = list(chain.from_iterable(_TOKEN_RE.findall(data, pos, end)))
-        toks = flat[1::2]
-        stop = toks.index(b"")  # END: the window's end always matches it
-        if end < n:
-            # END, or a block comment left open, is where the window was cut
-            if b"/*" in toks:
-                stop = min(stop, toks.index(b"/*"))
-            if stop == 0:  # so the window grows past its end
-                size = 2 * (end - pos)
-                continue
-            size = _WINDOW
-        del toks[stop:], flat[2 * stop + 1:]  # the gap of the pair at `stop` stays
-        # bounds[2k] is where the gap of pair k starts, bounds[2k + 1] its token
-        bounds = list(accumulate(map(len, flat), initial=pos))
-        w_starts = bounds[1::2]
-        w_ends = bounds[2::2]
-        steps = list(map(bytes.count, flat[0::2], repeat(b"\n")))
-        steps[0] += line
-        w_lines = list(accumulate(steps))
-        w_kinds = list(map(_KIND_BY_HEAD.__getitem__, map(itemgetter(0), toks)))
-        error = None
-        for i in compress(range(stop), map(is_, w_kinds, repeat(None))):
-            tok = toks[i]
-            if tok.startswith(b"."):
-                w_kinds[i] = TokenKind.NUMBER if tok[1:2].isdigit() else TokenKind.PUNCT
-            elif tok.startswith(b'"'):
-                if not _closed(tok):
-                    error = "unterminated string literal"
-                    break
-                w_kinds[i] = TokenKind.STRING
-            elif tok.startswith(b"/"):
-                if tok == b"/*":  # left open, the comment runs to the end
-                    error = "unterminated block comment"
-                    w_ends[i] = n
-                    break
-                if not tok.startswith(b"//"):  # a comment keeps its None
-                    w_kinds[i] = TokenKind.PUNCT
-            elif tok.startswith(b"'"):
-                if not _closed(tok):
-                    error = "unterminated char literal"
-                    break
-                w_kinds[i] = TokenKind.CHAR
-            else:
-                error = f"invalid character 0x{tok[0]:02x}"
+    # each match is three pieces: the empty text before it, its gap, its token
+    parts = _TOKEN_RE.split(data)
+    gaps = parts[1::3]
+    toks = parts[2::3]
+    del parts
+    stop = toks.index(b"")  # END; after trailing whitespace, a second END follows
+    del toks[stop:], gaps[stop + 1:]
+    sizes = list(map(len, toks))
+    ends = list(accumulate(map(add, map(len, gaps), sizes)))
+    starts = list(map(sub, ends, sizes))
+    del sizes
+    # token k is on line 1 + the LFs of gaps 0 to k; lines[stop] is the end's
+    lines = list(accumulate(map(bytes.count, gaps, repeat(b"\n")), initial=1))
+    del gaps, lines[0]
+    kinds = list(map(_KIND_BY_HEAD.__getitem__, map(itemgetter(0), toks)))
+    error = None
+    for i in compress(range(stop), map(is_, kinds, repeat(None))):
+        tok = toks[i]
+        if tok.startswith(b"."):
+            kinds[i] = TokenKind.NUMBER if tok[1:2].isdigit() else TokenKind.PUNCT
+        elif tok.startswith(b'"'):
+            if not _closed(tok):
+                error = "unterminated string literal"
                 break
-        if error is not None:
-            del toks[i:]
-        w_texts = list(map(intern, map(bytes.decode, toks)))
-        if error is not None:
-            raise InvalidCharacter(error, w_starts[i], w_ends[i], w_lines[i])
-        if end == n:
-            line = w_lines[stop]
+            kinds[i] = TokenKind.STRING
+        elif tok.startswith(b"/"):
+            if tok == b"/*":  # left open, the comment runs to the end
+                error = "unterminated block comment"
+                ends[i] = n
+                break
+            if not tok.startswith(b"//"):  # a comment keeps its None
+                kinds[i] = TokenKind.PUNCT
+        elif tok.startswith(b"'"):
+            if not _closed(tok):
+                error = "unterminated char literal"
+                break
+            kinds[i] = TokenKind.CHAR
         else:
-            line, pos = w_lines[stop - 1], bounds[2 * stop]
-        del w_starts[stop:], w_lines[stop:]
-        if None in w_kinds:
-            # the k-th comment of the window, at j, comes before its j - k-th token
-            base = len(kinds)
-            is_token = list(map(is_not, w_kinds, repeat(None)))
-            for k, j in enumerate(compress(range(stop), map(is_, w_kinds, repeat(None)))):
-                comments.setdefault(base + j - k, []).append(
-                    (w_texts[j], w_starts[j], w_ends[j], w_lines[j]))
-            w_kinds, w_texts, w_starts, w_ends, w_lines = (
-                list(compress(entries, is_token))
-                for entries in (w_kinds, w_texts, w_starts, w_ends, w_lines))
-        kinds += w_kinds
-        texts += w_texts
-        starts += w_starts
-        ends += w_ends
-        lines += w_lines
-        if end == n:
+            error = f"invalid character 0x{tok[0]:02x}"
             break
+    if error is not None:
+        raise InvalidCharacter(error, starts[i], ends[i], lines[i])
+    texts = list(map(intern, map(bytes.decode, toks)))
+    del toks
+    line = lines.pop()
+    comments: dict[int, list[tuple[str, int, int, int]]] = {}
+    if None in kinds:
+        # the k-th comment, at j, comes before the j - k-th token
+        is_token = list(map(is_not, kinds, repeat(None)))
+        for k, j in enumerate(compress(range(stop), map(is_, kinds, repeat(None)))):
+            comments.setdefault(j - k, []).append((texts[j], starts[j], ends[j], lines[j]))
+        kinds, texts, starts, ends, lines = (
+            list(compress(entries, is_token)) for entries in (kinds, texts, starts, ends, lines))
     count = len(kinds) + (n > 0 and (not kinds or ends[-1] < n))
     eofs = count - len(kinds) + 2  # the final EOF token, if any, and two more
     for entries, eof in ((kinds, TokenKind.EOF), (texts, ""), (starts, n), (ends, n),

@@ -445,6 +445,27 @@ class TestReconcile:
         assert (code, out) == (0, "fixed Outer.java\n1 files changed\n")
         assert target.read_text() == fixed
 
+    @pytest.mark.parametrize("source, fixed", [
+        ("class A { static class B { void f(boolean x) { if (x) {} } } }\n",
+         "@ICP(0)\nclass A { @ICP(2) static class B { void f(boolean x) { if (x) {} } } }\n"),
+        ("@ICP(0) class A {} class B { void f(boolean x) { if (x) {} } }\n",
+         "@ICP(0) class A {} @ICP(2) class B { void f(boolean x) { if (x) {} } }\n"),
+    ], ids=["nested", "second-type"])
+    def test_fix_puts_an_icp_after_code_on_the_header_line(self, tmp_path, capsys,
+                                                           monkeypatch, source, fixed):
+        # an @ICP inserted above the line would annotate the code before the
+        # header, which then drifts, and a second --fix conflicts
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "A.java"
+        target.write_text(source)
+        code, out, _ = run(capsys, "reconcile", ".", "--fix")
+        assert (code, out) == (0, "fixed A.java\n1 files changed\n")
+        assert target.read_text() == fixed
+        code, out, _ = run(capsys, "reconcile", ".", "--fail-on", "drift")
+        assert code == 0 and "0 drifted, 0 unannotated" in out
+        code, out, _ = run(capsys, "reconcile", ".", "--fix")
+        assert (code, out) == (0, "0 files changed\n")
+
     def test_rewrite_conflict_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "A.java").write_text(

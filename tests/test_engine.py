@@ -479,6 +479,18 @@ class TestScopes:
         source = "class T { void f() { r.go(); InternalRepo r = null; r.go(); } }"
         assert self.uses(source) == {"T": [source.rindex("r.go()")]}
 
+    def test_this_names_the_field_past_a_shadowing_parameter(self):
+        source = "class A { InternalRepo x; void f(String x) { this.x.go(); } }"
+        assert self.uses(source) == {"A": [source.index("this.x")]}
+        source = "class A { String x; void f(InternalRepo x) { this.x.go(); } }"
+        assert self.uses(source) == {"A": []}
+
+    def test_this_and_the_bare_name_of_one_field_count_once(self):
+        source = "class A { InternalRepo x; void f() { x.go(this.x.size()); } }"
+        assert self.uses(source) == {"A": [source.index("x.go")]}
+        source = "class A { InternalRepo x; void f(InternalRepo x) { x.go(this.x.size()); } }"
+        assert self.uses(source) == {"A": [source.index("x.go"), source.index("this.x")]}
+
 
 class TestExactTotals:
     def test_totals_stay_exact_for_any_cost_denominators(self):

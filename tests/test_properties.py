@@ -13,7 +13,6 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,7 @@ from cddlint.engine import analyze_unit, verdict
 from cddlint.history import analyze_snapshot
 from cddlint.history.series import analyze_file
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
-from cddlint.syntax import InvalidCharacter, TokenKind, ast, parse_unit, scanner
+from cddlint.syntax import InvalidCharacter, TokenKind, ast, parse_unit
 from cddlint.syntax.scanner import tokenize_bytes
 
 from conftest import FIXTURES
@@ -568,25 +567,14 @@ def test_token_stream_invariants(text):
     _assert_token_stream_invariants(text)
 
 
-@given(_scan_texts)
-@settings(max_examples=1000, derandomize=True, deadline=None)
-def test_token_stream_invariants_in_windows_of_a_few_bytes(text):
-    """The same invariants when the input is read a few bytes at a time, so
-    windows are cut at every kind of line end, inside block comments and in
-    trailing whitespace."""
-    with mock.patch.object(scanner, "_WINDOW", 3):
-        _assert_token_stream_invariants(text)
-
-
 @given(st.lists(st.sampled_from(["(", ")", "{", "}", "[", "]", "x", " ", "\n"]),
                 max_size=40).map("".join))
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_brackets_pair_as_depth_counting_pairs_them(text):
     """Texts of brackets alone, which most texts of `_scan_texts` are not:
-    every kind nested in and crossing the others, unpaired openers and
-    closers, and windows cut between a pair."""
-    with mock.patch.object(scanner, "_WINDOW", 3):
-        _assert_token_stream_invariants(text)
+    every kind nested in and crossing the others, and unpaired openers and
+    closers."""
+    _assert_token_stream_invariants(text)
 
 
 # ── nesting depth ────────────────────────────────────────────────────────

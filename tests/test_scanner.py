@@ -1,6 +1,6 @@
 """Tokenizer contract: spans, line-comment attachment, line accounting,
-that no input byte is ever skipped, and that where the windows of the
-input end changes nothing."""
+that no input byte is ever skipped, and that an input of any size is read
+with one split of the pattern."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from cddlint.syntax import (
     InvalidCharacter, ParseError, TokenKind, parse_unit, physical_loc, scanner,
 )
-from cddlint.syntax.scanner import _WINDOW, tokenize_bytes
+from cddlint.syntax.scanner import tokenize_bytes
 
 from conftest import ORACLE_DIR
 
@@ -145,7 +145,7 @@ class TestErrors:
         (b'x = "\xff";', 1),
         (b"int x;\n// \xff\nint y;", 2),
         (b"int x;\r\nchar c = '\xe2\x28';", 2),
-        (b"a \n" * _WINDOW + b'"ok" "\xc3";', _WINDOW + 1),
+        (b"a \n" * (1 << 15) + b'"ok" "\xc3";', (1 << 15) + 1),
         (b"class A {\n  /* note\n  \xff */ int x;\n}", 3),
         (b"class A {\r\n  /* note\r\n  \xff */ int x;\r\n}", 3),
         (b"class A {\r  /* note\r  \xff */ int x;\r}", 3),
@@ -263,55 +263,49 @@ def _generated(matches: int, error_at: int = -1, period: int = 10):
 
 
 def _scan(data: bytes):
-    """The stream's lists and length, or the error's message, span and line."""
+    """The stream's texts, starts, ends, lines and comments, up to ``len()``,
+    or the error's message, span and line."""
     try:
         ts = tokenize_bytes(data)
     except InvalidCharacter as exc:
         return exc.message, exc.byte_start, exc.byte_end, exc.line
-    return ts.kinds, ts.texts, ts.starts, ts.ends, ts.lines, ts.comments, len(ts)
+    n = len(ts)
+    return ts.texts[:n], ts.starts[:n], ts.ends[:n], ts.lines[:n], ts.comments
 
 
-class _Windows:
-    """Stands in for the scanner's pattern and records each window read."""
+class _Splits:
+    """Stands in for the scanner's pattern and records each input it splits."""
 
     def __init__(self, pattern):
         self.pattern = pattern
-        self.read: list[tuple[int, int]] = []
+        self.read: list[bytes] = []
 
-    def findall(self, data, pos, end):
-        self.read.append((pos, end))
-        return self.pattern.findall(data, pos, end)
-
-
-def _windowed(monkeypatch, data: bytes, window: int):
-    """`_scan` of `data` in windows of `window` bytes, and the windows read;
-    every window ends at the end of the input or right after a line
-    terminator, and never between CR and LF."""
-    windows = _Windows(scanner._TOKEN_RE)
-    monkeypatch.setattr(scanner, "_TOKEN_RE", windows)
-    monkeypatch.setattr(scanner, "_WINDOW", window)
-    result = _scan(data)
-    assert windows.read[0][0] == 0
-    for _, end in windows.read:
-        assert end == len(data) or (data[end - 1:end] in (b"\n", b"\r")
-                                    and data[end - 1:end + 1] != b"\r\n")
-    return result, windows.read
-
-
-def _grown(read: list[tuple[int, int]]) -> int:
-    """How many windows were read again from where the last one started."""
-    return sum(a[0] == b[0] for a, b in zip(read, read[1:]))
+    def split(self, data):
+        self.read.append(data)
+        return self.pattern.split(data)
 
 
 class TestBatches:
-    """The scanner fills its lists window by window, a batch of pairs at a
-    time; no token, comment or line may be lost or shifted where one window
-    ends and the next begins, nor an error put in another place."""
+    """Inputs where a scanner that read its input in pieces of 32 KiB, ending
+    each after a line terminator, would have to cut a comment, a line or a
+    CR LF, re-read a piece or carry a line number over: each is checked
+    against the stream or error it must give. The scanner reads every input
+    with one ``split`` of its pattern."""
+
+    @pytest.mark.parametrize("data", [
+        b"", b"  \n", b"a /* b\r\n */ c // d\r", b"a \n" * (1 << 15), b"a # b",
+    ], ids=["empty", "blank", "line-ends", "over-64-kib", "invalid"])
+    def test_one_split_per_input(self, monkeypatch, data):
+        # the whole input, a lone CR read as an LF, in one piece
+        splits = _Splits(scanner._TOKEN_RE)
+        monkeypatch.setattr(scanner, "_TOKEN_RE", splits)
+        _scan(data)
+        assert splits.read == [data.replace(b"d\r", b"d\n")]
 
     def test_input_of_three_batches(self):
-        data, expected, _ = _generated(_WINDOW // 2, period=_WINDOW // 64)
+        data, expected, _ = _generated((1 << 15) // 2, period=(1 << 15) // 64)
         ts = tokenize_bytes(data)
-        assert len(data) > 2 * _WINDOW
+        assert len(data) > 2 * (1 << 15)
         assert data.count(b"//") > 60 and data.count(b"\r\n") == 62
         n = len(expected[0])
         assert len(ts) == n  # the input ends in a token: no EOF token
@@ -320,79 +314,71 @@ class TestBatches:
         assert ts.ends[:n] == [s + len(t) for s, t in zip(ts.starts[:n], ts.texts[:n])]
 
     @pytest.mark.parametrize("window", [1, 4, 16, 64])
-    def test_small_windows_change_nothing(self, monkeypatch, window):
-        data, expected, _ = _generated(400)
-        (kinds, texts, starts, ends, lines, comments, n), read = \
-            _windowed(monkeypatch, data, window)
-        assert len(read) > 30
-        assert n == len(expected[0])
-        assert (kinds[:n], texts[:n], starts[:n], lines[:n], comments) == expected
+    def test_small_windows_change_nothing(self, window):
+        # 32 KiB falls after the generated input's first `window` bytes; its
+        # stream is the one it has alone, moved by the blank bytes before it
+        at = (1 << 15) - window
+        tail, (kinds, texts, starts, lines, comments), _ = _generated(400)
+        data = b" " * at + tail
+        n = len(kinds)
+        ts = tokenize_bytes(data)
+        assert len(ts) == n
+        assert (ts.kinds[:n], ts.texts[:n], ts.starts[:n], ts.lines[:n], ts.comments) \
+            == (kinds, texts, [s + at for s in starts], lines,
+                {k: [(t, s + at, e + at, line) for t, s, e, line in cs]
+                 for k, cs in comments.items()})
 
-    def test_cut_inside_a_block_comment(self, monkeypatch):
+    def test_cut_inside_a_block_comment(self):
         data = b"a /* one\ntwo */ b\nc\n"
-        expected = _scan(data)
-        result, read = _windowed(monkeypatch, data, 4)
-        assert result == expected
-        assert read[:2] == [(0, 9), (1, 9)]  # cut after "one"; read again from the gap
-        assert _grown(read) == 1
+        assert _scan(data) == (["a", "b", "c", ""], [0, 16, 18, 20], [1, 17, 19, 20],
+                                 [1, 2, 3, 4], {})
 
-    def test_block_comment_longer_than_the_window(self, monkeypatch):
-        data = b"a\n/*" + b" x\n" * 50 + b"*/ b\n"
-        expected = _scan(data)
-        assert expected[1][:3] == ["a", "b", ""]
-        result, read = _windowed(monkeypatch, data, 8)
-        assert result == expected
-        assert _grown(read) >= 4
+    def test_block_comment_longer_than_the_window(self):
+        lines = (1 << 15) // 2
+        data = b"a\n/*" + b" x\n" * lines + b"*/ b\n"
+        assert len(data) > 1 << 15
+        b = len(data) - 2
+        assert _scan(data) == (["a", "b", ""], [0, b, b + 2], [1, b + 1, b + 2],
+                                 [1, lines + 2, lines + 3], {})
 
-    def test_block_comment_left_open_across_windows(self, monkeypatch):
-        data = b"a\n /*" + b" x\n" * 50
-        expected = ("unterminated block comment", 3, len(data), 2)
-        assert _scan(data) == expected
-        result, read = _windowed(monkeypatch, data, 8)
-        assert result == expected
-        assert read[-1][1] == len(data)
+    def test_block_comment_left_open_across_windows(self):
+        data = b"a\n /*" + b" x\n" * ((1 << 15) // 2)
+        assert _scan(data) == ("unterminated block comment", 3, len(data), 2)
 
-    def test_cut_in_the_trailing_whitespace(self, monkeypatch):
+    def test_cut_in_the_trailing_whitespace(self):
         data = b"a b\n   \n\t\n  \n"
-        expected = _scan(data)
-        kinds, texts, starts, ends, lines, comments, n = expected
-        assert (texts[:n], lines[:n]) == (["a", "b", ""], [1, 1, 5])
-        result, read = _windowed(monkeypatch, data, 2)
-        assert result == expected
-        assert _grown(read) >= 1
+        assert _scan(data) == (["a", "b", ""], [0, 2, 13], [1, 3, 13], [1, 1, 5], {})
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_crlf_straddling_the_cut(self, monkeypatch, window):
-        # a window of 3 would end between the first CR and LF
-        data = b"ab\r\ncd\r\n\r\nef\r\n"
-        expected = _scan(data)
-        assert expected[4][:4] == [1, 2, 4, 5]
-        result, read = _windowed(monkeypatch, data, window)
-        assert result == expected
-        assert all(data[end - 1:end] == b"\n" for _, end in read)
+    def test_crlf_straddling_the_cut(self, window):
+        # 32 KiB falls after the input's first `window` bytes: for 3, between
+        # its first CR and LF
+        at = (1 << 15) - window
+        data = b" " * at + b"ab\r\ncd\r\n\r\nef\r\n"
+        assert _scan(data) == (["ab", "cd", "ef", ""], [at, at + 4, at + 10, at + 14],
+                                 [at + 2, at + 6, at + 12, at + 14], [1, 2, 4, 5], {})
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_lone_cr_file(self, monkeypatch, window):
-        data = b"ab\rcd\r\ref // x\r"
-        expected = _scan(data)
-        assert expected[4][:4] == [1, 2, 4, 5]
-        result, read = _windowed(monkeypatch, data, window)
-        assert result == expected
-        assert len(read) > 1
+    def test_lone_cr_file(self, window):
+        # 32 KiB falls after the input's first `window` bytes
+        at = (1 << 15) - window
+        data = b" " * at + b"ab\rcd\r\ref // x\r"
+        assert _scan(data) == (["ab", "cd", "ef", ""], [at, at + 3, at + 7, at + 15],
+                                 [at + 2, at + 5, at + 9, at + 15], [1, 2, 4, 5],
+                                 {3: [("// x", at + 10, at + 14, 4)]})
 
-    def test_line_longer_than_the_window(self, monkeypatch):
-        data = b"x" * 100 + b" y\nz"
-        expected = _scan(data)
-        result, read = _windowed(monkeypatch, data, 8)
-        assert result == expected
-        assert read == [(0, 103), (102, 104)]
+    def test_line_longer_than_the_window(self):
+        x = (1 << 15) + 100
+        data = b"x" * x + b" y\nz"
+        assert _scan(data) == (["x" * x, "y", "z"], [0, x + 1, x + 3],
+                                 [x, x + 2, x + 4], [1, 1, 2], {})
 
     @pytest.mark.parametrize("offset", [0, 1])
-    def test_invalid_byte_past_a_boundary(self, monkeypatch, offset):
+    def test_invalid_byte_past_a_boundary(self, offset):
+        # the invalid byte takes the place of the match after a multi-line
+        # /* */ gap, or of the one after a lone CR
         data, _, (start, line) = _generated(400, error_at=200 + offset)
-        result, read = _windowed(monkeypatch, data, 16)
-        assert result == ("invalid character 0x23", start, start + 1, line)
-        assert read[-1][0] > 0
+        assert _scan(data) == ("invalid character 0x23", start, start + 1, line)
 
     @pytest.mark.parametrize("tail", [
         b'"\xff" #\n',
@@ -402,20 +388,19 @@ class TestBatches:
     ], ids=["undecodable-first", "invalid-first", "undecodable-windows-before",
             "invalid-windows-before"])
     def test_invalid_and_undecodable_bytes_in_a_later_window(self, monkeypatch, tail):
-        # the input is checked as UTF-8 before any window is read, so a byte
+        # the input is checked as UTF-8 before the pattern is read, so a byte
         # that is not UTF-8 is the error even after an invalid one
         data = b"ok\n" * 20 + tail
         at = data.index(b"\xff")
         expected = ("invalid character 0xff", at, at + 1, 21 + data.count(b"\n", 60, at))
-        windows = _Windows(scanner._TOKEN_RE)
-        monkeypatch.setattr(scanner, "_TOKEN_RE", windows)
-        monkeypatch.setattr(scanner, "_WINDOW", 4)
+        splits = _Splits(scanner._TOKEN_RE)
+        monkeypatch.setattr(scanner, "_TOKEN_RE", splits)
         assert _scan(data) == expected
-        assert windows.read == []
+        assert splits.read == []
 
     def test_peak_memory_stays_near_the_stream(self):
-        # every pair of the input held at once costs more than twice the
-        # stream; a window of them stays within a few MB of it
+        # the pieces of one split of the whole input are held only until the
+        # stream's lists are made from them, and cost less than the stream
         text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(ORACLE_DIR.glob("*.java")))
         data = (text * (300_000 // len(text) + 1)).encode("utf-8")
         tracemalloc.start()

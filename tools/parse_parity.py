@@ -1,4 +1,4 @@
-"""Compare two versions of the parser and the engine on the same 4,126 inputs.
+"""Compare two versions of the parser and the engine on the same 4,135 inputs.
 
     python3 tools/parse_parity.py PARENT_SRC CHANGE_SRC
 
@@ -10,7 +10,9 @@ package. The inputs are made once, by this process:
   `reconcile_fix` workload of `cddbench/run.py` annotates it (a seeded half of
   the files stale);
 * `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture files with
-  tokens deleted or copied in.
+  tokens deleted or copied in;
+* `large`: each seed's 700 annotated files joined with LF into one input of
+  about 288 KB, in LF, CR LF and lone-CR form.
 
 Each side parses all of them in one child process of its own, with a hash
 seed of its own, so `parse_parity.py src src` checks that a parse and an
@@ -102,15 +104,19 @@ def make_inputs(change_src: Path) -> list[tuple[str, str, str]]:
     fixtures = ROOT / "tests" / "fixtures"
     inputs = [("fixtures", f"fixtures/{p.relative_to(fixtures)}", p.read_text("utf-8"))
               for p in sorted(fixtures.rglob("*.java"))]
+    large = []
     for seed in TREE_SEEDS:
         corpus = Corpus(seed)
         stale = set(corpus.rng.sample(range(TREE_FILES), round(STALE_SHARE * TREE_FILES)))
-        for i, f in enumerate(corpus.tree(TREE_FILES)):
-            inputs.append((f"tree{seed}", f"tree{seed}/{f.path}",
-                           corpus.annotate(f, i in stale).text))
+        tree = [(f"tree{seed}", f"tree{seed}/{f.path}", corpus.annotate(f, i in stale).text)
+                for i, f in enumerate(corpus.tree(TREE_FILES))]
+        inputs += tree
+        joined = "\n".join(text for _, _, text in tree)
+        large += [("large", f"large/tree{seed}-{form}", joined.replace("\n", ending))
+                  for form, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r"))]
     inputs += [("mutants", f"mutant/{n}", data.decode())
                for n, data in enumerate(_mutants(2000, seed=7))]
-    return inputs
+    return inputs + large
 
 
 def run_side(src: Path, payload: bytes, hash_seed: str) -> dict:
