@@ -4,8 +4,16 @@ Walks a parsed SourceUnit and produces one analysis per type declaration,
 in the pre-order of `SourceUnit.types` (nested types are independent units;
 their sites never roll up into the enclosing class). Each analysis
 carries its declaration's span, so what is known per declaration, such as
-its line count, is read from the analyses without a second walk. Counting
-rules:
+its line count, is read from the analyses without a second walk.
+
+The unit model: every class, interface, enum, record and annotation type,
+nested ones included, is a unit under its dotted name. A record's
+components are its fields, and an annotation type's elements are methods
+with no body; a record's implicit members (its canonical constructor and
+accessors) count nothing. The types a header's `extends`, `implements` and
+`permits` and a method's `throws` name are read by the parser, not scored.
+
+Counting rules:
 
   branch      one point per `if`, per `else`, per loop of any kind, per
               ternary operator, one for `switch` plus one per case/default

@@ -302,8 +302,10 @@ class EnumConstant(Record):
 class TypeDecl(Record):
     _fields = (
         "name",  # dotted for a nested type: `Outer.Inner`
-        "kind",  # class | interface | enum
-        "annotations", "fields", "methods",
+        "kind",  # class | interface | enum | record | @interface
+        "annotations",
+        "fields",  # a record's components first (JLS SE 17 §8.10.3)
+        "methods",  # an annotation type's elements are methods with no body
         "span",  # a nested type's lies inside its outer type's
         "header_start",  # byte offset of the first modifier, else of the keyword
         "enum_constants",  # (EnumConstant, ...), () unless an enum

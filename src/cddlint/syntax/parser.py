@@ -5,8 +5,10 @@ extraction. Every type, nested ones included, is listed once in
 ``SourceUnit.types``, in the order its name is read (pre-order), under its
 dotted name, which ``_Parser.owner`` tracks. Error tolerance is
 member-level: an unparseable statement becomes an Opaque expression, an
-unparseable member is skipped, both with a recorded Diagnostic; an
-unparseable type header raises ParseError.
+unparseable member is skipped, both with a recorded Diagnostic; a type
+header whose keyword, name or type parameters cannot be read raises
+ParseError, and one whose clauses cannot is diagnosed `expected '{'` and
+read on from its next `{`.
 
 Site-level ICPs are recorded as they are read: one ``SiteIcp`` per `@ICP` on
 a field, a method, a statement or a local variable, and per `// @ICP(n)`
@@ -14,8 +16,13 @@ marker comment before a statement, lambda bodies included. Each is appended
 when its element ends, so it has the element's span, and the type being read
 is its owner. A parse that is thrown away drops what it recorded.
 
-One reader per rule: ``_parse_modifiers`` reads the annotations and
-modifiers of a type, a member and, given ``_VARIABLE_MODIFIERS``, a variable;
+One reader per rule: ``_parse_type_decl`` reads every type header JLS SE 17
+allows (`class`, `interface`, `enum`, `record` and `@interface`), and
+``_at_type_decl`` alone decides whether one starts at the cursor, at the top
+level and among members; ``_parse_type_list`` reads each `extends`,
+`implements`, `permits` and `throws` list, with ``_parse_type``, so no
+header token is passed unread; ``_parse_modifiers`` reads the annotations
+and modifiers of a type, a member and, given ``_VARIABLE_MODIFIERS``, a variable;
 ``_parse_par_expr`` reads each `( Expression )` after a keyword; one head
 reader, ``_try_parse_local_head``, reads the modifiers and type of a local
 declaration and of both kinds of `for` header, so a header is read once; one
@@ -64,6 +71,7 @@ _LITERALS = frozenset({TokenKind.NUMBER, TokenKind.STRING, TokenKind.CHAR})
 MODIFIERS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
     "synchronized", "native", "transient", "volatile", "strictfp", "default",
+    "sealed",
 })
 
 PRIMITIVES = frozenset({
@@ -71,6 +79,9 @@ PRIMITIVES = frozenset({
 })
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+# the clauses a type header may hold after its name, type parameters and,
+# for a record, components (JLS SE 17 §8.1.4-8.1.6, §8.10, §9.1.3-9.1.4)
+_HEADER_CLAUSES = frozenset({"extends", "implements", "permits"})
 
 # the one modifier a variable may have (JLS SE 17 §4.12.4), and the tokens
 # each optional part of a declaration can start with
@@ -279,13 +290,17 @@ class _Parser:
         """A type whose modifiers start at `start`; a top-level type reads
         them here, a nested one is given what `_parse_member` read. Its place
         in `types` is taken when its name is read, so it comes before the
-        types declared in it, and filled at its closing `}`."""
+        types declared in it, and filled at its closing `}`. A record's
+        components are its fields (JLS SE 17 §8.10.3)."""
         if start is None:
             start = self.pos
             annotations, header_tok = self._parse_modifiers()
-        if self.texts[self.pos] not in _TYPE_KEYWORDS:
-            raise _Fail("expected class, interface or enum", self.tok_span(self.pos))
+        if not self._at_type_decl():
+            raise _Fail("expected class, interface, enum, record or @interface",
+                        self.tok_span(self.pos))
         kind = self.texts[self.advance()]
+        if kind == "@":
+            kind += self.texts[self.advance()]
         name = self.texts[self.expect_ident("type name")]
         outer = self.owner
         self.owner = f"{outer}.{name}" if outer else name
@@ -293,24 +308,48 @@ class _Parser:
         self.types.append(None)
         if self.texts[self.pos] == "<":
             self._skip_generics()
-        while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
-            self.pos += 1  # extends / implements clauses are not analyzed
+        fields: list[ast.FieldDecl] = []
+        try:
+            if kind == "record":
+                if self.texts[self.pos] != "(":
+                    raise _Fail("expected '('", self.tok_span(self.pos))
+                fields += [ast.FieldDecl((p.name, p.type, None, p.span))
+                           for p in self._parse_list(self._parse_param)]
+            while self.texts[self.pos] in _HEADER_CLAUSES:
+                self.pos += 1
+                self._parse_type_list()
+            if self.texts[self.pos] != "{":
+                raise _Fail("expected '{'", self.tok_span(self.pos))
+        except _Fail as exc:
+            # the header is read on from its next `{`
+            self.diag("expected '{'", exc.span)
+            while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
+                self.pos += 1
         self.expect("{")
 
         enum_constants: tuple[ast.EnumConstant, ...] = ()
         if kind == "enum":
             enum_constants = self._parse_enum_constants()
 
-        fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
-            self._parse_member(fields, methods)
+            self._parse_member(fields, methods, kind == "@interface")
         self.expect("}")
         self.types[place] = ast.TypeDecl((
             self.owner, kind, annotations, tuple(fields), tuple(methods),
             self.span_from(start), self.starts[header_tok], enum_constants,
         ))
         self.owner = outer
+
+    def _at_type_decl(self) -> bool:
+        """Whether a type's keyword is at the cursor: `class`, `interface`,
+        `enum`, `@interface`, or `record`, a restricted identifier (JLS SE 17
+        §3.9) that starts a type only as `record Name (` or `record Name <`."""
+        i, texts = self.pos, self.texts
+        word = texts[i]
+        if word == "record":
+            return self.kinds[i + 1] == _IDENT and texts[i + 2] in ("(", "<")
+        return word in _TYPE_KEYWORDS or word == "@" and texts[i + 1] == "interface"
 
     def _parse_enum_constants(self) -> tuple[ast.EnumConstant, ...]:
         constants: list[ast.EnumConstant] = []
@@ -338,14 +377,15 @@ class _Parser:
 
     # ── members ─────────────────────────────────────────────────────────
 
-    def _parse_member(self, fields: list[ast.FieldDecl], methods: list[ast.MethodDecl]) -> None:
+    def _parse_member(self, fields: list[ast.FieldDecl], methods: list[ast.MethodDecl],
+                      in_annotation_type: bool) -> None:
         if self.texts[self.pos] == ";":
             self.pos += 1
             return
         start, recorded = self.pos, len(self.site_icp)
         try:
             annotations, header_tok = self._parse_modifiers()
-            if self.texts[self.pos] in _TYPE_KEYWORDS:
+            if self._at_type_decl():
                 self._parse_type_decl_hard(start, annotations, header_tok)
                 return
             if self.texts[self.pos] == "{":
@@ -368,7 +408,8 @@ class _Parser:
                 return_type = self._parse_type()
             name_tok = self.expect_ident("member name")
             if self.texts[self.pos] == "(":
-                methods.append(self._parse_method(start, return_type, name_tok))
+                methods.append(self._parse_method(start, return_type, name_tok,
+                                                  in_annotation_type))
             else:
                 if return_type is None:
                     raise _Fail("field cannot be void", self.tok_span(name_tok))
@@ -387,22 +428,38 @@ class _Parser:
         start: int,
         return_type: Optional[ast.TypeRef],
         name_tok: Optional[int] = None,
+        element: bool = False,
     ) -> ast.MethodDecl:
+        """A method or constructor; with `element`, an annotation type's
+        element, whose default value (JLS SE 17 §9.6.2) is read and dropped."""
         if name_tok is None:
             name_tok = self.expect_ident("constructor name")
         params = self._parse_list(self._parse_param)
         if self.texts[self.pos] == "throws":
             self.pos += 1
-            while self.texts[self.pos] not in ("{", ";") and self.kinds[self.pos] != _EOF:
-                self.pos += 1
+            self._parse_type_list()
         body: Optional[ast.Block] = None
         if self.texts[self.pos] == "{":
             body = self._parse_block()
         else:
+            if element and self.texts[self.pos] == "default":
+                self.pos += 1
+                self._parse_element_value()
             self.expect(";", "method body or ';'")
         return ast.MethodDecl((
             self.texts[name_tok], params, return_type, body, self.span_from(start),
         ))
+
+    def _parse_element_value(self) -> None:
+        """An element value (JLS SE 17 §9.7.1): an annotation, a `{…}` of
+        element values, or an expression with no assignment; read and
+        dropped."""
+        if self.texts[self.pos] == "@":
+            self._parse_annotations()
+        elif self.texts[self.pos] == "{":
+            self._parse_list(self._parse_element_value, "}")
+        else:
+            self._parse_ternary()
 
     def _parse_param(self) -> ast.Param:
         start = self.pos
@@ -471,8 +528,9 @@ class _Parser:
     # ── annotations and types ───────────────────────────────────────────
 
     def _parse_annotations(self) -> tuple[ast.AnnotationUse, ...]:
+        """The annotations at the cursor, up to an `@interface`'s `@`."""
         uses: list[ast.AnnotationUse] = []
-        while self.texts[self.pos] == "@":
+        while self.texts[self.pos] == "@" and self.texts[self.pos + 1] != "interface":
             start = self.advance()
             name = self.texts[self.expect_ident("annotation name")]
             while self.texts[self.pos] == "." and self.kinds[self.pos + 1] == _IDENT:
@@ -497,11 +555,19 @@ class _Parser:
         texts = self.texts
         anns = self._parse_annotations() if texts[self.pos] == "@" else ()
         header_tok = self.pos
-        while texts[self.pos] in words:
-            self.pos += 1
+        while texts[self.pos] in words or (
+                texts[self.pos] == "non" and words is MODIFIERS and self._at_non_sealed()):
+            self.pos += 3 if texts[self.pos] == "non" else 1
             if texts[self.pos] == "@":
                 anns += self._parse_annotations()
         return anns, header_tok
+
+    def _at_non_sealed(self) -> bool:
+        """Whether the `non` at the cursor starts `non-sealed`, three adjacent
+        tokens."""
+        i, texts, ends, starts = self.pos, self.texts, self.ends, self.starts
+        return (texts[i + 1] == "-" and texts[i + 2] == "sealed"
+                and ends[i] == starts[i + 1] and ends[i + 1] == starts[i + 2])
 
     def _parse_type(self) -> ast.TypeRef:
         """A type: its names joined by dots, each name's type arguments
@@ -529,6 +595,18 @@ class _Parser:
         if texts[self.pos] in _ARRAY_SUFFIX_STARTS:
             self._skip_array_suffix()
         return ast.TypeRef((name, self.span_from(start)))
+
+    def _parse_type_list(self) -> None:
+        """The types of an `extends`, `implements`, `permits` or `throws`
+        clause, each after any type-use annotations (JLS SE 17 §4.11); read
+        and dropped, as no site is counted from them."""
+        while True:
+            if self.texts[self.pos] == "@":
+                self._parse_annotations()
+            self._parse_type()
+            if self.texts[self.pos] != ",":
+                return
+            self.pos += 1
 
     def _at_annotated(self, text: str) -> bool:
         """Whether `text` follows the type-use annotations, if any, at the

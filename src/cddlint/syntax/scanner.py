@@ -185,8 +185,12 @@ def tokenize_bytes(data: bytes) -> TokenStream:
         is_token = list(map(is_not, kinds, repeat(None)))
         for k, j in enumerate(compress(range(stop), map(is_, kinds, repeat(None)))):
             comments.setdefault(j - k, []).append((texts[j], starts[j], ends[j], lines[j]))
-        kinds, texts, starts, ends, lines = (
-            list(compress(entries, is_token)) for entries in (kinds, texts, starts, ends, lines))
+        # one list at a time, each old one freed before the next is copied
+        kinds = list(compress(kinds, is_token))
+        texts = list(compress(texts, is_token))
+        starts = list(compress(starts, is_token))
+        ends = list(compress(ends, is_token))
+        lines = list(compress(lines, is_token))
     count = len(kinds) + (n > 0 and (not kinds or ends[-1] < n))
     eofs = count - len(kinds) + 2  # the final EOF token, if any, and two more
     for entries, eof in ((kinds, TokenKind.EOF), (texts, ""), (starts, n), (ends, n),

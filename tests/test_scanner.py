@@ -398,10 +398,16 @@ class TestBatches:
         assert _scan(data) == expected
         assert splits.read == []
 
-    def test_peak_memory_stays_near_the_stream(self):
+    @pytest.mark.parametrize("source", ["oracle", "line-comments"])
+    def test_peak_memory_stays_near_the_stream(self, source):
         # the pieces of one split of the whole input are held only until the
-        # stream's lists are made from them, and cost less than the stream
-        text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(ORACLE_DIR.glob("*.java")))
+        # stream's lists are made from them, and cost less than the stream;
+        # taking the `//` comments out copies one list at a time
+        if source == "oracle":
+            text = "\n".join(p.read_text(encoding="utf-8")
+                             for p in sorted(ORACLE_DIR.glob("*.java")))
+        else:
+            text = "int a; // c\n"
         data = (text * (300_000 // len(text) + 1)).encode("utf-8")
         tracemalloc.start()
         try:

@@ -1,4 +1,4 @@
-"""Compare two versions of the parser and the engine on the same 4,135 inputs.
+"""Compare two versions of the parser and the engine on the same 4,140 inputs.
 
     python3 tools/parse_parity.py PARENT_SRC CHANGE_SRC
 
@@ -11,6 +11,8 @@ package. The inputs are made once, by this process:
   the files stale);
 * `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture files with
   tokens deleted or copied in;
+* `modern`: the hand-scored `TYPE_HEADER_CASES` of
+  `tests/test_type_headers.py` (5): records, `@interface` and sealed types;
 * `large`: each seed's 700 annotated files joined with LF into one input of
   about 288 KB, in LF, CR LF and lone-CR form.
 
@@ -100,6 +102,7 @@ def make_inputs(change_src: Path) -> list[tuple[str, str, str]]:
     sys.path[:0] = [str(change_src), str(ROOT), str(ROOT / "tests")]
     from cddbench.corpus import Corpus
     from test_parser import _mutants
+    from test_type_headers import TYPE_HEADER_CASES
 
     fixtures = ROOT / "tests" / "fixtures"
     inputs = [("fixtures", f"fixtures/{p.relative_to(fixtures)}", p.read_text("utf-8"))
@@ -116,6 +119,8 @@ def make_inputs(change_src: Path) -> list[tuple[str, str, str]]:
                   for form, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r"))]
     inputs += [("mutants", f"mutant/{n}", data.decode())
                for n, data in enumerate(_mutants(2000, seed=7))]
+    inputs += [("modern", f"modern/{name}", source)
+               for name, (source, _) in TYPE_HEADER_CASES.items()]
     return inputs + large
 
 
