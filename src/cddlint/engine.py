@@ -1,17 +1,27 @@
 """ICP counting engine.
 
 Walks a parsed SourceUnit and produces one analysis per type declaration,
-in the pre-order of `SourceUnit.types` (nested types are independent units;
-their sites never roll up into the enclosing class). Each analysis
-carries its declaration's span, so what is known per declaration, such as
-its line count, is read from the analyses without a second walk.
+in the pre-order of `SourceUnit.types` (member and local types are
+independent units; their sites never roll up into the enclosing class).
+Each analysis carries its declaration's span, so what is known per
+declaration, such as its line count, is read from the analyses without a
+second walk.
 
-The unit model: every class, interface, enum, record and annotation type,
-nested ones included, is a unit under its dotted name. A record's
-components are its fields, and an annotation type's elements are methods
-with no body; a record's implicit members (its canonical constructor and
-accessors) count nothing. The types a header's `extends`, `implements` and
-`permits` and a method's `throws` name are read by the parser, not scored.
+The unit model: a unit is a type that a name is written for. Every class,
+interface, enum, record and annotation type is one: a member type under its
+dotted name (`Outer.Inner`), a local one under its binary name
+(`Outer$1Local`, JLS SE 17 §13.1), which is its class file's name. A type
+declared inside an anonymous class body is named as if it were declared
+where the body is (`A.Inner`, `A$1Local`), where javac says `A$1$Inner`.
+An anonymous class and an enum constant's body are no units, as no
+class-level `@ICP` can be written on them: their members are code of the
+unit that holds them, as a lambda body's is. An initializer block is a
+method named `<clinit>` or `<init>`, and a record's compact constructor a
+method with no parameters. A record's components are its fields, and an
+annotation type's elements are methods with no body; a record's implicit
+members (its canonical constructor and accessors) count nothing. The types
+a header's `extends`, `implements` and `permits` and a method's `throws`
+name are read by the parser, not scored.
 
 Counting rules:
 
@@ -20,7 +30,7 @@ Counting rules:
               label
   condition   per guard (if / loop / ternary / do-while): 1 + the number of
               `&&`/`||` operators reachable inside the guard without crossing
-              a lambda boundary; `!` adds nothing
+              a lambda or class body boundary; `!` adds nothing
   exception   one point per try block, per catch clause (multi-catch is one
               clause), per finally block
   internal    fields, method parameters and non-void return types whose type
@@ -34,7 +44,8 @@ Counting rules:
               simple names never match
 
 With lambda counting off (the default) nothing inside a lambda body is
-counted and the lambda itself costs nothing. With it on, a lambda is a
+counted, an anonymous class in it included, and the lambda itself costs
+nothing. With it on, a lambda is a
 branch, and its body is walked under a scope that binds its parameters with
 no declared type; an expression body `x -> e` is walked as its own
 statement, just as `x -> { return e; }` is.
@@ -49,10 +60,13 @@ and one sort into document order.
 
 A scope is a dict from each visible variable to its declared type (None
 where none is written: `var`, a lambda parameter). A type's scope copies
-its outer type's and binds its fields; a method, block, loop, switch case,
-catch clause and lambda each copy the scope they open in. So a name bound
-in one is not seen after it, an inner binding shadows an outer one, and a
-local is seen from its declaration on. A receiver qualified by `this.`
+its outer type's, the innermost type whose span holds its own, and binds
+its fields, so a local type sees its enclosing type's fields but not the
+enclosing method's locals; a method, block, loop, switch case, catch
+clause, lambda and anonymous class body each copy the scope they open in,
+and the body binds its fields. So a name bound in one is not seen after
+it, an inner binding shadows an outer one, and a local is seen from its
+declaration on. A receiver qualified by `this.`
 (`this.x.f()`) is looked up in the type's scope alone, so no parameter or
 local shadows it; it is keyed apart from the bare name, and where the bare
 name in the same statement is that field too, the two count once.
@@ -60,9 +74,10 @@ name in the same statement is that field too, the two count once.
 Expressions are walked by one descent: `_TypeWalker._walk_expr` scores a
 node, then walks the children `ast.iter_children` yields; a TypeRef has
 none, as the parser keeps no type argument.
-Only a lambda, a ternary, a call (its receiver's root), `new` and a binary
-operator (its left spine walked in a loop) have a branch; any other kind,
-one the parser adds included, is walked with no edit here. Every walk
+Only a lambda, a ternary, a call (its receiver's root), `new`, a class body
+(its members, by the walk a type's take) and a binary operator (its left
+spine walked in a loop) have a branch; any other kind, one the parser adds
+included, is walked with no edit here. Every walk
 branches on a node's exact type (`type(node) is ast.Call`): node classes
 have no subclasses, so this is `isinstance` without a call per test.
 
@@ -84,8 +99,8 @@ from .records import Record
 from .rules import IcpCategory, RuleSet, type_matcher
 from .syntax import ast
 from .syntax.ast import (
-    Binary, Block, Call, ExprStmt, FieldAccess, If, Lambda, LocalDecl, Loop, NameRef, New,
-    Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children,
+    Binary, Block, Call, ClassBody, ExprStmt, FieldAccess, If, Lambda, LocalDecl, Loop,
+    NameRef, New, Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children,
 )
 from .values import exact_value
 
@@ -104,7 +119,7 @@ class IcpSite(Record):
 class UnitAnalysis(Record):
     _fields = (
         "path",
-        "type_name",  # dotted path for nested declarations
+        "type_name",  # `Outer.Inner` for a member type, `Outer$1Local` for a local one
         "span",  # the type declaration's
         "sites",  # (IcpSite, ...)
         "total",  # Fraction
@@ -117,8 +132,8 @@ class Verdict(Record):
 
 
 def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
-    """Analyze every top-level and nested type declaration of a unit: walk
-    each, then apply the rules to what the walk recorded."""
+    """Analyze every type declaration of a unit, top-level, member and
+    local: walk each, then apply the rules to what the walk recorded."""
     internal = type_matcher(rules.internal_types).matches
     external = type_matcher(rules.external_types, exclude_java_lang=True).matches
     enabled_costs = {cat: rule.cost for cat, rule in rules.categories.items() if rule.enabled}
@@ -126,10 +141,14 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     den = math.lcm(*[d for _, d in costs])
     scales = [n * (den // d) for n, d in costs]  # each cost is scale / den
     analyses: list[UnitAnalysis] = []
-    scopes: dict[str, _Bindings] = {}  # by dotted name; an outer type comes first
+    # the span and scope of each type that holds the next one, outermost
+    # first: in pre-order, a type's span lies inside those of its outer types
+    enclosing: list[tuple[Span, _Bindings]] = []
     for decl in unit.types:
-        walker = _TypeWalker(rules.count_lambdas, scopes.get(decl.name.rpartition(".")[0], {}))
-        scopes[decl.name] = walker.scope
+        while enclosing and not enclosing[-1][0].contains(decl.span):
+            enclosing.pop()
+        walker = _TypeWalker(rules.count_lambdas, enclosing[-1][1] if enclosing else {})
+        enclosing.append((decl.span, walker.scope))
         walker.walk(decl)
         found = walker.sites
         for declared, internal_kind, external_kind in walker.declarations:
@@ -195,25 +214,24 @@ class _TypeWalker:
     # ── type body ───────────────────────────────────────────────────────
 
     def walk(self, decl: ast.TypeDecl) -> None:
-        for f in decl.fields:
-            self.scope[f.name] = f.declared_type
-
+        self._walk_members(decl, self.scope)
         for constant in decl.enum_constants:
-            region: _Uses = {}
-            for arg in constant.args:
-                self._walk_expr(arg, self.scope, region)
-            self._flush_region(region, self.scope)
+            self._expr_region(constant, self.scope)  # its arguments and body
 
-        for f in decl.fields:
+    def _walk_members(self, body: ast.TypeDecl | ast.ClassBody, scope: _Bindings) -> None:
+        """The fields and methods of a type, or of an anonymous class or
+        enum constant body, with the fields bound in `scope`."""
+        for f in body.fields:
+            scope[f.name] = f.declared_type
+        for f in body.fields:
             self.declarations.append((f.declared_type, "field", "declaration"))
             if f.initializer is not None:
-                self._walk_initializer(f.initializer, self.scope)
+                self._walk_initializer(f.initializer, scope)
+        for m in body.methods:
+            self._walk_method(m, scope)
 
-        for m in decl.methods:
-            self._walk_method(m)
-
-    def _walk_method(self, m: ast.MethodDecl) -> None:
-        scope = dict(self.scope)
+    def _walk_method(self, m: ast.MethodDecl, outer: _Bindings) -> None:
+        scope = dict(outer)
         for p in m.params:
             scope[p.name] = p.type
             self.declarations.append((p.type, "parameter", "declaration"))
@@ -388,6 +406,10 @@ class _TypeWalker:
         elif kind is New:
             # keyed by `new T`, with a space no variable name holds
             region.setdefault("new " + expr.type.qualified_name, (expr.type.span, expr.type))
+        elif kind is ClassBody:
+            # its members are the enclosing unit's code, seeing the scope it opens in
+            self._walk_members(expr, dict(scope))
+            return
         if expr._child_indices:  # a NameRef, Literal or TypeRef has none
             for child in iter_children(expr):
                 self._walk_expr(child, scope, region)
@@ -408,7 +430,8 @@ def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
 
 
 def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
-    """Spans of every &&/|| operator reachable without crossing a lambda.
+    """Spans of every &&/|| operator reachable without crossing a lambda or
+    a class body, whose guards are their own.
 
     The lambda boundary applies to condition counting unconditionally; with
     lambda counting on, an `if` inside a lambda body still gets its own guard.
@@ -419,7 +442,7 @@ def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Lambda:
+        if kind is Lambda or kind is ClassBody:
             continue
         if kind is Binary and node.op in ("&&", "||"):
             out.append(node.op_span)

@@ -157,7 +157,8 @@ def analyze_file(path: str, data: bytes, rules: RuleSet) -> FileResult:
 
     LOC attribution: a file with a single top-level class, its first unit,
     gives that class `physical_loc(data)`, which counts a lone CR as a line
-    end; any other class gets its own declaration span height.
+    end; any other class, member and local ones included, gets its own
+    declaration span height.
     """
     try:
         unit = parse_unit(data, path)
@@ -168,7 +169,8 @@ def analyze_file(path: str, data: bytes, rules: RuleSet) -> FileResult:
     except RecursionError:
         return FileResult.failed("parse failed: nesting too deep")
     declared, malformed = extract_declared(unit)
-    whole_file = sum("." not in decl.name for decl in unit.types) == 1
+    # one top-level type: the first type's span holds every other type's
+    whole_file = all(unit.types[0].span.contains(decl.span) for decl in unit.types[1:])
     units = []
     for a, decl, (value, spans) in zip(analyses, unit.types, declared):
         v = verdict(a, rules)

@@ -15,10 +15,13 @@ the record metaclass made of the names: it reads no field by name and tests
 no attribute, and it is the one statement of a node's shape that the engine
 reads. A field that holds a node and is not named there is walked by no one.
 
-`SourceUnit.types` lists every type of a file once, top-level and nested, in
-pre-order: an outer type before the types declared in it, siblings in
-source order. A type's `name` is dotted (`Outer.Inner`), and a nested type
-is held by no field of its outer type.
+`SourceUnit.types` lists every type of a file once, top-level, member and
+local, in pre-order: an outer type before the types declared in it,
+siblings in source order, so a type's span lies inside the span of each type
+that holds it. A member type's `name` is dotted (`Outer.Inner`), a local
+type's is its binary name (`Outer$1Local`, JLS SE 17 §13.1), and no type is
+held by a field of another. An anonymous class body or an enum constant's
+body is a `ClassBody`, held by its `New` or `EnumConstant`: it is no type.
 
 The comments give a field's type where its name does not: an `Expr`, a
 `Stmt` and the like are nodes, `(X, ...)` is a tuple of them, and `| None`
@@ -56,11 +59,11 @@ class AnnotationUse(Record):
 
 class SiteIcp(Record):
     """A site-level `@ICP(n)`: an annotation on a field, a method, a
-    statement or a local variable, or a `// @ICP(n)` marker comment before a
-    statement."""
+    parameter or record component, a statement or a local variable, or a
+    `// @ICP(n)` marker comment before a statement."""
 
     _fields = (
-        "owner",  # dotted name of the type the element belongs to
+        "owner",  # name of the type the element belongs to
         "span",  # span of the element
         "value",  # Fraction | None: None for an annotation with no decimal argument
         "use_span",  # span of the annotation or of the marker comment
@@ -131,8 +134,8 @@ class Lambda(Record):
 
 
 class New(Record):
-    _fields = ("type", "args", "span")
-    _children = ("type", "args")
+    _fields = ("type", "args", "body", "span")  # body: ClassBody | None
+    _children = ("type", "args", "body")
 
 
 class ArrayNew(Record):
@@ -286,7 +289,8 @@ class FieldDecl(Record):
 
 class MethodDecl(Record):
     _fields = (
-        "name", "params",
+        "name",
+        "params",  # () for an initializer and a compact constructor
         "return_type",  # None for void and constructors
         "body",  # None for abstract / interface methods
         "span",
@@ -294,19 +298,29 @@ class MethodDecl(Record):
     _children = ("params", "return_type", "body")
 
 
+class ClassBody(Record):
+    """The body of an anonymous class or of an enum constant: its members
+    are code of the type that holds it."""
+
+    _fields = ("fields", "methods", "span")
+    _children = ("fields", "methods")
+
+
 class EnumConstant(Record):
-    _fields = ("name", "args", "span")
-    _children = ("args",)
+    _fields = ("name", "args", "body", "span")  # body: ClassBody | None
+    _children = ("args", "body")
 
 
 class TypeDecl(Record):
     _fields = (
-        "name",  # dotted for a nested type: `Outer.Inner`
+        "name",  # `Outer.Inner` for a member type, `Outer$1Local` for a local one
         "kind",  # class | interface | enum | record | @interface
         "annotations",
         "fields",  # a record's components first (JLS SE 17 §8.10.3)
-        "methods",  # an annotation type's elements are methods with no body
-        "span",  # a nested type's lies inside its outer type's
+        # an annotation type's elements are methods with no body; an
+        # initializer is a method named `<clinit>` if static, else `<init>`
+        "methods",
+        "span",  # a nested or local type's lies inside its outer type's
         "header_start",  # byte offset of the first modifier, else of the keyword
         "enum_constants",  # (EnumConstant, ...), () unless an enum
     )
@@ -316,7 +330,7 @@ class TypeDecl(Record):
 class SourceUnit(Record):
     _fields = (
         "path",
-        "types",  # (TypeDecl, ...): every type, top-level and nested, outer first
+        "types",  # (TypeDecl, ...): every type, top-level, member and local, outer first
         "diagnostics",
         "site_icp",  # (SiteIcp, ...), in the order their elements end
     )

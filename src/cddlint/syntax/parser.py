@@ -1,28 +1,38 @@
 """Recursive-descent parser for the analyzed Java subset.
 
 Produces a spanned SourceUnit suitable for ICP counting and annotation
-extraction. Every type, nested ones included, is listed once in
-``SourceUnit.types``, in the order its name is read (pre-order), under its
-dotted name, which ``_Parser.owner`` tracks. Error tolerance is
-member-level: an unparseable statement becomes an Opaque expression, an
-unparseable member is skipped, both with a recorded Diagnostic; a type
-header whose keyword, name or type parameters cannot be read raises
-ParseError, and one whose clauses cannot is diagnosed `expected '{'` and
-read on from its next `{`.
+extraction. Every type, member and local ones included, is listed once in
+``SourceUnit.types``, in the order its name is read (pre-order), under the
+name ``_Parser.owner`` tracks: dotted for a member type (`A.B`), the binary
+name for a local one (`A$1L`, JLS SE 17 §13.1). A type inside an anonymous
+class body is named as if it were declared where the body is (`A.In`,
+`A$1L`), where javac says `A$1$In`. Error tolerance is member-level: an
+unparseable statement becomes an Opaque expression, an unparseable member
+is skipped, both with a recorded Diagnostic; a type header whose keyword,
+name or type parameters cannot be read raises ParseError, and a member or
+top-level one whose clauses cannot is diagnosed `expected '{'` and read on
+from its next `{`. A local type's header fault fails its statement.
 
 Site-level ICPs are recorded as they are read: one ``SiteIcp`` per `@ICP` on
-a field, a method, a statement or a local variable, and per `// @ICP(n)`
-marker comment before a statement, lambda bodies included. Each is appended
-when its element ends, so it has the element's span, and the type being read
-is its owner. A parse that is thrown away drops what it recorded.
+a field, a method, a parameter or record component, a statement or a local
+variable, and per `// @ICP(n)` marker comment before a statement, lambda
+and anonymous class bodies included. Each is appended when its element
+ends, so it has the element's span, and the type being read is its owner.
+A parse that is thrown away, an ``_attempt``, a failed statement or a failed
+member, drops the sites and types it recorded; only an ``_attempt`` drops
+its diagnostics too.
 
 One reader per rule: ``_parse_type_decl`` reads every type header JLS SE 17
 allows (`class`, `interface`, `enum`, `record` and `@interface`), and
 ``_at_type_decl`` alone decides whether one starts at the cursor, at the top
-level and among members; ``_parse_type_list`` reads each `extends`,
-`implements`, `permits` and `throws` list, with ``_parse_type``, so no
-header token is passed unread; ``_parse_modifiers`` reads the annotations
-and modifiers of a type, a member and, given ``_VARIABLE_MODIFIERS``, a variable;
+level, among members and, after a statement's modifiers, as a local type;
+``_parse_class_body`` reads every `{…}` class body: a named type's, an
+anonymous class's and an enum constant's; ``_parse_member`` reads an
+initializer block and a record's compact constructor as methods;
+``_parse_type_list`` reads each `extends`, `implements`, `permits` and
+`throws` list, with ``_parse_type``, so no header token is passed unread;
+``_parse_modifiers`` reads the annotations and modifiers of a type, a member
+and, given ``_VARIABLE_MODIFIERS``, a variable;
 ``_parse_par_expr`` reads each `( Expression )` after a keyword; one head
 reader, ``_try_parse_local_head``, reads the modifiers and type of a local
 declaration and of both kinds of `for` header, so a header is read once; one
@@ -31,8 +41,9 @@ list reader, ``_parse_list``, reads every bracketed, separated list;
 arguments of a type and of a call, none of which is kept; each item is
 read with ``_parse_type``, so a `<…>` that holds anything else fails. A parse
 attempt that is rolled back when it fails (a variable's head, its
-declarators, a cast, an else-link's annotations) runs in ``_attempt``, the one
-undo, and fails only on input that is not Java.
+declarators, a cast, an else-link's annotations, a local type's modifiers)
+runs in ``_attempt``, the one undo, and fails only on input that is not
+Java.
 
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists. A skip
@@ -57,6 +68,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from typing import Any, Callable, Optional, Sequence
 
 from . import ast
@@ -79,6 +91,8 @@ PRIMITIVES = frozenset({
 })
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+# the words a local type's statement may start with, after its annotations
+_LOCAL_TYPE_STARTS = MODIFIERS | _TYPE_KEYWORDS | {"record"}
 # the clauses a type header may hold after its name, type parameters and,
 # for a record, components (JLS SE 17 §8.1.4-8.1.6, §8.10, §9.1.3-9.1.4)
 _HEADER_CLAUSES = frozenset({"extends", "implements", "permits"})
@@ -189,9 +203,10 @@ class _Parser:
         self.path = path
         self.diagnostics: list[ast.Diagnostic] = []
         self.site_icp: list[ast.SiteIcp] = []
-        # every type in pre-order; a type's place is None until its `}` is read
-        self.types: list[Optional[ast.TypeDecl]] = []
-        self.owner = ""  # dotted name of the type being read
+        # every type in pre-order; a type's place holds its name until its
+        # `}` is read
+        self.types: list[ast.TypeDecl | str] = []
+        self.owner = ""  # name of the type being read
 
     # ── token access ────────────────────────────────────────────────────
 
@@ -246,14 +261,17 @@ class _Parser:
 
     def _attempt(self, parse: Callable[..., Any], *args: Any) -> Any:
         """`parse(*args)`, which is never None; None if it fails, with the
-        cursor back and the diagnostics and site-level @ICP it recorded dropped."""
-        start, diagnostics, recorded = self.pos, len(self.diagnostics), len(self.site_icp)
+        cursor back and the diagnostics, site-level @ICP and types it
+        recorded dropped."""
+        start, diagnostics = self.pos, len(self.diagnostics)
+        recorded, types = len(self.site_icp), len(self.types)
         try:
             return parse(*args)
         except _Fail:
             self.pos = start
             del self.diagnostics[diagnostics:]
             del self.site_icp[recorded:]
+            del self.types[types:]
             return None
 
     # ── compilation unit ────────────────────────────────────────────────
@@ -286,12 +304,16 @@ class _Parser:
         start: Optional[int] = None,
         annotations: Optional[tuple[ast.AnnotationUse, ...]] = None,
         header_tok: Optional[int] = None,
+        local: bool = False,
     ) -> None:
         """A type whose modifiers start at `start`; a top-level type reads
-        them here, a nested one is given what `_parse_member` read. Its place
-        in `types` is taken when its name is read, so it comes before the
-        types declared in it, and filled at its closing `}`. A record's
-        components are its fields (JLS SE 17 §8.10.3)."""
+        them here, a member or `local` one is given what `_parse_member` or
+        `_parse_local_type` read. It owns what is read from its name on, and
+        its place in `types`, taken then, holds its name until its closing
+        `}`, so it comes before the types declared in it. A record's
+        components are its fields (JLS SE 17 §8.10.3). A fault in a local
+        type's header fails its statement; any other type's header is read
+        on from its next `{`."""
         if start is None:
             start = self.pos
             annotations, header_tok = self._parse_modifiers()
@@ -303,43 +325,63 @@ class _Parser:
             kind += self.texts[self.advance()]
         name = self.texts[self.expect_ident("type name")]
         outer = self.owner
-        self.owner = f"{outer}.{name}" if outer else name
+        if local:
+            # the binary name (JLS SE 17 §13.1): the lowest number that no
+            # type listed so far has with this name
+            taken = {t if type(t) is str else t.name for t in self.types}
+            self.owner = next(binary for n in count(1)
+                              if (binary := f"{outer}${n}{name}") not in taken)
+        else:
+            self.owner = f"{outer}.{name}" if outer else name
         place = len(self.types)
-        self.types.append(None)
-        if self.texts[self.pos] == "<":
-            self._skip_generics()
-        fields: list[ast.FieldDecl] = []
+        self.types.append(self.owner)
         try:
-            if kind == "record":
-                if self.texts[self.pos] != "(":
-                    raise _Fail("expected '('", self.tok_span(self.pos))
-                fields += [ast.FieldDecl((p.name, p.type, None, p.span))
-                           for p in self._parse_list(self._parse_param)]
-            while self.texts[self.pos] in _HEADER_CLAUSES:
-                self.pos += 1
-                self._parse_type_list()
-            if self.texts[self.pos] != "{":
-                raise _Fail("expected '{'", self.tok_span(self.pos))
-        except _Fail as exc:
-            # the header is read on from its next `{`
-            self.diag("expected '{'", exc.span)
-            while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
-                self.pos += 1
-        self.expect("{")
+            if self.texts[self.pos] == "<":
+                self._skip_generics()
+            fields: list[ast.FieldDecl] = []
+            try:
+                if kind == "record":
+                    if self.texts[self.pos] != "(":
+                        raise _Fail("expected '('", self.tok_span(self.pos))
+                    fields += [ast.FieldDecl((p.name, p.type, None, p.span))
+                               for p in self._parse_list(self._parse_param)]
+                while self.texts[self.pos] in _HEADER_CLAUSES:
+                    self.pos += 1
+                    self._parse_type_list()
+                if self.texts[self.pos] != "{":
+                    raise _Fail("expected '{'", self.tok_span(self.pos))
+            except _Fail as exc:
+                if local:
+                    raise
+                # the header is read on from its next `{`
+                self.diag("expected '{'", exc.span)
+                while self.texts[self.pos] != "{" and self.kinds[self.pos] != _EOF:
+                    self.pos += 1
+            enum_constants, body = self._parse_class_body(kind, fields)
+            self.types[place] = ast.TypeDecl((
+                self.owner, kind, annotations, body.fields, body.methods,
+                self.span_from(start), self.starts[header_tok], enum_constants,
+            ))
+        finally:
+            self.owner = outer
 
+    def _parse_class_body(self, kind: str, fields: list[ast.FieldDecl]
+                          ) -> tuple[tuple[ast.EnumConstant, ...], ast.ClassBody]:
+        """The one reader of a `{…}` class body (JLS SE 17 §8.1.7): a named
+        type's, of `kind`, whose record components `fields` holds, and an
+        anonymous class's or an enum constant's (§15.9.5, §8.9.1), read as a
+        class's. An enum's constants come first; they are returned beside
+        the body."""
+        start = self.expect("{")
         enum_constants: tuple[ast.EnumConstant, ...] = ()
         if kind == "enum":
             enum_constants = self._parse_enum_constants()
-
         methods: list[ast.MethodDecl] = []
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
-            self._parse_member(fields, methods, kind == "@interface")
+            self._parse_member(fields, methods, kind)
         self.expect("}")
-        self.types[place] = ast.TypeDecl((
-            self.owner, kind, annotations, tuple(fields), tuple(methods),
-            self.span_from(start), self.starts[header_tok], enum_constants,
-        ))
-        self.owner = outer
+        return enum_constants, ast.ClassBody((tuple(fields), tuple(methods),
+                                              self.span_from(start)))
 
     def _at_type_decl(self) -> bool:
         """Whether a type's keyword is at the cursor: `class`, `interface`,
@@ -363,10 +405,10 @@ class _Parser:
             args: tuple[ast.Expr, ...] = ()
             if self.texts[self.pos] == "(":
                 args = self._parse_list(self._parse_expr)
+            body = None
             if self.texts[self.pos] == "{":
-                self.diag("enum constant body is not analyzed", self.tok_span(self.pos))
-                self._skip_balanced()
-            constants.append(ast.EnumConstant((name, args, self.span_from(start))))
+                body = self._parse_class_body("class", [])[1]
+            constants.append(ast.EnumConstant((name, args, body, self.span_from(start))))
             if self.texts[self.pos] == ",":
                 self.pos += 1
             else:
@@ -378,25 +420,31 @@ class _Parser:
     # ── members ─────────────────────────────────────────────────────────
 
     def _parse_member(self, fields: list[ast.FieldDecl], methods: list[ast.MethodDecl],
-                      in_annotation_type: bool) -> None:
+                      kind: str) -> None:
+        """A member of a body of `kind`: a member type, a field, a method, a
+        constructor, or as a method, an initializer block (JLS SE 17 §8.6,
+        §8.7) and, in a record, a compact constructor (§8.10.4). A member
+        that fails is skipped, and the sites and types it recorded are
+        dropped; its diagnostics stay."""
         if self.texts[self.pos] == ";":
             self.pos += 1
             return
-        start, recorded = self.pos, len(self.site_icp)
+        start, recorded, types = self.pos, len(self.site_icp), len(self.types)
         try:
             annotations, header_tok = self._parse_modifiers()
             if self._at_type_decl():
                 self._parse_type_decl_hard(start, annotations, header_tok)
                 return
             if self.texts[self.pos] == "{":
-                self.diag("initializer block is not analyzed", self.tok_span(self.pos))
-                self._skip_balanced()
+                name = "<clinit>" if "static" in self.texts[start:self.pos] else "<init>"
+                methods.append(ast.MethodDecl((name, (), None, self._parse_block(),
+                                               self.span_from(start))))
                 return
             if self.texts[self.pos] == "<":
                 self._skip_generics()  # generic method type parameters
-            i = self.pos
-            if (self.kinds[i] == _IDENT and self.texts[i + 1] == "("
-                    and self.texts[i] not in _NON_TYPE_WORDS):
+            i, texts = self.pos, self.texts
+            if (self.kinds[i] == _IDENT and texts[i] not in _NON_TYPE_WORDS
+                    and (texts[i + 1] == "(" or texts[i + 1] == "{" and kind == "record")):
                 methods.append(self._parse_method(start, None))
                 if annotations:
                     self.record_icp(start, annotations)
@@ -409,7 +457,7 @@ class _Parser:
             name_tok = self.expect_ident("member name")
             if self.texts[self.pos] == "(":
                 methods.append(self._parse_method(start, return_type, name_tok,
-                                                  in_annotation_type))
+                                                  kind == "@interface"))
             else:
                 if return_type is None:
                     raise _Fail("field cannot be void", self.tok_span(name_tok))
@@ -420,6 +468,7 @@ class _Parser:
                 self.record_icp(start, annotations)
         except _Fail as exc:
             del self.site_icp[recorded:]
+            del self.types[types:]
             self.diag(exc.message, exc.span)
             self._skip_statement(block_ends=True)
 
@@ -430,11 +479,14 @@ class _Parser:
         name_tok: Optional[int] = None,
         element: bool = False,
     ) -> ast.MethodDecl:
-        """A method or constructor; with `element`, an annotation type's
-        element, whose default value (JLS SE 17 §9.6.2) is read and dropped."""
+        """A method or constructor, a compact one (JLS SE 17 §8.10.4) with
+        no parameter list; with `element`, an annotation type's element,
+        whose default value (§9.6.2) is read and dropped."""
         if name_tok is None:
             name_tok = self.expect_ident("constructor name")
-        params = self._parse_list(self._parse_param)
+        params: tuple[ast.Param, ...] = ()
+        if self.texts[self.pos] == "(":
+            params = self._parse_list(self._parse_param)
         if self.texts[self.pos] == "throws":
             self.pos += 1
             self._parse_type_list()
@@ -462,15 +514,19 @@ class _Parser:
             self._parse_ternary()
 
     def _parse_param(self) -> ast.Param:
-        start = self.pos
+        """A parameter or record component; its `@ICP` annotations are its
+        sites, as a field's are."""
+        start, uses = self.pos, ()
         if self.texts[start] in _VARIABLE_MODIFIER_STARTS:
-            self._parse_modifiers(_VARIABLE_MODIFIERS)
+            uses = self._parse_modifiers(_VARIABLE_MODIFIERS)[0]
         ptype = self._parse_type()
         if self.texts[self.pos] in ("...", "@") and self._at_annotated("..."):
             self.pos += 1  # varargs behave like the element type
         name = self.texts[self.expect_ident("parameter name")]
         if self.texts[self.pos] in _ARRAY_SUFFIX_STARTS:
             self._skip_array_suffix()
+        if uses:
+            self.record_icp(start, uses)
         return ast.Param((name, ptype, self.span_from(start)))
 
     def _parse_declarators(
@@ -666,17 +722,19 @@ class _Parser:
         return ast.Block((tuple(stmts), self.span_from(start)))
 
     def _parse_statement_recovering(self) -> list[ast.Stmt]:
-        start, recorded = self.pos, len(self.site_icp)
+        start, recorded, types = self.pos, len(self.site_icp), len(self.types)
         try:
             return self._parse_statement()
         except _Fail as exc:
-            return [self._failed_statement(exc, start, recorded)]
+            return [self._failed_statement(exc, start, recorded, types)]
 
-    def _failed_statement(self, exc: _Fail, start: int, recorded: int) -> ast.Stmt:
-        """Record the failure, drop the sites recorded since the statement
-        began, skip the rest of the statement and stand an Opaque statement
-        in its place."""
+    def _failed_statement(self, exc: _Fail, start: int, recorded: int,
+                          types: int) -> ast.Stmt:
+        """Record the failure, drop the sites and types recorded since the
+        statement began, skip the rest of the statement and stand an Opaque
+        statement in its place."""
         del self.site_icp[recorded:]
+        del self.types[types:]
         self.diag(exc.message, exc.span)
         self._skip_statement(block_ends=True)
         span = self.span_from(start) if self.pos > start else self.tok_span(start)
@@ -727,6 +785,9 @@ class _Parser:
             self.diag("labeled statement: label ignored", self.tok_span(i))
             self.pos += 2
             stmts = self._parse_statement()
+        elif word in _LOCAL_TYPE_STARTS and self._parse_local_type(start, uses):
+            # the annotations are the type's; an empty statement stands in its place
+            return [ast.Block(((), self.span_from(start)))]
         else:
             head = self._try_parse_local_head(_DECLARATOR_NEXT)
             stmts = None if head is None else self._try_parse_local_decl(start, head)
@@ -738,6 +799,19 @@ class _Parser:
             self.record_icp(start, uses, self.comments.get(start, ()))
         return stmts
 
+    def _parse_local_type(self, start: int, uses: tuple[ast.AnnotationUse, ...]) -> bool:
+        """A local class, interface, enum or record (JLS SE 17 §14.3) at the
+        cursor, whose statement starts at token `start` with the annotations
+        `uses`; False, with nothing consumed, if none starts here."""
+        i = self.pos
+        head = self._attempt(self._parse_modifiers)
+        if head is None or not self._at_type_decl():
+            self.pos = i
+            return False
+        annotations, header_tok = head
+        self._parse_type_decl(start, uses + annotations, header_tok, local=True)
+        return True
+
     def _parse_if(self, start: int) -> ast.If:
         # an `else if` chain is read link by link in this loop, not by
         # recursion, so no chain length exhausts the stack; the nested If
@@ -747,7 +821,7 @@ class _Parser:
         uses: Optional[tuple[ast.AnnotationUse, ...]] = ()
         else_branch: Optional[ast.Stmt] = None
         while True:
-            recorded = len(self.site_icp)
+            recorded, types = len(self.site_icp), len(self.types)
             try:
                 if_kw = self.tok_span(self.expect("if"))
                 cond = self._parse_par_expr()
@@ -755,7 +829,7 @@ class _Parser:
                 if not links:
                     raise
                 # a broken link is the failed statement of the else before it
-                else_branch = self._failed_statement(exc, start, recorded)
+                else_branch = self._failed_statement(exc, start, recorded, types)
                 break
             then = self._parse_substatement()
             else_kw = self.tok_span(self.advance()) if self.texts[self.pos] == "else" else None
@@ -1215,11 +1289,10 @@ class _Parser:
         args: tuple[ast.Expr, ...] = ()
         if self.texts[self.pos] == "(":
             args = self._parse_list(self._parse_expr)
-        if self.texts[self.pos] == "{":
-            self.diag("anonymous class body is not analyzed", self.tok_span(self.pos))
-            self._skip_balanced()
-            return ast.Opaque((args, self.span_from(start)))
-        return ast.New((ty, args, self.span_from(start)))
+        body = None
+        if self.texts[self.pos] == "{":  # an anonymous class
+            body = self._parse_class_body("class", [])[1]
+        return ast.New((ty, args, body, self.span_from(start)))
 
     def _parse_paren_lambda(self, start: int) -> ast.Expr:
         params = self._parse_list(self._parse_lambda_param)

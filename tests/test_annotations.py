@@ -77,6 +77,15 @@ class TestExtract:
         assert [len(spans) for _, spans in declared] == span_counts
         assert malformed == "@ICP needs a decimal argument (line 2)"
 
+    @pytest.mark.parametrize("source", [
+        b"record R(@ICP(x) int y) {}",
+        b"class A { void f(final @ICP int y) {} }",
+    ], ids=["record-component", "method-parameter"])
+    def test_a_malformed_icp_on_a_parameter_gives_a_note(self, source):
+        declared, malformed = extract_declared(parse_unit(source))
+        assert declared == [(None, ())]
+        assert malformed == "@ICP needs a decimal argument (line 1)"
+
     def test_site_annotation_after_final(self):
         unit = parse_unit(
             b"class A { void f(boolean c) { final @ICP(2) int x = c ? 1 : 2; } }"
@@ -117,6 +126,21 @@ SITE_CASES = {
     "nested-type-and-a-member-after-it": (
         "class A { static class B { @ICP(1) int n; } @ICP(2) int m; }",
         [("A.B", "@ICP(1) int n;", 1), ("A", "@ICP(2) int m;", 2)]),
+    # a parameter and a record component, owned by the type that declares them
+    "method-parameter": (
+        "class A { void f(final @ICP(1) int y) {} }",
+        [("A", "final @ICP(1) int y", 1)]),
+    "record-component": (
+        "class A { record R(@ICP(1) int y) {} }",
+        [("A.R", "@ICP(1) int y", 1)]),
+    # an anonymous body's members are its enclosing type's; a local type
+    # owns its members, and its own @ICP is class level
+    "anonymous-body": (
+        "class A { Object o = new Object() { @ICP(1) int n; }; }",
+        [("A", "@ICP(1) int n;", 1)]),
+    "local-class-and-a-statement-after-it": (
+        "class A { void f() { @ICP(3) class L { @ICP(1) int n; } @ICP(2) int m = 0; } }",
+        [("A$1L", "@ICP(1) int n;", 1), ("A", "@ICP(2) int m = 0;", 2)]),
     # a parse that is thrown away drops what it recorded
     "local-initializer-that-fails-then-fails-as-an-expression": (
         f"class A {{ void f() {{ Runnable r = () -> {MARKED_BODY} oops; }} }}",

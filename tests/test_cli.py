@@ -476,14 +476,14 @@ class TestReconcile:
         assert "duplicate @ICP" in err
 
 
-# an initializer block and a switch expression: each parses, scores
+# an assert statement and a switch expression: each parses, scores
 # nothing and carries a parser diagnostic
 UNANALYZED_SOURCE = """\
 class Probe {
     static int count;
 
-    static {
-        count = 1;
+    void check() {
+        assert count == 1;
     }
 
     int size(int day) {
@@ -512,14 +512,14 @@ class TestPerFileResult:
         code, out, _ = run(capsys, command, ".")
         assert code == 0
         assert out.splitlines()[-3:-1] == [
-            "Probe.java:4: initializer block is not analyzed",
+            "Probe.java:5: assert statement is not analyzed",
             "Probe.java:9: switch expression is not analyzed",
         ]
         code, out, _ = run(capsys, command, ".", "--format", "json")
         doc = json.loads(out)
         validate(doc, schema)
         assert doc["diagnostics"] == [
-            {"path": "Probe.java", "message": "line 4: initializer block is not analyzed"},
+            {"path": "Probe.java", "message": "line 5: assert statement is not analyzed"},
             {"path": "Probe.java", "message": "line 9: switch expression is not analyzed"},
         ]
         assert doc["summary"]["parse_failures"] == 0
@@ -547,7 +547,7 @@ class TestPerFileResult:
         assert (code, out) == (0, "fixed Probe.java\n1 files changed\n")
         assert err.splitlines() == [
             "E.java: parse failed: line 2: expected '}'",
-            "Probe.java:5: initializer block is not analyzed",
+            "Probe.java:6: assert statement is not analyzed",
             "Probe.java:10: switch expression is not analyzed",
         ]
         assert (tmp_path / "Probe.java").read_text() == "@ICP(0)\n" + UNANALYZED_SOURCE

@@ -324,10 +324,31 @@ class TestExpressionPositions:
             assert (analysis.total, analysis.subtotals[B], analysis.subtotals[C]) == (2, 1, 1)
             assert unit.diagnostics == ()
 
-    def test_an_anonymous_class_body_keeps_its_diagnostic(self):
-        unit = parse_unit(
-            in_method("Runnable r = new Runnable() { public void run() {} };").encode())
-        assert [d.message for d in unit.diagnostics] == ["anonymous class body is not analyzed"]
+    def test_an_anonymous_class_body_counts_in_the_enclosing_unit(self):
+        # its field, its method's parameter and guard, and the captured
+        # local's use; with lambdas off a body inside a lambda counts nothing
+        body = ("new Runnable() { InternalX f; public void run(InternalX p) {"
+                " if (x) { local.go(); } } }")
+        source = in_method(f"InternalX local = null; Runnable r = {body};")
+        unit = parse_unit(source.encode())
+        assert unit.diagnostics == ()
+        [analysis] = analyze_unit(unit, self.RULES)
+        assert [(s.category, s.reason) for s in analysis.sites] == [
+            (I, "internal coupling: InternalX field"),
+            (I, "internal coupling: InternalX parameter"),
+            (B, "if statement"),
+            (C, "boolean condition 1 of 1"),
+            (I, "internal coupling: use of local (InternalX)"),
+        ]
+        assert self.uses(f"() -> {body}") == 0
+        assert self.uses(f"() -> {body}", self.RULES._replace(count_lambdas=True)) == 2
+
+    def test_a_guard_counts_no_operator_of_a_class_body_in_it(self):
+        # the body's `&&` is its method's, not the `if`'s; its ternary's
+        # guard is its own
+        a = analyze_one(in_method(
+            "if (new Object() { boolean t() { return x && x ? x : x; } } != null) {}"))
+        assert (a.subtotals[B], a.subtotals[C]) == (2, 3)
 
     def test_field_initializer_ternary_counts(self):
         a = analyze_one("class T { int x = 1 > 0 ? 1 : 2; }")

@@ -543,14 +543,6 @@ class TestMutationFuzz:
 
 
 class TestErrorTolerance:
-    def test_anonymous_class_becomes_opaque_with_diagnostic(self):
-        src = b"class A { void f() { Runnable r = new Runnable() { }; } }"
-        unit = parse_unit(src)
-        assert len(unit.diagnostics) == 1
-        decl = unit.types[0].methods[0].body.stmts[0]
-        assert isinstance(decl, ast.LocalDecl)
-        assert isinstance(decl.initializer, ast.Opaque)
-
     def test_broken_statement_recovers_at_member_level(self):
         src = b"class A { void f() { int x = ; } void g() { h(); } }"
         unit = parse_unit(src)
@@ -601,6 +593,93 @@ class TestErrorTolerance:
     def test_invalid_character_is_parse_error(self):
         with pytest.raises(ParseError):
             parse_unit(b"class A { int x = #1; }")
+
+
+class TestClassBodies:
+    """One reader reads every class body: a named type's, an anonymous
+    class's and an enum constant's."""
+
+    def test_an_anonymous_class_body_is_a_class_body(self):
+        src = b"class A { void f() { Runnable r = new Runnable() { int n; void run() {} }; } }"
+        unit = parse_unit(src)
+        assert unit.diagnostics == ()
+        assert [t.name for t in unit.types] == ["A"]
+        decl = unit.types[0].methods[0].body.stmts[0]
+        assert isinstance(decl, ast.LocalDecl)
+        assert type(decl.initializer) is ast.New
+        body = decl.initializer.body
+        assert type(body) is ast.ClassBody
+        assert [f.name for f in body.fields] == ["n"]
+        assert [m.name for m in body.methods] == ["run"]
+        assert src[body.span.byte_start:body.span.byte_end] == b"{ int n; void run() {} }"
+
+    def test_an_enum_constant_body_is_a_class_body(self):
+        unit = parse_unit(b"enum E { A(1) { void f() {} }, B; }")
+        assert unit.diagnostics == ()
+        a, b = unit.types[0].enum_constants
+        assert [m.name for m in a.body.methods] == ["f"] and a.args
+        assert b.body is None
+
+    def test_initializers_are_methods(self):
+        unit = parse_unit(b"class A { static { f(); } { g(); } }")
+        assert unit.diagnostics == ()
+        assert [(m.name, m.params, len(m.body.stmts)) for m in unit.types[0].methods] == [
+            ("<clinit>", (), 1), ("<init>", (), 1)]
+
+    def test_a_compact_constructor_is_read_only_in_a_record(self):
+        unit = parse_unit(b"record R(int x) { R { f(); } }")
+        assert unit.diagnostics == ()
+        [ctor] = unit.types[0].methods
+        assert (ctor.name, ctor.params, ctor.return_type, len(ctor.body.stmts)) == (
+            "R", (), None, 1)
+        unit = parse_unit(b"class R { R { f(); } }")
+        assert [d.message for d in unit.diagnostics] == ["expected member name"]
+        assert unit.types[0].methods == ()
+
+    def test_local_types_take_binary_names(self):
+        # JLS SE 17 §13.1: the owner's name, `$`, the lowest number no type
+        # of that name has, the name
+        unit = parse_unit(b"""class A {
+          static class B { void f() { class L {} interface I {} } }
+          void g() { { enum L { X } } final record L(int x) {} @Deprecated class M {} }
+        }""")
+        assert unit.diagnostics == ()
+        assert [(t.name, t.kind) for t in unit.types] == [
+            ("A", "class"), ("A.B", "class"), ("A.B$1L", "class"), ("A.B$1I", "interface"),
+            ("A$1L", "enum"), ("A$2L", "record"), ("A$1M", "class")]
+        assert unit.types[-1].annotations[0].name == "Deprecated"
+
+    def test_a_type_in_an_anonymous_body_is_named_where_the_body_is(self):
+        unit = parse_unit(
+            b"class A { Object o = new Object() { class In {} void f() { class L {} } }; }")
+        assert [t.name for t in unit.types] == ["A", "A.In", "A$1L"]
+
+    def test_a_statement_read_again_lists_its_types_once(self):
+        # the declarator attempt fails at `5` and the header is read again
+        # as expressions; a statement that fails drops its types, and frees
+        # their numbers
+        src = (b"class A { void f() {"
+               b" for (a < b > c = new Object() { void g() { class L {} } }, 5;;) {}"
+               b" Object o = new Object() { void g() { class M {} } } x y; }"
+               b" void h() { class M {} } }")
+        unit = parse_unit(src)
+        assert [d.message for d in unit.diagnostics] == ["expected ';'"]
+        assert [t.name for t in unit.types] == ["A", "A$1L", "A$1M"]
+        assert span_text(src, unit.types[-1].span) == "class M {}"
+
+    def test_a_fault_in_a_local_type_header_fails_only_its_statement(self):
+        unit = parse_unit(b"class A { void f(boolean c) {"
+                          b" switch (c) { case true: class break; } if (c) g(); } }")
+        assert [d.message for d in unit.diagnostics] == ["expected '{'"]
+        assert [t.name for t in unit.types] == ["A"]
+        [analysis] = analyze_unit(unit, default_rules())
+        assert analysis.total == 4  # the switch, its label, the `if` and its guard
+
+    def test_a_local_type_keeps_the_whole_file_loc(self):
+        # nesting is read from spans: the first type holds every other one
+        data = b"// head\nclass A {\n  void f() {\n    class L {}\n  }\n}\n// tail\n"
+        units = analyze_file("A.java", data, default_rules()).units
+        assert [(u.type_name, u.loc) for u in units] == [("A", 7), ("A$1L", 1)]
 
 
 class TestTreeInvariants:

@@ -208,7 +208,8 @@ _RARE_KINDS = b"""class A {
     int[] b = new int[] {1, 2};
     Object o = (Object) a[0];
     Runnable r = A::g;
-    Thread t = new Thread(r) {};
+    Thread t = new Thread(r) { int n; };
+    int k = switch (a[0]) { default -> 1; };
     return o;
   }
 }

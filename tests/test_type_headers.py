@@ -1,9 +1,12 @@
-"""Type headers of every kind JLS SE 17 allows: records, `@interface`, sealed
-and `non-sealed` types, and `extends`, `implements`, `permits` and `throws`
-lists. Each case is scored by hand under the oracle manifest's config, and
-compiled by javac when a JDK 17 or later is on PATH. The cases are kept
-here, not under tests/fixtures, where they would change the texts
-`_mutants` draws from and the files the benchmark corpus copies."""
+"""Type headers and class bodies of every kind JLS SE 17 allows: records,
+`@interface`, sealed and `non-sealed` types, `extends`, `implements`,
+`permits` and `throws` lists, initializer blocks, compact constructors, and
+local, anonymous and enum-constant bodies. Each case is scored by hand under
+the oracle manifest's config, and compiled by javac when a JDK 17 or later
+is on PATH, which also checks that the unit names are the names of javac's
+class files. The cases are kept here, not under tests/fixtures, where they
+would change the texts `_mutants` draws from and the files the benchmark
+corpus copies."""
 
 from __future__ import annotations
 
@@ -92,6 +95,97 @@ class Gen<T extends Comparable<T>> extends java.util.ArrayList<T>
   }
 }
 """, {"Gen": {"branch": 1, "condition": 1}}),
+    # each initializer is read as a method: the `if` and its guard, and
+    # the try and its catch
+    "Init": ("""\
+class Init {
+  static int count;
+  int size;
+
+  static {
+    if (count > 0) {
+      count = 1;
+    }
+  }
+
+  {
+    try {
+      size = count;
+    } catch (RuntimeException e) {
+      size = 0;
+    }
+  }
+}
+""", {"Init": {"branch": 1, "condition": 1, "exception": 2}}),
+    # an anonymous class is no unit: its `if`, its guard and its use of
+    # `repo` count in Anon, beside the field
+    "Anon": ("""\
+class Anon {
+  InternalRepo repo;
+
+  Runnable task(boolean b) {
+    return new Runnable() {
+      public void run() {
+        if (b) {
+          repo.count();
+        }
+      }
+    };
+  }
+}
+""", {"Anon": {"branch": 1, "condition": 1, "internal_coupling": 2}}),
+    # local types are units under their binary names: the `while` and its
+    # guard are Counter's, the component is Pair's field, and the second
+    # Counter takes the next number
+    "Local": ("""\
+class Local {
+  int f(int n) {
+    class Counter {
+      int next(int i) {
+        while (i < n) {
+          i++;
+        }
+        return i;
+      }
+    }
+    record Pair(InternalRepo repo, int n) {}
+    return new Counter().next(0);
+  }
+
+  void g() {
+    class Counter {}
+  }
+}
+""", {"Local": {}, "Local$1Counter": {"branch": 1, "condition": 1},
+      "Local$1Pair": {"internal_coupling": 1}, "Local$2Counter": {}}),
+    # an enum constant's body counts in its enum: the ternary and its guard
+    "Op": ("""\
+enum Op {
+  PLUS {
+    int apply(int a, int b) {
+      return a > b ? a - b : b - a;
+    }
+  },
+  MINUS {
+    int apply(int a, int b) {
+      return a - b;
+    }
+  };
+
+  abstract int apply(int a, int b);
+}
+""", {"Op": {"branch": 1, "condition": 1}}),
+    # a compact constructor is a method with no parameters: the `if` and
+    # its guard; a `throw` is no site
+    "Range": ("""\
+record Range(int lo, int hi) {
+  Range {
+    if (lo > hi) {
+      throw new IllegalArgumentException();
+    }
+  }
+}
+""", {"Range": {"branch": 1, "condition": 1}}),
 }
 
 # what javac needs besides the cases, `ICP` only once `reconcile --fix` has
@@ -164,6 +258,12 @@ def test_javac_compiles_the_cases(case_dir, capsys):
         assert proc.returncode == 0, proc.stderr
 
     javac()
+    # javac's class files, the stubs' and the anonymous classes' (`Op$1`)
+    # aside, are the units, named with `$` for `.`
+    classes = {path.stem for path in (case_dir.parent / "out").iterdir()} - set(STUBS)
+    assert {name for name in classes if not any(map(str.isdigit, name.split("$")))} == {
+        decl.name.replace(".", "$") for source, _ in TYPE_HEADER_CASES.values()
+        for decl in parse_unit(source.encode()).types}
     assert main(["reconcile", ".", "--fix"]) == 0
     capsys.readouterr()
     assert "@ICP(5.5)" in (case_dir / "Rec.java").read_text(encoding="utf-8")
