@@ -26,11 +26,12 @@ name are read by the parser, not scored.
 Counting rules:
 
   branch      one point per `if`, per `else`, per loop of any kind, per
-              ternary operator, one for `switch` plus one per case/default
-              label
+              ternary operator, one per `switch`, statement or expression,
+              plus one per case/default label; `assert` adds nothing
   condition   per guard (if / loop / ternary / do-while): 1 + the number of
               `&&`/`||` operators reachable inside the guard without crossing
-              a lambda or class body boundary; `!` adds nothing
+              a lambda, class body or switch expression, whose statements
+              have their own guards; `!` adds nothing
   exception   one point per try block, per catch clause (multi-catch is one
               clause), per finally block
   internal    fields, method parameters and non-void return types whose type
@@ -61,23 +62,25 @@ and one sort into document order.
 A scope is a dict from each visible variable to its declared type (None
 where none is written: `var`, a lambda parameter). A type's scope copies
 its outer type's, the innermost type whose span holds its own, and binds
-its fields, so a local type sees its enclosing type's fields but not the
-enclosing method's locals; a method, block, loop, switch case, catch
-clause, lambda and anonymous class body each copy the scope they open in,
-and the body binds its fields. So a name bound in one is not seen after
-it, an inner binding shadows an outer one, and a local is seen from its
-declaration on. A receiver qualified by `this.`
-(`this.x.f()`) is looked up in the type's scope alone, so no parameter or
-local shadows it; it is keyed apart from the bare name, and where the bare
-name in the same statement is that field too, the two count once.
+its fields; a local type's copies the scope at its statement, an empty one
+that starts where the type does and whose scope the outer walk keeps by its
+first byte, so it sees the locals declared before it. A method, block,
+loop, switch case, catch clause, lambda and anonymous class body each copy
+the scope they open in, and the body binds its fields. So a name bound in
+one is not seen after it, an inner binding shadows an outer one, and a
+local is seen from its declaration on. A receiver qualified by `this.`
+(`this.x.f()`) is looked up among the fields of the type or class body it
+is written in, so no parameter or local shadows it; it is keyed apart from
+the bare name, and where the bare name in the same statement is that field
+too, the two count once.
 
 Expressions are walked by one descent: `_TypeWalker._walk_expr` scores a
 node, then walks the children `ast.iter_children` yields; a TypeRef has
-none, as the parser keeps no type argument.
-Only a lambda, a ternary, a call (its receiver's root), `new`, a class body
-(its members, by the walk a type's take) and a binary operator (its left
-spine walked in a loop) have a branch; any other kind, one the parser adds
-included, is walked with no edit here. Every walk
+none, as the parser keeps no type argument. Only a lambda, a ternary, a
+call (its receiver's root), `new`, a class body (its members, by the walk a
+type's take), a switch expression (by the statement walk) and a binary
+operator (its left spine walked in a loop) have a branch; any other kind,
+one the parser adds included, is walked with no edit here. Every walk
 branches on a node's exact type (`type(node) is ast.Call`): node classes
 have no subclasses, so this is `isinstance` without a call per test.
 
@@ -141,14 +144,16 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     den = math.lcm(*[d for _, d in costs])
     scales = [n * (den // d) for n, d in costs]  # each cost is scale / den
     analyses: list[UnitAnalysis] = []
-    # the span and scope of each type that holds the next one, outermost
-    # first: in pre-order, a type's span lies inside those of its outer types
-    enclosing: list[tuple[Span, _Bindings]] = []
+    # the span, scope and local scopes of each type that holds the next one,
+    # outermost first: in pre-order, a type's span lies inside its outer types';
+    # a local type starts from the scope at its statement
+    enclosing: list[tuple[Span, _Bindings, dict[int, _Bindings]]] = []
     for decl in unit.types:
         while enclosing and not enclosing[-1][0].contains(decl.span):
             enclosing.pop()
-        walker = _TypeWalker(rules.count_lambdas, enclosing[-1][1] if enclosing else {})
-        enclosing.append((decl.span, walker.scope))
+        _, scope, local_scopes = enclosing[-1] if enclosing else (None, {}, {})
+        walker = _TypeWalker(rules.count_lambdas, local_scopes.get(decl.span.byte_start, scope))
+        enclosing.append((decl.span, walker.scope, walker.local_scopes))
         walker.walk(decl)
         found = walker.sites
         for declared, internal_kind, external_kind in walker.declarations:
@@ -203,6 +208,8 @@ class _TypeWalker:
     def __init__(self, count_lambdas: bool, outer_scope: _Bindings):
         self.count_lambdas = count_lambdas
         self.scope = dict(outer_scope)  # the type's, its fields bound by `walk`
+        self.this_scope: _Bindings = {}  # the fields of the type or body walked
+        self.local_scopes: dict[int, _Bindings] = {}  # at each empty statement, by byte
         self.sites: list[tuple[IcpCategory, Span, str]] = []  # (category, span, reason)
         # a declaration's written type, with the kind its internal and its
         # external coupling reason names (None: that coupling is not counted)
@@ -220,15 +227,18 @@ class _TypeWalker:
 
     def _walk_members(self, body: ast.TypeDecl | ast.ClassBody, scope: _Bindings) -> None:
         """The fields and methods of a type, or of an anonymous class or
-        enum constant body, with the fields bound in `scope`."""
-        for f in body.fields:
-            scope[f.name] = f.declared_type
+        enum constant body, with the fields bound in `scope` and named by
+        `this.`."""
+        outer_this = self.this_scope
+        self.this_scope = {f.name: f.declared_type for f in body.fields}
+        scope.update(self.this_scope)
         for f in body.fields:
             self.declarations.append((f.declared_type, "field", "declaration"))
             if f.initializer is not None:
                 self._walk_initializer(f.initializer, scope)
         for m in body.methods:
             self._walk_method(m, scope)
+        self.this_scope = outer_this
 
     def _walk_method(self, m: ast.MethodDecl, outer: _Bindings) -> None:
         scope = dict(outer)
@@ -247,6 +257,8 @@ class _TypeWalker:
         sites = self.sites
         if kind is Block:
             inner = dict(scope)
+            if not stmt.stmts:
+                self.local_scopes[stmt.span.byte_start] = inner
             for s in stmt.stmts:
                 self._walk_stmt(s, inner)
 
@@ -349,7 +361,7 @@ class _TypeWalker:
                 continue
             if key.startswith("this."):
                 key = key[5:]
-                declared = self.scope.get(key)
+                declared = self.this_scope.get(key)
                 if key in region and scope.get(key) is declared:
                     continue  # the bare name is the same field
             else:
@@ -410,6 +422,9 @@ class _TypeWalker:
             # its members are the enclosing unit's code, seeing the scope it opens in
             self._walk_members(expr, dict(scope))
             return
+        elif kind is Switch:  # a switch expression: its arms are statements
+            self._walk_stmt(expr, scope)
+            return
         if expr._child_indices:  # a NameRef, Literal or TypeRef has none
             for child in iter_children(expr):
                 self._walk_expr(child, scope, region)
@@ -430,8 +445,8 @@ def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:
 
 
 def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
-    """Spans of every &&/|| operator reachable without crossing a lambda or
-    a class body, whose guards are their own.
+    """Spans of every &&/|| operator reachable without crossing a lambda, a
+    class body or a switch expression, whose guards are their own.
 
     The lambda boundary applies to condition counting unconditionally; with
     lambda counting on, an `if` inside a lambda body still gets its own guard.
@@ -442,7 +457,7 @@ def _collect_bool_ops(expr: ast.Expr) -> list[Span]:
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Lambda or kind is ClassBody:
+        if kind is Lambda or kind is ClassBody or kind is Switch:
             continue
         if kind is Binary and node.op in ("&&", "||"):
             out.append(node.op_span)

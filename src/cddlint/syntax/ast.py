@@ -163,13 +163,12 @@ class InitializerList(Record):
 
 
 class Opaque(Record):
-    """An expression outside the supported grammar; children keep any counted
-    constructs that could be recovered from inside it visible to the engine."""
+    """The expression of a failed statement, which is not Java: no count."""
 
-    _fields = ("children", "span")
-    _children = ("children",)
+    _fields = ("span",)
 
 
+# a switch expression is a `Switch`, the statement's node, standing as an Expr
 Expr = Union[
     Binary, Unary, Assign, Ternary, Call, NameRef, FieldAccess, IndexAccess,
     Lambda, New, ArrayNew, Cast, Literal, MethodRef, InitializerList, Opaque,
@@ -211,7 +210,7 @@ class CaseLabel(Record):
 
 
 class SwitchCase(Record):
-    _fields = ("labels", "stmts", "span")
+    _fields = ("labels", "stmts", "span")  # a `->` rule's stmts: its one statement
     _children = ("labels", "stmts")
 
 
@@ -257,7 +256,7 @@ class ExprStmt(Record):
 
 
 class Return(Record):
-    _fields = ("expr", "span")  # expr: Expr | None
+    _fields = ("expr", "span")  # expr: Expr | None; a `yield` is a Return too
     _children = ("expr",)
 
 

@@ -11,7 +11,8 @@ unparseable statement becomes an Opaque expression, an unparseable member
 is skipped, both with a recorded Diagnostic; a type header whose keyword,
 name or type parameters cannot be read raises ParseError, and a member or
 top-level one whose clauses cannot is diagnosed `expected '{'` and read on
-from its next `{`. A local type's header fault fails its statement.
+from its next `{`. A local type's header fault fails its statement. A
+diagnostic names a fault: no construct is skipped with one.
 
 Site-level ICPs are recorded as they are read: one ``SiteIcp`` per `@ICP` on
 a field, a method, a parameter or record component, a statement or a local
@@ -33,6 +34,8 @@ initializer block and a record's compact constructor as methods;
 `throws` list, with ``_parse_type``, so no header token is passed unread;
 ``_parse_modifiers`` reads the annotations and modifiers of a type, a member
 and, given ``_VARIABLE_MODIFIERS``, a variable;
+``_parse_switch`` reads a switch statement and a switch expression, each
+case a colon group or a `->` rule;
 ``_parse_par_expr`` reads each `( Expression )` after a keyword; one head
 reader, ``_try_parse_local_head``, reads the modifiers and type of a local
 declaration and of both kinds of `for` header, so a header is read once; one
@@ -43,7 +46,8 @@ read with ``_parse_type``, so a `<…>` that holds anything else fails. A parse
 attempt that is rolled back when it fails (a variable's head, its
 declarators, a cast, an else-link's annotations, a local type's modifiers)
 runs in ``_attempt``, the one undo, and fails only on input that is not
-Java.
+Java, and on a `->` rule's expression that starts as a type would
+(`case 1 -> a < b;`), which is read on as an expression.
 
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists. A skip
@@ -148,6 +152,8 @@ _ASSIGN_OPS = frozenset({
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=",
 })
 _PREFIX_OPS = frozenset({"!", "+", "-", "~", "++", "--"})
+# what may follow a `yield` that names a variable, not a yield statement
+_YIELD_NAME_NEXT = _ASSIGN_OPS | {".", "["}
 # the tokens an operand `_parse_unary` reads, and not `_parse_postfix`, starts with
 _UNARY_STARTS = _PREFIX_OPS | {"("}
 # the words `_parse_primary` reads; `_parse_postfix` reads any other name
@@ -207,6 +213,7 @@ class _Parser:
         # `}` is read
         self.types: list[ast.TypeDecl | str] = []
         self.owner = ""  # name of the type being read
+        self.no_lambda = False  # in a case label, as javac reads one: `->` ends it
 
     # ── token access ────────────────────────────────────────────────────
 
@@ -470,7 +477,7 @@ class _Parser:
             del self.site_icp[recorded:]
             del self.types[types:]
             self.diag(exc.message, exc.span)
-            self._skip_statement(block_ends=True)
+            self._skip_statement()
 
     def _parse_method(
         self,
@@ -504,14 +511,13 @@ class _Parser:
 
     def _parse_element_value(self) -> None:
         """An element value (JLS SE 17 §9.7.1): an annotation, a `{…}` of
-        element values, or an expression with no assignment; read and
-        dropped."""
+        element values, or an expression; read and dropped."""
         if self.texts[self.pos] == "@":
             self._parse_annotations()
         elif self.texts[self.pos] == "{":
             self._parse_list(self._parse_element_value, "}")
         else:
-            self._parse_ternary()
+            self._parse_expr()
 
     def _parse_param(self) -> ast.Param:
         """A parameter or record component; its `@ICP` annotations are its
@@ -541,7 +547,7 @@ class _Parser:
             init = None
             if self.texts[self.pos] == "=":
                 self.pos += 1
-                init = self._parse_initializer_value()
+                init = self._parse_expr()
             names.append((name, init))
             if self.texts[self.pos] != ",":
                 break
@@ -552,14 +558,9 @@ class _Parser:
         self.expect(";")
         return names
 
-    def _parse_initializer_value(self) -> ast.Expr:
-        if self.texts[self.pos] == "{":
-            return self._parse_initializer_list()
-        return self._parse_expr()
-
     def _parse_initializer_list(self) -> ast.Expr:
         start = self.pos
-        items = self._parse_list(self._parse_initializer_value, "}")
+        items = self._parse_list(self._parse_expr, "}")
         return ast.InitializerList((items, self.span_from(start)))
 
     def _parse_list(self, parse_item: Callable[[], Any], close: str = ")",
@@ -736,9 +737,9 @@ class _Parser:
         del self.site_icp[recorded:]
         del self.types[types:]
         self.diag(exc.message, exc.span)
-        self._skip_statement(block_ends=True)
+        self._skip_statement()
         span = self.span_from(start) if self.pos > start else self.tok_span(start)
-        return ast.ExprStmt((ast.Opaque(((), span)), span))
+        return ast.ExprStmt((ast.Opaque((span,)), span))
 
     def _parse_statement(self) -> list[ast.Stmt]:
         """A statement; once it has ended, its `@ICP` annotations and the
@@ -755,16 +756,15 @@ class _Parser:
             stmts = [ast.Block((self._parse_block().stmts, self.span_from(start)))]
         elif parse_compound is not None:
             stmts = [parse_compound(self, start)]
-        elif word == "return":
+        elif word and texts[i + 1] == ":" and word not in ("case", "default"):
+            self.pos += 2  # a label
+            stmts = self._parse_statement()
+        elif word in ("return", "throw") or word == "yield" and self._at_yield(i):
+            # a yield gives its switch expression's value: a Return of it
             self.pos += 1
-            expr = None if texts[self.pos] == ";" else self._parse_expr()
+            expr = None if word == "return" and texts[self.pos] == ";" else self._parse_expr()
             self.expect(";")
-            stmts = [ast.Return((expr, self.span_from(start)))]
-        elif word == "throw":
-            self.pos += 1
-            expr = self._parse_expr()
-            self.expect(";")
-            stmts = [ast.Throw((expr, self.span_from(start)))]
+            stmts = [(ast.Throw if word == "throw" else ast.Return)((expr, self.span_from(start)))]
         elif word in ("break", "continue"):
             self.pos += 1
             if self.kinds[self.pos] == _IDENT:  # label
@@ -772,19 +772,14 @@ class _Parser:
             self.expect(";")
             stmts = [ast.Jump((word, self.span_from(start)))]
         elif word == "synchronized" and texts[i + 1] == "(":
-            self.diag("synchronized statement is analyzed as a plain block", self.tok_span(i))
             self.pos += 1
-            self._parse_par_expr()
-            stmts = [ast.Block((self._parse_block().stmts, self.span_from(start)))]
-        elif word in ("assert", "yield"):
-            self.diag(f"{word} statement is not analyzed", self.tok_span(i))
-            self._skip_statement()
-            span = self.span_from(start)
-            stmts = [ast.ExprStmt((ast.Opaque(((), span)), span))]
-        elif word and texts[i + 1] == ":" and word not in ("case", "default"):
-            self.diag("labeled statement: label ignored", self.tok_span(i))
-            self.pos += 2
-            stmts = self._parse_statement()
+            lock = self._parse_par_expr()
+            stmts = [ast.ExprStmt((lock, lock.span)),
+                     ast.Block((self._parse_block().stmts, self.span_from(start)))]
+        elif word == "assert":  # its expressions are statements, and no branch
+            self.pos += 1
+            stmts = [self._parse_expr_list_stmt(":")]
+            self.expect(";")
         elif word in _LOCAL_TYPE_STARTS and self._parse_local_type(start, uses):
             # the annotations are the type's; an empty statement stands in its place
             return [ast.Block(((), self.span_from(start)))]
@@ -798,6 +793,13 @@ class _Parser:
         if uses or start in self.comments:
             self.record_icp(start, uses, self.comments.get(start, ()))
         return stmts
+
+    def _at_yield(self, i: int) -> bool:
+        """Whether the `yield` at token `i` starts a yield statement (JLS SE 17
+        §14.21): `yield = 2;`, `yield.f();`, `yield[0] = 1;` and `yield++;` do not."""
+        after = self.texts[i + 1]
+        return after not in _YIELD_NAME_NEXT and (
+            after not in ("++", "--") or self.texts[i + 2] != ";")
 
     def _parse_local_type(self, start: int, uses: tuple[ast.AnnotationUse, ...]) -> bool:
         """A local class, interface, enum or record (JLS SE 17 §14.3) at the
@@ -909,17 +911,18 @@ class _Parser:
         return ast.Loop(("for", cond, body, kw, self.span_from(start), tuple(init),
                          tuple(update), None, None))
 
-    def _parse_exprs(self) -> list[ast.Expr]:
-        """Expressions separated by `,`, as a `for` header's init or update."""
+    def _parse_exprs(self, sep: str = ",") -> list[ast.Expr]:
+        """Expressions separated by `sep`: a `for` header's init or update,
+        and with `:`, an `assert`'s."""
         exprs = [self._parse_expr()]
-        while self.texts[self.pos] == ",":
+        while self.texts[self.pos] == sep:
             self.pos += 1
             exprs.append(self._parse_expr())
         return exprs
 
-    def _parse_expr_list_stmt(self) -> ast.Stmt:
+    def _parse_expr_list_stmt(self, sep: str = ",") -> ast.Stmt:
         start = self.pos
-        exprs = self._parse_exprs()
+        exprs = self._parse_exprs(sep)
         span = self.span_from(start)
         if len(exprs) == 1:
             return ast.ExprStmt((exprs[0], span))
@@ -984,22 +987,21 @@ class _Parser:
             case_start = self.pos
             labels: list[ast.CaseLabel] = []
             while self.texts[self.pos] in ("case", "default"):
-                lbl_start = self.pos
-                if self.texts[self.pos] == "default":
-                    self.pos += 1
+                lbl_start = self.advance()
+                if self.texts[lbl_start] == "default":
                     labels.append(ast.CaseLabel((None, self.span_from(lbl_start))))
                 else:
-                    self.pos += 1
-                    expr = self._parse_binary()  # no ternary: ':' ends the label
-                    while self.texts[self.pos] == ",":  # case A, B:
-                        self.pos += 1
-                        labels.append(ast.CaseLabel((expr, self.span_from(lbl_start))))
-                        lbl_start = self.pos
-                        expr = self._parse_binary()
-                    labels.append(ast.CaseLabel((expr, self.span_from(lbl_start))))
-                if self.texts[self.pos] == "->":
-                    self.diag("arrow switch case analyzed as labeled case",
-                              self.tok_span(self.pos))
+                    self.no_lambda = True
+                    try:
+                        while True:  # case A, B:
+                            expr = self._parse_binary()  # no ternary: ':' ends it
+                            labels.append(ast.CaseLabel((expr, self.span_from(lbl_start))))
+                            if self.texts[self.pos] != ",":
+                                break
+                            lbl_start = self.pos = self.pos + 1
+                    finally:
+                        self.no_lambda = False
+                if self.texts[self.pos] == "->":  # a rule: its statement follows
                     self.pos += 1
                     break
                 self.expect(":")
@@ -1076,27 +1078,21 @@ class _Parser:
 
     def _parse_par_expr(self) -> ast.Expr:
         """`( Expression )`: the condition or operand of `if`, `while`, `do`,
-        `switch` and `synchronized`, and a switch expression's operand."""
+        `switch` and `synchronized`."""
         self.expect("(")
         expr = self._parse_expr()
         self.expect(")")
         return expr
 
-    def _parse_ternary(self) -> ast.Expr:
-        start = self.pos
-        cond = self._parse_binary()
-        if self.texts[self.pos] == "?":
-            return self._ternary_rest(start, cond)
-        return cond
-
     def _ternary_rest(self, start: int, cond: ast.Expr) -> ast.Ternary:
         """The ternary whose condition `cond`, from token `start`, has been
-        read: its `?` is at the cursor."""
+        read: its `?` is at the cursor. Its operands are read by
+        `_parse_expr`, so `c ? a = 1 : b` is one (JLS SE 17 §15.25)."""
         q_span = self.tok_span(self.pos)
         self.pos += 1
-        then_expr = self._parse_ternary()
+        then_expr = self._parse_expr()
         self.expect(":")
-        else_expr = self._parse_ternary()
+        else_expr = self._parse_expr()
         return ast.Ternary((cond, then_expr, else_expr, q_span, self.span_from(start)))
 
     def _parse_binary(self, min_prec: int = 1) -> ast.Expr:
@@ -1183,7 +1179,8 @@ class _Parser:
     def _parse_postfix(self) -> ast.Expr:
         kinds, texts, start = self.kinds, self.texts, self.pos
         word = texts[start]
-        if kinds[start] == _IDENT and word not in _PRIMARY_WORDS and texts[start + 1] != "->":
+        if (kinds[start] == _IDENT and word not in _PRIMARY_WORDS
+                and (texts[start + 1] != "->" or self.no_lambda)):
             self.pos = start + 1
             expr = ast.NameRef((word, self.tok_span(start)))
         else:
@@ -1243,23 +1240,14 @@ class _Parser:
             if word == "new":
                 return self._parse_new(start)
             if word == "switch":
-                self.diag("switch expression is not analyzed", self.tok_span(self.pos))
-                self.pos += 1
-                scrutinee = self._parse_par_expr()
-                if self.texts[self.pos] != "{":
-                    raise _Fail("expected '{'", self.tok_span(self.pos))
-                self._skip_balanced()
-                return ast.Opaque(((scrutinee,), self.span_from(start)))
-            # a single-param lambda: `_parse_postfix` reads any other name
-            self.pos = start + 2
-            body = self._parse_lambda_body()
-            return ast.Lambda(((word,), body, self.span_from(start)))
+                return self._parse_switch(start)
+            return self._parse_lambda(start)  # `_parse_postfix` reads any other name
 
         if word == "(":
             # a `(` with no partner reads token 0, never a `->` in a file
             # whose parse reached an expression
-            if self.texts[self.partners[start] + 1] == "->":
-                return self._parse_paren_lambda(start)
+            if self.texts[self.partners[start] + 1] == "->" and not self.no_lambda:
+                return self._parse_lambda(start)
             self.pos += 1
             inner = self._parse_expr()
             self.expect(")")
@@ -1294,10 +1282,14 @@ class _Parser:
             body = self._parse_class_body("class", [])[1]
         return ast.New((ty, args, body, self.span_from(start)))
 
-    def _parse_paren_lambda(self, start: int) -> ast.Expr:
-        params = self._parse_list(self._parse_lambda_param)
+    def _parse_lambda(self, start: int) -> ast.Lambda:
+        """A lambda whose one parameter's name, or whose `(`, is at `start`."""
+        if self.texts[start] == "(":
+            params = self._parse_list(self._parse_lambda_param)
+        else:
+            params = (self.texts[self.advance()],)
         self.expect("->")
-        body = self._parse_lambda_body()
+        body = self._parse_block() if self.texts[self.pos] == "{" else self._parse_expr()
         return ast.Lambda((params, body, self.span_from(start)))
 
     def _parse_lambda_param(self) -> str:
@@ -1307,23 +1299,16 @@ class _Parser:
             return self.texts[self.advance()]
         return self._parse_param().name
 
-    def _parse_lambda_body(self):
-        if self.texts[self.pos] == "{":
-            return self._parse_block()
-        return self._parse_expr()
-
     # ── recovery and skipping ───────────────────────────────────────────
 
-    def _skip_statement(self, block_ends: bool = False) -> None:
-        """Skip through the next `;`, or to the `}` that closes the enclosing
-        block, jumping over each `{…}`; with `block_ends`, a `{…}` ends the
-        skip too (a method body, or a statement's last block)."""
+    def _skip_statement(self) -> None:
+        """Skip through the next `;` or `{…}` (a method body, or a statement's
+        last block), or to the `}` that closes the enclosing block."""
         while self.kinds[self.pos] != _EOF and self.texts[self.pos] != "}":
             if self.texts[self.pos] == "{":
                 self._skip_balanced()
-                if block_ends:
-                    return
-            elif self.texts[self.advance()] == ";":
+                return
+            if self.texts[self.advance()] == ";":
                 return
 
     def _skip_balanced(self) -> None:

@@ -476,22 +476,22 @@ class TestReconcile:
         assert "duplicate @ICP" in err
 
 
-# an assert statement and a switch expression: each parses, scores
-# nothing and carries a parser diagnostic
-UNANALYZED_SOURCE = """\
+# two statements that are not Java: each fails alone, with a parser
+# diagnostic, and the switch expression after them scores 3
+BROKEN_STATEMENTS_SOURCE = """\
 class Probe {
     static int count;
 
     void check() {
-        assert count == 1;
+        int x = ;
     }
 
     int size(int day) {
-        int n = switch (day) {
+        count = day +;
+        return switch (day) {
             case 1 -> 3;
             default -> 0;
         };
-        return n;
     }
 }
 """
@@ -507,20 +507,20 @@ class TestPerFileResult:
     def test_parser_diagnostics_are_shown(self, tmp_path, capsys, monkeypatch,
                                           command, schema):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "Probe.java").write_text(UNANALYZED_SOURCE)
+        (tmp_path / "Probe.java").write_text(BROKEN_STATEMENTS_SOURCE)
         (tmp_path / "Ok.java").write_text("class Ok {}\n")
         code, out, _ = run(capsys, command, ".")
         assert code == 0
         assert out.splitlines()[-3:-1] == [
-            "Probe.java:5: assert statement is not analyzed",
-            "Probe.java:9: switch expression is not analyzed",
+            "Probe.java:5: expected ';'",
+            "Probe.java:9: expected expression",
         ]
         code, out, _ = run(capsys, command, ".", "--format", "json")
         doc = json.loads(out)
         validate(doc, schema)
         assert doc["diagnostics"] == [
-            {"path": "Probe.java", "message": "line 5: assert statement is not analyzed"},
-            {"path": "Probe.java", "message": "line 9: switch expression is not analyzed"},
+            {"path": "Probe.java", "message": "line 5: expected ';'"},
+            {"path": "Probe.java", "message": "line 9: expected expression"},
         ]
         assert doc["summary"]["parse_failures"] == 0
 
@@ -542,15 +542,15 @@ class TestPerFileResult:
         # diagnostics is rewritten; stderr names both, as check's text does
         monkeypatch.chdir(tmp_path)
         (tmp_path / "E.java").write_text("class E {\n")
-        (tmp_path / "Probe.java").write_text("@ICP(5)\n" + UNANALYZED_SOURCE)
+        (tmp_path / "Probe.java").write_text("@ICP(5)\n" + BROKEN_STATEMENTS_SOURCE)
         code, out, err = run(capsys, "reconcile", "--fix", ".")
         assert (code, out) == (0, "fixed Probe.java\n1 files changed\n")
         assert err.splitlines() == [
             "E.java: parse failed: line 2: expected '}'",
-            "Probe.java:6: assert statement is not analyzed",
-            "Probe.java:10: switch expression is not analyzed",
+            "Probe.java:6: expected ';'",
+            "Probe.java:10: expected expression",
         ]
-        assert (tmp_path / "Probe.java").read_text() == "@ICP(0)\n" + UNANALYZED_SOURCE
+        assert (tmp_path / "Probe.java").read_text() == "@ICP(3)\n" + BROKEN_STATEMENTS_SOURCE
         assert (tmp_path / "E.java").read_text() == "class E {\n"
 
     def test_fix_on_a_malformed_icp(self, tmp_path, capsys, monkeypatch):

@@ -281,6 +281,8 @@ USE_POSITIONS = {
     "method-reference-receiver": "new InternalX()::run",
     "initializer-list": "{ new InternalX() }",
     "switch-expression-scrutinee": "switch (new InternalX()) { default -> 0; }",
+    "switch-expression-rule": "switch (x) { case 1 -> new InternalX(); default -> 0; }",
+    "switch-expression-yield": "switch (x) { default: yield new InternalX(); }",
     "anonymous-class-arguments": "new Object(new InternalX()) { }",
     "ternary-condition": "new InternalX().ok() ? 1 : 2",
     "ternary-then": "x ? new InternalX() : null",
@@ -349,6 +351,12 @@ class TestExpressionPositions:
         a = analyze_one(in_method(
             "if (new Object() { boolean t() { return x && x ? x : x; } } != null) {}"))
         assert (a.subtotals[B], a.subtotals[C]) == (2, 3)
+
+    def test_a_guard_counts_no_operator_of_a_switch_arm_in_it(self):
+        # the arm's `if` has its own guard, with its `&&`
+        a = analyze_one(in_method(
+            "if (switch (a) { default -> { if (x && y) yield x; yield y; } }) {}"))
+        assert (a.subtotals[B], a.subtotals[C]) == (4, 3)
 
     def test_field_initializer_ternary_counts(self):
         a = analyze_one("class T { int x = 1 > 0 ? 1 : 2; }")
@@ -505,6 +513,18 @@ class TestScopes:
         assert self.uses(source) == {"A": [source.index("this.x")]}
         source = "class A { String x; void f(InternalRepo x) { this.x.go(); } }"
         assert self.uses(source) == {"A": []}
+
+    def test_this_in_a_class_body_names_the_body_s_field(self):
+        source = ("class A { InternalRepo r; Object o = new Object() {"
+                  " String r; void f() { this.r.go(); } }; }")
+        assert self.uses(source) == {"A": []}
+
+    def test_a_local_type_sees_the_locals_declared_before_it(self):
+        source = "class A { void f(InternalRepo r) { class L { void g() { r.count(); } } } }"
+        assert self.uses(source) == {"A": [], "A$1L": [source.index("r.count")]}
+        source = ("class A { void f() { class L { void g() { r.count(); } }"
+                  " InternalRepo r = null; } }")
+        assert self.uses(source) == {"A": [], "A$1L": []}
 
     def test_this_and_the_bare_name_of_one_field_count_once(self):
         source = "class A { InternalRepo x; void f() { x.go(this.x.size()); } }"

@@ -1,10 +1,11 @@
 """Type headers and class bodies of every kind JLS SE 17 allows: records,
 `@interface`, sealed and `non-sealed` types, `extends`, `implements`,
 `permits` and `throws` lists, initializer blocks, compact constructors, and
-local, anonymous and enum-constant bodies. Each case is scored by hand under
-the oracle manifest's config, and compiled by javac when a JDK 17 or later
-is on PATH, which also checks that the unit names are the names of javac's
-class files. The cases are kept here, not under tests/fixtures, where they
+local, anonymous and enum-constant bodies; and switch expressions, `->`
+rules, `yield`, `assert`, `synchronized` and labels. Each case is scored by
+hand under the oracle manifest's config, and compiled by javac when a JDK 17
+or later is on PATH, which also checks that the unit names are the names of
+javac's class files. The cases are kept here, not under tests/fixtures, where they
 would change the texts `_mutants` draws from and the files the benchmark
 corpus copies."""
 
@@ -186,6 +187,48 @@ record Range(int lo, int hi) {
   }
 }
 """, {"Range": {"branch": 1, "condition": 1}}),
+    # a switch, statement or expression, is a branch and each label one
+    # more: 5 + 3 + 3; the `if` in an arm, the two ternaries and the loop
+    # and `if` are a branch and a condition each; `assert` and
+    # `synchronized` are none, and a label is none; `repo` is a parameter
+    # and its use in an arm
+    "Switch": ("""\
+class Switch {
+  int size(InternalRepo repo, int day, boolean c, boolean t) {
+    int n = switch (day) {
+      case 1 -> repo.count();
+      case 2, 3 -> {
+        if (c) {
+          yield 4;
+        }
+        yield 5;
+      }
+      default -> throw new IllegalArgumentException();
+    };
+    int m = switch (n) {
+      case 0:
+        yield t ? 1 : 2;
+      default:
+        yield n;
+    };
+    switch (m) {
+      case 1 -> n++;
+      default -> m++;
+    }
+    assert c : t ? "a" : "b";
+    synchronized (this) {
+      n += m;
+    }
+    outer:
+    for (int i = 0; i < n; i++) {
+      if (i > m) {
+        break outer;
+      }
+    }
+    return n + m;
+  }
+}
+""", {"Switch": {"branch": 16, "condition": 5, "internal_coupling": 2}}),
 }
 
 # what javac needs besides the cases, `ICP` only once `reconcile --fix` has

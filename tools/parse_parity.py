@@ -1,4 +1,4 @@
-"""Compare two versions of the parser and the engine on the same 4,145 inputs.
+"""Compare two versions of the parser and the engine on the same 4,146 inputs.
 
     python3 tools/parse_parity.py PARENT_SRC CHANGE_SRC
 
@@ -12,9 +12,9 @@ package. The inputs are made once, by this process:
 * `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture files with
   tokens deleted or copied in;
 * `modern`: the hand-scored `TYPE_HEADER_CASES` of
-  `tests/test_type_headers.py` (10): records, `@interface` and sealed types,
-  initializers, compact constructors, and local, anonymous and enum-constant
-  bodies;
+  `tests/test_type_headers.py` (11): records, `@interface` and sealed types,
+  initializers, compact constructors, local, anonymous and enum-constant
+  bodies, and switch expressions, `->` rules and `yield`;
 * `large`: each seed's 700 annotated files joined with LF into one input of
   about 288 KB, in LF, CR LF and lone-CR form.
 
