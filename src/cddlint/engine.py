@@ -44,12 +44,13 @@ Counting rules:
               try resources) of configured library types; `var` and java.lang
               simple names never match
 
-With lambda counting off (the default) nothing inside a lambda body is
-counted, an anonymous class in it included, and the lambda itself costs
-nothing. With it on, a lambda is a
-branch, and its body is walked under a scope that binds its parameters with
-no declared type; an expression body `x -> e` is walked as its own
-statement, just as `x -> { return e; }` is.
+A lambda's body is walked under a scope that binds its parameters with no
+declared type; an expression body `x -> e` is walked as its own statement,
+just as `x -> { return e; }` is. With lambda counting on, a lambda is a
+branch. With it off (the default) nothing inside a lambda body is counted,
+an anonymous class in it included, and the lambda itself costs nothing: the
+walk of its body is kept only for the scope a local type in it starts from,
+so a local type scores the same in both settings.
 
 The walk records and `analyze_unit` judges. `_TypeWalker` reads no rule
 but `count_lambdas`. It records each branch, condition and exception site
@@ -403,14 +404,19 @@ class _TypeWalker:
                 name, span = root
                 region.setdefault(name, (span, None))
         elif kind is Lambda:
-            if not self.count_lambdas:
-                return  # nothing inside a lambda is counted
-            self.sites.append((IcpCategory.BRANCH, expr.span, "lambda expression"))
+            if self.count_lambdas:
+                self.sites.append((IcpCategory.BRANCH, expr.span, "lambda expression"))
+            recorded = len(self.sites), len(self.declarations), len(self.uses)
             lam_scope = {**scope, **dict.fromkeys(expr.params)}
             if type(expr.body) is Block:
                 self._walk_stmt(expr.body, lam_scope)
             else:  # as its own statement, as `{ return body; }` is
                 self._expr_region(expr.body, lam_scope)
+            if not self.count_lambdas:
+                # nothing inside a lambda is counted; the walk keeps only the
+                # scopes its local types start from
+                sites, declarations, uses = recorded
+                del self.sites[sites:], self.declarations[declarations:], self.uses[uses:]
             return
         elif kind is Ternary:
             self.sites.append((IcpCategory.BRANCH, expr.question_span, "ternary operator"))

@@ -6,13 +6,14 @@ extraction. Every type, member and local ones included, is listed once in
 name ``_Parser.owner`` tracks: dotted for a member type (`A.B`), the binary
 name for a local one (`A$1L`, JLS SE 17 §13.1). A type inside an anonymous
 class body is named as if it were declared where the body is (`A.In`,
-`A$1L`), where javac says `A$1$In`. Error tolerance is member-level: an
-unparseable statement becomes an Opaque expression, an unparseable member
-is skipped, both with a recorded Diagnostic; a type header whose keyword,
-name or type parameters cannot be read raises ParseError, and a member or
-top-level one whose clauses cannot is diagnosed `expected '{'` and read on
-from its next `{`. A local type's header fault fails its statement. A
-diagnostic names a fault: no construct is skipped with one.
+`A$1L`), where javac says `A$1$In`. Error tolerance is member-level:
+``_recover`` skips an unparseable statement, an Opaque expression standing
+in its place, or member, a member type whose header cannot be read
+included, with a Diagnostic that names the fault where it is; no construct
+is skipped with one. Only a fault at the top level raises ParseError: a
+type header whose keyword, name or type parameters cannot be read, or a
+missing `}`. A member or top-level type whose clauses cannot be read is
+diagnosed `expected '{'` and read on from its next `{`.
 
 Site-level ICPs are recorded as they are read: one ``SiteIcp`` per `@ICP` on
 a field, a method, a parameter or record component, a statement or a local
@@ -30,24 +31,26 @@ level, among members and, after a statement's modifiers, as a local type;
 ``_parse_class_body`` reads every `{…}` class body: a named type's, an
 anonymous class's and an enum constant's; ``_parse_member`` reads an
 initializer block and a record's compact constructor as methods;
-``_parse_type_list`` reads each `extends`, `implements`, `permits` and
-`throws` list, with ``_parse_type``, so no header token is passed unread;
 ``_parse_modifiers`` reads the annotations and modifiers of a type, a member
-and, given ``_VARIABLE_MODIFIERS``, a variable;
-``_parse_switch`` reads a switch statement and a switch expression, each
-case a colon group or a `->` rule;
-``_parse_par_expr`` reads each `( Expression )` after a keyword; one head
-reader, ``_try_parse_local_head``, reads the modifiers and type of a local
-declaration and of both kinds of `for` header, so a header is read once; one
-list reader, ``_parse_list``, reads every bracketed, separated list;
-``_skip_generics`` reads every `<…>`: type parameters, and the type
-arguments of a type and of a call, none of which is kept; each item is
-read with ``_parse_type``, so a `<…>` that holds anything else fails. A parse
-attempt that is rolled back when it fails (a variable's head, its
-declarators, a cast, an else-link's annotations, a local type's modifiers)
-runs in ``_attempt``, the one undo, and fails only on input that is not
-Java, and on a `->` rule's expression that starts as a type would
-(`case 1 -> a < b;`), which is read on as an expression.
+and, given ``_VARIABLE_MODIFIERS``, a variable; ``_parse_switch`` reads a
+switch statement and a switch expression, each case a colon group or a `->`
+rule, whose body ``_parse_rule_body`` reads as a block, a `throw` or an
+expression; ``_parse_par_expr`` reads each `( Expression )` after a keyword;
+one head reader, ``_try_parse_local_head``, reads the modifiers and type of
+a local declaration and of both kinds of `for` header, so a header is read
+once; ``_parse_list`` reads every bracketed, separated list, and
+``_parse_separated`` every other one: the types of a header clause, a
+`throws`, a multi-catch and an intersection cast, and the expressions of a
+`for` header and an `assert`; ``_skip_generics`` reads every `<…>`: type
+parameters, and the type arguments of a type and of a call, none of which
+is kept; each item is read with ``_parse_type``, so a `<…>` that holds
+anything else fails.
+
+``_attempt``, the one undo, runs a parse only where Java itself is
+ambiguous: a local variable's head (`List<T> x` against `a < b`) and a cast
+(`(T) x` against `(a) - b`). Such an attempt fails only on input that is
+not Java. A declaration commits once its head and name are read, so a
+fault in a declarator fails the statement where the fault is.
 
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists. A skip
@@ -266,14 +269,14 @@ class _Parser:
     def diag(self, message: str, span: Span) -> None:
         self.diagnostics.append(ast.Diagnostic((message, span)))
 
-    def _attempt(self, parse: Callable[..., Any], *args: Any) -> Any:
-        """`parse(*args)`, which is never None; None if it fails, with the
-        cursor back and the diagnostics, site-level @ICP and types it
-        recorded dropped."""
+    def _attempt(self, parse: Callable[[], Any]) -> Any:
+        """`parse()`, which is never None; None if it fails, with the cursor
+        back and the diagnostics, site-level @ICP and types it recorded
+        dropped."""
         start, diagnostics = self.pos, len(self.diagnostics)
         recorded, types = len(self.site_icp), len(self.types)
         try:
-            return parse(*args)
+            return parse()
         except _Fail:
             self.pos = start
             del self.diagnostics[diagnostics:]
@@ -292,19 +295,16 @@ class _Parser:
             if self.texts[self.pos] == ";":
                 self.pos += 1
                 continue
-            self._parse_type_decl_hard()
+            try:
+                self._parse_type_decl()
+            except _Fail as exc:
+                # a fault at the top level fails the file, so no type's
+                # place is left empty in a unit that parses
+                self.diag(exc.message, exc.span)
+                raise ParseError(self.diagnostics) from exc
         return ast.SourceUnit((
             self.path, tuple(self.types), tuple(self.diagnostics), tuple(self.site_icp),
         ))
-
-    def _parse_type_decl_hard(self, start=None, annotations=None, header_tok=None) -> None:
-        # a broken type header, top-level or nested, is a hard error, so no
-        # type's place is left empty in a unit that parses
-        try:
-            self._parse_type_decl(start, annotations, header_tok)
-        except _Fail as exc:
-            self.diag(exc.message, exc.span)
-            raise ParseError(self.diagnostics) from exc
 
     def _parse_type_decl(
         self,
@@ -318,9 +318,10 @@ class _Parser:
         `_parse_local_type` read. It owns what is read from its name on, and
         its place in `types`, taken then, holds its name until its closing
         `}`, so it comes before the types declared in it. A record's
-        components are its fields (JLS SE 17 §8.10.3). A fault in a local
-        type's header fails its statement; any other type's header is read
-        on from its next `{`."""
+        components are its fields (JLS SE 17 §8.10.3). A fault in its
+        keyword, name or type parameters raises `_Fail`, as does one in a
+        local type's clauses; any other type's clauses are read on from its
+        next `{`."""
         if start is None:
             start = self.pos
             annotations, header_tok = self._parse_modifiers()
@@ -331,6 +332,8 @@ class _Parser:
         if kind == "@":
             kind += self.texts[self.advance()]
         name = self.texts[self.expect_ident("type name")]
+        if name in _RESERVED:  # JLS SE 17 §3.9
+            raise _Fail("expected type name", self.tok_span(self.pos - 1))
         outer = self.owner
         if local:
             # the binary name (JLS SE 17 §13.1): the lowest number that no
@@ -354,7 +357,7 @@ class _Parser:
                                for p in self._parse_list(self._parse_param)]
                 while self.texts[self.pos] in _HEADER_CLAUSES:
                     self.pos += 1
-                    self._parse_type_list()
+                    self._parse_separated(self._parse_type)
                 if self.texts[self.pos] != "{":
                     raise _Fail("expected '{'", self.tok_span(self.pos))
             except _Fail as exc:
@@ -431,8 +434,8 @@ class _Parser:
         """A member of a body of `kind`: a member type, a field, a method, a
         constructor, or as a method, an initializer block (JLS SE 17 §8.6,
         §8.7) and, in a record, a compact constructor (§8.10.4). A member
-        that fails is skipped, and the sites and types it recorded are
-        dropped; its diagnostics stay."""
+        that fails, a member type whose header cannot be read included, is
+        skipped by `_recover`."""
         if self.texts[self.pos] == ";":
             self.pos += 1
             return
@@ -440,7 +443,7 @@ class _Parser:
         try:
             annotations, header_tok = self._parse_modifiers()
             if self._at_type_decl():
-                self._parse_type_decl_hard(start, annotations, header_tok)
+                self._parse_type_decl(start, annotations, header_tok)
                 return
             if self.texts[self.pos] == "{":
                 name = "<clinit>" if "static" in self.texts[start:self.pos] else "<init>"
@@ -474,10 +477,7 @@ class _Parser:
             if annotations:
                 self.record_icp(start, annotations)
         except _Fail as exc:
-            del self.site_icp[recorded:]
-            del self.types[types:]
-            self.diag(exc.message, exc.span)
-            self._skip_statement()
+            self._recover(exc, start, recorded, types)
 
     def _parse_method(
         self,
@@ -496,7 +496,7 @@ class _Parser:
             params = self._parse_list(self._parse_param)
         if self.texts[self.pos] == "throws":
             self.pos += 1
-            self._parse_type_list()
+            self._parse_separated(self._parse_type)
         body: Optional[ast.Block] = None
         if self.texts[self.pos] == "{":
             body = self._parse_block()
@@ -582,6 +582,17 @@ class _Parser:
         self.expect(close)
         return tuple(items)
 
+    def _parse_separated(self, parse_item: Callable[[], Any], sep: str = ",") -> list:
+        """Items read by `parse_item`, with a `sep` between each two and no
+        brackets: a header clause's or a `throws` list's types, a catch
+        clause's and a cast's, and the expressions of a `for` header's init
+        or update and of an `assert`."""
+        items = [parse_item()]
+        while self.texts[self.pos] == sep:
+            self.pos += 1
+            items.append(parse_item())
+        return items
+
     # ── annotations and types ───────────────────────────────────────────
 
     def _parse_annotations(self) -> tuple[ast.AnnotationUse, ...]:
@@ -627,8 +638,11 @@ class _Parser:
                 and ends[i] == starts[i + 1] and ends[i + 1] == starts[i + 2])
 
     def _parse_type(self) -> ast.TypeRef:
-        """A type: its names joined by dots, each name's type arguments
-        skipped (`Map<K, V>.Entry<K, V>` is `Map.Entry`, JLS SE 17 §4.3)."""
+        """A type after any type-use annotations (JLS SE 17 §4.11), which
+        its span leaves out: its names joined by dots, each name's type
+        arguments skipped (`Map<K, V>.Entry<K, V>` is `Map.Entry`, §4.3)."""
+        if self.texts[self.pos] == "@":
+            self._parse_annotations()
         kinds, texts, start = self.kinds, self.texts, self.pos
         name = texts[start]
         if kinds[start] != _IDENT or name in _NON_TYPE_WORDS:
@@ -652,18 +666,6 @@ class _Parser:
         if texts[self.pos] in _ARRAY_SUFFIX_STARTS:
             self._skip_array_suffix()
         return ast.TypeRef((name, self.span_from(start)))
-
-    def _parse_type_list(self) -> None:
-        """The types of an `extends`, `implements`, `permits` or `throws`
-        clause, each after any type-use annotations (JLS SE 17 §4.11); read
-        and dropped, as no site is counted from them."""
-        while True:
-            if self.texts[self.pos] == "@":
-                self._parse_annotations()
-            self._parse_type()
-            if self.texts[self.pos] != ",":
-                return
-            self.pos += 1
 
     def _at_annotated(self, text: str) -> bool:
         """Whether `text` follows the type-use annotations, if any, at the
@@ -722,24 +724,14 @@ class _Parser:
         self.expect("}")
         return ast.Block((tuple(stmts), self.span_from(start)))
 
-    def _parse_statement_recovering(self) -> list[ast.Stmt]:
+    def _parse_statement_recovering(self, parse: Optional[Callable] = None) -> list[ast.Stmt]:
+        """A statement read by `parse`, `_parse_statement` if none, or the
+        Opaque statement that stands in its place if it fails."""
         start, recorded, types = self.pos, len(self.site_icp), len(self.types)
         try:
-            return self._parse_statement()
+            return (parse or self._parse_statement)()
         except _Fail as exc:
-            return [self._failed_statement(exc, start, recorded, types)]
-
-    def _failed_statement(self, exc: _Fail, start: int, recorded: int,
-                          types: int) -> ast.Stmt:
-        """Record the failure, drop the sites and types recorded since the
-        statement began, skip the rest of the statement and stand an Opaque
-        statement in its place."""
-        del self.site_icp[recorded:]
-        del self.types[types:]
-        self.diag(exc.message, exc.span)
-        self._skip_statement()
-        span = self.span_from(start) if self.pos > start else self.tok_span(start)
-        return ast.ExprStmt((ast.Opaque((span,)), span))
+            return [self._recover(exc, start, recorded, types)]
 
     def _parse_statement(self) -> list[ast.Stmt]:
         """A statement; once it has ended, its `@ICP` annotations and the
@@ -785,14 +777,28 @@ class _Parser:
             return [ast.Block(((), self.span_from(start)))]
         else:
             head = self._try_parse_local_head(_DECLARATOR_NEXT)
-            stmts = None if head is None else self._try_parse_local_decl(start, head)
-            if stmts is None:
+            if head is None:
                 expr = self._parse_expr()
                 self.expect(";")
                 stmts = [ast.ExprStmt((expr, self.span_from(start)))]
+            else:
+                stmts = self._parse_local_decl(start, head)
         if uses or start in self.comments:
             self.record_icp(start, uses, self.comments.get(start, ()))
         return stmts
+
+    def _parse_rule_body(self) -> list[ast.Stmt]:
+        """A `->` rule's body (JLS SE 17 §14.11.1): a block, a `throw` or an
+        expression statement, never a declaration; a marker comment before
+        it is its site, as before a statement."""
+        start = self.pos
+        if self.texts[start] in ("{", "throw"):
+            return self._parse_statement()
+        expr = self._parse_expr()
+        self.expect(";")
+        if start in self.comments:
+            self.record_icp(start, (), self.comments[start])
+        return [ast.ExprStmt((expr, self.span_from(start)))]
 
     def _at_yield(self, i: int) -> bool:
         """Whether the `yield` at token `i` starts a yield statement (JLS SE 17
@@ -806,11 +812,10 @@ class _Parser:
         cursor, whose statement starts at token `start` with the annotations
         `uses`; False, with nothing consumed, if none starts here."""
         i = self.pos
-        head = self._attempt(self._parse_modifiers)
-        if head is None or not self._at_type_decl():
+        annotations, header_tok = self._parse_modifiers()
+        if not self._at_type_decl():
             self.pos = i
             return False
-        annotations, header_tok = head
         self._parse_type_decl(start, uses + annotations, header_tok, local=True)
         return True
 
@@ -831,7 +836,7 @@ class _Parser:
                 if not links:
                     raise
                 # a broken link is the failed statement of the else before it
-                else_branch = self._failed_statement(exc, start, recorded, types)
+                else_branch = self._recover(exc, start, recorded, types)
                 break
             then = self._parse_substatement()
             else_kw = self.tok_span(self.advance()) if self.texts[self.pos] == "else" else None
@@ -839,8 +844,8 @@ class _Parser:
             if else_kw is None:
                 break
             start = self.pos
-            uses = self._attempt(self._parse_annotations) if self.texts[start] == "@" else ()
-            if uses is None or self.texts[self.pos] != "if":
+            uses = self._parse_annotations() if self.texts[start] == "@" else ()
+            if self.texts[self.pos] != "if":
                 self.pos = start  # not a link: the else branch is parsed whole
                 else_branch = self._parse_substatement()
                 break
@@ -893,9 +898,8 @@ class _Parser:
                              iterable))
 
         init: list[ast.Stmt] = []
-        decls = None if head is None else self._try_parse_local_decl(head[0], head)
-        if decls is not None:
-            init.extend(decls)
+        if head is not None:
+            init.extend(self._parse_local_decl(head[0], head))
         elif self.texts[self.pos] == ";":
             self.pos += 1
         else:
@@ -905,24 +909,15 @@ class _Parser:
         if self.texts[self.pos] != ";":
             cond = self._parse_expr()
         self.expect(";")
-        update = self._parse_exprs() if self.texts[self.pos] != ")" else ()
+        update = self._parse_separated(self._parse_expr) if self.texts[self.pos] != ")" else ()
         self.expect(")")
         body = self._parse_substatement()
         return ast.Loop(("for", cond, body, kw, self.span_from(start), tuple(init),
                          tuple(update), None, None))
 
-    def _parse_exprs(self, sep: str = ",") -> list[ast.Expr]:
-        """Expressions separated by `sep`: a `for` header's init or update,
-        and with `:`, an `assert`'s."""
-        exprs = [self._parse_expr()]
-        while self.texts[self.pos] == sep:
-            self.pos += 1
-            exprs.append(self._parse_expr())
-        return exprs
-
     def _parse_expr_list_stmt(self, sep: str = ",") -> ast.Stmt:
         start = self.pos
-        exprs = self._parse_exprs(sep)
+        exprs = self._parse_separated(self._parse_expr, sep)
         span = self.span_from(start)
         if len(exprs) == 1:
             return ast.ExprStmt((exprs[0], span))
@@ -962,17 +957,13 @@ class _Parser:
             return uses, None
         return uses, self._parse_type()
 
-    def _try_parse_local_decl(self, start: int, head: _Head) -> Optional[list[ast.Stmt]]:
+    def _parse_local_decl(self, start: int, head: _Head) -> list[ast.Stmt]:
         """The declarators of a local declaration whose first token is
-        `start` and whose head has been read, through the `;`; None, with
-        the cursor back at the head and nothing recorded, if they fail, and
-        the statement is then read as expressions."""
-        head_start, uses, declared = head
-        name = self.texts[self.advance()]
-        names = self._attempt(self._parse_declarators, name, "variable name")
-        if names is None:
-            self.pos = head_start
-            return None
+        `start` and whose head has been read, through the `;`. The head and
+        the name after it commit the statement to a declaration, so a fault
+        in a declarator fails it where the fault is."""
+        _, uses, declared = head
+        names = self._parse_declarators(self.texts[self.advance()], "variable name")
         if uses:
             self.record_icp(start, uses)
         span = self.span_from(start)
@@ -1001,13 +992,15 @@ class _Parser:
                             lbl_start = self.pos = self.pos + 1
                     finally:
                         self.no_lambda = False
-                if self.texts[self.pos] == "->":  # a rule: its statement follows
-                    self.pos += 1
+                if self.texts[self.pos] == "->":  # a rule: its body follows
                     break
                 self.expect(":")
             if not labels:
                 raise _Fail("expected 'case' or 'default'", self.tok_span(self.pos))
             stmts: list[ast.Stmt] = []
+            if self.texts[self.pos] == "->":
+                self.pos += 1
+                stmts = self._parse_statement_recovering(self._parse_rule_body)
             while (self.texts[self.pos] not in ("}", "case", "default")
                    and self.kinds[self.pos] != _EOF):
                 stmts.extend(self._parse_statement_recovering())
@@ -1028,10 +1021,7 @@ class _Parser:
             c_kw = self.tok_span(self.advance())
             self.expect("(")
             self._parse_modifiers(_VARIABLE_MODIFIERS)
-            types = [self._parse_type()]
-            while self.texts[self.pos] == "|":  # multi-catch: one clause
-                self.pos += 1
-                types.append(self._parse_type())
+            types = self._parse_separated(self._parse_type, "|")  # multi-catch: one clause
             pname = self.texts[self.expect_ident("catch parameter")]
             self.expect(")")
             c_body = self._parse_block()
@@ -1166,12 +1156,7 @@ class _Parser:
 
     def _parse_cast(self) -> ast.Cast:
         start = self.advance()
-        if self.texts[self.pos] == "@":
-            self._parse_annotations()  # `(@A T) x`, JLS SE 17 §4.11
-        ty = self._parse_type()
-        while self.texts[self.pos] == "&":  # `(A & B) x`, JLS SE 17 §15.16
-            self.pos += 1
-            self._parse_type()
+        ty = self._parse_separated(self._parse_type, "&")[0]  # `(A & B) x`, JLS SE 17 §15.16
         self.expect(")")
         inner = self._parse_unary()
         return ast.Cast((ty, inner, self.span_from(start)))
@@ -1260,7 +1245,6 @@ class _Parser:
 
     def _parse_new(self, start: int) -> ast.Expr:
         self.expect("new")
-        self._parse_annotations()  # type-use annotations, read and dropped
         ty = self._parse_type()
         # `new T[n]`, or `new T[] {...}`, whose `[]` the type has taken
         if self.texts[self.pos] == "[" or self.texts[self.pos - 1] == "]":
@@ -1300,6 +1284,19 @@ class _Parser:
         return self._parse_param().name
 
     # ── recovery and skipping ───────────────────────────────────────────
+
+    def _recover(self, exc: _Fail, start: int, recorded: int, types: int) -> ast.Stmt:
+        """Recover from the failure of the statement or member from token
+        `start`: diagnose its fault `exc`, drop the sites and types recorded
+        since it began, when there were `recorded` and `types`, and skip the
+        rest of it. The Opaque statement returned stands in a statement's
+        place; a member has none."""
+        self.diag(exc.message, exc.span)
+        del self.site_icp[recorded:]
+        del self.types[types:]
+        self._skip_statement()
+        span = self.span_from(start) if self.pos > start else self.tok_span(start)
+        return ast.ExprStmt((ast.Opaque((span,)), span))
 
     def _skip_statement(self) -> None:
         """Skip through the next `;` or `{…}` (a method body, or a statement's

@@ -142,12 +142,12 @@ SITE_CASES = {
         "class A { void f() { @ICP(3) class L { @ICP(1) int n; } @ICP(2) int m = 0; } }",
         [("A$1L", "@ICP(1) int n;", 1), ("A", "@ICP(2) int m = 0;", 2)]),
     # a parse that is thrown away drops what it recorded
-    "local-initializer-that-fails-then-fails-as-an-expression": (
+    "local-initializer-that-fails-at-a-declarator": (
         f"class A {{ void f() {{ Runnable r = () -> {MARKED_BODY} oops; }} }}",
         []),
-    "for-init-that-fails-as-a-declaration-and-parses-as-expressions": (
+    "for-init-that-fails-at-a-declarator": (
         f"class A {{ void f() {{ for (a < b > c = () -> {MARKED_BODY}, 5;;) {{}} }} }}",
-        [("A", "g();", 1)]),
+        []),
     "cast-that-fails-and-parses-as-a-call": (
         f"class A {{ void f() {{ (a)(() -> {MARKED_BODY}, b); }} }}",
         [("A", "g();", 1)]),

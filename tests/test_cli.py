@@ -512,14 +512,14 @@ class TestPerFileResult:
         code, out, _ = run(capsys, command, ".")
         assert code == 0
         assert out.splitlines()[-3:-1] == [
-            "Probe.java:5: expected ';'",
+            "Probe.java:5: expected expression",
             "Probe.java:9: expected expression",
         ]
         code, out, _ = run(capsys, command, ".", "--format", "json")
         doc = json.loads(out)
         validate(doc, schema)
         assert doc["diagnostics"] == [
-            {"path": "Probe.java", "message": "line 5: expected ';'"},
+            {"path": "Probe.java", "message": "line 5: expected expression"},
             {"path": "Probe.java", "message": "line 9: expected expression"},
         ]
         assert doc["summary"]["parse_failures"] == 0
@@ -547,7 +547,7 @@ class TestPerFileResult:
         assert (code, out) == (0, "fixed Probe.java\n1 files changed\n")
         assert err.splitlines() == [
             "E.java: parse failed: line 2: expected '}'",
-            "Probe.java:6: expected ';'",
+            "Probe.java:6: expected expression",
             "Probe.java:10: expected expression",
         ]
         assert (tmp_path / "Probe.java").read_text() == "@ICP(3)\n" + BROKEN_STATEMENTS_SOURCE

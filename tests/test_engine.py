@@ -526,6 +526,16 @@ class TestScopes:
                   " InternalRepo r = null; } }")
         assert self.uses(source) == {"A": [], "A$1L": []}
 
+    def test_a_local_type_in_a_lambda_sees_its_statement_s_scope(self):
+        # whether or not lambdas are counted; only the enclosing unit's
+        # total depends on it, by the lambda's own branch
+        unit = parse_unit(b"class A { void f(InternalRepo r) { Runnable q = () -> {"
+                          b" class L { void g() { r.count(); } } }; } }")
+        for lambdas in (False, True):
+            rules = self.RULES._replace(count_lambdas=lambdas)
+            assert {a.type_name: a.total for a in analyze_unit(unit, rules)} == {
+                "A": 1 + lambdas, "A$1L": 1}
+
     def test_this_and_the_bare_name_of_one_field_count_once(self):
         source = "class A { InternalRepo x; void f() { x.go(this.x.size()); } }"
         assert self.uses(source) == {"A": [source.index("x.go")]}

@@ -334,6 +334,19 @@ class TestHeaderReader:
         [analysis] = analyze_unit(unit, default_rules())
         assert analysis.total == 2
 
+    def test_a_member_type_whose_header_fails_fails_only_its_member(self):
+        # a reserved word (JLS SE 17 §3.9) names no type; a top-level type's
+        # header fault fails the file
+        source = b"class A { static class if Helper {} void f(boolean b) { if (b) g(); } }"
+        unit = parse_unit(source)
+        assert [(d.message, d.span.byte_start) for d in unit.diagnostics] == [
+            ("expected type name", source.index(b"if"))]
+        assert [t.name for t in unit.types] == ["A"]
+        assert [m.name for m in unit.types[0].methods] == ["f"]
+        with pytest.raises(ParseError) as exc:
+            parse_unit(b"class if {}")
+        assert str(exc.value) == "expected type name"
+
     def test_a_default_value_is_read_only_in_an_annotation_type(self):
         source = b"interface I { int size() default 1; }"
         unit = parse_unit(source)
