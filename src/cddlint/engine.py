@@ -138,8 +138,8 @@ class Verdict(Record):
 def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     """Analyze every type declaration of a unit, top-level, member and
     local: walk each, then apply the rules to what the walk recorded."""
-    internal = type_matcher(rules.internal_types).matches
-    external = type_matcher(rules.external_types, exclude_java_lang=True).matches
+    internal = type_matcher(rules.internal_types)
+    external = type_matcher(rules.external_types, exclude_java_lang=True)
     enabled_costs = {cat: rule.cost for cat, rule in rules.categories.items() if rule.enabled}
     costs = [rules.categories[cat].cost.as_integer_ratio() for cat in _CATEGORIES]
     den = math.lcm(*[d for _, d in costs])

@@ -1,5 +1,9 @@
 """Rule configuration: ICP categories, costs, type patterns, limits.
 
+Every pattern list (the include, exclude and test globs, the internal and
+external types, each limit override's pattern) is matched through
+`glob_set`, one regex per tuple of globs, compiled once.
+
 The config document is JSON (conventionally `cdd.json`). Full-line `//`
 comments are tolerated so generated configs can carry explanations. Unknown
 keys are rejected to catch typos.
@@ -16,8 +20,8 @@ import enum
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
-from typing import Any
+from functools import cache
+from typing import Any, Callable
 
 from .records import Record
 from .syntax.parser import PRIMITIVES
@@ -94,9 +98,17 @@ class ConfigError(Exception):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-@lru_cache(maxsize=1024)
-def glob_to_regex(pattern: str) -> re.Pattern:
-    """Translate a path glob (`*` within a segment, `**` across segments)."""
+@cache
+def glob_set(patterns: tuple[str, ...]) -> re.Pattern:
+    """One regex that matches a path or a name when any of the globs does:
+    `*` matches within a `/`-separated segment, `**` across segments and
+    `?` one character but `/`. Read with `match`, so `$` also takes a name that
+    ends in an LF; no name matches an empty tuple."""
+    return re.compile("^(?:" + "|".join(map(_translate_glob, patterns)) + ")$"
+                      if patterns else "(?!)")
+
+
+def _translate_glob(pattern: str) -> str:
     parts = pattern.split("/")
     out: list[str] = []
     for i, part in enumerate(parts):
@@ -115,15 +127,7 @@ def glob_to_regex(pattern: str) -> re.Pattern:
         out.append("".join(seg))
         if not last:
             out.append("/")
-    return re.compile("^" + "".join(out) + "$")
-
-
-def glob_match(pattern: str, path: str) -> bool:
-    return glob_to_regex(pattern).match(path) is not None
-
-
-def any_glob_match(patterns: tuple[str, ...], path: str) -> bool:
-    return any(glob_match(p, path) for p in patterns)
+    return "".join(out)
 
 
 class CategoryRule(Record):
@@ -136,53 +140,32 @@ class LimitOverride(Record):
         "limit",  # Fraction
     )
 
-    def matches(self, path: str, type_name: str) -> bool:
-        return glob_match(self.pattern, path) or glob_match(self.pattern, type_name)
 
+@cache
+def type_matcher(patterns: tuple[str, ...],
+                 exclude_java_lang: bool = False) -> Callable[[str], bool]:
+    """The one predicate for these patterns, which keeps each name's answer:
+    rule sets with equal patterns share it, and a rule set made by
+    `_replace` with new patterns gets its own.
 
-class TypeMatcher:
-    """Matches a type's qualified name against configured glob patterns.
+    A pattern matches a type's qualified name or its simple (last-segment)
+    name, so `CertificateRepository` matches both the bare and the
+    package-qualified spelling; a pattern with a dot matches no simple name."""
+    match = glob_set(patterns).match
 
-    Patterns without a dot also match the simple (last-segment) name, so
-    `CertificateRepository` matches both the bare and the package-qualified
-    spelling. Each name's answer is kept, so a matcher from `type_matcher`
-    answers each distinct name once for as long as it lives.
-    """
-
-    def __init__(self, patterns: tuple[str, ...], exclude_java_lang: bool = False):
-        self.patterns = patterns
-        self._exclude_java_lang = exclude_java_lang
-        self._answers: dict[str, bool] = {}
-
-    def matches(self, qualified_name: str) -> bool:
-        answer = self._answers.get(qualified_name)
-        if answer is None:
-            answer = self._answers[qualified_name] = self._match(qualified_name)
-        return answer
-
-    def _match(self, qualified_name: str) -> bool:
+    @cache
+    def matches(qualified_name: str) -> bool:
         simple = qualified_name.rpartition(".")[2]
-        if self._exclude_java_lang:
+        if exclude_java_lang:
             if simple in PRIMITIVES:
                 return False
             if qualified_name == simple and simple in JAVA_LANG_SIMPLE_NAMES:
                 return False
             if qualified_name.startswith("java.lang."):
                 return False
-        for pattern in self.patterns:
-            if glob_match(pattern, qualified_name):
-                return True
-            if "." not in pattern and glob_match(pattern, simple):
-                return True
-        return False
+        return match(qualified_name) is not None or match(simple) is not None
 
-
-@lru_cache(maxsize=32)
-def type_matcher(patterns: tuple[str, ...], exclude_java_lang: bool = False) -> TypeMatcher:
-    """The one matcher for these patterns: rule sets with equal patterns
-    share it and its answers, and a rule set made by `_replace` with new
-    patterns gets its own."""
-    return TypeMatcher(patterns, exclude_java_lang)
+    return matches
 
 
 class RuleSet(Record):
@@ -198,17 +181,18 @@ class RuleSet(Record):
 
     def limit_for(self, path: str, type_name: str) -> Fraction:
         for override in self.limit_overrides:  # ordered, first match wins
-            if override.matches(path, type_name):
+            match = glob_set((override.pattern,)).match
+            if match(path) or match(type_name):
                 return override.limit
         return self.default_limit
 
     def is_test_path(self, path: str) -> bool:
-        return any_glob_match(self.test_globs, path)
+        return glob_set(self.test_globs).match(path) is not None
 
     def is_wanted_path(self, path: str) -> bool:
         """Included by a glob and excluded by none."""
-        return (any_glob_match(self.include_globs, path)
-                and not any_glob_match(self.exclude_globs, path))
+        return (glob_set(self.include_globs).match(path) is not None
+                and glob_set(self.exclude_globs).match(path) is None)
 
     def to_config_mapping(self) -> dict:
         return {

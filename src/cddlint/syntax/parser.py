@@ -35,10 +35,12 @@ initializer block and a record's compact constructor as methods;
 and, given ``_VARIABLE_MODIFIERS``, a variable; ``_parse_switch`` reads a
 switch statement and a switch expression, each case a colon group or a `->`
 rule, whose body ``_parse_rule_body`` reads as a block, a `throw` or an
-expression; ``_parse_par_expr`` reads each `( Expression )` after a keyword;
-one head reader, ``_try_parse_local_head``, reads the modifiers and type of
-a local declaration and of both kinds of `for` header, so a header is read
-once; ``_parse_list`` reads every bracketed, separated list, and
+expression (a statement after that body, and a switch that mixes rules with
+groups, get javac's diagnostic and are read on); ``_parse_par_expr`` reads
+each `( Expression )` after a keyword; one head reader,
+``_try_parse_local_head``, reads the modifiers and type of a local
+declaration and of both kinds of `for` header, so a header is read once;
+``_parse_list`` reads every bracketed, separated list, and
 ``_parse_separated`` every other one: the types of a header clause, a
 `throws`, a multi-catch and an intersection cast, and the expressions of a
 `for` header and an `assert`; ``_skip_generics`` reads every `<…>`: type
@@ -974,11 +976,13 @@ class _Parser:
         scrutinee = self._parse_par_expr()
         self.expect("{")
         cases: list[ast.SwitchCase] = []
+        rules: Optional[bool] = None  # whether the first label starts a rule
+        mixed = False
         while self.texts[self.pos] != "}" and self.kinds[self.pos] != _EOF:
             case_start = self.pos
             labels: list[ast.CaseLabel] = []
             while self.texts[self.pos] in ("case", "default"):
-                lbl_start = self.advance()
+                kw_pos = lbl_start = self.advance()
                 if self.texts[lbl_start] == "default":
                     labels.append(ast.CaseLabel((None, self.span_from(lbl_start))))
                 else:
@@ -992,17 +996,27 @@ class _Parser:
                             lbl_start = self.pos = self.pos + 1
                     finally:
                         self.no_lambda = False
-                if self.texts[self.pos] == "->":  # a rule: its body follows
+                rule = self.texts[self.pos] == "->"
+                if rules is None:
+                    rules = rule
+                elif rule != rules and not mixed:  # javac names the first label only
+                    mixed = True
+                    self.diag("different case kinds used in the switch", self.tok_span(kw_pos))
+                if rule:  # its body follows
                     break
                 self.expect(":")
             if not labels:
                 raise _Fail("expected 'case' or 'default'", self.tok_span(self.pos))
             stmts: list[ast.Stmt] = []
+            rule_end = -1
             if self.texts[self.pos] == "->":
                 self.pos += 1
                 stmts = self._parse_statement_recovering(self._parse_rule_body)
+                rule_end = self.pos
             while (self.texts[self.pos] not in ("}", "case", "default")
                    and self.kinds[self.pos] != _EOF):
+                if self.pos == rule_end:  # a rule is its body alone; read on
+                    self.diag("case, default, or '}' expected", self.tok_span(self.pos))
                 stmts.extend(self._parse_statement_recovering())
             cases.append(ast.SwitchCase((tuple(labels), tuple(stmts),
                                          self.span_from(case_start))))

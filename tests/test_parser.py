@@ -637,6 +637,25 @@ class TestErrorTolerance:
         assert [m.name for m in unit.types[0].methods] == ["f", "h"]
         assert unit.diagnostics[-1] == ast.Diagnostic(("expected '{'", ast.Span((39, 40, 1, 1))))
 
+    @pytest.mark.parametrize("switch,message,fault,case_sizes", [
+        (b"case 1 -> a(); b(); default -> c();", "case, default, or '}' expected", b"b();", [2, 1]),
+        (b"case 1 -> a(); case 2: b();", "different case kinds used in the switch",
+         b"case 2", [1, 1]),
+    ], ids=["a-statement-after-a-rule-body", "rules-mixed-with-groups"])
+    def test_a_switch_javac_rejects_is_diagnosed_and_read_on(self, switch, message, fault,
+                                                             case_sizes):
+        # javac 17's message, at the token it names; the statements still
+        # count, and the switch's `}` still closes it
+        src = b"class A { void f(int x) { switch (x) { " + switch + b" } if (x > 0) g(); } }"
+        unit = parse_unit(src)
+        assert [(d.message, d.span.byte_start) for d in unit.diagnostics] == [
+            (message, src.index(fault))]
+        stmts = unit.types[0].methods[0].body.stmts
+        assert [len(case.stmts) for case in stmts[0].cases] == case_sizes
+        assert isinstance(stmts[1], ast.If)
+        [analysis] = analyze_unit(unit, default_rules())
+        assert analysis.total == 5  # the switch, its two labels, the `if` and its guard
+
     def test_broken_class_header_is_hard_error(self):
         with pytest.raises(ParseError):
             parse_unit(b"klass A {}")

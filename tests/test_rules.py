@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cddlint.rules import (
     DEFAULT_CONFIG_DOCUMENT,
     ConfigError,
     IcpCategory,
-    TypeMatcher,
     default_rules,
-    glob_match,
+    glob_set,
     load_rules,
     type_matcher,
 )
@@ -113,6 +114,37 @@ class TestValidation:
             load_rules('{"limit_overrides": [{"limit": 20}]}')
 
 
+def _one_glob(pattern: str) -> re.Pattern:
+    """The reference: one glob alone, translated piece by piece."""
+    out = []
+    parts = pattern.split("/")
+    for i, part in enumerate(parts):
+        last = i == len(parts) - 1
+        if part == "**":
+            out.append(".*" if last else "(?:[^/]+/)*")
+            continue
+        out.append("".join({"*": "[^/]*", "?": "[^/]"}.get(ch) or re.escape(ch)
+                           for ch in part))
+        if not last:
+            out.append("/")
+    return re.compile("^" + "".join(out) + "$")
+
+
+# globs and names from the pieces that the translation treats differently
+_GLOB_TEXT = st.lists(st.sampled_from(["a", "b", ".", "/", "?", "*", "**", "\n"]),
+                      max_size=6).map("".join)
+
+
+@st.composite
+def _globs_and_name(draw):
+    """Globs, and a name that is often one glob's own spelling, which it
+    matches, with or without an LF at the end."""
+    patterns = tuple(draw(st.lists(_GLOB_TEXT, max_size=3)))
+    name = draw(st.sampled_from(patterns) if patterns and draw(st.booleans())
+                else _GLOB_TEXT)
+    return patterns, name + draw(st.sampled_from(["", "\n"]))
+
+
 class TestGlobs:
     @pytest.mark.parametrize("pattern,path,expected", [
         ("**/*.java", "A.java", True),
@@ -128,35 +160,53 @@ class TestGlobs:
         ("*.java", "src/A.java", False),
         ("src/?.java", "src/A.java", True),
         ("src/?.java", "src/AB.java", False),
+        ("**/*.java", "a.java\n", True),
+        ("**/dto/**", "/dto/X.java", False),  # `**/` takes whole segments only
     ])
     def test_path_globs(self, pattern, path, expected):
-        assert glob_match(pattern, path) is expected
+        assert (glob_set((pattern,)).match(path) is not None) is expected
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_globs_and_name())
+    def test_a_set_matches_when_one_of_its_globs_does(self, globs_and_name):
+        patterns, name = globs_and_name
+        assert ((glob_set(patterns).match(name) is not None)
+                is any(_one_glob(p).match(name) is not None for p in patterns))
 
 
 class TestTypeMatcher:
     def test_simple_name_pattern_matches_qualified_use(self):
-        m = TypeMatcher(("CertificateRepository",))
-        assert m.matches("CertificateRepository")
-        assert m.matches("com.zup.CertificateRepository")
+        m = type_matcher(("CertificateRepository",))
+        assert m("CertificateRepository")
+        assert m("com.zup.CertificateRepository")
 
     def test_dotted_pattern_requires_qualified_name(self):
-        m = TypeMatcher(("com.zup.*",))
-        assert m.matches("com.zup.Cert")
-        assert not m.matches("Cert")
+        m = type_matcher(("com.zup.*",))
+        assert m("com.zup.Cert")
+        assert not m("Cert")
 
     def test_star_patterns(self):
-        m = TypeMatcher(("Internal*",))
-        assert m.matches("InternalRepo")
-        assert not m.matches("ExternalRepo")
+        m = type_matcher(("Internal*",))
+        assert m("InternalRepo")
+        assert not m("ExternalRepo")
 
     def test_java_lang_exclusion_only_for_external(self):
-        external = TypeMatcher(("*",), exclude_java_lang=True)
-        assert not external.matches("Long")
-        assert not external.matches("java.lang.Long")
-        assert not external.matches("int")
-        assert external.matches("Optional")
-        internal = TypeMatcher(("Long",))
-        assert internal.matches("Long")
+        external = type_matcher(("*",), exclude_java_lang=True)
+        assert not external("Long")
+        assert not external("java.lang.Long")
+        assert not external("int")
+        assert external("Optional")
+        internal = type_matcher(("Long",))
+        assert internal("Long")
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_globs_and_name())
+    def test_a_pattern_without_a_dot_also_matches_the_simple_name(self, globs_and_name):
+        patterns, name = globs_and_name
+        simple = name.rpartition(".")[2]
+        assert type_matcher(patterns)(name) is any(
+            _one_glob(p).match(name) is not None
+            or ("." not in p and _one_glob(p).match(simple) is not None) for p in patterns)
 
     def test_one_matcher_per_patterns(self):
         # one matcher, and so one set of answers, serves every rule set and

@@ -11,10 +11,13 @@ the exit code, the standard output and the standard error:
   rules and under the corpus' `config_document()` (`--config`), on the
   oracle and listing fixtures and on `Corpus(seed).tree(1000)` for seeds 5,
   11 and 29 (48 cases);
+* `check --format json` and `reconcile --format csv` on the same four
+  inputs under `GLOBS_CONFIG`, which sets every pattern list (8 cases);
 * `reconcile --fix` on the seed-29 `reconcile_fix` tree of
   `cddbench/run.py`, also comparing every file of the tree it leaves;
 * `history` on the seed-29 `history_git` repository of `cddbench/run.py`,
-  also comparing the CSV and JSON it writes.
+  under its own `cdd.json` and under `GLOBS_CONFIG`, also comparing the CSV
+  and JSON it writes (2 cases).
 
 The inputs are built once, with `cddbench/corpus.py` and the workload
 classes of `cddbench/run.py`, in a temporary folder that is removed at the
@@ -24,6 +27,7 @@ the number of cases; it exits 1 if any case differs, else 0.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +44,24 @@ TREE_SEEDS = (5, 11, 29)
 TREE_FILES = 1000  # CHECK_FILES of cddbench/run.py
 WORKLOAD_SEED = 29
 HASH_SEEDS = ("1", "2")
+REPORTS = [(command, fmt) for command in ("check", "reconcile")
+           for fmt in ("text", "json", "csv")]
+# the corpus rules with every pattern list set, so that a fault in matching a
+# path or a type name shows: the inputs' paths are `oracle/C01.java`,
+# `listing/...` and `src/main/java/app/m00/C01_00012.java`, and the type
+# names `C01`, `C01_00012` and `Gen_00034`; of two overrides that match
+# `dto/BigDto_...`, the first wins
+GLOBS_CONFIG = {
+    **json.loads(config_document()),
+    "include_globs": ["**/m0?/**", "**/m1?/*.java", "oracle/*.java", "listing/**"],
+    "exclude_globs": ["**/m05/**", "**/C1?_*.java", "oracle/C2?.java"],
+    "test_globs": ["**/src/test/**", "**/m07/**", "**/C0?_*.java"],
+    "limit_overrides": [{"pattern": "**/dto/**", "limit": 20},
+                        {"pattern": "BigDto*", "limit": 3},
+                        {"pattern": "Gen_*1", "limit": 4},
+                        {"pattern": "C0?", "limit": 2}],
+}
+GLOBS_CONFIG["internal_types"] += ["ResponseStatus*", "org.springframework.*"]
 
 
 def run_cli(src: Path, hash_seed: str, argv: list[str], cwd: Path) -> dict[str, bytes]:
@@ -60,6 +82,8 @@ def report_cases(work: Path) -> list[tuple[str, list[str], Path]]:
     """(name, argv, cwd) of each check and reconcile report case."""
     config = work / "corpus-cdd.json"
     config.write_text(config_document(), encoding="utf-8")
+    globs = work / "globs-cdd.json"
+    globs.write_text(json.dumps(GLOBS_CONFIG), encoding="utf-8")
     inputs = [("fixtures", FIXTURES, ["oracle", "listing"])]
     for seed in TREE_SEEDS:
         tree = work / f"tree{seed}"
@@ -68,11 +92,12 @@ def report_cases(work: Path) -> list[tuple[str, list[str], Path]]:
         inputs.append((f"tree{seed}", tree, ["."]))
     cases = []
     for name, cwd, paths in inputs:
-        for rules, options in (("default", []), ("corpus", ["--config", str(config)])):
-            for command in ("check", "reconcile"):
-                for fmt in ("text", "json", "csv"):
-                    cases.append((f"{name} {command} --format {fmt} ({rules} rules)",
-                                  [command, "--format", fmt, *options, *paths], cwd))
+        for rules, options, reports in (
+                ("default", [], REPORTS), ("corpus", ["--config", str(config)], REPORTS),
+                ("globs", ["--config", str(globs)], [("check", "json"), ("reconcile", "csv")])):
+            for command, fmt in reports:
+                cases.append((f"{name} {command} --format {fmt} ({rules} rules)",
+                              [command, "--format", fmt, *options, *paths], cwd))
     return cases
 
 
@@ -109,13 +134,15 @@ def main(argv: list[str]) -> int:
 
         (work / "history").mkdir()
         history = HistoryGit(Corpus(WORKLOAD_SEED), work / "history")
-        sides = []
-        for src, seed in zip(srcs, HASH_SEEDS):
-            history.prepare()  # no series output left from the other side
-            outputs = run_cli(src, seed, history.args, history.cwd)
-            outputs.update(read_tree(history.out))
-            sides.append(outputs)
-        same.append(compare(f"history_git seed {WORKLOAD_SEED}: history", sides))
+        globs = ["--config", str(work / "globs-cdd.json")]  # written by report_cases
+        for rules, options in (("", []), (" (globs rules)", globs)):
+            sides = []
+            for src, seed in zip(srcs, HASH_SEEDS):
+                history.prepare()  # no series output left from the other side
+                outputs = run_cli(src, seed, history.args + options, history.cwd)
+                outputs.update(read_tree(history.out))
+                sides.append(outputs)
+            same.append(compare(f"history_git seed {WORKLOAD_SEED}: history{rules}", sides))
 
     print(f"cases: {len(same)}, differ: {same.count(False)}")
     return 0 if all(same) else 1

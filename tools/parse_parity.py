@@ -20,12 +20,11 @@ package. The inputs are made once, by this process:
 
 Each side parses all of them in one child process of its own, with a hash
 seed of its own, so `parse_parity.py src src` checks that a parse and an
-analysis depend on no hash order. An input's result is
-`repr(parse_unit(text))`, or the diagnostics of the `ParseError` it raises;
-a side whose `parse_unit` takes bytes is given the text's UTF-8 bytes. An
-input that parses is also analysed under eight rule sets: the default
-rules, the corpus' `config_document()`, and two variants of it that turn a
-category off and change costs (`CATEGORY_VARIANTS`), each with
+analysis depend on no hash order. An input's result is the `repr` of
+`parse_unit` of its UTF-8 bytes, or the diagnostics of the `ParseError` it
+raises. An input that parses is also analysed under eight rule sets: the
+default rules, the corpus' `config_document()`, and two variants of it that
+turn a category off and change costs (`CATEGORY_VARIANTS`), each with
 `count_lambdas` off and on; its analysis under a rule set is the `repr` of
 the `analyze_unit` result. The tool prints the number of inputs, the name
 of each input whose result differs and of each whose analysis differs, the
@@ -64,7 +63,7 @@ CATEGORY_VARIANTS = {
 # {"results": {name: [failed, digest, {rule set: analysis digest} or None]},
 # "fails": {group: count}} on stdout.
 CHILD = r"""
-import hashlib, inspect, json, sys
+import hashlib, json, sys
 from collections import Counter
 from cddlint.engine import analyze_unit
 from cddlint.rules import default_rules, load_rules
@@ -80,8 +79,6 @@ def counting_init(self, *args):
     fails[group] += 1
     init(self, *args)
 parser._Fail.__init__ = counting_init
-[param, *_] = inspect.signature(parse_unit).parameters.values()
-takes_bytes = param.annotation in ("bytes", bytes)
 
 request = json.load(sys.stdin)
 rule_sets = {label + (", lambdas" if lambdas else ""): rules._replace(count_lambdas=lambdas)
@@ -91,7 +88,7 @@ rule_sets = {label + (", lambdas" if lambdas else ""): rules._replace(count_lamb
 results = {}
 for group, name, text in request["inputs"]:
     try:
-        unit = parse_unit(text.encode() if takes_bytes else text)
+        unit = parse_unit(text.encode())
     except ParseError as exc:
         results[name] = [True, digest("ParseError " + repr(exc.diagnostics)), None]
         continue
