@@ -11,8 +11,9 @@ The unit model: a unit is a type that a name is written for. Every class,
 interface, enum, record and annotation type is one: a member type under its
 dotted name (`Outer.Inner`), a local one under its binary name
 (`Outer$1Local`, JLS SE 17 §13.1), which is its class file's name. A type
-declared inside an anonymous class body is named as if it were declared
-where the body is (`A.Inner`, `A$1Local`), where javac says `A$1$Inner`.
+declared inside the Nth anonymous class or enum-constant body of `A` is
+named under `A$N`, as javac names the body (`A$1.Inner`, `A$2$1Local`), so
+its name with `$` for `.` is its class file's name too.
 An anonymous class and an enum constant's body are no units, as no
 class-level `@ICP` can be written on them: their members are code of the
 unit that holds them, as a lambda body's is. An initializer block is a

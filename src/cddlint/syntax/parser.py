@@ -4,9 +4,10 @@ Produces a spanned SourceUnit suitable for ICP counting and annotation
 extraction. Every type, member and local ones included, is listed once in
 ``SourceUnit.types``, in the order its name is read (pre-order), under the
 name ``_Parser.owner`` tracks: dotted for a member type (`A.B`), the binary
-name for a local one (`A$1L`, JLS SE 17 §13.1). A type inside an anonymous
-class body is named as if it were declared where the body is (`A.In`,
-`A$1L`), where javac says `A$1$In`. Error tolerance is member-level:
+name for a local one (`A$1L`, JLS SE 17 §13.1). A type inside the Nth
+anonymous class or enum-constant body of `A` is named under `A$N`, as javac
+names the body (`A$1.In`, `A$2$1L`, `A.E$1.K`); the body itself is no type,
+and what is read in it stays its owner's. Error tolerance is member-level:
 ``_recover`` skips an unparseable statement, an Opaque expression standing
 in its place, or member, a member type whose header cannot be read
 included, with a Diagnostic that names the fault where it is; no construct
@@ -20,9 +21,8 @@ a field, a method, a parameter or record component, a statement or a local
 variable, and per `// @ICP(n)` marker comment before a statement, lambda
 and anonymous class bodies included. Each is appended when its element
 ends, so it has the element's span, and the type being read is its owner.
-A parse that is thrown away, an ``_attempt``, a failed statement or a failed
-member, drops the sites and types it recorded; only an ``_attempt`` drops
-its diagnostics too.
+Only ``_recover`` drops what was recorded: the sites and types of the
+statement or member that failed.
 
 One reader per rule: ``_parse_type_decl`` reads every type header JLS SE 17
 allows (`class`, `interface`, `enum`, `record` and `@interface`), and
@@ -48,11 +48,17 @@ parameters, and the type arguments of a type and of a call, none of which
 is kept; each item is read with ``_parse_type``, so a `<…>` that holds
 anything else fails.
 
-``_attempt``, the one undo, runs a parse only where Java itself is
-ambiguous: a local variable's head (`List<T> x` against `a < b`) and a cast
-(`(T) x` against `(a) - b`). Such an attempt fails only on input that is
-not Java. A declaration commits once its head and name are read, so a
-fault in a declarator fails the statement where the fault is.
+Where Java itself is ambiguous, a local variable's head (`List<T> x`
+against `a < b`) and a cast (`(T) x` against `(a) - b`), the head or the
+cast's bracketed type is read ahead with ``_parse_type``, which records
+nothing, and the cursor is put back if it does not read; such a read fails
+only on input that is not Java. A cast is decided by its type alone, as
+javac decides one, and its operand is read once, so parsing is linear in
+the tokens: `(a)(x, b)` is a cast that fails at the `,`, as javac reads
+it. A sign, `++` or `--` after the `)` makes a cast only of one primitive
+name (`(int) -x`, but `(a) - x`). A declaration commits once its head and
+name are read, so a fault in a declarator, or in a cast's operand, fails
+the statement where the fault is.
 
 Tokens are read by index from the scanner's TokenStream: ``_Parser.pos`` is
 the number of the current token, and spans are built from its lists. A skip
@@ -157,6 +163,9 @@ _ASSIGN_OPS = frozenset({
     "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=",
 })
 _PREFIX_OPS = frozenset({"!", "+", "-", "~", "++", "--"})
+# the prefix operators a primitive cast's operand may start with, and a
+# reference cast's may not (JLS SE 17 §15.16): `(int) -x`, but `(a) - x`
+_SIGNS = frozenset({"+", "-", "++", "--"})
 # what may follow a `yield` that names a variable, not a yield statement
 _YIELD_NAME_NEXT = _ASSIGN_OPS | {".", "["}
 # the tokens an operand `_parse_unary` reads, and not `_parse_postfix`, starts with
@@ -217,7 +226,12 @@ class _Parser:
         # every type in pre-order; a type's place holds its name until its
         # `}` is read
         self.types: list[ast.TypeDecl | str] = []
-        self.owner = ""  # name of the type being read
+        self.owner = ""  # name of the type being read, which owns its sites
+        # the name a type declared here is named under: the owner's, or
+        # `Owner$N` in the owner's Nth anonymous body; and per such name,
+        # the anonymous bodies read in it so far
+        self.enclosing = ""
+        self.anonymous: dict[str, int] = {}
         self.no_lambda = False  # in a case label, as javac reads one: `->` ends it
 
     # ── token access ────────────────────────────────────────────────────
@@ -271,21 +285,6 @@ class _Parser:
     def diag(self, message: str, span: Span) -> None:
         self.diagnostics.append(ast.Diagnostic((message, span)))
 
-    def _attempt(self, parse: Callable[[], Any]) -> Any:
-        """`parse()`, which is never None; None if it fails, with the cursor
-        back and the diagnostics, site-level @ICP and types it recorded
-        dropped."""
-        start, diagnostics = self.pos, len(self.diagnostics)
-        recorded, types = len(self.site_icp), len(self.types)
-        try:
-            return parse()
-        except _Fail:
-            self.pos = start
-            del self.diagnostics[diagnostics:]
-            del self.site_icp[recorded:]
-            del self.types[types:]
-            return None
-
     # ── compilation unit ────────────────────────────────────────────────
 
     def parse(self) -> ast.SourceUnit:
@@ -336,15 +335,16 @@ class _Parser:
         name = self.texts[self.expect_ident("type name")]
         if name in _RESERVED:  # JLS SE 17 §3.9
             raise _Fail("expected type name", self.tok_span(self.pos - 1))
-        outer = self.owner
+        outer, enclosing = self.owner, self.enclosing
         if local:
             # the binary name (JLS SE 17 §13.1): the lowest number that no
             # type listed so far has with this name
             taken = {t if type(t) is str else t.name for t in self.types}
             self.owner = next(binary for n in count(1)
-                              if (binary := f"{outer}${n}{name}") not in taken)
+                              if (binary := f"{enclosing}${n}{name}") not in taken)
         else:
-            self.owner = f"{outer}.{name}" if outer else name
+            self.owner = f"{enclosing}.{name}" if enclosing else name
+        self.enclosing = self.owner
         place = len(self.types)
         self.types.append(self.owner)
         try:
@@ -375,7 +375,7 @@ class _Parser:
                 self.span_from(start), self.starts[header_tok], enum_constants,
             ))
         finally:
-            self.owner = outer
+            self.owner, self.enclosing = outer, enclosing
 
     def _parse_class_body(self, kind: str, fields: list[ast.FieldDecl]
                           ) -> tuple[tuple[ast.EnumConstant, ...], ast.ClassBody]:
@@ -394,6 +394,20 @@ class _Parser:
         self.expect("}")
         return enum_constants, ast.ClassBody((tuple(fields), tuple(methods),
                                               self.span_from(start)))
+
+    def _parse_anonymous_body(self) -> ast.ClassBody:
+        """An anonymous class's or an enum constant's body (JLS SE 17
+        §15.9.5, §8.9.1), read as a class's. It is no type: what is read in
+        it stays its owner's, but a type declared in it is named under
+        `Outer$N`, as javac names the body: N counts the bodies read so far
+        whose nearest enclosing type or body is `Outer`, in source order."""
+        outer = self.enclosing
+        n = self.anonymous[outer] = self.anonymous.get(outer, 0) + 1
+        self.enclosing = f"{outer}${n}"
+        try:
+            return self._parse_class_body("class", [])[1]
+        finally:
+            self.enclosing = outer
 
     def _at_type_decl(self) -> bool:
         """Whether a type's keyword is at the cursor: `class`, `interface`,
@@ -419,7 +433,7 @@ class _Parser:
                 args = self._parse_list(self._parse_expr)
             body = None
             if self.texts[self.pos] == "{":
-                body = self._parse_class_body("class", [])[1]
+                body = self._parse_anonymous_body()
             constants.append(ast.EnumConstant((name, args, body, self.span_from(start))))
             if self.texts[self.pos] == ",":
                 self.pos += 1
@@ -642,7 +656,9 @@ class _Parser:
     def _parse_type(self) -> ast.TypeRef:
         """A type after any type-use annotations (JLS SE 17 §4.11), which
         its span leaves out: its names joined by dots, each name's type
-        arguments skipped (`Map<K, V>.Entry<K, V>` is `Map.Entry`, §4.3)."""
+        arguments skipped (`Map<K, V>.Entry<K, V>` is `Map.Entry`, §4.3).
+        It records nothing, so a caller may read ahead with it and put the
+        cursor back."""
         if self.texts[self.pos] == "@":
             self._parse_annotations()
         kinds, texts, start = self.kinds, self.texts, self.pos
@@ -938,8 +954,10 @@ class _Parser:
         i = self._past_name(start)
         if kinds[i] != _IDENT and texts[i] not in _DECLARATION_NEXT:
             return None
-        head = self._attempt(self._parse_local_head)
-        if head is None:  # input that is not Java
+        try:
+            head = self._parse_local_head()
+        except _Fail:  # input that is not Java
+            self.pos = start
             return None
         i = self.pos
         if kinds[i] != _IDENT or texts[i + 1] not in follow or texts[i] in _RESERVED:
@@ -1157,23 +1175,26 @@ class _Parser:
         return self._parse_postfix()
 
     def _try_parse_cast(self, start: int) -> Optional[ast.Expr]:
-        """A cast from the `(` at `start`; None, with nothing consumed or
-        recorded, if there is none. It is tried only when the `(` has a
-        partner and a token a cast applies to follows it; the `)` after the
-        type is that partner, as a type holds no unpaired `(`."""
-        close = self.partners[start]
-        kind, text = self.kinds[close + 1], self.texts[close + 1]
-        castable = kind == _IDENT or kind in _LITERALS or text in ("(", "!", "~")
+        """A cast from the `(` at `start`; None, with nothing consumed, if
+        there is none. It is decided before its operand is read: the `(` has
+        a partner, a token a cast applies to follows it (a sign, `++` or
+        `--` only after one primitive name), and what lies between them
+        reads as types joined by `&` (JLS SE 17 §15.16). The operand is then
+        read once, so a fault in it fails its statement."""
+        texts, close = self.texts, self.partners[start]
+        kind, text = self.kinds[close + 1], texts[close + 1]
+        castable = (kind == _IDENT or kind in _LITERALS or text in ("(", "!", "~")
+                    or text in _SIGNS and close == start + 2 and texts[start + 1] in PRIMITIVES)
         if close < 0 or not castable or text == "instanceof":
             return None
-        return self._attempt(self._parse_cast)
-
-    def _parse_cast(self) -> ast.Cast:
-        start = self.advance()
-        ty = self._parse_separated(self._parse_type, "&")[0]  # `(A & B) x`, JLS SE 17 §15.16
-        self.expect(")")
-        inner = self._parse_unary()
-        return ast.Cast((ty, inner, self.span_from(start)))
+        self.pos = start + 1
+        try:
+            ty = self._parse_separated(self._parse_type, "&")[0]  # `(A & B) x`
+            self.expect(")")  # the partner, as a type holds no unpaired `(`
+        except _Fail:
+            self.pos = start
+            return None
+        return ast.Cast((ty, self._parse_unary(), self.span_from(start)))
 
     def _parse_postfix(self) -> ast.Expr:
         kinds, texts, start = self.kinds, self.texts, self.pos
@@ -1276,8 +1297,8 @@ class _Parser:
         if self.texts[self.pos] == "(":
             args = self._parse_list(self._parse_expr)
         body = None
-        if self.texts[self.pos] == "{":  # an anonymous class
-            body = self._parse_class_body("class", [])[1]
+        if self.texts[self.pos] == "{":
+            body = self._parse_anonymous_body()
         return ast.New((ty, args, body, self.span_from(start)))
 
     def _parse_lambda(self, start: int) -> ast.Lambda:

@@ -141,16 +141,16 @@ SITE_CASES = {
     "local-class-and-a-statement-after-it": (
         "class A { void f() { @ICP(3) class L { @ICP(1) int n; } @ICP(2) int m = 0; } }",
         [("A$1L", "@ICP(1) int n;", 1), ("A", "@ICP(2) int m = 0;", 2)]),
-    # a parse that is thrown away drops what it recorded
+    # a statement or member that fails drops what it recorded
     "local-initializer-that-fails-at-a-declarator": (
         f"class A {{ void f() {{ Runnable r = () -> {MARKED_BODY} oops; }} }}",
         []),
     "for-init-that-fails-at-a-declarator": (
         f"class A {{ void f() {{ for (a < b > c = () -> {MARKED_BODY}, 5;;) {{}} }} }}",
         []),
-    "cast-that-fails-and-parses-as-a-call": (
+    "cast-whose-operand-fails": (
         f"class A {{ void f() {{ (a)(() -> {MARKED_BODY}, b); }} }}",
-        [("A", "g();", 1)]),
+        []),
     "else-if-link-that-fails": (
         f"class A {{ void f() {{ if (c) g(); else if (h(() -> {MARKED_BODY}) ==) g(); }} }}",
         []),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from cddlint.rules import default_rules
 from cddlint.syntax import ParseError, TokenKind, parse_unit, physical_loc
 from cddlint.syntax import ast, parser
 from cddlint.syntax.scanner import tokenize_bytes
+from cddlint.syntax.tokens import InvalidCharacter
 
 from conftest import ELSE_IF_SOURCE, FIXTURES, ORACLE_DIR
 from test_type_headers import TYPE_HEADER_CASES
@@ -376,6 +378,8 @@ class Forms {
     assert a > 0 : b ? "p" : "q";
     g(String[]::new);
     Outer<A>.Inner oi = (Function<A, B> & Serializable) x;
+    long z = (long) ++i + (char) --i;
+    int y = (int) -x + (byte) +a - (a) - x;
     throw new IllegalStateException("x");
   }
   Object h(List<? extends T> ys, String... zs) {
@@ -389,10 +393,11 @@ class Forms {
 
 
 class TestAttempts:
-    """The parser undoes an attempt only where Java is ambiguous, a local
-    variable's head (`List<T> x` against `a < b`) and a cast (`(T) x` against
-    `(a) - b`), and such an attempt fails only on input that is not Java: no
-    `_Fail`, the parser's internal failure signal, is raised on valid Java."""
+    """The parser reads ahead only where Java is ambiguous, a local
+    variable's head (`List<T> x` against `a < b`) and a cast's type (`(T) x`
+    against `(a) - b`), and such a read fails only on input that is not
+    Java: no `_Fail`, the parser's internal signal of a fault, is raised on
+    valid Java."""
 
     @pytest.fixture
     def raised(self, monkeypatch):
@@ -477,6 +482,17 @@ class TestPrecedence:
         assert expr.rhs.op_span.byte_start == expr.span.byte_start + len("a || b ")
         assert type(expr.rhs.rhs) is ast.Binary
         assert expr.rhs.rhs.op_span.byte_start == expr.span.byte_start + len("a || b == c ")
+
+    def test_only_a_primitive_cast_takes_a_signed_operand(self):
+        # JLS SE 17 §15.16: `(int) -x` and `(long) ++i` are casts, and
+        # `(a) - x` is a subtraction, as javac reads them
+        unit = parse_unit(b"class A { void f() { long z = (long) ++i; int y = (int) -x;"
+                          b" int w = (a) - x; } }")
+        assert unit.diagnostics == ()
+        z, y, w = unit.types[0].methods[0].body.stmts
+        assert [type(z.initializer), type(y.initializer)] == [ast.Cast] * 2
+        assert [type(z.initializer.inner), type(y.initializer.inner)] == [ast.Unary] * 2
+        assert shape(w.initializer) == "(a - x)"
 
     def test_span_runs_from_the_first_token_of_the_chain(self):
         src = "(a) - b * c - d"
@@ -582,6 +598,56 @@ class TestMutationFuzz:
         assert 0 < failed <= 695
 
 
+def nested_casts(n: int, operand: str) -> bytes:
+    """A statement of `n` casts, each the operand of the one before it,
+    around `operand`: `int y = (a)((a)(…(operand)…));`."""
+    expr = operand
+    for _ in range(n):
+        expr = f"(a)({expr})"
+    return f"class A {{ void f() {{ int y = {expr}; }} }}".encode()
+
+
+class TestWork:
+    """Parser work is linear in the tokens: no input costs more than a
+    fixed number of Python calls into the parser per token, also where a
+    cast's operand fails under casts nested n deep."""
+
+    CALLS_PER_TOKEN = 8
+
+    @staticmethod
+    def calls(data: bytes) -> int:
+        """The Python calls into `parser.py` that parsing `data` makes."""
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == parser.__file__:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            parse_unit(data)
+        except ParseError:
+            pass
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_calls_per_token_stay_bounded(self):
+        inputs = [p.read_bytes() for p in sorted(FIXTURES.rglob("*.java"))]
+        inputs += [source.encode() for source, _ in TYPE_HEADER_CASES.values()]
+        inputs += _mutants(2000, seed=7)
+        inputs += [nested_casts(n, operand) for n in (8, 16, 32, 64)
+                   for operand in ("x +", "x")]
+        for data in inputs:
+            try:
+                tokens = len(tokenize_bytes(data))
+            except InvalidCharacter:
+                continue
+            # asserted per input, so a blow-up fails at its smallest input
+            assert self.calls(data) <= self.CALLS_PER_TOKEN * tokens, data
+
+
 class TestErrorTolerance:
     def test_broken_statement_recovers_at_member_level(self):
         src = b"class A { void f() { int x = ; } void g() { h(); } }"
@@ -589,13 +655,24 @@ class TestErrorTolerance:
         assert unit.diagnostics
         assert [m.name for m in unit.types[0].methods] == ["f", "g"]
 
-    def test_a_failed_cast_attempt_keeps_no_diagnostic(self):
-        # `(a)(...)` is tried as a cast first; the lambda's failed statement
-        # read by that attempt must not stay recorded beside the one the
-        # call records
+    def test_each_diagnostic_of_a_failed_cast_is_recorded_once(self):
+        # `(a)(...)` is a cast, as javac reads it; its operand is read once,
+        # so the lambda's failed statement is recorded once, and the cast
+        # fails at the `,` with javac's `')' expected`
         unit = parse_unit(b"class A { void f() { (a)(() -> { int x = ; }, b); } }")
-        assert unit.diagnostics == (ast.Diagnostic((
-            "expected expression", ast.Span((41, 42, 1, 1)))),)
+        assert unit.diagnostics == (
+            ast.Diagnostic(("expected expression", ast.Span((41, 42, 1, 1)))),
+            ast.Diagnostic(("expected ')'", ast.Span((44, 45, 1, 1)))))
+
+    @pytest.mark.parametrize("statement", [b"(a)();", b"(a)(x, b);"])
+    def test_a_cast_whose_operand_fails_fails_its_statement(self, statement):
+        # javac rejects both (`-> expected`); the parser reads a cast whose
+        # operand fails, not a call of `a`
+        src = b"class A { void f() { " + statement + b" g(); } }"
+        unit = parse_unit(src)
+        assert len(unit.diagnostics) == 1
+        opaque, call = unit.types[0].methods[0].body.stmts
+        assert type(opaque.expr) is ast.Opaque and type(call.expr) is ast.Call
 
     def test_a_declaration_fails_at_its_fault(self):
         # once its head and name are read, a statement is a declaration: a
@@ -719,22 +796,25 @@ class TestClassBodies:
             ("A$1L", "enum"), ("A$2L", "record"), ("A$1M", "class")]
         assert unit.types[-1].annotations[0].name == "Deprecated"
 
-    def test_a_type_in_an_anonymous_body_is_named_where_the_body_is(self):
-        unit = parse_unit(
-            b"class A { Object o = new Object() { class In {} void f() { class L {} } }; }")
-        assert [t.name for t in unit.types] == ["A", "A.In", "A$1L"]
+    def test_a_type_in_an_anonymous_body_is_named_under_the_body(self):
+        # javac names the Nth anonymous body in `Outer` `Outer$N`, an enum
+        # constant's body too, and the types in it under that name
+        unit = parse_unit(b"class A { Object o = new Object() { class In {} };"
+                          b" void f() { new Object() { void g() { class L {} } }; }"
+                          b" enum E { K { class In {} } } }")
+        assert unit.diagnostics == ()
+        assert [t.name for t in unit.types] == ["A", "A$1.In", "A$2$1L", "A.E", "A.E$1.In"]
 
     def test_a_statement_read_again_lists_its_types_once(self):
-        # the cast attempt fails at `,` and the statement is read again as a
-        # call; a statement that fails drops its types, and frees their
-        # numbers
+        # the cast fails at `,`; a statement that fails drops its types, and
+        # frees their numbers
         src = (b"class A { void f() {"
                b" (a)(() -> { class L {} }, b);"
                b" Object o = new Object() { void g() { class M {} } } x y; }"
                b" void h() { class M {} } }")
         unit = parse_unit(src)
-        assert [d.message for d in unit.diagnostics] == ["expected ';'"]
-        assert [t.name for t in unit.types] == ["A", "A$1L", "A$1M"]
+        assert [d.message for d in unit.diagnostics] == ["expected ')'", "expected ';'"]
+        assert [t.name for t in unit.types] == ["A", "A$1M"]
         assert span_text(src, unit.types[-1].span) == "class M {}"
 
     def test_a_fault_in_a_local_type_header_fails_only_its_statement(self):

@@ -135,6 +135,50 @@ class Anon {
   }
 }
 """, {"Anon": {"branch": 1, "condition": 1, "internal_coupling": 2}}),
+    # a type in an anonymous or enum-constant body is named under the body,
+    # as javac names it (`Names$1$In`, `Names$2$1L`, `Names$Kind$1$Nested`):
+    # the first In has a parameter and its use, the second body's `if` and
+    # its guard are Names', L's are L's, and the ternary and its guard are
+    # Nested's
+    "Names": ("""\
+class Names {
+  Object first = new Object() {
+    class In {
+      int size(InternalRepo repo) {
+        return repo.count();
+      }
+    }
+  };
+  Object second = new Object() {
+    class In {}
+
+    void run(boolean b) {
+      class L {
+        void go(boolean c) {
+          if (c) {
+            go(!c);
+          }
+        }
+      }
+      if (b) {
+        new L().go(b);
+      }
+    }
+  };
+
+  enum Kind {
+    ONE {
+      class Nested {
+        int abs(int x) {
+          return x > 0 ? x : -x;
+        }
+      }
+    }
+  }
+}
+""", {"Names": {"branch": 1, "condition": 1}, "Names$1.In": {"internal_coupling": 2},
+      "Names$2.In": {}, "Names$2$1L": {"branch": 1, "condition": 1}, "Names.Kind": {},
+      "Names.Kind$1.Nested": {"branch": 1, "condition": 1}}),
     # local types are units under their binary names: the `while` and its
     # guard are Counter's, the component is Pair's field, and the second
     # Counter takes the next number
@@ -301,10 +345,11 @@ def test_javac_compiles_the_cases(case_dir, capsys):
         assert proc.returncode == 0, proc.stderr
 
     javac()
-    # javac's class files, the stubs' and the anonymous classes' (`Op$1`)
-    # aside, are the units, named with `$` for `.`
+    # javac's class files, the stubs' and the anonymous classes' (`Op$1`,
+    # whose last `$` segment is a number) aside, are the units, named with
+    # `$` for `.`
     classes = {path.stem for path in (case_dir.parent / "out").iterdir()} - set(STUBS)
-    assert {name for name in classes if not any(map(str.isdigit, name.split("$")))} == {
+    assert {name for name in classes if not name.rsplit("$", 1)[-1].isdigit()} == {
         decl.name.replace(".", "$") for source, _ in TYPE_HEADER_CASES.values()
         for decl in parse_unit(source.encode()).types}
     assert main(["reconcile", ".", "--fix"]) == 0

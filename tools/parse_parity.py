@@ -12,9 +12,10 @@ package. The inputs are made once, by this process:
 * `_mutants(2000, seed=7)` from `tests/test_parser.py`: fixture files with
   tokens deleted or copied in;
 * `modern`: the hand-scored `TYPE_HEADER_CASES` of
-  `tests/test_type_headers.py` (11): records, `@interface` and sealed types,
+  `tests/test_type_headers.py` (12): records, `@interface` and sealed types,
   initializers, compact constructors, local, anonymous and enum-constant
-  bodies, and switch expressions, `->` rules and `yield`;
+  bodies and the names of the types in them, and switch expressions, `->`
+  rules and `yield`;
 * `large`: each seed's 700 annotated files joined with LF into one input of
   about 288 KB, in LF, CR LF and lone-CR form.
 
@@ -30,11 +31,13 @@ the `analyze_unit` result. The tool prints the number of inputs, the name
 of each input whose result differs and of each whose analysis differs, the
 analyses that differ per rule set, and per group the whole-file failures,
 the `_Fail` exceptions each side raised (`_Fail` is the parser's internal
-signal that an attempt failed) and the analyses that differ. It exits 1 if
-any result or analysis differs, or if the change side raises any `_Fail` in
-a group other than `mutants`, the one group that is not Java: the parser
-undoes an attempt only where Java is ambiguous, and such an attempt fails
-only on input that is not Java. Else it exits 0.
+signal of a fault, caught where a statement or member recovers, or where
+the parser reads ahead) and the analyses that differ. It exits 1 if any
+result or analysis differs, or if the change side raises any `_Fail` in a
+group other than `mutants`, the one group that is not Java: the parser
+reads ahead only where Java is ambiguous, a local variable's head and a
+cast's type, and such a read fails only on input that is not Java. Else it
+exits 0.
 """
 
 from __future__ import annotations
