@@ -48,18 +48,25 @@ Counting rules:
 A lambda's body is walked under a scope that binds its parameters with no
 declared type; an expression body `x -> e` is walked as its own statement,
 just as `x -> { return e; }` is. With lambda counting on, a lambda is a
-branch. With it off (the default) nothing inside a lambda body is counted,
-an anonymous class in it included, and the lambda itself costs nothing: the
-walk of its body is kept only for the scope a local type in it starts from,
-so a local type scores the same in both settings.
+branch. With it off (the default) nothing inside a lambda body counts, in
+ICP or in method statistics, an anonymous class in it included, and the
+lambda itself costs nothing; its body is still walked, so a local type in
+it starts from the same scope and scores the same in both settings.
 
-The walk records and `analyze_unit` judges. `_TypeWalker` reads no rule
-but `count_lambdas`. It records each branch, condition and exception site
-as (category, span, reason), each declaration's written type with the
-kinds its coupling reasons name, and each use: a `new`'s type, or a
-variable's declared type. `analyze_unit` then applies the rules once: the
-internal and external type matchers, each category's `enabled` and `cost`,
-and one sort into document order.
+A method the walk visits, in an anonymous or enum-constant body too, is as
+long as its body's lines, braces included. One with no body, `equals`,
+`hashCode`, an accessor (a `get`, `set` or `is` name whose body is one
+return or one assignment) and every method of a test path are excluded.
+
+The walk records and `analyze_unit` judges. `_TypeWalker` reads no rule.
+It records each branch, condition and exception site as (category, span,
+reason), each declaration's written type with the kinds its coupling
+reasons name, each use (a `new`'s type, or a variable's declared type) and
+each method's length, None where its shape excludes it, and keeps apart
+what it records in a lambda body, the lambda's site included.
+`analyze_unit` then applies the rules once: the lambda records with
+`count_lambdas` on, the type matchers, each category's `enabled` and
+`cost`, one sort into document order, and the test path rule.
 
 A scope is a dict from each visible variable to its declared type (None
 where none is written: `var`, a lambda parameter). A type's scope copies
@@ -104,8 +111,8 @@ from .records import Record
 from .rules import IcpCategory, RuleSet, type_matcher
 from .syntax import ast
 from .syntax.ast import (
-    Binary, Block, Call, ClassBody, ExprStmt, FieldAccess, If, Lambda, LocalDecl, Loop,
-    NameRef, New, Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children,
+    Assign, Binary, Block, Call, ClassBody, ExprStmt, FieldAccess, If, Lambda, LocalDecl,
+    Loop, NameRef, New, Return, Span, Switch, Ternary, Throw, Try, TypeRef, iter_children,
 )
 from .values import exact_value
 
@@ -129,6 +136,7 @@ class UnitAnalysis(Record):
         "sites",  # (IcpSite, ...)
         "total",  # Fraction
         "subtotals",  # dict[IcpCategory, Fraction]
+        "method_lengths", "excluded_methods",  # the counted ones, (int, ...); int
     )
 
 
@@ -139,6 +147,7 @@ class Verdict(Record):
 def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
     """Analyze every type declaration of a unit, top-level, member and
     local: walk each, then apply the rules to what the walk recorded."""
+    in_test_file = rules.is_test_path(unit.path)
     internal = type_matcher(rules.internal_types)
     external = type_matcher(rules.external_types, exclude_java_lang=True)
     enabled_costs = {cat: rule.cost for cat, rule in rules.categories.items() if rule.enabled}
@@ -154,9 +163,12 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
         while enclosing and not enclosing[-1][0].contains(decl.span):
             enclosing.pop()
         _, scope, local_scopes = enclosing[-1] if enclosing else (None, {}, {})
-        walker = _TypeWalker(rules.count_lambdas, local_scopes.get(decl.span.byte_start, scope))
+        walker = _TypeWalker(local_scopes.get(decl.span.byte_start, scope))
         enclosing.append((decl.span, walker.scope, walker.local_scopes))
         walker.walk(decl)
+        if rules.count_lambdas:
+            for outside, inside in zip(walker.outside_lambdas, walker.in_lambdas):
+                outside += inside
         found = walker.sites
         for declared, internal_kind, external_kind in walker.declarations:
             name = declared.qualified_name
@@ -182,9 +194,9 @@ def analyze_unit(unit: ast.SourceUnit, rules: RuleSet) -> list[UnitAnalysis]:
         scaled = [scale * count for scale, count in zip(scales, counts.values())]
         subtotals = {cat: exact_value(n, den) for cat, n in zip(_CATEGORIES, scaled)}
         total = exact_value(sum(scaled), den)
-        analyses.append(
-            UnitAnalysis((unit.path, decl.name, decl.span, tuple(sites), total, subtotals))
-        )
+        lengths = () if in_test_file else tuple(n for n in walker.lengths if n is not None)
+        analyses.append(UnitAnalysis((unit.path, decl.name, decl.span, tuple(sites), total,
+                                      subtotals, lengths, len(walker.lengths) - len(lengths))))
     return analyses
 
 
@@ -207,8 +219,7 @@ _Uses = dict[str, tuple[Span, Optional[TypeRef]]]
 class _TypeWalker:
     """Records one type's sites and coupling candidates; applies no rule."""
 
-    def __init__(self, count_lambdas: bool, outer_scope: _Bindings):
-        self.count_lambdas = count_lambdas
+    def __init__(self, outer_scope: _Bindings):
         self.scope = dict(outer_scope)  # the type's, its fields bound by `walk`
         self.this_scope: _Bindings = {}  # the fields of the type or body walked
         self.local_scopes: dict[int, _Bindings] = {}  # at each empty statement, by byte
@@ -219,6 +230,11 @@ class _TypeWalker:
         # (span, the variable's name, its declared type), or for a `new`
         # (its type's span, None, its type)
         self.uses: list[tuple[Span, Optional[str], TypeRef]] = []
+        # per method, its body's line count, or None when its shape excludes it
+        self.lengths: list[Optional[int]] = []
+        self.outside_lambdas = self.sites, self.declarations, self.uses, self.lengths
+        # the same records made inside any lambda body, each lambda's own site included
+        self.in_lambdas: tuple[list, list, list, list] = ([], [], [], [])
 
     # ── type body ───────────────────────────────────────────────────────
 
@@ -249,6 +265,7 @@ class _TypeWalker:
             self.declarations.append((p.type, "parameter", "declaration"))
         if m.return_type is not None:
             self.declarations.append((m.return_type, "return type", None))
+        self.lengths.append(_method_length(m))
         if m.body is not None:
             self._walk_stmt(m.body, scope)
 
@@ -405,19 +422,15 @@ class _TypeWalker:
                 name, span = root
                 region.setdefault(name, (span, None))
         elif kind is Lambda:
-            if self.count_lambdas:
-                self.sites.append((IcpCategory.BRANCH, expr.span, "lambda expression"))
-            recorded = len(self.sites), len(self.declarations), len(self.uses)
+            outside = self.sites, self.declarations, self.uses, self.lengths
+            self.sites, self.declarations, self.uses, self.lengths = self.in_lambdas
+            self.sites.append((IcpCategory.BRANCH, expr.span, "lambda expression"))
             lam_scope = {**scope, **dict.fromkeys(expr.params)}
             if type(expr.body) is Block:
                 self._walk_stmt(expr.body, lam_scope)
             else:  # as its own statement, as `{ return body; }` is
                 self._expr_region(expr.body, lam_scope)
-            if not self.count_lambdas:
-                # nothing inside a lambda is counted; the walk keeps only the
-                # scopes its local types start from
-                sites, declarations, uses = recorded
-                del self.sites[sites:], self.declarations[declarations:], self.uses[uses:]
+            self.sites, self.declarations, self.uses, self.lengths = outside
             return
         elif kind is Ternary:
             self.sites.append((IcpCategory.BRANCH, expr.question_span, "ternary operator"))
@@ -435,6 +448,18 @@ class _TypeWalker:
         if expr._child_indices:  # a NameRef, Literal or TypeRef has none
             for child in iter_children(expr):
                 self._walk_expr(child, scope, region)
+
+
+def _method_length(m: ast.MethodDecl) -> Optional[int]:
+    """A method's body length in lines, or None where its shape excludes it."""
+    body = m.body
+    if body is None or m.name in ("equals", "hashCode"):
+        return None
+    if m.name.startswith(("get", "set", "is")) and len(body.stmts) == 1:
+        only = body.stmts[0]  # an accessor: one return or one assignment
+        if type(only) is Return or (type(only) is ExprStmt and type(only.expr) is Assign):
+            return None
+    return body.span.line_end - body.span.line_start + 1
 
 
 def _receiver_root(expr: Optional[ast.Expr]) -> Optional[tuple[str, Span]]:

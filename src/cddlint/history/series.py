@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 from ..annotations import extract_declared, reconcile
 from ..engine import analyze_unit, verdict
-from ..methods import method_lengths, method_stats, stats_from_lengths
+from ..methods import method_stats, stats_from_lengths
 from ..records import Record
 from ..report import csv_document
 from ..rules import RuleSet
@@ -180,9 +180,9 @@ def analyze_file(path: str, data: bytes, rules: RuleSet) -> FileResult:
             a.type_name, a.total, a.subtotals, v.applicable_limit, v.over_limit,
             value, *reconcile(a.total, value), loc, spans, decl.header_start,
         )))
-    lengths, excluded = method_lengths(unit, rules)
-    return FileResult((tuple(units), tuple(lengths), excluded,
-                       unit.diagnostics, malformed, None))
+    lengths = tuple(n for a in analyses for n in a.method_lengths)
+    excluded = sum(a.excluded_methods for a in analyses)
+    return FileResult((tuple(units), lengths, excluded, unit.diagnostics, malformed, None))
 
 
 def analyze_snapshot(results: list[tuple[str, FileResult]]) -> SnapshotStats:

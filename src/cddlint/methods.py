@@ -1,5 +1,7 @@
 """Method-length statistics with the noise filters mining studies use:
-getters/setters, equals/hashCode and test-file methods are excluded.
+getters/setters, equals/hashCode and test-file methods are excluded. The
+lengths and the filters are the engine's: `analyze_unit` gives each unit's
+counted lengths and excluded count.
 
 The statistics are exact: the variance is the integer computation
 (n * sum(x^2) - sum(x)^2) / n^2, one Fraction whatever the method count, and
@@ -11,6 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+from .engine import analyze_unit
 from .records import Record
 from .rules import RuleSet
 from .syntax import ast
@@ -27,47 +30,10 @@ class MethodStats(Record):
     )
 
 
-def is_getter_or_setter(method: ast.MethodDecl) -> bool:
-    """Name looks like an accessor and the body is a single return or a
-    single assignment; name alone over-excludes."""
-    if not (method.name.startswith(("get", "set", "is"))):
-        return False
-    if method.body is None or len(method.body.stmts) != 1:
-        return False
-    only = method.body.stmts[0]
-    if isinstance(only, ast.Return):
-        return True
-    return isinstance(only, ast.ExprStmt) and isinstance(only.expr, ast.Assign)
-
-
-def method_lengths(unit: ast.SourceUnit, rules: RuleSet) -> tuple[list[int], int]:
-    """Body lengths of a unit's counted methods, and how many it excluded."""
-    counted: list[int] = []
-    excluded = 0
-    in_test_file = rules.is_test_path(unit.path)
-    for decl in unit.types:
-        for method in decl.methods:
-            if (
-                in_test_file
-                or method.body is None
-                or method.name in ("equals", "hashCode")
-                or is_getter_or_setter(method)
-            ):
-                excluded += 1
-            else:
-                span = method.body.span  # the body's braces included
-                counted.append(span.line_end - span.line_start + 1)
-    return counted, excluded
-
-
 def method_stats(units: Iterable[ast.SourceUnit], rules: RuleSet) -> MethodStats:
-    counted: list[int] = []
-    excluded = 0
-    for unit in units:
-        lengths, skipped = method_lengths(unit, rules)
-        counted += lengths
-        excluded += skipped
-    return stats_from_lengths(counted, excluded)
+    analyses = [a for unit in units for a in analyze_unit(unit, rules)]
+    return stats_from_lengths([n for a in analyses for n in a.method_lengths],
+                              sum(a.excluded_methods for a in analyses))
 
 
 def stats_from_lengths(counted: list[int], excluded: int) -> MethodStats:

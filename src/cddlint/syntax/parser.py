@@ -81,9 +81,9 @@ to record.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from typing import Any, Callable, Optional, Sequence
 
 from . import ast
@@ -226,6 +226,9 @@ class _Parser:
         # every type in pre-order; a type's place holds its name until its
         # `}` is read
         self.types: list[ast.TypeDecl | str] = []
+        self.taken: Counter[str] = Counter()  # how many listed types have each name
+        # per enclosing and local type name, a number below which each binary name is taken
+        self.numbered: dict[tuple[str, str], int] = {}
         self.owner = ""  # name of the type being read, which owns its sites
         # the name a type declared here is named under: the owner's, or
         # `Owner$N` in the owner's Nth anonymous body; and per such name,
@@ -339,14 +342,17 @@ class _Parser:
         if local:
             # the binary name (JLS SE 17 §13.1): the lowest number that no
             # type listed so far has with this name
-            taken = {t if type(t) is str else t.name for t in self.types}
-            self.owner = next(binary for n in count(1)
-                              if (binary := f"{enclosing}${n}{name}") not in taken)
+            n = self.numbered.get((enclosing, name), 1)
+            while self.taken[binary := f"{enclosing}${n}{name}"]:
+                n += 1
+            self.numbered[(enclosing, name)] = n + 1
+            self.owner = binary
         else:
             self.owner = f"{enclosing}.{name}" if enclosing else name
         self.enclosing = self.owner
         place = len(self.types)
         self.types.append(self.owner)
+        self.taken[self.owner] += 1
         try:
             if self.texts[self.pos] == "<":
                 self._skip_generics()
@@ -1328,7 +1334,9 @@ class _Parser:
         place; a member has none."""
         self.diag(exc.message, exc.span)
         del self.site_icp[recorded:]
+        self.taken.subtract(t if type(t) is str else t.name for t in self.types[types:])
         del self.types[types:]
+        self.numbered.clear()
         self._skip_statement()
         span = self.span_from(start) if self.pos > start else self.tok_span(start)
         return ast.ExprStmt((ast.Opaque((span,)), span))

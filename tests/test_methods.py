@@ -5,11 +5,21 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from cddlint.history.series import analyze_file
 from cddlint.methods import SLOC_THRESHOLD, MethodStats, method_stats, stats_from_lengths
 from cddlint.rules import default_rules
-from cddlint.syntax import parse_unit
+from cddlint.syntax import ast, parse_unit
+
+from conftest import FIXTURES
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from cddbench.corpus import Corpus  # noqa: E402
 
 RULES = default_rules()
 
@@ -161,3 +171,116 @@ class TestExactness:
             )), lengths
             exact = (stats.mean_loc, stats.median_loc, stats.percent_at_or_under_24)
             assert {type(v) for v in exact} == {Fraction}
+
+
+# a class initializer, a 4-line `run()` in an anonymous class and `g()`
+ANONYMOUS = b"""\
+class A {
+  static {
+    init();
+  }
+
+  Runnable task = new Runnable() {
+    public void run() {
+      int a = 1;
+      use(a);
+    }
+  };
+
+  void g() {}
+}
+"""
+# a 4-line `apply` in an enum constant's body, beside the enum's own
+ENUM_BODY = b"""\
+enum E {
+  ONE {
+    int apply(int x) {
+      int y = x + 1;
+      return y;
+    }
+  };
+
+  int apply(int x) {
+    return x;
+  }
+}
+"""
+# a 3-line `toString` in an anonymous class inside a lambda
+LAMBDA_BODY = b"""\
+class L {
+  Runnable task = () -> {
+    Object o = new Object() {
+      public String toString() {
+        return "x" + 1;
+      }
+    };
+  };
+}
+"""
+
+
+class TestWalkedMethods:
+    """Every method whose code the engine charges to a unit has a length:
+    one in an anonymous class or an enum constant's body too, and one inside
+    a lambda body only with lambda counting on."""
+
+    def test_an_anonymous_class_method_counts(self):
+        result = analyze_file("A.java", ANONYMOUS, RULES)
+        assert sorted(result.method_lengths) == [1, 3, 4]
+        assert result.excluded_methods == 0
+
+    def test_an_enum_constant_body_method_counts(self):
+        result = analyze_file("E.java", ENUM_BODY, RULES)
+        assert sorted(result.method_lengths) == [3, 4]
+
+    @pytest.mark.parametrize("lambdas, lengths", [(False, ()), (True, (3,))])
+    def test_a_method_inside_a_lambda_counts_with_lambda_counting(self, lambdas, lengths):
+        result = analyze_file("L.java", LAMBDA_BODY, RULES._replace(count_lambdas=lambdas))
+        assert result.method_lengths == lengths
+        assert result.excluded_methods == 0
+
+    def test_a_test_path_counts_no_anonymous_class_method(self):
+        result = analyze_file("src/test/A.java", ANONYMOUS, RULES)
+        assert (result.method_lengths, result.excluded_methods) == ((), 3)
+
+
+def reference_method_lengths(unit: ast.SourceUnit, rules) -> tuple[tuple[int, ...], int]:
+    """The traversal the engine's walk replaced: each type's own methods,
+    `TypeDecl.methods`, with the shape and test-path filters; it sees no
+    method of an anonymous class or an enum constant's body."""
+    counted: list[int] = []
+    excluded = 0
+    for decl in unit.types:
+        for method in decl.methods:
+            body = method.body
+            accessor = (method.name.startswith(("get", "set", "is"))
+                        and body is not None and len(body.stmts) == 1
+                        and (isinstance(body.stmts[0], ast.Return)
+                             or (isinstance(body.stmts[0], ast.ExprStmt)
+                                 and isinstance(body.stmts[0].expr, ast.Assign))))
+            if (rules.is_test_path(unit.path) or body is None
+                    or method.name in ("equals", "hashCode") or accessor):
+                excluded += 1
+            else:
+                counted.append(body.span.line_end - body.span.line_start + 1)
+    return tuple(counted), excluded
+
+
+class TestReferenceTraversal:
+    """On input with no anonymous class or enum constant body, the walk's
+    lengths are the reference traversal's, in its order."""
+
+    @staticmethod
+    def assert_matches(path: str, data: bytes) -> None:
+        result = analyze_file(path, data, RULES)
+        assert result.failure is None, path
+        expected = reference_method_lengths(parse_unit(data, path), RULES)
+        assert (result.method_lengths, result.excluded_methods) == expected, path
+
+    def test_the_fixtures(self):
+        for p in sorted(FIXTURES.rglob("*.java")):
+            self.assert_matches(p.relative_to(FIXTURES).as_posix(), p.read_bytes())
+
+    def test_a_corpus_tree(self):
+        for f in Corpus(5).tree(700):
+            self.assert_matches(f.path, f.text.encode())

@@ -648,6 +648,39 @@ class TestWork:
             assert self.calls(data) <= self.CALLS_PER_TOKEN * tokens, data
 
 
+    @staticmethod
+    def lines_per_token(data: bytes) -> float:
+        """The line events in `parser.py` that parsing `data` makes, per token."""
+        lines = 0
+
+        def trace_line(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return trace_line
+
+        def trace_call(frame, event, arg):
+            return trace_line if frame.f_code.co_filename == parser.__file__ else None
+
+        sys.settrace(trace_call)
+        try:
+            parse_unit(data)
+        finally:
+            sys.settrace(None)
+        return lines / len(tokenize_bytes(data))
+
+    @pytest.mark.parametrize("members", [
+        lambda n: "void f() { " + " ".join(f"class L{i} {{}}" for i in range(n)) + " }",
+        lambda n: " ".join(f"void f{i}() {{ class L {{}} }}" for i in range(n)),
+    ], ids=["distinct-names", "one-name"])
+    def test_local_type_naming_is_linear(self, members):
+        # a local type's binary name is found with no pass over the types
+        # listed before it: four times the local types cost no more per token
+        def cost(n):
+            return self.lines_per_token(f"class A {{ {members(n)} }}".encode())
+
+        assert cost(400) <= 1.1 * cost(100)
+
+
 class TestErrorTolerance:
     def test_broken_statement_recovers_at_member_level(self):
         src = b"class A { void f() { int x = ; } void g() { h(); } }"
@@ -816,6 +849,17 @@ class TestClassBodies:
         assert [d.message for d in unit.diagnostics] == ["expected ')'", "expected ';'"]
         assert [t.name for t in unit.types] == ["A", "A$1M"]
         assert span_text(src, unit.types[-1].span) == "class M {}"
+
+    def test_a_dropped_local_type_frees_the_lowest_number(self):
+        # the failed statement's `L` took 2 after f's `L`; g's `L` takes 2
+        # again, and its `M` 1, before h's `L` takes 3
+        unit = parse_unit(b"""class A {
+          void f() { class L {} run(() -> { class L {} class M {} }) + ; class L2 {} }
+          void g() { class L {} class M {} }
+          void h() { class L {} }
+        }""")
+        assert [d.message for d in unit.diagnostics] == ["expected expression"]
+        assert [t.name for t in unit.types] == ["A", "A$1L", "A$1L2", "A$2L", "A$1M", "A$3L"]
 
     def test_a_fault_in_a_local_type_header_fails_only_its_statement(self):
         unit = parse_unit(b"class A { void f(boolean c) {"

@@ -23,10 +23,12 @@ from cddlint.engine import analyze_unit, verdict
 from cddlint.history import analyze_snapshot
 from cddlint.history.series import analyze_file
 from cddlint.rules import CategoryRule, IcpCategory, default_rules
-from cddlint.syntax import InvalidCharacter, TokenKind, ast, parse_unit
+from cddlint.syntax import InvalidCharacter, ParseError, TokenKind, ast, parse_unit
 from cddlint.syntax.scanner import tokenize_bytes
 
 from conftest import FIXTURES
+from test_parser import _mutants
+from test_type_headers import TYPE_HEADER_CASES
 
 RULES = default_rules(internal_types=("Internal*",), external_types=("External*",))
 
@@ -365,6 +367,40 @@ def _engine_keyword_sites(data: bytes) -> int:
     return sum(site.category in (IcpCategory.BRANCH, IcpCategory.EXCEPTION)
                and site.reason != "lambda expression"
                for analysis in analyze_unit(unit, LAMBDA_RULES) for site in analysis.sites)
+
+
+def _lambda_spans(decl: ast.TypeDecl) -> list[ast.Span]:
+    """The spans of the lambdas in a type's own code, its anonymous and
+    enum-constant bodies included; a type declared in it is listed apart."""
+    spans, stack = [], [decl]
+    while stack:
+        node = stack.pop()
+        if type(node) is ast.Lambda:
+            spans.append(node.span)
+        stack.extend(x for x in node if isinstance(x, tuple))
+    return spans
+
+
+def test_lambda_counting_adds_exactly_the_sites_inside_lambdas():
+    """A unit's sites with lambda counting off are its sites with it on,
+    less exactly those inside one of its lambdas, each lambda's own site
+    included."""
+    inputs = [p.read_bytes() for p in sorted(FIXTURES.rglob("*.java"))]
+    inputs += [source.encode() for source, _ in TYPE_HEADER_CASES.values()]
+    inputs += _mutants(2000, seed=7)
+    lambdas = 0
+    for data in inputs:
+        try:
+            unit = parse_unit(data, "K.java")
+        except ParseError:
+            continue
+        for decl, off, on in zip(unit.types, analyze_unit(unit, RULES),
+                                 analyze_unit(unit, LAMBDA_RULES)):
+            spans = _lambda_spans(decl)
+            lambdas += len(spans)
+            assert off.sites == tuple(site for site in on.sites if not any(
+                span.contains(site.span) for span in spans)), data
+    assert lambdas  # the inputs hold lambdas
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.java")),

@@ -17,10 +17,18 @@ the exit code, the standard output and the standard error:
   `cddbench/run.py`, also comparing every file of the tree it leaves;
 * `history` on the seed-29 `history_git` repository of `cddbench/run.py`,
   under its own `cdd.json` and under `GLOBS_CONFIG`, also comparing the CSV
-  and JSON it writes (2 cases).
+  and JSON it writes (2 cases);
+* `modern`: the twelve hand-scored `TYPE_HEADER_CASES` of
+  `tests/test_type_headers.py` (records, sealed types, `@interface`,
+  initializers, local, anonymous and enum-constant bodies, switch
+  expressions), as one file each, under the corpus rules: `check --format
+  json` on them, and `history --snapshots` over `NNNN_<case>/` folders, each
+  adding one case to the one before, also comparing the CSV and JSON it
+  writes (2 cases).
 
-The inputs are built once, with `cddbench/corpus.py` and the workload
-classes of `cddbench/run.py`, in a temporary folder that is removed at the
+The inputs are built once, with `cddbench/corpus.py`, the workload classes
+of `cddbench/run.py` and the cases of `tests/test_type_headers.py`, read
+with CHANGE_SRC's `cddlint`, in a temporary folder that is removed at the
 end. The tool prints each case that differs and what differs in it, then
 the number of cases; it exits 1 if any case differs, else 0.
 """
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -101,6 +110,28 @@ def report_cases(work: Path) -> list[tuple[str, list[str], Path]]:
     return cases
 
 
+def modern_cases(work: Path, change_src: Path) -> tuple[list[str], list[str]]:
+    """Write the `TYPE_HEADER_CASES` to `work`, as files under `cases/` and
+    as cumulative snapshot folders under `snapshots/` with their
+    `commits.jsonl`; return the argv of `check` and of `history` on them,
+    run in `work`, under the corpus rules that `report_cases` writes."""
+    sys.path[:0] = [str(change_src), str(ROOT / "tests")]
+    from test_type_headers import TYPE_HEADER_CASES
+
+    cases, snapshots = work / "cases", work / "snapshots"
+    cases.mkdir(parents=True)
+    commits = []
+    for ordinal, (name, (source, _)) in enumerate(TYPE_HEADER_CASES.items()):
+        (cases / f"{name}.java").write_text(source, encoding="utf-8")
+        shutil.copytree(cases, snapshots / f"{ordinal:04d}_{name}")
+        commits.append(json.dumps({"id": name, "message": f"Add {name}",
+                                   "timestamp": 1_600_000_000 + 86_400 * ordinal}) + "\n")
+    (snapshots / "commits.jsonl").write_text("".join(commits), encoding="utf-8")
+    config = ["--config", str(work.parent / "corpus-cdd.json")]
+    return (["check", "--format", "json", *config, "cases"],
+            ["history", "--snapshots", "snapshots", "--output-dir", "series", *config])
+
+
 def compare(name: str, sides: list[dict[str, bytes]]) -> bool:
     """Print what differs between the two sides' outputs; True if nothing."""
     parent, change = sides
@@ -132,17 +163,28 @@ def main(argv: list[str]) -> int:
             sides.append(outputs)
         same.append(compare(f"reconcile_fix seed {WORKLOAD_SEED}: reconcile --fix", sides))
 
+        modern = work / "modern"
+        check, snapshots_history = modern_cases(modern, srcs[1])
+        same.append(compare("modern: check --format json (corpus rules)",
+                            [run_cli(src, seed, check, modern)
+                             for src, seed in zip(srcs, HASH_SEEDS)]))
+
         (work / "history").mkdir()
         history = HistoryGit(Corpus(WORKLOAD_SEED), work / "history")
         globs = ["--config", str(work / "globs-cdd.json")]  # written by report_cases
-        for rules, options in (("", []), (" (globs rules)", globs)):
+        histories = [(f"history_git seed {WORKLOAD_SEED}: history{rules}",
+                      history.args + options, history.cwd, history.out)
+                     for rules, options in (("", []), (" (globs rules)", globs))]
+        histories.append(("modern: history --snapshots (corpus rules)", snapshots_history,
+                          modern, modern / "series"))
+        for name, cli_argv, cwd, out in histories:
             sides = []
             for src, seed in zip(srcs, HASH_SEEDS):
-                history.prepare()  # no series output left from the other side
-                outputs = run_cli(src, seed, history.args + options, history.cwd)
-                outputs.update(read_tree(history.out))
+                shutil.rmtree(out, ignore_errors=True)  # no series output left from the other side
+                outputs = run_cli(src, seed, cli_argv, cwd)
+                outputs.update(read_tree(out))
                 sides.append(outputs)
-            same.append(compare(f"history_git seed {WORKLOAD_SEED}: history{rules}", sides))
+            same.append(compare(name, sides))
 
     print(f"cases: {len(same)}, differ: {same.count(False)}")
     return 0 if all(same) else 1
