@@ -3,11 +3,11 @@
 The class-level @ICP annotation is the single source of declared truth:
 `extract_declared` reads it for each type in one pass over the type's
 annotations, `reconcile` compares it with the computed total, and
-`apply_fixes` rewrites it. Site-level annotations (and `// @ICP(n)` marker
-comments) are advisory, as legal annotation positions cannot express every
-counted site: they never drive a verdict, and fix mode rewrites only the
-class level. The parser records them as it reads them
-(`SourceUnit.site_icp`), lambda bodies included. A malformed @ICP, one with
+`apply_fixes` rewrites it. Site-level annotations are advisory, as legal
+annotation positions cannot express every counted site: they never drive a
+verdict, and fix mode rewrites only the class level. The parser records them
+as it reads them (`SourceUnit.site_icp`), lambda bodies included; a comment
+is never one. A malformed @ICP, one with
 no decimal argument, gets a note; it leaves unannotated only the type whose
 class-level @ICP it is, so a malformed site-level one changes no value.
 """

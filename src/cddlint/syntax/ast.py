@@ -58,15 +58,15 @@ class AnnotationUse(Record):
 
 
 class SiteIcp(Record):
-    """A site-level `@ICP(n)`: an annotation on a field, a method, a
-    parameter or record component, a statement or a local variable, or a
-    `// @ICP(n)` marker comment before a statement."""
+    """A site-level `@ICP(n)` annotation on a field, a method, a parameter
+    or record component, a catch parameter, an `instanceof` pattern, a
+    statement or a local variable."""
 
     _fields = (
         "owner",  # name of the type the element belongs to
         "span",  # span of the element
         "value",  # Fraction | None: None for an annotation with no decimal argument
-        "use_span",  # span of the annotation or of the marker comment
+        "use_span",  # span of the annotation
     )
 
 

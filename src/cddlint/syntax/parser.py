@@ -17,11 +17,11 @@ missing `}`. A member or top-level type whose clauses cannot be read is
 diagnosed `expected '{'` and read on from its next `{`.
 
 Site-level ICPs are recorded as they are read: one ``SiteIcp`` per `@ICP` on
-a field, a method, a parameter or record component, a statement or a local
-variable, and per `// @ICP(n)` marker comment before a statement, lambda
-and anonymous class bodies included. Each is appended when its element
-ends, so it has the element's span, and the type being read is its owner.
-Only ``_recover`` drops what was recorded: the sites and types of the
+a field, a method, a parameter or record component, a catch parameter, an
+`instanceof` pattern, a statement or a local variable, lambda and anonymous
+class bodies included; a comment is never one. Each is appended when its
+element ends, so it has the element's span, and the type being read is its
+owner. Only ``_recover`` drops what was recorded: the sites and types of the
 statement or member that failed.
 
 One reader per rule: ``_parse_type_decl`` reads every type header JLS SE 17
@@ -40,7 +40,8 @@ groups, get javac's diagnostic and are read on); ``_parse_par_expr`` reads
 each `( Expression )` after a keyword; one head reader,
 ``_try_parse_local_head``, reads the modifiers and type of a local
 declaration and of both kinds of `for` header, so a header is read once;
-``_parse_list`` reads every bracketed, separated list, and
+``_parse_list`` reads every bracketed, separated list, where a `,` before
+the `)` of arguments or parameters fails as javac fails it, and
 ``_parse_separated`` every other one: the types of a header clause, a
 `throws`, a multi-catch and an intersection cast, and the expressions of a
 `for` header and an `assert`; ``_skip_generics`` reads every `<…>`: type
@@ -74,8 +75,8 @@ A helper that reads an optional part is called only when the token at the
 cursor can start what it reads: ``_parse_annotations`` at an `@`,
 ``_skip_array_suffix`` at a `[` or `@`, an operand with no prefix operator
 and no `(` goes straight to ``_parse_postfix``, which reads a plain name
-itself, and ``record_icp`` is called only when there is a use or a comment
-to record.
+itself, and ``record_icp`` is called only when there is an annotation to
+record.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from . import ast
 from .ast import Span
@@ -173,8 +174,6 @@ _UNARY_STARTS = _PREFIX_OPS | {"("}
 # the words `_parse_primary` reads; `_parse_postfix` reads any other name
 _PRIMARY_WORDS = frozenset({"true", "false", "null", "new", "switch"})
 
-MARKER_COMMENT_RE = re.compile(r"^//\s*@ICP\(\s*(\d+(?:\.\d+)?)\s*\)\s*$")
-
 _NUMBER_SUFFIXES = "lLfFdD"
 
 
@@ -217,7 +216,6 @@ class _Parser:
         self.starts = tokens.starts
         self.ends = tokens.ends
         self.lines = tokens.lines
-        self.comments = tokens.comments
         self.partners = tokens.partners
         self.pos = 0
         self.path = path
@@ -268,22 +266,14 @@ class _Parser:
         end = self.pos - 1 if self.pos else 0
         return Span((self.starts[start], self.ends[end], self.lines[start], self.lines[end]))
 
-    def record_icp(self, start: int, uses: tuple[ast.AnnotationUse, ...],
-                   comments: Sequence[tuple[str, int, int, int]] = ()) -> None:
-        """Record as sites of the element from token `start` through the last
-        token consumed: each `@ICP` among the annotations `uses`, and each
-        `// @ICP(n)` marker among the line comments `comments`; called only
-        when there is one or the other."""
+    def record_icp(self, start: int, uses: tuple[ast.AnnotationUse, ...]) -> None:
+        """Record each `@ICP` among the annotations `uses` as a site of the
+        element from token `start` through the last token consumed; called
+        only when there are annotations."""
         span = self.span_from(start)
         for use in uses:
             if use.simple_name() == "ICP":
                 self.site_icp.append(ast.SiteIcp((self.owner, span, use.numeric_arg, use.span)))
-        for text, c_start, c_end, line in comments:
-            m = MARKER_COMMENT_RE.match(text)
-            if m:
-                self.site_icp.append(ast.SiteIcp((
-                    self.owner, span, Fraction(m.group(1)), Span((c_start, c_end, line, line)),
-                )))
 
     def diag(self, message: str, span: Span) -> None:
         self.diagnostics.append(ast.Diagnostic((message, span)))
@@ -589,12 +579,17 @@ class _Parser:
                     sep: str = ",") -> tuple:
         """The items of the bracketed list whose opener is at the cursor,
         through its `close`: each read by `parse_item` and left out if that
-        gives None, with a `sep` after each but the last, and allowed after
-        the last too."""
+        gives None, with a `sep` between each two. A `sep` may end the list,
+        as in `{1, 2, }` or a try resource list's `;)`, but in a
+        `,`-separated `(…)` list, of arguments or parameters, an item is read
+        after each `,`, so `g(a, )` fails at the `)`, as javac fails it (JLS
+        SE 17 §8.4.1, §15.12)."""
         texts = self.texts
         self.pos += 1
         items = []
-        while texts[self.pos] != close and self.kinds[self.pos] != _EOF:
+        strict = close == ")" and sep == ","
+        while ((texts[self.pos] != close or (strict and items))
+               and self.kinds[self.pos] != _EOF):
             item = parse_item()
             if item is not None:
                 items.append(item)
@@ -758,8 +753,8 @@ class _Parser:
             return [self._recover(exc, start, recorded, types)]
 
     def _parse_statement(self) -> list[ast.Stmt]:
-        """A statement; once it has ended, its `@ICP` annotations and the
-        marker comments before it are recorded as its sites."""
+        """A statement; once it has ended, its `@ICP` annotations are
+        recorded as its sites."""
         texts, start = self.texts, self.pos
         uses = self._parse_annotations() if texts[start] == "@" else ()
         i = self.pos
@@ -807,21 +802,18 @@ class _Parser:
                 stmts = [ast.ExprStmt((expr, self.span_from(start)))]
             else:
                 stmts = self._parse_local_decl(start, head)
-        if uses or start in self.comments:
-            self.record_icp(start, uses, self.comments.get(start, ()))
+        if uses:
+            self.record_icp(start, uses)
         return stmts
 
     def _parse_rule_body(self) -> list[ast.Stmt]:
         """A `->` rule's body (JLS SE 17 §14.11.1): a block, a `throw` or an
-        expression statement, never a declaration; a marker comment before
-        it is its site, as before a statement."""
+        expression statement, never a declaration."""
         start = self.pos
         if self.texts[start] in ("{", "throw"):
             return self._parse_statement()
         expr = self._parse_expr()
         self.expect(";")
-        if start in self.comments:
-            self.record_icp(start, (), self.comments[start])
         return [ast.ExprStmt((expr, self.span_from(start)))]
 
     def _at_yield(self, i: int) -> bool:
@@ -874,8 +866,8 @@ class _Parser:
                 else_branch = self._parse_substatement()
                 break
         for start, uses, *_ in links[1:]:
-            if uses or start in self.comments:
-                self.record_icp(start, uses, self.comments.get(start, ()))
+            if uses:
+                self.record_icp(start, uses)
         for start, _, if_kw, cond, then, else_kw in reversed(links):
             else_branch = ast.If((cond, then, else_branch, if_kw, else_kw, self.span_from(start)))
         return else_branch
@@ -1057,10 +1049,12 @@ class _Parser:
         while self.texts[self.pos] == "catch":
             c_start = self.pos
             c_kw = self.tok_span(self.advance())
-            self.expect("(")
-            self._parse_modifiers(_VARIABLE_MODIFIERS)
+            p_start = self.expect("(") + 1
+            uses = self._parse_modifiers(_VARIABLE_MODIFIERS)[0]
             types = self._parse_separated(self._parse_type, "|")  # multi-catch: one clause
             pname = self.texts[self.expect_ident("catch parameter")]
+            if uses:
+                self.record_icp(p_start, uses)
             self.expect(")")
             c_body = self._parse_block()
             catches.append(ast.CatchClause((pname, tuple(types), c_body, c_kw,
@@ -1149,11 +1143,14 @@ class _Parser:
             op_span = self.span_from(op_tok)
             if op == "instanceof":
                 # `x instanceof final @A T t`, JLS SE 17 §4.11 and §14.30.1
-                if texts[self.pos] in _VARIABLE_MODIFIER_STARTS:
-                    self._parse_modifiers(_VARIABLE_MODIFIERS)
+                p_start, uses = self.pos, ()
+                if texts[p_start] in _VARIABLE_MODIFIER_STARTS:
+                    uses = self._parse_modifiers(_VARIABLE_MODIFIERS)[0]
                 ty = self._parse_type()
                 if self.kinds[self.pos] == _IDENT:  # pattern variable (accepted, unused)
                     self.pos += 1
+                    if uses:
+                        self.record_icp(p_start, uses)
                 rhs = ast.NameRef((ty.qualified_name, ty.span))
             else:
                 rhs = self._parse_binary(prec + 1)
@@ -1230,11 +1227,12 @@ class _Parser:
                 expr = ast.Call((None, expr.name, args, self.span_from(start)))
             elif k == "[" and texts[self.pos + 1] == "]":
                 # an array type's constructor reference, `int[][]::new`
-                # (JLS SE 17 §15.13): its dimensions, then the `::`
+                # (JLS SE 17 §15.13), or its class literal, `int[].class`
+                # (§15.8.2): its dimensions, then the `::` or `.class`
                 i = self.pos + 2
                 while texts[i] == "[" and texts[i + 1] == "]":
                     i += 2
-                if texts[i] != "::":
+                if texts[i] != "::" and (texts[i] != "." or texts[i + 1] != "class"):
                     raise _Fail("expected expression", self.tok_span(self.pos + 1))
                 self.pos = i
             elif k == "[":

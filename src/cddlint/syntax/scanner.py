@@ -1,22 +1,20 @@
 """Tokenizer: one compiled bytes regex, read by one ``split`` of the input.
 
 Each match of the pattern is a pair of groups: the gap of whitespace and
-``/* */`` comments before a token, and the token (or ``//`` comment)
-itself. The pattern matches wherever the last match ended, so ``split``
-returns the input in threes: the empty text before a match, its gap and its
-token, all bytes, with no ``re.Match`` object per token. Each list of the
-stream is filled by passes that run in C, not by an interpreted step per
-token:
+comments before a token, and the token itself. The pattern matches wherever
+the last match ended, so ``split`` returns the input in threes: the empty
+text before a match, its gap and its token, all bytes, with no ``re.Match``
+object per token. Each list of the stream is filled by passes that run in
+C, not by an interpreted step per token:
   - a token's kind comes from a 256-entry table indexed by its first byte;
     only a token that starts with ``/``, ``.``, ``"``, ``'`` or a byte the
-    table does not list is looked at one by one: a ``//`` comment, a number
-    such as ``.5``, a literal that may be unterminated, an invalid byte
+    table does not list is looked at one by one: a ``/`` that may open a
+    comment left open, a number such as ``.5``, a literal that may be
+    unterminated, an invalid byte
   - ends are ``accumulate`` over the gap and token lengths, starts are ends
     less token lengths, and lines ``accumulate`` over the LFs in the gaps: a
     file that holds a CR is read from a copy in which each lone CR is an LF,
     which changes no token, as none holds a line terminator
-  - ``compress`` takes the ``//`` comments out; only they are visited one by
-    one
 
 Memory is O(n) in the input. The pieces of the split are dropped as soon as
 they are read; on Java source, the scanner's peak exceeds the stream it
@@ -34,18 +32,16 @@ Lexical contract:
     token spans lines, so one line number places it
   - an operator or separator is a PUNCT token named by its spelling alone:
     ``texts[i]`` is "{", "->", "+=", ... as in JLS SE 17 §3.11-3.12
-  - ``comments[i]`` lists the ``//`` line comments before token i; trailing
-    ones, with no token after them, are listed under a final EOF token
   - ``partners[i]`` is the index of the bracket token i pairs with, or -1:
     a ``(`` pairs with the first ``)`` after it at which the parentheses
     between them balance, a ``{`` with a ``}`` alike, each kind apart from
     the other; a token that is no such bracket, one with no partner and
     every entry past ``len()`` have -1. ``[``/``]`` are not paired, as no
     reader needs them, nor ``<``/``>``, which are ambiguous
-  - whitespace and ``/* */`` block comments make no entry: they are the gap
-    before a token (or ``//`` comment), and the line counter moves by the
-    line terminators in it; the gap after the last token ends in the empty
-    END alternative at the end of the input
+  - whitespace, ``/* */`` block comments and ``//`` line comments make no
+    entry: they are the gap before a token, and the line counter moves by
+    the line terminators in it; the gap after the last token ends in the
+    empty END alternative at the end of the input
   - an EOF token ends the stream whenever anything follows the last token,
     so len(tokenize_bytes(b"")) == 0 but tokenize_bytes(b"  ") is one EOF
     token
@@ -66,25 +62,28 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress, repeat
-from operator import add, is_, is_not, itemgetter, sub
+from operator import add, is_, itemgetter, sub
 from sys import intern
 
 from .tokens import InvalidCharacter, TokenKind, TokenStream
 
 # The gap is greedy and the catch-all `.` or END always matches after the
 # longest gap, so the gap is never given back: no possessive quantifier,
-# which Python 3.10 lacks, is needed to keep the match from backtracking.
+# which Python 3.10 lacks, is needed to keep the match from backtracking. A
+# comment in the gap is tried only at a `/`, so a gap of whitespace alone
+# costs no comment alternative.
 # Identifiers, and the separators that start no longer token, come first as
 # they are the most common; a string or char literal ends at its closing
 # quote or, left open, before the line terminator.
 _TOKEN_RE = re.compile(
     rb"""
-    ( [ \t\r\n\f]* (?: /\*.*?\*/ [ \t\r\n\f]* )* )   # whitespace, block comments
+    ( [ \t\r\n\f]*                                   # whitespace, comments
+      (?: / (?: \*.*?\*/ | /[^\r\n]* ) [ \t\r\n\f]* )* )
     ( [A-Za-z_$][A-Za-z0-9_$]*                        # identifier
     | [(){}\[\];,@?~]                                 # separator
-    | //[^\r\n]*                                      # line comment
     | /\*                                             # unterminated comment
-    | 0[xX][0-9a-fA-F_]*[lLfFdD]?
+    | 0[xX][0-9a-fA-F_]*
+      (?: (?:\.[0-9a-fA-F_]*)? [pP][+-]?[0-9]+ )? [lLfFdD]?  # hex, a float if an exponent
     | 0[bB][01_]*[lLfFdD]?
     | (?: [0-9][0-9_]*(?:\.[0-9_]*)? | \.[0-9][0-9_]* )
       (?: [eE][+-]?[0-9]+ )? [lLfFdD]?                # number
@@ -120,8 +119,8 @@ def active_backend() -> str:
 
 
 def tokenize_bytes(data: bytes) -> TokenStream:
-    """Lex UTF-8 bytes into a token stream with byte spans and line comments;
-    spans index directly into ``data``."""
+    """Lex UTF-8 bytes into a token stream with byte spans; spans index
+    directly into ``data``."""
     # a lone CR ends a line as an LF does; in a copy with an LF for each one,
     # every line terminator ends in an LF and every token reads the same
     if b"\r" in data:
@@ -164,8 +163,7 @@ def tokenize_bytes(data: bytes) -> TokenStream:
                 error = "unterminated block comment"
                 ends[i] = n
                 break
-            if not tok.startswith(b"//"):  # a comment keeps its None
-                kinds[i] = TokenKind.PUNCT
+            kinds[i] = TokenKind.PUNCT
         elif tok.startswith(b"'"):
             if not _closed(tok):
                 error = "unterminated char literal"
@@ -179,25 +177,12 @@ def tokenize_bytes(data: bytes) -> TokenStream:
     texts = list(map(intern, map(bytes.decode, toks)))
     del toks
     line = lines.pop()
-    comments: dict[int, list[tuple[str, int, int, int]]] = {}
-    if None in kinds:
-        # the k-th comment, at j, comes before the j - k-th token
-        is_token = list(map(is_not, kinds, repeat(None)))
-        for k, j in enumerate(compress(range(stop), map(is_, kinds, repeat(None)))):
-            comments.setdefault(j - k, []).append((texts[j], starts[j], ends[j], lines[j]))
-        # one list at a time, each old one freed before the next is copied
-        kinds = list(compress(kinds, is_token))
-        texts = list(compress(texts, is_token))
-        starts = list(compress(starts, is_token))
-        ends = list(compress(ends, is_token))
-        lines = list(compress(lines, is_token))
     count = len(kinds) + (n > 0 and (not kinds or ends[-1] < n))
     eofs = count - len(kinds) + 2  # the final EOF token, if any, and two more
     for entries, eof in ((kinds, TokenKind.EOF), (texts, ""), (starts, n), (ends, n),
                          (lines, line)):
         entries += [eof] * eofs
-    return TokenStream(kinds, texts, starts, ends, lines, comments, _pair_brackets(texts),
-                       count)
+    return TokenStream(kinds, texts, starts, ends, lines, _pair_brackets(texts), count)
 
 
 def _pair_brackets(texts: list[str]) -> list[int]:

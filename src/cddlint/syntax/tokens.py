@@ -16,23 +16,19 @@ class TokenKind(enum.IntEnum):
 
 class TokenStream:
     """Token i is ``kinds[i]``, ``texts[i]``, bytes ``starts[i]:ends[i]``, on
-    ``lines[i]``; ``comments[i]``, if present, lists the ``//`` line comments
-    before it as (text, byte_start, byte_end, line). ``partners[i]`` is the
-    index of the bracket that a ``(``, ``)``, ``{`` or ``}`` pairs with, or -1
-    when it has none or token i is no such bracket. ``len()`` is the token
-    count; the lists run two EOF entries past it, each with partner -1 (see
-    scanner.py)."""
+    ``lines[i]``. ``partners[i]`` is the index of the bracket that a ``(``,
+    ``)``, ``{`` or ``}`` pairs with, or -1 when it has none or token i is no
+    such bracket. ``len()`` is the token count; the lists run two EOF entries
+    past it, each with partner -1 (see scanner.py)."""
 
-    __slots__ = ("kinds", "texts", "starts", "ends", "lines", "comments", "partners",
-                 "count")
+    __slots__ = ("kinds", "texts", "starts", "ends", "lines", "partners", "count")
 
-    def __init__(self, kinds, texts, starts, ends, lines, comments, partners, count):
+    def __init__(self, kinds, texts, starts, ends, lines, partners, count):
         self.kinds: list[int] = kinds
         self.texts: list[str] = texts
         self.starts: list[int] = starts
         self.ends: list[int] = ends
         self.lines: list[int] = lines
-        self.comments: dict[int, list[tuple[str, int, int, int]]] = comments
         self.partners: list[int] = partners
         self.count = count
 

@@ -44,11 +44,19 @@ class TestExtract:
         assert extract_declared(unit) == ([(None, ())], None)
         assert unit.site_icp == ()
 
-    def test_marker_comments_collected(self):
-        unit = parse_unit(
-            b"class A { void f(boolean x) {\n  // @ICP(2)\n  if (x) {}\n} }"
-        )
-        assert [e.value for e in unit.site_icp] == [2]
+    def test_a_marker_comment_is_no_site(self):
+        # a comment is part of the gap: `// @ICP(2)` records nothing, while
+        # the annotation before the same statement is its site
+        commented = b"class A { void f(boolean x) {\n  // @ICP(2)\n  if (x) {}\n} }"
+        assert parse_unit(commented).site_icp == ()
+        annotated = parse_unit(commented.replace(b"// @ICP(2)", b"@ICP(2)"))
+        assert [e.value for e in annotated.site_icp] == [2]
+
+    @pytest.mark.parametrize("variable", [
+        "try {} catch (@ICP(x) Exception e) {}", "if (o instanceof @ICP(x) String s) {}"])
+    def test_a_malformed_icp_on_a_catch_parameter_or_pattern_is_noted(self, variable):
+        unit = parse_unit(f"class A {{ void f(Object o) {{\n{variable} }} }}".encode())
+        assert extract_declared(unit)[1] == "@ICP needs a decimal argument (line 2)"
 
     def test_non_decimal_argument_is_malformed(self):
         [(value, spans)], malformed = extract_declared(parse_unit(b"@ICP(two) class A {}"))
@@ -99,21 +107,21 @@ class TestExtract:
 
 
 # Each source's site-level @ICP values, as (owner, the source text of the
-# element that carries the value, value).
+# element that carries the value, value); a `// @ICP(1)` comment is none.
 LAMBDA_BODY = "{\n    // @ICP(1)\n    @ICP(2) if (c) g();\n  }"
-MARKED_BODY = "{\n    // @ICP(1)\n    g();\n  }"
+SITE_BODY = "{\n    @ICP(1) g();\n  }"
 SITE_CASES = {
     # lambda bodies (their sites went unread before the parser recorded them)
     "lambda-in-a-method": (
         f"class A {{ void f() {{ run(() -> {LAMBDA_BODY}); }} }}",
-        [("A", "@ICP(2) if (c) g();", 1), ("A", "@ICP(2) if (c) g();", 2)]),
+        [("A", "@ICP(2) if (c) g();", 2)]),
     "lambda-in-a-field-initializer": (
         f"class A {{ Runnable r = () -> {LAMBDA_BODY}; }}",
-        [("A", "@ICP(2) if (c) g();", 1), ("A", "@ICP(2) if (c) g();", 2)]),
-    # the marker and the annotation before a label belong to the labeled statement
+        [("A", "@ICP(2) if (c) g();", 2)]),
+    # the annotation before a label belongs to the labeled statement
     "labeled-statement": (
         "class A { void f() {\n    // @ICP(1)\n    @ICP(2) lbl: for (;;) {}\n  } }",
-        [("A", "@ICP(2) lbl: for (;;) {}", 1), ("A", "@ICP(2) lbl: for (;;) {}", 2)]),
+        [("A", "@ICP(2) lbl: for (;;) {}", 2)]),
     "for-each-variable": (
         "class A { void f(int[] xs) { for (@ICP(1) int x : xs) {} } }",
         [("A", "@ICP(1) int x : xs", 1)]),
@@ -133,6 +141,17 @@ SITE_CASES = {
     "record-component": (
         "class A { record R(@ICP(1) int y) {} }",
         [("A.R", "@ICP(1) int y", 1)]),
+    # a catch parameter and a pattern variable, as a parameter
+    "catch-parameter": (
+        "class A { void f() { try {} catch (final @ICP(1) IOException | E e) {} } }",
+        [("A", "final @ICP(1) IOException | E e", 1)]),
+    "instanceof-pattern": (
+        "class A { boolean f(Object o) { return o instanceof @ICP(1) String s; } }",
+        [("A", "@ICP(1) String s", 1)]),
+    # a type test declares no variable, so its type's annotation is no site
+    "instanceof-type-test": (
+        "class A { boolean f(Object o) { return o instanceof @ICP(1) String; } }",
+        []),
     # an anonymous body's members are its enclosing type's; a local type
     # owns its members, and its own @ICP is class level
     "anonymous-body": (
@@ -143,22 +162,22 @@ SITE_CASES = {
         [("A$1L", "@ICP(1) int n;", 1), ("A", "@ICP(2) int m = 0;", 2)]),
     # a statement or member that fails drops what it recorded
     "local-initializer-that-fails-at-a-declarator": (
-        f"class A {{ void f() {{ Runnable r = () -> {MARKED_BODY} oops; }} }}",
+        f"class A {{ void f() {{ Runnable r = () -> {SITE_BODY} oops; }} }}",
         []),
     "for-init-that-fails-at-a-declarator": (
-        f"class A {{ void f() {{ for (a < b > c = () -> {MARKED_BODY}, 5;;) {{}} }} }}",
+        f"class A {{ void f() {{ for (a < b > c = () -> {SITE_BODY}, 5;;) {{}} }} }}",
         []),
     "cast-whose-operand-fails": (
-        f"class A {{ void f() {{ (a)(() -> {MARKED_BODY}, b); }} }}",
+        f"class A {{ void f() {{ (a)(() -> {SITE_BODY}, b); }} }}",
         []),
     "else-if-link-that-fails": (
-        f"class A {{ void f() {{ if (c) g(); else if (h(() -> {MARKED_BODY}) ==) g(); }} }}",
+        f"class A {{ void f() {{ if (c) g(); else if (h(() -> {SITE_BODY}) ==) g(); }} }}",
         []),
     "do-while-that-fails": (
-        f"class A {{ void f() {{ do {MARKED_BODY} while (x; }} }}",
+        f"class A {{ void f() {{ do {SITE_BODY} while (x; }} }}",
         []),
     "field-that-fails": (
-        f"class A {{ Runnable r = () -> {MARKED_BODY} oops; }}",
+        f"class A {{ Runnable r = () -> {SITE_BODY} oops; }}",
         []),
 }
 

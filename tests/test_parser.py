@@ -187,15 +187,6 @@ class TestBasics:
         ret = unit.types[0].methods[0].body.stmts[0]
         assert isinstance(ret.expr, ast.Binary) and ret.expr.op == ">>"
 
-    def test_marker_comment_recorded(self):
-        unit = parse_unit(
-            b"class A { void f(boolean x) {\n    // @ICP(2)\n    if (x) {}\n  } }"
-        )
-        if_stmt = unit.types[0].methods[0].body.stmts[0]
-        [site] = unit.site_icp
-        assert (site.owner, site.span, site.value) == ("A", if_stmt.span, 2)
-        assert (site.use_span.line_start, site.use_span.line_end) == (2, 2)
-
     def test_non_marker_comment_ignored(self):
         unit = parse_unit(b"class A { void f() {\n    // plain note\n    g();\n  } }")
         assert unit.site_icp == ()
@@ -240,6 +231,21 @@ class TestBasics:
         assert unit.diagnostics == ()
         [analysis] = analyze_unit(unit, default_rules())
         assert analysis.total == 2  # the ternary and its condition
+
+    @pytest.mark.parametrize("stmt", ["Object o = int[].class;", "Object o = String[][].class;"])
+    def test_a_class_literal_may_follow_array_dimensions(self, stmt):
+        # JLS SE 17 §15.8.2
+        unit = parse_unit(f"class A {{ void f() {{ {stmt} }} }}".encode())
+        assert unit.diagnostics == ()
+        [decl] = unit.types[0].methods[0].body.stmts
+        assert (type(decl.initializer), decl.initializer.name) == (ast.FieldAccess, "class")
+
+    def test_hex_floating_point_literals(self):
+        # JLS SE 17 §3.10.2; javac 17 compiles each
+        unit = parse_unit(b"class A { double d = 0x1.8p1, e = 0x1p-3; long f = 0x1FL; }")
+        assert unit.diagnostics == ()
+        assert [f.initializer.text for f in unit.types[0].fields] == [
+            "0x1.8p1", "0x1p-3", "0x1FL"]
 
     def test_a_member_type_keeps_every_type_argument(self):
         text = b"class A { Map<K, V>.Entry<K, V> e; }"
@@ -320,6 +326,22 @@ class TestLists:
         assert unit.diagnostics == ()
         items = unit.types[0].fields[0].initializer.items
         assert [item.text for item in items] == ["1", "2"]
+
+    @pytest.mark.parametrize("member, message", [
+        ("void f() { g(a, ); }", "expected expression"),
+        ("void f(int a, ) {}", "expected type"),
+        ("void f() { Runnable r = (a, ) -> 0; }", "expected type"),
+        ("record R(int a, ) {}", "expected '{'"),
+    ], ids=["arguments", "parameters", "lambda-parameters", "record-components"])
+    def test_a_comma_before_a_closing_parenthesis_fails(self, member, message):
+        # javac 17 rejects a `,` after the last argument, parameter, lambda
+        # parameter or record component; the statement or member fails at the `)`
+        text = f"class A {{ {member} void g() {{}} }}".encode()
+        unit = parse_unit(text)
+        [diagnostic] = unit.diagnostics
+        assert diagnostic.message == message
+        assert text[diagnostic.span.byte_start:].startswith(b")")
+        assert unit.types[0].methods[-1].name == "g"
 
     def test_try_resources_may_end_in_a_semicolon(self):
         unit = parse_unit(b"class A { void f() { try (A a = x;) { g(); } } }")
@@ -529,9 +551,8 @@ class TestElseIfChain:
         assert inner.span.byte_start == src.index(b"@ICP(2) if (x == 1)")
         chain_end = src.index(b"return 2;") + len(b"return 2;")
         assert inner.span.byte_end == outer.span.byte_end == chain_end
-        # the second link's annotation and the marker before it are its sites
-        assert sorted((s.span, s.value) for s in unit.site_icp) == [
-            (inner.span, 1), (inner.span, 2)]
+        # the second link's annotation is its site; the comment before it is none
+        assert [(s.span, s.value) for s in unit.site_icp] == [(inner.span, 2)]
         assert (outer.else_kw.line_start, inner.else_kw.line_start) == (3, 5)
 
     def test_a_broken_link_is_the_failed_else_branch(self):

@@ -556,10 +556,9 @@ def _reference_partners(texts, n):
 
 def _assert_token_stream_invariants(text):
     """Every token is the bytes it spans, of the kind its text gives, on the
-    line its offset gives, in order; line comments sit under token numbers;
-    an EOF token ends the stream exactly when something follows the last
+    line its offset gives, in order; an EOF token ends the stream exactly when something follows the last
     token; len() counts no sentinel; an error is reported on the line of its
-    offset; no token or comment holds a line terminator; brackets are paired
+    offset; no token holds a line terminator; brackets are paired
     as depth counting pairs them."""
     data = text.encode("utf-8")
     try:
@@ -577,13 +576,6 @@ def _assert_token_stream_invariants(text):
                                        if head.match(ts.texts[i]))
         if i + 1 < n:
             assert ts.ends[i] <= ts.starts[i + 1]
-    for i, comments in ts.comments.items():
-        assert 0 <= i < n
-        for comment, start, end, line in comments:
-            assert comment.startswith("//")
-            assert comment == data[start:end].decode("utf-8")
-            assert line == _line_at(data, start)
-            assert not _LINE_TERMINATOR.search(data, start, end)
     tokens = [i for i in range(n) if ts.kinds[i] != TokenKind.EOF]
     ends_in_eof = bool(data) and (not tokens or ts.ends[tokens[-1]] < len(data))
     assert tokens == list(range(n - ends_in_eof))

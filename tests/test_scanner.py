@@ -81,22 +81,34 @@ class TestTokenGoldens:
         for text in ("0", "42L", "0x1F", "0b1010", "1_000", "3.14", ".5", "1e9", "2.5f"):
             assert pairs(text) == [(K.NUMBER, text)]
 
+    def test_hex_floating_point_shapes(self):
+        # JLS SE 17 §3.10.2: a hex significand, a `.` fraction or not, then a
+        # binary exponent; with no exponent, a `.` ends the literal
+        for text in ("0x1.8p1", "0x1p-3", "0X.8P+2d", "0x1.p0f", "0x1F", "0x1FL"):
+            assert pairs(text) == [(K.NUMBER, text)]
+        assert pairs("0x1.f") == [(K.NUMBER, "0x1"), (K.PUNCT, "."), (K.IDENT, "f")]
+
 
 class TestTrivia:
     def test_comment_attaches_to_following_token(self):
+        # a `//` comment is part of the gap before the token after it
         ts = tokenize_bytes(b"// note\nfoo")
         assert len(ts) == 1
-        assert [text for text, *_ in ts.comments[0]] == ["// note"]
+        assert (ts.texts[0], ts.starts[0], ts.lines[0]) == ("foo", 8, 2)
 
     def test_trailing_trivia_rides_an_eof_token(self):
         ts = tokenize_bytes(b"foo // tail")
         assert ts.kinds[:len(ts)] == [K.IDENT, K.EOF]
-        assert ts.comments[1][-1][0] == "// tail"
+        assert ts.starts[1] == ts.ends[1] == 11
 
     def test_block_comment_line_span(self):
         ts = tokenize_bytes(b"/* a\n b */ x")
-        assert ts.comments == {}
         assert ts.lines[0] == 2
+
+    def test_a_line_comment_ends_at_its_line_and_holds_no_block_comment(self):
+        ts = tokenize_bytes(b"a // x /* y\nb")
+        assert (ts.texts[:len(ts)], ts.lines[:len(ts)]) == (["a", "b"], [1, 2])
+        assert not hasattr(ts, "comments")
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_each_line_terminator_ends_a_line(self, ending):
@@ -104,8 +116,6 @@ class TestTrivia:
         ts = tokenize_bytes(ending.join(["// note", "/* a", "b */ x", "", "y // tail"]).encode())
         assert ts.texts[:len(ts)] == ["x", "y", ""]
         assert ts.lines[:len(ts)] == [3, 5, 5]
-        assert ts.comments == {0: [("// note", 0, 7, 1)],
-                               2: [("// tail", ts.ends[1] + 1, ts.ends[1] + 8, 5)]}
 
 
 class TestErrors:
@@ -197,8 +207,8 @@ _java_ish = st.text(
     max_size=80,
 )
 
-# what may lie between tokens and line comments: whitespace and /* */ only
-_SKIPPABLE = re.compile(rb"(?:[ \t\r\n\f]+|/\*.*?\*/)*", re.DOTALL)
+# what may lie between tokens: whitespace, /* */ and // comments only
+_SKIPPABLE = re.compile(rb"(?:[ \t\r\n\f]+|/\*.*?\*/|//[^\r\n]*)*", re.DOTALL)
 
 
 class TestNoSilentSkip:
@@ -206,8 +216,8 @@ class TestNoSilentSkip:
     @example((ORACLE_DIR / "C10.java").read_text())
     @settings(max_examples=400, deadline=None)
     def test_no_byte_is_skipped(self, text):
-        """Either an error inside the input, or tokens and line comments in
-        order with only whitespace and block comments between them."""
+        """Either an error inside the input, or tokens in order with only
+        whitespace and comments between them."""
         data = text.encode("utf-8")
         try:
             ts = tokenize_bytes(data)
@@ -216,7 +226,6 @@ class TestNoSilentSkip:
             return
         pieces = []
         for i in range(len(ts)):
-            pieces.extend((start, end) for _, start, end, _ in ts.comments.get(i, ()))
             if ts.kinds[i] != K.EOF:
                 pieces.append((ts.starts[i], ts.ends[i]))
         pos = 0
@@ -228,13 +237,13 @@ class TestNoSilentSkip:
 
 
 def _generated(matches: int, error_at: int = -1, period: int = 10):
-    """An input of `matches` tokens and `//` comments, with what the scanner
-    must make of it. Around every `period`-th match: a `//` comment before a
+    """An input of `matches` tokens and `//` comments, with the tokens the
+    scanner must make of it. Around every `period`-th match: a `//` comment before a
     line end and after one, a CR LF, a lone CR, and a multi-line `/* */`
     holding all three terminators. At `error_at` an invalid byte stands in
     for the match."""
     out = bytearray()
-    kinds, texts, starts, lines, comments = [], [], [], [], {}
+    kinds, texts, starts, lines = [], [], [], []
     line, after_comment, error = 1, False, None
     edges = {b + d: d for b in range(period, matches, period) for d in (-1, 0, 1)}
     for i in range(matches):
@@ -250,8 +259,6 @@ def _generated(matches: int, error_at: int = -1, period: int = 10):
         after_comment = (i in edges and edges[i] <= 0) or i % 97 == 5
         if after_comment:
             text = f"// c{i}"
-            comment = (text, len(out), len(out) + len(text), line)
-            comments.setdefault(len(kinds), []).append(comment)
         else:
             kind, text = [(K.IDENT, f"a{i}"), (K.NUMBER, str(i)), (K.PUNCT, "+=")][i % 3]
             kinds.append(kind)
@@ -259,18 +266,18 @@ def _generated(matches: int, error_at: int = -1, period: int = 10):
             starts.append(len(out))
             lines.append(line)
         out += text.encode()
-    return bytes(out), (kinds, texts, starts, lines, comments), error
+    return bytes(out), (kinds, texts, starts, lines), error
 
 
 def _scan(data: bytes):
-    """The stream's texts, starts, ends, lines and comments, up to ``len()``,
-    or the error's message, span and line."""
+    """The stream's texts, starts, ends and lines, up to ``len()``, or the
+    error's message, span and line."""
     try:
         ts = tokenize_bytes(data)
     except InvalidCharacter as exc:
         return exc.message, exc.byte_start, exc.byte_end, exc.line
     n = len(ts)
-    return ts.texts[:n], ts.starts[:n], ts.ends[:n], ts.lines[:n], ts.comments
+    return ts.texts[:n], ts.starts[:n], ts.ends[:n], ts.lines[:n]
 
 
 class _Splits:
@@ -309,8 +316,7 @@ class TestBatches:
         assert data.count(b"//") > 60 and data.count(b"\r\n") == 62
         n = len(expected[0])
         assert len(ts) == n  # the input ends in a token: no EOF token
-        assert (ts.kinds[:n], ts.texts[:n], ts.starts[:n], ts.lines[:n], ts.comments) \
-            == expected
+        assert (ts.kinds[:n], ts.texts[:n], ts.starts[:n], ts.lines[:n]) == expected
         assert ts.ends[:n] == [s + len(t) for s, t in zip(ts.starts[:n], ts.texts[:n])]
 
     @pytest.mark.parametrize("window", [1, 4, 16, 64])
@@ -318,20 +324,18 @@ class TestBatches:
         # 32 KiB falls after the generated input's first `window` bytes; its
         # stream is the one it has alone, moved by the blank bytes before it
         at = (1 << 15) - window
-        tail, (kinds, texts, starts, lines, comments), _ = _generated(400)
+        tail, (kinds, texts, starts, lines), _ = _generated(400)
         data = b" " * at + tail
         n = len(kinds)
         ts = tokenize_bytes(data)
         assert len(ts) == n
-        assert (ts.kinds[:n], ts.texts[:n], ts.starts[:n], ts.lines[:n], ts.comments) \
-            == (kinds, texts, [s + at for s in starts], lines,
-                {k: [(t, s + at, e + at, line) for t, s, e, line in cs]
-                 for k, cs in comments.items()})
+        assert (ts.kinds[:n], ts.texts[:n], ts.starts[:n], ts.lines[:n]) \
+            == (kinds, texts, [s + at for s in starts], lines)
 
     def test_cut_inside_a_block_comment(self):
         data = b"a /* one\ntwo */ b\nc\n"
         assert _scan(data) == (["a", "b", "c", ""], [0, 16, 18, 20], [1, 17, 19, 20],
-                                 [1, 2, 3, 4], {})
+                                 [1, 2, 3, 4])
 
     def test_block_comment_longer_than_the_window(self):
         lines = (1 << 15) // 2
@@ -339,7 +343,7 @@ class TestBatches:
         assert len(data) > 1 << 15
         b = len(data) - 2
         assert _scan(data) == (["a", "b", ""], [0, b, b + 2], [1, b + 1, b + 2],
-                                 [1, lines + 2, lines + 3], {})
+                                 [1, lines + 2, lines + 3])
 
     def test_block_comment_left_open_across_windows(self):
         data = b"a\n /*" + b" x\n" * ((1 << 15) // 2)
@@ -347,7 +351,7 @@ class TestBatches:
 
     def test_cut_in_the_trailing_whitespace(self):
         data = b"a b\n   \n\t\n  \n"
-        assert _scan(data) == (["a", "b", ""], [0, 2, 13], [1, 3, 13], [1, 1, 5], {})
+        assert _scan(data) == (["a", "b", ""], [0, 2, 13], [1, 3, 13], [1, 1, 5])
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     def test_crlf_straddling_the_cut(self, window):
@@ -356,7 +360,7 @@ class TestBatches:
         at = (1 << 15) - window
         data = b" " * at + b"ab\r\ncd\r\n\r\nef\r\n"
         assert _scan(data) == (["ab", "cd", "ef", ""], [at, at + 4, at + 10, at + 14],
-                                 [at + 2, at + 6, at + 12, at + 14], [1, 2, 4, 5], {})
+                                 [at + 2, at + 6, at + 12, at + 14], [1, 2, 4, 5])
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     def test_lone_cr_file(self, window):
@@ -364,14 +368,13 @@ class TestBatches:
         at = (1 << 15) - window
         data = b" " * at + b"ab\rcd\r\ref // x\r"
         assert _scan(data) == (["ab", "cd", "ef", ""], [at, at + 3, at + 7, at + 15],
-                                 [at + 2, at + 5, at + 9, at + 15], [1, 2, 4, 5],
-                                 {3: [("// x", at + 10, at + 14, 4)]})
+                                 [at + 2, at + 5, at + 9, at + 15], [1, 2, 4, 5])
 
     def test_line_longer_than_the_window(self):
         x = (1 << 15) + 100
         data = b"x" * x + b" y\nz"
         assert _scan(data) == (["x" * x, "y", "z"], [0, x + 1, x + 3],
-                                 [x, x + 2, x + 4], [1, 1, 2], {})
+                                 [x, x + 2, x + 4], [1, 1, 2])
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_invalid_byte_past_a_boundary(self, offset):
@@ -402,7 +405,7 @@ class TestBatches:
     def test_peak_memory_stays_near_the_stream(self, source):
         # the pieces of one split of the whole input are held only until the
         # stream's lists are made from them, and cost less than the stream;
-        # taking the `//` comments out copies one list at a time
+        # a `//` comment is read in the gap and makes no entry
         if source == "oracle":
             text = "\n".join(p.read_text(encoding="utf-8")
                              for p in sorted(ORACLE_DIR.glob("*.java")))

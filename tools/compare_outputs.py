@@ -24,11 +24,15 @@ the exit code, the standard output and the standard error:
   expressions), as one file each, under the corpus rules: `check --format
   json` on them, and `history --snapshots` over `NNNN_<case>/` folders, each
   adding one case to the one before, also comparing the CSV and JSON it
-  writes (2 cases).
+  writes (2 cases);
+* `commented`: the oracle and listing fixtures as `commented` of
+  `tools/parse_parity.py` writes them, with a `// @ICP(1)` line before each
+  statement it puts comments before, under the default rules: `check
+  --format json` and `reconcile --format json` (2 cases).
 
 The inputs are built once, with `cddbench/corpus.py`, the workload classes
-of `cddbench/run.py` and the cases of `tests/test_type_headers.py`, read
-with CHANGE_SRC's `cddlint`, in a temporary folder that is removed at the
+of `cddbench/run.py`, the cases of `tests/test_type_headers.py` and
+`tools/parse_parity.py`, read with CHANGE_SRC's `cddlint`, in a temporary folder that is removed at the
 end. The tool prints each case that differs and what differs in it, then
 the number of cases; it exits 1 if any case differs, else 0.
 """
@@ -47,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "cddbench"))
 from corpus import Corpus, config_document  # noqa: E402
 from run import HistoryGit, ReconcileFix, write_tree  # noqa: E402
+
+from parse_parity import commented  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 TREE_SEEDS = (5, 11, 29)
@@ -132,6 +138,18 @@ def modern_cases(work: Path, change_src: Path) -> tuple[list[str], list[str]]:
             ["history", "--snapshots", "snapshots", "--output-dir", "series", *config])
 
 
+def commented_cases(work: Path) -> list[tuple[str, list[str]]]:
+    """Write the fixtures to `work` with comments and `// @ICP(1)` marker
+    lines; return the name and argv of each case on them, run in `work`."""
+    for path in sorted(FIXTURES.rglob("*.java")):
+        target = work / path.relative_to(FIXTURES)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(commented(path.read_text("utf-8"), "// @ICP(1)"), encoding="utf-8")
+    return [(f"commented: {command} --format json (default rules)",
+             [command, "--format", "json", "oracle", "listing"])
+            for command in ("check", "reconcile")]
+
+
 def compare(name: str, sides: list[dict[str, bytes]]) -> bool:
     """Print what differs between the two sides' outputs; True if nothing."""
     parent, change = sides
@@ -168,6 +186,11 @@ def main(argv: list[str]) -> int:
         same.append(compare("modern: check --format json (corpus rules)",
                             [run_cli(src, seed, check, modern)
                              for src, seed in zip(srcs, HASH_SEEDS)]))
+
+        marked = work / "commented"
+        for name, cli_argv in commented_cases(marked):
+            same.append(compare(name, [run_cli(src, seed, cli_argv, marked)
+                                       for src, seed in zip(srcs, HASH_SEEDS)]))
 
         (work / "history").mkdir()
         history = HistoryGit(Corpus(WORKLOAD_SEED), work / "history")

@@ -1,4 +1,4 @@
-"""Compare two versions of the parser and the engine on the same 4,146 inputs.
+"""Compare two versions of the parser and the engine on the same 4,173 inputs.
 
     python3 tools/parse_parity.py PARENT_SRC CHANGE_SRC
 
@@ -16,6 +16,10 @@ package. The inputs are made once, by this process:
   initializers, compact constructors, local, anonymous and enum-constant
   bodies and the names of the types in them, and switch expressions, `->`
   rules and `yield`;
+* `commented`: each fixture with comments between its tokens (26), made by
+  `commented`: a `/* … */` block and a `// …` line before each line that
+  starts with `if`, `for`, `while`, `return`, `try` or `switch`, and a
+  `// …` after each `;` that ends a line; none holds `@ICP`;
 * `large`: each seed's 700 annotated files joined with LF into one input of
   about 288 KB, in LF, CR LF and lone-CR form.
 
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +65,22 @@ CATEGORY_VARIANTS = {
     "corpus, no internal": {"internal_coupling": {"enabled": False},
                             "condition": {"cost": 0.5}},
 }
+
+# a line that starts one of the statements `commented` puts comments before
+_STATEMENT_LINE = re.compile(r"^([ \t]*)(?=(?:if|for|while|return|try|switch)\b)", re.M)
+
+
+def commented(text: str, marker: str = "") -> str:
+    """`text` with a `/* … */` block and a `// …` line, then the line
+    `marker` if given, before each line that `_STATEMENT_LINE` matches, and
+    a `// …` after each `;` that ends a line. A fixture holds no text block,
+    so no `;` at a line's end is in a literal."""
+    text = re.sub(r";([ \t]*)$", r";\1 // end of statement", text, flags=re.M)
+    marker_line = rf"\1{marker}\n" if marker else ""
+    return _STATEMENT_LINE.sub(
+        rf"\1/* a block comment\n\1   over two lines */\n\1// a line comment\n{marker_line}\1",
+        text)
+
 
 # Run in each side's child: reads {"configs": {label: document or None for
 # the default rules}, "inputs": [[group, name, text], ...]} on stdin, writes
@@ -126,6 +147,8 @@ def make_inputs(change_src: Path) -> list[tuple[str, str, str]]:
                for n, data in enumerate(_mutants(2000, seed=7))]
     inputs += [("modern", f"modern/{name}", source)
                for name, (source, _) in TYPE_HEADER_CASES.items()]
+    inputs += [("commented", f"commented/{name[len('fixtures/'):]}", commented(text))
+               for group, name, text in inputs if group == "fixtures"]
     return inputs + large
 
 
